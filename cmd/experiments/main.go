@@ -54,15 +54,6 @@
 //	               (<id>.csv, <id>.json, <id>.txt, manifest.csv) are
 //	               byte-identical at any -parallel setting
 //	-grid-out DIR  artifact directory for -grid (default grid-out)
-//
-// Snapshot mode (perf trajectory; see internal/bench and DESIGN.md §11):
-//
-//	-bench-snapshot   measure the pinned microbenchmarks plus one timed
-//	                  run of the whole suite and write a BENCH_*.json
-//	                  snapshot; compare snapshots with benchstat-lite
-//	-bench-out FILE   snapshot path (default BENCH.json)
-//	-bench-label S    snapshot label (default the -bench-out stem)
-//	-bench-short      reduced measurement budget for CI smoke runs
 package main
 
 import (
@@ -109,10 +100,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	gridFile := flag.String("grid", "", "run the declarative JSON experiment grid in FILE (see internal/bench)")
 	gridOut := flag.String("grid-out", "grid-out", "artifact directory for -grid runs")
-	benchSnapshot := flag.Bool("bench-snapshot", false, "collect a perf snapshot (pinned microbenchmarks + suite timing) and exit")
-	benchOut := flag.String("bench-out", "BENCH.json", "snapshot output path for -bench-snapshot")
-	benchLabel := flag.String("bench-label", "", "snapshot label (default: -bench-out file stem)")
-	benchShort := flag.Bool("bench-short", false, "reduced snapshot measurement budget (CI smoke)")
 	flag.Parse()
 
 	if *list {
@@ -120,9 +107,6 @@ func main() {
 			fmt.Println(e.ID)
 		}
 		return
-	}
-	if *benchSnapshot {
-		os.Exit(runBenchSnapshot(*benchOut, *benchLabel, *benchShort, *parallel))
 	}
 	if *gridFile != "" {
 		os.Exit(runGrid(*gridFile, *gridOut, *parallel))
@@ -251,31 +235,6 @@ func main() {
 		}
 	}
 	os.Exit(exitCode)
-}
-
-// runBenchSnapshot collects a perf snapshot (internal/bench) and writes
-// it to path, printing its absolute numbers afterwards.
-func runBenchSnapshot(path, label string, short bool, parallel int) int {
-	if label == "" {
-		label = strings.TrimSuffix(filepath.Base(path), ".json")
-		label = strings.TrimPrefix(label, "BENCH_")
-	}
-	snap, err := bench.Collect(bench.CollectConfig{
-		Label:    label,
-		Short:    short,
-		Parallel: parallel,
-		Progress: func(line string) { fmt.Println(line) },
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
-	}
-	if err := bench.WriteSnapshot(path, snap); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
-	}
-	fmt.Printf("wrote %s\n", path)
-	return 0
 }
 
 // runGrid executes a declarative experiment grid and writes per-run

@@ -1,8 +1,9 @@
 // Command hostagent runs the SmartHarvest EVMAgent against a real Linux
 // host using cpuset cgroups (v2): it harvests cores from a "primary"
 // cgroup of latency-critical processes for an "elastic" cgroup of batch
-// processes, with the same online learner and safeguards the simulator
-// uses.
+// processes. It runs the simulator's own EVMAgent (internal/core) on an
+// event loop paced in real time (internal/rtagent), so the learner, both
+// safeguards and the retry/degradation ladder are the same code.
 //
 // Setup (as root, cgroup v2):
 //
@@ -33,6 +34,7 @@ import (
 	"smartharvest/internal/core"
 	"smartharvest/internal/hostcg"
 	"smartharvest/internal/rtagent"
+	"smartharvest/internal/sim"
 )
 
 // parseCores expands "0-3,6,8-9" into a core list.
@@ -94,6 +96,23 @@ func buildController(policy string, alloc int) (core.Controller, error) {
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
+}
+
+// agentConfig is the paper's agent configuration at the host's window
+// and poll rate, the elastic group keeping one core.
+func agentConfig(alloc int, window, poll time.Duration, guard bool) core.Config {
+	cfg := core.DefaultConfig(alloc, 1)
+	cfg.Window = sim.Duration(window)
+	cfg.PollInterval = sim.Duration(poll)
+	cfg.LongTermSafeguard = guard
+	// The default missed-poll threshold is a tenth of the simulator's 500
+	// polls per window. Keep the ratio: at 25 polls per window a count of
+	// 50 could never be reached and a dead /proc/stat would never degrade
+	// the agent.
+	if poll > 0 {
+		cfg.Resilience.DegradeAfterMissedPolls = max(1, int(window/poll)/10)
+	}
+	return cfg
 }
 
 func main() {
@@ -167,42 +186,28 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hostagent: saving model: %v\n", saveErr)
 		}
 	}
-	agent, err := rtagent.New(backend, ctrl, rtagent.Config{
-		PrimaryAlloc:      alloc,
-		ElasticMin:        1,
-		Window:            *window,
-		PollInterval:      *poll,
-		LongTermSafeguard: *guard,
-	})
+	loop := sim.NewLoop()
+	agent, err := core.NewAgent(loop, backend, ctrl, agentConfig(alloc, *window, *poll, *guard))
 	if err != nil {
 		fail(err)
+	}
+	agent.Start()
+	if *statsEvery > 0 {
+		loop.NewTicker(sim.Duration(*statsEvery), sim.Duration(*statsEvery), func() {
+			fmt.Printf("hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d missed-polls=%d degraded=%v\n",
+				agent.Target(), agent.Windows(), agent.ResizeCount(),
+				agent.SafeguardInvocations(), agent.QoSTrips(), agent.MissedPolls(), agent.Degraded())
+			if err := backend.LastError(); err != nil {
+				fmt.Fprintf(os.Stderr, "hostagent: backend: %v\n", err)
+			}
+		})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		t := time.NewTicker(*statsEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				st := agent.Stats()
-				fmt.Printf("hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d\n",
-					st.Target, st.Windows, st.Resizes, st.Safeguards, st.QoSTrips)
-				if err := backend.LastError(); err != nil {
-					fmt.Fprintf(os.Stderr, "hostagent: backend: %v\n", err)
-				}
-			}
-		}
-	}()
-
 	fmt.Printf("hostagent: harvesting %d cores (%s) with %s; ctrl-C to stop\n",
 		len(cores), *coreSpec, ctrl.Name())
-	if err := agent.Run(ctx); err != nil {
-		fail(err)
-	}
+	rtagent.Run(ctx, loop, rtagent.RealClock{})
 	// Give everything back on exit and persist what was learned.
 	backend.SetPrimaryCores(len(cores) - 1)
 	saveModel()

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"smartharvest/internal/core"
+	"smartharvest/internal/hostcg"
+	"smartharvest/internal/sim"
+)
 
 func TestParseCores(t *testing.T) {
 	cases := []struct {
@@ -61,6 +68,36 @@ func TestBuildController(t *testing.T) {
 	for _, bad := range []string{"nope", "fixedbuffer:z"} {
 		if _, err := buildController(bad, 10); err == nil {
 			t.Errorf("buildController(%q) accepted", bad)
+		}
+	}
+}
+
+func TestAgentConfig(t *testing.T) {
+	backend, err := hostcg.New(hostcg.Config{PrimaryCgroup: "/p", ElasticCgroup: "/e", Cores: []int{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := time.Millisecond
+	for _, c := range []struct {
+		window, poll time.Duration
+		wantMissed   int // degrade threshold: a tenth of the polls in a window
+	}{
+		{25 * ms, ms, 2},
+		{25 * ms, 50 * time.Microsecond, 50},
+		{25 * ms, 25 * ms, 1},
+	} {
+		cfg := agentConfig(3, c.window, c.poll, true)
+		if got := cfg.Resilience.DegradeAfterMissedPolls; got != c.wantMissed {
+			t.Errorf("window %v poll %v: degrade after %d missed polls, want %d", c.window, c.poll, got, c.wantMissed)
+		}
+		if _, err := core.NewAgent(sim.NewLoop(), backend, core.NewNoHarvest(3), cfg); err != nil {
+			t.Errorf("window %v poll %v: %v", c.window, c.poll, err)
+		}
+	}
+	// Bad flag values are NewAgent's to reject, not agentConfig's to panic on.
+	for _, poll := range []time.Duration{0, -ms, 50 * ms} {
+		if _, err := core.NewAgent(sim.NewLoop(), backend, core.NewNoHarvest(3), agentConfig(3, 25*ms, poll, true)); err == nil {
+			t.Errorf("-poll %v accepted", poll)
 		}
 	}
 }

@@ -1,3 +1,8 @@
+// Package bench is the declarative experiment grid behind
+// `cmd/experiments -grid`: a JSON plan of experiments, Config knobs and
+// seeds, executed on a bounded worker pool into per-run CSV/JSON/text
+// artifacts with stable schemas. (Performance is measured by the nested
+// benchmark/ module, not here.)
 package bench
 
 import (
@@ -13,8 +18,8 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// GridSchema versions the declarative experiment grid file. Same
-// compatibility rule as the snapshot schema (DESIGN.md §11).
+// GridSchema versions the declarative experiment grid file. A consumer
+// must refuse a grid whose schema identifier differs (DESIGN.md §11).
 const GridSchema = "smartharvest-grid/v1"
 
 // Grid is a declarative experiment plan: which experiments to run, at

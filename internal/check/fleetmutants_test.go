@@ -44,7 +44,7 @@ func captureChaosStream(t *testing.T) []obs.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recorder{}
+	ring := obs.NewRing(streamCap)
 	res, err := sched.Run(sched.Config{
 		Fleet: cluster.Config{
 			Servers:      chaosServers,
@@ -54,7 +54,7 @@ func captureChaosStream(t *testing.T) []obs.Record {
 			Warmup:       2 * sim.Second,
 			Seed:         13,
 			Faults:       plan,
-			Observer:     rec,
+			Observer:     ring,
 		},
 		Policy:          sched.FirstFit,
 		ArrivalRate:     3,
@@ -71,7 +71,7 @@ func captureChaosStream(t *testing.T) []obs.Record {
 	}
 	var out []obs.Record
 	seen := map[obs.Kind]int{}
-	for _, r := range rec.recs {
+	for _, r := range recorded(t, ring) {
 		switch r.Kind {
 		case obs.KindJobSubmit, obs.KindJobStart, obs.KindJobEvict,
 			obs.KindJobRequeue, obs.KindJobComplete, obs.KindJobSLOMiss,
@@ -116,7 +116,7 @@ func TestFleetMutantGallery(t *testing.T) {
 	base := captureChaosStream(t)
 
 	t.Run("clean chaos baseline passes", func(t *testing.T) {
-		rep := replayJobs(boundChaos(t), base)
+		rep := replay(boundChaos(t), base)
 		wantClean(t, rep)
 		if rep.Events != uint64(len(base)) {
 			t.Fatalf("checker saw %d events, stream has %d", rep.Events, len(base))
@@ -243,7 +243,7 @@ func TestFleetMutantGallery(t *testing.T) {
 	for _, m := range mutants {
 		t.Run(m.name, func(t *testing.T) {
 			recs := m.mutate(append([]obs.Record(nil), base...))
-			rep := replayJobs(boundChaos(t), recs)
+			rep := replay(boundChaos(t), recs)
 			wantViolation(t, rep, m.invariant)
 		})
 	}

@@ -29,7 +29,7 @@ const (
 // completion.
 func captureJobStream(t *testing.T) []obs.Record {
 	t.Helper()
-	rec := &recorder{}
+	ring := obs.NewRing(streamCap)
 	res, err := sched.Run(sched.Config{
 		Fleet: cluster.Config{
 			Servers:      jobMutantServers,
@@ -38,7 +38,7 @@ func captureJobStream(t *testing.T) []obs.Record {
 			Duration:     40 * sim.Second,
 			Warmup:       2 * sim.Second,
 			Seed:         13,
-			Observer:     rec,
+			Observer:     ring,
 		},
 		Policy:      sched.FirstFit,
 		ArrivalRate: 2,
@@ -52,7 +52,7 @@ func captureJobStream(t *testing.T) []obs.Record {
 			res.Evictions, res.Requeues, res.Completed)
 	}
 	var jobs []obs.Record
-	for _, r := range rec.recs {
+	for _, r := range recorded(t, ring) {
 		switch r.Kind {
 		case obs.KindJobSubmit, obs.KindJobStart, obs.KindJobEvict,
 			obs.KindJobRequeue, obs.KindJobComplete, obs.KindJobSLOMiss:
@@ -78,44 +78,11 @@ func boundJobs(t *testing.T) *check.JobChecker {
 	return c
 }
 
-// replayJobs feeds captured job and fleet records into a JobChecker.
-func replayJobs(c *check.JobChecker, recs []obs.Record) *check.Report {
-	for _, r := range recs {
-		switch r.Kind {
-		case obs.KindJobSubmit:
-			c.OnJobSubmit(r.JobSubmit)
-		case obs.KindJobStart:
-			c.OnJobStart(r.JobStart)
-		case obs.KindJobEvict:
-			c.OnJobEvict(r.JobEvict)
-		case obs.KindJobRequeue:
-			c.OnJobRequeue(r.JobRequeue)
-		case obs.KindJobComplete:
-			c.OnJobComplete(r.JobComplete)
-		case obs.KindJobSLOMiss:
-			c.OnJobSLOMiss(r.JobSLOMiss)
-		case obs.KindServerCrash:
-			c.OnServerCrash(r.ServerCrash)
-		case obs.KindServerRestart:
-			c.OnServerRestart(r.ServerRestart)
-		case obs.KindServerQuarantine:
-			c.OnServerQuarantine(r.ServerQuarantine)
-		case obs.KindServerProbation:
-			c.OnServerProbation(r.ServerProbation)
-		case obs.KindPlacementRetry:
-			c.OnPlacementRetry(r.PlacementRetry)
-		case obs.KindAdmissionDegraded:
-			c.OnAdmissionDegraded(r.AdmissionDegraded)
-		}
-	}
-	return c.Finish()
-}
-
 func TestJobMutantGallery(t *testing.T) {
 	base := captureJobStream(t)
 
 	t.Run("clean baseline passes", func(t *testing.T) {
-		rep := replayJobs(boundJobs(t), base)
+		rep := replay(boundJobs(t), base)
 		wantClean(t, rep)
 		if rep.Events != uint64(len(base)) {
 			t.Fatalf("checker saw %d events, stream has %d", rep.Events, len(base))
@@ -196,7 +163,7 @@ func TestJobMutantGallery(t *testing.T) {
 	for _, m := range mutants {
 		t.Run(m.name, func(t *testing.T) {
 			recs := m.mutate(append([]obs.Record(nil), base...))
-			rep := replayJobs(boundJobs(t), recs)
+			rep := replay(boundJobs(t), recs)
 			wantViolation(t, rep, m.invariant)
 		})
 	}

@@ -42,7 +42,7 @@ func marketMutantConfig(t *testing.T) market.Config {
 // ticks, an SLA-violating capacity eviction, and settlements.
 func captureMarketStream(t *testing.T) []obs.Record {
 	t.Helper()
-	rec := &recorder{}
+	ring := obs.NewRing(streamCap)
 	res, err := sched.Run(sched.Config{
 		Fleet: cluster.Config{
 			Servers:      jobMutantServers,
@@ -51,7 +51,7 @@ func captureMarketStream(t *testing.T) []obs.Record {
 			Duration:     40 * sim.Second,
 			Warmup:       2 * sim.Second,
 			Seed:         1,
-			Observer:     rec,
+			Observer:     ring,
 		},
 		Policy:      sched.FirstFit,
 		ArrivalRate: 2,
@@ -72,7 +72,7 @@ func captureMarketStream(t *testing.T) []obs.Record {
 		t.Fatal("baseline run has no SLA-violating eviction to mutate")
 	}
 	var out []obs.Record
-	for _, r := range rec.recs {
+	for _, r := range recorded(t, ring) {
 		switch r.Kind {
 		case obs.KindJobSubmit, obs.KindJobStart, obs.KindJobEvict,
 			obs.KindJobRequeue, obs.KindJobComplete, obs.KindJobSLOMiss,
@@ -100,44 +100,11 @@ func boundMarket(t *testing.T) *check.JobChecker {
 	return c
 }
 
-// replayMarket feeds captured job and pool records into a JobChecker.
-func replayMarket(c *check.JobChecker, recs []obs.Record) *check.Report {
-	for _, r := range recs {
-		switch r.Kind {
-		case obs.KindJobSubmit:
-			c.OnJobSubmit(r.JobSubmit)
-		case obs.KindJobStart:
-			c.OnJobStart(r.JobStart)
-		case obs.KindJobEvict:
-			c.OnJobEvict(r.JobEvict)
-		case obs.KindJobRequeue:
-			c.OnJobRequeue(r.JobRequeue)
-		case obs.KindJobComplete:
-			c.OnJobComplete(r.JobComplete)
-		case obs.KindJobSLOMiss:
-			c.OnJobSLOMiss(r.JobSLOMiss)
-		case obs.KindPoolOpen:
-			c.OnPoolOpen(r.PoolOpen)
-		case obs.KindPoolReject:
-			c.OnPoolReject(r.PoolReject)
-		case obs.KindPoolGrant:
-			c.OnPoolGrant(r.PoolGrant)
-		case obs.KindPoolAccount:
-			c.OnPoolAccount(r.PoolAccount)
-		case obs.KindPoolEvict:
-			c.OnPoolEvict(r.PoolEvict)
-		case obs.KindPoolSettle:
-			c.OnPoolSettle(r.PoolSettle)
-		}
-	}
-	return c.Finish()
-}
-
 func TestMarketMutantGallery(t *testing.T) {
 	base := captureMarketStream(t)
 
 	t.Run("clean baseline passes", func(t *testing.T) {
-		rep := replayMarket(boundMarket(t), base)
+		rep := replay(boundMarket(t), base)
 		wantClean(t, rep)
 		if rep.Events != uint64(len(base)) {
 			t.Fatalf("checker saw %d events, stream has %d", rep.Events, len(base))
@@ -277,7 +244,7 @@ func TestMarketMutantGallery(t *testing.T) {
 	for _, m := range mutants {
 		t.Run(m.name, func(t *testing.T) {
 			recs := m.mutate(append([]obs.Record(nil), base...))
-			rep := replayMarket(boundMarket(t), recs)
+			rep := replay(boundMarket(t), recs)
 			wantViolation(t, rep, m.invariant)
 		})
 	}

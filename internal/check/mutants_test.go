@@ -18,135 +18,97 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// recorder captures the full event stream as obs.Records.
-type recorder struct {
-	recs []obs.Record
+// streamCap bounds a captured baseline (the longest, the single-server
+// run with its polls, is ~20k events).
+const streamCap = 1 << 15
+
+// recorded returns every event the ring saw, oldest first.
+func recorded(t *testing.T, ring *obs.Ring) []obs.Record {
+	t.Helper()
+	if ring.TotalEvents() != uint64(ring.Len()) {
+		t.Fatalf("baseline emitted %d events, ring kept %d; raise streamCap", ring.TotalEvents(), ring.Len())
+	}
+	return ring.Records()
 }
 
-func (r *recorder) OnPollSample(e obs.PollSample) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPollSample, PollSample: e})
-}
-func (r *recorder) OnWindowEnd(e obs.WindowEnd) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindWindowEnd, WindowEnd: e})
-}
-func (r *recorder) OnSafeguardTrip(e obs.SafeguardTrip) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindSafeguardTrip, SafeguardTrip: e})
-}
-func (r *recorder) OnQoSTrip(e obs.QoSTrip) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindQoSTrip, QoSTrip: e})
-}
-func (r *recorder) OnQoSResume(e obs.QoSResume) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindQoSResume, QoSResume: e})
-}
-func (r *recorder) OnResize(e obs.Resize) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindResize, Resize: e})
-}
-func (r *recorder) OnChurnApplied(e obs.ChurnApplied) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindChurnApplied, ChurnApplied: e})
-}
-func (r *recorder) OnBatchProgress(e obs.BatchProgress) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindBatchProgress, BatchProgress: e})
-}
-func (r *recorder) OnFaultInjected(e obs.FaultInjected) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindFaultInjected, FaultInjected: e})
-}
-func (r *recorder) OnResizeRetry(e obs.ResizeRetry) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindResizeRetry, ResizeRetry: e})
-}
-func (r *recorder) OnDegradedEnter(e obs.DegradedEnter) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindDegradedEnter, DegradedEnter: e})
-}
-func (r *recorder) OnDegradedExit(e obs.DegradedExit) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindDegradedExit, DegradedExit: e})
-}
-func (r *recorder) OnJobSubmit(e obs.JobSubmit) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobSubmit, JobSubmit: e})
-}
-func (r *recorder) OnJobStart(e obs.JobStart) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobStart, JobStart: e})
-}
-func (r *recorder) OnJobEvict(e obs.JobEvict) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobEvict, JobEvict: e})
-}
-func (r *recorder) OnJobRequeue(e obs.JobRequeue) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobRequeue, JobRequeue: e})
-}
-func (r *recorder) OnJobComplete(e obs.JobComplete) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobComplete, JobComplete: e})
-}
-func (r *recorder) OnJobSLOMiss(e obs.JobSLOMiss) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindJobSLOMiss, JobSLOMiss: e})
-}
-func (r *recorder) OnPredictorInfo(e obs.PredictorInfo) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPredictorInfo, PredictorInfo: e})
-}
-func (r *recorder) OnServerCrash(e obs.ServerCrash) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindServerCrash, ServerCrash: e})
-}
-func (r *recorder) OnServerRestart(e obs.ServerRestart) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindServerRestart, ServerRestart: e})
-}
-func (r *recorder) OnServerQuarantine(e obs.ServerQuarantine) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindServerQuarantine, ServerQuarantine: e})
-}
-func (r *recorder) OnServerProbation(e obs.ServerProbation) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindServerProbation, ServerProbation: e})
-}
-func (r *recorder) OnPlacementRetry(e obs.PlacementRetry) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPlacementRetry, PlacementRetry: e})
-}
-func (r *recorder) OnAdmissionDegraded(e obs.AdmissionDegraded) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindAdmissionDegraded, AdmissionDegraded: e})
-}
-func (r *recorder) OnPoolOpen(e obs.PoolOpen) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolOpen, PoolOpen: e})
-}
-func (r *recorder) OnPoolReject(e obs.PoolReject) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolReject, PoolReject: e})
-}
-func (r *recorder) OnPoolGrant(e obs.PoolGrant) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolGrant, PoolGrant: e})
-}
-func (r *recorder) OnPoolAccount(e obs.PoolAccount) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolAccount, PoolAccount: e})
-}
-func (r *recorder) OnPoolEvict(e obs.PoolEvict) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolEvict, PoolEvict: e})
-}
-func (r *recorder) OnPoolSettle(e obs.PoolSettle) {
-	r.recs = append(r.recs, obs.Record{Kind: obs.KindPoolSettle, PoolSettle: e})
-}
-
-// replay feeds captured records into a checker as if the run were live.
-func replay(c *check.Checker, recs []obs.Record) *check.Report {
+// replayInto feeds captured records to an observer as if the run were
+// live. It is the one Record→Observer dispatch the four mutant galleries
+// share.
+func replayInto(o obs.Observer, recs []obs.Record) {
 	for _, r := range recs {
 		switch r.Kind {
 		case obs.KindPollSample:
-			c.OnPollSample(r.PollSample)
+			o.OnPollSample(r.PollSample)
 		case obs.KindWindowEnd:
-			c.OnWindowEnd(r.WindowEnd)
+			o.OnWindowEnd(r.WindowEnd)
 		case obs.KindSafeguardTrip:
-			c.OnSafeguardTrip(r.SafeguardTrip)
+			o.OnSafeguardTrip(r.SafeguardTrip)
 		case obs.KindQoSTrip:
-			c.OnQoSTrip(r.QoSTrip)
+			o.OnQoSTrip(r.QoSTrip)
 		case obs.KindQoSResume:
-			c.OnQoSResume(r.QoSResume)
+			o.OnQoSResume(r.QoSResume)
 		case obs.KindResize:
-			c.OnResize(r.Resize)
+			o.OnResize(r.Resize)
 		case obs.KindChurnApplied:
-			c.OnChurnApplied(r.ChurnApplied)
+			o.OnChurnApplied(r.ChurnApplied)
 		case obs.KindBatchProgress:
-			c.OnBatchProgress(r.BatchProgress)
+			o.OnBatchProgress(r.BatchProgress)
 		case obs.KindFaultInjected:
-			c.OnFaultInjected(r.FaultInjected)
+			o.OnFaultInjected(r.FaultInjected)
 		case obs.KindResizeRetry:
-			c.OnResizeRetry(r.ResizeRetry)
+			o.OnResizeRetry(r.ResizeRetry)
 		case obs.KindDegradedEnter:
-			c.OnDegradedEnter(r.DegradedEnter)
+			o.OnDegradedEnter(r.DegradedEnter)
 		case obs.KindDegradedExit:
-			c.OnDegradedExit(r.DegradedExit)
+			o.OnDegradedExit(r.DegradedExit)
+		case obs.KindJobSubmit:
+			o.OnJobSubmit(r.JobSubmit)
+		case obs.KindJobStart:
+			o.OnJobStart(r.JobStart)
+		case obs.KindJobEvict:
+			o.OnJobEvict(r.JobEvict)
+		case obs.KindJobRequeue:
+			o.OnJobRequeue(r.JobRequeue)
+		case obs.KindJobComplete:
+			o.OnJobComplete(r.JobComplete)
+		case obs.KindJobSLOMiss:
+			o.OnJobSLOMiss(r.JobSLOMiss)
+		case obs.KindPredictorInfo:
+			o.OnPredictorInfo(r.PredictorInfo)
+		case obs.KindServerCrash:
+			o.OnServerCrash(r.ServerCrash)
+		case obs.KindServerRestart:
+			o.OnServerRestart(r.ServerRestart)
+		case obs.KindServerQuarantine:
+			o.OnServerQuarantine(r.ServerQuarantine)
+		case obs.KindServerProbation:
+			o.OnServerProbation(r.ServerProbation)
+		case obs.KindPlacementRetry:
+			o.OnPlacementRetry(r.PlacementRetry)
+		case obs.KindAdmissionDegraded:
+			o.OnAdmissionDegraded(r.AdmissionDegraded)
+		case obs.KindPoolOpen:
+			o.OnPoolOpen(r.PoolOpen)
+		case obs.KindPoolReject:
+			o.OnPoolReject(r.PoolReject)
+		case obs.KindPoolGrant:
+			o.OnPoolGrant(r.PoolGrant)
+		case obs.KindPoolAccount:
+			o.OnPoolAccount(r.PoolAccount)
+		case obs.KindPoolEvict:
+			o.OnPoolEvict(r.PoolEvict)
+		case obs.KindPoolSettle:
+			o.OnPoolSettle(r.PoolSettle)
 		}
 	}
+}
+
+// replay feeds a captured stream to a checker and returns its report.
+func replay(c interface {
+	obs.Observer
+	Finish() *check.Report
+}, recs []obs.Record) *check.Report {
+	replayInto(c, recs)
 	return c.Finish()
 }
 
@@ -155,7 +117,7 @@ func replay(c *check.Checker, recs []obs.Record) *check.Report {
 // run is deterministic, so every subtest mutates the same baseline.
 func captureStream(t *testing.T) ([]obs.Record, check.Config) {
 	t.Helper()
-	rec := &recorder{}
+	ring := obs.NewRing(streamCap)
 	s := harness.Scenario{
 		Name:              "mutant-baseline",
 		Primaries:         []apps.PrimarySpec{apps.Memcached(40000)},
@@ -164,16 +126,17 @@ func captureStream(t *testing.T) ([]obs.Record, check.Config) {
 		Warmup:            200 * sim.Millisecond,
 		Seed:              1,
 		LongTermSafeguard: true,
-		Observer:          rec,
+		Observer:          ring,
 	}
 	if _, err := harness.Run(s); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	if len(rec.recs) == 0 {
+	recs := recorded(t, ring)
+	if len(recs) == 0 {
 		t.Fatal("baseline run produced no events")
 	}
 	agentCfg := core.DefaultConfig(10, 1)
-	return rec.recs, check.Config{
+	return recs, check.Config{
 		TotalCores:        11,
 		PrimaryAlloc:      10,
 		PrimaryVMCores:    10,

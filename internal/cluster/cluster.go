@@ -284,12 +284,10 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 		ctrl := cfg.Controller(maxAlloc)
 		agentCfg.LongTermSafeguard = ctrl.Safeguards()
-		var hv core.Hypervisor = machineAdapter{machine}
 		if inj != nil {
 			agentCfg.Faults = inj
-			hv = faultyAdapter{machineAdapter{machine}, inj}
 		}
-		agent, err := core.NewAgent(loop, hv, ctrl, agentCfg)
+		agent, err := core.NewAgent(loop, harness.MachineHypervisor(machine, inj), ctrl, agentCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -623,36 +621,4 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return f.Finish()
-}
-
-// machineAdapter bridges the machine to the agent contract (the same
-// adapter the single-server harness uses; duplicated to avoid exporting
-// it from harness).
-type machineAdapter struct {
-	m *hypervisor.Machine
-}
-
-func (a machineAdapter) TotalCores() int       { return a.m.TotalCores() }
-func (a machineAdapter) BusyPrimaryCores() int { return a.m.BusyCores(hypervisor.PrimaryGroup) }
-func (a machineAdapter) SetPrimaryCores(n int) (core.ResizeResult, error) {
-	out, err := a.m.SetPrimaryCores(n)
-	if err != nil {
-		return core.ResizeResult{}, err
-	}
-	return core.ResizeResult{
-		Applied: out.Status == hypervisor.ResizeApplied,
-		Latency: out.Latency,
-	}, nil
-}
-func (a machineAdapter) DrainPrimaryWaits() []int64 { return a.m.DrainPrimaryWaits() }
-
-// faultyAdapter additionally routes the busy-core signal through the
-// fault injector, mirroring the single-server harness wiring.
-type faultyAdapter struct {
-	machineAdapter
-	inj *faults.Injector
-}
-
-func (a faultyAdapter) BusyPrimaryCores() int {
-	return a.inj.SamplePoll(a.m.BusyCores(hypervisor.PrimaryGroup), a.m.GroupCores(hypervisor.PrimaryGroup))
 }

@@ -37,8 +37,8 @@ type ResizeResult struct {
 
 // Hypervisor is the narrow, black-box interface the agent needs — the
 // same contract the paper's agent gets from Hyper-V's Host Compute
-// Service. internal/harness adapts the simulated machine to it; a real
-// cgroup or KVM backend could implement it too.
+// Service. internal/harness adapts the simulated machine to it;
+// internal/hostcg implements it on a real Linux host over cgroups.
 type Hypervisor interface {
 	// TotalCores is the size of the harvesting pool.
 	TotalCores() int

@@ -300,8 +300,17 @@ type Result struct {
 	Check *check.Report
 }
 
-// machineHV adapts the simulated machine to the agent's black-box
-// hypervisor contract.
+// MachineHypervisor adapts the simulated machine to the agent's
+// black-box hypervisor contract. A non-nil injector additionally routes
+// the busy-core signal through it, so polls can be dropped, staled, or
+// perturbed.
+func MachineHypervisor(m *hypervisor.Machine, inj *faults.Injector) core.Hypervisor {
+	if inj != nil {
+		return faultyHV{machineHV{m}, inj}
+	}
+	return machineHV{m}
+}
+
 type machineHV struct {
 	m *hypervisor.Machine
 }
@@ -320,8 +329,6 @@ func (a machineHV) SetPrimaryCores(n int) (core.ResizeResult, error) {
 }
 func (a machineHV) DrainPrimaryWaits() []int64 { return a.m.DrainPrimaryWaits() }
 
-// faultyHV additionally routes the busy-core signal through the fault
-// injector, so polls can be dropped, staled, or perturbed.
 type faultyHV struct {
 	machineHV
 	inj *faults.Injector
@@ -616,11 +623,7 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	// allocation so it can follow churn; the agent starts at the initial
 	// allocation. (agentCfg and ctrl were resolved above, before the
 	// machine, so the checker could bind to them.)
-	var hv core.Hypervisor = machineHV{machine}
-	if injector != nil {
-		hv = faultyHV{machineHV{machine}, injector}
-	}
-	agent, err := core.NewAgent(loop, hv, ctrl, agentCfg)
+	agent, err := core.NewAgent(loop, MachineHypervisor(machine, injector), ctrl, agentCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -148,7 +148,6 @@ type Backend struct {
 	prevCPU   map[int]cpuTimes
 	prevWait  map[int]int64 // pid -> cumulative run-queue wait ns
 	waitBuf   []int64
-	lastBusy  int
 	resizes   uint64
 	lastError error
 }
@@ -255,17 +254,19 @@ func (b *Backend) SetPrimaryCores(n int) (core.ResizeResult, error) {
 
 // BusyPrimaryCores implements core.Hypervisor: it reads /proc/stat and
 // counts primary-group cores whose non-idle share since the previous
-// reading exceeds the busy threshold.
+// reading exceeds the busy threshold. A failed read or parse is a lost
+// reading (-1, with LastError set), never a replay of the previous one:
+// the agent counts it toward its missed-poll degradation ladder.
 func (b *Backend) BusyPrimaryCores() int {
 	data, err := b.cfg.OS.ReadFile(filepath.Join(b.cfg.ProcRoot, "stat"))
 	if err != nil {
 		b.lastError = err
-		return b.lastBusy
+		return -1
 	}
 	now, err := parseProcStat(string(data))
 	if err != nil {
 		b.lastError = err
-		return b.lastBusy
+		return -1
 	}
 	busy := 0
 	for _, cpu := range b.cfg.Cores[:b.primary] {
@@ -293,7 +294,6 @@ func (b *Backend) BusyPrimaryCores() int {
 			b.prevCPU[cpu] = cur
 		}
 	}
-	b.lastBusy = busy
 	return busy
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smartharvest/internal/core"
+	"smartharvest/internal/sim"
 )
 
 // fakeOS is an in-memory host.
@@ -226,13 +227,66 @@ func TestBusyToleratesReadErrors(t *testing.T) {
 	b.BusyPrimaryCores()
 	setStat(f, statLine(0, 300, 100), statLine(1, 300, 100), statLine(2, 100, 300),
 		statLine(3, 100, 300), statLine(4, 100, 300), statLine(5, 100, 300))
-	want := b.BusyPrimaryCores()
+	if got := b.BusyPrimaryCores(); got != 2 {
+		t.Fatalf("busy %d, want 2", got)
+	}
+	// The Hypervisor contract: a lost reading is -1, not a replay of the
+	// previous one — whether the read or the parse failed.
 	f.errOn["/proc/stat"] = fmt.Errorf("transient")
-	if got := b.BusyPrimaryCores(); got != want {
-		t.Fatalf("error path returned %d, want cached %d", got, want)
+	if got := b.BusyPrimaryCores(); got != -1 {
+		t.Fatalf("failed read returned %d, want -1", got)
 	}
 	if b.LastError() == nil {
 		t.Fatal("error not recorded")
+	}
+	delete(f.errOn, "/proc/stat")
+	f.files["/proc/stat"] = "cpuX 1 2 3 4 5\n"
+	if got := b.BusyPrimaryCores(); got != -1 {
+		t.Fatalf("failed parse returned %d, want -1", got)
+	}
+}
+
+// Lost host readings must reach the agent's missed-poll ladder: each one
+// is counted, and enough of them in one window degrade the agent, which
+// writes the full allocation back to the primary cpuset.
+func TestLostReadingsDegradeAgent(t *testing.T) {
+	f := newFakeOS()
+	b, _ := New(testConfig(f))
+	if err := b.Init(); err != nil {
+		t.Fatal(err)
+	}
+	setStat(f, statLine(0, 100, 100)) // never advances: every core reads idle
+	loop := sim.NewLoop()
+	cfg := core.DefaultConfig(5, 1)
+	cfg.PollInterval = sim.Millisecond
+	cfg.Resilience.DegradeAfterMissedPolls = 5
+	a, err := core.NewAgent(loop, b, core.NewFixedBuffer(5, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	loop.RunUntil(100 * sim.Millisecond)
+	if got := f.files["/cg/primary/cpuset.cpus"]; got != "0" {
+		t.Fatalf("primary cpuset %q before the fault, want the idle host harvested down to \"0\"", got)
+	}
+
+	// Three failing reads: counted, below the threshold.
+	f.errOn["/proc/stat"] = fmt.Errorf("transient")
+	loop.RunUntil(loop.Now() + 3*sim.Millisecond)
+	delete(f.errOn, "/proc/stat")
+	if a.MissedPolls() != 3 || a.Degraded() {
+		t.Fatalf("missed %d degraded %v after 3 failing reads, want 3 and false", a.MissedPolls(), a.Degraded())
+	}
+	loop.RunUntil(200 * sim.Millisecond)
+
+	// A dead /proc/stat: the threshold is crossed inside one window.
+	f.errOn["/proc/stat"] = fmt.Errorf("gone")
+	loop.RunUntil(300 * sim.Millisecond)
+	if !a.Degraded() {
+		t.Fatalf("agent not degraded after %d lost readings", a.MissedPolls())
+	}
+	if got := f.files["/cg/primary/cpuset.cpus"]; got != "0-4" {
+		t.Fatalf("primary cpuset %q while degraded, want the full allocation \"0-4\"", got)
 	}
 }
 

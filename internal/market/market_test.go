@@ -222,9 +222,8 @@ func TestConfigInertWhenDisabled(t *testing.T) {
 	}
 }
 
-// BenchmarkAdmission is the go-test twin of the perf snapshot's
-// market/admission micro (internal/bench): one iteration opens a
-// three-tier pool plan against a fixed forecast and assigns 64 jobs.
+// BenchmarkAdmission: one iteration opens a three-tier pool plan
+// against a fixed forecast and assigns 64 jobs.
 func BenchmarkAdmission(b *testing.B) {
 	cfg, err := ParsePools("name=s,tier=spot,reserved=8;name=m,tier=standard,reserved=4;name=p,tier=premium,reserved=2")
 	if err != nil {

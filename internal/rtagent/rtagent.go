@@ -1,23 +1,18 @@
-// Package rtagent runs the EVMAgent control loop in real (wall-clock)
-// time, for use with host backends like internal/hostcg. It implements
-// the same Algorithm 1 as the simulator-coupled internal/core agent —
-// polling, learning windows, both safeguards, post-resize sleeps — but
-// paces itself with a Clock instead of the discrete-event loop, and
-// reuses the exact same Controller implementations (the CSOAA learner and
-// every baseline), so policy behaviour is identical across the simulated
-// and real paths.
+// Package rtagent paces a sim.Loop against a wall clock, so the one
+// EVMAgent (internal/core) that drives the simulator also runs in real
+// time over a host backend like internal/hostcg. It holds no agent logic:
+// windows, safeguards, retries and degradation all live in core.Agent,
+// which touches time only through the loop.
 package rtagent
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"time"
 
-	"smartharvest/internal/core"
+	"smartharvest/internal/sim"
 )
 
-// Clock abstracts time so the loop is testable without real sleeping.
+// Clock abstracts time so the pacer is testable without real sleeping.
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
@@ -32,289 +27,32 @@ func (RealClock) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Config parameterizes the real-time agent; zero fields default to the
-// paper's values.
-type Config struct {
-	// PrimaryAlloc is the primary tenants' total core allocation.
-	PrimaryAlloc int
-	// ElasticMin is the elastic group's guaranteed core count.
-	ElasticMin int
-	// Window is the learning window (default 25ms).
-	Window time.Duration
-	// PollInterval is the busy-core sampling period. The simulator uses
-	// the paper's 50µs; on a real host reading /proc/stat that fast is
-	// wasteful, so the default here is 1ms.
-	PollInterval time.Duration
-	// PostResizeSleep follows every resize (default 10ms).
-	PostResizeSleep time.Duration
-	// PeakHistory is the conservative safeguard's lookback (default 1s).
-	PeakHistory time.Duration
-
-	// LongTermSafeguard enables the QoS guard.
-	LongTermSafeguard bool
-	// QoSWindow, QoSWaitThreshold, QoSViolationFrac, QoSConsecutive and
-	// HarvestPause parameterize it (defaults 500ms / 50µs / 1% / 1 / 10s).
-	QoSWindow        time.Duration
-	QoSWaitThreshold time.Duration
-	QoSViolationFrac float64
-	QoSConsecutive   int
-	HarvestPause     time.Duration
-
-	// Clock defaults to RealClock.
-	Clock Clock
-}
-
-func (c *Config) applyDefaults() {
-	if c.Window == 0 {
-		c.Window = 25 * time.Millisecond
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = time.Millisecond
-	}
-	if c.PostResizeSleep == 0 {
-		c.PostResizeSleep = 10 * time.Millisecond
-	}
-	if c.PeakHistory == 0 {
-		c.PeakHistory = time.Second
-	}
-	if c.QoSWindow == 0 {
-		c.QoSWindow = 500 * time.Millisecond
-	}
-	if c.QoSWaitThreshold == 0 {
-		c.QoSWaitThreshold = 50 * time.Microsecond
-	}
-	if c.QoSViolationFrac == 0 {
-		c.QoSViolationFrac = 0.01
-	}
-	if c.QoSConsecutive == 0 {
-		c.QoSConsecutive = 1
-	}
-	if c.HarvestPause == 0 {
-		c.HarvestPause = 10 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = RealClock{}
-	}
-}
-
-func (c *Config) validate(total int) error {
-	if c.PrimaryAlloc < 1 || c.ElasticMin < 0 ||
-		c.PrimaryAlloc+c.ElasticMin > total {
-		return fmt.Errorf("rtagent: bad allocation %d+%d for %d cores",
-			c.PrimaryAlloc, c.ElasticMin, total)
-	}
-	if c.PollInterval <= 0 || c.Window < c.PollInterval {
-		return fmt.Errorf("rtagent: need PollInterval <= Window")
-	}
-	if c.QoSViolationFrac <= 0 || c.QoSViolationFrac > 1 {
-		return fmt.Errorf("rtagent: bad QoSViolationFrac")
-	}
-	return nil
-}
-
-// Stats is a snapshot of the agent's activity.
-type Stats struct {
-	Windows    uint64
-	Safeguards uint64
-	QoSTrips   uint64
-	Resizes    uint64
-	Target     int
-}
-
-type peakEntry struct {
-	at   time.Time
-	peak int
-}
-
-// Agent is the real-time EVMAgent.
-type Agent struct {
-	hv   core.Hypervisor
-	ctrl core.Controller
-	cfg  Config
-
-	target      int
-	samples     []int
-	peaks       []peakEntry
-	pausedUntil time.Time
-	qosStrikes  int
-	nextQoS     time.Time
-
-	mu    sync.Mutex // guards stats and target for cross-goroutine reads
-	stats Stats
-}
-
-// New builds the agent; the controller must be sized for
-// cfg.PrimaryAlloc.
-func New(hv core.Hypervisor, ctrl core.Controller, cfg Config) (*Agent, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(hv.TotalCores()); err != nil {
-		return nil, err
-	}
-	return &Agent{hv: hv, ctrl: ctrl, cfg: cfg, target: cfg.PrimaryAlloc}, nil
-}
-
-// Stats returns a snapshot of activity counters. It is safe to call from
-// another goroutine while Run is active (hostagent's reporting loop does).
-func (a *Agent) Stats() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := a.stats
-	s.Target = a.target
-	return s
-}
-
-// bump applies a mutation to the stats under the lock.
-func (a *Agent) bump(f func(*Stats)) {
-	a.mu.Lock()
-	f(&a.stats)
-	a.mu.Unlock()
-}
-
-// Run executes the control loop until ctx is done. It must be the only
-// goroutine touching the hypervisor backend.
-func (a *Agent) Run(ctx context.Context) error {
-	clk := a.cfg.Clock
-	a.hv.SetPrimaryCores(a.target)
-	a.nextQoS = clk.Now().Add(a.cfg.QoSWindow)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
-		}
-		a.window(ctx)
-	}
-}
-
-// window runs one learning window: Algorithm 1's inner polling loop plus
-// the decision at the boundary.
-func (a *Agent) window(ctx context.Context) {
-	clk := a.cfg.Clock
-	start := clk.Now()
-	end := start.Add(a.cfg.Window)
-	a.samples = a.samples[:0]
-	safeguard := false
-	busy := 0
-	for {
-		clk.Sleep(a.cfg.PollInterval)
-		if ctx.Err() != nil {
+// Run steps loop in real time until ctx is done or no event is pending:
+// it sleeps until the next event is due, then fires it. Loop time is the
+// wall time elapsed since the call (offset by the loop's clock at entry).
+//
+// Lateness rule: an event the pacer reaches late — an oversleep, a
+// suspended process, a slow callback — fires with the loop clock at the
+// elapsed wall time rather than at its scheduled time (sim.Loop.StepLate).
+// The agent re-arms everything relative to Now(), so a late wake-up costs
+// one late poll, which closes the overdue window, not a burst of catch-up
+// polls replaying time that is gone.
+//
+// Cancellation is observed between events: Run returns within one
+// pending-event sleep of ctx being done. It must be the only goroutine
+// touching the loop and whatever its callbacks touch.
+func Run(ctx context.Context, loop *sim.Loop, clock Clock) {
+	start, base := clock.Now(), loop.Now()
+	for ctx.Err() == nil {
+		next, ok := loop.Next()
+		if !ok {
 			return
 		}
-		now := clk.Now()
-		busy = a.hv.BusyPrimaryCores()
-		a.samples = append(a.samples, busy)
-		if a.ctrl.Safeguards() && busy >= a.target && a.target < a.cfg.PrimaryAlloc {
-			safeguard = true
-			break
+		now := base + sim.Duration(clock.Now().Sub(start))
+		if next > now {
+			clock.Sleep((next - now).ToDuration())
+			continue
 		}
-		if t, ok := a.ctrl.OnPoll(busy, a.target); ok {
-			a.apply(a.clamp(t, busy))
-		}
-		if !now.Before(end) {
-			break
-		}
-		if !now.Before(a.nextQoS) {
-			a.qosCheck(now)
-		}
-	}
-	if len(a.samples) == 0 {
-		a.samples = append(a.samples, busy)
-	}
-
-	a.bump(func(st *Stats) {
-		st.Windows++
-		if safeguard {
-			st.Safeguards++
-		}
-	})
-	now := clk.Now()
-	peak := 0
-	for _, s := range a.samples {
-		if s > peak {
-			peak = s
-		}
-	}
-	a.peaks = append(a.peaks, peakEntry{at: now, peak: peak})
-	cut := 0
-	for cut < len(a.peaks) && a.peaks[cut].at.Before(now.Add(-a.cfg.PeakHistory)) {
-		cut++
-	}
-	a.peaks = a.peaks[cut:]
-	peak1s := 0
-	for _, p := range a.peaks {
-		if p.peak > peak1s {
-			peak1s = p.peak
-		}
-	}
-
-	w := core.Window{
-		Samples:       a.samples,
-		Peak:          peak,
-		Peak1s:        peak1s,
-		Safeguard:     safeguard,
-		CurrentTarget: a.target,
-		Busy:          busy,
-	}
-	a.apply(a.clamp(a.ctrl.OnWindowEnd(w), busy))
-	if !now.Before(a.nextQoS) {
-		a.qosCheck(now)
-	}
-}
-
-func (a *Agent) clamp(target, busy int) int {
-	if a.cfg.Clock.Now().Before(a.pausedUntil) {
-		return a.cfg.PrimaryAlloc
-	}
-	if m := busy + 1; target < m {
-		target = m
-	}
-	if target > a.cfg.PrimaryAlloc {
-		target = a.cfg.PrimaryAlloc
-	}
-	return target
-}
-
-func (a *Agent) apply(target int) {
-	if target == a.target {
-		return
-	}
-	a.mu.Lock()
-	a.target = target
-	a.mu.Unlock()
-	if res, err := a.hv.SetPrimaryCores(target); err == nil && res.Applied {
-		a.bump(func(st *Stats) { st.Resizes++ })
-		a.cfg.Clock.Sleep(res.Latency.ToDuration() + a.cfg.PostResizeSleep)
-	}
-}
-
-func (a *Agent) qosCheck(now time.Time) {
-	a.nextQoS = now.Add(a.cfg.QoSWindow)
-	waits := a.hv.DrainPrimaryWaits()
-	bad := 0
-	for _, w := range waits {
-		if w > a.cfg.QoSWaitThreshold.Nanoseconds() {
-			bad++
-		}
-	}
-	frac := 0.0
-	if len(waits) > 0 {
-		frac = float64(bad) / float64(len(waits))
-	}
-	if frac >= a.cfg.QoSViolationFrac {
-		a.qosStrikes++
-	} else {
-		a.qosStrikes = 0
-	}
-	if !a.cfg.LongTermSafeguard {
-		return
-	}
-	if a.qosStrikes >= a.cfg.QoSConsecutive && !now.Before(a.pausedUntil) {
-		a.bump(func(st *Stats) { st.QoSTrips++ })
-		a.qosStrikes = 0
-		a.pausedUntil = now.Add(a.cfg.HarvestPause)
-		a.mu.Lock()
-		a.target = a.cfg.PrimaryAlloc
-		a.mu.Unlock()
-		if res, err := a.hv.SetPrimaryCores(a.target); err == nil && res.Applied {
-			a.bump(func(st *Stats) { st.Resizes++ })
-		}
+		loop.StepLate(now)
 	}
 }

@@ -1,225 +1,178 @@
 package rtagent
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"smartharvest/internal/core"
+	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
 
-// fakeClock advances instantly on Sleep and can stop the loop after a
-// time budget by cancelling a context.
+// fakeClock advances only through Sleep. It cancels the run instead of
+// sleeping past limit, and the first Sleep starting at or after jumpAt
+// oversleeps by jump (a suspended process, a long GC pause).
 type fakeClock struct {
-	now    time.Time
-	limit  time.Time
-	cancel context.CancelFunc
+	elapsed time.Duration
+	limit   time.Duration
+	cancel  context.CancelFunc
+	jumpAt  time.Duration
+	jump    time.Duration
+	sleeps  int
 }
 
-func newFakeClock(budget time.Duration, cancel context.CancelFunc) *fakeClock {
-	start := time.Unix(0, 0)
-	return &fakeClock{now: start, limit: start.Add(budget), cancel: cancel}
-}
-
-func (c *fakeClock) Now() time.Time { return c.now }
+func (c *fakeClock) Now() time.Time { return time.Unix(0, 0).Add(c.elapsed) }
 func (c *fakeClock) Sleep(d time.Duration) {
-	c.now = c.now.Add(d)
-	if !c.now.Before(c.limit) && c.cancel != nil {
+	c.sleeps++
+	if c.elapsed+d > c.limit {
 		c.cancel()
+		return
 	}
+	if c.jump > 0 && c.elapsed >= c.jumpAt {
+		d += c.jump
+		c.jump = 0
+	}
+	c.elapsed += d
 }
 
-// fakeHost scripts the backend.
-type fakeHost struct {
-	clock     *fakeClock
-	total     int
-	busyFn    func(t time.Duration) int
-	primary   int
-	waits     []int64
-	resizeLog []int
+// scriptedHV is a hypervisor whose busy level, dispatch waits and resize
+// failures are a pure function of loop time, so two runs of the same
+// script are comparable byte for byte.
+type scriptedHV struct {
+	loop    *sim.Loop
+	primary int
+	busy    func(sim.Time) int
+	fails   int // the next fails resizes error out
 }
 
-func (f *fakeHost) TotalCores() int { return f.total }
-func (f *fakeHost) BusyPrimaryCores() int {
-	b := f.busyFn(f.clock.now.Sub(time.Unix(0, 0)))
-	if b > f.primary {
-		b = f.primary
-	}
-	return b
+func (h *scriptedHV) TotalCores() int { return 11 }
+func (h *scriptedHV) BusyPrimaryCores() int {
+	return min(h.busy(h.loop.Now()), h.primary)
 }
-func (f *fakeHost) SetPrimaryCores(n int) (core.ResizeResult, error) {
-	if n == f.primary {
+func (h *scriptedHV) SetPrimaryCores(n int) (core.ResizeResult, error) {
+	if n == h.primary {
 		return core.ResizeResult{}, nil
 	}
-	f.primary = n
-	f.resizeLog = append(f.resizeLog, n)
+	if h.loop.Now() > 3*sim.Second && h.fails > 0 {
+		h.fails--
+		return core.ResizeResult{}, errors.New("scripted resize failure")
+	}
+	h.primary = n
 	return core.ResizeResult{Applied: true, Latency: 200 * sim.Microsecond}, nil
 }
-func (f *fakeHost) DrainPrimaryWaits() []int64 {
-	w := f.waits
-	f.waits = nil
-	return w
+func (h *scriptedHV) DrainPrimaryWaits() []int64 {
+	if now := h.loop.Now(); now > 4*sim.Second && now < 5*sim.Second {
+		return []int64{int64(sim.Millisecond)} // starved: trips the QoS guard
+	}
+	return []int64{1}
 }
 
-func runFor(t *testing.T, budget time.Duration, busy func(time.Duration) int,
-	mut func(*Config), feed func(*fakeHost)) (*Agent, *fakeHost) {
+// startAgent wires the host-path agent (1 ms polls) on a fresh loop.
+func startAgent(t *testing.T, ctrl core.Controller, o obs.Observer, busy func(sim.Time) int) *sim.Loop {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	clk := newFakeClock(budget, cancel)
-	hv := &fakeHost{clock: clk, total: 11, busyFn: busy, primary: 11}
-	cfg := Config{PrimaryAlloc: 10, ElasticMin: 1, Clock: clk}
-	if mut != nil {
-		mut(&cfg)
-	}
-	ctrl := core.NewSmartHarvest(10, core.SmartHarvestOptions{})
-	a, err := New(hv, ctrl, cfg)
+	loop := sim.NewLoop()
+	cfg := core.DefaultConfig(10, 1)
+	cfg.PollInterval = sim.Millisecond
+	cfg.Observer = o
+	hv := &scriptedHV{loop: loop, primary: 11, busy: busy, fails: 5}
+	a, err := core.NewAgent(loop, hv, ctrl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feed != nil {
-		feed(hv)
-	}
-	if err := a.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return a, hv
+	a.Start()
+	return loop
 }
 
-func TestLearnsAndHarvests(t *testing.T) {
-	a, hv := runFor(t, 10*time.Second, func(time.Duration) int { return 2 }, nil, nil)
-	st := a.Stats()
-	if st.Windows < 300 {
-		t.Fatalf("windows %d over 10s of 25ms windows", st.Windows)
-	}
-	if hv.primary > 5 {
-		t.Fatalf("primary %d; steady busy=2 should harvest most cores", hv.primary)
-	}
-	if st.Resizes == 0 {
-		t.Fatal("never resized")
-	}
-}
-
-func TestSafeguardOnSpike(t *testing.T) {
-	a, hv := runFor(t, 6*time.Second, func(el time.Duration) int {
-		if el > 4*time.Second {
-			return 10
-		}
-		return 1
-	}, nil, nil)
-	st := a.Stats()
-	if st.Safeguards == 0 {
-		t.Fatal("safeguard never fired on the spike")
-	}
-	if hv.primary < 8 {
-		t.Fatalf("primary %d at end of sustained spike", hv.primary)
-	}
-}
-
-func TestTargetRespectsBusyFloor(t *testing.T) {
-	_, hv := runFor(t, 5*time.Second, func(time.Duration) int { return 6 }, nil, nil)
-	for _, r := range hv.resizeLog {
-		if r < 7 {
-			t.Fatalf("resize to %d below busy+1", r)
-		}
-	}
-}
-
-func TestQoSTripPausesHarvesting(t *testing.T) {
-	var hvRef *fakeHost
-	a, hv := runFor(t, 3*time.Second, func(time.Duration) int {
-		// Keep feeding bad waits so every QoS window violates.
-		if hvRef != nil && len(hvRef.waits) < 100 {
-			for i := 0; i < 100; i++ {
-				w := int64(time.Microsecond)
-				if i < 10 {
-					w = int64(time.Millisecond)
-				}
-				hvRef.waits = append(hvRef.waits, w)
-			}
+// A pacer that is never late must be invisible: the paced run's trace is
+// the simulated run's trace, through harvesting, a spike (short-term
+// safeguard), failed resizes (retry ladder) and a QoS trip.
+func TestPacedRunMatchesRunUntil(t *testing.T) {
+	const end = 6 * time.Second
+	busy := func(now sim.Time) int {
+		if now > 2*sim.Second && now < 2*sim.Second+200*sim.Millisecond {
+			return 9
 		}
 		return 2
-	}, func(c *Config) {
-		c.LongTermSafeguard = true
-		c.HarvestPause = 30 * time.Second
-	}, func(h *fakeHost) { hvRef = h })
-	st := a.Stats()
-	if st.QoSTrips == 0 {
-		t.Fatal("QoS guard never tripped")
 	}
-	if hv.primary != 10 {
-		t.Fatalf("primary %d during pause, want full allocation", hv.primary)
+	trace := func(run func(*sim.Loop)) []byte {
+		var buf bytes.Buffer
+		j := obs.NewJSONL(&buf)
+		run(startAgent(t, core.NewSmartHarvest(10, core.SmartHarvestOptions{}), j, busy))
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-}
-
-func TestFixedBufferReactiveOnHost(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	clk := newFakeClock(2*time.Second, cancel)
-	hv := &fakeHost{clock: clk, total: 11, busyFn: func(time.Duration) int { return 3 }, primary: 11}
-	a, err := New(hv, core.NewFixedBuffer(10, 2), Config{
-		PrimaryAlloc: 10, ElasticMin: 1, Clock: clk, PostResizeSleep: time.Millisecond,
+	want := trace(func(l *sim.Loop) { l.RunUntil(sim.Duration(end)) })
+	got := trace(func(l *sim.Loop) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		Run(ctx, l, &fakeClock{limit: end, cancel: cancel})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if hv.primary != 5 {
-		t.Fatalf("primary %d, want busy+k = 5", hv.primary)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	hv := &fakeHost{total: 11, primary: 11}
-	bad := []Config{
-		{PrimaryAlloc: 0},
-		{PrimaryAlloc: 12},
-		{PrimaryAlloc: 10, ElasticMin: 5},
-		{PrimaryAlloc: 10, Window: time.Microsecond, PollInterval: time.Millisecond},
-		{PrimaryAlloc: 10, QoSViolationFrac: 3},
-	}
-	for i, cfg := range bad {
-		if _, err := New(hv, core.NewNoHarvest(10), cfg); err == nil {
-			t.Errorf("config %d accepted", i)
+	for _, ev := range []string{`"ev":"safeguard"`, `"ev":"retry"`, `"ev":"qos-trip"`} {
+		if !bytes.Contains(want, []byte(ev)) {
+			t.Errorf("script never produced %s; the comparison is too weak", ev)
 		}
 	}
-}
-
-func TestStatsSnapshot(t *testing.T) {
-	a, _ := runFor(t, time.Second, func(time.Duration) int { return 1 }, nil, nil)
-	st := a.Stats()
-	if st.Target < 1 || st.Target > 10 {
-		t.Fatalf("target %d", st.Target)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("paced trace (%d bytes) differs from RunUntil trace (%d bytes)", len(got), len(want))
 	}
 }
 
-func TestStatsConcurrentWithRun(t *testing.T) {
-	// Stats must be safe to read from another goroutine while Run is
-	// active (run with -race to verify).
+// A 100 ms oversleep must cost one late poll that closes the overdue
+// window — not a hundred catch-up polls replaying time that is gone.
+func TestLateWakeupYieldsOneLatePoll(t *testing.T) {
+	const jumpAt, jump = 210 * time.Millisecond, 100 * time.Millisecond
+	ring := obs.NewRing(4096)
+	loop := startAgent(t, core.NewNoHarvest(10), ring, func(sim.Time) int { return 2 })
 	ctx, cancel := context.WithCancel(context.Background())
-	clk := newFakeClock(2*time.Second, cancel)
-	hv := &fakeHost{clock: clk, total: 11, busyFn: func(time.Duration) int { return 2 }, primary: 11}
-	a, err := New(hv, core.NewSmartHarvest(10, core.SmartHarvestOptions{}), Config{
-		PrimaryAlloc: 10, ElasticMin: 1, Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = a.Run(ctx)
-	}()
-	for {
-		select {
-		case <-done:
-			if a.Stats().Windows == 0 {
-				t.Error("no windows recorded")
+	defer cancel()
+	Run(ctx, loop, &fakeClock{limit: 400 * time.Millisecond, cancel: cancel, jumpAt: jumpAt, jump: jump})
+
+	// The Sleep(1ms) that began at 210 ms returned at 311 ms.
+	from, late := sim.Duration(jumpAt), sim.Duration(jumpAt+time.Millisecond+jump)
+	polls, windows := 0, 0
+	for _, r := range ring.Records() {
+		switch {
+		case r.Kind == obs.KindPollSample && r.PollSample.At > from && r.PollSample.At <= late:
+			polls++
+			if r.PollSample.At != late {
+				t.Errorf("poll at %v inside the oversleep", r.PollSample.At)
 			}
-			return
-		default:
-			_ = a.Stats()
+		case r.Kind == obs.KindWindowEnd && r.WindowEnd.At > from && r.WindowEnd.At <= late:
+			windows++
+			if r.WindowEnd.At != late {
+				t.Errorf("window end at %v inside the oversleep", r.WindowEnd.At)
+			}
 		}
+	}
+	if polls != 1 || windows != 1 {
+		t.Fatalf("oversleep produced %d polls and %d window ends, want 1 and 1", polls, windows)
+	}
+	// 210 on-time polls, the late one, then 1 ms polls again to 400 ms.
+	if got, want := ring.Total(obs.KindPollSample), uint64(210+1+89); got != want {
+		t.Fatalf("%d polls overall, want %d", got, want)
+	}
+}
+
+func TestRunStopsOnCancelAndOnEmptyLoop(t *testing.T) {
+	loop := sim.NewLoop()
+	fired := false
+	loop.At(sim.Second, func() { fired = true })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// limit 0: the first Sleep cancels instead of sleeping.
+	clk := &fakeClock{cancel: cancel}
+	Run(ctx, loop, clk)
+	if fired || clk.sleeps != 1 {
+		t.Fatalf("after cancel: fired=%v sleeps=%d, want one pending-event sleep and no event", fired, clk.sleeps)
+	}
+
+	Run(context.Background(), sim.NewLoop(), clk) // nothing pending: returns
+	if clk.sleeps != 1 {
+		t.Fatalf("empty loop slept")
 	}
 }

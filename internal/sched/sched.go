@@ -362,12 +362,12 @@ type serverHealth struct {
 	probUntil   sim.Time
 }
 
-// BenchConfig is the pinned small-fleet configuration behind the perf
-// snapshot's sched/placement entry (internal/bench) and the
-// BenchmarkPlacement twin in this package's tests: a churny two-server
-// fleet whose reconcile loop exercises placement, eviction, and requeue
-// within one simulated second. Changing it invalidates BENCH_*.json
-// comparisons for that entry, so treat the constants as frozen.
+// BenchConfig is the pinned small-fleet configuration behind the
+// benchmark's sched.benchconfig_ms probe (benchmark/) and
+// BenchmarkPlacement in this package's tests: a churny two-server fleet
+// whose reconcile loop exercises placement, eviction, and requeue within
+// one simulated second. Changing it invalidates comparisons of that
+// metric across commits, so treat the constants as frozen.
 func BenchConfig(seed uint64) Config {
 	return Config{
 		Fleet: cluster.Config{

@@ -193,10 +193,9 @@ func TestSchedConfigValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkPlacement is the go-test twin of the perf snapshot's
-// sched/placement micro (internal/bench): one iteration is one
-// BenchConfig run — placement, reconcile, eviction, and requeue end to
-// end on a churny two-server fleet.
+// BenchmarkPlacement: one iteration is one BenchConfig run — placement,
+// reconcile, eviction, and requeue end to end on a churny two-server
+// fleet.
 func BenchmarkPlacement(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -275,6 +275,29 @@ func (l *Loop) Step() bool {
 	return true
 }
 
+// Next returns the time of the earliest pending event; ok is false when
+// the queue is empty.
+func (l *Loop) Next() (t Time, ok bool) {
+	if len(l.queue) == 0 {
+		return 0, false
+	}
+	return l.queue[0].when, true
+}
+
+// StepLate is Step for a driver that paces the loop against a real clock
+// (internal/rtagent) and may wake up after the next event was due: the
+// event fires with the clock at max(its time, now), so callbacks that
+// re-arm relative to Now() see the true elapsed time and a late wake-up
+// yields one late callback instead of a burst of catch-up ones. Events
+// overtaken by now keep their (time, FIFO) order and each fires at now.
+func (l *Loop) StepLate(now Time) bool {
+	// Safe on the heap: step pops the root before anything compares it.
+	if len(l.queue) > 0 && l.queue[0].when < now {
+		l.queue[0].when = now
+	}
+	return l.Step()
+}
+
 // RunUntil executes events until the clock would pass end, then sets the
 // clock to exactly end. Events scheduled at exactly end do run.
 func (l *Loop) RunUntil(end Time) {

@@ -470,3 +470,56 @@ func TestScheduleAndFireZeroAllocs(t *testing.T) {
 		t.Fatalf("schedule+fire allocates %d/op, want 0", a)
 	}
 }
+
+func TestNext(t *testing.T) {
+	l := NewLoop()
+	if _, ok := l.Next(); ok {
+		t.Fatal("Next on empty loop reported an event")
+	}
+	l.At(3*Millisecond, func() {})
+	l.At(Millisecond, func() {})
+	if when, ok := l.Next(); !ok || when != Millisecond {
+		t.Fatalf("Next = %v, %v; want 1ms, true", when, ok)
+	}
+}
+
+// StepLate fires overdue events at the late clock, in their scheduled
+// order, never moves the clock backwards, and leaves on-time events alone.
+func TestStepLate(t *testing.T) {
+	l := NewLoop()
+	type fire struct {
+		id int
+		at Time
+	}
+	var got []fire
+	for i := 1; i <= 3; i++ {
+		i := i
+		l.At(Time(i)*Millisecond, func() { got = append(got, fire{i, l.Now()}) })
+	}
+	// A ticker re-arms relative to the (late) now, not its scheduled time.
+	tk := l.NewTicker(Millisecond, Millisecond, func() { got = append(got, fire{0, l.Now()}) })
+	late := 2*Millisecond + 500*Microsecond
+	for i := 0; i < 3; i++ { // events 1, the tick, 2: all overdue
+		l.StepLate(late)
+	}
+	if when, _ := l.Next(); when != 3*Millisecond {
+		t.Fatalf("next event at %v, want the on-time one at 3ms", when)
+	}
+	l.StepLate(late) // event 3 is not overdue: fires at its own time
+	tk.Stop()
+	want := []fire{{1, late}, {0, late}, {2, late}, {3, 3 * Millisecond}}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if l.StepLate(late) {
+		t.Fatal("StepLate on an empty loop returned true")
+	}
+	if l.Now() != 3*Millisecond {
+		t.Fatalf("clock %v moved backwards or past the last event", l.Now())
+	}
+}
