@@ -1,7 +1,8 @@
 // Package check is the invariant-checking verifier of the SmartHarvest
-// reproduction: a Checker implements obs.Observer and validates, online,
-// every event stream it observes against the safety contract the paper's
-// agent is supposed to maintain (§3 safeguards, §4 predictor):
+// reproduction: a Checker is an obs.Sink (and, by embedding obs.Adapter,
+// an obs.Observer) that validates, online, every event stream it observes
+// against the safety contract the paper's agent is supposed to maintain
+// (§3 safeguards, §4 predictor):
 //
 //   - core conservation: resize requests chain (each FromCores equals the
 //     previous ToCores), never exceed the primary allocation, and always
@@ -158,13 +159,20 @@ type Violation struct {
 	Invariant string
 	// At is the sim time of the offending event.
 	At sim.Time
-	// Event is the offending event (Kind selects the populated field).
+	// Event is the offending event (Kind selects the populated field);
+	// meaningful only when HasEvent is set.
 	Event obs.Record
+	// HasEvent is false for a violation no event gave rise to, such as
+	// one reported through Flag.
+	HasEvent bool
 	// Detail explains what was expected versus observed.
 	Detail string
 }
 
 func (v Violation) String() string {
+	if !v.HasEvent {
+		return fmt.Sprintf("[%s] t=%v: %s", v.Invariant, v.At, v.Detail)
+	}
 	return fmt.Sprintf("[%s] t=%v %s: %s", v.Invariant, v.At, v.Event.Kind, v.Detail)
 }
 
@@ -220,54 +228,84 @@ func (r *Report) String() string {
 	}
 	if len(r.Context) > 0 {
 		fmt.Fprintf(&b, "context (last %d events before first violation):\n", len(r.Context))
-		for _, rec := range r.Context {
-			fmt.Fprintf(&b, "  t=%v %s\n", recordAt(rec), rec.Kind)
+		for i := range r.Context {
+			rec := &r.Context[i]
+			fmt.Fprintf(&b, "  t=%v %s\n", rec.At(), rec.Kind)
 		}
 	}
 	return b.String()
 }
 
-// recordAt extracts the timestamp of a captured event.
-func recordAt(r obs.Record) sim.Time {
-	switch r.Kind {
-	case obs.KindPollSample:
-		return r.PollSample.At
-	case obs.KindWindowEnd:
-		return r.WindowEnd.At
-	case obs.KindSafeguardTrip:
-		return r.SafeguardTrip.At
-	case obs.KindQoSTrip:
-		return r.QoSTrip.At
-	case obs.KindQoSResume:
-		return r.QoSResume.At
-	case obs.KindResize:
-		return r.Resize.At
-	case obs.KindChurnApplied:
-		return r.ChurnApplied.At
-	case obs.KindBatchProgress:
-		return r.BatchProgress.At
-	case obs.KindFaultInjected:
-		return r.FaultInjected.At
-	case obs.KindResizeRetry:
-		return r.ResizeRetry.At
-	case obs.KindDegradedEnter:
-		return r.DegradedEnter.At
-	case obs.KindDegradedExit:
-		return r.DegradedExit.At
-	case obs.KindJobSubmit:
-		return r.JobSubmit.At
-	case obs.KindJobStart:
-		return r.JobStart.At
-	case obs.KindJobEvict:
-		return r.JobEvict.At
-	case obs.KindJobRequeue:
-		return r.JobRequeue.At
-	case obs.KindJobComplete:
-		return r.JobComplete.At
-	case obs.KindJobSLOMiss:
-		return r.JobSLOMiss.At
+// recorder is the plumbing Checker and JobChecker share: the Adapter
+// that makes them obs.Observers, the flight recorder, the event count,
+// the Bind-before-use and time-monotonic checks, and violation capture.
+type recorder struct {
+	obs.Adapter
+	ring  *obs.Ring // flight recorder feeding Report.Context
+	bound bool
+
+	lastAt   sim.Time
+	seenTime bool
+
+	report Report
+}
+
+func (rc *recorder) init(owner obs.Sink) {
+	rc.Sink = owner
+	rc.ring = obs.NewRing(ContextSize)
+}
+
+// begin counts rec into the report and the flight recorder and returns
+// whether the checker is bound; the first event before Bind is flagged.
+func (rc *recorder) begin(rec *obs.Record, at sim.Time) bool {
+	rc.ring.Observe(rec)
+	rc.report.Events++
+	if !rc.bound && rc.report.Events == 1 { // flag once, not per event
+		rc.violate(InvUsage, at, rec, "event observed before Bind; checks are unreliable")
 	}
-	return 0
+	return rc.bound
+}
+
+// checkTime flags an event stamped earlier than one already observed.
+func (rc *recorder) checkTime(rec *obs.Record, at sim.Time) {
+	if rc.seenTime && at < rc.lastAt {
+		rc.violatef(InvTimeMonotonic, at, rec,
+			"event time %v precedes previous event time %v", at, rc.lastAt)
+	}
+	if at > rc.lastAt {
+		rc.lastAt = at
+	}
+	rc.seenTime = true
+}
+
+// admit captures the flight recorder when the first violation arrives
+// and reports whether the report has room for one more.
+func (rc *recorder) admit() bool {
+	if len(rc.report.Violations) == 0 {
+		rc.report.Context = rc.ring.Records()
+	}
+	if len(rc.report.Violations) >= maxViolations {
+		rc.report.Dropped++
+		return false
+	}
+	return true
+}
+
+// violate records a breach by the event rec, or by no event when rec is
+// nil. rec is copied only if the violation is kept.
+func (rc *recorder) violate(invariant string, at sim.Time, rec *obs.Record, detail string) {
+	if !rc.admit() {
+		return
+	}
+	v := Violation{Invariant: invariant, At: at, Detail: detail}
+	if rec != nil {
+		v.Event, v.HasEvent = *rec, true
+	}
+	rc.report.Violations = append(rc.report.Violations, v)
+}
+
+func (rc *recorder) violatef(invariant string, at sim.Time, rec *obs.Record, format string, args ...any) {
+	rc.violate(invariant, at, rec, fmt.Sprintf(format, args...))
 }
 
 // Checker validates an event stream online. Create with New, bind to the
@@ -276,14 +314,8 @@ func recordAt(r obs.Record) sim.Time {
 // run; it is not safe for concurrent use (events arrive synchronously on
 // the sim goroutine, like any observer).
 type Checker struct {
-	cfg   Config
-	bound bool
-
-	ring *obs.Ring // flight recorder feeding Report.Context
-
-	events   uint64
-	lastAt   sim.Time
-	seenTime bool
+	recorder
+	cfg Config
 
 	alloc   int // current primary allocation (follows churn)
 	primary int // logical primary-group size (follows resizes)
@@ -317,14 +349,15 @@ type Checker struct {
 	lastVisibleFault sim.Time
 	sawVisibleFault  bool
 
-	report   Report
 	finished bool
 }
 
 // New returns an unbound Checker. Bind must be called before events
 // arrive; harness.Run binds Scenario.Checker automatically.
 func New() *Checker {
-	return &Checker{ring: obs.NewRing(ContextSize), lastPhase: -1}
+	c := &Checker{lastPhase: -1}
+	c.init(c)
+	return c
 }
 
 // Bind attaches the run's configuration. It must be called exactly once,
@@ -347,7 +380,7 @@ func (c *Checker) Bind(cfg Config) error {
 // Flag records an externally detected violation, such as the hypervisor's
 // end-of-run state check, into the report.
 func (c *Checker) Flag(invariant string, at sim.Time, detail string) {
-	c.violate(invariant, at, obs.Record{}, detail)
+	c.violate(invariant, at, nil, detail)
 }
 
 // Finish commits deferred judgments and returns the report. The harness
@@ -362,7 +395,7 @@ func (c *Checker) Finish() *Report {
 	}
 	if c.hasPendingTrip {
 		c.violate(InvSafeguard, c.pendingTrip.At,
-			obs.Record{Kind: obs.KindSafeguardTrip, SafeguardTrip: c.pendingTrip},
+			&obs.Record{Kind: obs.KindSafeguardTrip, SafeguardTrip: c.pendingTrip},
 			"safeguard trip with no window decision following it")
 		c.hasPendingTrip = false
 	}
@@ -372,34 +405,11 @@ func (c *Checker) Finish() *Report {
 // Report returns the accumulated report, finishing the checker if needed.
 func (c *Checker) Report() *Report { return c.Finish() }
 
-func (c *Checker) violate(invariant string, at sim.Time, ev obs.Record, detail string) {
-	if len(c.report.Violations) == 0 {
-		c.report.Context = c.ring.Records()
-	}
-	if len(c.report.Violations) >= maxViolations {
-		c.report.Dropped++
-		return
-	}
-	c.report.Violations = append(c.report.Violations, Violation{
-		Invariant: invariant, At: at, Event: ev, Detail: detail,
-	})
-}
-
-func (c *Checker) violatef(invariant string, at sim.Time, ev obs.Record, format string, args ...any) {
-	c.violate(invariant, at, ev, fmt.Sprintf(format, args...))
-}
-
 func (c *Checker) commitPendingPausedResize() {
-	v := c.pendingPausedResize
 	c.hasPendingPausedResize = false
-	if len(c.report.Violations) == 0 {
-		c.report.Context = c.ring.Records()
+	if c.admit() {
+		c.report.Violations = append(c.report.Violations, c.pendingPausedResize)
 	}
-	if len(c.report.Violations) >= maxViolations {
-		c.report.Dropped++
-		return
-	}
-	c.report.Violations = append(c.report.Violations, v)
 }
 
 // paused reports whether harvesting is paused at time t (the pause
@@ -407,15 +417,14 @@ func (c *Checker) commitPendingPausedResize() {
 // Agent.HarvestingPaused).
 func (c *Checker) paused(t sim.Time) bool { return t < c.pausedUntil }
 
-// enter runs the cross-event checks shared by every handler: usage,
-// deferred judgments, and time monotonicity.
-func (c *Checker) enter(rec obs.Record, at sim.Time) {
-	c.events++
-	c.report.Events = c.events
-	if !c.bound {
-		if c.events == 1 { // flag once, not per event
-			c.violate(InvUsage, at, rec, "event observed before Bind; checks are unreliable")
-		}
+// Observe implements obs.Sink. The checks every event shares — usage,
+// deferred judgments, time monotonicity — run first, then the kind's own
+// handler; kinds without one (the job, fleet and market events, whose
+// invariants JobChecker owns, and predictor identity) only feed the
+// flight recorder and the shared checks.
+func (c *Checker) Observe(rec *obs.Record) {
+	at := rec.At()
+	if !c.begin(rec, at) {
 		return
 	}
 	if c.hasPendingPausedResize {
@@ -433,24 +442,37 @@ func (c *Checker) enter(rec obs.Record, at sim.Time) {
 			"safeguard trip not immediately followed by its window decision")
 		c.hasPendingTrip = false
 	}
-	if c.seenTime && at < c.lastAt {
-		c.violatef(InvTimeMonotonic, at, rec,
-			"event time %v precedes previous event time %v", at, c.lastAt)
+	c.checkTime(rec, at)
+	switch rec.Kind {
+	case obs.KindPollSample:
+		c.pollSample(rec)
+	case obs.KindWindowEnd:
+		c.windowEnd(rec)
+	case obs.KindSafeguardTrip:
+		c.safeguardTrip(rec)
+	case obs.KindQoSTrip:
+		c.qosTrip(rec)
+	case obs.KindQoSResume:
+		c.qosResume(rec)
+	case obs.KindResize:
+		c.resize(rec)
+	case obs.KindChurnApplied:
+		c.churnApplied(rec)
+	case obs.KindBatchProgress:
+		c.batchProgress(rec)
+	case obs.KindFaultInjected:
+		c.faultInjected(rec)
+	case obs.KindResizeRetry:
+		c.resizeRetry(rec)
+	case obs.KindDegradedEnter:
+		c.degradedEnter(rec)
+	case obs.KindDegradedExit:
+		c.degradedExit(rec)
 	}
-	if at > c.lastAt {
-		c.lastAt = at
-	}
-	c.seenTime = true
 }
 
-// OnPollSample implements obs.Observer.
-func (c *Checker) OnPollSample(e obs.PollSample) {
-	c.ring.OnPollSample(e)
-	rec := obs.Record{Kind: obs.KindPollSample, PollSample: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) pollSample(rec *obs.Record) {
+	e := &rec.PollSample
 	if e.Busy < 0 || e.Busy > c.cfg.TotalCores {
 		c.violatef(InvWindowShape, e.At, rec, "busy %d outside [0, %d]", e.Busy, c.cfg.TotalCores)
 	}
@@ -463,14 +485,8 @@ func (c *Checker) OnPollSample(e obs.PollSample) {
 	}
 }
 
-// OnWindowEnd implements obs.Observer.
-func (c *Checker) OnWindowEnd(e obs.WindowEnd) {
-	c.ring.OnWindowEnd(e)
-	rec := obs.Record{Kind: obs.KindWindowEnd, WindowEnd: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) windowEnd(rec *obs.Record) {
+	e := &rec.WindowEnd
 
 	// Sequence: 1-based, gap-free.
 	if e.Seq != c.lastSeq+1 {
@@ -558,14 +574,8 @@ func (c *Checker) OnWindowEnd(e obs.WindowEnd) {
 	}
 }
 
-// OnSafeguardTrip implements obs.Observer.
-func (c *Checker) OnSafeguardTrip(e obs.SafeguardTrip) {
-	c.ring.OnSafeguardTrip(e)
-	rec := obs.Record{Kind: obs.KindSafeguardTrip, SafeguardTrip: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) safeguardTrip(rec *obs.Record) {
+	e := &rec.SafeguardTrip
 	if c.paused(e.At) {
 		c.violate(InvPausedHarvest, e.At, rec, "short-term safeguard trip while harvesting is paused")
 	}
@@ -582,18 +592,12 @@ func (c *Checker) OnSafeguardTrip(e obs.SafeguardTrip) {
 		c.violatef(InvSafeguard, e.At, rec,
 			"trip at target %d >= alloc %d (not a harvesting state)", e.Target, c.alloc)
 	}
-	c.pendingTrip = e
+	c.pendingTrip = *e
 	c.hasPendingTrip = true
 }
 
-// OnQoSTrip implements obs.Observer.
-func (c *Checker) OnQoSTrip(e obs.QoSTrip) {
-	c.ring.OnQoSTrip(e)
-	rec := obs.Record{Kind: obs.KindQoSTrip, QoSTrip: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) qosTrip(rec *obs.Record) {
+	e := &rec.QoSTrip
 	if !c.cfg.LongTermSafeguard {
 		c.violate(InvQoS, e.At, rec, "QoS trip with the long-term safeguard disabled")
 	}
@@ -615,14 +619,8 @@ func (c *Checker) OnQoSTrip(e obs.QoSTrip) {
 	c.resumeOwed = true
 }
 
-// OnQoSResume implements obs.Observer.
-func (c *Checker) OnQoSResume(e obs.QoSResume) {
-	c.ring.OnQoSResume(e)
-	rec := obs.Record{Kind: obs.KindQoSResume, QoSResume: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) qosResume(rec *obs.Record) {
+	e := &rec.QoSResume
 	if !c.resumeOwed {
 		c.violate(InvQoS, e.At, rec, "QoS resume without a preceding trip")
 	}
@@ -633,14 +631,8 @@ func (c *Checker) OnQoSResume(e obs.QoSResume) {
 	c.resumeOwed = false
 }
 
-// OnResize implements obs.Observer.
-func (c *Checker) OnResize(e obs.Resize) {
-	c.ring.OnResize(e)
-	rec := obs.Record{Kind: obs.KindResize, Resize: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) resize(rec *obs.Record) {
+	e := &rec.Resize
 	// Chain continuity: the hypervisor reports FromCores as its logical
 	// primary size at request time, which must match our running account.
 	if e.FromCores != c.primary {
@@ -680,7 +672,7 @@ func (c *Checker) OnResize(e obs.Resize) {
 			// Possibly a churn departure (agent shrinks before the
 			// ChurnApplied event is emitted) — judge on the next event.
 			c.pendingPausedResize = Violation{
-				Invariant: InvPausedHarvest, At: e.At, Event: rec,
+				Invariant: InvPausedHarvest, At: e.At, Event: *rec, HasEvent: true,
 				Detail: fmt.Sprintf("resize to %d below alloc %d while paused, not explained by churn",
 					e.ToCores, c.alloc),
 			}
@@ -693,14 +685,8 @@ func (c *Checker) OnResize(e obs.Resize) {
 	c.primary = e.ToCores
 }
 
-// OnChurnApplied implements obs.Observer.
-func (c *Checker) OnChurnApplied(e obs.ChurnApplied) {
-	c.ring.OnChurnApplied(e)
-	rec := obs.Record{Kind: obs.KindChurnApplied, ChurnApplied: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) churnApplied(rec *obs.Record) {
+	e := &rec.ChurnApplied
 	if e.LivePrimaries < 1 {
 		c.violatef(InvChurn, e.At, rec, "%d live primaries after churn", e.LivePrimaries)
 	}
@@ -722,14 +708,8 @@ func (c *Checker) OnChurnApplied(e obs.ChurnApplied) {
 	}
 }
 
-// OnBatchProgress implements obs.Observer.
-func (c *Checker) OnBatchProgress(e obs.BatchProgress) {
-	c.ring.OnBatchProgress(e)
-	rec := obs.Record{Kind: obs.KindBatchProgress, BatchProgress: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) batchProgress(rec *obs.Record) {
+	e := &rec.BatchProgress
 	if e.Phase < 0 || e.Phase > e.Phases || e.Phases < 0 {
 		c.violatef(InvBatch, e.At, rec, "phase %d outside [0, %d]", e.Phase, e.Phases)
 	}
@@ -749,15 +729,10 @@ func (c *Checker) OnBatchProgress(e obs.BatchProgress) {
 	}
 }
 
-// OnFaultInjected implements obs.Observer. Besides shape checks, it
-// advances the probation anchor for agent-visible fault kinds.
-func (c *Checker) OnFaultInjected(e obs.FaultInjected) {
-	c.ring.OnFaultInjected(e)
-	rec := obs.Record{Kind: obs.KindFaultInjected, FaultInjected: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// faultInjected, besides shape checks, advances the probation anchor for
+// agent-visible fault kinds.
+func (c *Checker) faultInjected(rec *obs.Record) {
+	e := &rec.FaultInjected
 	if e.Dur < 0 {
 		c.violatef(InvDegraded, e.At, rec, "fault %s with negative duration %v", e.Kind, e.Dur)
 	}
@@ -777,14 +752,8 @@ func (c *Checker) markVisibleFault(at sim.Time) {
 	}
 }
 
-// OnResizeRetry implements obs.Observer.
-func (c *Checker) OnResizeRetry(e obs.ResizeRetry) {
-	c.ring.OnResizeRetry(e)
-	rec := obs.Record{Kind: obs.KindResizeRetry, ResizeRetry: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) resizeRetry(rec *obs.Record) {
+	e := &rec.ResizeRetry
 	if e.Attempt < 1 {
 		c.violatef(InvRetry, e.At, rec, "retry attempt %d, want >= 1", e.Attempt)
 		return
@@ -805,14 +774,8 @@ func (c *Checker) OnResizeRetry(e obs.ResizeRetry) {
 	}
 }
 
-// OnDegradedEnter implements obs.Observer.
-func (c *Checker) OnDegradedEnter(e obs.DegradedEnter) {
-	c.ring.OnDegradedEnter(e)
-	rec := obs.Record{Kind: obs.KindDegradedEnter, DegradedEnter: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) degradedEnter(rec *obs.Record) {
+	e := &rec.DegradedEnter
 	if c.degraded {
 		c.violate(InvDegraded, e.At, rec, "degraded-enter while already degraded")
 	}
@@ -827,14 +790,8 @@ func (c *Checker) OnDegradedEnter(e obs.DegradedEnter) {
 	c.degradedAt = e.At
 }
 
-// OnDegradedExit implements obs.Observer.
-func (c *Checker) OnDegradedExit(e obs.DegradedExit) {
-	c.ring.OnDegradedExit(e)
-	rec := obs.Record{Kind: obs.KindDegradedExit, DegradedExit: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *Checker) degradedExit(rec *obs.Record) {
+	e := &rec.DegradedExit
 	if !c.degraded {
 		c.violate(InvDegraded, e.At, rec, "degraded-exit without a matching enter")
 		c.degraded = false
@@ -859,109 +816,6 @@ func (c *Checker) OnDegradedExit(e obs.DegradedExit) {
 		}
 	}
 	c.degraded = false
-}
-
-// The job events carry fleet-scheduler state that a per-machine Checker
-// has no model for; JobChecker (jobs.go) owns those invariants. Here
-// they only feed the flight recorder and the shared time/usage checks.
-
-// OnJobSubmit implements obs.Observer.
-func (c *Checker) OnJobSubmit(e obs.JobSubmit) {
-	c.ring.OnJobSubmit(e)
-	c.enter(obs.Record{Kind: obs.KindJobSubmit, JobSubmit: e}, e.At)
-}
-
-// OnJobStart implements obs.Observer.
-func (c *Checker) OnJobStart(e obs.JobStart) {
-	c.ring.OnJobStart(e)
-	c.enter(obs.Record{Kind: obs.KindJobStart, JobStart: e}, e.At)
-}
-
-// OnJobEvict implements obs.Observer.
-func (c *Checker) OnJobEvict(e obs.JobEvict) {
-	c.ring.OnJobEvict(e)
-	c.enter(obs.Record{Kind: obs.KindJobEvict, JobEvict: e}, e.At)
-}
-
-// OnJobRequeue implements obs.Observer.
-func (c *Checker) OnJobRequeue(e obs.JobRequeue) {
-	c.ring.OnJobRequeue(e)
-	c.enter(obs.Record{Kind: obs.KindJobRequeue, JobRequeue: e}, e.At)
-}
-
-// OnJobComplete implements obs.Observer.
-func (c *Checker) OnJobComplete(e obs.JobComplete) {
-	c.ring.OnJobComplete(e)
-	c.enter(obs.Record{Kind: obs.KindJobComplete, JobComplete: e}, e.At)
-}
-
-// OnJobSLOMiss implements obs.Observer.
-func (c *Checker) OnJobSLOMiss(e obs.JobSLOMiss) {
-	c.ring.OnJobSLOMiss(e)
-	c.enter(obs.Record{Kind: obs.KindJobSLOMiss, JobSLOMiss: e}, e.At)
-}
-
-// OnPredictorInfo implements obs.Observer. Predictor identity carries no
-// invariant to check; it is recorded for the flight recorder only.
-func (c *Checker) OnPredictorInfo(e obs.PredictorInfo) {
-	c.ring.OnPredictorInfo(e)
-	c.enter(obs.Record{Kind: obs.KindPredictorInfo, PredictorInfo: e}, e.At)
-}
-
-// Fleet-level events carry scheduler invariants verified by the
-// JobChecker; the per-machine Checker only records them for context.
-
-func (c *Checker) OnServerCrash(e obs.ServerCrash) {
-	c.ring.OnServerCrash(e)
-	c.enter(obs.Record{Kind: obs.KindServerCrash, ServerCrash: e}, e.At)
-}
-func (c *Checker) OnServerRestart(e obs.ServerRestart) {
-	c.ring.OnServerRestart(e)
-	c.enter(obs.Record{Kind: obs.KindServerRestart, ServerRestart: e}, e.At)
-}
-func (c *Checker) OnServerQuarantine(e obs.ServerQuarantine) {
-	c.ring.OnServerQuarantine(e)
-	c.enter(obs.Record{Kind: obs.KindServerQuarantine, ServerQuarantine: e}, e.At)
-}
-func (c *Checker) OnServerProbation(e obs.ServerProbation) {
-	c.ring.OnServerProbation(e)
-	c.enter(obs.Record{Kind: obs.KindServerProbation, ServerProbation: e}, e.At)
-}
-func (c *Checker) OnPlacementRetry(e obs.PlacementRetry) {
-	c.ring.OnPlacementRetry(e)
-	c.enter(obs.Record{Kind: obs.KindPlacementRetry, PlacementRetry: e}, e.At)
-}
-func (c *Checker) OnAdmissionDegraded(e obs.AdmissionDegraded) {
-	c.ring.OnAdmissionDegraded(e)
-	c.enter(obs.Record{Kind: obs.KindAdmissionDegraded, AdmissionDegraded: e}, e.At)
-}
-
-// Capacity-market events carry ledger invariants verified by the
-// JobChecker; the per-machine Checker only records them for context.
-
-func (c *Checker) OnPoolOpen(e obs.PoolOpen) {
-	c.ring.OnPoolOpen(e)
-	c.enter(obs.Record{Kind: obs.KindPoolOpen, PoolOpen: e}, e.At)
-}
-func (c *Checker) OnPoolReject(e obs.PoolReject) {
-	c.ring.OnPoolReject(e)
-	c.enter(obs.Record{Kind: obs.KindPoolReject, PoolReject: e}, e.At)
-}
-func (c *Checker) OnPoolGrant(e obs.PoolGrant) {
-	c.ring.OnPoolGrant(e)
-	c.enter(obs.Record{Kind: obs.KindPoolGrant, PoolGrant: e}, e.At)
-}
-func (c *Checker) OnPoolAccount(e obs.PoolAccount) {
-	c.ring.OnPoolAccount(e)
-	c.enter(obs.Record{Kind: obs.KindPoolAccount, PoolAccount: e}, e.At)
-}
-func (c *Checker) OnPoolEvict(e obs.PoolEvict) {
-	c.ring.OnPoolEvict(e)
-	c.enter(obs.Record{Kind: obs.KindPoolEvict, PoolEvict: e}, e.At)
-}
-func (c *Checker) OnPoolSettle(e obs.PoolSettle) {
-	c.ring.OnPoolSettle(e)
-	c.enter(obs.Record{Kind: obs.KindPoolSettle, PoolSettle: e}, e.At)
 }
 
 func abs(x int) int {

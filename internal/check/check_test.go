@@ -1,6 +1,8 @@
 package check_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -441,6 +443,40 @@ func TestFlagFoldsExternalViolations(t *testing.T) {
 	if !strings.Contains(rep.String(), "core conservation violated") {
 		t.Fatalf("report does not carry the flagged detail:\n%s", rep)
 	}
+	// No event gave rise to the violation, so none is named (the zero
+	// Record's Kind used to render it as a "poll" event).
+	v := rep.First()
+	if want := "[machine-state] t=5ns: core conservation violated in the machine"; v.HasEvent || v.String() != want {
+		t.Fatalf("flagged violation renders as %q (HasEvent=%t), want %q", v, v.HasEvent, want)
+	}
+}
+
+// TestReportContextTimestamps: the context lines of a report carry each
+// event's own timestamp, whatever its kind (13 of the 31 kinds used to
+// print t=0s).
+func TestReportContextTimestamps(t *testing.T) {
+	ring := obs.NewRing(check.ContextSize)
+	iface := reflect.TypeOf((*obs.Observer)(nil)).Elem()
+	for i := 0; i < iface.NumMethod(); i++ {
+		m := iface.Method(i)
+		e := reflect.New(m.Type.In(0)).Elem()
+		e.FieldByName("At").SetInt(int64(i+1) * int64(sim.Second))
+		reflect.ValueOf(ring).MethodByName(m.Name).Call([]reflect.Value{e})
+	}
+	rep := check.Report{
+		Events:     ring.TotalEvents(),
+		Violations: []check.Violation{{Invariant: check.InvMachineState, Detail: "synthetic"}},
+		Context:    ring.Records(),
+	}
+	out := rep.String()
+	if len(rep.Context) != iface.NumMethod() || strings.Contains(out, " t=0s ") {
+		t.Fatalf("context of %d events has a zero timestamp:\n%s", len(rep.Context), out)
+	}
+	for i, rec := range rep.Context {
+		if want := fmt.Sprintf("  t=%ds %s\n", i+1, rec.Kind); !strings.Contains(out, want) {
+			t.Errorf("report lacks the context line %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestReportContextCapture(t *testing.T) {
@@ -459,8 +495,8 @@ func TestReportContextCapture(t *testing.T) {
 	if last.Kind != obs.KindWindowEnd || last.WindowEnd.Seq != 6 {
 		t.Fatalf("context does not end with the offending event: %+v", last)
 	}
-	if rep.First().Invariant != check.InvTimeMonotonic {
-		t.Fatalf("First() = %+v", rep.First())
+	if first := rep.First(); first.Invariant != check.InvTimeMonotonic || !first.HasEvent {
+		t.Fatalf("First() = %+v", first)
 	}
 }
 

@@ -149,14 +149,8 @@ type jobState struct {
 // flight recorder and the shared time checks. One JobChecker verifies
 // one run.
 type JobChecker struct {
-	cfg   JobConfig
-	bound bool
-
-	ring *obs.Ring
-
-	events   uint64
-	lastAt   sim.Time
-	seenTime bool
+	recorder
+	cfg JobConfig
 
 	jobs      map[string]*jobState
 	committed []int // per-server cores granted to running jobs
@@ -175,9 +169,6 @@ type JobChecker struct {
 	pools         map[string]*poolState
 	jobPool       map[string]*poolState // running job → funding pool (PoolGrant)
 	poolCommitted [3]int                // admitted reserved cores per tier
-
-	report   Report
-	finished bool
 }
 
 // poolState is one admitted pool's accounting as reconstructed from the
@@ -207,7 +198,9 @@ type serverHealth struct {
 // NewJobChecker returns an unbound JobChecker; call Bind before events
 // arrive (sched.Run binds it automatically).
 func NewJobChecker() *JobChecker {
-	return &JobChecker{ring: obs.NewRing(ContextSize), jobs: make(map[string]*jobState)}
+	c := &JobChecker{jobs: make(map[string]*jobState)}
+	c.init(c)
+	return c
 }
 
 // Bind attaches the run's configuration. It must be called exactly once,
@@ -229,49 +222,21 @@ func (c *JobChecker) Bind(cfg JobConfig) error {
 }
 
 // Finish returns the report; calling it again returns the same report.
-func (c *JobChecker) Finish() *Report {
-	c.finished = true
-	return &c.report
-}
+func (c *JobChecker) Finish() *Report { return &c.report }
 
 // Report returns the accumulated report.
 func (c *JobChecker) Report() *Report { return c.Finish() }
 
-func (c *JobChecker) violate(invariant string, at sim.Time, ev obs.Record, detail string) {
-	if len(c.report.Violations) == 0 {
-		c.report.Context = c.ring.Records()
-	}
-	if len(c.report.Violations) >= maxViolations {
-		c.report.Dropped++
+// Observe implements obs.Sink. The shared checks — usage, time
+// monotonicity, orphan resolution — run first, then the kind's own
+// handler; the per-machine agent events have none and only feed the
+// flight recorder and the shared checks.
+func (c *JobChecker) Observe(rec *obs.Record) {
+	at := rec.At()
+	if !c.begin(rec, at) {
 		return
 	}
-	c.report.Violations = append(c.report.Violations, Violation{
-		Invariant: invariant, At: at, Event: ev, Detail: detail,
-	})
-}
-
-func (c *JobChecker) violatef(invariant string, at sim.Time, ev obs.Record, format string, args ...any) {
-	c.violate(invariant, at, ev, fmt.Sprintf(format, args...))
-}
-
-// enter runs the shared per-event checks: usage and time monotonicity.
-func (c *JobChecker) enter(rec obs.Record, at sim.Time) {
-	c.events++
-	c.report.Events = c.events
-	if !c.bound {
-		if c.events == 1 {
-			c.violate(InvUsage, at, rec, "event observed before Bind; checks are unreliable")
-		}
-		return
-	}
-	if c.seenTime && at < c.lastAt {
-		c.violatef(InvTimeMonotonic, at, rec,
-			"event time %v precedes previous event time %v", at, c.lastAt)
-	}
-	if at > c.lastAt {
-		c.lastAt = at
-	}
-	c.seenTime = true
+	c.checkTime(rec, at)
 	// Orphaned jobs must be resolved (evicted or completed) at the crash
 	// instant; virtual time advancing past it with orphans outstanding
 	// means their work was silently lost.
@@ -283,11 +248,49 @@ func (c *JobChecker) enter(rec obs.Record, at sim.Time) {
 		}
 		clear(c.orphans)
 	}
+	switch rec.Kind {
+	case obs.KindJobSubmit:
+		c.jobSubmit(rec)
+	case obs.KindJobStart:
+		c.jobStart(rec)
+	case obs.KindJobEvict:
+		c.jobEvict(rec)
+	case obs.KindJobRequeue:
+		c.jobRequeue(rec)
+	case obs.KindJobComplete:
+		c.jobComplete(rec)
+	case obs.KindJobSLOMiss:
+		c.jobSLOMiss(rec)
+	case obs.KindServerCrash:
+		c.serverCrash(rec)
+	case obs.KindServerRestart:
+		c.serverRestart(rec)
+	case obs.KindServerQuarantine:
+		c.serverQuarantine(rec)
+	case obs.KindServerProbation:
+		c.serverProbation(rec)
+	case obs.KindPlacementRetry:
+		c.placementRetry(rec)
+	case obs.KindAdmissionDegraded:
+		c.admissionDegraded(rec)
+	case obs.KindPoolOpen:
+		c.poolOpen(rec)
+	case obs.KindPoolReject:
+		c.poolReject(rec)
+	case obs.KindPoolGrant:
+		c.poolGrant(rec)
+	case obs.KindPoolAccount:
+		c.poolAccount(rec)
+	case obs.KindPoolEvict:
+		c.poolEvict(rec)
+	case obs.KindPoolSettle:
+		c.poolSettle(rec)
+	}
 }
 
 // serverOK validates a placement's server index and returns whether the
 // committed-core account can be consulted.
-func (c *JobChecker) serverOK(server int, at sim.Time, rec obs.Record) bool {
+func (c *JobChecker) serverOK(server int, at sim.Time, rec *obs.Record) bool {
 	if c.cfg.Servers > 0 && (server < 0 || server >= c.cfg.Servers) {
 		c.violatef(InvJobCapacity, at, rec, "server %d outside [0, %d)", server, c.cfg.Servers)
 		return false
@@ -295,14 +298,8 @@ func (c *JobChecker) serverOK(server int, at sim.Time, rec obs.Record) bool {
 	return c.committed != nil && server >= 0 && server < len(c.committed)
 }
 
-// OnJobSubmit implements obs.Observer.
-func (c *JobChecker) OnJobSubmit(e obs.JobSubmit) {
-	c.ring.OnJobSubmit(e)
-	rec := obs.Record{Kind: obs.KindJobSubmit, JobSubmit: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobSubmit(rec *obs.Record) {
+	e := &rec.JobSubmit
 	if _, dup := c.jobs[e.Job]; dup {
 		c.violatef(InvJobLifecycle, e.At, rec, "job %q submitted twice", e.Job)
 		return
@@ -321,14 +318,8 @@ func (c *JobChecker) OnJobSubmit(e obs.JobSubmit) {
 	}
 }
 
-// OnJobStart implements obs.Observer.
-func (c *JobChecker) OnJobStart(e obs.JobStart) {
-	c.ring.OnJobStart(e)
-	rec := obs.Record{Kind: obs.KindJobStart, JobStart: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobStart(rec *obs.Record) {
+	e := &rec.JobStart
 	j, ok := c.jobs[e.Job]
 	if !ok {
 		c.violatef(InvJobLifecycle, e.At, rec, "start of unsubmitted job %q", e.Job)
@@ -385,14 +376,8 @@ func (c *JobChecker) release(j *jobState) {
 	j.grant = 0
 }
 
-// OnJobEvict implements obs.Observer.
-func (c *JobChecker) OnJobEvict(e obs.JobEvict) {
-	c.ring.OnJobEvict(e)
-	rec := obs.Record{Kind: obs.KindJobEvict, JobEvict: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobEvict(rec *obs.Record) {
+	e := &rec.JobEvict
 	j, ok := c.jobs[e.Job]
 	if !ok {
 		c.violatef(InvJobLifecycle, e.At, rec, "eviction of unsubmitted job %q", e.Job)
@@ -439,14 +424,8 @@ func (c *JobChecker) OnJobEvict(e obs.JobEvict) {
 	}
 }
 
-// OnJobRequeue implements obs.Observer.
-func (c *JobChecker) OnJobRequeue(e obs.JobRequeue) {
-	c.ring.OnJobRequeue(e)
-	rec := obs.Record{Kind: obs.KindJobRequeue, JobRequeue: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobRequeue(rec *obs.Record) {
+	e := &rec.JobRequeue
 	j, ok := c.jobs[e.Job]
 	if !ok {
 		c.violatef(InvJobLifecycle, e.At, rec, "requeue of unsubmitted job %q", e.Job)
@@ -475,14 +454,8 @@ func (c *JobChecker) OnJobRequeue(e obs.JobRequeue) {
 	j.phase = jobQueued
 }
 
-// OnJobComplete implements obs.Observer.
-func (c *JobChecker) OnJobComplete(e obs.JobComplete) {
-	c.ring.OnJobComplete(e)
-	rec := obs.Record{Kind: obs.KindJobComplete, JobComplete: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobComplete(rec *obs.Record) {
+	e := &rec.JobComplete
 	j, ok := c.jobs[e.Job]
 	if !ok {
 		c.violatef(InvJobLifecycle, e.At, rec, "completion of unsubmitted job %q", e.Job)
@@ -514,14 +487,8 @@ func (c *JobChecker) OnJobComplete(e obs.JobComplete) {
 	j.progress = j.work
 }
 
-// OnJobSLOMiss implements obs.Observer.
-func (c *JobChecker) OnJobSLOMiss(e obs.JobSLOMiss) {
-	c.ring.OnJobSLOMiss(e)
-	rec := obs.Record{Kind: obs.KindJobSLOMiss, JobSLOMiss: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) jobSLOMiss(rec *obs.Record) {
+	e := &rec.JobSLOMiss
 	j, ok := c.jobs[e.Job]
 	if !ok {
 		c.violatef(InvJobSLO, e.At, rec, "SLO miss for unsubmitted job %q", e.Job)
@@ -551,7 +518,7 @@ func (c *JobChecker) OnJobSLOMiss(e obs.JobSLOMiss) {
 
 // fleetServerOK validates a fleet event's server index and returns
 // whether health can be consulted.
-func (c *JobChecker) fleetServerOK(inv string, server int, at sim.Time, rec obs.Record) bool {
+func (c *JobChecker) fleetServerOK(inv string, server int, at sim.Time, rec *obs.Record) bool {
 	if c.cfg.Servers > 0 && (server < 0 || server >= c.cfg.Servers) {
 		c.violatef(inv, at, rec, "server %d outside [0, %d)", server, c.cfg.Servers)
 		return false
@@ -577,16 +544,10 @@ func legalQuarantine(dur, base, max sim.Time) bool {
 	return false
 }
 
-// OnServerCrash implements obs.Observer: the server goes down, and every
-// job running on it becomes an orphan that must be resolved at this
-// instant.
-func (c *JobChecker) OnServerCrash(e obs.ServerCrash) {
-	c.ring.OnServerCrash(e)
-	rec := obs.Record{Kind: obs.KindServerCrash, ServerCrash: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// serverCrash: the server goes down, and every job running on it becomes
+// an orphan that must be resolved at this instant.
+func (c *JobChecker) serverCrash(rec *obs.Record) {
+	e := &rec.ServerCrash
 	if e.Down <= 0 {
 		c.violatef(InvServerHealth, e.At, rec,
 			"server %d crash with non-positive downtime %v", e.Server, e.Down)
@@ -612,12 +573,9 @@ func (c *JobChecker) OnServerCrash(e obs.ServerCrash) {
 	c.orphanAt = e.At
 }
 
-// OnServerRestart implements obs.Observer.
-func (c *JobChecker) OnServerRestart(e obs.ServerRestart) {
-	c.ring.OnServerRestart(e)
-	rec := obs.Record{Kind: obs.KindServerRestart, ServerRestart: e}
-	c.enter(rec, e.At)
-	if !c.bound || !c.fleetServerOK(InvServerHealth, e.Server, e.At, rec) {
+func (c *JobChecker) serverRestart(rec *obs.Record) {
+	e := &rec.ServerRestart
+	if !c.fleetServerOK(InvServerHealth, e.Server, e.At, rec) {
 		return
 	}
 	h := &c.health[e.Server]
@@ -632,14 +590,8 @@ func (c *JobChecker) OnServerRestart(e obs.ServerRestart) {
 	h.crashed = false
 }
 
-// OnServerQuarantine implements obs.Observer.
-func (c *JobChecker) OnServerQuarantine(e obs.ServerQuarantine) {
-	c.ring.OnServerQuarantine(e)
-	rec := obs.Record{Kind: obs.KindServerQuarantine, ServerQuarantine: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) serverQuarantine(rec *obs.Record) {
+	e := &rec.ServerQuarantine
 	if e.Until <= e.At {
 		c.violatef(InvQuarantineTiming, e.At, rec,
 			"server %d quarantined until %v, not after the event time %v", e.Server, e.Until, e.At)
@@ -668,14 +620,8 @@ func (c *JobChecker) OnServerQuarantine(e obs.ServerQuarantine) {
 	h.quarUntil = e.Until
 }
 
-// OnServerProbation implements obs.Observer.
-func (c *JobChecker) OnServerProbation(e obs.ServerProbation) {
-	c.ring.OnServerProbation(e)
-	rec := obs.Record{Kind: obs.KindServerProbation, ServerProbation: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) serverProbation(rec *obs.Record) {
+	e := &rec.ServerProbation
 	if c.cfg.ProbationDur > 0 {
 		if want := e.At + c.cfg.ProbationDur; e.Until != want {
 			c.violatef(InvQuarantineTiming, e.At, rec,
@@ -697,14 +643,8 @@ func (c *JobChecker) OnServerProbation(e obs.ServerProbation) {
 	h.quarantined = false
 }
 
-// OnPlacementRetry implements obs.Observer.
-func (c *JobChecker) OnPlacementRetry(e obs.PlacementRetry) {
-	c.ring.OnPlacementRetry(e)
-	rec := obs.Record{Kind: obs.KindPlacementRetry, PlacementRetry: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) placementRetry(rec *obs.Record) {
+	e := &rec.PlacementRetry
 	if _, ok := c.jobs[e.Job]; !ok {
 		c.violatef(InvPlacementRetry, e.At, rec, "placement retry for unsubmitted job %q", e.Job)
 	}
@@ -727,14 +667,8 @@ func (c *JobChecker) OnPlacementRetry(e obs.PlacementRetry) {
 	}
 }
 
-// OnAdmissionDegraded implements obs.Observer.
-func (c *JobChecker) OnAdmissionDegraded(e obs.AdmissionDegraded) {
-	c.ring.OnAdmissionDegraded(e)
-	rec := obs.Record{Kind: obs.KindAdmissionDegraded, AdmissionDegraded: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+func (c *JobChecker) admissionDegraded(rec *obs.Record) {
+	e := &rec.AdmissionDegraded
 	if e.Entered == c.degraded {
 		if e.Entered {
 			c.violate(InvAdmissionLegal, e.At, rec, "admission degraded twice without recovering")
@@ -758,7 +692,7 @@ func (c *JobChecker) OnAdmissionDegraded(e obs.AdmissionDegraded) {
 }
 
 // poolTier parses an event's tier name, charging inv on failure.
-func (c *JobChecker) poolTier(inv, tier string, at sim.Time, rec obs.Record) (market.Tier, bool) {
+func (c *JobChecker) poolTier(inv, tier string, at sim.Time, rec *obs.Record) (market.Tier, bool) {
 	t, err := market.ParseTier(tier)
 	if err != nil {
 		c.violatef(inv, at, rec, "pool event carries unknown tier %q", tier)
@@ -767,15 +701,10 @@ func (c *JobChecker) poolTier(inv, tier string, at sim.Time, rec obs.Record) (ma
 	return t, true
 }
 
-// OnPoolOpen implements obs.Observer: verify the admission decision
-// against the overcommit bound and start tracking the pool.
-func (c *JobChecker) OnPoolOpen(e obs.PoolOpen) {
-	c.ring.OnPoolOpen(e)
-	rec := obs.Record{Kind: obs.KindPoolOpen, PoolOpen: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolOpen verifies the admission decision against the overcommit bound
+// and starts tracking the pool.
+func (c *JobChecker) poolOpen(rec *obs.Record) {
+	e := &rec.PoolOpen
 	t, ok := c.poolTier(InvOvercommitBound, e.Tier, e.At, rec)
 	if !ok {
 		return
@@ -814,15 +743,9 @@ func (c *JobChecker) OnPoolOpen(e obs.PoolOpen) {
 	}
 }
 
-// OnPoolReject implements obs.Observer: a rejection must actually have
-// exceeded the tier's bound.
-func (c *JobChecker) OnPoolReject(e obs.PoolReject) {
-	c.ring.OnPoolReject(e)
-	rec := obs.Record{Kind: obs.KindPoolReject, PoolReject: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolReject: a rejection must actually have exceeded the tier's bound.
+func (c *JobChecker) poolReject(rec *obs.Record) {
+	e := &rec.PoolReject
 	t, ok := c.poolTier(InvOvercommitBound, e.Tier, e.At, rec)
 	if !ok {
 		return
@@ -845,15 +768,10 @@ func (c *JobChecker) OnPoolReject(e obs.PoolReject) {
 	}
 }
 
-// OnPoolGrant implements obs.Observer: placements are funded only by a
-// known pool with a positive balance, and bind the job to it.
-func (c *JobChecker) OnPoolGrant(e obs.PoolGrant) {
-	c.ring.OnPoolGrant(e)
-	rec := obs.Record{Kind: obs.KindPoolGrant, PoolGrant: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolGrant: placements are funded only by a known pool with a positive
+// balance, and bind the job to it.
+func (c *JobChecker) poolGrant(rec *obs.Record) {
+	e := &rec.PoolGrant
 	p, ok := c.pools[e.Pool]
 	if !ok {
 		c.violatef(InvPoolConservation, e.At, rec,
@@ -885,14 +803,9 @@ func (c *JobChecker) OnPoolGrant(e obs.PoolGrant) {
 	c.jobPool[e.Job] = p
 }
 
-// OnPoolAccount implements obs.Observer: the conservation law itself.
-func (c *JobChecker) OnPoolAccount(e obs.PoolAccount) {
-	c.ring.OnPoolAccount(e)
-	rec := obs.Record{Kind: obs.KindPoolAccount, PoolAccount: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolAccount: the conservation law itself.
+func (c *JobChecker) poolAccount(rec *obs.Record) {
+	e := &rec.PoolAccount
 	p, ok := c.pools[e.Pool]
 	if !ok {
 		c.violatef(InvPoolConservation, e.At, rec, "accounting for unknown pool %q", e.Pool)
@@ -915,15 +828,10 @@ func (c *JobChecker) OnPoolAccount(e obs.PoolAccount) {
 	p.consumed += e.Drain
 }
 
-// OnPoolEvict implements obs.Observer: tier ordering for capacity
-// evictions, and exact SLA-budget/penalty accounting.
-func (c *JobChecker) OnPoolEvict(e obs.PoolEvict) {
-	c.ring.OnPoolEvict(e)
-	rec := obs.Record{Kind: obs.KindPoolEvict, PoolEvict: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolEvict: tier ordering for capacity evictions, and exact
+// SLA-budget/penalty accounting.
+func (c *JobChecker) poolEvict(rec *obs.Record) {
+	e := &rec.PoolEvict
 	p, ok := c.pools[e.Pool]
 	if !ok {
 		c.violatef(InvPenaltyAccounting, e.At, rec,
@@ -996,15 +904,9 @@ func (c *JobChecker) OnPoolEvict(e obs.PoolEvict) {
 	}
 }
 
-// OnPoolSettle implements obs.Observer: the final totals must match the
-// event stream exactly.
-func (c *JobChecker) OnPoolSettle(e obs.PoolSettle) {
-	c.ring.OnPoolSettle(e)
-	rec := obs.Record{Kind: obs.KindPoolSettle, PoolSettle: e}
-	c.enter(rec, e.At)
-	if !c.bound {
-		return
-	}
+// poolSettle: the final totals must match the event stream exactly.
+func (c *JobChecker) poolSettle(rec *obs.Record) {
+	e := &rec.PoolSettle
 	p, ok := c.pools[e.Pool]
 	if !ok {
 		c.violatef(InvPenaltyAccounting, e.At, rec, "settlement of unknown pool %q", e.Pool)
@@ -1032,61 +934,6 @@ func (c *JobChecker) OnPoolSettle(e obs.PoolSettle) {
 			e.Pool, e.Evictions, e.Violations, p.evictions, p.violations)
 	}
 	p.settled = true
-}
-
-// Non-job events only feed the flight recorder and shared checks.
-
-func (c *JobChecker) OnPollSample(e obs.PollSample) {
-	c.ring.OnPollSample(e)
-	c.enter(obs.Record{Kind: obs.KindPollSample, PollSample: e}, e.At)
-}
-func (c *JobChecker) OnWindowEnd(e obs.WindowEnd) {
-	c.ring.OnWindowEnd(e)
-	c.enter(obs.Record{Kind: obs.KindWindowEnd, WindowEnd: e}, e.At)
-}
-func (c *JobChecker) OnSafeguardTrip(e obs.SafeguardTrip) {
-	c.ring.OnSafeguardTrip(e)
-	c.enter(obs.Record{Kind: obs.KindSafeguardTrip, SafeguardTrip: e}, e.At)
-}
-func (c *JobChecker) OnQoSTrip(e obs.QoSTrip) {
-	c.ring.OnQoSTrip(e)
-	c.enter(obs.Record{Kind: obs.KindQoSTrip, QoSTrip: e}, e.At)
-}
-func (c *JobChecker) OnQoSResume(e obs.QoSResume) {
-	c.ring.OnQoSResume(e)
-	c.enter(obs.Record{Kind: obs.KindQoSResume, QoSResume: e}, e.At)
-}
-func (c *JobChecker) OnResize(e obs.Resize) {
-	c.ring.OnResize(e)
-	c.enter(obs.Record{Kind: obs.KindResize, Resize: e}, e.At)
-}
-func (c *JobChecker) OnChurnApplied(e obs.ChurnApplied) {
-	c.ring.OnChurnApplied(e)
-	c.enter(obs.Record{Kind: obs.KindChurnApplied, ChurnApplied: e}, e.At)
-}
-func (c *JobChecker) OnBatchProgress(e obs.BatchProgress) {
-	c.ring.OnBatchProgress(e)
-	c.enter(obs.Record{Kind: obs.KindBatchProgress, BatchProgress: e}, e.At)
-}
-func (c *JobChecker) OnFaultInjected(e obs.FaultInjected) {
-	c.ring.OnFaultInjected(e)
-	c.enter(obs.Record{Kind: obs.KindFaultInjected, FaultInjected: e}, e.At)
-}
-func (c *JobChecker) OnResizeRetry(e obs.ResizeRetry) {
-	c.ring.OnResizeRetry(e)
-	c.enter(obs.Record{Kind: obs.KindResizeRetry, ResizeRetry: e}, e.At)
-}
-func (c *JobChecker) OnDegradedEnter(e obs.DegradedEnter) {
-	c.ring.OnDegradedEnter(e)
-	c.enter(obs.Record{Kind: obs.KindDegradedEnter, DegradedEnter: e}, e.At)
-}
-func (c *JobChecker) OnDegradedExit(e obs.DegradedExit) {
-	c.ring.OnDegradedExit(e)
-	c.enter(obs.Record{Kind: obs.KindDegradedExit, DegradedExit: e}, e.At)
-}
-func (c *JobChecker) OnPredictorInfo(e obs.PredictorInfo) {
-	c.ring.OnPredictorInfo(e)
-	c.enter(obs.Record{Kind: obs.KindPredictorInfo, PredictorInfo: e}, e.At)
 }
 
 var _ obs.Observer = (*JobChecker)(nil)

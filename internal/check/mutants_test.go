@@ -31,84 +31,16 @@ func recorded(t *testing.T, ring *obs.Ring) []obs.Record {
 	return ring.Records()
 }
 
-// replayInto feeds captured records to an observer as if the run were
-// live. It is the one Record→Observer dispatch the four mutant galleries
-// share.
-func replayInto(o obs.Observer, recs []obs.Record) {
-	for _, r := range recs {
-		switch r.Kind {
-		case obs.KindPollSample:
-			o.OnPollSample(r.PollSample)
-		case obs.KindWindowEnd:
-			o.OnWindowEnd(r.WindowEnd)
-		case obs.KindSafeguardTrip:
-			o.OnSafeguardTrip(r.SafeguardTrip)
-		case obs.KindQoSTrip:
-			o.OnQoSTrip(r.QoSTrip)
-		case obs.KindQoSResume:
-			o.OnQoSResume(r.QoSResume)
-		case obs.KindResize:
-			o.OnResize(r.Resize)
-		case obs.KindChurnApplied:
-			o.OnChurnApplied(r.ChurnApplied)
-		case obs.KindBatchProgress:
-			o.OnBatchProgress(r.BatchProgress)
-		case obs.KindFaultInjected:
-			o.OnFaultInjected(r.FaultInjected)
-		case obs.KindResizeRetry:
-			o.OnResizeRetry(r.ResizeRetry)
-		case obs.KindDegradedEnter:
-			o.OnDegradedEnter(r.DegradedEnter)
-		case obs.KindDegradedExit:
-			o.OnDegradedExit(r.DegradedExit)
-		case obs.KindJobSubmit:
-			o.OnJobSubmit(r.JobSubmit)
-		case obs.KindJobStart:
-			o.OnJobStart(r.JobStart)
-		case obs.KindJobEvict:
-			o.OnJobEvict(r.JobEvict)
-		case obs.KindJobRequeue:
-			o.OnJobRequeue(r.JobRequeue)
-		case obs.KindJobComplete:
-			o.OnJobComplete(r.JobComplete)
-		case obs.KindJobSLOMiss:
-			o.OnJobSLOMiss(r.JobSLOMiss)
-		case obs.KindPredictorInfo:
-			o.OnPredictorInfo(r.PredictorInfo)
-		case obs.KindServerCrash:
-			o.OnServerCrash(r.ServerCrash)
-		case obs.KindServerRestart:
-			o.OnServerRestart(r.ServerRestart)
-		case obs.KindServerQuarantine:
-			o.OnServerQuarantine(r.ServerQuarantine)
-		case obs.KindServerProbation:
-			o.OnServerProbation(r.ServerProbation)
-		case obs.KindPlacementRetry:
-			o.OnPlacementRetry(r.PlacementRetry)
-		case obs.KindAdmissionDegraded:
-			o.OnAdmissionDegraded(r.AdmissionDegraded)
-		case obs.KindPoolOpen:
-			o.OnPoolOpen(r.PoolOpen)
-		case obs.KindPoolReject:
-			o.OnPoolReject(r.PoolReject)
-		case obs.KindPoolGrant:
-			o.OnPoolGrant(r.PoolGrant)
-		case obs.KindPoolAccount:
-			o.OnPoolAccount(r.PoolAccount)
-		case obs.KindPoolEvict:
-			o.OnPoolEvict(r.PoolEvict)
-		case obs.KindPoolSettle:
-			o.OnPoolSettle(r.PoolSettle)
-		}
-	}
-}
-
-// replay feeds a captured stream to a checker and returns its report.
+// replay feeds a captured stream to a checker as if the run were live —
+// through its typed On* methods, as an emitter would — and returns its
+// report. It is the one replay loop the four mutant galleries share.
 func replay(c interface {
 	obs.Observer
 	Finish() *check.Report
 }, recs []obs.Record) *check.Report {
-	replayInto(c, recs)
+	for i := range recs {
+		obs.Dispatch(c, &recs[i])
+	}
 	return c.Finish()
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"smartharvest/internal/obs"
 )
@@ -21,108 +22,32 @@ func (e TraceError) String() string {
 	return fmt.Sprintf("trace line %d: %s", e.Line, e.Detail)
 }
 
-// fieldKind is the JSON type a schema field must carry.
-type fieldKind int
-
-const (
-	fNum fieldKind = iota
-	fBool
-	fStr
-)
-
-// traceSchema maps each event name to its required per-event fields (the
-// common "v"/"ev"/"t" prefix is checked separately). This mirrors the
-// encoder in internal/obs/jsonl.go; a field added there without a schema
-// update here fails the unknown-field check in the validator's own tests.
-var traceSchema = map[string]map[string]fieldKind{
-	obs.KindPollSample.String(): {"busy": fNum, "target": fNum},
-	obs.KindWindowEnd.String(): {
-		"seq": fNum, "samples": fNum, "min": fNum, "peak": fNum,
-		"avg": fNum, "std": fNum, "median": fNum, "peak1s": fNum,
-		"busy": fNum, "safeguard": fBool, "pred": fNum, "target": fNum,
-		"clamp": fStr,
-	},
-	obs.KindSafeguardTrip.String(): {"busy": fNum, "target": fNum},
-	obs.KindQoSTrip.String():       {"frac": fNum, "waits": fNum, "pause_until": fNum},
-	obs.KindQoSResume.String():     {},
-	obs.KindResize.String():        {"from": fNum, "to": fNum, "mech": fStr, "latency": fNum},
-	obs.KindChurnApplied.String():  {"arrived": fStr, "departed": fNum, "live": fNum, "alloc": fNum},
-	obs.KindBatchProgress.String(): {"job": fStr, "phase": fNum, "phases": fNum, "finished": fBool},
-	obs.KindFaultInjected.String(): {"kind": fStr, "dur": fNum, "delta": fNum},
-	obs.KindResizeRetry.String():   {"target": fNum, "attempt": fNum, "backoff": fNum},
-	obs.KindDegradedEnter.String(): {"reason": fStr, "failures": fNum, "missed_polls": fNum},
-	obs.KindDegradedExit.String():  {"clean_for": fNum, "dur": fNum},
-	obs.KindJobSubmit.String():     {"job": fStr, "work": fNum, "width": fNum, "deadline": fNum},
-	obs.KindJobStart.String(): {
-		"job": fStr, "server": fNum, "grant": fNum, "harvest": fNum,
-		"attempt": fNum, "remaining": fNum,
-	},
-	obs.KindJobEvict.String(): {
-		"job": fStr, "server": fNum, "progress": fNum, "evictions": fNum,
-		"final": fBool,
-	},
-	obs.KindJobRequeue.String():    {"job": fStr, "evictions": fNum, "remaining": fNum},
-	obs.KindJobComplete.String():   {"job": fStr, "server": fNum, "elapsed": fNum, "evictions": fNum},
-	obs.KindJobSLOMiss.String():    {"job": fStr, "deadline": fNum, "late": fNum},
-	obs.KindPredictorInfo.String(): {"name": fStr, "classes": fNum},
-	obs.KindServerCrash.String():   {"server": fNum, "down": fNum},
-	obs.KindServerRestart.String(): {"server": fNum, "down": fNum},
-	obs.KindServerQuarantine.String(): {
-		"server": fNum, "failures": fNum, "crash": fBool, "until": fNum,
-	},
-	obs.KindServerProbation.String(): {"server": fNum, "until": fNum},
-	obs.KindPlacementRetry.String(): {
-		"job": fStr, "server": fNum, "attempt": fNum, "backoff": fNum,
-	},
-	obs.KindAdmissionDegraded.String(): {"entered": fBool, "faults": fNum, "window": fNum},
-	obs.KindPoolOpen.String(): {
-		"pool": fStr, "tier": fStr, "reserved": fNum, "size": fNum,
-		"price": fNum, "forecast": fNum, "bound": fNum, "committed": fNum,
-	},
-	obs.KindPoolReject.String(): {
-		"pool": fStr, "tier": fStr, "reserved": fNum, "forecast": fNum,
-		"bound": fNum, "committed": fNum,
-	},
-	obs.KindPoolGrant.String():   {"job": fStr, "pool": fStr, "tier": fStr, "balance": fNum},
-	obs.KindPoolAccount.String(): {"pool": fStr, "refill": fNum, "drain": fNum, "balance": fNum},
-	obs.KindPoolEvict.String(): {
-		"job": fStr, "pool": fStr, "tier": fStr, "reason": fStr,
-		"evictions": fNum, "violation": fBool, "penalty": fNum,
-	},
-	obs.KindPoolSettle.String(): {
-		"pool": fStr, "consumed": fNum, "revenue": fNum, "penalties": fNum,
-		"evictions": fNum, "violations": fNum,
-	},
-}
-
-// validClamp is the closed set of clamp-reason strings a window decision
-// may carry.
-var validClamp = map[string]bool{
-	obs.ClampNone.String():      true,
-	obs.ClampPaused.String():    true,
-	obs.ClampBusyFloor.String(): true,
-	obs.ClampAllocCap.String():  true,
-	obs.ClampDegraded.String():  true,
-}
-
 // maxTraceErrors caps the errors ValidateTrace returns; a corrupt trace
 // would otherwise produce one per line.
 const maxTraceErrors = 100
 
 // ValidateTrace checks a JSONL trace (as written by obs.NewJSONL) for
-// well-formedness: every line is a JSON object carrying the current
-// schema version, a known event name, a non-negative timestamp that
-// never decreases across lines, exactly the fields that event requires
-// with the right JSON types, and — for window decisions — a clamp reason
-// from the documented set. It stops collecting after maxTraceErrors
-// problems. The returned error reports a read failure, not trace
-// content; a readable-but-invalid trace returns (errs, nil).
+// well-formedness against obs.Schema, the table the encoder itself is
+// driven by: every line is a JSON object carrying the current schema
+// version, a known event name, a non-negative timestamp that never
+// decreases across lines, exactly the fields that event's row lists with
+// the right JSON types, and — for fields with a closed value set, such
+// as a window decision's clamp reason — a value from that set. It stops
+// collecting after maxTraceErrors problems. The returned error reports a
+// read failure, not trace content; a readable-but-invalid trace returns
+// (errs, nil).
 func ValidateTrace(r io.Reader) ([]TraceError, error) {
 	var errs []TraceError
 	add := func(line int, format string, args ...any) {
 		if len(errs) < maxTraceErrors {
 			errs = append(errs, TraceError{Line: line, Detail: fmt.Sprintf(format, args...)})
 		}
+	}
+
+	rows := obs.Schema()
+	events := make(map[string]*obs.EventSchema, len(rows))
+	for i := range rows {
+		events[rows[i].Name] = &rows[i]
 	}
 
 	sc := bufio.NewScanner(r)
@@ -159,7 +84,7 @@ func ValidateTrace(r io.Reader) ([]TraceError, error) {
 			add(line, `missing or non-string "ev"`)
 			continue
 		}
-		schema, known := traceSchema[ev]
+		schema, known := events[ev]
 		if !known {
 			add(line, "unknown event %q", ev)
 			continue
@@ -178,29 +103,28 @@ func ValidateTrace(r io.Reader) ([]TraceError, error) {
 			lastT = int64(t)
 		}
 
-		// Per-event fields: all required present with the right type, no
-		// extras beyond the schema.
-		for name, kind := range schema {
-			rawv, present := fields[name]
+		// Per-event fields: all required present with the right type and a
+		// legal value, no extras beyond the schema.
+		for _, f := range schema.Fields {
+			rawv, present := fields[f.Name]
 			if !present {
-				add(line, "%s event missing %q", ev, name)
+				add(line, "%s event missing %q", ev, f.Name)
 				continue
 			}
-			if !typeMatches(rawv, kind) {
-				add(line, "%s field %q has the wrong JSON type", ev, name)
+			if !typeMatches(rawv, f.Type) {
+				add(line, "%s field %q has the wrong JSON type", ev, f.Name)
+			} else if f.Enum != nil {
+				if v, _ := strField(fields, f.Name); !slices.Contains(f.Enum, v) {
+					add(line, "unknown %s %q", f.Name, v)
+				}
 			}
 		}
 		for name := range fields {
 			if name == "v" || name == "ev" || name == "t" {
 				continue
 			}
-			if _, want := schema[name]; !want {
+			if !slices.ContainsFunc(schema.Fields, func(f obs.Field) bool { return f.Name == name }) {
 				add(line, "%s event has unknown field %q", ev, name)
-			}
-		}
-		if ev == obs.KindWindowEnd.String() {
-			if clamp, ok := strField(fields, "clamp"); ok && !validClamp[clamp] {
-				add(line, "unknown clamp reason %q", clamp)
 			}
 		}
 	}
@@ -234,15 +158,17 @@ func strField(fields map[string]json.RawMessage, name string) (string, bool) {
 	return v, true
 }
 
-func typeMatches(raw json.RawMessage, kind fieldKind) bool {
-	switch kind {
-	case fNum:
+// typeMatches reports whether raw decodes as the obs.Field type typ. The
+// trace format writes "int" and "float" fields alike as JSON numbers.
+func typeMatches(raw json.RawMessage, typ string) bool {
+	switch typ {
+	case "int", "float":
 		var v float64
 		return json.Unmarshal(raw, &v) == nil
-	case fBool:
+	case "bool":
 		var v bool
 		return json.Unmarshal(raw, &v) == nil
-	case fStr:
+	case "string":
 		var v string
 		return json.Unmarshal(raw, &v) == nil
 	}

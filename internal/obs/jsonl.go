@@ -15,11 +15,12 @@ import (
 //
 // Every line carries `"v"` (schema version), `"ev"` (event name, the
 // Kind string) and `"t"` (virtual nanoseconds); the remaining fields are
-// per-event (see DESIGN.md §6 for the full schema).
+// the ones the kind's Schema row lists (DESIGN.md §6 tabulates them).
 //
 // Writes are buffered; call Flush when the run is done and check Err.
 // JSONL is not safe for concurrent use — attach one per scenario.
 type JSONL struct {
+	Adapter
 	w         *bufio.Writer
 	buf       []byte
 	omitPolls bool
@@ -39,6 +40,7 @@ func JSONLOmitPolls() JSONLOption {
 // NewJSONL returns a sink streaming to w.
 func NewJSONL(w io.Writer, opts ...JSONLOption) *JSONL {
 	j := &JSONL{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
+	j.Sink = j
 	for _, o := range opts {
 		o(j)
 	}
@@ -57,53 +59,44 @@ func (j *JSONL) Flush() error {
 // after an error but drop them.
 func (j *JSONL) Err() error { return j.err }
 
-// begin starts a line with the common prefix; returns false if the sink
-// is in an error state.
-func (j *JSONL) begin(ev Kind, t int64) bool {
-	if j.err != nil {
-		return false
+// Observe implements Sink: it encodes r as one line — the common
+// "v"/"ev"/"t" prefix, then the fields its Kind's schema row lists.
+func (j *JSONL) Observe(r *Record) {
+	if j.err != nil || (j.omitPolls && r.Kind == KindPollSample) {
+		return
 	}
-	b := j.buf[:0]
-	b = append(b, `{"v":`...)
+	ev := &schema[r.Kind]
+	b := append(j.buf[:0], `{"v":`...)
 	b = strconv.AppendInt(b, SchemaVersion, 10)
 	b = append(b, `,"ev":"`...)
-	b = append(b, ev.String()...)
+	b = append(b, ev.Name...)
 	b = append(b, `","t":`...)
-	b = strconv.AppendInt(b, t, 10)
-	j.buf = b
-	return true
-}
-
-func (j *JSONL) intField(name string, v int64) {
-	b := append(j.buf, ',', '"')
-	b = append(b, name...)
-	b = append(b, '"', ':')
-	j.buf = strconv.AppendInt(b, v, 10)
-}
-
-func (j *JSONL) floatField(name string, v float64) {
-	b := append(j.buf, ',', '"')
-	b = append(b, name...)
-	b = append(b, '"', ':')
-	j.buf = strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-func (j *JSONL) boolField(name string, v bool) {
-	b := append(j.buf, ',', '"')
-	b = append(b, name...)
-	b = append(b, '"', ':')
-	if v {
-		b = append(b, "true"...)
-	} else {
-		b = append(b, "false"...)
+	b = strconv.AppendInt(b, int64(ev.at(r)), 10)
+	for i := range ev.Fields {
+		f := &ev.Fields[i]
+		b = append(b, ',', '"')
+		b = append(b, f.Name...)
+		b = append(b, '"', ':')
+		switch {
+		case f.i != nil:
+			b = strconv.AppendInt(b, f.i(r), 10)
+		case f.f != nil:
+			b = strconv.AppendFloat(b, f.f(r), 'g', -1, 64)
+		case f.b != nil:
+			b = strconv.AppendBool(b, f.b(r))
+		default:
+			b = appendString(b, f.s(r))
+		}
 	}
-	j.buf = b
+	j.buf = append(b, '}', '\n')
+	if _, err := j.w.Write(j.buf); err != nil {
+		j.err = err
+	}
 }
 
-func (j *JSONL) strField(name, v string) {
-	b := append(j.buf, ',', '"')
-	b = append(b, name...)
-	b = append(b, `":"`...)
+// appendString appends v as a JSON string.
+func appendString(b []byte, v string) []byte {
+	b = append(b, '"')
 	for i := 0; i < len(v); i++ {
 		c := v[i]
 		// Event strings are workload/mechanism names (ASCII identifiers);
@@ -119,351 +112,5 @@ func (j *JSONL) strField(name, v string) {
 			b = append(b, c)
 		}
 	}
-	j.buf = append(b, '"')
-}
-
-func (j *JSONL) end() {
-	j.buf = append(j.buf, '}', '\n')
-	if _, err := j.w.Write(j.buf); err != nil && j.err == nil {
-		j.err = err
-	}
-}
-
-func (j *JSONL) OnPollSample(e PollSample) {
-	if j.omitPolls || !j.begin(KindPollSample, int64(e.At)) {
-		return
-	}
-	j.intField("busy", int64(e.Busy))
-	j.intField("target", int64(e.Target))
-	j.end()
-}
-
-func (j *JSONL) OnWindowEnd(e WindowEnd) {
-	if !j.begin(KindWindowEnd, int64(e.At)) {
-		return
-	}
-	j.intField("seq", int64(e.Seq))
-	j.intField("samples", int64(e.Samples))
-	j.intField("min", int64(e.Features.Min))
-	j.intField("peak", int64(e.Features.Max))
-	j.floatField("avg", e.Features.Avg)
-	j.floatField("std", e.Features.Std)
-	j.floatField("median", e.Features.Median)
-	j.intField("peak1s", int64(e.Peak1s))
-	j.intField("busy", int64(e.Busy))
-	j.boolField("safeguard", e.Safeguard)
-	j.intField("pred", int64(e.Prediction))
-	j.intField("target", int64(e.Target))
-	j.strField("clamp", e.Clamp.String())
-	j.end()
-}
-
-func (j *JSONL) OnSafeguardTrip(e SafeguardTrip) {
-	if !j.begin(KindSafeguardTrip, int64(e.At)) {
-		return
-	}
-	j.intField("busy", int64(e.Busy))
-	j.intField("target", int64(e.Target))
-	j.end()
-}
-
-func (j *JSONL) OnQoSTrip(e QoSTrip) {
-	if !j.begin(KindQoSTrip, int64(e.At)) {
-		return
-	}
-	j.floatField("frac", e.Frac)
-	j.intField("waits", int64(e.Waits))
-	j.intField("pause_until", int64(e.PauseUntil))
-	j.end()
-}
-
-func (j *JSONL) OnQoSResume(e QoSResume) {
-	if !j.begin(KindQoSResume, int64(e.At)) {
-		return
-	}
-	j.end()
-}
-
-func (j *JSONL) OnResize(e Resize) {
-	if !j.begin(KindResize, int64(e.At)) {
-		return
-	}
-	j.intField("from", int64(e.FromCores))
-	j.intField("to", int64(e.ToCores))
-	j.strField("mech", e.Mechanism)
-	j.intField("latency", int64(e.Latency))
-	j.end()
-}
-
-func (j *JSONL) OnChurnApplied(e ChurnApplied) {
-	if !j.begin(KindChurnApplied, int64(e.At)) {
-		return
-	}
-	j.strField("arrived", e.Arrived)
-	j.intField("departed", int64(e.Departed))
-	j.intField("live", int64(e.LivePrimaries))
-	j.intField("alloc", int64(e.PrimaryAlloc))
-	j.end()
-}
-
-func (j *JSONL) OnBatchProgress(e BatchProgress) {
-	if !j.begin(KindBatchProgress, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("phase", int64(e.Phase))
-	j.intField("phases", int64(e.Phases))
-	j.boolField("finished", e.Finished)
-	j.end()
-}
-
-func (j *JSONL) OnFaultInjected(e FaultInjected) {
-	if !j.begin(KindFaultInjected, int64(e.At)) {
-		return
-	}
-	j.strField("kind", e.Kind.String())
-	j.intField("dur", int64(e.Dur))
-	j.intField("delta", int64(e.Delta))
-	j.end()
-}
-
-func (j *JSONL) OnResizeRetry(e ResizeRetry) {
-	if !j.begin(KindResizeRetry, int64(e.At)) {
-		return
-	}
-	j.intField("target", int64(e.Target))
-	j.intField("attempt", int64(e.Attempt))
-	j.intField("backoff", int64(e.Backoff))
-	j.end()
-}
-
-func (j *JSONL) OnDegradedEnter(e DegradedEnter) {
-	if !j.begin(KindDegradedEnter, int64(e.At)) {
-		return
-	}
-	j.strField("reason", e.Reason.String())
-	j.intField("failures", int64(e.Failures))
-	j.intField("missed_polls", int64(e.MissedPolls))
-	j.end()
-}
-
-func (j *JSONL) OnDegradedExit(e DegradedExit) {
-	if !j.begin(KindDegradedExit, int64(e.At)) {
-		return
-	}
-	j.intField("clean_for", int64(e.CleanFor))
-	j.intField("dur", int64(e.Dur))
-	j.end()
-}
-
-func (j *JSONL) OnJobSubmit(e JobSubmit) {
-	if !j.begin(KindJobSubmit, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("work", int64(e.Work))
-	j.intField("width", int64(e.Width))
-	j.intField("deadline", int64(e.Deadline))
-	j.end()
-}
-
-func (j *JSONL) OnJobStart(e JobStart) {
-	if !j.begin(KindJobStart, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("server", int64(e.Server))
-	j.intField("grant", int64(e.Grant))
-	j.intField("harvest", int64(e.Harvest))
-	j.intField("attempt", int64(e.Attempt))
-	j.intField("remaining", int64(e.Remaining))
-	j.end()
-}
-
-func (j *JSONL) OnJobEvict(e JobEvict) {
-	if !j.begin(KindJobEvict, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("server", int64(e.Server))
-	j.intField("progress", int64(e.Progress))
-	j.intField("evictions", int64(e.Evictions))
-	j.boolField("final", e.Final)
-	j.end()
-}
-
-func (j *JSONL) OnJobRequeue(e JobRequeue) {
-	if !j.begin(KindJobRequeue, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("evictions", int64(e.Evictions))
-	j.intField("remaining", int64(e.Remaining))
-	j.end()
-}
-
-func (j *JSONL) OnJobComplete(e JobComplete) {
-	if !j.begin(KindJobComplete, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("server", int64(e.Server))
-	j.intField("elapsed", int64(e.Elapsed))
-	j.intField("evictions", int64(e.Evictions))
-	j.end()
-}
-
-func (j *JSONL) OnJobSLOMiss(e JobSLOMiss) {
-	if !j.begin(KindJobSLOMiss, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("deadline", int64(e.Deadline))
-	j.intField("late", int64(e.Late))
-	j.end()
-}
-
-func (j *JSONL) OnPredictorInfo(e PredictorInfo) {
-	if !j.begin(KindPredictorInfo, int64(e.At)) {
-		return
-	}
-	j.strField("name", e.Name)
-	j.intField("classes", int64(e.Classes))
-	j.end()
-}
-
-func (j *JSONL) OnServerCrash(e ServerCrash) {
-	if !j.begin(KindServerCrash, int64(e.At)) {
-		return
-	}
-	j.intField("server", int64(e.Server))
-	j.intField("down", int64(e.Down))
-	j.end()
-}
-
-func (j *JSONL) OnServerRestart(e ServerRestart) {
-	if !j.begin(KindServerRestart, int64(e.At)) {
-		return
-	}
-	j.intField("server", int64(e.Server))
-	j.intField("down", int64(e.Down))
-	j.end()
-}
-
-func (j *JSONL) OnServerQuarantine(e ServerQuarantine) {
-	if !j.begin(KindServerQuarantine, int64(e.At)) {
-		return
-	}
-	j.intField("server", int64(e.Server))
-	j.intField("failures", int64(e.Failures))
-	j.boolField("crash", e.Crash)
-	j.intField("until", int64(e.Until))
-	j.end()
-}
-
-func (j *JSONL) OnServerProbation(e ServerProbation) {
-	if !j.begin(KindServerProbation, int64(e.At)) {
-		return
-	}
-	j.intField("server", int64(e.Server))
-	j.intField("until", int64(e.Until))
-	j.end()
-}
-
-func (j *JSONL) OnPlacementRetry(e PlacementRetry) {
-	if !j.begin(KindPlacementRetry, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.intField("server", int64(e.Server))
-	j.intField("attempt", int64(e.Attempt))
-	j.intField("backoff", int64(e.Backoff))
-	j.end()
-}
-
-func (j *JSONL) OnAdmissionDegraded(e AdmissionDegraded) {
-	if !j.begin(KindAdmissionDegraded, int64(e.At)) {
-		return
-	}
-	j.boolField("entered", e.Entered)
-	j.intField("faults", int64(e.Faults))
-	j.intField("window", int64(e.Window))
-	j.end()
-}
-
-func (j *JSONL) OnPoolOpen(e PoolOpen) {
-	if !j.begin(KindPoolOpen, int64(e.At)) {
-		return
-	}
-	j.strField("pool", e.Pool)
-	j.strField("tier", e.Tier)
-	j.intField("reserved", int64(e.Reserved))
-	j.intField("size", int64(e.Size))
-	j.floatField("price", e.Price)
-	j.intField("forecast", int64(e.Forecast))
-	j.floatField("bound", e.Bound)
-	j.intField("committed", int64(e.Committed))
-	j.end()
-}
-
-func (j *JSONL) OnPoolReject(e PoolReject) {
-	if !j.begin(KindPoolReject, int64(e.At)) {
-		return
-	}
-	j.strField("pool", e.Pool)
-	j.strField("tier", e.Tier)
-	j.intField("reserved", int64(e.Reserved))
-	j.intField("forecast", int64(e.Forecast))
-	j.floatField("bound", e.Bound)
-	j.intField("committed", int64(e.Committed))
-	j.end()
-}
-
-func (j *JSONL) OnPoolGrant(e PoolGrant) {
-	if !j.begin(KindPoolGrant, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.strField("pool", e.Pool)
-	j.strField("tier", e.Tier)
-	j.intField("balance", int64(e.Balance))
-	j.end()
-}
-
-func (j *JSONL) OnPoolAccount(e PoolAccount) {
-	if !j.begin(KindPoolAccount, int64(e.At)) {
-		return
-	}
-	j.strField("pool", e.Pool)
-	j.intField("refill", int64(e.Refill))
-	j.intField("drain", int64(e.Drain))
-	j.intField("balance", int64(e.Balance))
-	j.end()
-}
-
-func (j *JSONL) OnPoolEvict(e PoolEvict) {
-	if !j.begin(KindPoolEvict, int64(e.At)) {
-		return
-	}
-	j.strField("job", e.Job)
-	j.strField("pool", e.Pool)
-	j.strField("tier", e.Tier)
-	j.strField("reason", e.Reason)
-	j.intField("evictions", int64(e.Evictions))
-	j.boolField("violation", e.SLAViolation)
-	j.floatField("penalty", e.Penalty)
-	j.end()
-}
-
-func (j *JSONL) OnPoolSettle(e PoolSettle) {
-	if !j.begin(KindPoolSettle, int64(e.At)) {
-		return
-	}
-	j.strField("pool", e.Pool)
-	j.intField("consumed", int64(e.Consumed))
-	j.floatField("revenue", e.Revenue)
-	j.floatField("penalties", e.Penalties)
-	j.intField("evictions", int64(e.Evictions))
-	j.intField("violations", int64(e.Violations))
-	j.end()
+	return append(b, '"')
 }

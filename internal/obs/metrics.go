@@ -15,7 +15,10 @@ import (
 //
 // Fields are exported for direct reading once the run is over; the sink
 // is not safe for concurrent use during a run (attach one per scenario).
+// The zero value is not usable; call NewMetrics.
 type Metrics struct {
+	Adapter
+
 	Polls         uint64
 	Windows       uint64
 	Safeguards    uint64 // short-term safeguard trips
@@ -81,92 +84,106 @@ type Metrics struct {
 }
 
 // NewMetrics returns an empty aggregating sink.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-func (m *Metrics) OnPollSample(e PollSample) {
-	m.Polls++
-	m.PollBusy.Add(float64(e.Busy))
+func NewMetrics() *Metrics {
+	m := &Metrics{}
+	m.Sink = m
+	return m
 }
 
-func (m *Metrics) OnWindowEnd(e WindowEnd) {
-	m.Windows++
-	if int(e.Clamp) < len(m.ClampCounts) {
-		m.ClampCounts[e.Clamp]++
+// Observe implements Sink: it folds r into the counters.
+func (m *Metrics) Observe(r *Record) {
+	switch r.Kind {
+	case KindPollSample:
+		m.Polls++
+		m.PollBusy.Add(float64(r.PollSample.Busy))
+	case KindWindowEnd:
+		e := &r.WindowEnd
+		m.Windows++
+		if int(e.Clamp) < len(m.ClampCounts) {
+			m.ClampCounts[e.Clamp]++
+		}
+		m.WindowPeak.Add(float64(e.Features.Max))
+		m.WindowTarget.Add(float64(e.Target))
+	case KindSafeguardTrip:
+		m.Safeguards++
+	case KindQoSTrip:
+		m.QoSTrips++
+	case KindQoSResume:
+		m.QoSResumes++
+	case KindResize:
+		e := &r.Resize
+		m.Resizes++
+		if e.ToCores < e.FromCores {
+			m.Grows++
+		} else {
+			m.Shrinks++
+		}
+		m.ResizeLatency.Add(float64(e.Latency))
+	case KindChurnApplied:
+		m.Churns++
+	case KindBatchProgress:
+		m.BatchPhases++
+		if r.BatchProgress.Finished {
+			m.BatchFinished = true
+		}
+	case KindFaultInjected:
+		m.FaultsInjected++
+	case KindResizeRetry:
+		m.ResizeRetries++
+	case KindDegradedEnter:
+		m.Degradations++
+	case KindDegradedExit:
+		m.DegradedExits++
+	case KindJobSubmit:
+		m.JobSubmits++
+	case KindJobStart:
+		m.JobStarts++
+	case KindJobEvict:
+		m.JobEvictions++
+	case KindJobRequeue:
+		m.JobRequeues++
+	case KindJobComplete:
+		m.JobCompletions++
+	case KindJobSLOMiss:
+		m.SLOMisses++
+	case KindPredictorInfo:
+		// A run-level fact, not a counter: kept for display.
+		m.Predictor = r.PredictorInfo.Name
+	case KindServerCrash:
+		m.ServerCrashes++
+	case KindServerRestart:
+		m.ServerRestarts++
+	case KindServerQuarantine:
+		m.ServerQuarantines++
+	case KindServerProbation:
+		m.ServerProbations++
+	case KindPlacementRetry:
+		m.PlacementRetries++
+	case KindAdmissionDegraded:
+		if r.AdmissionDegraded.Entered {
+			m.AdmissionDegraded++
+		} else {
+			m.AdmissionRecovered++
+		}
+	case KindPoolOpen:
+		m.PoolOpens++
+	case KindPoolReject:
+		m.PoolRejects++
+	case KindPoolGrant:
+		m.PoolGrants++
+	case KindPoolAccount:
+		m.PoolAccounts++
+	case KindPoolEvict:
+		m.PoolEvictions++
+		if r.PoolEvict.SLAViolation {
+			m.PoolViolations++
+		}
+	case KindPoolSettle:
+		m.PoolSettles++
+		m.PoolRevenue += r.PoolSettle.Revenue
+		m.PoolPenalties += r.PoolSettle.Penalties
 	}
-	m.WindowPeak.Add(float64(e.Features.Max))
-	m.WindowTarget.Add(float64(e.Target))
 }
-
-func (m *Metrics) OnSafeguardTrip(SafeguardTrip) { m.Safeguards++ }
-func (m *Metrics) OnQoSTrip(QoSTrip)             { m.QoSTrips++ }
-func (m *Metrics) OnQoSResume(QoSResume)         { m.QoSResumes++ }
-
-func (m *Metrics) OnResize(e Resize) {
-	m.Resizes++
-	if e.ToCores < e.FromCores {
-		m.Grows++
-	} else {
-		m.Shrinks++
-	}
-	m.ResizeLatency.Add(float64(e.Latency))
-}
-
-func (m *Metrics) OnChurnApplied(ChurnApplied) { m.Churns++ }
-
-func (m *Metrics) OnBatchProgress(e BatchProgress) {
-	m.BatchPhases++
-	if e.Finished {
-		m.BatchFinished = true
-	}
-}
-
-func (m *Metrics) OnFaultInjected(FaultInjected) { m.FaultsInjected++ }
-func (m *Metrics) OnResizeRetry(ResizeRetry)     { m.ResizeRetries++ }
-func (m *Metrics) OnDegradedEnter(DegradedEnter) { m.Degradations++ }
-func (m *Metrics) OnDegradedExit(DegradedExit)   { m.DegradedExits++ }
-
-func (m *Metrics) OnJobSubmit(JobSubmit)     { m.JobSubmits++ }
-func (m *Metrics) OnJobStart(JobStart)       { m.JobStarts++ }
-func (m *Metrics) OnJobEvict(JobEvict)       { m.JobEvictions++ }
-func (m *Metrics) OnJobRequeue(JobRequeue)   { m.JobRequeues++ }
-func (m *Metrics) OnJobComplete(JobComplete) { m.JobCompletions++ }
-func (m *Metrics) OnJobSLOMiss(JobSLOMiss)   { m.SLOMisses++ }
-
-func (m *Metrics) OnServerCrash(ServerCrash)           { m.ServerCrashes++ }
-func (m *Metrics) OnServerRestart(ServerRestart)       { m.ServerRestarts++ }
-func (m *Metrics) OnServerQuarantine(ServerQuarantine) { m.ServerQuarantines++ }
-func (m *Metrics) OnServerProbation(ServerProbation)   { m.ServerProbations++ }
-func (m *Metrics) OnPlacementRetry(PlacementRetry)     { m.PlacementRetries++ }
-
-func (m *Metrics) OnAdmissionDegraded(e AdmissionDegraded) {
-	if e.Entered {
-		m.AdmissionDegraded++
-	} else {
-		m.AdmissionRecovered++
-	}
-}
-
-func (m *Metrics) OnPoolOpen(PoolOpen)       { m.PoolOpens++ }
-func (m *Metrics) OnPoolReject(PoolReject)   { m.PoolRejects++ }
-func (m *Metrics) OnPoolGrant(PoolGrant)     { m.PoolGrants++ }
-func (m *Metrics) OnPoolAccount(PoolAccount) { m.PoolAccounts++ }
-
-func (m *Metrics) OnPoolEvict(e PoolEvict) {
-	m.PoolEvictions++
-	if e.SLAViolation {
-		m.PoolViolations++
-	}
-}
-
-func (m *Metrics) OnPoolSettle(e PoolSettle) {
-	m.PoolSettles++
-	m.PoolRevenue += e.Revenue
-	m.PoolPenalties += e.Penalties
-}
-
-// OnPredictorInfo implements Observer. The predictor identity is a
-// run-level fact, not a counter; Metrics records the name for display.
-func (m *Metrics) OnPredictorInfo(e PredictorInfo) { m.Predictor = e.Name }
 
 // String renders a one-run summary.
 func (m *Metrics) String() string {

@@ -1,7 +1,15 @@
 // Package obs is the tracing/observability layer of the SmartHarvest
 // reproduction: a typed event stream emitted by the EVMAgent, the
-// simulated hypervisor, and the experiment harness, consumed through the
-// small Observer interface.
+// simulated hypervisor, the fleet scheduler, the capacity market and the
+// experiment harness.
+//
+// The stream has two faces. Emitters call Observer, one typed method per
+// event kind, so emitting is a struct copy and never a boxing allocation.
+// Consumers implement Sink, a single Observe(*Record) over the
+// kind-tagged union Record — the event envelope. Adapter is the one
+// implementation of the former on top of the latter, Dispatch its
+// inverse, and the descriptor table behind Schema the single owner of
+// every kind's wire name, timestamp and trace fields.
 //
 // The design constraint is zero overhead when disabled: every emission
 // site is guarded by a nil check on the observer, so a run without an
@@ -12,16 +20,18 @@
 // scenario and seed, which is what makes the JSONL sink's byte-identity
 // guarantee across parallelism settings possible (see internal/harness).
 //
-// Three stock sinks cover the common needs:
+// Three stock sinks cover the common needs (the invariant checkers in
+// internal/check are two more):
 //
 //   - Ring: a bounded in-memory buffer of recent events (flight recorder).
 //   - JSONL: a streaming newline-delimited-JSON writer with a stable,
-//     versioned schema (see SchemaVersion and DESIGN.md).
+//     versioned schema (see SchemaVersion and DESIGN.md §6).
 //   - Metrics: an aggregating sink that folds the stream into the
 //     counters and latency summaries experiment reports use.
 //
-// Custom observers embed NopObserver and override the methods they care
-// about; Multi fans one stream out to several observers.
+// Custom observers either embed NopObserver and override the methods
+// they care about, or embed an Adapter and implement Observe; Multi fans
+// one stream out to several observers.
 package obs
 
 import "smartharvest/internal/sim"
@@ -520,12 +530,12 @@ type PoolSettle struct {
 	Violations int
 }
 
-// Observer receives the event stream. All methods are invoked
-// synchronously on the simulation goroutine; implementations must not
-// retain argument memory beyond the call (events are passed by value, so
-// only embedded reference types — none today — would be shared).
+// Observer is what emitters call: one typed method per event kind. All
+// methods are invoked synchronously on the simulation goroutine; events
+// are passed by value and hold no reference types besides strings.
 //
-// Embed NopObserver to implement only the events you care about.
+// Embed NopObserver to implement only the events you care about, or
+// embed an Adapter to receive every event through one Observe(*Record).
 type Observer interface {
 	OnPollSample(PollSample)
 	OnWindowEnd(WindowEnd)
@@ -596,12 +606,30 @@ func (NopObserver) OnPoolAccount(PoolAccount)             {}
 func (NopObserver) OnPoolEvict(PoolEvict)                 {}
 func (NopObserver) OnPoolSettle(PoolSettle)               {}
 
-// multi fans events out to several observers in order.
-type multi struct{ obs []Observer }
+// Sink is the one-method form of an observer: every event arrives as a
+// kind-tagged Record. The stock sinks, Multi and the invariant checkers
+// implement only Observe — a switch over the kinds they care about —
+// and embed an Adapter to be Observers. The Record is only valid for
+// the duration of the call: copy it to keep it.
+type Sink interface {
+	Observe(*Record)
+}
+
+// multi fans events out to several sinks in order.
+type multi struct {
+	Adapter
+	sinks []Sink
+}
+
+// dispatcher makes a Sink of an observer that is not one.
+type dispatcher struct{ o Observer }
+
+func (d dispatcher) Observe(r *Record) { Dispatch(d.o, r) }
 
 // Multi returns an observer that forwards every event to each of the
 // given observers, in argument order. Nil entries are skipped; a single
-// non-nil observer is returned unwrapped.
+// non-nil observer is returned unwrapped. Observers that are Sinks share
+// one Record per event; the rest are reached through Dispatch.
 func Multi(observers ...Observer) Observer {
 	var live []Observer
 	for _, o := range observers {
@@ -615,161 +643,20 @@ func Multi(observers ...Observer) Observer {
 	case 1:
 		return live[0]
 	}
-	return &multi{obs: live}
+	m := &multi{sinks: make([]Sink, len(live))}
+	m.Sink = m
+	for i, o := range live {
+		if s, ok := o.(Sink); ok {
+			m.sinks[i] = s
+		} else {
+			m.sinks[i] = dispatcher{o}
+		}
+	}
+	return m
 }
 
-func (m *multi) OnPollSample(e PollSample) {
-	for _, o := range m.obs {
-		o.OnPollSample(e)
-	}
-}
-func (m *multi) OnWindowEnd(e WindowEnd) {
-	for _, o := range m.obs {
-		o.OnWindowEnd(e)
-	}
-}
-func (m *multi) OnSafeguardTrip(e SafeguardTrip) {
-	for _, o := range m.obs {
-		o.OnSafeguardTrip(e)
-	}
-}
-func (m *multi) OnQoSTrip(e QoSTrip) {
-	for _, o := range m.obs {
-		o.OnQoSTrip(e)
-	}
-}
-func (m *multi) OnQoSResume(e QoSResume) {
-	for _, o := range m.obs {
-		o.OnQoSResume(e)
-	}
-}
-func (m *multi) OnResize(e Resize) {
-	for _, o := range m.obs {
-		o.OnResize(e)
-	}
-}
-func (m *multi) OnChurnApplied(e ChurnApplied) {
-	for _, o := range m.obs {
-		o.OnChurnApplied(e)
-	}
-}
-func (m *multi) OnBatchProgress(e BatchProgress) {
-	for _, o := range m.obs {
-		o.OnBatchProgress(e)
-	}
-}
-func (m *multi) OnFaultInjected(e FaultInjected) {
-	for _, o := range m.obs {
-		o.OnFaultInjected(e)
-	}
-}
-func (m *multi) OnResizeRetry(e ResizeRetry) {
-	for _, o := range m.obs {
-		o.OnResizeRetry(e)
-	}
-}
-func (m *multi) OnDegradedEnter(e DegradedEnter) {
-	for _, o := range m.obs {
-		o.OnDegradedEnter(e)
-	}
-}
-func (m *multi) OnDegradedExit(e DegradedExit) {
-	for _, o := range m.obs {
-		o.OnDegradedExit(e)
-	}
-}
-func (m *multi) OnJobSubmit(e JobSubmit) {
-	for _, o := range m.obs {
-		o.OnJobSubmit(e)
-	}
-}
-func (m *multi) OnJobStart(e JobStart) {
-	for _, o := range m.obs {
-		o.OnJobStart(e)
-	}
-}
-func (m *multi) OnJobEvict(e JobEvict) {
-	for _, o := range m.obs {
-		o.OnJobEvict(e)
-	}
-}
-func (m *multi) OnJobRequeue(e JobRequeue) {
-	for _, o := range m.obs {
-		o.OnJobRequeue(e)
-	}
-}
-func (m *multi) OnJobComplete(e JobComplete) {
-	for _, o := range m.obs {
-		o.OnJobComplete(e)
-	}
-}
-func (m *multi) OnJobSLOMiss(e JobSLOMiss) {
-	for _, o := range m.obs {
-		o.OnJobSLOMiss(e)
-	}
-}
-func (m *multi) OnServerCrash(e ServerCrash) {
-	for _, o := range m.obs {
-		o.OnServerCrash(e)
-	}
-}
-func (m *multi) OnServerRestart(e ServerRestart) {
-	for _, o := range m.obs {
-		o.OnServerRestart(e)
-	}
-}
-func (m *multi) OnServerQuarantine(e ServerQuarantine) {
-	for _, o := range m.obs {
-		o.OnServerQuarantine(e)
-	}
-}
-func (m *multi) OnServerProbation(e ServerProbation) {
-	for _, o := range m.obs {
-		o.OnServerProbation(e)
-	}
-}
-func (m *multi) OnPlacementRetry(e PlacementRetry) {
-	for _, o := range m.obs {
-		o.OnPlacementRetry(e)
-	}
-}
-func (m *multi) OnAdmissionDegraded(e AdmissionDegraded) {
-	for _, o := range m.obs {
-		o.OnAdmissionDegraded(e)
-	}
-}
-func (m *multi) OnPredictorInfo(e PredictorInfo) {
-	for _, o := range m.obs {
-		o.OnPredictorInfo(e)
-	}
-}
-func (m *multi) OnPoolOpen(e PoolOpen) {
-	for _, o := range m.obs {
-		o.OnPoolOpen(e)
-	}
-}
-func (m *multi) OnPoolReject(e PoolReject) {
-	for _, o := range m.obs {
-		o.OnPoolReject(e)
-	}
-}
-func (m *multi) OnPoolGrant(e PoolGrant) {
-	for _, o := range m.obs {
-		o.OnPoolGrant(e)
-	}
-}
-func (m *multi) OnPoolAccount(e PoolAccount) {
-	for _, o := range m.obs {
-		o.OnPoolAccount(e)
-	}
-}
-func (m *multi) OnPoolEvict(e PoolEvict) {
-	for _, o := range m.obs {
-		o.OnPoolEvict(e)
-	}
-}
-func (m *multi) OnPoolSettle(e PoolSettle) {
-	for _, o := range m.obs {
-		o.OnPoolSettle(e)
+func (m *multi) Observe(r *Record) {
+	for _, s := range m.sinks {
+		s.Observe(r)
 	}
 }

@@ -39,28 +39,10 @@ const (
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	"poll", "window", "safeguard", "qos-trip", "qos-resume",
-	"resize", "churn", "batch", "fault", "retry",
-	"degraded-enter", "degraded-exit",
-	"job-submit", "job-start", "job-evict", "job-requeue",
-	"job-complete", "job-slo-miss", "predictor",
-	"server-crash", "server-restart", "server-quarantine",
-	"server-probation", "placement-retry", "admission-degraded",
-	"pool-open", "pool-reject", "pool-grant", "pool-account",
-	"pool-evict", "pool-settle",
-}
-
-func (k Kind) String() string {
-	if k < numKinds {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
-// Record is one captured event: Kind selects which field is valid.
-// Records are stored and returned by value, so a warm ring performs no
-// per-event allocation.
+// Record is the event envelope: one event of any kind, with Kind
+// selecting which member is populated (the rest are zero). Sinks receive
+// a pointer to one per event; Ring stores them by value, so a warm ring
+// performs no per-event allocation.
 type Record struct {
 	Kind          Kind
 	PollSample    PollSample
@@ -102,6 +84,7 @@ type Record struct {
 // events in a fixed-capacity circular buffer and counts everything it has
 // seen. The zero value is not usable; call NewRing.
 type Ring struct {
+	Adapter
 	buf   []Record
 	next  int  // index the next record is written to
 	full  bool // buf has wrapped at least once
@@ -113,7 +96,9 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		panic("obs: ring capacity must be >= 1")
 	}
-	return &Ring{buf: make([]Record, capacity)}
+	r := &Ring{buf: make([]Record, capacity)}
+	r.Sink = r
+	return r
 }
 
 // Len returns how many events are currently buffered.
@@ -158,53 +143,13 @@ func (r *Ring) Reset() {
 	r.total = [numKinds]uint64{}
 }
 
-// add stores a record slot and returns a pointer for the caller to fill.
-func (r *Ring) add(k Kind) *Record {
-	rec := &r.buf[r.next]
-	*rec = Record{Kind: k}
+// Observe implements Sink: it stores a copy of rec.
+func (r *Ring) Observe(rec *Record) {
+	r.buf[r.next] = *rec
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.full = true
 	}
-	r.total[k]++
-	return rec
+	r.total[rec.Kind]++
 }
-
-func (r *Ring) OnPollSample(e PollSample)       { r.add(KindPollSample).PollSample = e }
-func (r *Ring) OnWindowEnd(e WindowEnd)         { r.add(KindWindowEnd).WindowEnd = e }
-func (r *Ring) OnSafeguardTrip(e SafeguardTrip) { r.add(KindSafeguardTrip).SafeguardTrip = e }
-func (r *Ring) OnQoSTrip(e QoSTrip)             { r.add(KindQoSTrip).QoSTrip = e }
-func (r *Ring) OnQoSResume(e QoSResume)         { r.add(KindQoSResume).QoSResume = e }
-func (r *Ring) OnResize(e Resize)               { r.add(KindResize).Resize = e }
-func (r *Ring) OnChurnApplied(e ChurnApplied)   { r.add(KindChurnApplied).ChurnApplied = e }
-func (r *Ring) OnBatchProgress(e BatchProgress) { r.add(KindBatchProgress).BatchProgress = e }
-func (r *Ring) OnFaultInjected(e FaultInjected) { r.add(KindFaultInjected).FaultInjected = e }
-func (r *Ring) OnResizeRetry(e ResizeRetry)     { r.add(KindResizeRetry).ResizeRetry = e }
-func (r *Ring) OnDegradedEnter(e DegradedEnter) { r.add(KindDegradedEnter).DegradedEnter = e }
-func (r *Ring) OnDegradedExit(e DegradedExit)   { r.add(KindDegradedExit).DegradedExit = e }
-func (r *Ring) OnJobSubmit(e JobSubmit)         { r.add(KindJobSubmit).JobSubmit = e }
-func (r *Ring) OnJobStart(e JobStart)           { r.add(KindJobStart).JobStart = e }
-func (r *Ring) OnJobEvict(e JobEvict)           { r.add(KindJobEvict).JobEvict = e }
-func (r *Ring) OnJobRequeue(e JobRequeue)       { r.add(KindJobRequeue).JobRequeue = e }
-func (r *Ring) OnJobComplete(e JobComplete)     { r.add(KindJobComplete).JobComplete = e }
-func (r *Ring) OnJobSLOMiss(e JobSLOMiss)       { r.add(KindJobSLOMiss).JobSLOMiss = e }
-func (r *Ring) OnPredictorInfo(e PredictorInfo) { r.add(KindPredictorInfo).PredictorInfo = e }
-
-func (r *Ring) OnServerCrash(e ServerCrash)     { r.add(KindServerCrash).ServerCrash = e }
-func (r *Ring) OnServerRestart(e ServerRestart) { r.add(KindServerRestart).ServerRestart = e }
-func (r *Ring) OnServerQuarantine(e ServerQuarantine) {
-	r.add(KindServerQuarantine).ServerQuarantine = e
-}
-func (r *Ring) OnServerProbation(e ServerProbation) { r.add(KindServerProbation).ServerProbation = e }
-func (r *Ring) OnPlacementRetry(e PlacementRetry)   { r.add(KindPlacementRetry).PlacementRetry = e }
-func (r *Ring) OnAdmissionDegraded(e AdmissionDegraded) {
-	r.add(KindAdmissionDegraded).AdmissionDegraded = e
-}
-
-func (r *Ring) OnPoolOpen(e PoolOpen)       { r.add(KindPoolOpen).PoolOpen = e }
-func (r *Ring) OnPoolReject(e PoolReject)   { r.add(KindPoolReject).PoolReject = e }
-func (r *Ring) OnPoolGrant(e PoolGrant)     { r.add(KindPoolGrant).PoolGrant = e }
-func (r *Ring) OnPoolAccount(e PoolAccount) { r.add(KindPoolAccount).PoolAccount = e }
-func (r *Ring) OnPoolEvict(e PoolEvict)     { r.add(KindPoolEvict).PoolEvict = e }
-func (r *Ring) OnPoolSettle(e PoolSettle)   { r.add(KindPoolSettle).PoolSettle = e }
