@@ -233,7 +233,13 @@ type Fleet struct {
 // NewFleet builds the fleet: servers, agents, the tenant arrival process,
 // and the warmup snapshot, all scheduled on a fresh loop. Nothing runs
 // until Finish (or the caller steps the loop itself).
-func NewFleet(cfg Config) (*Fleet, error) {
+func NewFleet(cfg Config) (*Fleet, error) { return newFleet(cfg, nil) }
+
+// newFleet is NewFleet with an observer for the per-server agents. The
+// fleet never forwards their streams, so NewFleet passes nil; the
+// run-ahead equivalence test passes obs.NopObserver{}, which makes every
+// agent fire every poll (the reference run) and changes nothing else.
+func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -284,6 +290,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 		ctrl := cfg.Controller(maxAlloc)
 		agentCfg.LongTermSafeguard = ctrl.Safeguards()
+		agentCfg.Observer = agentObserver
 		if inj != nil {
 			agentCfg.Faults = inj
 		}

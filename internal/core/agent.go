@@ -56,6 +56,28 @@ type Hypervisor interface {
 	DrainPrimaryWaits() []int64
 }
 
+// EventDrivenBusy is the marker a Hypervisor implements to let the agent
+// run its busy-poll ahead across event-free gaps (DESIGN §5 "Poll
+// run-ahead"). Implementing it declares that BusyPrimaryCores is a pure
+// function of state that changes only inside events of the agent's own
+// sim.Loop: it draws no randomness, reads no clock or outside source, and
+// nothing reaches that state — or calls the agent's SetPrimaryAlloc or
+// ForceCrash, or schedules a state-changing event — from outside a loop
+// callback once the loop has fired the agent's first poll (set-up before
+// the first Run is free). Under that contract a poll that
+// changed nothing proves every later poll before the loop's next event
+// would read the same value and change nothing either, so the agent
+// records those samples at once and fires no event for them. The
+// simulated machine qualifies; a fault-injecting wrapper (one RNG draw a
+// poll) and the Linux host backend (/proc/stat) do not and must not
+// implement it.
+type EventDrivenBusy interface {
+	Hypervisor
+	// BusyChangesOnlyInLoopEvents is never called; declaring it is the
+	// promise above.
+	BusyChangesOnlyInLoopEvents()
+}
+
 // AgentFault is one injected agent-level fault, consulted at each
 // learning-window boundary: the agent may stall (missing whole windows)
 // and/or crash, losing its in-memory window state and rebuilding the
@@ -125,10 +147,18 @@ type Controller interface {
 	// OnWindowEnd returns the primary-core target for the next window.
 	OnWindowEnd(w Window) int
 	// OnPoll lets reactive policies (FixedBuffer) adjust at poll
-	// granularity; return ok=false to do nothing.
+	// granularity; return ok=false to do nothing. The ok=false answer must
+	// be pure: a function of (busy, currentTarget) and of controller state
+	// that only the agent's other calls into the controller change
+	// (OnWindowEnd, SetAlloc, Restore, Reset), never of the clock or of
+	// how often OnPoll was called. Poll run-ahead (see EventDrivenBusy)
+	// relies on it: after an ok=false the agent does not ask again until
+	// busy, the target or that state can have changed, so a controller
+	// sees fewer OnPoll calls than the window has samples.
 	OnPoll(busy, currentTarget int) (target int, ok bool)
 	// Safeguards reports whether the agent's short-term safeguard should
 	// watch this policy's windows (SmartHarvest and PrevPeak variants).
+	// Constant for the controller's lifetime.
 	Safeguards() bool
 }
 
@@ -171,7 +201,9 @@ type Config struct {
 
 	// Observer receives the agent's event stream (polls, window
 	// decisions, safeguard and QoS trips). Nil disables observation; the
-	// hot path then performs no interface calls and no allocations.
+	// hot path then performs no interface calls and no allocations. An
+	// observer is owed one PollSample per poll, so attaching one also
+	// keeps every poll a real event (no run-ahead).
 	Observer obs.Observer
 
 	// Resilience governs how the agent survives hypervisor and signal
@@ -332,9 +364,12 @@ type Agent struct {
 
 	// Resilience state.
 	op             resizeOp
-	opDoneFn       func() // cached method values: the fault-free resize
-	opRetryFn      func() // continuations must not allocate per resize
-	wakeFn         func()
+	opDoneFn       func() // cached method values: scheduling the poll or
+	opRetryFn      func() // a fault-free resize continuation must not
+	wakeFn         func() // allocate
+	pollFn         func()
+	runAhead       bool     // hv is EventDrivenBusy and no observer is attached
+	aheadUntil     sim.Time // last poll instant the pending run-ahead covers
 	dead           bool     // ForceCrash downtime: every loop is severed
 	lastBusy       int      // last delivered busy reading (for dropped polls)
 	splitDirty     bool     // a fire-and-forget resize (QoS/churn) failed
@@ -345,6 +380,8 @@ type Agent struct {
 	windowMissed   int      // polls lost in the current window
 
 	// Stats.
+	polls          uint64 // poll callbacks fired
+	pollsSkipped   uint64 // poll instants run ahead over
 	windows        uint64
 	safeguards     uint64
 	qosTrips       uint64
@@ -385,6 +422,9 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	a.opDoneFn = a.opDone
 	a.opRetryFn = a.opRetry
 	a.wakeFn = a.wake
+	a.pollFn = a.poll
+	_, eventDriven := hv.(EventDrivenBusy)
+	a.runAhead = eventDriven && cfg.Observer == nil
 	return a, nil
 }
 
@@ -393,6 +433,24 @@ func (a *Agent) Controller() Controller { return a.ctrl }
 
 // Target returns the current primary-core target.
 func (a *Agent) Target() int { return a.target }
+
+// Polls returns how many poll events fired. Polls()+PollsSkipped() is the
+// number of poll instants the agent has accounted for, which run-ahead
+// leaves unchanged.
+func (a *Agent) Polls() uint64 { return a.polls }
+
+// PollsSkipped returns how many poll instants up to now run-ahead recorded
+// without firing an event; always zero unless the hypervisor is
+// EventDrivenBusy and no observer is attached.
+func (a *Agent) PollsSkipped() uint64 {
+	n := a.pollsSkipped
+	if future := a.aheadUntil - a.loop.Now(); future > 0 {
+		// Covered by the pending run-ahead, but the clock is not there yet.
+		dt := a.cfg.PollInterval
+		n -= uint64((future + dt - 1) / dt)
+	}
+	return n
+}
 
 // Windows returns how many learning windows have completed.
 func (a *Agent) Windows() uint64 { return a.windows }
@@ -635,11 +693,39 @@ func (a *Agent) restartState(loseModel bool) {
 }
 
 func (a *Agent) schedulePoll() {
-	a.loop.After(a.cfg.PollInterval, a.poll)
+	a.loop.After(a.cfg.PollInterval, a.pollFn)
+}
+
+// pollAhead stands in for schedulePoll after a poll that changed nothing
+// (no safeguard trip, OnPoll ok=false, window not over). Nothing the poll
+// reads can change before the loop's next event, so every poll instant
+// strictly before min(that event, windowEnd) would repeat this one: their
+// samples are recorded now and the one real poll is scheduled at the
+// first instant at or after that limit. An instant equal to the next
+// event's time is never skipped, and the real poll is scheduled before
+// anything at or after the limit has fired, so its (when, seq) order
+// against every other event is what poll-by-poll scheduling gives.
+func (a *Agent) pollAhead(busy int) {
+	now, dt := a.loop.Now(), a.cfg.PollInterval
+	limit := a.windowEnd
+	if next, ok := a.loop.Next(); ok && next < limit {
+		limit = next
+	}
+	skip := sim.Time(0) // instants now+j*dt, j >= 1, strictly before limit
+	if limit > now {
+		skip = (limit - now - 1) / dt
+	}
+	for j := sim.Time(0); j < skip; j++ {
+		a.samples = append(a.samples, busy)
+	}
+	a.pollsSkipped += uint64(skip)
+	a.aheadUntil = now + skip*dt
+	a.loop.After((skip+1)*dt, a.pollFn)
 }
 
 // poll is one iteration of Algorithm 1's inner loop.
 func (a *Agent) poll() {
+	a.polls++
 	if a.dead {
 		return
 	}
@@ -670,7 +756,8 @@ func (a *Agent) poll() {
 	}
 
 	// Reactive policies (FixedBuffer) adjust between windows.
-	if t, ok := a.ctrl.OnPoll(busy, a.target); ok {
+	t, reacted := a.ctrl.OnPoll(busy, a.target)
+	if reacted {
 		t, _ = a.clampTarget(t, busy)
 		if a.startResize(t, resumePoll) {
 			// The single-threaded agent is busy resizing/sleeping;
@@ -681,6 +768,10 @@ func (a *Agent) poll() {
 
 	if a.loop.Now() >= a.windowEnd {
 		a.endWindow(false, busy)
+		return
+	}
+	if a.runAhead && !reacted {
+		a.pollAhead(busy)
 		return
 	}
 	a.schedulePoll()

@@ -262,6 +262,12 @@ type Result struct {
 	Safeguards uint64
 	QoSTrips   uint64
 	Resizes    uint64
+	// Polls counts the agent's poll events that fired and PollsSkipped
+	// the poll instants run-ahead recorded without an event (see
+	// core.EventDrivenBusy); their sum is the same with run-ahead on or
+	// off. Diagnostic only: no table, CSV or trace reports them.
+	Polls        uint64
+	PollsSkipped uint64
 
 	// Fault-injection and resilience counters (all zero on fault-free
 	// runs).
@@ -303,10 +309,11 @@ type Result struct {
 // MachineHypervisor adapts the simulated machine to the agent's
 // black-box hypervisor contract. A non-nil injector additionally routes
 // the busy-core signal through it, so polls can be dropped, staled, or
-// perturbed.
+// perturbed. Only the injector-free adapter is core.EventDrivenBusy, so
+// only it lets the agent run its poll ahead.
 func MachineHypervisor(m *hypervisor.Machine, inj *faults.Injector) core.Hypervisor {
 	if inj != nil {
-		return faultyHV{machineHV{m}, inj}
+		return faultyHV{machineHV{m}, m, inj}
 	}
 	return machineHV{m}
 }
@@ -329,10 +336,38 @@ func (a machineHV) SetPrimaryCores(n int) (core.ResizeResult, error) {
 }
 func (a machineHV) DrainPrimaryWaits() []int64 { return a.m.DrainPrimaryWaits() }
 
+// BusyChangesOnlyInLoopEvents implements core.EventDrivenBusy: BusyCores
+// is a count the machine updates only in dispatch, slice-end, preemption
+// and core-move events of its loop.
+func (machineHV) BusyChangesOnlyInLoopEvents() {}
+
+var _ core.EventDrivenBusy = machineHV{}
+
+// faultyHV embeds the Hypervisor interface, not machineHV, so the
+// run-ahead marker is not promoted: SamplePoll draws from the injector's
+// RNG on every poll, and skipping a poll would shift every later draw.
 type faultyHV struct {
-	machineHV
+	core.Hypervisor
+	m   *hypervisor.Machine
 	inj *faults.Injector
 }
+
+// Compile-time: faultyHV must not be a core.EventDrivenBusy. Were the
+// marker method declared on it (depth 1 below), or promoted into it from
+// an embedded machineHV (depth 2), one of these selectors would be
+// ambiguous and the package would not build.
+type nestedMarker struct{ core.EventDrivenBusy }
+
+var (
+	_ = struct {
+		faultyHV
+		core.EventDrivenBusy
+	}.BusyChangesOnlyInLoopEvents
+	_ = struct {
+		faultyHV
+		nestedMarker
+	}.BusyChangesOnlyInLoopEvents
+)
 
 func (a faultyHV) BusyPrimaryCores() int {
 	// A perturbed reading stays within the primary group's current size:
@@ -786,6 +821,8 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	res.Safeguards = agent.SafeguardInvocations()
 	res.QoSTrips = agent.QoSTrips()
 	res.Resizes = machine.Resizes()
+	res.Polls = agent.Polls()
+	res.PollsSkipped = agent.PollsSkipped()
 	if injector != nil {
 		res.FaultsInjected = injector.Total()
 	}

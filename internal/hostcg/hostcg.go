@@ -152,6 +152,16 @@ type Backend struct {
 	lastError error
 }
 
+// Compile-time: *Backend must not be a core.EventDrivenBusy — its busy
+// reading comes from /proc/stat, not from events of the agent's loop, so
+// every poll has to be a real one. Were the marker method declared on
+// Backend, this selector would be ambiguous and the package would not
+// build.
+var _ = struct {
+	*Backend
+	core.EventDrivenBusy
+}.BusyChangesOnlyInLoopEvents
+
 // New validates the configuration and returns a backend. It does not
 // touch the host until Init.
 func New(cfg Config) (*Backend, error) {

@@ -173,6 +173,7 @@ type Machine struct {
 	cores  []*Core
 	queues [numGroups][]*VCPU // ready queues
 	counts [numGroups]int     // physical core counts
+	busy   [numGroups]int     // cores of each group with a vCPU on them
 	vms    []*VM
 
 	logical [numGroups]int // physical counts adjusted for pending moves
@@ -307,6 +308,7 @@ func (m *Machine) SetInitialSplit(primaryCores int) {
 	if primaryCores < 0 || primaryCores > m.cfg.TotalCores {
 		panic(fmt.Sprintf("hypervisor: initial split %d out of range", primaryCores))
 	}
+	m.busy = [numGroups]int{}
 	for i, c := range m.cores {
 		g := PrimaryGroup
 		if i >= primaryCores {
@@ -314,6 +316,9 @@ func (m *Machine) SetInitialSplit(primaryCores int) {
 		}
 		c.group = g
 		c.pending = false
+		if c.running != nil {
+			m.busy[g]++
+		}
 	}
 	m.counts[PrimaryGroup] = primaryCores
 	m.counts[ElasticGroup] = m.cfg.TotalCores - primaryCores
@@ -333,15 +338,11 @@ func (m *Machine) LogicalGroupCores(g GroupID) int { return m.logical[g] }
 // BusyCores returns how many cores of group g are currently executing a
 // vCPU. This is the paper's conservative "busy" signal: a core counts as
 // busy iff an active software thread is on it at the instant of the query.
-func (m *Machine) BusyCores(g GroupID) int {
-	n := 0
-	for _, c := range m.cores {
-		if c.group == g && c.running != nil {
-			n++
-		}
-	}
-	return n
-}
+// The agent asks every 50 µs, so the count is kept current by the sites
+// that change a core's running vCPU or group (dispatch, sliceEnd, preempt,
+// applyMove, SetInitialSplit) instead of scanned; CheckInvariants compares
+// it with the scan.
+func (m *Machine) BusyCores(g GroupID) int { return m.busy[g] }
 
 // ReadyVCPUs returns the number of vCPUs in g's ready queue (demand that
 // could not be placed on a core).
@@ -387,11 +388,12 @@ func (m *Machine) Preemptions() uint64 { return m.preemptions }
 
 // CheckInvariants verifies the machine's internal accounting: physical and
 // logical core counts both sum to TotalCores (core conservation across the
-// two groups), per-group counts match the cores actually assigned, every
-// running vCPU's back-pointer is coherent, and no VM runs more vCPUs than
-// its allocation. It returns a descriptive error for the first violation
-// found, or nil. The soak/property tests call it between random operations,
-// and internal/check folds it into a run's end-of-run verification.
+// two groups), per-group counts and running busy-core counts match the
+// cores actually assigned, every running vCPU's back-pointer is coherent,
+// and no VM runs more vCPUs than its allocation. It returns a descriptive
+// error for the first violation found, or nil. The soak/property tests
+// call it between random operations, and internal/check folds it into a
+// run's end-of-run verification.
 func (m *Machine) CheckInvariants() error {
 	sumPhys, sumLog := 0, 0
 	for g := GroupID(0); g < numGroups; g++ {
@@ -403,10 +405,12 @@ func (m *Machine) CheckInvariants() error {
 			sumPhys, sumLog, m.cfg.TotalCores)
 	}
 	perGroup := map[GroupID]int{}
+	var busy [numGroups]int
 	running := map[*VM]int{}
 	for _, c := range m.cores {
 		perGroup[c.group]++
 		if c.running != nil {
+			busy[c.group]++
 			running[c.running.vm]++
 			if c.running.core != c {
 				return fmt.Errorf("hypervisor: vCPU/core back-pointer mismatch on core %d", c.id)
@@ -417,6 +421,9 @@ func (m *Machine) CheckInvariants() error {
 		if perGroup[g] != m.counts[g] {
 			return fmt.Errorf("hypervisor: group %v count %d != actual %d", g, m.counts[g], perGroup[g])
 		}
+	}
+	if busy != m.busy {
+		return fmt.Errorf("hypervisor: busy-core counts %v != actual %v", m.busy, busy)
 	}
 	for vm, n := range running {
 		if n != vm.running {
@@ -679,6 +686,8 @@ func (m *Machine) scheduleIdleScan(c *Core) {
 // effect latency.
 func (m *Machine) applyMove(c *Core) {
 	if c.running != nil {
+		// Only idle cores change group, which is also why the move leaves
+		// both groups' busy counts alone.
 		panic("hypervisor: applyMove on a running core")
 	}
 	from, to := c.group, c.pendingGroup
@@ -719,6 +728,7 @@ func (m *Machine) preempt(c *Core) {
 	v.vm.cpuTime += consumed
 	v.vm.running--
 	c.running = nil
+	m.busy[c.group]--
 	m.preemptions++
 	if v.remaining <= 0 {
 		m.finishWork(v)
@@ -806,6 +816,7 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 	v.core = c
 	v.vm.running++
 	c.running = v
+	m.busy[c.group]++
 	c.workStart = now + overhead
 	slice := v.remaining
 	if slice > m.cfg.SchedPeriod {
@@ -825,6 +836,7 @@ func (m *Machine) sliceEnd(c *Core) {
 	v.vm.running--
 	c.running = nil
 	g := c.group
+	m.busy[g]--
 
 	if v.remaining <= 0 {
 		m.finishWork(v)
@@ -833,6 +845,7 @@ func (m *Machine) sliceEnd(c *Core) {
 		// without a wait sample (the hypervisor would not deschedule).
 		v.vm.running++
 		c.running = v
+		m.busy[g]++
 		now := m.loop.Now()
 		c.workStart = now
 		slice := v.remaining

@@ -71,7 +71,7 @@ func (h *scriptedHV) DrainPrimaryWaits() []int64 {
 }
 
 // startAgent wires the host-path agent (1 ms polls) on a fresh loop.
-func startAgent(t *testing.T, ctrl core.Controller, o obs.Observer, busy func(sim.Time) int) *sim.Loop {
+func startAgent(t *testing.T, ctrl core.Controller, o obs.Observer, busy func(sim.Time) int) (*sim.Loop, *core.Agent) {
 	t.Helper()
 	loop := sim.NewLoop()
 	cfg := core.DefaultConfig(10, 1)
@@ -83,7 +83,7 @@ func startAgent(t *testing.T, ctrl core.Controller, o obs.Observer, busy func(si
 		t.Fatal(err)
 	}
 	a.Start()
-	return loop
+	return loop, a
 }
 
 // A pacer that is never late must be invisible: the paced run's trace is
@@ -100,7 +100,8 @@ func TestPacedRunMatchesRunUntil(t *testing.T) {
 	trace := func(run func(*sim.Loop)) []byte {
 		var buf bytes.Buffer
 		j := obs.NewJSONL(&buf)
-		run(startAgent(t, core.NewSmartHarvest(10, core.SmartHarvestOptions{}), j, busy))
+		loop, _ := startAgent(t, core.NewSmartHarvest(10, core.SmartHarvestOptions{}), j, busy)
+		run(loop)
 		if err := j.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestPacedRunMatchesRunUntil(t *testing.T) {
 func TestLateWakeupYieldsOneLatePoll(t *testing.T) {
 	const jumpAt, jump = 210 * time.Millisecond, 100 * time.Millisecond
 	ring := obs.NewRing(4096)
-	loop := startAgent(t, core.NewNoHarvest(10), ring, func(sim.Time) int { return 2 })
+	loop, _ := startAgent(t, core.NewNoHarvest(10), ring, func(sim.Time) int { return 2 })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	Run(ctx, loop, &fakeClock{limit: 400 * time.Millisecond, cancel: cancel, jumpAt: jumpAt, jump: jump})
@@ -155,6 +156,19 @@ func TestLateWakeupYieldsOneLatePoll(t *testing.T) {
 	// 210 on-time polls, the late one, then 1 ms polls again to 400 ms.
 	if got, want := ring.Total(obs.KindPollSample), uint64(210+1+89); got != want {
 		t.Fatalf("%d polls overall, want %d", got, want)
+	}
+}
+
+// The host path never runs its poll ahead, observer or not: a hypervisor
+// that reads the outside world does not carry core.EventDrivenBusy, so the
+// paced loop fires every 1 ms poll even across a steady, event-free second.
+func TestPacedRunSkipsNoPoll(t *testing.T) {
+	loop, agent := startAgent(t, core.NewNoHarvest(10), nil, func(sim.Time) int { return 2 })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	Run(ctx, loop, &fakeClock{limit: time.Second, cancel: cancel})
+	if polls, skipped := agent.Polls(), agent.PollsSkipped(); polls != 1000 || skipped != 0 {
+		t.Fatalf("%d polls fired and %d skipped over a paced second of 1 ms polls, want 1000 and 0", polls, skipped)
 	}
 }
 

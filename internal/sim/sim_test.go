@@ -465,9 +465,13 @@ func TestScheduleAndFireZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed")
 	}
+	// Not AllocsPerOp: it is an integer division that reads anything under
+	// one allocation per cycle as 0. B/op resolves finer; the total bounds
+	// what even that would round away.
 	res := testing.Benchmark(BenchmarkScheduleAndFire)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("schedule+fire allocates %d/op, want 0", a)
+	if b := res.AllocedBytesPerOp(); b != 0 || res.MemAllocs*1000 > uint64(res.N) {
+		t.Fatalf("schedule+fire allocates %d B/op (%d allocs over %d cycles), want 0",
+			b, res.MemAllocs, res.N)
 	}
 }
 

@@ -9,9 +9,10 @@ package traces
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -77,6 +78,20 @@ func Generate(cfg Config) ([]workload.TraceEvent, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	events := arrivals(cfg)
+	// Events that tie on At are value-identical {At, Batch: 1}, so any
+	// correct sort yields the same bytes; SortFunc skips sort.Slice's
+	// reflective swapper.
+	slices.SortFunc(events, func(a, b workload.TraceEvent) int { return cmp.Compare(a.At, b.At) })
+	if len(events) == 0 {
+		return nil, fmt.Errorf("traces: configuration produced an empty trace")
+	}
+	return events, nil
+}
+
+// arrivals draws the trace's events in generation order: the background
+// stream, then the bursts.
+func arrivals(cfg Config) []workload.TraceEvent {
 	rng := simrng.New(cfg.Seed)
 	var events []workload.TraceEvent
 
@@ -118,11 +133,7 @@ func Generate(cfg Config) ([]workload.TraceEvent, error) {
 		}
 	}
 
-	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
-	if len(events) == 0 {
-		return nil, fmt.Errorf("traces: configuration produced an empty trace")
-	}
-	return events, nil
+	return events
 }
 
 // sinApprox is a cheap sine over one period phase in [0,1), accurate

@@ -3,6 +3,8 @@ package traces
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +141,40 @@ func TestSinApprox(t *testing.T) {
 	} {
 		if got := sinApprox(c.phase); math.Abs(got-c.want) > 0.02 {
 			t.Fatalf("sinApprox(%v) = %v, want ~%v", c.phase, got, c.want)
+		}
+	}
+}
+
+// TestGenerateMatchesSortSliceReference pins the trace bytes across the
+// move from sort.Slice to slices.SortFunc: neither sort is stable, and the
+// output is the same only because events that tie on At are identical
+// values. The three configs cover background only, bursts (squeezed into
+// 200 ns so that timestamps do tie), and the default bursts on a load wave.
+func TestGenerateMatchesSortSliceReference(t *testing.T) {
+	plain := DefaultConfig(2000, 10*sim.Second)
+	plain.BurstFraction, plain.LoadWave = 0, 0
+	bursts := DefaultConfig(2000, 10*sim.Second)
+	bursts.LoadWave, bursts.BurstWidth = 0, 200*sim.Nanosecond
+	wave := DefaultConfig(2000, 10*sim.Second)
+	wave.LoadWave, wave.WavePeriod = 0.6, 2*sim.Second
+	for name, cfg := range map[string]Config{"no bursts": plain, "bursts": bursts, "load wave": wave} {
+		want := arrivals(cfg)
+		sort.Slice(want, func(i, j int) bool { return want[i].At < want[j].At })
+		got, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ties := 0
+		for i := 1; i < len(want); i++ {
+			if want[i].At == want[i-1].At {
+				ties++
+			}
+		}
+		if name == "bursts" && ties == 0 {
+			t.Errorf("%s: no tied timestamps among %d events; the config does not exercise tie order", name, len(want))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Generate differs from the sort.Slice reference over %d events", name, len(want))
 		}
 	}
 }

@@ -112,7 +112,12 @@ func ParseMechanism(s string) (Mechanism, error) { return hypervisor.ParseMechan
 // Controller is the policy interface the EVMAgent drives: it decides the
 // primary-core target at every learning-window boundary (and, for
 // reactive policies, at every poll). Implement it to plug a custom
-// harvesting policy into Scenario.Controller.
+// harvesting policy into Scenario.Controller. OnPoll's "do nothing"
+// answer (ok=false) must depend only on its arguments and on state the
+// other Controller calls change, not on the clock or a call count: on an
+// unobserved simulated run the agent skips polls whose outcome the
+// previous one already determined (DESIGN.md §5 "Poll run-ahead"), so
+// OnPoll is called less often than once per sample in a Window.
 type Controller = core.Controller
 
 // Window is the per-learning-window information a Controller sees.
