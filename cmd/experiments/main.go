@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -178,12 +177,6 @@ func main() {
 		*seeds = 1
 	}
 
-	workers := *parallel
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(ids))
-
 	simStart := harness.SimTimeExecuted()
 	wallStart := time.Now()
 
@@ -192,18 +185,12 @@ func main() {
 	for i := range ready {
 		ready[i] = make(chan *jobOutput, 1)
 	}
-	next := make(chan int, len(ids))
-	for i := range ids {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
-				ready[i] <- runExperiment(ids[i], cfg, *seeds)
-			}
-		}()
-	}
+	used := make(chan int, 1)
+	go func() {
+		used <- harness.ForEach(len(ids), *parallel, func(i int) {
+			ready[i] <- runExperiment(ids[i], cfg, *seeds)
+		})
+	}()
 
 	exitCode := 0
 	outputs := make([]*jobOutput, len(ids))
@@ -225,7 +212,7 @@ func main() {
 	}
 
 	if len(ids) > 1 {
-		printSummary(outputs, time.Since(wallStart), harness.SimTimeExecuted()-simStart, workers)
+		printSummary(outputs, time.Since(wallStart), harness.SimTimeExecuted()-simStart, <-used)
 	}
 	if *checkRuns {
 		runs, violations := experiments.CheckStats()

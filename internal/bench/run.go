@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 
 	"smartharvest/internal/experiments"
+	"smartharvest/internal/harness"
 )
 
 // RunResult is one executed grid entry.
@@ -29,38 +28,17 @@ func RunGrid(g *Grid, parallel int) ([]RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := parallel
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-
 	results := make([]RunResult, len(runs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run, _ := experiments.Lookup(runs[i].Experiment) // validated by Expand
-				cfg := runs[i].Cfg
-				cfg.Parallel = parallel
-				rep, err := run(cfg)
-				results[i] = RunResult{
-					ID: runs[i].ID, Experiment: runs[i].Experiment,
-					Report: rep, Err: err,
-				}
-			}
-		}()
-	}
-	for i := range runs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	harness.ForEach(len(runs), parallel, func(i int) {
+		run, _ := experiments.Lookup(runs[i].Experiment) // validated by Expand
+		cfg := runs[i].Cfg
+		cfg.Parallel = parallel
+		rep, err := run(cfg)
+		results[i] = RunResult{
+			ID: runs[i].ID, Experiment: runs[i].Experiment,
+			Report: rep, Err: err,
+		}
+	})
 	return results, nil
 }
 

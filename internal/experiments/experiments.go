@@ -27,6 +27,7 @@ import (
 	"smartharvest/internal/harness"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
+	"smartharvest/internal/sched"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/textplot"
 )
@@ -116,12 +117,7 @@ func runAll(cfg Config, scenarios []harness.Scenario) ([]*harness.Result, error)
 	if cfg.Check {
 		var errs []error
 		for i, res := range results {
-			if res == nil || res.Check == nil {
-				continue
-			}
-			checkedRuns.Add(1)
-			if !res.Check.OK() {
-				checkViolations.Add(int64(len(res.Check.Violations) + res.Check.Dropped))
+			if res != nil && res.Check != nil && !tallyCheck(res.Check) {
 				errs = append(errs, fmt.Errorf("experiments: scenario %d (%s) violated invariants:\n%s",
 					i, scenarios[i].Name, res.Check))
 			}
@@ -131,6 +127,41 @@ func runAll(cfg Config, scenarios []harness.Scenario) ([]*harness.Result, error)
 		}
 	}
 	return results, nil
+}
+
+// runSched is runAll for fleet-scheduler runs: it executes them on the
+// configured worker pool, attaching a check.JobChecker per run when
+// cfg.Check is set, and collects by index. A run that fails leaves a nil
+// entry; it, and any run that violated an invariant, contributes one
+// error labelled label(i) to the joined error.
+func runSched(cfg Config, runs []sched.Config, label func(i int) string) ([]*sched.Result, error) {
+	results := make([]*sched.Result, len(runs))
+	errs := make([]error, len(runs))
+	harness.ForEach(len(runs), cfg.Parallel, func(i int) {
+		if cfg.Check {
+			runs[i].Checker = check.NewJobChecker()
+		}
+		res, err := sched.Run(runs[i])
+		if err != nil {
+			errs[i] = fmt.Errorf("experiments: %s: %w", label(i), err)
+			return
+		}
+		results[i] = res
+		if res.Check != nil && !tallyCheck(res.Check) {
+			errs[i] = fmt.Errorf("experiments: %s violated invariants:\n%s", label(i), res.Check)
+		}
+	})
+	return results, errors.Join(errs...)
+}
+
+// tallyCheck counts one invariant-verified run, and its violations, into
+// CheckStats and reports whether the run passed.
+func tallyCheck(rep *check.Report) bool {
+	checkedRuns.Add(1)
+	if !rep.OK() {
+		checkViolations.Add(int64(len(rep.Violations) + rep.Dropped))
+	}
+	return rep.OK()
 }
 
 // runTraced is runAll minus checking: the worker pool plus optional

@@ -37,6 +37,7 @@ func runQuick(t *testing.T, id string, minLines int) *Report {
 }
 
 func TestTable1(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "table1", 5)
 	// All four workloads present.
 	for _, w := range []string{"indexserve", "memcached", "moses", "img-dnn"} {
@@ -47,6 +48,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig4", 5)
 	for _, w := range []string{"15ms", "25ms", "35ms"} {
 		if !strings.Contains(rep.String(), w) {
@@ -56,6 +58,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -67,6 +70,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig6(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -80,6 +84,7 @@ func TestFig6(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -92,6 +97,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig7", 8)
 	if !strings.Contains(rep.String(), "prevpeak10") {
 		t.Error("fig7 missing prevpeak10")
@@ -102,6 +108,7 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -109,6 +116,7 @@ func TestFig8(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -119,6 +127,7 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig10", 4)
 	if !strings.Contains(rep.String(), "conservative") || !strings.Contains(rep.String(), "aggressive") {
 		t.Error("fig10 missing safeguard modes")
@@ -126,6 +135,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestFig11(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig11", 4)
 	if !strings.Contains(rep.String(), "long-term") {
 		t.Error("fig11 missing variants")
@@ -133,6 +143,7 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig13(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig13", 5)
 	for _, c := range []string{"skewed", "symmetric", "hinged"} {
 		if !strings.Contains(rep.String(), c) {
@@ -142,6 +153,7 @@ func TestFig13(t *testing.T) {
 }
 
 func TestFig14(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "fig14", 5)
 	for _, w := range []string{"cpugroups grow", "cpugroups shrink", "ipis grow", "ipis shrink"} {
 		if !strings.Contains(rep.String(), w) {
@@ -160,6 +172,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestFig15(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -170,6 +183,7 @@ func TestFig15(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -182,12 +196,14 @@ func TestAblations(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
+	t.Parallel()
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("unknown ID resolved")
 	}
 }
 
 func TestAllIDsUnique(t *testing.T) {
+	t.Parallel()
 	seen := map[string]bool{}
 	for _, e := range All() {
 		if seen[e.ID] {
@@ -201,6 +217,7 @@ func TestAllIDsUnique(t *testing.T) {
 }
 
 func TestFormattingHelpers(t *testing.T) {
+	t.Parallel()
 	if ms(500) != "0us" && ms(500) != "1us" {
 		t.Errorf("ms(500ns) = %q", ms(500))
 	}
@@ -222,6 +239,7 @@ func TestFormattingHelpers(t *testing.T) {
 }
 
 func TestChurnExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -232,6 +250,7 @@ func TestChurnExperiment(t *testing.T) {
 }
 
 func TestFleetExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -243,6 +262,7 @@ func TestFleetExperiment(t *testing.T) {
 }
 
 func TestGuardSweep(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -256,6 +276,7 @@ func TestGuardSweep(t *testing.T) {
 }
 
 func TestMemHarvestExperiment(t *testing.T) {
+	t.Parallel()
 	rep := runQuick(t, "memharvest", 7)
 	if !strings.Contains(rep.String(), "smartharvest-mem") ||
 		!strings.Contains(rep.String(), "fixed-8GB") {
@@ -267,6 +288,7 @@ func TestMemHarvestExperiment(t *testing.T) {
 // determinism regression: the rendered report lines must be byte-identical
 // whether the scenarios ran serially or on a 4-way worker pool.
 func TestReportDeterminismAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	cfg := Quick()
 	cfg.Duration = 3_000_000_000 // 3 simulated seconds keeps this test quick
 
@@ -297,6 +319,7 @@ func TestReportDeterminismAcrossParallelism(t *testing.T) {
 }
 
 func TestSchedExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -318,6 +341,7 @@ func TestSchedExperiment(t *testing.T) {
 // byte-identical whether its six runs execute serially or on a 4-way
 // worker pool.
 func TestSchedDeterminismAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -343,6 +367,7 @@ func TestSchedDeterminismAcrossParallelism(t *testing.T) {
 }
 
 func TestFleetChaosExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -372,6 +397,7 @@ func TestFleetChaosExperiment(t *testing.T) {
 // 4-way worker pool — every injector and scheduler RNG must stay
 // run-local.
 func TestFleetChaosDeterminismAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -409,6 +435,7 @@ func TestFleetChaosDeterminismAcrossParallelism(t *testing.T) {
 // zero (even one carrying non-zero durations) builds no injector and
 // produces a byte-identical event trace to a run with no plan at all.
 func TestFleetChaosZeroPlanMatchesFaultFree(t *testing.T) {
+	t.Parallel()
 	trace := func(plan faults.Plan) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -449,6 +476,7 @@ func TestFleetChaosZeroPlanMatchesFaultFree(t *testing.T) {
 }
 
 func TestPredictorsExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -474,6 +502,7 @@ func TestPredictorsExperiment(t *testing.T) {
 // be byte-identical whether its 21 scenarios run serially or on a 4-way
 // worker pool — every zoo predictor's RNG use must stay run-local.
 func TestPredictorsDeterminismAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -499,6 +528,7 @@ func TestPredictorsDeterminismAcrossParallelism(t *testing.T) {
 }
 
 func TestMarketExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy sweep")
 	}
@@ -545,6 +575,7 @@ func TestMarketExperiment(t *testing.T) {
 // byte-identical whether its 27 runs execute serially or on a 4-way
 // worker pool — the ledger's RNG must stay run-local.
 func TestMarketDeterminismAcrossParallelism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -581,6 +612,7 @@ func TestMarketDeterminismAcrossParallelism(t *testing.T) {
 // knob only) must produce exactly the runs a market-free scheduler
 // does — same completions, evictions, and goodput per policy.
 func TestMarketZeroPoolMatchesPlainSched(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}
@@ -624,6 +656,7 @@ func TestMarketZeroPoolMatchesPlainSched(t *testing.T) {
 }
 
 func TestSchedTenantMixAndPools(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy")
 	}

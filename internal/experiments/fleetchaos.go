@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"smartharvest/internal/check"
-	"smartharvest/internal/cluster"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/sched"
 )
@@ -60,54 +55,18 @@ func FleetChaos(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Each run is an independent, fully seeded simulation: run them on a
-	// worker pool and collect by index, so the report is byte-identical
-	// at any cfg.Parallel.
-	results := make([]*sched.Result, len(specs))
-	errs := make([]error, len(specs))
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	runs := make([]sched.Config, len(specs))
+	for i, sp := range specs {
+		// The sched experiment's fleet, under the scaled fleet plan only.
+		fleet := schedFleet(cfg, nil)
+		fleet.Faults = base.Scale(intensities[sp.intensity].scale)
+		runs[i] = sched.Config{Fleet: fleet, Policy: sp.pol, ArrivalRate: 2}
 	}
-	if par > len(specs) {
-		par = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				var checker *check.JobChecker
-				if cfg.Check {
-					checker = check.NewJobChecker()
-				}
-				results[i], errs[i] = sched.Run(sched.Config{
-					Fleet: cluster.Config{
-						Servers:      4,
-						ArrivalRate:  1.2,
-						MeanLifetime: cfg.Duration / 2,
-						Duration:     cfg.Duration,
-						Warmup:       cfg.Warmup,
-						Seed:         cfg.Seed,
-						Faults:       base.Scale(intensities[specs[i].intensity].scale),
-					},
-					Policy:      specs[i].pol,
-					ArrivalRate: 2,
-					Checker:     checker,
-				})
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	results, err := runSched(cfg, runs, func(i int) string {
+		return fmt.Sprintf("fleetchaos %s %s", intensities[specs[i].intensity].name, specs[i].pol)
+	})
 
 	r := &Report{ID: "fleetchaos", Title: "fleet-level fault sweep vs placement policies (extension)"}
-	var allErrs []error
 	// Fault-free baseline per policy, for the harvested-core-second and
 	// goodput deltas (specs are laid out intensity-major, so policy j's
 	// baseline is results[j]).
@@ -117,13 +76,10 @@ func FleetChaos(cfg Config) (*Report, error) {
 			"policy", "sub", "done", "evict", "requeue", "abandon",
 			"crash", "retry", "quar", "degr", "goodput", "SLO")
 		for pi := range policies {
-			i := bi*len(policies) + pi
-			if errs[i] != nil {
-				allErrs = append(allErrs, fmt.Errorf("experiments: fleetchaos %s %s: %w",
-					in.name, specs[i].pol, errs[i]))
+			res := results[bi*len(policies)+pi]
+			if res == nil {
 				continue
 			}
-			res := results[i]
 			slo := "n/a"
 			if res.SLOJobs > 0 {
 				slo = fmt.Sprintf("%3.0f%%", 100*res.SLOAttainment())
@@ -143,15 +99,6 @@ func FleetChaos(cfg Config) (*Report, error) {
 				N("goodput_core_s", res.GoodputCoreSec), N("slo_attainment", res.SLOAttainment()),
 				N("harvested_core_s", res.Fleet.HarvestedCoreSec),
 				N("faults", float64(res.Fleet.FaultsInjected)))
-			if res.Check != nil {
-				checkedRuns.Add(1)
-				if !res.Check.OK() {
-					checkViolations.Add(int64(len(res.Check.Violations) + res.Check.Dropped))
-					allErrs = append(allErrs, fmt.Errorf(
-						"experiments: fleetchaos %s %s violated job invariants:\n%s",
-						in.name, specs[i].pol, res.Check))
-				}
-			}
 		}
 	}
 	r.addf("")
@@ -178,8 +125,5 @@ func FleetChaos(cfg Config) (*Report, error) {
 		r.addf("%s", line)
 	}
 	r.addf("(goodput counts completed work only; orphaned jobs re-place across servers within the requeue budget)")
-	if len(allErrs) > 0 {
-		return r, errors.Join(allErrs...)
-	}
-	return r, nil
+	return r, err
 }

@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"smartharvest/internal/apps"
-	"smartharvest/internal/check"
 	"smartharvest/internal/cluster"
 	"smartharvest/internal/market"
 	"smartharvest/internal/sched"
@@ -44,8 +40,8 @@ func tenantWorkloads(cfg Config) ([]apps.PrimarySpec, error) {
 	return apps.CharacterizedMix(cfg.Seed^charMixSalt, 4, class, charTenantQPS), nil
 }
 
-// schedFleet is the fleet both job-scheduler experiments (sched, market)
-// run on: four servers under moderate tenant churn, so harvested
+// schedFleet is the fleet the job-scheduler experiments (sched,
+// fleetchaos, market) run on: four servers under moderate tenant churn, so harvested
 // capacity is plentiful on average but collapses locally.
 func schedFleet(cfg Config, workloads []apps.PrimarySpec) cluster.Config {
 	return cluster.Config{
@@ -139,53 +135,28 @@ func Market(cfg Config) (*Report, error) {
 		}
 	}
 
-	results := make([]*sched.Result, len(specs))
-	errs := make([]error, len(specs))
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	runs := make([]sched.Config, len(specs))
+	for i, sp := range specs {
+		runs[i] = sched.Config{
+			Fleet:       schedFleet(cfg, workloads),
+			Policy:      sp.pol,
+			ArrivalRate: marketJobRate,
+			Market:      sp.plan.cfg,
+		}
 	}
-	if par > len(specs) {
-		par = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				var checker *check.JobChecker
-				if cfg.Check {
-					checker = check.NewJobChecker()
-				}
-				results[i], errs[i] = sched.Run(sched.Config{
-					Fleet:       schedFleet(cfg, workloads),
-					Policy:      specs[i].pol,
-					ArrivalRate: marketJobRate,
-					Market:      specs[i].plan.cfg,
-					Checker:     checker,
-				})
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	results, err := runSched(cfg, runs, func(i int) string {
+		sp := specs[i]
+		return fmt.Sprintf("market %s/%s oc=%g", sp.plan.mix, sp.pol, sp.plan.oc)
+	})
 
 	r := &Report{ID: "market", Title: "harvested-capacity market: overcommit x tier mix x policy (extension)"}
 	r.addf("%-4s %-13s %-10s %4s %4s %9s %7s %7s %7s %9s %9s %12s",
 		"oc", "mix", "policy", "adm", "rej", "reserved", "v-spot", "v-std", "v-prem", "revenue", "penalty", "rev-goodput")
-	var allErrs []error
 	for i, res := range results {
-		sp := specs[i]
-		if errs[i] != nil {
-			allErrs = append(allErrs, fmt.Errorf("experiments: market %s/%s oc=%g: %w",
-				sp.plan.mix, sp.pol, sp.plan.oc, errs[i]))
+		if res == nil {
 			continue
 		}
+		sp := specs[i]
 		m := res.Market
 		if m == nil {
 			// A pool-less custom plan: the run is a plain sched run.
@@ -207,19 +178,7 @@ func Market(cfg Config) (*Report, error) {
 			N("viol_premium", float64(m.ViolationsByTier[market.Premium])),
 			N("revenue", m.Revenue), N("penalties", m.Penalties),
 			N("revenue_goodput", m.RevenueGoodput), N("goodput_core_s", res.GoodputCoreSec))
-		if res.Check != nil {
-			checkedRuns.Add(1)
-			if !res.Check.OK() {
-				checkViolations.Add(int64(len(res.Check.Violations) + res.Check.Dropped))
-				allErrs = append(allErrs, fmt.Errorf(
-					"experiments: market %s/%s oc=%g violated invariants:\n%s",
-					sp.plan.mix, sp.pol, sp.plan.oc, res.Check))
-			}
-		}
 	}
 	r.addf("(reserved counts admitted pools only; premium admission shrinks with overcommit, spot absorbs the evictions)")
-	if len(allErrs) > 0 {
-		return r, errors.Join(allErrs...)
-	}
-	return r, nil
+	return r, err
 }

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"smartharvest/internal/check"
 	"smartharvest/internal/market"
 	"smartharvest/internal/sched"
 )
@@ -47,54 +43,27 @@ func Sched(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Each run is an independent, fully seeded simulation: run them on a
-	// worker pool and collect by index, so the report is byte-identical
-	// at any cfg.Parallel.
-	results := make([]*sched.Result, len(specs))
-	errs := make([]error, len(specs))
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	// Each run is an independent, fully seeded simulation collected by
+	// index, so the report is byte-identical at any cfg.Parallel.
+	runs := make([]sched.Config, len(specs))
+	for i, sp := range specs {
+		runs[i] = sched.Config{
+			Fleet:       schedFleet(cfg, workloads),
+			Policy:      sp.pol,
+			ArrivalRate: sp.rate,
+			Market:      mcfg,
+		}
 	}
-	if par > len(specs) {
-		par = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				var checker *check.JobChecker
-				if cfg.Check {
-					checker = check.NewJobChecker()
-				}
-				results[i], errs[i] = sched.Run(sched.Config{
-					Fleet:       schedFleet(cfg, workloads),
-					Policy:      specs[i].pol,
-					ArrivalRate: specs[i].rate,
-					Market:      mcfg,
-					Checker:     checker,
-				})
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	results, err := runSched(cfg, runs, func(i int) string {
+		return fmt.Sprintf("sched %s @%g/s", specs[i].pol, specs[i].rate)
+	})
 
 	r := &Report{ID: "sched", Title: "harvest-aware job scheduling policies (extension)"}
 	r.addf("%-10s %6s %5s %5s %6s %8s %9s %9s %9s %5s",
 		"policy", "jobs/s", "sub", "done", "evict", "requeue", "P50", "P99", "goodput", "SLO")
-	var allErrs []error
 	var faults uint64
 	for i, res := range results {
-		if errs[i] != nil {
-			allErrs = append(allErrs, fmt.Errorf("experiments: sched %s @%g/s: %w",
-				specs[i].pol, specs[i].rate, errs[i]))
+		if res == nil {
 			continue
 		}
 		slo := "n/a"
@@ -113,15 +82,6 @@ func Sched(cfg Config) (*Report, error) {
 			N("completion_p99_ns", float64(res.CompletionP99)),
 			N("goodput_core_s", res.GoodputCoreSec), N("slo_attainment", res.SLOAttainment()))
 		faults += res.Fleet.FaultsInjected
-		if res.Check != nil {
-			checkedRuns.Add(1)
-			if !res.Check.OK() {
-				checkViolations.Add(int64(len(res.Check.Violations) + res.Check.Dropped))
-				allErrs = append(allErrs, fmt.Errorf(
-					"experiments: sched %s @%g/s violated job invariants:\n%s",
-					specs[i].pol, specs[i].rate, res.Check))
-			}
-		}
 	}
 	if cfg.Faults.Enabled() {
 		r.addf("faults injected across runs: %d", faults)
@@ -137,8 +97,5 @@ func Sched(cfg Config) (*Report, error) {
 		r.addf("pool plan %q across runs: revenue %.1f, penalties %.1f", mcfg, revenue, penalties)
 	}
 	r.addf("(goodput counts completed work only; evicted progress is checkpointed, never double-counted)")
-	if len(allErrs) > 0 {
-		return r, errors.Join(allErrs...)
-	}
-	return r, nil
+	return r, err
 }

@@ -7,6 +7,7 @@ import (
 	"smartharvest/internal/apps"
 	"smartharvest/internal/check"
 	"smartharvest/internal/faults"
+	"smartharvest/internal/market"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -94,6 +95,54 @@ func TestFleetPlanRejectedOnSingleServer(t *testing.T) {
 		if _, err := Run(s); err == nil {
 			t.Errorf("single-server scenario accepted fleet plan %q", plan)
 		}
+	}
+}
+
+// TestFleetScopeRejectionLeavesCallerUntouched: a scenario refused for a
+// fleet-only fault plan or a pool plan must be refused in validate —
+// before Run binds the single-use Checker or announces the predictor —
+// so the caller's checker is still bindable and its trace still empty.
+// (Both refusals used to sit after Checker.Bind and OnPredictorInfo.)
+func TestFleetScopeRejectionLeavesCallerUntouched(t *testing.T) {
+	cases := []struct {
+		name   string
+		refuse func(*Scenario)
+	}{
+		{"fleet-only fault plan", func(s *Scenario) { s.Faults = faults.Plan{GrantDropProb: 0.2} }},
+		{"mixed fault plan", func(s *Scenario) { s.Faults = faults.Plan{HypercallFailProb: 0.1, ServerCrashProb: 0.01} }},
+		{"pool plan", func(s *Scenario) {
+			s.Pools = market.Config{Pools: []market.PoolSpec{{Name: "acme", Reserved: 2}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := obs.NewJSONL(&buf)
+			s := short("refused", apps.Memcached(40000))
+			s.Duration = 200 * sim.Millisecond
+			s.Predictor = PredictorEWMA // would announce itself at the head of the trace
+			s.Checker = check.New()
+			s.Observer = w
+			bad := s
+			tc.refuse(&bad)
+			if _, err := Run(bad); err == nil {
+				t.Fatal("single-server scenario accepted a fleet-scoped plan")
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("refused scenario wrote into the caller's trace: %s", buf.Bytes())
+			}
+			// The same checker must still be able to verify a run.
+			res, err := Run(s)
+			if err != nil {
+				t.Fatalf("checker burned by the refused scenario: %v", err)
+			}
+			if res.Check == nil || !res.Check.OK() {
+				t.Fatalf("follow-up run not verified: %v", res.Check)
+			}
+		})
 	}
 }
 

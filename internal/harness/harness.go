@@ -414,7 +414,8 @@ func (s *Scenario) applyDefaults() {
 
 // validate runs after applyDefaults, so zero values have already been
 // filled in; what it rejects is explicitly bad input. Every error wraps
-// one of the package's sentinel errors (see errors.go).
+// one of the package's sentinel errors (see errors.go), except the two
+// fleet-scope refusals at the end.
 func (s *Scenario) validate() error {
 	if len(s.Primaries) == 0 {
 		return s.scenarioErr("Primaries", ErrNoPrimaries, "")
@@ -452,6 +453,18 @@ func (s *Scenario) validate() error {
 			return s.scenarioErr("Churn", ErrBadChurn,
 				"event %d: departure index %d", i, ev.Depart)
 		}
+	}
+	// Fleet-level faults (server crashes, grant drops, stale reads) have
+	// no meaning on a single-server scenario — rejecting them keeps a
+	// mistyped plan from silently injecting nothing. Pool plans are
+	// likewise fleet-scoped: balances refill from the fleet harvest and
+	// admission is bounded by the fleet forecast. Both are refused here,
+	// before the run binds its Checker or emits its first event.
+	if s.Faults.FleetEnabled() {
+		return fmt.Errorf("harness: scenario %q: fleet-level fault plan %q requires a multi-server fleet (internal/cluster); single-server scenarios accept agent-level keys only", s.Name, s.Faults)
+	}
+	if s.Pools.Enabled() {
+		return fmt.Errorf("harness: scenario %q: pool plan %q requires a multi-server fleet (internal/market rides on internal/sched); single-server scenarios take no -pools", s.Name, s.Pools)
 	}
 	return nil
 }
@@ -574,17 +587,6 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	// The injector (and its RNG stream) exists only when the plan injects
 	// something: a zero plan consumes no draws, keeping fault-free runs
 	// byte-identical to scenarios that never heard of fault injection.
-	// Fleet-level faults (server crashes, grant drops, stale reads) have
-	// no meaning on a single-server scenario — rejecting them here keeps a
-	// mistyped plan from silently injecting nothing.
-	if s.Faults.FleetEnabled() {
-		return nil, fmt.Errorf("harness: scenario %q: fleet-level fault plan %q requires a multi-server fleet (internal/cluster); single-server scenarios accept agent-level keys only", s.Name, s.Faults)
-	}
-	// Pool plans are likewise fleet-scoped: balances refill from the
-	// fleet harvest and admission is bounded by the fleet forecast.
-	if s.Pools.Enabled() {
-		return nil, fmt.Errorf("harness: scenario %q: pool plan %q requires a multi-server fleet (internal/market rides on internal/sched); single-server scenarios take no -pools", s.Name, s.Pools)
-	}
 	var injector *faults.Injector
 	if s.Faults.AgentEnabled() {
 		inj, err := faults.NewInjector(s.Faults, simrng.New(rng.Uint64()), loop.Now, s.Observer)

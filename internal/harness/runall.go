@@ -43,47 +43,50 @@ func RunAll(scenarios []Scenario, opts ...RunOption) ([]*Result, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	workers := cfg.parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(scenarios))
-
 	results := make([]*Result, len(scenarios))
 	errs := make([]error, len(scenarios))
-	runOne := func(i int) {
+	ForEach(len(scenarios), cfg.parallelism, func(i int) {
 		res, err := Run(scenarios[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("scenario %d (%s): %w", i, scenarios[i].Name, err)
 			return
 		}
 		results[i] = res
-	}
+	})
+	return results, errors.Join(errs...)
+}
 
+// ForEach calls fn(i) for every i in [0, n) on a bounded worker pool and
+// returns the number of workers it used: workers, or
+// runtime.GOMAXPROCS(0) when workers < 1, clamped to n. Indices are
+// handed out in ascending order, and a single worker runs them inline,
+// so a caller that collects by index gets output independent of the pool
+// size. It is the one worker pool behind RunAll, the fleet experiments,
+// bench.RunGrid and cmd/experiments.
+func ForEach(n, workers int, fn func(i int)) int {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if workers <= 1 {
-		for i := range scenarios {
-			runOne(i)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return results, errors.Join(errs...)
+		return workers
 	}
-
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					return
-				}
-				runOne(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results, errors.Join(errs...)
+	return workers
 }
 
 // simTimeExecuted accumulates the simulated time advanced by every Run

@@ -39,6 +39,7 @@ func marketTrace(t *testing.T, cfg Config) ([]byte, *Result) {
 }
 
 func TestSchedMarketPoolLifecycle(t *testing.T) {
+	t.Parallel()
 	c := check.NewJobChecker()
 	pools := mustPools(t, "overcommit=8;name=cheap,tier=spot,reserved=6,price=0.5,at=3s;name=mid,tier=standard,reserved=3,at=3s;name=gold,tier=premium,reserved=1,price=4,at=3s")
 	res, err := Run(Config{
@@ -86,6 +87,7 @@ func TestSchedMarketPoolLifecycle(t *testing.T) {
 }
 
 func TestSchedMarketEvictsSpotFirst(t *testing.T) {
+	t.Parallel()
 	// Heavy churn collapses harvest under commitments; the market must
 	// route those preemptions to spot members before higher tiers. The
 	// checker's tier-ordering invariant verifies every capacity eviction
@@ -116,6 +118,7 @@ func TestSchedMarketEvictsSpotFirst(t *testing.T) {
 }
 
 func TestSchedMarketExhaustedPoolEvicts(t *testing.T) {
+	t.Parallel()
 	// Two pools: "big" soaks up 9/10 of every refill, so "tiny"'s
 	// members outrun their 1/10 share and hit a dry balance. Exhausted
 	// evictions carry no SLA charge (the checker verifies each one
@@ -151,6 +154,7 @@ func TestSchedMarketExhaustedPoolEvicts(t *testing.T) {
 }
 
 func TestSchedMarketOvercommitRejects(t *testing.T) {
+	t.Parallel()
 	c := check.NewJobChecker()
 	pools := mustPools(t, "overcommit=0.001;name=wish,tier=premium,reserved=50,at=3s")
 	res, err := Run(Config{
@@ -175,6 +179,7 @@ func TestSchedMarketOvercommitRejects(t *testing.T) {
 }
 
 func TestSchedMarketZeroConfigInert(t *testing.T) {
+	t.Parallel()
 	// The acceptance bar for the whole subsystem: a run with no pool
 	// plan must be byte-identical to one that never heard of the market
 	// (and carries no pool events), even with a non-default overcommit
@@ -196,6 +201,7 @@ func TestSchedMarketZeroConfigInert(t *testing.T) {
 }
 
 func TestSchedMarketDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := Config{
 		Fleet:       churnFleet(59),
 		Policy:      BestFit,
@@ -216,6 +222,7 @@ func TestSchedMarketDeterministic(t *testing.T) {
 }
 
 func TestSchedMarketLeavesTenantsUntouched(t *testing.T) {
+	t.Parallel()
 	// Opening pools must not shift the tenant process: the ledger draws
 	// from its own RNG stream, so a pooled run places and rejects
 	// exactly the tenants a plain cluster run does.
@@ -242,6 +249,7 @@ func TestSchedMarketLeavesTenantsUntouched(t *testing.T) {
 }
 
 func TestSchedMarketConfigValidation(t *testing.T) {
+	t.Parallel()
 	if _, err := Run(Config{
 		Fleet:  quietFleet(1),
 		Market: market.Config{Pools: []market.PoolSpec{{Name: "", Reserved: 4}}},

@@ -38,6 +38,7 @@ func churnFleet(seed uint64) cluster.Config {
 }
 
 func TestParsePolicy(t *testing.T) {
+	t.Parallel()
 	for _, p := range []Policy{FirstFit, BestFit, Predicted} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
@@ -53,8 +54,10 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestSchedCompletesJobsAllPolicies(t *testing.T) {
+	t.Parallel()
 	for _, p := range []Policy{FirstFit, BestFit, Predicted} {
 		t.Run(p.String(), func(t *testing.T) {
+			t.Parallel()
 			c := check.NewJobChecker()
 			res, err := Run(Config{
 				Fleet:   quietFleet(11),
@@ -88,6 +91,7 @@ func TestSchedCompletesJobsAllPolicies(t *testing.T) {
 }
 
 func TestSchedEvictsAndRequeuesUnderChurn(t *testing.T) {
+	t.Parallel()
 	c := check.NewJobChecker()
 	res, err := Run(Config{
 		Fleet:       churnFleet(13),
@@ -116,6 +120,7 @@ func TestSchedEvictsAndRequeuesUnderChurn(t *testing.T) {
 }
 
 func TestSchedSLOAccounting(t *testing.T) {
+	t.Parallel()
 	res, err := Run(Config{
 		Fleet:  quietFleet(17),
 		Policy: BestFit,
@@ -140,6 +145,7 @@ func TestSchedSLOAccounting(t *testing.T) {
 }
 
 func TestSchedDeterministic(t *testing.T) {
+	t.Parallel()
 	sig := func() string {
 		res, err := Run(Config{Fleet: churnFleet(23), Policy: Predicted})
 		if err != nil {
@@ -157,6 +163,7 @@ func TestSchedDeterministic(t *testing.T) {
 }
 
 func TestSchedJobStreamLeavesTenantsUntouched(t *testing.T) {
+	t.Parallel()
 	// The job scheduler must not perturb the tenant process: a plain
 	// cluster run (bully disabled) and a sched run from the same seed
 	// place and reject exactly the same tenants.
@@ -179,6 +186,7 @@ func TestSchedJobStreamLeavesTenantsUntouched(t *testing.T) {
 }
 
 func TestSchedConfigValidation(t *testing.T) {
+	t.Parallel()
 	bad := []Config{
 		{Fleet: quietFleet(1), Policy: Policy(9)},
 		{Fleet: quietFleet(1), ArrivalRate: -1},
@@ -215,6 +223,7 @@ func mustPlan(t *testing.T, s string) faults.Plan {
 }
 
 func TestSchedSurvivesServerCrashes(t *testing.T) {
+	t.Parallel()
 	fc := quietFleet(19)
 	fc.Faults = mustPlan(t, "scrash=0.004,srestartdur=400ms")
 	c := check.NewJobChecker()
@@ -243,6 +252,7 @@ func TestSchedSurvivesServerCrashes(t *testing.T) {
 }
 
 func TestSchedStaleReadStormDoesNotMassEvict(t *testing.T) {
+	t.Parallel()
 	// Regression: the reconcile loop used to trust a single collapsed
 	// harvest reading, so a stale telemetry channel serving its initial
 	// zero would be mistaken for a collapse and evict every running job
@@ -268,6 +278,7 @@ func TestSchedStaleReadStormDoesNotMassEvict(t *testing.T) {
 }
 
 func TestSchedGrantDropsRetryThenQuarantine(t *testing.T) {
+	t.Parallel()
 	fc := quietFleet(29)
 	fc.Faults = mustPlan(t, "gdrop=0.6")
 	c := check.NewJobChecker()
@@ -293,6 +304,7 @@ func TestSchedGrantDropsRetryThenQuarantine(t *testing.T) {
 }
 
 func TestSchedDegradedAdmissionUnderFaultStorm(t *testing.T) {
+	t.Parallel()
 	fc := quietFleet(31)
 	fc.Faults = mustPlan(t, "gdrop=0.9,rloss=0.4,scrash=0.008")
 	m := obs.NewMetrics()
@@ -317,6 +329,7 @@ func TestSchedDegradedAdmissionUnderFaultStorm(t *testing.T) {
 }
 
 func TestSchedResilienceKnobsInertOnFaultFreeRuns(t *testing.T) {
+	t.Parallel()
 	// The resilience machinery must be invisible without fleet faults:
 	// a fault-free run's full event trace is byte-identical no matter
 	// how the knobs are tuned.
