@@ -46,6 +46,9 @@
 //	           bursty, mixed) replacing the sched/market fleets' default
 //	           tenant mix; other experiments ignore it
 //	-list      list experiment IDs and exit
+//	-cpuprofile FILE, -memprofile FILE
+//	           write a CPU / heap profile of the whole invocation
+//	           (`go tool pprof FILE`)
 //
 // Grid mode (declarative experiment plans; see internal/bench):
 //
@@ -69,6 +72,7 @@ import (
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
 	"smartharvest/internal/market"
+	"smartharvest/internal/profile"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/workload"
 )
@@ -99,6 +103,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	gridFile := flag.String("grid", "", "run the declarative JSON experiment grid in FILE (see internal/bench)")
 	gridOut := flag.String("grid-out", "grid-out", "artifact directory for -grid runs")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations included) to this file when the run ends")
 	flag.Parse()
 
 	if *list {
@@ -107,8 +113,21 @@ func main() {
 		}
 		return
 	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+	// exit ends the process through the profiles: os.Exit runs no defers.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			code = max(code, 1)
+		}
+		os.Exit(code)
+	}
 	if *gridFile != "" {
-		os.Exit(runGrid(*gridFile, *gridOut, *parallel))
+		exit(runGrid(*gridFile, *gridOut, *parallel))
 	}
 
 	cfg := experiments.Config{
@@ -126,7 +145,7 @@ func main() {
 		plan, err := faults.ParsePlan(*faultsPlan)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		cfg.Faults = plan
 	}
@@ -134,28 +153,28 @@ func main() {
 		kind, err := harness.ParsePredictor(*predictor)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		cfg.Predictor = kind
 	}
 	if *poolSpec != "" {
 		if _, err := market.ParsePools(*poolSpec); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		cfg.Pools = *poolSpec
 	}
 	if *tenantMix != "" {
 		if _, err := workload.ParseClass(*tenantMix); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		cfg.TenantMix = *tenantMix
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -169,7 +188,7 @@ func main() {
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -221,7 +240,7 @@ func main() {
 			exitCode = 1
 		}
 	}
-	os.Exit(exitCode)
+	exit(exitCode)
 }
 
 // runGrid executes a declarative experiment grid and writes per-run

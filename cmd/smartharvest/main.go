@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"smartharvest"
+	"smartharvest/internal/profile"
 	"smartharvest/internal/sim"
 )
 
@@ -137,6 +138,8 @@ func main() {
 	poolSpec := flag.String("pools", "", "harvested-capacity pool plan, e.g. 'overcommit=1.5;name=acme,tier=standard,reserved=4' (pools need a multi-server fleet and are rejected here; use cmd/experiments -pools)")
 	trace := flag.String("trace", "", "write a JSONL event trace of the run to this file (poll samples included)")
 	checkRun := flag.Bool("check", false, "verify the run against the safety invariants and print the report (exit 1 on violation)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations included) to this file after the run")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -217,6 +220,10 @@ func main() {
 		s.Checker = checker
 	}
 
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
 	start := time.Now()
 	var res *smartharvest.Result
 	if *speedup {
@@ -233,9 +240,13 @@ func main() {
 			fail(err)
 		}
 	}
+	wall := time.Since(start)
+	if err := stopProfiles(); err != nil {
+		fail(err)
+	}
 
 	fmt.Printf("policy=%s mechanism=%s simulated=%v wall=%v\n",
-		res.Policy, res.Mechanism, res.Duration, time.Since(start).Round(time.Millisecond))
+		res.Policy, res.Mechanism, res.Duration, wall.Round(time.Millisecond))
 	for _, p := range res.Primaries {
 		fmt.Printf("primary %-18s requests=%-9d P50=%-12s P95=%-12s P99=%-12s P99.9=%s\n",
 			p.Name, p.Completed, fmtNS(p.Latency.P50), fmtNS(p.Latency.P95),
@@ -254,6 +265,13 @@ func main() {
 		res.Windows, res.Resizes, res.Safeguards, res.QoSTrips)
 	fmt.Printf("reassignment: grow P99 %s, shrink P99 %s\n",
 		fmtNS(res.Grow.P99), fmtNS(res.Shrink.P99))
+	// What the simulator itself did, warm-up included: the denominators
+	// for a profile taken with -cpuprofile.
+	fmt.Printf("simulator: %d events fired; %d polls fired, %d skipped by run-ahead\n",
+		res.Events, res.Polls, res.PollsSkipped)
+	for _, p := range res.Primaries {
+		fmt.Printf("simulator: primary %-18s %d requests offered, %d completed\n", p.Name, p.Offered, p.Completed)
+	}
 	if plan.Enabled() {
 		fmt.Printf("faults: %d injected (%s); %d retries, %d aborted resizes, %d missed windows, %d stalls, %d crashes\n",
 			res.FaultsInjected, plan, res.ResizeRetries, res.ResizesAborted,

@@ -15,12 +15,15 @@ type CPUBully struct {
 	loop    *sim.Loop
 	vm      *hypervisor.VM
 	chunk   sim.Time
+	refill  func() // b.submitChunk, bound once: a chunk completion allocates nothing
 	started bool
 }
 
 // NewCPUBully builds a bully on the given (elastic) VM.
 func NewCPUBully(loop *sim.Loop, vm *hypervisor.VM) *CPUBully {
-	return &CPUBully{loop: loop, vm: vm, chunk: 10 * sim.Millisecond}
+	b := &CPUBully{loop: loop, vm: vm, chunk: 10 * sim.Millisecond}
+	b.refill = b.submitChunk
+	return b
 }
 
 // Start floods every vCPU with self-refilling CPU-bound chunks.
@@ -34,7 +37,7 @@ func (b *CPUBully) Start() {
 	}
 }
 
-func (b *CPUBully) refill() {
+func (b *CPUBully) submitChunk() {
 	b.vm.Submit(b.chunk, b.refill)
 }
 

@@ -265,9 +265,13 @@ type Result struct {
 	// Polls counts the agent's poll events that fired and PollsSkipped
 	// the poll instants run-ahead recorded without an event (see
 	// core.EventDrivenBusy); their sum is the same with run-ahead on or
-	// off. Diagnostic only: no table, CSV or trace reports them.
+	// off. Events counts every event the run's loop fired, warm-up
+	// included; a skipped poll is an event not fired, so Events+PollsSkipped
+	// is the same either way too. Diagnostic only: no table, CSV or trace
+	// reports them.
 	Polls        uint64
 	PollsSkipped uint64
+	Events       uint64
 
 	// Fault-injection and resilience counters (all zero on fault-free
 	// runs).
@@ -825,6 +829,7 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	res.Resizes = machine.Resizes()
 	res.Polls = agent.Polls()
 	res.PollsSkipped = agent.PollsSkipped()
+	res.Events = loop.Fired()
 	if injector != nil {
 		res.FaultsInjected = injector.Total()
 	}

@@ -94,17 +94,21 @@ func runBothWays(t *testing.T, s Scenario) (on, off *Result) {
 		t.Errorf("run-ahead accounts for %d+%d poll instants, the poll-by-poll run fired %d",
 			on.Polls, on.PollsSkipped, off.Polls)
 	}
+	if on.Events+on.PollsSkipped != off.Events {
+		t.Errorf("run-ahead fired %d events and skipped %d polls, the poll-by-poll run fired %d events",
+			on.Events, on.PollsSkipped, off.Events)
+	}
 	if a, b := withoutPolls(on), withoutPolls(off); !reflect.DeepEqual(a, b) {
 		t.Errorf("results differ with run-ahead on and off:\n on  %s off %s", renderResult(&a), renderResult(&b))
 	}
 	return on, off
 }
 
-// withoutPolls is r less the poll accounting, the one thing run-ahead
-// is allowed to change.
+// withoutPolls is r less the poll and event accounting, the one thing
+// run-ahead is allowed to change.
 func withoutPolls(r *Result) Result {
 	c := *r
-	c.Polls, c.PollsSkipped = 0, 0
+	c.Polls, c.PollsSkipped, c.Events = 0, 0, 0
 	return c
 }
 

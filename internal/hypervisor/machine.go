@@ -65,12 +65,13 @@ type VM struct {
 	alloc int // cap on simultaneously-running physical cores
 
 	vcpus   []*VCPU
-	idle    []*VCPU // stack of idle vCPUs
-	queue   []workItem
-	running int      // vCPUs currently dispatched
-	cpuTime sim.Time // total work executed
-	removed bool     // VM has been deregistered; Submit becomes a no-op
-	dropped uint64   // work items discarded after removal
+	idle    []*VCPU    // stack of idle vCPUs
+	queue   []workItem // guest run queue: the waiting items are queue[qhead:]
+	qhead   int        // slots before it are popped and hold the zero workItem
+	running int        // vCPUs currently dispatched
+	cpuTime sim.Time   // total work executed
+	removed bool       // VM has been deregistered; Submit becomes a no-op
+	dropped uint64     // work items discarded after removal
 }
 
 type workItem struct {
@@ -95,7 +96,7 @@ func (vm *VM) NumVCPUs() int { return len(vm.vcpus) }
 func (vm *VM) CPUTime() sim.Time { return vm.cpuTime }
 
 // QueueLen returns the number of guest work items waiting for a vCPU.
-func (vm *VM) QueueLen() int { return len(vm.queue) }
+func (vm *VM) QueueLen() int { return len(vm.queue) - vm.qhead }
 
 // ActiveThreads returns the number of vCPUs that currently have work
 // (ready or running); this is the VM's instantaneous core demand.
@@ -126,16 +127,27 @@ func (vm *VM) Submit(work sim.Time, done func()) {
 		vm.m.wake(v)
 		return
 	}
+	// Popped slots are reclaimed by sliding the waiting items down, but
+	// only where append would otherwise grow the slice, and only once they
+	// are half of it, so a standing backlog costs O(1) amortized a request.
+	if h, n := vm.qhead, len(vm.queue); n == cap(vm.queue) && h > 0 && 2*h >= n {
+		live := copy(vm.queue, vm.queue[h:])
+		clear(vm.queue[live:])
+		vm.queue, vm.qhead = vm.queue[:live], 0
+	}
 	vm.queue = append(vm.queue, workItem{work: work, done: done})
 }
 
 // releaseVCPU returns v to the idle pool, or immediately reuses it for the
 // next queued guest work item.
 func (vm *VM) releaseVCPU(v *VCPU) {
-	if len(vm.queue) > 0 {
-		item := vm.queue[0]
-		copy(vm.queue, vm.queue[1:])
-		vm.queue = vm.queue[:len(vm.queue)-1]
+	if vm.qhead < len(vm.queue) {
+		item := vm.queue[vm.qhead]
+		// Zero the slot: a popped completion must not stay reachable.
+		vm.queue[vm.qhead] = workItem{}
+		if vm.qhead++; vm.qhead == len(vm.queue) {
+			vm.queue, vm.qhead = vm.queue[:0], 0
+		}
 		v.remaining = item.work
 		v.done = item.done
 		vm.m.wake(v)
@@ -146,6 +158,25 @@ func (vm *VM) releaseVCPU(v *VCPU) {
 	vm.idle = append(vm.idle, v)
 }
 
+// checkQueue verifies the guest run queue: the head stays inside the slice
+// (and at 0 when nothing waits), work waits only while every vCPU is busy,
+// and no slot outside queue[qhead:] still holds a completion.
+func (vm *VM) checkQueue() error {
+	h, n := vm.qhead, len(vm.queue)
+	if h < 0 || h > n || (h == n && h != 0) || vm.QueueLen() != n-h {
+		return fmt.Errorf("hypervisor: VM %s guest queue head %d, len %d, QueueLen %d", vm.name, h, n, vm.QueueLen())
+	}
+	if vm.QueueLen() > 0 && len(vm.idle) > 0 {
+		return fmt.Errorf("hypervisor: VM %s queues %d items beside %d idle vCPUs", vm.name, vm.QueueLen(), len(vm.idle))
+	}
+	for i, it := range vm.queue[:cap(vm.queue)] {
+		if (i < h || i >= n) && (it.done != nil || it.work != 0) {
+			return fmt.Errorf("hypervisor: VM %s guest queue slot %d (head %d, len %d) not zeroed", vm.name, i, h, n)
+		}
+	}
+	return nil
+}
+
 // Core is a physical core.
 type Core struct {
 	id    int
@@ -153,6 +184,7 @@ type Core struct {
 
 	running    *VCPU
 	sliceEvent *sim.Event
+	sliceEnd   func()   // m.sliceEnd(c), bound once in New: arming a slice allocates nothing
 	workStart  sim.Time // when the current slice's work began (post-overhead)
 	sliceWork  sim.Time // work consumed if the slice runs to completion
 
@@ -213,7 +245,9 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 		m.allWaits[g] = metrics.NewHistogram()
 	}
 	for i := 0; i < cfg.TotalCores; i++ {
-		m.cores = append(m.cores, &Core{id: i, group: PrimaryGroup})
+		c := &Core{id: i, group: PrimaryGroup}
+		c.sliceEnd = func() { m.sliceEnd(c) }
+		m.cores = append(m.cores, c)
 	}
 	m.counts[PrimaryGroup] = cfg.TotalCores
 	m.logical[PrimaryGroup] = cfg.TotalCores
@@ -274,7 +308,7 @@ func (m *Machine) RemoveVM(vm *VM) {
 	// callbacks fired while tearing down cannot resubmit and the guest
 	// queue cannot refill freed vCPUs.
 	vm.removed = true
-	vm.queue = nil
+	vm.queue, vm.qhead = nil, 0
 
 	// Stop running vCPUs.
 	freed := false
@@ -350,10 +384,12 @@ func (m *Machine) ReadyVCPUs(g GroupID) int { return len(m.queues[g]) }
 
 // DrainPrimaryWaits returns the primary vCPU dispatch-wait samples (ns)
 // recorded since the previous call, and resets the buffer. The agent's
-// long-term safeguard consumes these every 500 ms.
+// long-term safeguard consumes these every 500 ms. The machine keeps the
+// one buffer: the returned slice is valid only until the machine next
+// dispatches a primary vCPU, so read it before the event loop runs on.
 func (m *Machine) DrainPrimaryWaits() []int64 {
 	out := m.primaryWaits
-	m.primaryWaits = nil
+	m.primaryWaits = m.primaryWaits[:0]
 	return out
 }
 
@@ -424,6 +460,11 @@ func (m *Machine) CheckInvariants() error {
 	}
 	if busy != m.busy {
 		return fmt.Errorf("hypervisor: busy-core counts %v != actual %v", m.busy, busy)
+	}
+	for _, vm := range m.vms {
+		if err := vm.checkQueue(); err != nil {
+			return err
+		}
 	}
 	for vm, n := range running {
 		if n != vm.running {
@@ -628,10 +669,17 @@ func (m *Machine) ipiEffect(c *Core) {
 		return
 	}
 	from := c.group
+	// The IPI has landed: from here any scheduling event on c effects the
+	// move. One can happen inside preempt — the preempted item completes
+	// exactly now and its successor or its callback dispatches — and must
+	// take the core's move, not the core.
+	c.eligible = true
 	if c.running != nil {
 		m.preempt(c)
 	}
-	m.applyMove(c)
+	if c.pending {
+		m.applyMove(c)
+	}
 	// The preempted vCPU (if any) waits in the old group's queue; give
 	// the old group a chance to place it on another of its cores.
 	m.trySchedule(from)
@@ -823,7 +871,7 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 		slice = m.cfg.SchedPeriod
 	}
 	c.sliceWork = slice
-	c.sliceEvent = m.loop.After(overhead+slice, func() { m.sliceEnd(c) })
+	c.sliceEvent = m.loop.After(overhead+slice, c.sliceEnd)
 }
 
 // sliceEnd handles the end of a timeslice: work accounting, work
@@ -853,7 +901,7 @@ func (m *Machine) sliceEnd(c *Core) {
 			slice = m.cfg.SchedPeriod
 		}
 		c.sliceWork = slice
-		c.sliceEvent = m.loop.After(slice, func() { m.sliceEnd(c) })
+		c.sliceEvent = m.loop.After(slice, c.sliceEnd)
 		return
 	} else {
 		v.state = vcpuReady

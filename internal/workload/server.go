@@ -48,6 +48,34 @@ type Server struct {
 	completed uint64
 	offered   uint64
 	started   bool
+
+	// The request path allocates nothing in steady state: the arrival
+	// chain reschedules one method value, and the records below are drawn
+	// from and returned to per-server free lists.
+	arrive       func() // s.arrival, bound once in NewServer
+	batch        int    // how many requests the scheduled arrival admits
+	freeRequests *request
+	freeSubtasks *subtask
+}
+
+// request is one in-flight request. The server owns the record: admit takes
+// it from the free list and the last subtask's completion puts it back, so
+// the hypervisor only ever holds the join callback, never the record.
+type request struct {
+	s         *Server
+	start     sim.Time
+	remaining int    // subtasks still to finish; 0 on the free list
+	join      func() // r.subtaskDone, bound once when the record is created
+	next      *request
+}
+
+// subtask is one staggered subtask waiting for its dispatch delay; the
+// delay's expiry submits the work and returns the record.
+type subtask struct {
+	req    *request
+	work   sim.Time
+	submit func() // t.fire, bound once when the record is created
+	next   *subtask
 }
 
 // NewServer binds a server to a VM. The server does not generate load
@@ -65,6 +93,7 @@ func NewServer(loop *sim.Loop, vm *hypervisor.VM, cfg ServerConfig) *Server {
 		}
 	}
 	s := &Server{cfg: cfg, loop: loop, vm: vm, latency: metrics.NewHistogram()}
+	s.arrive = s.arrival
 	if n := len(cfg.PhaseBoundaries); n > 0 {
 		for i := 0; i <= n; i++ {
 			s.phases = append(s.phases, metrics.NewHistogram())
@@ -141,42 +170,80 @@ func (s *Server) Start() {
 	s.scheduleNext()
 }
 
+// scheduleNext arms the next arrival. Only one is ever outstanding, so its
+// batch size travels in a field.
 func (s *Server) scheduleNext() {
 	gap, batch := s.cfg.Arrival.Next(s.loop.Now())
-	s.loop.After(gap, func() {
-		for i := 0; i < batch; i++ {
-			s.admit()
-		}
-		s.scheduleNext()
-	})
+	s.batch = batch
+	s.loop.After(gap, s.arrive)
+}
+
+func (s *Server) arrival() {
+	for i, n := 0, s.batch; i < n; i++ {
+		s.admit()
+	}
+	s.scheduleNext()
 }
 
 // admit starts one request: fan out subtasks and join.
 func (s *Server) admit() {
 	s.offered++
-	start := s.loop.Now()
-	n := s.cfg.Fanout.SampleFanout()
-	remaining := n
-	join := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		s.completed++
-		if start >= s.cfg.Warmup {
-			lat := int64(s.loop.Now() - start)
-			s.latency.Record(lat)
-			if len(s.phases) > 0 {
-				s.phases[s.phaseIndex(start)].Record(lat)
-			}
-		}
+	r := s.freeRequests
+	if r == nil {
+		r = &request{s: s}
+		r.join = r.subtaskDone
+	} else {
+		s.freeRequests, r.next = r.next, nil
 	}
+	r.start = s.loop.Now()
+	// A request with no subtask would never complete.
+	n := max(1, s.cfg.Fanout.SampleFanout())
+	r.remaining = n
 	for i := 0; i < n; i++ {
 		work := s.cfg.Service.Sample()
 		if i == 0 || s.cfg.Stagger == nil {
-			s.vm.Submit(work, join)
+			s.vm.Submit(work, r.join)
 			continue
 		}
-		s.loop.After(s.cfg.Stagger.Sample(), func() { s.vm.Submit(work, join) })
+		t := s.freeSubtasks
+		if t == nil {
+			t = &subtask{}
+			t.submit = t.fire
+		} else {
+			s.freeSubtasks, t.next = t.next, nil
+		}
+		t.req, t.work = r, work
+		s.loop.After(s.cfg.Stagger.Sample(), t.submit)
 	}
+}
+
+// fire submits a staggered subtask once its dispatch delay has passed.
+func (t *subtask) fire() {
+	r, work := t.req, t.work
+	s := r.s
+	t.req = nil
+	t.next, s.freeSubtasks = s.freeSubtasks, t
+	s.vm.Submit(work, r.join)
+}
+
+// subtaskDone is the join: the last subtask to finish completes the
+// request, records its latency and returns the record to the free list.
+func (r *request) subtaskDone() {
+	if r.remaining <= 0 {
+		panic("workload: a subtask completed on a request that had already finished")
+	}
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	s := r.s
+	s.completed++
+	if r.start >= s.cfg.Warmup {
+		lat := int64(s.loop.Now() - r.start)
+		s.latency.Record(lat)
+		if len(s.phases) > 0 {
+			s.phases[s.phaseIndex(r.start)].Record(lat)
+		}
+	}
+	r.next, s.freeRequests = s.freeRequests, r
 }
