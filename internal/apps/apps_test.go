@@ -8,7 +8,7 @@ import (
 	"smartharvest/internal/simrng"
 )
 
-func rig(t *testing.T, cores int) (*sim.Loop, *hypervisor.Machine) {
+func rig(t testing.TB, cores int) (*sim.Loop, *hypervisor.Machine) {
 	t.Helper()
 	loop := sim.NewLoop()
 	m, err := hypervisor.New(loop, hypervisor.DefaultConfig(cores))

@@ -30,6 +30,23 @@ type FiniteWork struct {
 	stopped bool
 	done    bool
 	onDone  func()
+
+	// In-flight chunks are pooled records: once the pool holds one per
+	// vCPU, running the allotment allocates nothing per chunk.
+	free *chunk
+}
+
+// chunk is one in-flight chunk of work. The FiniteWork owns the record:
+// pump takes it from the free list and its completion puts it back before
+// crediting the work, so the VM only ever holds the fire callback. A chunk
+// in flight across a Stop comes back the same way and credits nothing (its
+// gen is stale); one whose VM was removed never comes back and is garbage.
+type chunk struct {
+	w    *FiniteWork
+	work sim.Time // 0 while the record is on the free list
+	gen  int
+	fire func() // k.done, bound once when the record is created
+	next *chunk
 }
 
 // NewFiniteWork builds a finite-work job on vm owing total CPU work;
@@ -104,9 +121,27 @@ func (w *FiniteWork) pump() {
 		}
 		w.submitted += c
 		w.outstanding++
-		gen := w.gen
-		w.vm.Submit(c, func() { w.complete(c, gen) })
+		k := w.free
+		if k == nil {
+			k = &chunk{w: w}
+			k.fire = k.done
+		} else {
+			w.free, k.next = k.next, nil
+		}
+		k.work, k.gen = c, w.gen
+		w.vm.Submit(c, k.fire)
 	}
+}
+
+// done returns the record to the free list, then credits its work.
+func (k *chunk) done() {
+	if k.work == 0 {
+		panic("apps: a finite-work chunk completed twice")
+	}
+	w, c, gen := k.w, k.work, k.gen
+	k.work = 0
+	k.next, w.free = w.free, k
+	w.complete(c, gen)
 }
 
 func (w *FiniteWork) complete(c sim.Time, gen int) {

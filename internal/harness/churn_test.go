@@ -38,6 +38,39 @@ func TestChurnDeparture(t *testing.T) {
 	}
 }
 
+// TestChurnDepartedPrimaryStopsOffering: a churned-out primary falls
+// silent at its departure. Its arrivals draw from their own stream, so its
+// Offered count equals that of the same primary in a run that simply ends
+// at the departure instant, while the primary that stays keeps offering.
+func TestChurnDepartedPrimaryStopsOffering(t *testing.T) {
+	mc := apps.Memcached(40000)
+	base := Scenario{
+		Name:      "churn-silent",
+		Primaries: []apps.PrimarySpec{mc, mc},
+		Warmup:    sim.Second,
+		Seed:      5,
+	}
+	churned, cut := base, base
+	churned.Duration = 3 * sim.Second
+	churned.Churn = []ChurnEvent{{At: 2 * sim.Second, Depart: 1}}
+	cut.Duration = sim.Second // ends at the departure instant
+	res, err := Run(churned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Primaries[1].Offered, ref.Primaries[1].Offered; got != want {
+		t.Fatalf("departed primary offered %d requests, %d of them after its departure", got, int64(got)-int64(want))
+	}
+	if res.Primaries[0].Offered < ref.Primaries[0].Offered*14/10 {
+		t.Fatalf("the staying primary offered %d requests over 4 s, %d over the first 2 s",
+			res.Primaries[0].Offered, ref.Primaries[0].Offered)
+	}
+}
+
 func TestChurnArrival(t *testing.T) {
 	// A second Memcached arrives mid-run: before it arrives its cores
 	// are unallocated (harvested); afterwards the agent must honor the

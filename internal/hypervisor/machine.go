@@ -64,8 +64,8 @@ type VM struct {
 	group GroupID
 	alloc int // cap on simultaneously-running physical cores
 
-	vcpus   []*VCPU
-	idle    []*VCPU    // stack of idle vCPUs
+	vcpus   []VCPU     // one array, allocated by AddVM
+	idle    []*VCPU    // stack of idle vCPUs, with room for all of them
 	queue   []workItem // guest run queue: the waiting items are queue[qhead:]
 	qhead   int        // slots before it are popped and hold the zero workItem
 	running int        // vCPUs currently dispatched
@@ -193,6 +193,12 @@ type Core struct {
 	pendingSince sim.Time
 	eligible     bool // hypercalls have completed; effect may be applied
 	effectEvent  *sim.Event
+
+	// The move-effect callbacks, bound once in New like sliceEnd, so a
+	// core move allocates nothing.
+	ipiEffect         func() // m.ipiEffect(c)
+	cpugroupsEligible func() // m.cpugroupsEligible(c)
+	idleScan          func() // m.idleScan(c)
 }
 
 // Machine is the simulated server: cores, groups, VMs and the reassignment
@@ -247,6 +253,9 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.TotalCores; i++ {
 		c := &Core{id: i, group: PrimaryGroup}
 		c.sliceEnd = func() { m.sliceEnd(c) }
+		c.ipiEffect = func() { m.ipiEffect(c) }
+		c.cpugroupsEligible = func() { m.cpugroupsEligible(c) }
+		c.idleScan = func() { m.idleScan(c) }
 		m.cores = append(m.cores, c)
 	}
 	m.counts[PrimaryGroup] = cfg.TotalCores
@@ -272,11 +281,12 @@ func (m *Machine) AddVM(name string, group GroupID, vcpus, alloc int) *VM {
 	if vcpus <= 0 || alloc <= 0 {
 		panic("hypervisor: VM needs at least one vCPU and one allocated core")
 	}
-	vm := &VM{m: m, name: name, group: group, alloc: alloc}
-	for i := 0; i < vcpus; i++ {
-		v := &VCPU{vm: vm, id: i, state: vcpuIdle}
-		vm.vcpus = append(vm.vcpus, v)
-		vm.idle = append(vm.idle, v)
+	vm := &VM{m: m, name: name, group: group, alloc: alloc,
+		vcpus: make([]VCPU, vcpus), idle: make([]*VCPU, vcpus)}
+	for i := range vm.vcpus {
+		v := &vm.vcpus[i]
+		*v = VCPU{vm: vm, id: i, state: vcpuIdle}
+		vm.idle[i] = v
 	}
 	m.vms = append(m.vms, vm)
 	return vm
@@ -646,9 +656,9 @@ func (m *Machine) beginMove(c *Core, to GroupID, issueDone sim.Time) {
 		if delay < 5*sim.Microsecond {
 			delay = 5 * sim.Microsecond
 		}
-		c.effectEvent = m.loop.After(delay, func() { m.ipiEffect(c) })
+		c.effectEvent = m.loop.After(delay, c.ipiEffect)
 	case CpuGroups:
-		c.effectEvent = m.loop.At(issueDone, func() { m.cpugroupsEligible(c) })
+		c.effectEvent = m.loop.At(issueDone, c.cpugroupsEligible)
 	}
 }
 
@@ -716,18 +726,22 @@ func (m *Machine) scheduleIdleScan(c *Core) {
 	if at < now {
 		at += period
 	}
-	c.effectEvent = m.loop.At(at, func() {
-		if !c.pending || !c.eligible {
-			return
-		}
-		if c.running != nil {
-			// Core got dispatched in the meantime; the slice-end
-			// scheduling event will apply the move instead.
-			c.effectEvent = nil
-			return
-		}
-		m.applyMove(c)
-	})
+	c.effectEvent = m.loop.At(at, c.idleScan)
+}
+
+// idleScan is core c's idle-rebalance scan: it applies c's eligible pending
+// move if the core is still idle.
+func (m *Machine) idleScan(c *Core) {
+	if !c.pending || !c.eligible {
+		return
+	}
+	if c.running != nil {
+		// Core got dispatched in the meantime; the slice-end
+		// scheduling event will apply the move instead.
+		c.effectEvent = nil
+		return
+	}
+	m.applyMove(c)
 }
 
 // applyMove transfers the (idle) core to its pending group and records the

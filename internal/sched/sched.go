@@ -274,9 +274,22 @@ type job struct {
 	pool      *market.Pool // nil until assigned (and always, without a market)
 	doneAt    sim.Time
 	sloMissed bool
+
+	// The completion callbacks, bound once in submit so that starting a
+	// placement allocates no closure.
+	s          *scheduler
+	workDoneFn func() // j.workDone, handed to the job's FiniteWork
+	completeFn func() // j.complete, the deferred completion event
 }
 
 func (j *job) remaining() sim.Time { return j.spec.Work - j.progress }
+
+// workDone defers completion out of the hypervisor's dispatch path: the
+// FiniteWork callback fires inside the guest-work completion, where tearing
+// the VM down and placing successors is not re-entrant-safe.
+func (j *job) workDone() { j.s.loop.After(0, j.completeFn) }
+
+func (j *job) complete() { j.s.complete(j) }
 
 // evictCause is why a running job loses its server.
 type evictCause int
@@ -401,8 +414,9 @@ func Run(cfg Config) (*Result, error) {
 func (s *scheduler) submit(spec JobSpec) {
 	now := s.loop.Now()
 	j := &job{
-		name: fmt.Sprintf("job-%d", len(s.all)), spec: spec, submitAt: now,
+		name: fmt.Sprintf("job-%d", len(s.all)), spec: spec, submitAt: now, s: s,
 	}
+	j.workDoneFn, j.completeFn = j.workDone, j.complete
 	if spec.Deadline > 0 {
 		j.deadline = now + spec.Deadline
 	}
@@ -492,12 +506,7 @@ func (s *scheduler) start(j *job, server int) {
 	s.pools.granted(j)
 	s.committed[server] += grant
 	j.vm = s.fleet.AddJobVM(server, fmt.Sprintf("%s-a%d", j.name, j.evictions+1), grant)
-	j.app = apps.NewFiniteWork(s.loop, j.vm, j.remaining(), func() {
-		// Defer completion out of the hypervisor's dispatch path: the
-		// callback fires inside the guest-work completion, where tearing
-		// the VM down and placing successors is not re-entrant-safe.
-		s.loop.After(0, func() { s.complete(j) })
-	})
+	j.app = apps.NewFiniteWork(s.loop, j.vm, j.remaining(), j.workDoneFn)
 	j.app.Start()
 	s.running[server] = append(s.running[server], j)
 }
@@ -521,6 +530,7 @@ func (s *scheduler) complete(j *job) {
 	j.doneAt = now
 	s.detach(j)
 	s.fleet.RemoveJobVM(j.server, j.vm)
+	j.vm, j.app = nil, nil
 	s.obs.OnJobComplete(obs.JobComplete{
 		At: now, Job: j.name, Server: j.server, Elapsed: now - j.submitAt, Evictions: j.evictions,
 	})
@@ -593,7 +603,7 @@ func (s *scheduler) evict(j *job, cause evictCause) {
 	})
 	s.detach(j)
 	s.fleet.RemoveJobVM(j.server, j.vm)
-	j.app = nil
+	j.vm, j.app = nil, nil
 	j.grant = 0
 	if final {
 		j.state = stateAbandoned

@@ -158,7 +158,8 @@ func (s *Server) ConfigurePhases(boundaries []sim.Time) {
 // warmup ones alike).
 func (s *Server) Completed() uint64 { return s.completed }
 
-// Offered returns the number of requests generated so far.
+// Offered returns the number of requests generated so far. It stops at the
+// VM's removal: a departed tenant offers no load.
 func (s *Server) Offered() uint64 { return s.offered }
 
 // Start begins generating load. It may only be called once.
@@ -178,7 +179,14 @@ func (s *Server) scheduleNext() {
 	s.loop.After(gap, s.arrive)
 }
 
+// arrival admits the scheduled batch and arms the next one. A server whose
+// VM has been removed (its tenant departed) falls silent instead: the VM
+// would drop every request, so arrivals past that point are unobservable
+// except as stranded records, heap events and Offered.
 func (s *Server) arrival() {
+	if s.vm.Removed() {
+		return
+	}
 	for i, n := 0, s.batch; i < n; i++ {
 		s.admit()
 	}
