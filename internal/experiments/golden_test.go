@@ -1,0 +1,91 @@
+package experiments
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"smartharvest/internal/sim"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+// goldenConfig is the scale every experiment is pinned at: Quick's seed
+// with one measured simulated second after a half-second warmup.
+func goldenConfig() Config {
+	cfg := Quick()
+	cfg.Duration = sim.Second
+	cfg.Warmup = 500 * sim.Millisecond
+	return cfg
+}
+
+// TestExperimentGoldens pins every registered experiment's text report,
+// CSV rows and JSON rows byte for byte against testdata/golden. table3
+// times the learner on the wall clock, so only its shape — line count
+// and row keys — is pinned. Regenerate with `go test
+// ./internal/experiments -run TestExperimentGoldens -update`, only for
+// an intended change of a report.
+func TestExperimentGoldens(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			rep, err := e.Run(goldenConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.ID == "table3" {
+				checkGolden(t, e.ID+".shape", []byte(reportShape(rep)))
+				return
+			}
+			checkGolden(t, e.ID+".txt", []byte(rep.String()))
+			checkGolden(t, e.ID+".csv", rep.CSV())
+			checkGolden(t, e.ID+".json", rep.RowsJSON())
+		})
+	}
+}
+
+// reportShape renders what of a report does not depend on timing: its
+// line count and, per row, the section, the string cells and the keys.
+func reportShape(r *Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "lines %d\n", len(r.Lines))
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "row %q", row.Section)
+		for _, c := range row.Cells {
+			if c.Numeric {
+				fmt.Fprintf(&b, " %s", c.Key)
+			} else {
+				fmt.Fprintf(&b, " %s=%q", c.Key, c.Str)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// checkGolden compares got with testdata/golden/name, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden:\n--- want ---\n%s\n--- got ---\n%s", path, want, got)
+	}
+}
