@@ -37,7 +37,9 @@ type Grid struct {
 // consecutive-seed family). Zero fields inherit from Grid.Defaults,
 // then from the built-in defaults (quick scale, seed 1).
 type GridRun struct {
-	// ID is the artifact file stem; default "<experiment>-s<seed>".
+	// ID is the artifact file stem; default "<experiment>-s<seed>". It
+	// may use only A-Z, a-z, 0-9, '.', '_' and '-', and may not start
+	// with '.', so it names a plain file inside the output directory.
 	ID string `json:"id,omitempty"`
 	// Experiment is the experiment identifier (see -list). Required on
 	// runs; ignored on Defaults.
@@ -168,6 +170,13 @@ func (g *Grid) Expand() ([]ResolvedRun, error) {
 		if seeds == 0 {
 			seeds = 1
 		}
+		if seeds > maxSeeds {
+			return nil, fmt.Errorf("bench: grid run %d (%s): %d seeds exceeds %d", i, run.Experiment, seeds, maxSeeds)
+		}
+		if run.ID != "" && !safeStem(run.ID) {
+			return nil, fmt.Errorf("bench: grid run %d (%s): run id %q is not a safe file stem "+
+				"(use A-Z a-z 0-9 . _ - and do not start with .)", i, run.Experiment, run.ID)
+		}
 		for rep := 0; rep < seeds; rep++ {
 			rcfg := cfg
 			rcfg.Seed = cfg.Seed + uint64(rep)
@@ -184,6 +193,27 @@ func (g *Grid) Expand() ([]ResolvedRun, error) {
 		}
 	}
 	return out, nil
+}
+
+// maxSeeds bounds one run's seed family, so a typo cannot expand a grid
+// into billions of runs.
+const maxSeeds = 10000
+
+// safeStem reports whether id can name an artifact file inside the
+// output directory: non-empty, only [A-Za-z0-9._-], no leading '.'.
+func safeStem(id string) bool {
+	if id == "" || id[0] == '.' {
+		return false
+	}
+	for _, r := range id {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '.', r == '_', r == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // merged overlays run's set fields on the defaults.

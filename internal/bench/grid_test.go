@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,7 @@ func TestGridValidationErrors(t *testing.T) {
 		{"bad predictor", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","predictor":"oracle9000"}]}`, "predictor"},
 		{"bad faults", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","faults":"drop=many"}]}`, "fault"},
 		{"negative seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":-2}]}`, "negative seeds"},
+		{"too many seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":2000000000}]}`, "seeds exceeds"},
 		{"duplicate ids", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1"},{"experiment":"table1"}]}`, "duplicate run id"},
 	}
 	for _, tc := range cases {
@@ -96,6 +98,28 @@ func TestGridValidationErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestGridRejectsEscapingID: an id is a file stem inside -grid-out, so
+// one that climbs out of the directory (or hides in it) is refused.
+func TestGridRejectsEscapingID(t *testing.T) {
+	for _, id := range []string{"../escaped", "sub/run", ".hidden", ".."} {
+		grid := `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","id":` + strconv.Quote(id) + `}]}`
+		if _, err := ParseGrid([]byte(grid)); err == nil || !strings.Contains(err.Error(), "safe file stem") {
+			t.Errorf("id %q: err = %v, want a safe-file-stem error", id, err)
+		}
+	}
+}
+
+// TestGridRejectsUnquotedManifestID: the manifest writes ids unquoted, so
+// one carrying CSV syntax is refused rather than corrupting the manifest.
+func TestGridRejectsUnquotedManifestID(t *testing.T) {
+	for _, id := range []string{`a,"b`, "a,b", "a\nb", "a b"} {
+		grid := `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","id":` + strconv.Quote(id) + `}]}`
+		if _, err := ParseGrid([]byte(grid)); err == nil || !strings.Contains(err.Error(), "safe file stem") {
+			t.Errorf("id %q: err = %v, want a safe-file-stem error", id, err)
+		}
 	}
 }
 

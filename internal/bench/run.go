@@ -74,7 +74,9 @@ func WriteArtifacts(dir string, results []RunResult) error {
 		if rr.Err != nil {
 			status = "error"
 		}
-		manifest += fmt.Sprintf("%s,%s,%s\n", csvField(rr.ID), csvField(rr.Experiment), status)
+		// Expand admits only safe file stems and registered experiment
+		// IDs, so neither field needs CSV quoting.
+		manifest += fmt.Sprintf("%s,%s,%s\n", rr.ID, rr.Experiment, status)
 		for _, a := range Artifacts(rr) {
 			if err := os.WriteFile(filepath.Join(dir, a.Name), a.Data, 0o644); err != nil {
 				return fmt.Errorf("bench: writing %s: %w", a.Name, err)
@@ -85,16 +87,6 @@ func WriteArtifacts(dir string, results []RunResult) error {
 		return fmt.Errorf("bench: writing manifest: %w", err)
 	}
 	return nil
-}
-
-// csvField is a minimal CSV escape for manifest fields.
-func csvField(s string) string {
-	for _, r := range s {
-		if r == ',' || r == '"' || r == '\n' {
-			return `"` + s + `"` // ids/experiments never contain quotes
-		}
-	}
-	return s
 }
 
 // SortedArtifactNames lists artifact file names (including the
