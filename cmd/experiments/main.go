@@ -9,8 +9,7 @@
 // report prints to stdout; -out additionally writes one file per
 // experiment.
 //
-// Scenarios within an experiment always run on harness.RunAll's worker
-// pool, and when several experiments are requested the experiments
+// The runs within an experiment always share one worker pool, and when several experiments are requested the experiments
 // themselves also run concurrently; reports stream to stdout in request
 // order regardless. All output is byte-identical to a serial run
 // (-parallel 1) with the same seed.
@@ -25,12 +24,14 @@
 //	           (default 0 = GOMAXPROCS; 1 = fully serial)
 //	-quick     shortcut for -duration 6s
 //	-out DIR   also write <DIR>/<id>.txt
-//	-trace DIR write one JSONL event trace per scenario into DIR
-//	           (poll samples omitted; see internal/obs). Traces are
-//	           byte-identical at any -parallel setting.
+//	-trace DIR write one JSONL event trace per run (scenario or
+//	           fleet-scheduler run) into DIR (poll samples omitted; see
+//	           internal/obs). Traces are byte-identical at any -parallel
+//	           setting.
 //	-check     attach the invariant checker (internal/check) to every
-//	           scenario run; any violation fails its experiment with the
-//	           checker's report, and a verification tally is printed
+//	           scenario and scheduler run; any violation fails its
+//	           experiment with the checker's report, and a verification
+//	           tally is printed
 //	-faults    fault plan injected into the sched experiment's fleet
 //	           (key=value pairs; see internal/faults.ParsePlan for the
 //	           agent and fleet keys). Experiments that own their plans
@@ -94,7 +95,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "scenario/experiment worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	quick := flag.Bool("quick", false, "short runs (6s simulated)")
 	outDir := flag.String("out", "", "directory to also write per-experiment reports to")
-	traceDir := flag.String("trace", "", "directory to write per-scenario JSONL event traces to")
+	traceDir := flag.String("trace", "", "directory to write per-run JSONL event traces to")
 	checkRuns := flag.Bool("check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
 	faultsPlan := flag.String("faults", "", "fault plan for the sched experiment's fleet (key=value pairs; agent keys: hfail, hdelay, drop, stale, noise, stall, crash; fleet keys: scrash, gdrop, gdelay, rstale, rloss, srestartdur, gdelaydur; e.g. 'drop=0.01,scrash=0.002')")
 	predictor := flag.String("predictor", "", "peak predictor for every smartharvest row: csoaa (default), adagrad, ewma, periodic, mlp, ensemble")

@@ -1,10 +1,22 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5). Each experiment declares the full list of scenarios it
-// needs up front, runs them on harness.RunAll's worker pool (every
-// scenario is an independent, seeded simulation), and then formats the
-// same rows/series the paper reports from the collected results.
-// cmd/experiments exposes them on the command line; bench_test.go at the
-// repository root wraps each one in a testing.B benchmark.
+// evaluation (§5), plus the extensions beyond it. cmd/experiments exposes
+// them on the command line; bench_test.go at the repository root wraps
+// each one in a testing.B benchmark.
+//
+// An experiment is declared as data over two helpers (table.go):
+//
+//   - A sweep is a list of sections, each one baseline plus its arms. An
+//     arm is one independent seeded run: a single-server scenario or a
+//     fleet-scheduler run. All arms of all sections run on one worker pool
+//     in declaration order and each result lands on its arm. The one run
+//     path attaches the invariant checker (Config.Check) and a JSONL trace
+//     named by the run's index (Config.TraceDir) to every run alike.
+//   - A table declares its columns once: header, width, format, and a
+//     typed Row key, or no key for text-only columns such as "vs base".
+//     Each add call renders the text line and records the Row from the
+//     same values, so Report.Lines and Report.Rows cannot drift apart.
+//     Shared column sets cover the recurring P99 / vs base / harvested
+//     columns and the sched family's job counts and goodput / SLO tail.
 //
 // Absolute numbers differ from the paper (the substrate is a calibrated
 // simulator, not the authors' Hyper-V testbed); the shapes — who wins, by
@@ -13,21 +25,17 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 
 	"smartharvest/internal/apps"
-	"smartharvest/internal/check"
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
+	"smartharvest/internal/hypervisor"
+	"smartharvest/internal/learner"
 	"smartharvest/internal/metrics"
-	"smartharvest/internal/obs"
-	"smartharvest/internal/sched"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/textplot"
 )
@@ -42,16 +50,17 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Parallel bounds the scenario worker pool (0 = GOMAXPROCS).
-	// Results are byte-identical at any setting; see harness.RunAll.
+	// Results are byte-identical at any setting; see sweep.
 	Parallel int
-	// TraceDir, when non-empty, writes one JSONL event trace per scenario
-	// into the directory (poll samples omitted — they dominate volume
-	// ~1000:1). Each scenario owns its file, so traces are byte-identical
-	// at any Parallel setting. The directory must exist.
+	// TraceDir, when non-empty, writes one JSONL event trace per run —
+	// scenario or fleet-scheduler run — into the directory (poll samples
+	// omitted — they dominate volume ~1000:1). Each run owns its file, so
+	// traces are byte-identical at any Parallel setting. The directory
+	// must exist.
 	TraceDir string
 	// Check attaches an invariant checker (internal/check) to every
-	// scenario run; any violation fails the experiment with the checker's
-	// report. CheckStats reports the process-wide tally.
+	// scenario and scheduler run; any violation fails the experiment with
+	// the checker's report. CheckStats reports the process-wide tally.
 	Check bool
 	// Faults, when enabled, is injected into the sched experiment's
 	// fleet (every server), composing the job schedulers with degraded
@@ -99,126 +108,6 @@ func Default() Config {
 // Quick returns a configuration for smoke tests and benchmarks.
 func Quick() Config {
 	return Config{Duration: 6 * sim.Second, Warmup: 2 * sim.Second, Seed: 1}
-}
-
-// runAll executes scenarios on the configured worker pool, attaching a
-// per-scenario JSONL trace writer when cfg.TraceDir is set and an
-// invariant checker per scenario when cfg.Check is set.
-func runAll(cfg Config, scenarios []harness.Scenario) ([]*harness.Result, error) {
-	if cfg.Check {
-		for i := range scenarios {
-			scenarios[i].Checker = check.New()
-		}
-	}
-	results, err := runTraced(cfg, scenarios)
-	if err != nil {
-		return results, err
-	}
-	if cfg.Check {
-		var errs []error
-		for i, res := range results {
-			if res != nil && res.Check != nil && !tallyCheck(res.Check) {
-				errs = append(errs, fmt.Errorf("experiments: scenario %d (%s) violated invariants:\n%s",
-					i, scenarios[i].Name, res.Check))
-			}
-		}
-		if len(errs) > 0 {
-			return results, errors.Join(errs...)
-		}
-	}
-	return results, nil
-}
-
-// runSched is runAll for fleet-scheduler runs: it executes them on the
-// configured worker pool, attaching a check.JobChecker per run when
-// cfg.Check is set, and collects by index. A run that fails leaves a nil
-// entry; it, and any run that violated an invariant, contributes one
-// error labelled label(i) to the joined error.
-func runSched(cfg Config, runs []sched.Config, label func(i int) string) ([]*sched.Result, error) {
-	results := make([]*sched.Result, len(runs))
-	errs := make([]error, len(runs))
-	harness.ForEach(len(runs), cfg.Parallel, func(i int) {
-		if cfg.Check {
-			runs[i].Checker = check.NewJobChecker()
-		}
-		res, err := sched.Run(runs[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s: %w", label(i), err)
-			return
-		}
-		results[i] = res
-		if res.Check != nil && !tallyCheck(res.Check) {
-			errs[i] = fmt.Errorf("experiments: %s violated invariants:\n%s", label(i), res.Check)
-		}
-	})
-	return results, errors.Join(errs...)
-}
-
-// tallyCheck counts one invariant-verified run, and its violations, into
-// CheckStats and reports whether the run passed.
-func tallyCheck(rep *check.Report) bool {
-	checkedRuns.Add(1)
-	if !rep.OK() {
-		checkViolations.Add(int64(len(rep.Violations) + rep.Dropped))
-	}
-	return rep.OK()
-}
-
-// runTraced is runAll minus checking: the worker pool plus optional
-// per-scenario JSONL traces.
-func runTraced(cfg Config, scenarios []harness.Scenario) ([]*harness.Result, error) {
-	if cfg.TraceDir == "" {
-		return harness.RunAll(scenarios, harness.Parallelism(cfg.Parallel))
-	}
-	files := make([]*os.File, len(scenarios))
-	sinks := make([]*obs.JSONL, len(scenarios))
-	for i := range scenarios {
-		// The index keeps names unique (sweeps reuse scenario names).
-		name := fmt.Sprintf("%s-s%d-%03d.jsonl",
-			sanitizeTraceName(scenarios[i].Name), scenarios[i].Seed, i)
-		f, err := os.Create(filepath.Join(cfg.TraceDir, name))
-		if err != nil {
-			for _, prev := range files[:i] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("experiments: creating trace: %w", err)
-		}
-		files[i] = f
-		sinks[i] = obs.NewJSONL(f, obs.JSONLOmitPolls())
-		// Chain rather than replace: experiments that attach their own
-		// per-scenario observer (the predictor ablation's accuracy
-		// tracker) keep receiving events alongside the trace sink.
-		scenarios[i].Observer = obs.Multi(scenarios[i].Observer, sinks[i])
-	}
-	results, err := harness.RunAll(scenarios, harness.Parallelism(cfg.Parallel))
-	errs := []error{err}
-	for i, sink := range sinks {
-		if ferr := sink.Flush(); ferr != nil {
-			errs = append(errs, fmt.Errorf("experiments: trace %s: %w", files[i].Name(), ferr))
-		}
-		if cerr := files[i].Close(); cerr != nil {
-			errs = append(errs, fmt.Errorf("experiments: trace %s: %w", files[i].Name(), cerr))
-		}
-	}
-	return results, errors.Join(errs...)
-}
-
-// sanitizeTraceName maps a scenario name to a safe filename stem.
-func sanitizeTraceName(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	if b.Len() == 0 {
-		return "scenario"
-	}
-	return b.String()
 }
 
 // Report is a formatted experiment result. Lines carry the rendered
@@ -313,12 +202,12 @@ func ms(ns int64) string {
 	}
 }
 
-// pct formats the latency delta of p99 against a baseline.
-func pct(p99, base int64) string {
+// pct formats the relative change of v against a baseline.
+func pct[T int | int64 | float64](v, base T) string {
 	if base == 0 {
 		return "n/a"
 	}
-	return fmt.Sprintf("%+.0f%%", (float64(p99)/float64(base)-1)*100)
+	return fmt.Sprintf("%+.0f%%", (float64(v)/float64(base)-1)*100)
 }
 
 // standardPrimaries returns the paper's four primary workloads at their
@@ -344,15 +233,22 @@ func subMillisecond(spec apps.PrimarySpec) bool {
 
 // scenario builds a single-primary scenario with the shared defaults.
 func scenario(cfg Config, name string, spec apps.PrimarySpec, ctrl harness.ControllerFactory) harness.Scenario {
+	return scenarioOf(cfg, name, ctrl, subMillisecond(spec), spec)
+}
+
+// scenarioOf builds a scenario of the given primaries with CPUBully as
+// the batch, cfg's duration, warmup and seed, and the long-term safeguard
+// set by guard.
+func scenarioOf(cfg Config, name string, ctrl harness.ControllerFactory, guard bool, primaries ...apps.PrimarySpec) harness.Scenario {
 	return harness.Scenario{
 		Name:              name,
-		Primaries:         []apps.PrimarySpec{spec},
+		Primaries:         primaries,
 		Batch:             harness.BatchCPUBully,
 		Controller:        ctrl,
 		Duration:          cfg.Duration,
 		Warmup:            cfg.Warmup,
 		Seed:              cfg.Seed,
-		LongTermSafeguard: subMillisecond(spec),
+		LongTermSafeguard: guard,
 	}
 }
 
@@ -362,43 +258,68 @@ func smartharvest(cfg Config) harness.ControllerFactory {
 	return harness.SmartHarvestPredictorFactory(cfg.Predictor, core.SmartHarvestOptions{})
 }
 
-// policyRow pairs a display name with a controller factory; every sweep
-// declares its policies as rows, runs them in one batch, and formats
-// afterwards.
-type policyRow struct {
-	name string
-	f    harness.ControllerFactory
+// controller maps a policy name, as the reports print it, to its
+// factory: noharvest, smartharvest (cfg's predictor), prevpeak,
+// prevpeak10, or fixedbuffer-k.
+func controller(cfg Config, name string) harness.ControllerFactory {
+	switch name {
+	case "noharvest":
+		return harness.NoHarvestFactory()
+	case "smartharvest":
+		return smartharvest(cfg)
+	case "prevpeak":
+		return harness.PrevPeakFactory(1, false)
+	case "prevpeak10":
+		return harness.PrevPeakFactory(10, true)
+	}
+	var k int
+	if _, err := fmt.Sscanf(name, "fixedbuffer-%d", &k); err != nil {
+		panic("experiments: unknown policy " + name)
+	}
+	return harness.FixedBufferFactory(k)
 }
+
+// fixedBuffers names a fixed-buffer sweep.
+func fixedBuffers(ks ...int) []string {
+	names := make([]string, len(ks))
+	for i, k := range ks {
+		names[i] = fmt.Sprintf("fixedbuffer-%d", k)
+	}
+	return names
+}
+
+// mechanisms are the two core-reassignment mechanisms, cpugroups first.
+var mechanisms = []hypervisor.Mechanism{hypervisor.CpuGroups, hypervisor.IPI}
 
 // Table1 reproduces the paper's Table 1: average and average-peak busy
 // cores for each primary workload running alone in a 10-core VM, polled
 // every 50 µs with peaks per 25 ms window.
 func Table1(cfg Config) (*Report, error) {
-	specs := standardPrimaries()
-	scens := make([]harness.Scenario, len(specs))
-	for i, spec := range specs {
+	var sec section
+	for _, spec := range standardPrimaries() {
 		s := scenario(cfg, "table1-"+spec.Name, spec, harness.NoHarvestFactory())
 		s.CollectBusyStats = true
-		scens[i] = s
+		sec.add(spec.Name, s)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, &sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "table1", Title: "avg CPU stats in #cores (primary alone, 10-core VM)"}
-	r.addf("%-12s %10s %12s %12s", "workload", "qps", "avg busy", "avg peak")
+	t := newTable(r,
+		col{head: "workload", w: -12, key: "workload"},
+		col{head: "qps", w: 10, verb: "%.0f", key: "qps"},
+		col{head: "avg busy", w: 12, verb: "%.2f", key: "avg_busy_cores"},
+		col{head: "avg peak", w: 12, verb: "%.2f", key: "avg_peak_cores"},
+		col{})
 	paper := map[string][2]float64{
 		"indexserve": {1.3, 7.0}, "memcached": {2.3, 7.7},
 		"moses": {1.5, 5.2}, "img-dnn": {1.7, 6.9},
 	}
-	for i, spec := range specs {
-		res := results[i]
-		p := paper[spec.Name]
-		r.addf("%-12s %10.0f %12.2f %12.2f   (paper: %.1f / %.1f)",
-			spec.Name, spec.QPS, res.AvgBusyCores, res.AvgWindowPeak, p[0], p[1])
-		r.row("", S("workload", spec.Name), N("qps", spec.QPS),
-			N("avg_busy_cores", res.AvgBusyCores), N("avg_peak_cores", res.AvgWindowPeak))
+	for _, a := range sec.arms {
+		p := paper[a.name]
+		t.add("", a.name, a.scen.Primaries[0].QPS, a.res.AvgBusyCores, a.res.AvgWindowPeak,
+			fmt.Sprintf("  (paper: %.1f / %.1f)", p[0], p[1]))
 	}
 	return r, nil
 }
@@ -406,33 +327,25 @@ func Table1(cfg Config) (*Report, error) {
 // Fig4 reproduces the learning-window sweep: Memcached + CPUBully with
 // 15/25/35 ms windows, reporting P99 against the harvest achieved.
 func Fig4(cfg Config) (*Report, error) {
-	windows := []sim.Time{15 * sim.Millisecond, 25 * sim.Millisecond, 35 * sim.Millisecond}
-	scens := []harness.Scenario{
-		scenario(cfg, "fig4-base", apps.Memcached(40000), harness.NoHarvestFactory()),
-	}
-	for _, w := range windows {
-		s := scenario(cfg, "fig4-w", apps.Memcached(40000), smartharvest(cfg))
+	spec := apps.Memcached(40000)
+	sec := withBase(scenario(cfg, "fig4-base", spec, harness.NoHarvestFactory()))
+	for _, w := range []sim.Time{15 * sim.Millisecond, 25 * sim.Millisecond, 35 * sim.Millisecond} {
+		s := scenario(cfg, "fig4-w", spec, smartharvest(cfg))
 		s.Window = w
-		scens = append(scens, s)
+		sec.add(fmt.Sprintf("smartharvest (%dms)", int(w.Milliseconds())), s)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig4", Title: "learning window size exploration (Memcached 40k + CPUBully)"}
-	base := results[0]
-	r.addf("%-22s %10s %8s %12s", "config", "P99", "vs base", "harvested")
-	r.addf("%-22s %10s %8s %12s", "no harvesting", ms(base.P99(0)), "-", "0.00")
-	r.row("", S("config", "noharvest"), N("window_ms", 0),
-		N("p99_ns", float64(base.P99(0))), N("harvested_cores", 0))
-	for i, w := range windows {
-		res := results[i+1]
-		r.addf("%-22s %10s %8s %12.2f",
-			fmt.Sprintf("smartharvest (%dms)", int(w.Milliseconds())),
-			ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		r.row("", S("config", "smartharvest"), N("window_ms", float64(w.Milliseconds())),
-			N("p99_ns", float64(res.P99(0))), N("harvested_cores", res.AvgHarvestedCores))
+	t := newTable(r, append([]col{
+		{key: "config", hide: true}, {key: "window_ms", hide: true}, {head: "config", w: -22},
+	}, p99Cols...)...)
+	base := sec.base.res
+	t.add("", "noharvest", 0, "no harvesting", vsBase(base, nil))
+	for _, a := range sec.arms {
+		t.add("", "smartharvest", a.scen.Window.Milliseconds(), a.name, vsBase(a.res, base))
 	}
 	return r, nil
 }
@@ -451,65 +364,41 @@ var fig5Buffers = map[string][]int{
 // SmartHarvest, and PrevPeak, for each of the four primaries co-located
 // with CPUBully. All four workloads' sweeps run on one worker pool.
 func Fig5(cfg Config) (*Report, error) {
-	specs := standardPrimaries()
-	type block struct {
-		spec apps.PrimarySpec
-		base int // scenario index of the no-harvest baseline
-		rows []policyRow
-		idx  []int // scenario index per row
+	var secs []*section
+	for _, spec := range standardPrimaries() {
+		sec := withBase(scenario(cfg, "fig5-base", spec, harness.NoHarvestFactory()))
+		for _, p := range append([]string{"smartharvest", "prevpeak"}, fixedBuffers(fig5Buffers[spec.Name]...)...) {
+			sec.add(p, scenario(cfg, "fig5-"+spec.Name+"-"+p, spec, controller(cfg, p)))
+		}
+		secs = append(secs, sec)
 	}
-	var scens []harness.Scenario
-	blocks := make([]block, len(specs))
-	for bi, spec := range specs {
-		blk := block{spec: spec, base: len(scens)}
-		scens = append(scens, scenario(cfg, "fig5-base", spec, harness.NoHarvestFactory()))
-		blk.rows = []policyRow{
-			{"smartharvest", smartharvest(cfg)},
-			{"prevpeak", harness.PrevPeakFactory(1, false)},
-		}
-		for _, k := range fig5Buffers[spec.Name] {
-			blk.rows = append(blk.rows, policyRow{fmt.Sprintf("fixedbuffer-%d", k), harness.FixedBufferFactory(k)})
-		}
-		for _, rw := range blk.rows {
-			blk.idx = append(blk.idx, len(scens))
-			scens = append(scens, scenario(cfg, "fig5-"+spec.Name+"-"+rw.name, spec, rw.f))
-		}
-		blocks[bi] = blk
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, secs...); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig5", Title: "single primary VM co-located with CPUBully"}
-	for _, blk := range blocks {
-		base := results[blk.base]
-		r.addf("--- %s (%0.0f qps), allowed P99 = +10%% of %s ---", blk.spec.Name, blk.spec.QPS, ms(base.P99(0)))
-		r.addf("%-18s %10s %8s %10s %12s %s", "policy", "P99", "vs base", "P99.9", "harvested", "flags")
+	for _, sec := range secs {
+		spec, base := sec.base.scen.Primaries[0], sec.base.res
+		r.addf("--- %s (%0.0f qps), allowed P99 = +10%% of %s ---", spec.Name, spec.QPS, ms(base.P99(0)))
+		t := newTable(r,
+			col{head: "policy", w: -18, key: "policy"},
+			p99Cols[0], p99Cols[1],
+			col{head: "P99.9", w: 10, verb: msVerb, key: "p999_ns"},
+			p99Cols[2],
+			col{head: "flags"})
+		t.rec(spec.Name, "noharvest", base.P99(0), nil, base.Primaries[0].Latency.P999, 0.0, nil)
 		scatter := map[string][]textplot.Point{
 			"noharvest": {{X: 0, Y: float64(base.P99(0)) / 1e6}},
 		}
-		r.row(blk.spec.Name, S("policy", "noharvest"),
-			N("p99_ns", float64(base.P99(0))),
-			N("p999_ns", float64(base.Primaries[0].Latency.P999)),
-			N("harvested_cores", 0))
-		for i, rw := range blk.rows {
-			res := results[blk.idx[i]]
+		for _, a := range sec.arms {
+			res := a.res
 			flags := ""
 			if float64(res.P99(0)) > float64(base.P99(0))*1.1 {
 				flags = "VIOLATES +10%"
 			}
-			r.addf("%-18s %10s %8s %10s %12.2f %s",
-				rw.name, ms(res.P99(0)), pct(res.P99(0), base.P99(0)),
-				ms(res.Primaries[0].Latency.P999), res.AvgHarvestedCores, flags)
-			r.row(blk.spec.Name, S("policy", rw.name),
-				N("p99_ns", float64(res.P99(0))),
-				N("p999_ns", float64(res.Primaries[0].Latency.P999)),
-				N("harvested_cores", res.AvgHarvestedCores))
-			key := rw.name
-			if strings.HasPrefix(key, "fixedbuffer") {
-				key = "fixedbuffer"
-			}
+			t.add(spec.Name, a.name, res.P99(0), pct(res.P99(0), base.P99(0)),
+				res.Primaries[0].Latency.P999, res.AvgHarvestedCores, flags)
+			key := strings.TrimRight(a.name, "-0123456789") // one series for all fixed buffers
 			scatter[key] = append(scatter[key], textplot.Point{
 				X: res.AvgHarvestedCores, Y: float64(res.P99(0)) / 1e6,
 			})
@@ -520,7 +409,7 @@ func Fig5(cfg Config) (*Report, error) {
 			{Name: "prevpeak", Glyph: 'o', Points: scatter["prevpeak"]},
 			{Name: "fixed buffers", Glyph: '+', Points: scatter["fixedbuffer"]},
 		}, textplot.Options{
-			Title:  fmt.Sprintf("%s: P99 vs cores harvested", blk.spec.Name),
+			Title:  fmt.Sprintf("%s: P99 vs cores harvested", spec.Name),
 			XLabel: "avg cores harvested", YLabel: "P99 ms", LogY: true,
 			Width: 52, Height: 12,
 		}))
@@ -530,59 +419,38 @@ func Fig5(cfg Config) (*Report, error) {
 
 // Fig6 reproduces the realistic-batch experiment: IndexServe co-located
 // with HDInsight and TeraSort, reporting batch speedup (vs a 1-core
-// ElasticVM) against IndexServe's P99. Each policy declares a
-// (with, baseline) scenario pair so both runs share the worker pool.
+// ElasticVM) against IndexServe's P99. Each policy arm is followed by its
+// no-harvest speedup reference, so both runs share the worker pool.
 func Fig6(cfg Config) (*Report, error) {
 	spec := apps.IndexServe(500)
-	batches := []harness.BatchKind{harness.BatchHDInsight, harness.BatchTeraSort}
-	rows := []policyRow{
-		{"smartharvest", smartharvest(cfg)},
-		{"prevpeak", harness.PrevPeakFactory(1, false)},
-		{"fixedbuffer-7", harness.FixedBufferFactory(7)},
-		{"fixedbuffer-4", harness.FixedBufferFactory(4)},
-		{"fixedbuffer-2", harness.FixedBufferFactory(2)},
-	}
-	type block struct {
-		batch harness.BatchKind
-		base  int
-		with  []int // per row: the policy run
-		bline []int // per row: its no-harvest speedup baseline
-	}
-	var scens []harness.Scenario
-	blocks := make([]block, len(batches))
-	for bi, batch := range batches {
-		blk := block{batch: batch, base: len(scens)}
-		scens = append(scens, scenario(cfg, "fig6-base", spec, harness.NoHarvestFactory()))
-		for _, rw := range rows {
-			s := scenario(cfg, "fig6-"+rw.name, spec, rw.f)
+	var secs []*section
+	for _, batch := range []harness.BatchKind{harness.BatchHDInsight, harness.BatchTeraSort} {
+		sec := withBase(scenario(cfg, "fig6-base", spec, harness.NoHarvestFactory()))
+		for _, p := range append([]string{"smartharvest", "prevpeak"}, fixedBuffers(7, 4, 2)...) {
+			s := scenario(cfg, "fig6-"+p, spec, controller(cfg, p))
 			s.Batch = batch
-			blk.with = append(blk.with, len(scens))
-			scens = append(scens, s)
-			blk.bline = append(blk.bline, len(scens))
-			scens = append(scens, harness.BaselineScenario(s))
+			sec.add(p, s)
+			sec.add(p, harness.BaselineScenario(s))
 		}
-		blocks[bi] = blk
+		secs = append(secs, sec)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, secs...); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig6", Title: "IndexServe co-located with real batch workloads"}
-	for _, blk := range blocks {
-		base := results[blk.base]
-		r.addf("--- %s w/ %s, no-harvest P99 = %s ---", spec.Name, blk.batch, ms(base.P99(0)))
-		r.addf("%-18s %10s %8s %9s", "policy", "P99", "vs base", "speedup")
-		for i, rw := range rows {
-			with := results[blk.with[i]]
-			speedup, err := harness.Speedup(with, results[blk.bline[i]])
+	for _, sec := range secs {
+		batch, base := sec.arms[0].scen.Batch, sec.base.res
+		r.addf("--- %s w/ %s, no-harvest P99 = %s ---", spec.Name, batch, ms(base.P99(0)))
+		t := newTable(r, col{head: "policy", w: -18, key: "policy"}, p99Cols[0], p99Cols[1],
+			col{head: "speedup", w: 9, verb: "%.2fx", key: "batch_speedup"})
+		for i := 0; i < len(sec.arms); i += 2 {
+			with := sec.arms[i]
+			speedup, err := harness.Speedup(with.res, sec.arms[i+1].res)
 			if err != nil {
-				return nil, fmt.Errorf("fig6 %s/%s: %w", blk.batch, rw.name, err)
+				return nil, fmt.Errorf("fig6 %s/%s: %w", batch, with.name, err)
 			}
-			r.addf("%-18s %10s %8s %8.2fx",
-				rw.name, ms(with.P99(0)), pct(with.P99(0), base.P99(0)), speedup)
-			r.row(blk.batch.String(), S("policy", rw.name),
-				N("p99_ns", float64(with.P99(0))), N("batch_speedup", speedup))
+			t.add(batch.String(), with.name, vsBase(with.res, base)[:2], speedup)
 		}
 	}
 	return r, nil
@@ -594,59 +462,38 @@ func Fig6(cfg Config) (*Report, error) {
 func Table2(cfg Config) (*Report, error) {
 	// Each offered load runs for the full configured duration (the paper
 	// gives each load a minute); short phases would let the transition
-	// spike dominate the phase P99.
+	// spike dominate the phase P99. Per-phase latencies need phase
+	// boundaries on the server, aligned with the arrival process's phase
+	// boundaries (which count from t=0), not with the warmup cut.
 	phaseLen := cfg.Duration
-	spec := apps.MemcachedVaryingLoad([]float64{80000, 20000, 160000}, phaseLen)
-
-	// Per-phase latencies need phase boundaries on the server; rebuild
-	// the spec with them. Histogram phases must align with the arrival
-	// process's phase boundaries (which count from t=0), not with the
-	// warmup cut.
-	mkScenario := func(name string, f harness.ControllerFactory) harness.Scenario {
-		s := scenario(cfg, name, specWithPhases(spec, []sim.Time{
-			phaseLen, 2 * phaseLen,
-		}), f)
+	spec := apps.WithPhaseBoundaries(
+		apps.MemcachedVaryingLoad([]float64{80000, 20000, 160000}, phaseLen),
+		[]sim.Time{phaseLen, 2 * phaseLen})
+	var sec section
+	for _, p := range append([]string{"noharvest", "smartharvest", "prevpeak"}, fixedBuffers(5, 6, 7)...) {
+		s := scenario(cfg, "table2-"+p, spec, controller(cfg, p))
 		s.Duration = 3 * phaseLen
-		return s
+		sec.add(p, s)
 	}
-	rows := []policyRow{
-		{"noharvest", harness.NoHarvestFactory()},
-		{"smartharvest", smartharvest(cfg)},
-		{"prevpeak", harness.PrevPeakFactory(1, false)},
-		{"fixedbuffer-5", harness.FixedBufferFactory(5)},
-		{"fixedbuffer-6", harness.FixedBufferFactory(6)},
-		{"fixedbuffer-7", harness.FixedBufferFactory(7)},
-	}
-	scens := make([]harness.Scenario, len(rows))
-	for i, rw := range rows {
-		scens[i] = mkScenario("table2-"+rw.name, rw.f)
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, &sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "table2", Title: "Memcached with varying load over time (80k/20k/160k QPS)"}
-	r.addf("%-15s %12s %12s %12s %10s", "policy", "P99@80k", "P99@20k", "P99@160k", "harvested")
-	for i, rw := range rows {
-		res := results[i]
-		ph := res.Primaries[0].Phases
+	t := newTable(r,
+		col{head: "policy", w: -15, key: "policy"},
+		col{head: "P99@80k", w: 12, verb: msVerb, key: "p99_80k_ns"},
+		col{head: "P99@20k", w: 12, verb: msVerb, key: "p99_20k_ns"},
+		col{head: "P99@160k", w: 12, verb: msVerb, key: "p99_160k_ns"},
+		col{head: "harvested", w: 10, verb: "%.2f", key: "harvested_cores"})
+	for _, a := range sec.arms {
+		ph := a.res.Primaries[0].Phases
 		if len(ph) < 3 {
 			return nil, fmt.Errorf("table2: expected 3 phases, got %d", len(ph))
 		}
-		r.addf("%-15s %12s %12s %12s %10.2f",
-			rw.name, ms(ph[0].P99), ms(ph[1].P99), ms(ph[2].P99), res.AvgHarvestedCores)
-		r.row("", S("policy", rw.name),
-			N("p99_80k_ns", float64(ph[0].P99)), N("p99_20k_ns", float64(ph[1].P99)),
-			N("p99_160k_ns", float64(ph[2].P99)), N("harvested_cores", res.AvgHarvestedCores))
+		t.add("", a.name, ph[0].P99, ph[1].P99, ph[2].P99, a.res.AvgHarvestedCores)
 	}
 	return r, nil
-}
-
-// specWithPhases wraps a PrimarySpec so the built server records
-// per-phase latencies.
-func specWithPhases(spec apps.PrimarySpec, boundaries []sim.Time) apps.PrimarySpec {
-	return apps.WithPhaseBoundaries(spec, boundaries)
 }
 
 // Fig7 reproduces the square-wave comparison against the conservative
@@ -654,55 +501,42 @@ func specWithPhases(spec apps.PrimarySpec, boundaries []sim.Time) apps.PrimarySp
 // the P99/harvest scatter.
 func Fig7(cfg Config) (*Report, error) {
 	spec := apps.SquareWave(8, 1, 500*sim.Millisecond)
-	rows := []policyRow{
-		{"prevpeak10", harness.PrevPeakFactory(10, true)},
-		{"smartharvest", smartharvest(cfg)},
-	}
-	scens := []harness.Scenario{
-		scenario(cfg, "fig7-base", spec, harness.NoHarvestFactory()),
-	}
-	for _, rw := range rows {
-		s := scenario(cfg, "fig7-"+rw.name, spec, rw.f)
+	sec := withBase(scenario(cfg, "fig7-base", spec, harness.NoHarvestFactory()))
+	for _, p := range []string{"prevpeak10", "smartharvest"} {
+		s := scenario(cfg, "fig7-"+p, spec, controller(cfg, p))
 		s.RecordSeries = true
-		scens = append(scens, s)
+		sec.add(p, s)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig7", Title: "synthetic square-wave primary vs PrevPeak10 (CPUBully batch)"}
-	base := results[0]
-	r.addf("%-18s %10s %8s %12s", "policy", "P99", "vs base", "harvested")
-	r.addf("%-18s %10s %8s %12s", "noharvest", ms(base.P99(0)), "-", "0.00")
-	r.row("", S("policy", "noharvest"), N("p99_ns", float64(base.P99(0))), N("harvested_cores", 0))
-	for i, rw := range rows {
-		res := results[i+1]
-		r.addf("%-18s %10s %8s %12.2f",
-			rw.name, ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		r.row("", S("policy", rw.name), N("p99_ns", float64(res.P99(0))),
-			N("harvested_cores", res.AvgHarvestedCores))
+	base := sec.base.res
+	t := newTable(r, append([]col{{head: "policy", w: -18, key: "policy"}}, p99Cols...)...)
+	t.add("", "noharvest", vsBase(base, nil))
+	for _, a := range sec.arms {
+		t.add("", a.name, vsBase(a.res, base))
 	}
 	// Time-series excerpt (Figure 7a): allocated cores vs observed peak
 	// over two square-wave periods, per policy.
-	for i, rw := range rows {
-		res := results[i+1]
-		excerptStart := cfg.Warmup + cfg.Duration/2
-		excerptEnd := excerptStart + 2*sim.Second
+	excerptStart := cfg.Warmup + cfg.Duration/2
+	excerptEnd := excerptStart + 2*sim.Second
+	for _, a := range sec.arms {
 		var alloc, peak []textplot.Point
-		for j, p := range res.TargetSeries.Points {
+		for j, p := range a.res.TargetSeries.Points {
 			if sim.Time(p.Time) < excerptStart || sim.Time(p.Time) > excerptEnd {
 				continue
 			}
 			ts := float64(p.Time) / 1e9
 			alloc = append(alloc, textplot.Point{X: ts, Y: p.Value})
-			peak = append(peak, textplot.Point{X: ts, Y: res.PeakSeries.Points[j].Value})
+			peak = append(peak, textplot.Point{X: ts, Y: a.res.PeakSeries.Points[j].Value})
 		}
 		r.addPlot(textplot.Render([]textplot.Series{
 			{Name: "allocated cores", Glyph: '#', Points: alloc},
 			{Name: "window peak usage", Glyph: '.', Points: peak},
 		}, textplot.Options{
-			Title:  fmt.Sprintf("%s: allocation vs square-wave usage", rw.name),
+			Title:  fmt.Sprintf("%s: allocation vs square-wave usage", a.name),
 			XLabel: "time s", YLabel: "cores", YMin: 0, YMax: 11,
 			Width: 64, Height: 12,
 		}))
@@ -725,57 +559,40 @@ func Fig9(cfg Config) (*Report, error) {
 }
 
 func multiPrimary(cfg Config, id, title string, primaries []apps.PrimarySpec, buffers []int) (*Report, error) {
-	mk := func(name string, f harness.ControllerFactory) harness.Scenario {
-		return harness.Scenario{
-			Name:              name,
-			Primaries:         primaries,
-			Batch:             harness.BatchCPUBully,
-			Controller:        f,
-			Duration:          cfg.Duration,
-			Warmup:            cfg.Warmup,
-			Seed:              cfg.Seed,
-			LongTermSafeguard: true,
-		}
+	sec := withBase(scenarioOf(cfg, id+"-base", harness.NoHarvestFactory(), true, primaries...))
+	for _, p := range append([]string{"smartharvest"}, fixedBuffers(buffers...)...) {
+		sec.add(p, scenarioOf(cfg, id+"-"+p, controller(cfg, p), true, primaries...))
 	}
-	rows := []policyRow{{"smartharvest", smartharvest(cfg)}}
-	for _, k := range buffers {
-		rows = append(rows, policyRow{fmt.Sprintf("fixedbuffer-%d", k), harness.FixedBufferFactory(k)})
-	}
-	scens := []harness.Scenario{mk(id+"-base", harness.NoHarvestFactory())}
-	for _, rw := range rows {
-		scens = append(scens, mk(id+"-"+rw.name, rw.f))
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: id, Title: title}
-	base := results[0]
-	header := fmt.Sprintf("%-18s", "policy")
-	baseline := fmt.Sprintf("%-18s", "noharvest")
+	base := sec.base.res
+	cols := []col{{head: "policy", w: -18, key: "policy"}}
 	for i, p := range base.Primaries {
-		header += fmt.Sprintf(" %16s", p.Name+" P99")
-		baseline += fmt.Sprintf(" %16s", ms(base.P99(i)))
+		cols = append(cols, col{head: p.Name + " P99", w: 16, verb: msVerb, key: fmt.Sprintf("p99_vm%d_ns", i)})
 	}
-	r.addf("%s %10s %6s", header, "harvested", "trips")
-	r.addf("%s %10s %6d", baseline, "0.00", 0)
-	baseCells := []Cell{S("policy", "noharvest")}
-	for i := range base.Primaries {
-		baseCells = append(baseCells, N(fmt.Sprintf("p99_vm%d_ns", i), float64(base.P99(i))))
-	}
-	r.row("", append(baseCells, N("harvested_cores", 0), N("qos_trips", 0))...)
-	for i, rw := range rows {
-		res := results[i+1]
-		line := fmt.Sprintf("%-18s", rw.name)
-		cells := []Cell{S("policy", rw.name)}
-		for j := range res.Primaries {
-			line += fmt.Sprintf(" %9s %6s", ms(res.P99(j)), pct(res.P99(j), base.P99(j)))
-			cells = append(cells, N(fmt.Sprintf("p99_vm%d_ns", j), float64(res.P99(j))))
+	t := newTable(r, append(cols,
+		col{head: "harvested", w: 10, verb: "%.2f", key: "harvested_cores"},
+		col{head: "trips", w: 6, verb: "%d", key: "qos_trips"})...)
+	// p99s lists each primary's P99; against a baseline, each shows its
+	// delta beside it.
+	p99s := func(res, base *harness.Result) []any {
+		var vals []any
+		for i := range res.Primaries {
+			p := res.P99(i)
+			if base == nil {
+				vals = append(vals, p)
+			} else {
+				vals = append(vals, shown{fmt.Sprintf("%9s %6s", ms(p), pct(p, base.P99(i))), p})
+			}
 		}
-		r.addf("%s %10.2f %6d", line, res.AvgHarvestedCores, res.QoSTrips)
-		r.row("", append(cells, N("harvested_cores", res.AvgHarvestedCores),
-			N("qos_trips", float64(res.QoSTrips)))...)
+		return vals
+	}
+	t.add("", "noharvest", p99s(base, nil), 0.0, 0)
+	for _, a := range sec.arms {
+		t.add("", a.name, p99s(a.res, base), a.res.AvgHarvestedCores, a.res.QoSTrips)
 	}
 	return r, nil
 }
@@ -783,30 +600,44 @@ func multiPrimary(cfg Config, id, title string, primaries []apps.PrimarySpec, bu
 // Fig10 compares the conservative and aggressive short-term safeguards on
 // Memcached + CPUBully.
 func Fig10(cfg Config) (*Report, error) {
-	modes := []core.SafeguardMode{core.ConservativeSafeguard, core.AggressiveSafeguard}
-	scens := []harness.Scenario{
-		scenario(cfg, "fig10-base", apps.Memcached(40000), harness.NoHarvestFactory()),
+	return optionSweep(cfg, "fig10", "short-term safeguards (Memcached 40k + CPUBully)",
+		col{head: "safeguard", w: -22, key: "safeguard"}, "invocations",
+		[]string{core.ConservativeSafeguard.String(), core.AggressiveSafeguard.String()},
+		[]core.SmartHarvestOptions{{Safeguard: core.ConservativeSafeguard}, {Safeguard: core.AggressiveSafeguard}})
+}
+
+// Fig13 compares the three cost functions of Figure 12 on Memcached: the
+// paper's skewed cost, the symmetric cost (Figure 12a), and the hinged
+// cost (Figure 12b) with the paper's constants (under penalty = initial
+// allocation, flat over cost).
+func Fig13(cfg Config) (*Report, error) {
+	return optionSweep(cfg, "fig13", "cost functions (Memcached 40k + CPUBully)",
+		col{head: "cost", w: -15, key: "cost"}, "safeguards",
+		[]string{"skewed", "symmetric", "hinged"},
+		[]core.SmartHarvestOptions{{}, {Cost: learner.SymmetricCost{}},
+			{Cost: learner.HingedCost{UnderPenalty: 10, OverCost: 1}}})
+}
+
+// optionSweep runs SmartHarvest under each of opts (named by names) on
+// Memcached 40k + CPUBully against a no-harvest reference line, reporting
+// P99, harvest and short-term safeguard invocations.
+func optionSweep(cfg Config, id, title string, label col, countHead string, names []string, opts []core.SmartHarvestOptions) (*Report, error) {
+	spec := apps.Memcached(40000)
+	sec := withBase(scenario(cfg, id+"-base", spec, harness.NoHarvestFactory()))
+	for i, name := range names {
+		sec.add(name, scenario(cfg, id+"-"+name, spec, harness.SmartHarvestFactory(opts[i])))
 	}
-	for _, mode := range modes {
-		f := harness.SmartHarvestFactory(core.SmartHarvestOptions{Safeguard: mode})
-		scens = append(scens, scenario(cfg, "fig10-"+mode.String(), apps.Memcached(40000), f))
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, sec); err != nil {
 		return nil, err
 	}
 
-	r := &Report{ID: "fig10", Title: "short-term safeguards (Memcached 40k + CPUBully)"}
-	base := results[0]
-	r.addf("%-22s %10s %8s %12s %12s", "safeguard", "P99", "vs base", "harvested", "invocations")
-	r.addf("%-22s %10s %8s %12s %12s", "no harvesting", ms(base.P99(0)), "-", "0.00", "-")
-	for i, mode := range modes {
-		res := results[i+1]
-		r.addf("%-22s %10s %8s %12.2f %12d",
-			mode.String(), ms(res.P99(0)), pct(res.P99(0), base.P99(0)),
-			res.AvgHarvestedCores, res.Safeguards)
-		r.row("", S("safeguard", mode.String()), N("p99_ns", float64(res.P99(0))),
-			N("harvested_cores", res.AvgHarvestedCores), N("safeguards", float64(res.Safeguards)))
+	r := &Report{ID: id, Title: title}
+	base := sec.base.res
+	t := newTable(r, append(append([]col{label}, p99Cols...),
+		col{head: countHead, w: 12, verb: "%d", key: "safeguards"})...)
+	t.line("no harvesting", vsBase(base, nil), nil)
+	for _, a := range sec.arms {
+		t.add("", a.name, vsBase(a.res, base), a.res.Safeguards)
 	}
 	return r, nil
 }
@@ -815,135 +646,69 @@ func Fig10(cfg Config) (*Report, error) {
 // mix (two Memcacheds with sharp aperiodic load swings).
 func Fig11(cfg Config) (*Report, error) {
 	primaries := []apps.PrimarySpec{apps.MemcachedSwinging(60000), apps.MemcachedSwinging(60000)}
-	mk := func(name string, f harness.ControllerFactory, guard bool) harness.Scenario {
-		return harness.Scenario{
-			Name: name, Primaries: primaries, Batch: harness.BatchCPUBully,
-			Controller: f, Duration: cfg.Duration, Warmup: cfg.Warmup, Seed: cfg.Seed,
-			LongTermSafeguard: guard,
-		}
+	sec := withBase(scenarioOf(cfg, "fig11-base", harness.NoHarvestFactory(), false, primaries...))
+	for i, name := range []string{"smartharvest (no long-term)", "smartharvest (long-term)"} {
+		sec.add(name, scenarioOf(cfg, "fig11-"+name, smartharvest(cfg), i == 1, primaries...))
 	}
-	rows := []struct {
-		name  string
-		guard bool
-	}{
-		{"smartharvest (no long-term)", false},
-		{"smartharvest (long-term)", true},
-	}
-	scens := []harness.Scenario{mk("fig11-base", harness.NoHarvestFactory(), false)}
-	for _, rw := range rows {
-		scens = append(scens, mk("fig11-"+rw.name, smartharvest(cfg), rw.guard))
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig11", Title: "long-term safeguard (2x swinging Memcached + CPUBully)"}
-	base := results[0]
-	r.addf("%-30s %12s %12s %8s %10s %6s", "policy", "vm0 P99", "vm1 P99", "vs base", "harvested", "trips")
-	r.addf("%-30s %12s %12s %8s %10s %6s", "noharvest",
-		ms(base.P99(0)), ms(base.P99(1)), "-", "0.00", "-")
-	for i, rw := range rows {
-		res := results[i+1]
-		r.addf("%-30s %12s %12s %8s %10.2f %6d",
-			rw.name, ms(res.P99(0)), ms(res.P99(1)),
-			pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores, res.QoSTrips)
-		r.row("", S("policy", rw.name),
-			N("p99_vm0_ns", float64(res.P99(0))), N("p99_vm1_ns", float64(res.P99(1))),
-			N("harvested_cores", res.AvgHarvestedCores), N("qos_trips", float64(res.QoSTrips)))
+	base := sec.base.res
+	t := newTable(r,
+		col{head: "policy", w: -30, key: "policy"},
+		col{head: "vm0 P99", w: 12, verb: msVerb, key: "p99_vm0_ns"},
+		col{head: "vm1 P99", w: 12, verb: msVerb, key: "p99_vm1_ns"},
+		p99Cols[1],
+		col{head: "harvested", w: 10, verb: "%.2f", key: "harvested_cores"},
+		col{head: "trips", w: 6, verb: "%d", key: "qos_trips"})
+	t.line("noharvest", base.P99(0), base.P99(1), nil, 0.0, nil)
+	for _, a := range sec.arms {
+		res := a.res
+		t.add("", a.name, res.P99(0), res.P99(1), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores, res.QoSTrips)
 	}
 	return r, nil
-}
-
-// Fig13 compares the three cost functions of Figure 12 on Memcached.
-func Fig13(cfg Config) (*Report, error) {
-	costs := []struct {
-		name string
-		opts core.SmartHarvestOptions
-	}{
-		{"skewed", core.SmartHarvestOptions{}},
-		{"symmetric", core.SmartHarvestOptions{Cost: learnerSymmetric()}},
-		{"hinged", core.SmartHarvestOptions{Cost: learnerHinged()}},
-	}
-	scens := []harness.Scenario{
-		scenario(cfg, "fig13-base", apps.Memcached(40000), harness.NoHarvestFactory()),
-	}
-	for _, c := range costs {
-		f := harness.SmartHarvestFactory(c.opts)
-		scens = append(scens, scenario(cfg, "fig13-"+c.name, apps.Memcached(40000), f))
-	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Report{ID: "fig13", Title: "cost functions (Memcached 40k + CPUBully)"}
-	base := results[0]
-	r.addf("%-15s %10s %8s %12s %12s", "cost", "P99", "vs base", "harvested", "safeguards")
-	r.addf("%-15s %10s %8s %12s %12s", "no harvesting", ms(base.P99(0)), "-", "0.00", "-")
-	for i, c := range costs {
-		res := results[i+1]
-		r.addf("%-15s %10s %8s %12.2f %12d",
-			c.name, ms(res.P99(0)), pct(res.P99(0), base.P99(0)),
-			res.AvgHarvestedCores, res.Safeguards)
-		r.row("", S("cost", c.name), N("p99_ns", float64(res.P99(0))),
-			N("harvested_cores", res.AvgHarvestedCores), N("safeguards", float64(res.Safeguards)))
-	}
-	return r, nil
-}
-
-// cdfRow prints selected quantiles of a reassignment-latency histogram.
-func cdfRow(label string, s metrics.Summary) string {
-	return fmt.Sprintf("%-22s %10s %10s %10s %10s",
-		label, ms(s.P50), ms(s.P95), ms(s.P99), ms(s.Max))
 }
 
 // Fig14 reproduces the grow/shrink latency CDFs for the two reassignment
 // mechanisms by running the same harvesting scenario on each and reading
 // the per-core move latencies.
 func Fig14(cfg Config) (*Report, error) {
-	mechs := []struct {
-		name string
-		m    int
-	}{{"cpugroups", 0}, {"ipis", 1}}
-	scens := make([]harness.Scenario, len(mechs))
-	for i, mech := range mechs {
-		s := scenario(cfg, "fig14-"+mech.name, apps.Memcached(40000), smartharvest(cfg))
-		s.Mechanism = hvMechanism(mech.m)
-		scens[i] = s
+	var sec section
+	for _, mech := range mechanisms {
+		s := scenario(cfg, "fig14-"+mech.String(), apps.Memcached(40000), smartharvest(cfg))
+		s.Mechanism = mech
+		sec.add(mech.String(), s)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, &sec); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig14", Title: "time to grow/shrink the ElasticVM by one core"}
-	r.addf("%-22s %10s %10s %10s %10s", "mechanism/op", "P50", "P95", "P99", "max")
-	for i, mech := range mechs {
-		res := results[i]
-		r.Lines = append(r.Lines,
-			cdfRow(mech.name+" grow", res.Grow),
-			cdfRow(mech.name+" shrink", res.Shrink))
-		for _, op := range []struct {
-			name string
-			s    metrics.Summary
-		}{{"grow", res.Grow}, {"shrink", res.Shrink}} {
-			r.row(mech.name, S("op", op.name),
-				N("p50_ns", float64(op.s.P50)), N("p95_ns", float64(op.s.P95)),
-				N("p99_ns", float64(op.s.P99)), N("max_ns", float64(op.s.Max)))
+	t := newTable(r,
+		col{key: "op", hide: true},
+		col{head: "mechanism/op", w: -22},
+		col{head: "P50", w: 10, verb: msVerb, key: "p50_ns"},
+		col{head: "P95", w: 10, verb: msVerb, key: "p95_ns"},
+		col{head: "P99", w: 10, verb: msVerb, key: "p99_ns"},
+		col{head: "max", w: 10, verb: msVerb, key: "max_ns"})
+	quantiles := func(s metrics.Summary) []any { return []any{s.P50, s.P95, s.P99, s.Max} }
+	toPoints := func(cdf []metrics.CDFPoint) []textplot.Point {
+		var out []textplot.Point
+		for _, p := range cdf {
+			out = append(out, textplot.Point{X: float64(p.Value) / 1e6, Y: p.Fraction * 100})
 		}
-		toPoints := func(cdf []metrics.CDFPoint) []textplot.Point {
-			var out []textplot.Point
-			for _, p := range cdf {
-				out = append(out, textplot.Point{X: float64(p.Value) / 1e6, Y: p.Fraction * 100})
-			}
-			return out
-		}
+		return out
+	}
+	for _, a := range sec.arms {
+		t.add(a.name, "grow", a.name+" grow", quantiles(a.res.Grow))
+		t.add(a.name, "shrink", a.name+" shrink", quantiles(a.res.Shrink))
 		r.addPlot(textplot.Render([]textplot.Series{
-			{Name: "grow", Glyph: '+', Points: toPoints(res.GrowCDF)},
-			{Name: "shrink", Glyph: '*', Points: toPoints(res.ShrinkCDF)},
+			{Name: "grow", Glyph: '+', Points: toPoints(a.res.GrowCDF)},
+			{Name: "shrink", Glyph: '*', Points: toPoints(a.res.ShrinkCDF)},
 		}, textplot.Options{
-			Title:  fmt.Sprintf("%s: CDF of one-core reassignment latency", mech.name),
+			Title:  fmt.Sprintf("%s: CDF of one-core reassignment latency", a.name),
 			XLabel: "milliseconds", YLabel: "% of samples", YMin: 0, YMax: 100,
 			Width: 60, Height: 12,
 		}))
@@ -955,56 +720,33 @@ func Fig14(cfg Config) (*Report, error) {
 // at four loads, cpugroups vs IPIs, SmartHarvest vs a fixed-buffer sweep.
 // All four loads (36 scenarios) share one worker pool.
 func Fig15(cfg Config) (*Report, error) {
-	loads := []float64{500, 1000, 1500, 2000}
-	rows := []policyRow{
-		{"smartharvest", smartharvest(cfg)},
-		{"fixedbuffer-6", harness.FixedBufferFactory(6)},
-		{"fixedbuffer-4", harness.FixedBufferFactory(4)},
-		{"fixedbuffer-2", harness.FixedBufferFactory(2)},
-	}
-	type block struct {
-		qps  float64
-		base int
-		idx  [2][]int // per mechanism, per row
-	}
-	var scens []harness.Scenario
-	blocks := make([]block, len(loads))
-	for bi, qps := range loads {
+	var secs []*section
+	for _, qps := range []float64{500, 1000, 1500, 2000} {
 		spec := apps.IndexServe(qps)
-		blk := block{qps: qps, base: len(scens)}
-		scens = append(scens, scenario(cfg, "fig15-base", spec, harness.NoHarvestFactory()))
-		for m := 0; m < 2; m++ {
-			mech := hvMechanism(m)
-			for _, rw := range rows {
-				s := scenario(cfg, fmt.Sprintf("fig15-%v-%s", mech, rw.name), spec, rw.f)
+		sec := withBase(scenario(cfg, "fig15-base", spec, harness.NoHarvestFactory()))
+		for _, mech := range mechanisms {
+			for _, p := range append([]string{"smartharvest"}, fixedBuffers(6, 4, 2)...) {
+				s := scenario(cfg, fmt.Sprintf("fig15-%v-%s", mech, p), spec, controller(cfg, p))
 				s.Mechanism = mech
-				blk.idx[m] = append(blk.idx[m], len(scens))
-				scens = append(scens, s)
+				sec.add(p, s)
 			}
 		}
-		blocks[bi] = blk
+		secs = append(secs, sec)
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, secs...); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "fig15", Title: "SmartHarvest using cpugroups vs IPIs across IndexServe loads"}
-	for _, blk := range blocks {
-		base := results[blk.base]
-		r.addf("--- IndexServe (%.0f QPS), no-harvest P99 = %s ---", blk.qps, ms(base.P99(0)))
-		r.addf("%-28s %10s %8s %12s", "config", "P99", "vs base", "harvested")
-		for m := 0; m < 2; m++ {
-			mech := hvMechanism(m)
-			for i, rw := range rows {
-				res := results[blk.idx[m][i]]
-				r.addf("%-28s %10s %8s %12.2f",
-					fmt.Sprintf("%v %s", mech, rw.name),
-					ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-				r.row(fmt.Sprintf("qps-%.0f", blk.qps),
-					S("mechanism", fmt.Sprintf("%v", mech)), S("policy", rw.name),
-					N("p99_ns", float64(res.P99(0))), N("harvested_cores", res.AvgHarvestedCores))
-			}
+	for _, sec := range secs {
+		qps, base := sec.base.scen.Primaries[0].QPS, sec.base.res
+		r.addf("--- IndexServe (%.0f QPS), no-harvest P99 = %s ---", qps, ms(base.P99(0)))
+		t := newTable(r, append([]col{
+			{key: "mechanism", hide: true}, {key: "policy", hide: true}, {head: "config", w: -28},
+		}, p99Cols...)...)
+		for _, a := range sec.arms {
+			mech := a.scen.Mechanism
+			t.add(fmt.Sprintf("qps-%.0f", qps), mech, a.name, fmt.Sprintf("%v %s", mech, a.name), vsBase(a.res, base))
 		}
 	}
 	return r, nil

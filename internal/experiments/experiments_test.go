@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -366,6 +369,50 @@ func TestSchedDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestSchedTraceOnePerRun: -trace covers the fleet scheduler like any
+// scenario run — one JSONL file per sched run, each carrying job events —
+// and tracing leaves the report (text, CSV and JSON) byte-identical.
+func TestSchedTraceOnePerRun(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	cfg := Quick()
+	plain, err := Sched(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TraceDir = t.TempDir()
+	traced, err := Sched(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != traced.String() || !bytes.Equal(plain.CSV(), traced.CSV()) ||
+		!bytes.Equal(plain.RowsJSON(), traced.RowsJSON()) {
+		t.Errorf("tracing changed the sched report:\n--- plain ---\n%s\n--- traced ---\n%s", plain, traced)
+	}
+	all, err := filepath.Glob(filepath.Join(cfg.TraceDir, "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(plain.Rows) {
+		t.Fatalf("%d trace files for %d sched runs: %v", len(all), len(plain.Rows), all)
+	}
+	for i := range plain.Rows {
+		files, _ := filepath.Glob(filepath.Join(cfg.TraceDir, fmt.Sprintf("sched-*-s1-%03d.jsonl", i)))
+		if len(files) != 1 {
+			t.Fatalf("run %d: trace files %v, want exactly one", i, files)
+		}
+		data, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"ev":"job-submit"`)) {
+			t.Errorf("%s holds no job-submit event", files[0])
+		}
+	}
+}
+
 func TestFleetChaosExperiment(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -466,7 +513,7 @@ func TestFleetChaosZeroPlanMatchesFaultFree(t *testing.T) {
 	if len(free) == 0 {
 		t.Fatal("fault-free run produced an empty trace")
 	}
-	if zero := trace(fleetChaosBasePlan().Scale(0)); !bytes.Equal(free, zero) {
+	if zero := trace(fleetChaosBasePlan.Scale(0)); !bytes.Equal(free, zero) {
 		t.Error("scaled-to-zero fleet plan diverged from the fault-free trace")
 	}
 	durOnly := faults.Plan{ServerRestartDur: sim.Second, GrantDelayDur: 5 * sim.Millisecond}

@@ -64,18 +64,15 @@ func schedFleet(cfg Config, workloads []apps.PrimarySpec) cluster.Config {
 // bound (~38) rejects premium-heavy's standard pool, while 1.5 and 3.0
 // admit everything. Prices follow the SLA ladder — spot capacity sells
 // at a discount, premium at a markup.
-func marketMixes() []struct{ name, pools string } {
-	return []struct{ name, pools string }{
-		{"spot-heavy", "name=s1,tier=spot,reserved=40,price=0.5;name=m1,tier=standard,reserved=10;name=p1,tier=premium,reserved=5,price=2"},
-		{"balanced", "name=s1,tier=spot,reserved=20,price=0.5;name=m1,tier=standard,reserved=20;name=p1,tier=premium,reserved=24,price=2"},
-		{"premium-heavy", "name=s1,tier=spot,reserved=10,price=0.5;name=m1,tier=standard,reserved=48;name=p1,tier=premium,reserved=32,price=2"},
-	}
+var marketMixes = []struct{ name, pools string }{
+	{"spot-heavy", "name=s1,tier=spot,reserved=40,price=0.5;name=m1,tier=standard,reserved=10;name=p1,tier=premium,reserved=5,price=2"},
+	{"balanced", "name=s1,tier=spot,reserved=20,price=0.5;name=m1,tier=standard,reserved=20;name=p1,tier=premium,reserved=24,price=2"},
+	{"premium-heavy", "name=s1,tier=spot,reserved=10,price=0.5;name=m1,tier=standard,reserved=48;name=p1,tier=premium,reserved=32,price=2"},
 }
 
 // marketPlan is one point on the overcommit × tier-mix grid.
 type marketPlan struct {
 	mix string
-	oc  float64
 	cfg market.Config
 }
 
@@ -88,17 +85,17 @@ func marketPlans(cfg Config) ([]marketPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: market pools: %w", err)
 		}
-		return []marketPlan{{mix: "custom", oc: mc.EffectiveOvercommit(), cfg: mc}}, nil
+		return []marketPlan{{mix: "custom", cfg: mc}}, nil
 	}
 	var plans []marketPlan
 	for _, oc := range []float64{0.5, 1.5, 3.0} {
-		for _, mix := range marketMixes() {
+		for _, mix := range marketMixes {
 			mc, err := market.ParsePools(mix.pools)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: market mix %s: %w", mix.name, err)
 			}
 			mc.Overcommit = oc
-			plans = append(plans, marketPlan{mix: mix.name, oc: oc, cfg: mc})
+			plans = append(plans, marketPlan{mix: mix.name, cfg: mc})
 		}
 	}
 	return plans, nil
@@ -109,9 +106,7 @@ func marketPlans(cfg Config) ([]marketPlan, error) {
 // which pool requests each admission bound can honor, what each SLA
 // tier's eviction budget absorbs before penalties accrue, and how much
 // revenue-weighted goodput the admitted pools convert harvested cores
-// into. Every run is an independent, fully seeded simulation collected
-// by index, so the report is byte-identical at any cfg.Parallel. Runs
-// honor cfg.Check (job + pool invariants via check.JobChecker),
+// into. Runs honor cfg.Check (job + pool invariants via check.JobChecker),
 // cfg.TenantMix (characterized tenant workloads), and cfg.Pools (a
 // user-supplied plan replacing the overcommit × mix grid).
 func Market(cfg Config) (*Report, error) {
@@ -123,61 +118,49 @@ func Market(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	policies := []sched.Policy{sched.FirstFit, sched.BestFit, sched.Predicted}
-	type spec struct {
-		plan marketPlan
-		pol  sched.Policy
+	secs := make([]*section, len(plans))
+	for i, plan := range plans {
+		secs[i] = &section{arms: policyArms(
+			fmt.Sprintf("market-%s-oc%g", plan.mix, plan.cfg.EffectiveOvercommit()),
+			sched.Config{Fleet: schedFleet(cfg, workloads), ArrivalRate: marketJobRate, Market: plan.cfg})}
 	}
-	var specs []spec
-	for _, plan := range plans {
-		for _, pol := range policies {
-			specs = append(specs, spec{plan, pol})
-		}
-	}
-
-	runs := make([]sched.Config, len(specs))
-	for i, sp := range specs {
-		runs[i] = sched.Config{
-			Fleet:       schedFleet(cfg, workloads),
-			Policy:      sp.pol,
-			ArrivalRate: marketJobRate,
-			Market:      sp.plan.cfg,
-		}
-	}
-	results, err := runSched(cfg, runs, func(i int) string {
-		sp := specs[i]
-		return fmt.Sprintf("market %s/%s oc=%g", sp.plan.mix, sp.pol, sp.plan.oc)
-	})
+	err = sweep(cfg, secs...)
 
 	r := &Report{ID: "market", Title: "harvested-capacity market: overcommit x tier mix x policy (extension)"}
-	r.addf("%-4s %-13s %-10s %4s %4s %9s %7s %7s %7s %9s %9s %12s",
-		"oc", "mix", "policy", "adm", "rej", "reserved", "v-spot", "v-std", "v-prem", "revenue", "penalty", "rev-goodput")
-	for i, res := range results {
-		if res == nil {
-			continue
+	t := newTable(r,
+		col{head: "oc", w: -4, verb: "%g", key: "overcommit"},
+		col{head: "mix", w: -13, key: "mix"},
+		col{head: "policy", w: -10, key: "policy"},
+		col{head: "adm", w: 4, verb: "%d", key: "admitted"},
+		col{head: "rej", w: 4, verb: "%d", key: "rejected"},
+		col{head: "reserved", w: 9, verb: "%d", key: "reserved_cores"},
+		col{head: "v-spot", w: 7, verb: "%d", key: "viol_spot"},
+		col{head: "v-std", w: 7, verb: "%d", key: "viol_standard"},
+		col{head: "v-prem", w: 7, verb: "%d", key: "viol_premium"},
+		col{head: "revenue", w: 9, verb: "%.1f", key: "revenue"},
+		col{head: "penalty", w: 9, verb: "%.1f", key: "penalties"},
+		col{head: "rev-goodput", w: 12, verb: "%.1fs", key: "revenue_goodput"},
+		col{key: "goodput_core_s", hide: true})
+	for i, plan := range plans {
+		for _, a := range secs[i].arms {
+			res := a.sres
+			if res == nil {
+				continue
+			}
+			m := res.Market
+			if m == nil {
+				// A pool-less custom plan: the run is a plain sched run.
+				m = &market.Result{}
+			}
+			reserved := 0
+			for _, tier := range market.Tiers() {
+				reserved += m.ReservedByTier[tier]
+			}
+			t.add("", plan.cfg.EffectiveOvercommit(), plan.mix, a.fleet.Policy, m.Admitted, m.Rejected, reserved,
+				m.ViolationsByTier[market.Spot], m.ViolationsByTier[market.Standard],
+				m.ViolationsByTier[market.Premium], m.Revenue, m.Penalties, m.RevenueGoodput,
+				res.GoodputCoreSec)
 		}
-		sp := specs[i]
-		m := res.Market
-		if m == nil {
-			// A pool-less custom plan: the run is a plain sched run.
-			m = &market.Result{}
-		}
-		reserved := 0
-		for _, tier := range market.Tiers() {
-			reserved += m.ReservedByTier[tier]
-		}
-		r.addf("%-4g %-13s %-10s %4d %4d %9d %7d %7d %7d %9.1f %9.1f %11.1fs",
-			sp.plan.oc, sp.plan.mix, sp.pol, m.Admitted, m.Rejected, reserved,
-			m.ViolationsByTier[market.Spot], m.ViolationsByTier[market.Standard],
-			m.ViolationsByTier[market.Premium], m.Revenue, m.Penalties, m.RevenueGoodput)
-		r.row("", N("overcommit", sp.plan.oc), S("mix", sp.plan.mix), S("policy", sp.pol.String()),
-			N("admitted", float64(m.Admitted)), N("rejected", float64(m.Rejected)),
-			N("reserved_cores", float64(reserved)),
-			N("viol_spot", float64(m.ViolationsByTier[market.Spot])),
-			N("viol_standard", float64(m.ViolationsByTier[market.Standard])),
-			N("viol_premium", float64(m.ViolationsByTier[market.Premium])),
-			N("revenue", m.Revenue), N("penalties", m.Penalties),
-			N("revenue_goodput", m.RevenueGoodput), N("goodput_core_s", res.GoodputCoreSec))
 	}
 	r.addf("(reserved counts admitted pools only; premium admission shrinks with overcommit, spot absorbs the evictions)")
 	return r, err

@@ -12,23 +12,19 @@ import (
 
 // predictorKinds is the ablation's predictor axis: the paper's CSOAA
 // plus every zoo competitor (adagrad is CSOAA's adaptive-step variant).
-func predictorKinds() []harness.PredictorKind {
-	return []harness.PredictorKind{
-		harness.PredictorCSOAA,
-		harness.PredictorAdaGrad,
-		harness.PredictorEWMA,
-		harness.PredictorPeriodic,
-		harness.PredictorMLP,
-		harness.PredictorEnsemble,
-	}
+var predictorKinds = []harness.PredictorKind{
+	harness.PredictorCSOAA,
+	harness.PredictorAdaGrad,
+	harness.PredictorEWMA,
+	harness.PredictorPeriodic,
+	harness.PredictorMLP,
+	harness.PredictorEnsemble,
 }
 
 // predictorClasses is the workload axis: the characterization classes
 // with non-trivial structure (flat is covered by every other experiment's
 // stationary workloads).
-func predictorClasses() []workload.Class {
-	return []workload.Class{workload.ClassPeriodic, workload.ClassBursty, workload.ClassMixed}
-}
+var predictorClasses = []workload.Class{workload.ClassPeriodic, workload.ClassBursty, workload.ClassMixed}
 
 // accuracyObs scores next-window peak predictions against realized
 // peaks by pairing consecutive WindowEnd events: the controller's raw
@@ -65,21 +61,14 @@ func (a *accuracyObs) OnWindowEnd(e obs.WindowEnd) {
 	a.prevGuard = e.Safeguard
 }
 
-// meanAbsErr returns the mean absolute prediction error in cores.
-func (a *accuracyObs) meanAbsErr() float64 {
+// scores returns the mean absolute prediction error in cores and the
+// fraction of scored predictions that came in below the realized peak
+// (the dangerous direction).
+func (a *accuracyObs) scores() (meanAbsErr, underFrac float64) {
 	if a.n == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(a.absErr) / float64(a.n)
-}
-
-// underFrac returns the fraction of scored predictions that came in
-// below the realized peak (the dangerous direction).
-func (a *accuracyObs) underFrac() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return float64(a.under) / float64(a.n)
+	return float64(a.absErr) / float64(a.n), float64(a.under) / float64(a.n)
 }
 
 // Predictors is the predictor-ablation experiment: every registered
@@ -93,77 +82,50 @@ func Predictors(cfg Config) (*Report, error) {
 		charQPS = 30000 // per VM; 57 µs service → ~1.7 avg busy cores
 		charVMs = 2     // two primaries make Correlation observable
 	)
-	classes := predictorClasses()
-	kinds := predictorKinds()
 
-	type block struct {
-		class workload.Class
-		base  int   // no-harvest baseline scenario index
-		idx   []int // per predictor kind
-	}
-	var (
-		scens  []harness.Scenario
-		accs   []*accuracyObs // parallel to scens; nil for baselines
-		blocks []block
-	)
-	mk := func(class workload.Class, name string) harness.Scenario {
-		return harness.Scenario{
-			Name: name,
-			// Per-class seed: every VM mix is its own draw, but the same
-			// class mix is bit-identical across predictor rows.
-			Primaries: apps.CharacterizedMix(cfg.Seed^uint64(class+1), charVMs, class, charQPS),
-			Batch:     harness.BatchCPUBully,
-			Duration:  cfg.Duration,
-			Warmup:    cfg.Warmup,
-			Seed:      cfg.Seed,
+	var secs []*section
+	for _, class := range predictorClasses {
+		// Per-class seed: every VM mix is its own draw, but the same class
+		// mix is bit-identical across predictor rows.
+		mk := func(name string, ctrl harness.ControllerFactory) harness.Scenario {
+			mix := apps.CharacterizedMix(cfg.Seed^uint64(class+1), charVMs, class, charQPS)
+			return scenarioOf(cfg, name, ctrl, false, mix...)
 		}
-	}
-	for _, class := range classes {
-		blk := block{class: class, base: len(scens)}
-		base := mk(class, fmt.Sprintf("pred-%v-base", class))
-		base.Controller = harness.NoHarvestFactory()
-		scens = append(scens, base)
-		accs = append(accs, nil)
-		for _, kind := range kinds {
-			s := mk(class, fmt.Sprintf("pred-%v-%v", class, kind))
+		sec := withBase(mk(fmt.Sprintf("pred-%v-base", class), harness.NoHarvestFactory()))
+		for _, kind := range predictorKinds {
+			s := mk(fmt.Sprintf("pred-%v-%v", class, kind), nil)
 			s.Predictor = kind // Controller stays nil: the public default path
-			acc := &accuracyObs{warmup: cfg.Warmup}
-			s.Observer = acc
-			blk.idx = append(blk.idx, len(scens))
-			scens = append(scens, s)
-			accs = append(accs, acc)
+			s.Observer = &accuracyObs{warmup: cfg.Warmup}
+			sec.add(kind.String(), s)
 		}
-		blocks = append(blocks, blk)
+		secs = append(secs, sec)
 	}
-
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, secs...); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "predictors", Title: "predictor zoo across workload-characterization classes"}
-	for _, blk := range blocks {
-		base := results[blk.base]
+	for i, class := range predictorClasses {
+		base := secs[i].base.res
 		r.addf("--- class %v (%d VMs x %d qps), no-harvest P99 = %s ---",
-			blk.class, charVMs, charQPS, ms(base.P99(0)))
-		r.addf("%-12s %8s %8s %9s %10s %10s %8s", "predictor",
-			"|err|", "under%", "sg-rate", "harv-cs", "P99", "vs base")
-		for i, kind := range kinds {
-			res := results[blk.idx[i]]
-			acc := accs[blk.idx[i]]
+			class, charVMs, charQPS, ms(base.P99(0)))
+		t := newTable(r,
+			col{head: "predictor", w: -12, key: "predictor"},
+			col{head: "|err|", w: 8, verb: "%.2f", key: "mean_abs_err_cores"},
+			col{head: "under%", w: 8, key: "under_frac"},
+			col{head: "sg-rate", w: 9, verb: "%.3f", key: "safeguard_rate"},
+			col{head: "harv-cs", w: 10, verb: "%.1f", key: "harvested_core_s"},
+			p99Cols[0], p99Cols[1])
+		for _, a := range secs[i].arms {
+			res, acc := a.res, a.scen.Observer.(*accuracyObs)
 			sgRate := 0.0
 			if res.Windows > 0 {
 				sgRate = float64(res.Safeguards) / float64(res.Windows)
 			}
-			harvestedCS := res.AvgHarvestedCores * cfg.Duration.Seconds()
-			r.addf("%-12v %8.2f %7.0f%% %9.3f %10.1f %10s %8s",
-				kind, acc.meanAbsErr(), 100*acc.underFrac(), sgRate,
-				harvestedCS, ms(res.P99(0)), pct(res.P99(0), base.P99(0)))
-			r.row(fmt.Sprintf("class-%v", blk.class),
-				S("predictor", fmt.Sprintf("%v", kind)),
-				N("mean_abs_err_cores", acc.meanAbsErr()), N("under_frac", acc.underFrac()),
-				N("safeguard_rate", sgRate), N("harvested_core_s", harvestedCS),
-				N("p99_ns", float64(res.P99(0))))
+			absErr, under := acc.scores()
+			t.add(fmt.Sprintf("class-%v", class), a.scen.Predictor, absErr,
+				shown{fmt.Sprintf("%.0f%%", 100*under), under},
+				sgRate, res.AvgHarvestedCores*cfg.Duration.Seconds(), vsBase(res, base)[:2])
 		}
 	}
 	return r, nil

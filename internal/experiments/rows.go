@@ -34,12 +34,6 @@ type Cell struct {
 	Numeric bool
 }
 
-// S builds a string-valued cell.
-func S(key, val string) Cell { return Cell{Key: key, Str: val} }
-
-// N builds a numeric cell.
-func N(key string, val float64) Cell { return Cell{Key: key, Val: val, Numeric: true} }
-
 // Row is one machine-readable record of an experiment report. Section
 // groups rows the way the text report groups its blocks (one workload,
 // one batch kind, one sweep axis); single-table experiments leave it
@@ -47,11 +41,6 @@ func N(key string, val float64) Cell { return Cell{Key: key, Val: val, Numeric: 
 type Row struct {
 	Section string
 	Cells   []Cell
-}
-
-// row appends a machine-readable row alongside the formatted lines.
-func (r *Report) row(section string, cells ...Cell) {
-	r.Rows = append(r.Rows, Row{Section: section, Cells: cells})
 }
 
 // formatNum renders a float deterministically for CSV/JSON: the shortest
@@ -103,21 +92,16 @@ func (r *Report) CSV() []byte {
 		b.WriteString(csvEscape(r.ID))
 		b.WriteByte(',')
 		b.WriteString(csvEscape(row.Section))
-		byKey := map[string]Cell{}
+		vals := map[string]string{}
 		for _, c := range row.Cells {
-			byKey[c.Key] = c
+			vals[c.Key] = c.Str
+			if c.Numeric {
+				vals[c.Key] = formatNum(c.Val)
+			}
 		}
 		for _, col := range cols {
 			b.WriteByte(',')
-			c, ok := byKey[col]
-			if !ok {
-				continue
-			}
-			if c.Numeric {
-				b.WriteString(csvEscape(formatNum(c.Val)))
-			} else {
-				b.WriteString(csvEscape(c.Str))
-			}
+			b.WriteString(csvEscape(vals[col]))
 		}
 		b.WriteByte('\n')
 	}

@@ -30,72 +30,71 @@ func Sched(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("experiments: sched pools: %w", err)
 		}
 	}
-	rates := []float64{1, 3}
-	policies := []sched.Policy{sched.FirstFit, sched.BestFit, sched.Predicted}
-	type spec struct {
-		rate float64
-		pol  sched.Policy
+	var sec section
+	for _, rate := range []float64{1, 3} {
+		sec.arms = append(sec.arms, policyArms(fmt.Sprintf("sched-%g", rate), sched.Config{
+			Fleet: schedFleet(cfg, workloads), ArrivalRate: rate, Market: mcfg,
+		})...)
 	}
-	var specs []spec
-	for _, rate := range rates {
-		for _, pol := range policies {
-			specs = append(specs, spec{rate, pol})
-		}
-	}
-
-	// Each run is an independent, fully seeded simulation collected by
-	// index, so the report is byte-identical at any cfg.Parallel.
-	runs := make([]sched.Config, len(specs))
-	for i, sp := range specs {
-		runs[i] = sched.Config{
-			Fleet:       schedFleet(cfg, workloads),
-			Policy:      sp.pol,
-			ArrivalRate: sp.rate,
-			Market:      mcfg,
-		}
-	}
-	results, err := runSched(cfg, runs, func(i int) string {
-		return fmt.Sprintf("sched %s @%g/s", specs[i].pol, specs[i].rate)
-	})
+	err = sweep(cfg, &sec)
 
 	r := &Report{ID: "sched", Title: "harvest-aware job scheduling policies (extension)"}
-	r.addf("%-10s %6s %5s %5s %6s %8s %9s %9s %9s %5s",
-		"policy", "jobs/s", "sub", "done", "evict", "requeue", "P50", "P99", "goodput", "SLO")
+	cols := append([]col{
+		{head: "policy", w: -10, key: "policy"},
+		{head: "jobs/s", w: 6, verb: "%.1f", key: "jobs_per_s"},
+	}, jobCols...)
+	cols = append(cols,
+		col{head: "P50", w: 9, verb: msVerb, key: "completion_p50_ns"},
+		col{head: "P99", w: 9, verb: msVerb, key: "completion_p99_ns"})
+	t := newTable(r, append(cols, goodputCols...)...)
 	var faults uint64
-	for i, res := range results {
+	var revenue, penalties float64
+	for _, a := range sec.arms {
+		res := a.sres
 		if res == nil {
 			continue
 		}
-		slo := "n/a"
-		if res.SLOJobs > 0 {
-			slo = fmt.Sprintf("%3.0f%%", 100*res.SLOAttainment())
-		}
-		r.addf("%-10s %6.1f %5d %5d %6d %8d %9s %9s %8.1fs %5s",
-			res.Policy, specs[i].rate, res.Submitted, res.Completed,
-			res.Evictions, res.Requeues,
-			ms(int64(res.CompletionP50)), ms(int64(res.CompletionP99)),
-			res.GoodputCoreSec, slo)
-		r.row("", S("policy", res.Policy.String()), N("jobs_per_s", specs[i].rate),
-			N("submitted", float64(res.Submitted)), N("completed", float64(res.Completed)),
-			N("evictions", float64(res.Evictions)), N("requeues", float64(res.Requeues)),
-			N("completion_p50_ns", float64(res.CompletionP50)),
-			N("completion_p99_ns", float64(res.CompletionP99)),
-			N("goodput_core_s", res.GoodputCoreSec), N("slo_attainment", res.SLOAttainment()))
+		t.add("", res.Policy, a.fleet.ArrivalRate, jobs(res), res.CompletionP50, res.CompletionP99, goodput(res))
 		faults += res.Fleet.FaultsInjected
+		if res.Market != nil {
+			revenue += res.Market.Revenue
+			penalties += res.Market.Penalties
+		}
 	}
 	if cfg.Faults.Enabled() {
 		r.addf("faults injected across runs: %d", faults)
 	}
 	if mcfg.Enabled() {
-		var revenue, penalties float64
-		for _, res := range results {
-			if res != nil && res.Market != nil {
-				revenue += res.Market.Revenue
-				penalties += res.Market.Penalties
-			}
-		}
 		r.addf("pool plan %q across runs: revenue %.1f, penalties %.1f", mcfg, revenue, penalties)
 	}
 	r.addf("(goodput counts completed work only; evicted progress is checkpointed, never double-counted)")
 	return r, err
+}
+
+// schedPolicies are the placement policies the sched family compares.
+var schedPolicies = []sched.Policy{sched.FirstFit, sched.BestFit, sched.Predicted}
+
+// jobCols are the sched family's job-count columns; jobs fills them.
+var jobCols = []col{
+	{head: "sub", w: 5, verb: "%d", key: "submitted"},
+	{head: "done", w: 5, verb: "%d", key: "completed"},
+	{head: "evict", w: 6, verb: "%d", key: "evictions"},
+	{head: "requeue", w: 8, verb: "%d", key: "requeues"},
+}
+
+// jobs returns a scheduler run's values for jobCols.
+func jobs(res *sched.Result) []any {
+	return []any{res.Submitted, res.Completed, res.Evictions, res.Requeues}
+}
+
+// policyArms returns one fleet-scheduler arm per placement policy, each
+// running c under its policy and named name-policy.
+func policyArms(name string, c sched.Config) []*arm {
+	var arms []*arm
+	for _, pol := range schedPolicies {
+		run := c
+		run.Policy = pol
+		arms = append(arms, &arm{name: fmt.Sprintf("%s-%s", name, pol), fleet: &run})
+	}
+	return arms
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -9,29 +10,11 @@ import (
 	"smartharvest/internal/cluster"
 	"smartharvest/internal/core"
 	"smartharvest/internal/harness"
-	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/learner"
 	"smartharvest/internal/memharvest"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
 )
-
-// hvMechanism maps 0/1 to the two reassignment mechanisms.
-func hvMechanism(m int) hypervisor.Mechanism {
-	if m == 1 {
-		return hypervisor.IPI
-	}
-	return hypervisor.CpuGroups
-}
-
-// learnerSymmetric returns the symmetric cost function (Figure 12a).
-func learnerSymmetric() learner.CostFunc { return learner.SymmetricCost{} }
-
-// learnerHinged returns the hinged cost function (Figure 12b) with the
-// paper's constants (under penalty = initial allocation, flat over cost).
-func learnerHinged() learner.CostFunc {
-	return learner.HingedCost{UnderPenalty: 10, OverCost: 1}
-}
 
 // Table3 reproduces the learning-operation latency table by timing this
 // repository's actual Go implementation on the wall clock, exactly as the
@@ -63,118 +46,67 @@ func Table3(cfg Config) (*Report, error) {
 	infer := timeOp(func() { _ = model.Predict(x) })
 	update := timeOp(func() { model.Update(x, costs) })
 
-	r.addf("%-22s %12s %12s", "operation", "measured", "paper")
-	r.addf("%-22s %9.2fus %12s", "feature computation", feat, "2.6 +- 1.2")
-	r.addf("%-22s %9.2fus %12s", "model inference", infer, "6.5 +- 4.1")
-	r.addf("%-22s %9.2fus %12s", "model update", update, "10.8 +- 4.6")
+	t := newTable(r,
+		col{head: "operation", w: -22, key: "operation"},
+		col{head: "measured", w: 12, verb: "%.2fus", key: "measured_us"},
+		col{head: "paper", w: 12})
+	t.add("", "feature computation", feat, "2.6 +- 1.2")
+	t.add("", "model inference", infer, "6.5 +- 4.1")
+	t.add("", "model update", update, "10.8 +- 4.6")
 	r.addf("(all well below the 25ms learning window, as in the paper)")
-	r.row("", S("operation", "feature computation"), N("measured_us", feat))
-	r.row("", S("operation", "model inference"), N("measured_us", infer))
-	r.row("", S("operation", "model update"), N("measured_us", update))
 	return r, nil
 }
 
 // Ablations runs the design-choice studies DESIGN.md calls out beyond the
 // paper's figures: the predictor family (CSOAA vs EWMA vs PrevPeak), the
 // feature set, the polling interval, and the learning rate. All four
-// sweeps (18 scenarios) are declared up front and share one worker pool.
+// sweeps (18 scenarios) share one no-harvest baseline and one worker pool.
 func Ablations(cfg Config) (*Report, error) {
 	spec := apps.Memcached(40000)
-
-	preds := []policyRow{
-		{"csoaa (paper)", smartharvest(cfg)},
-		{"csoaa adagrad", harness.SmartHarvestFactory(core.SmartHarvestOptions{Adaptive: true})},
-		{"ewma a=0.3 m=1", harness.EWMAFactory(0.3, 1)},
-		{"ewma a=0.1 m=2", harness.EWMAFactory(0.1, 2)},
-		{"prevpeak", harness.PrevPeakFactory(1, false)},
-		{"prevpeak10", harness.PrevPeakFactory(10, true)},
+	shf := harness.SmartHarvestFactory
+	preds := withBase(scenario(cfg, "abl-base", spec, harness.NoHarvestFactory()))
+	pred := func(name string, f harness.ControllerFactory) { preds.add(name, scenario(cfg, "abl-"+name, spec, f)) }
+	pred("csoaa (paper)", smartharvest(cfg))
+	pred("csoaa adagrad", shf(core.SmartHarvestOptions{Adaptive: true}))
+	pred("ewma a=0.3 m=1", harness.EWMAFactory(0.3, 1))
+	pred("ewma a=0.1 m=2", harness.EWMAFactory(0.1, 2))
+	pred("prevpeak", controller(cfg, "prevpeak"))
+	pred("prevpeak10", controller(cfg, "prevpeak10"))
+	var feats, polls, rates section
+	for _, fs := range [][]string{nil, {"max"}, {"max", "avg"}, {"min", "avg", "std", "median"}} {
+		label := cmp.Or(strings.Join(fs, "+"), "all five")
+		feats.add(label, scenario(cfg, "abl-feat-"+label, spec, shf(core.SmartHarvestOptions{Features: fs})))
 	}
-	featureSets := [][]string{
-		nil, // all five
-		{"max"},
-		{"max", "avg"},
-		{"min", "avg", "std", "median"}, // everything except max
-	}
-	featureLabel := func(fs []string) string {
-		if len(fs) == 0 {
-			return "all five"
-		}
-		return strings.Join(fs, "+")
-	}
-	polls := []int{25, 50, 200, 1000}
-	rates := []float64{0.01, 0.1, 0.5}
-
-	scens := []harness.Scenario{scenario(cfg, "abl-base", spec, harness.NoHarvestFactory())}
-	for _, p := range preds {
-		scens = append(scens, scenario(cfg, "abl-"+p.name, spec, p.f))
-	}
-	for _, fs := range featureSets {
-		f := harness.SmartHarvestFactory(core.SmartHarvestOptions{Features: fs})
-		scens = append(scens, scenario(cfg, "abl-feat-"+featureLabel(fs), spec, f))
-	}
-	for _, us := range polls {
+	for _, us := range []int{25, 50, 200, 1000} {
 		s := scenario(cfg, fmt.Sprintf("abl-poll-%d", us), spec, smartharvest(cfg))
 		s.PollInterval = sim.Time(us) * sim.Microsecond
-		scens = append(scens, s)
+		polls.add(fmt.Sprintf("%dus", us), s)
 	}
-	for _, lr := range rates {
-		f := harness.SmartHarvestFactory(core.SmartHarvestOptions{LearningRate: lr})
-		scens = append(scens, scenario(cfg, fmt.Sprintf("abl-lr-%v", lr), spec, f))
+	for _, lr := range []float64{0.01, 0.1, 0.5} {
+		f := shf(core.SmartHarvestOptions{LearningRate: lr})
+		rates.add(fmt.Sprintf("%.2f", lr), scenario(cfg, fmt.Sprintf("abl-lr-%v", lr), spec, f))
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, preds, &feats, &polls, &rates); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "ablation", Title: "design-choice ablations (Memcached 40k + CPUBully)"}
-	base := results[0]
-	next := results[1:]
-	take := func() *harness.Result {
-		res := next[0]
-		next = next[1:]
-		return res
-	}
+	base := preds.base.res
 	r.addf("no-harvest P99 = %s", ms(base.P99(0)))
-
-	sweepRow := func(section, label string, res *harness.Result) {
-		r.row(section, S("variant", label), N("p99_ns", float64(res.P99(0))),
-			N("harvested_cores", res.AvgHarvestedCores))
-	}
-
-	r.addf("-- predictor family --")
-	r.addf("%-22s %10s %8s %12s", "predictor", "P99", "vs base", "harvested")
-	for _, p := range preds {
-		res := take()
-		r.addf("%-22s %10s %8s %12.2f",
-			p.name, ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		sweepRow("predictor family", p.name, res)
-	}
-
-	r.addf("-- feature set --")
-	r.addf("%-22s %10s %8s %12s", "features", "P99", "vs base", "harvested")
-	for _, fs := range featureSets {
-		res := take()
-		r.addf("%-22s %10s %8s %12.2f",
-			featureLabel(fs), ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		sweepRow("feature set", featureLabel(fs), res)
-	}
-
-	r.addf("-- polling interval --")
-	r.addf("%-22s %10s %8s %12s", "interval", "P99", "vs base", "harvested")
-	for _, us := range polls {
-		res := take()
-		r.addf("%-22s %10s %8s %12.2f",
-			fmt.Sprintf("%dus", us), ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		sweepRow("polling interval", fmt.Sprintf("%dus", us), res)
-	}
-
-	r.addf("-- learning rate --")
-	r.addf("%-22s %10s %8s %12s", "rate", "P99", "vs base", "harvested")
-	for _, lr := range rates {
-		res := take()
-		r.addf("%-22s %10s %8s %12.2f",
-			fmt.Sprintf("%.2f", lr), ms(res.P99(0)), pct(res.P99(0), base.P99(0)), res.AvgHarvestedCores)
-		sweepRow("learning rate", fmt.Sprintf("%.2f", lr), res)
+	for _, st := range []struct {
+		title, head string
+		sec         *section
+	}{
+		{"predictor family", "predictor", preds},
+		{"feature set", "features", &feats},
+		{"polling interval", "interval", &polls},
+		{"learning rate", "rate", &rates},
+	} {
+		r.addf("-- %s --", st.title)
+		t := newTable(r, append([]col{{head: st.head, w: -22, key: "variant"}}, p99Cols...)...)
+		for _, a := range st.sec.arms {
+			t.add(st.title, a.name, vsBase(a.res, base))
+		}
 	}
 	return r, nil
 }
@@ -184,45 +116,39 @@ func Ablations(cfg Config) (*Report, error) {
 // arrives mid-run and later the first departs; unallocated cores flow to
 // the ElasticVM and the agent re-learns each mix.
 func Churn(cfg Config) (*Report, error) {
-	r := &Report{ID: "churn", Title: "primary VM arrival/departure (Memcached tenants)"}
 	third := cfg.Duration / 3
 	arrival := apps.Memcached(40000)
-	s := harness.Scenario{
-		Name:              "churn",
-		Primaries:         []apps.PrimarySpec{apps.Memcached(40000)},
-		Batch:             harness.BatchCPUBully,
-		Controller:        smartharvest(cfg),
-		Duration:          cfg.Duration,
-		Warmup:            cfg.Warmup,
-		Seed:              cfg.Seed,
-		LongTermSafeguard: true,
-		RecordSeries:      true,
-		Churn: []harness.ChurnEvent{
-			{At: cfg.Warmup + third, Depart: -1, Arrive: &arrival},
-			{At: cfg.Warmup + 2*third, Depart: 0},
-		},
+	s := scenario(cfg, "churn", apps.Memcached(40000), smartharvest(cfg))
+	s.RecordSeries = true
+	s.Churn = []harness.ChurnEvent{
+		{At: cfg.Warmup + third, Depart: -1, Arrive: &arrival},
+		{At: cfg.Warmup + 2*third, Depart: 0},
 	}
-	results, err := runAll(cfg, []harness.Scenario{s})
-	if err != nil {
+	var sec section
+	sec.add("churn", s)
+	if err := sweep(cfg, &sec); err != nil {
 		return nil, err
 	}
-	res := results[0]
+
+	r := &Report{ID: "churn", Title: "primary VM arrival/departure (Memcached tenants)"}
+	res := sec.arms[0].res
 	r.addf("phase 1 (tenant A alone), phase 2 (A+B), phase 3 (B alone; A's cores unallocated)")
-	r.addf("%-12s %14s %14s", "tenant", "P99", "requests")
+	t := newTable(r,
+		col{head: "tenant", w: -12, key: "tenant"},
+		col{head: "P99", w: 14, verb: msVerb, key: "p99_ns"},
+		col{head: "requests", w: 14, verb: "%d", key: "requests"})
 	for _, p := range res.Primaries {
-		r.addf("%-12s %14s %14d", p.Name, ms(p.Latency.P99), p.Completed)
-		r.row("tenants", S("tenant", p.Name),
-			N("p99_ns", float64(p.Latency.P99)), N("requests", float64(p.Completed)))
+		t.add("tenants", p.Name, p.Latency.P99, p.Completed)
 	}
-	r.addf("avg harvested over run: %.2f cores; resizes %d, safeguards %d",
-		res.AvgHarvestedCores, res.Resizes, res.Safeguards)
-	r.row("", N("harvested_cores", res.AvgHarvestedCores),
-		N("resizes", float64(res.Resizes)), N("safeguards", float64(res.Safeguards)))
+	newTable(r,
+		col{verb: "avg harvested over run: %.2f cores;", key: "harvested_cores"},
+		col{verb: "resizes %d,", key: "resizes"},
+		col{verb: "safeguards %d", key: "safeguards"},
+	).add("", res.AvgHarvestedCores, res.Resizes, res.Safeguards)
 	// Allocation trace: the primary target should track ~alloc of the
 	// current phase (drop after the departure).
-	ts := res.TargetSeries.Downsample(12)
 	r.addf("primary-core target over time:")
-	for _, p := range ts.Points {
+	for _, p := range res.TargetSeries.Downsample(12).Points {
 		r.addf("  t=%5.1fs target=%4.1f", float64(p.Time)/1e9, p.Value)
 	}
 	return r, nil
@@ -237,12 +163,20 @@ func Fleet(cfg Config) (*Report, error) {
 	// (empty capacity slots) — the easy case of prior work; SmartHarvest
 	// additionally harvests allocated-but-idle cores from live tenants.
 	// The difference between the two rows is the paper's contribution.
-	for _, pol := range []struct {
-		name string
-		f    harness.ControllerFactory
-	}{
-		{"unallocated-only", harness.NoHarvestFactory()},
-		{"smartharvest", smartharvest(cfg)},
+	// Each policy's first line carries its Row; the figures on the other
+	// three lines ride along as Row-only cells.
+	t := newTable(r,
+		col{w: -14, key: "policy"},
+		col{verb: "placed=%d", key: "placed"},
+		col{verb: "rejected=%d", key: "rejected"},
+		col{verb: "departed=%d", key: "departed"},
+		col{key: "harvested_core_s", hide: true},
+		col{key: "elastic_core_s", hide: true},
+		col{key: "tenant_p50_ns", hide: true},
+		col{key: "tenant_p99_ns", hide: true})
+	for _, pol := range []struct{ name, policy string }{
+		{"unallocated-only", "noharvest"},
+		{"smartharvest", "smartharvest"},
 	} {
 		res, err := cluster.Run(cluster.Config{
 			Servers:      8,
@@ -251,23 +185,18 @@ func Fleet(cfg Config) (*Report, error) {
 			Duration:     cfg.Duration,
 			Warmup:       cfg.Warmup,
 			Seed:         cfg.Seed,
-			Controller:   pol.f,
+			Controller:   controller(cfg, pol.policy),
 		})
 		if err != nil {
 			return nil, err
 		}
-		r.addf("%-14s placed=%d rejected=%d departed=%d", pol.name, res.Placed, res.Rejected, res.Departed)
+		t.add("", pol.name, res.Placed, res.Rejected, res.Departed, res.HarvestedCoreSec,
+			res.ElasticCPUSec, res.TenantLatency.P50, res.TenantLatency.P99)
 		r.addf("%-14s harvested %.1f core-s total (%.2f cores/server avg); elastic executed %.1f core-s",
 			pol.name, res.HarvestedCoreSec, res.FleetAvgHarvested, res.ElasticCPUSec)
 		r.addf("%-14s per-server harvest spread (core-s): %s", pol.name, res.Spread)
 		r.addf("%-14s tenant latency: P50=%s P99=%s over %d requests",
 			pol.name, ms(res.TenantLatency.P50), ms(res.TenantLatency.P99), res.TenantLatency.Count)
-		r.row("", S("policy", pol.name),
-			N("placed", float64(res.Placed)), N("rejected", float64(res.Rejected)),
-			N("departed", float64(res.Departed)), N("harvested_core_s", res.HarvestedCoreSec),
-			N("elastic_core_s", res.ElasticCPUSec),
-			N("tenant_p50_ns", float64(res.TenantLatency.P50)),
-			N("tenant_p99_ns", float64(res.TenantLatency.P99)))
 	}
 	r.addf("(every agent runs independently, as in the paper §3.3; placement is first-fit)")
 	return r, nil
@@ -299,50 +228,42 @@ func SafeguardSweep(cfg Config) (*Report, error) {
 			[]apps.PrimarySpec{apps.MemcachedSwinging(60000), apps.MemcachedSwinging(60000)}},
 	}
 
-	// Per sweep: base, guard-off, then one scenario per trip criterion.
-	perSweep := 2 + len(criteria)
-	var scens []harness.Scenario
-	for _, sw := range sweeps {
+	// Per sweep: the baseline, guard off, then one arm per trip criterion.
+	secs := make([]*section, len(sweeps))
+	for si, sw := range sweeps {
 		mk := func(thresh sim.Time, frac float64, guard bool, ctrl harness.ControllerFactory) harness.Scenario {
-			return harness.Scenario{
-				Name: "guard-sweep", Primaries: sw.primaries, Batch: harness.BatchCPUBully,
-				Controller: ctrl, Duration: cfg.Duration, Warmup: cfg.Warmup,
-				Seed: cfg.Seed, LongTermSafeguard: guard,
-				QoSWaitThreshold: thresh, QoSViolationFrac: frac,
-			}
+			s := scenarioOf(cfg, "guard-sweep", ctrl, guard, sw.primaries...)
+			s.QoSWaitThreshold, s.QoSViolationFrac = thresh, frac
+			return s
 		}
-		scens = append(scens, mk(0, 0, false, harness.NoHarvestFactory()))
-		scens = append(scens, mk(0, 0, false, smartharvest(cfg)))
+		secs[si] = withBase(mk(0, 0, false, harness.NoHarvestFactory()))
+		secs[si].add("guard off", mk(0, 0, false, smartharvest(cfg)))
 		for _, c := range criteria {
-			scens = append(scens, mk(c.thresh, c.frac, true, smartharvest(cfg)))
+			secs[si].add(fmt.Sprintf("%dus/%.1f%%", int(c.thresh.Microseconds()), c.frac*100),
+				mk(c.thresh, c.frac, true, smartharvest(cfg)))
 		}
 	}
-	results, err := runAll(cfg, scens)
-	if err != nil {
+	if err := sweep(cfg, secs...); err != nil {
 		return nil, err
 	}
 
 	r := &Report{ID: "guard-sweep", Title: "long-term safeguard sensitivity"}
 	for si, sw := range sweeps {
-		block := results[si*perSweep : (si+1)*perSweep]
-		baseRes, off := block[0], block[1]
-		r.addf("-- %s: no-harvest P99 = %s --", sw.title, ms(baseRes.P99(0)))
-		r.addf("%-24s %10s %8s %10s %6s", "threshold/frac", "P99", "vs base", "harvested", "trips")
-		r.addf("%-24s %10s %8s %10.2f %6s", "guard off",
-			ms(off.P99(0)), pct(off.P99(0), baseRes.P99(0)), off.AvgHarvestedCores, "-")
-		section := fmt.Sprintf("sweep-%d", si)
-		r.row(section, S("criterion", "guard off"),
-			N("p99_ns", float64(off.P99(0))), N("harvested_cores", off.AvgHarvestedCores))
-		for ci, c := range criteria {
-			res := block[2+ci]
-			r.addf("%-24s %10s %8s %10.2f %6d",
-				fmt.Sprintf("%dus / %.1f%%", int(c.thresh.Microseconds()), c.frac*100),
-				ms(res.P99(0)), pct(res.P99(0), baseRes.P99(0)),
-				res.AvgHarvestedCores, res.QoSTrips)
-			r.row(section,
-				S("criterion", fmt.Sprintf("%dus/%.1f%%", int(c.thresh.Microseconds()), c.frac*100)),
-				N("p99_ns", float64(res.P99(0))), N("harvested_cores", res.AvgHarvestedCores),
-				N("qos_trips", float64(res.QoSTrips)))
+		base := secs[si].base.res
+		r.addf("-- %s: no-harvest P99 = %s --", sw.title, ms(base.P99(0)))
+		t := newTable(r,
+			col{key: "criterion", hide: true},
+			col{head: "threshold/frac", w: -24},
+			p99Cols[0], p99Cols[1],
+			col{head: "harvested", w: 10, verb: "%.2f", key: "harvested_cores"},
+			col{head: "trips", w: 6, verb: "%d", key: "qos_trips"})
+		for _, a := range secs[si].arms {
+			var trips any // guard off: no trips to count
+			if a.scen.LongTermSafeguard {
+				trips = a.res.QoSTrips
+			}
+			t.add(fmt.Sprintf("sweep-%d", si), a.name, strings.Replace(a.name, "/", " / ", 1),
+				vsBase(a.res, base)[:2], a.res.AvgHarvestedCores, trips)
 		}
 	}
 	return r, nil
@@ -358,7 +279,12 @@ func MemHarvest(cfg Config) (*Report, error) {
 		Warmup:   cfg.Warmup,
 		Seed:     cfg.Seed,
 	}
-	r.addf("%-18s %14s %14s %10s %9s", "policy", "harvested GB", "fault GB-s", "episodes", "reclaims")
+	t := newTable(r,
+		col{head: "policy", w: -18, key: "policy"},
+		col{head: "harvested GB", w: 14, verb: "%.1f", key: "harvested_gb"},
+		col{head: "fault GB-s", w: 14, verb: "%.2f", key: "fault_gb_s"},
+		col{head: "episodes", w: 10, verb: "%d", key: "short_episodes"},
+		col{head: "reclaims", w: 9, verb: "%d", key: "reclaims"})
 	policies := []memharvest.Policy{
 		memharvest.NewLearned(64),
 		memharvest.NewFixedHeadroom(64, 2),
@@ -371,11 +297,7 @@ func MemHarvest(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.addf("%-18s %14.1f %14.2f %10d %9d",
-			res.Policy, res.AvgHarvestedGB, res.FaultSeconds, res.ShortEpisodes, res.Reclaims)
-		r.row("", S("policy", res.Policy),
-			N("harvested_gb", res.AvgHarvestedGB), N("fault_gb_s", res.FaultSeconds),
-			N("short_episodes", float64(res.ShortEpisodes)), N("reclaims", float64(res.Reclaims)))
+		t.add("", res.Policy, res.AvgHarvestedGB, res.FaultSeconds, res.ShortEpisodes, res.Reclaims)
 	}
 	r.addf("(same CSOAA learner as the CPU agent, zero per-workload tuning: it lands on")
 	r.addf(" the fixed-headroom frontier automatically; actuation differs from CPU —")

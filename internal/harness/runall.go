@@ -61,7 +61,7 @@ func RunAll(scenarios []Scenario, opts ...RunOption) ([]*Result, error) {
 // runtime.GOMAXPROCS(0) when workers < 1, clamped to n. Indices are
 // handed out in ascending order, and a single worker runs them inline,
 // so a caller that collects by index gets output independent of the pool
-// size. It is the one worker pool behind RunAll, the fleet experiments,
+// size. It is the one worker pool behind RunAll, the experiment sweeps,
 // bench.RunGrid and cmd/experiments.
 func ForEach(n, workers int, fn func(i int)) int {
 	if workers < 1 {
