@@ -33,19 +33,19 @@
 //	           experiment with the checker's report, and a verification
 //	           tally is printed
 //	-faults    fault plan injected into the sched experiment's fleet
-//	           (key=value pairs; see internal/faults.ParsePlan for the
-//	           agent and fleet keys). Experiments that own their plans
-//	           (chaos, fleetchaos) ignore it.
+//	           (key=value pairs; -h lists the agent and fleet keys).
+//	           Experiments that own their plans (chaos, fleetchaos)
+//	           ignore it.
 //	-predictor swap the peak predictor on every smartharvest scenario
-//	           (csoaa, adagrad, ewma, periodic, mlp, ensemble); the
-//	           predictors experiment ignores this and always sweeps all
+//	           (-h lists them); the predictors experiment ignores this
+//	           and always sweeps all
 //	-pools     harvested-capacity pool plan (internal/market grammar) for
 //	           the sched and market experiments: sched opens it on every
 //	           run's fleet, market runs it in place of its built-in
 //	           overcommit × tier-mix grid; other experiments ignore it
-//	-tenants   tenant workload-characterization class (flat, periodic,
-//	           bursty, mixed) replacing the sched/market fleets' default
-//	           tenant mix; other experiments ignore it
+//	-tenants   tenant workload-characterization class (-h lists them)
+//	           replacing the sched/market fleets' default tenant mix;
+//	           other experiments ignore it
 //	-list      list experiment IDs and exit
 //	-cpuprofile FILE, -memprofile FILE
 //	           write a CPU / heap profile of the whole invocation
@@ -72,6 +72,7 @@ import (
 	"smartharvest/internal/experiments"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
+	"smartharvest/internal/learner"
 	"smartharvest/internal/market"
 	"smartharvest/internal/profile"
 	"smartharvest/internal/sim"
@@ -88,19 +89,31 @@ type jobOutput struct {
 }
 
 func main() {
+	var cfg experiments.Config
 	duration := flag.Duration("duration", 30*time.Second, "measured simulated time per run")
 	warmup := flag.Duration("warmup", 2*time.Second, "simulated warmup before measurement")
-	seed := flag.Uint64("seed", 1, "RNG seed")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "RNG seed")
 	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run each experiment with (the paper averages 3 runs)")
-	parallel := flag.Int("parallel", 0, "scenario/experiment worker-pool size (0 = GOMAXPROCS, 1 = serial)")
+	flag.IntVar(&cfg.Parallel, "parallel", 0, "scenario/experiment worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	quick := flag.Bool("quick", false, "short runs (6s simulated)")
 	outDir := flag.String("out", "", "directory to also write per-experiment reports to")
-	traceDir := flag.String("trace", "", "directory to write per-run JSONL event traces to")
-	checkRuns := flag.Bool("check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
-	faultsPlan := flag.String("faults", "", "fault plan for the sched experiment's fleet (key=value pairs; agent keys: hfail, hdelay, drop, stale, noise, stall, crash; fleet keys: scrash, gdrop, gdelay, rstale, rloss, srestartdur, gdelaydur; e.g. 'drop=0.01,scrash=0.002')")
-	predictor := flag.String("predictor", "", "peak predictor for every smartharvest row: csoaa (default), adagrad, ewma, periodic, mlp, ensemble")
-	poolSpec := flag.String("pools", "", "harvested-capacity pool plan for the sched and market experiments, e.g. 'overcommit=1.5;name=acme,tier=standard,reserved=4,price=2' (see internal/market; market runs it in place of its overcommit x tier-mix grid)")
-	tenantMix := flag.String("tenants", "", "tenant workload-characterization class for the sched and market experiments: flat, periodic, bursty, mixed (default: the four-primaries mix)")
+	flag.StringVar(&cfg.TraceDir, "trace", "", "directory to write per-run JSONL event traces to")
+	flag.BoolVar(&cfg.Check, "check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
+	flag.TextVar(&cfg.Faults, "faults", cfg.Faults, "fault plan for the sched experiment's fleet as comma-separated key=value pairs (keys: "+
+		strings.Join(faults.Keys(""), ", ")+"; fleet-level: "+strings.Join(faults.Keys("fleet"), ", ")+")")
+	flag.TextVar(&cfg.Predictor, "predictor", cfg.Predictor, "peak predictor for every smartharvest row: "+strings.Join(learner.Names(), ", "))
+	flag.Func("pools", "harvested-capacity pool plan for the sched and market experiments as ';'-separated key=value lists (keys: "+
+		strings.Join(market.Keys(), ", ")+"; market runs it in place of its overcommit x tier-mix grid)", func(s string) error {
+		cfg.Pools = s
+		_, err := market.ParsePools(s)
+		return err
+	})
+	flag.Func("tenants", "tenant workload-characterization class for the sched and market experiments: "+
+		workload.ClassNames.List()+" (default: the four-primaries mix)", func(s string) error {
+		cfg.TenantMix = s
+		_, err := workload.ParseClass(s)
+		return err
+	})
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	gridFile := flag.String("grid", "", "run the declarative JSON experiment grid in FILE (see internal/bench)")
 	gridOut := flag.String("grid-out", "grid-out", "artifact directory for -grid runs")
@@ -128,52 +141,16 @@ func main() {
 		os.Exit(code)
 	}
 	if *gridFile != "" {
-		exit(runGrid(*gridFile, *gridOut, *parallel))
+		exit(runGrid(*gridFile, *gridOut, cfg.Parallel))
 	}
 
-	cfg := experiments.Config{
-		Duration: sim.Duration(*duration),
-		Warmup:   sim.Duration(*warmup),
-		Seed:     *seed,
-		Parallel: *parallel,
-		TraceDir: *traceDir,
-		Check:    *checkRuns,
-	}
+	cfg.Duration = sim.Duration(*duration)
+	cfg.Warmup = sim.Duration(*warmup)
 	if *quick {
 		cfg.Duration = 6 * sim.Second
 	}
-	if *faultsPlan != "" {
-		plan, err := faults.ParsePlan(*faultsPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		cfg.Faults = plan
-	}
-	if *predictor != "" {
-		kind, err := harness.ParsePredictor(*predictor)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		cfg.Predictor = kind
-	}
-	if *poolSpec != "" {
-		if _, err := market.ParsePools(*poolSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		cfg.Pools = *poolSpec
-	}
-	if *tenantMix != "" {
-		if _, err := workload.ParseClass(*tenantMix); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
-		}
-		cfg.TenantMix = *tenantMix
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+	if cfg.TraceDir != "" {
+		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			exit(1)
 		}
@@ -207,7 +184,7 @@ func main() {
 	}
 	used := make(chan int, 1)
 	go func() {
-		used <- harness.ForEach(len(ids), *parallel, func(i int) {
+		used <- harness.ForEach(len(ids), cfg.Parallel, func(i int) {
 			ready[i] <- runExperiment(ids[i], cfg, *seeds)
 		})
 	}()
@@ -234,7 +211,7 @@ func main() {
 	if len(ids) > 1 {
 		printSummary(outputs, time.Since(wallStart), harness.SimTimeExecuted()-simStart, <-used)
 	}
-	if *checkRuns {
+	if cfg.Check {
 		runs, violations := experiments.CheckStats()
 		fmt.Printf("invariant checks: %d scenario runs verified, %d violations\n", runs, violations)
 		if violations > 0 {

@@ -18,6 +18,10 @@ import (
 	"time"
 
 	"smartharvest"
+	"smartharvest/internal/faults"
+	"smartharvest/internal/harness"
+	"smartharvest/internal/hypervisor"
+	"smartharvest/internal/market"
 	"smartharvest/internal/profile"
 	"smartharvest/internal/sim"
 )
@@ -120,22 +124,26 @@ func parsePolicy(spec, predictor string) (smartharvest.ControllerFactory, error)
 func fmtNS(ns int64) string { return sim.Time(ns).String() }
 
 func main() {
+	s := smartharvest.Scenario{Name: "cli"}
 	var primaries primaryList
 	flag.Var(&primaries, "primary", "primary workload as name[:qps]; repeatable (default memcached:40000)")
 	policy := flag.String("policy", "smartharvest", "harvesting policy: smartharvest, fixedbuffer[:k], prevpeak[:n], ewma, noharvest")
 	predictor := flag.String("predictor", "", fmt.Sprintf("peak predictor for -policy smartharvest: %s (default csoaa)",
 		strings.Join(smartharvest.PredictorNames(), ", ")))
-	batch := flag.String("batch", "cpubully", "ElasticVM workload: cpubully, hdinsight, terasort, finite, none")
+	flag.TextVar(&s.Batch, "batch", s.Batch, "ElasticVM workload: "+harness.BatchKindNames.List())
 	batchWork := flag.Duration("batch-work", 8*time.Second, "finite batch allotment in core-time (-batch finite)")
-	batchWidth := flag.Int("batch-width", 0, "finite batch parallelism cap in cores, 0 = all (-batch finite)")
-	mechanism := flag.String("mechanism", "cpugroups", "core reassignment mechanism: cpugroups or ipis")
+	flag.IntVar(&s.BatchWidth, "batch-width", 0, "finite batch parallelism cap in cores, 0 = all (-batch finite)")
+	flag.TextVar(&s.Mechanism, "mechanism", s.Mechanism, "core reassignment mechanism: "+hypervisor.MechanismNames.List())
 	duration := flag.Duration("duration", 30*time.Second, "measured simulated time")
 	warmup := flag.Duration("warmup", 2*time.Second, "simulated warmup")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	guard := flag.Bool("long-term-safeguard", true, "enable the long-term QoS safeguard")
+	flag.Uint64Var(&s.Seed, "seed", 1, "RNG seed")
+	flag.BoolVar(&s.LongTermSafeguard, "long-term-safeguard", true, "enable the long-term QoS safeguard")
 	speedup := flag.Bool("speedup", false, "also run a NoHarvest baseline and report the batch speedup")
-	faultSpec := flag.String("faults", "", "fault-injection plan as key=value pairs, e.g. hfail=0.05,drop=0.01,stall=0.001,stalldur=60ms (keys: hfail, hdelay, drop, stale, noise, stall, crash, hdelaymean, hdelayp99, stalldur, restartdur, losemodel; fleet keys scrash, gdrop, gdelay, rstale, rloss need a multi-server fleet and are rejected here)")
-	poolSpec := flag.String("pools", "", "harvested-capacity pool plan, e.g. 'overcommit=1.5;name=acme,tier=standard,reserved=4' (pools need a multi-server fleet and are rejected here; use cmd/experiments -pools)")
+	flag.TextVar(&s.Faults, "faults", s.Faults, "fault-injection plan as comma-separated key=value pairs (keys: "+
+		strings.Join(faults.Keys(""), ", ")+"; the fleet keys "+strings.Join(faults.Keys("fleet"), ", ")+
+		" need a multi-server fleet and are rejected here)")
+	flag.TextVar(&s.Pools, "pools", s.Pools, "harvested-capacity pool plan as ';'-separated key=value lists (keys: "+
+		strings.Join(market.Keys(), ", ")+"); pools need a multi-server fleet and are rejected here, use cmd/experiments -pools")
 	trace := flag.String("trace", "", "write a JSONL event trace of the run to this file (poll samples included)")
 	checkRun := flag.Bool("check", false, "verify the run against the safety invariants and print the report (exit 1 on violation)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -150,50 +158,20 @@ func main() {
 	if len(primaries) == 0 {
 		primaries = primaryList{"memcached:40000"}
 	}
-	var specs []smartharvest.PrimarySpec
 	for _, p := range primaries {
 		spec, err := parsePrimary(p)
 		if err != nil {
 			fail(err)
 		}
-		specs = append(specs, spec)
+		s.Primaries = append(s.Primaries, spec)
 	}
-	ctrl, err := parsePolicy(*policy, *predictor)
-	if err != nil {
+	var err error
+	if s.Controller, err = parsePolicy(*policy, *predictor); err != nil {
 		fail(err)
 	}
-	batchKind, err := smartharvest.ParseBatchKind(*batch)
-	if err != nil {
-		fail(err)
-	}
-	mech, err := smartharvest.ParseMechanism(*mechanism)
-	if err != nil {
-		fail(err)
-	}
-	plan, err := smartharvest.ParseFaultPlan(*faultSpec)
-	if err != nil {
-		fail(err)
-	}
-	pools, err := smartharvest.ParsePools(*poolSpec)
-	if err != nil {
-		fail(err)
-	}
-
-	s := smartharvest.Scenario{
-		Name:              "cli",
-		Primaries:         specs,
-		Batch:             batchKind,
-		BatchWork:         sim.Duration(*batchWork),
-		BatchWidth:        *batchWidth,
-		Mechanism:         mech,
-		Controller:        ctrl,
-		Duration:          sim.Duration(*duration),
-		Warmup:            sim.Duration(*warmup),
-		Seed:              *seed,
-		LongTermSafeguard: *guard,
-		Faults:            plan,
-		Pools:             pools,
-	}
+	s.BatchWork = sim.Duration(*batchWork)
+	s.Duration = sim.Duration(*duration)
+	s.Warmup = sim.Duration(*warmup)
 
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -257,7 +235,7 @@ func main() {
 	if res.BatchFinished {
 		fmt.Printf("batch finished at %v\n", res.BatchTime)
 	}
-	if batchKind == smartharvest.BatchFinite {
+	if s.Batch == smartharvest.BatchFinite {
 		fmt.Printf("finite batch progress: %v of %v core-time\n",
 			res.BatchProgress, sim.Duration(*batchWork))
 	}
@@ -272,9 +250,9 @@ func main() {
 	for _, p := range res.Primaries {
 		fmt.Printf("simulator: primary %-18s %d requests offered, %d completed\n", p.Name, p.Offered, p.Completed)
 	}
-	if plan.Enabled() {
+	if s.Faults.Enabled() {
 		fmt.Printf("faults: %d injected (%s); %d retries, %d aborted resizes, %d missed windows, %d stalls, %d crashes\n",
-			res.FaultsInjected, plan, res.ResizeRetries, res.ResizesAborted,
+			res.FaultsInjected, s.Faults, res.ResizeRetries, res.ResizesAborted,
 			res.MissedWindows, res.Stalls, res.Crashes)
 		fmt.Printf("degradation: %d entries; degraded at end of run: %v\n",
 			res.Degradations, res.Degraded)

@@ -51,8 +51,8 @@ type GridRun struct {
 	// consecutive seeds (default 1).
 	Seed  uint64 `json:"seed,omitempty"`
 	Seeds int    `json:"seeds,omitempty"`
-	// Predictor swaps the peak predictor on smartharvest rows
-	// (csoaa, adagrad, ewma, periodic, mlp, ensemble).
+	// Predictor swaps the peak predictor on smartharvest rows (a
+	// PredictorKind name).
 	Predictor string `json:"predictor,omitempty"`
 	// Check attaches the invariant checker to every scenario run.
 	Check bool `json:"check,omitempty"`
@@ -155,13 +155,11 @@ func (g *Grid) Expand() ([]ResolvedRun, error) {
 			}
 			cfg.Predictor = kind
 		}
-		if run.Faults != "" {
-			plan, err := faults.ParsePlan(run.Faults)
-			if err != nil {
-				return nil, fmt.Errorf("bench: grid run %d (%s): %w", i, run.Experiment, err)
-			}
-			cfg.Faults = plan
+		plan, err := faults.ParsePlan(run.Faults)
+		if err != nil {
+			return nil, fmt.Errorf("bench: grid run %d (%s): %w", i, run.Experiment, err)
 		}
+		cfg.Faults = plan
 		cfg.Check = run.Check
 		seeds := run.Seeds
 		if seeds < 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/market"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -118,14 +119,10 @@ const (
 	jobAbandoned
 )
 
-var jobPhaseNames = [...]string{"queued", "running", "evicted", "done", "abandoned"}
+var jobPhaseNames = grammar.Enum[jobPhase]{Unknown: "unknown",
+	Names: []string{"queued", "running", "evicted", "done", "abandoned"}}
 
-func (p jobPhase) String() string {
-	if int(p) < len(jobPhaseNames) {
-		return jobPhaseNames[p]
-	}
-	return "unknown"
-}
+func (p jobPhase) String() string { return jobPhaseNames.String(p) }
 
 // jobState is one job's tracked lifecycle.
 type jobState struct {

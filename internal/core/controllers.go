@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/learner"
 )
 
@@ -21,42 +22,19 @@ const (
 	AggressiveSafeguard
 )
 
-func (m SafeguardMode) String() string {
-	if m == AggressiveSafeguard {
-		return "aggressive"
-	}
-	return "conservative"
-}
+var modeNames = grammar.Enum[SafeguardMode]{Pkg: "core", What: "safeguard mode",
+	Names: []string{"conservative", "aggressive"}}
+
+func (m SafeguardMode) String() string { return modeNames.String(m) }
 
 // ParseSafeguardMode is the inverse of String.
-func ParseSafeguardMode(s string) (SafeguardMode, error) {
-	switch s {
-	case "conservative":
-		return ConservativeSafeguard, nil
-	case "aggressive":
-		return AggressiveSafeguard, nil
-	default:
-		return 0, fmt.Errorf("core: unknown safeguard mode %q (want conservative or aggressive)", s)
-	}
-}
+func ParseSafeguardMode(s string) (SafeguardMode, error) { return modeNames.Parse(s) }
 
 // MarshalText implements encoding.TextMarshaler.
-func (m SafeguardMode) MarshalText() ([]byte, error) {
-	if m != ConservativeSafeguard && m != AggressiveSafeguard {
-		return nil, fmt.Errorf("core: cannot marshal SafeguardMode(%d)", int(m))
-	}
-	return []byte(m.String()), nil
-}
+func (m SafeguardMode) MarshalText() ([]byte, error) { return modeNames.MarshalText(m) }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
-func (m *SafeguardMode) UnmarshalText(text []byte) error {
-	v, err := ParseSafeguardMode(string(text))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *SafeguardMode) UnmarshalText(text []byte) error { return modeNames.UnmarshalText(m, text) }
 
 // SmartHarvest is the paper's controller: cost-sensitive multi-class
 // classification over the five window features, predicting the next

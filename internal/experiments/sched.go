@@ -24,11 +24,9 @@ func Sched(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mcfg market.Config
-	if cfg.Pools != "" {
-		if mcfg, err = market.ParsePools(cfg.Pools); err != nil {
-			return nil, fmt.Errorf("experiments: sched pools: %w", err)
-		}
+	mcfg, err := market.ParsePools(cfg.Pools)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sched pools: %w", err)
 	}
 	var sec section
 	for _, rate := range []float64{1, 3} {

@@ -14,11 +14,10 @@ package faults
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"smartharvest/internal/core"
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -26,38 +25,35 @@ import (
 )
 
 // Plan parameterizes the injector. The zero value injects nothing.
+//
+// Each field's `key` tag declares its -faults key (internal/grammar):
+// fields print in declaration order, probabilities first, and a
+// duration's default applies only while its fault class is enabled.
 type Plan struct {
 	// HypercallFailProb is the probability that an accepted resize
 	// hypercall fails transiently (the split does not change).
-	HypercallFailProb float64
+	HypercallFailProb float64 `key:"hfail,prob,agent"`
 	// HypercallDelayProb is the probability that a resize hypercall
-	// suffers a latency spike, drawn log-normally.
-	HypercallDelayProb float64
-	// HypercallDelayMean/P99 parameterize the spike distribution
-	// (defaults 2 ms mean, 10 ms P99).
-	HypercallDelayMean sim.Time
-	HypercallDelayP99  sim.Time
+	// suffers a latency spike, drawn log-normally (HypercallDelayMean/P99).
+	HypercallDelayProb float64 `key:"hdelay,prob,agent"`
 
 	// PollDropProb is the probability a busy-core reading is lost.
-	PollDropProb float64
+	PollDropProb float64 `key:"drop,prob,agent"`
 	// PollStaleProb is the probability a reading repeats the previous
 	// delivered value instead of the current one.
-	PollStaleProb float64
+	PollStaleProb float64 `key:"stale,prob,agent"`
 	// PollNoiseProb is the probability a reading is perturbed by ±1 core
 	// (clamped to the valid range).
-	PollNoiseProb float64
+	PollNoiseProb float64 `key:"noise,prob,agent"`
 
 	// StallProb is the per-window probability the agent stalls for
-	// StallDur before the window starts (default 60 ms).
-	StallProb float64
-	StallDur  sim.Time
+	// StallDur before the window starts.
+	StallProb float64 `key:"stall,prob,agent"`
 	// CrashProb is the per-window probability the agent crashes and
-	// restarts after RestartDur (default 250 ms), losing in-memory window
-	// state. The model survives through a checkpoint round-trip unless
-	// LoseModel is set.
-	CrashProb  float64
-	RestartDur sim.Time
-	LoseModel  bool
+	// restarts after RestartDur, losing in-memory window state. The
+	// model survives through a checkpoint round-trip unless LoseModel is
+	// set.
+	CrashProb float64 `key:"crash,prob,agent"`
 
 	// Fleet-level faults, consumed by internal/cluster and internal/sched
 	// (not by the per-server agent injector above).
@@ -65,46 +61,52 @@ type Plan struct {
 	// ServerCrashProb is the per-tick (25 ms) per-server probability that
 	// a server's whole harvesting stack goes down: its agent dies and
 	// every scheduled job on it is orphaned. The server comes back after
-	// ServerRestartDur (default 500 ms). Tenant primary VMs ride out the
-	// outage — the failure domain is the harvesting stack, not the host's
+	// ServerRestartDur. Tenant primary VMs ride out the outage — the
+	// failure domain is the harvesting stack, not the host's
 	// virtualization layer.
-	ServerCrashProb  float64
-	ServerRestartDur sim.Time
+	ServerCrashProb float64 `key:"scrash,prob,fleet"`
 
 	// GrantDropProb / GrantDelayProb perturb scheduler→server placement
 	// grants: a dropped grant never lands (the scheduler must time out
-	// and retry), a delayed one lands after GrantDelayDur (default 10 ms)
-	// subject to a capacity re-check.
-	GrantDropProb  float64
-	GrantDelayProb float64
-	GrantDelayDur  sim.Time
+	// and retry), a delayed one lands after GrantDelayDur subject to a
+	// capacity re-check.
+	GrantDropProb  float64 `key:"gdrop,prob,fleet"`
+	GrantDelayProb float64 `key:"gdelay,prob,fleet"`
 
 	// ReadStaleProb is the probability a HarvestedCores/ForecastCores
 	// reading observed by the scheduler repeats the previously delivered
 	// value for that server instead of the current one.
-	ReadStaleProb float64
+	ReadStaleProb float64 `key:"rstale,prob,fleet"`
 
 	// ReconcileLossProb is the probability the reconcile pass loses one
 	// server's message entirely — the scheduler skips evaluating that
 	// server this tick.
-	ReconcileLossProb float64
+	ReconcileLossProb float64 `key:"rloss,prob,fleet"`
+
+	// The durations named above; each tag's default fills in while the
+	// fault class it names with if= is enabled.
+	HypercallDelayMean sim.Time `key:"hdelaymean,default=2ms,if=hdelay"`
+	HypercallDelayP99  sim.Time `key:"hdelayp99,default=10ms,if=hdelay"`
+	StallDur           sim.Time `key:"stalldur,default=60ms,if=stall"`
+	RestartDur         sim.Time `key:"restartdur,default=250ms,if=crash"`
+	ServerRestartDur   sim.Time `key:"srestartdur,default=500ms,if=scrash"`
+	GrantDelayDur      sim.Time `key:"gdelaydur,default=10ms,if=gdelay"`
+	LoseModel          bool     `key:"losemodel"`
 }
 
+// planKeys is the -faults grammar, derived from Plan's tags.
+var planKeys = grammar.New[Plan]("faults")
+
+// Keys lists the -faults keys in scope ("agent", "fleet" or "" for all).
+func Keys(scope string) []string { return planKeys.Keys(scope) }
+
 // AgentEnabled reports whether the plan injects any per-server agent
-// faults (the PR 4 set: hypercall, poll-signal, and agent-process
-// faults).
-func (p Plan) AgentEnabled() bool {
-	return p.HypercallFailProb > 0 || p.HypercallDelayProb > 0 ||
-		p.PollDropProb > 0 || p.PollStaleProb > 0 || p.PollNoiseProb > 0 ||
-		p.StallProb > 0 || p.CrashProb > 0
-}
+// faults (hypercall, poll-signal, and agent-process faults).
+func (p Plan) AgentEnabled() bool { return planKeys.Any(p, "agent") }
 
 // FleetEnabled reports whether the plan injects any fleet-level faults
 // (server crashes or scheduler↔server control-plane faults).
-func (p Plan) FleetEnabled() bool {
-	return p.ServerCrashProb > 0 || p.GrantDropProb > 0 || p.GrantDelayProb > 0 ||
-		p.ReadStaleProb > 0 || p.ReconcileLossProb > 0
-}
+func (p Plan) FleetEnabled() bool { return planKeys.Any(p, "fleet") }
 
 // Enabled reports whether the plan injects anything at all.
 func (p Plan) Enabled() bool {
@@ -113,203 +115,33 @@ func (p Plan) Enabled() bool {
 
 // Scale returns the plan with every probability multiplied by f (clamped
 // to 1) and durations unchanged — the knob the chaos experiments sweep.
-func (p Plan) Scale(f float64) Plan {
-	s := p
-	for _, q := range []*float64{
-		&s.HypercallFailProb, &s.HypercallDelayProb,
-		&s.PollDropProb, &s.PollStaleProb, &s.PollNoiseProb,
-		&s.StallProb, &s.CrashProb,
-		&s.ServerCrashProb, &s.GrantDropProb, &s.GrantDelayProb,
-		&s.ReadStaleProb, &s.ReconcileLossProb,
-	} {
-		*q *= f
-		if *q > 1 {
-			*q = 1
-		}
-	}
-	return s
-}
-
-func (p *Plan) validate() error {
-	for _, v := range []struct {
-		name string
-		p    float64
-	}{
-		{"hfail", p.HypercallFailProb}, {"hdelay", p.HypercallDelayProb},
-		{"drop", p.PollDropProb}, {"stale", p.PollStaleProb}, {"noise", p.PollNoiseProb},
-		{"stall", p.StallProb}, {"crash", p.CrashProb},
-		{"scrash", p.ServerCrashProb}, {"gdrop", p.GrantDropProb},
-		{"gdelay", p.GrantDelayProb}, {"rstale", p.ReadStaleProb},
-		{"rloss", p.ReconcileLossProb},
-	} {
-		if v.p < 0 || v.p > 1 {
-			return fmt.Errorf("faults: %s probability %v outside [0,1]", v.name, v.p)
-		}
-	}
-	if p.HypercallDelayMean < 0 || p.HypercallDelayP99 < 0 ||
-		p.StallDur < 0 || p.RestartDur < 0 ||
-		p.ServerRestartDur < 0 || p.GrantDelayDur < 0 {
-		return fmt.Errorf("faults: durations must be non-negative")
-	}
-	return nil
-}
+func (p Plan) Scale(f float64) Plan { return planKeys.Scale(p, f) }
 
 // withDefaults fills duration defaults for any enabled fault class.
 func (p Plan) withDefaults() Plan {
-	if p.HypercallDelayProb > 0 {
-		if p.HypercallDelayMean == 0 {
-			p.HypercallDelayMean = 2 * sim.Millisecond
-		}
-		if p.HypercallDelayP99 == 0 {
-			p.HypercallDelayP99 = 10 * sim.Millisecond
-		}
-		if p.HypercallDelayP99 < p.HypercallDelayMean {
-			p.HypercallDelayP99 = p.HypercallDelayMean
-		}
-	}
-	if p.StallProb > 0 && p.StallDur == 0 {
-		p.StallDur = 60 * sim.Millisecond
-	}
-	if p.CrashProb > 0 && p.RestartDur == 0 {
-		p.RestartDur = 250 * sim.Millisecond
-	}
-	if p.ServerCrashProb > 0 && p.ServerRestartDur == 0 {
-		p.ServerRestartDur = 500 * sim.Millisecond
-	}
-	if p.GrantDelayProb > 0 && p.GrantDelayDur == 0 {
-		p.GrantDelayDur = 10 * sim.Millisecond
+	p = planKeys.Defaults(p)
+	if p.HypercallDelayProb > 0 && p.HypercallDelayP99 < p.HypercallDelayMean {
+		p.HypercallDelayP99 = p.HypercallDelayMean
 	}
 	return p
 }
 
 // ParsePlan parses the -faults CLI syntax: comma-separated key=value
-// pairs, e.g. "hfail=0.05,drop=0.01,stall=0.001,stalldur=60ms".
-// Agent probability keys: hfail, hdelay, drop, stale, noise, stall,
-// crash. Fleet probability keys: scrash (server crash per tick), gdrop /
-// gdelay (placement-grant drop/delay), rstale (stale capacity reading),
-// rloss (reconcile-message loss). Duration keys (Go duration syntax):
-// hdelaymean, hdelayp99, stalldur, restartdur, srestartdur, gdelaydur.
-// Boolean key: losemodel. An empty string is the zero Plan.
-func ParsePlan(s string) (Plan, error) {
-	var p Plan
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return p, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("faults: bad pair %q (want key=value)", kv)
-		}
-		var err error
-		switch k {
-		case "hfail":
-			p.HypercallFailProb, err = strconv.ParseFloat(v, 64)
-		case "hdelay":
-			p.HypercallDelayProb, err = strconv.ParseFloat(v, 64)
-		case "drop":
-			p.PollDropProb, err = strconv.ParseFloat(v, 64)
-		case "stale":
-			p.PollStaleProb, err = strconv.ParseFloat(v, 64)
-		case "noise":
-			p.PollNoiseProb, err = strconv.ParseFloat(v, 64)
-		case "stall":
-			p.StallProb, err = strconv.ParseFloat(v, 64)
-		case "crash":
-			p.CrashProb, err = strconv.ParseFloat(v, 64)
-		case "scrash":
-			p.ServerCrashProb, err = strconv.ParseFloat(v, 64)
-		case "gdrop":
-			p.GrantDropProb, err = strconv.ParseFloat(v, 64)
-		case "gdelay":
-			p.GrantDelayProb, err = strconv.ParseFloat(v, 64)
-		case "rstale":
-			p.ReadStaleProb, err = strconv.ParseFloat(v, 64)
-		case "rloss":
-			p.ReconcileLossProb, err = strconv.ParseFloat(v, 64)
-		case "srestartdur":
-			p.ServerRestartDur, err = parseDur(v)
-		case "gdelaydur":
-			p.GrantDelayDur, err = parseDur(v)
-		case "hdelaymean":
-			p.HypercallDelayMean, err = parseDur(v)
-		case "hdelayp99":
-			p.HypercallDelayP99, err = parseDur(v)
-		case "stalldur":
-			p.StallDur, err = parseDur(v)
-		case "restartdur":
-			p.RestartDur, err = parseDur(v)
-		case "losemodel":
-			p.LoseModel, err = strconv.ParseBool(v)
-		default:
-			return Plan{}, fmt.Errorf("faults: unknown key %q", k)
-		}
-		if err != nil {
-			return Plan{}, fmt.Errorf("faults: bad value for %s: %v", k, err)
-		}
-	}
-	if err := p.validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
-}
+// pairs of Plan's keys, probabilities in [0,1] and durations in Go
+// syntax. The empty string and "none" are the zero Plan.
+func ParsePlan(s string) (Plan, error) { return planKeys.Parse(s) }
 
-func parseDur(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %v", d)
-	}
-	return sim.Duration(d), nil
-}
+// String renders the plan back in ParsePlan syntax (only non-zero keys),
+// "none" for the zero plan.
+func (p Plan) String() string { return grammar.Join(planKeys.Format(p), ",") }
 
-// String renders the plan back in ParsePlan syntax (only non-zero keys).
-func (p Plan) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	add("hfail", p.HypercallFailProb)
-	add("hdelay", p.HypercallDelayProb)
-	add("drop", p.PollDropProb)
-	add("stale", p.PollStaleProb)
-	add("noise", p.PollNoiseProb)
-	add("stall", p.StallProb)
-	add("crash", p.CrashProb)
-	add("scrash", p.ServerCrashProb)
-	add("gdrop", p.GrantDropProb)
-	add("gdelay", p.GrantDelayProb)
-	add("rstale", p.ReadStaleProb)
-	add("rloss", p.ReconcileLossProb)
-	if p.HypercallDelayMean > 0 {
-		parts = append(parts, "hdelaymean="+p.HypercallDelayMean.String())
-	}
-	if p.HypercallDelayP99 > 0 {
-		parts = append(parts, "hdelayp99="+p.HypercallDelayP99.String())
-	}
-	if p.StallDur > 0 {
-		parts = append(parts, "stalldur="+p.StallDur.String())
-	}
-	if p.RestartDur > 0 {
-		parts = append(parts, "restartdur="+p.RestartDur.String())
-	}
-	if p.ServerRestartDur > 0 {
-		parts = append(parts, "srestartdur="+p.ServerRestartDur.String())
-	}
-	if p.GrantDelayDur > 0 {
-		parts = append(parts, "gdelaydur="+p.GrantDelayDur.String())
-	}
-	if p.LoseModel {
-		parts = append(parts, "losemodel=true")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
+// MarshalText implements encoding.TextMarshaler.
+func (p Plan) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (p *Plan) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePlan(string(text))
+	return err
 }
 
 // Injector draws the fault schedule. It implements
@@ -332,7 +164,7 @@ type Injector struct {
 // from rng. now supplies the current simulated time for event stamps;
 // observer may be nil.
 func NewInjector(plan Plan, rng *simrng.Rand, now func() sim.Time, observer obs.Observer) (*Injector, error) {
-	if err := plan.validate(); err != nil {
+	if err := planKeys.Check(plan); err != nil {
 		return nil, err
 	}
 	plan = plan.withDefaults()
@@ -486,7 +318,7 @@ type FleetInjector struct {
 // filled) drawing from rng — give it a dedicated stream, not one shared
 // with agent injectors. observer may be nil.
 func NewFleetInjector(plan Plan, rng *simrng.Rand, now func() sim.Time, observer obs.Observer) (*FleetInjector, error) {
-	if err := plan.validate(); err != nil {
+	if err := planKeys.Check(plan); err != nil {
 		return nil, err
 	}
 	return &FleetInjector{

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"smartharvest/internal/obs"
@@ -461,5 +462,54 @@ func TestCountsStringDeterministic(t *testing.T) {
 	b := inj.CountsString()
 	if a != b || a == "none" {
 		t.Fatalf("CountsString unstable: %q vs %q", a, b)
+	}
+}
+
+// TestNonFiniteRejected: a non-finite probability used to pass both the
+// parser and NewInjector (NaN compares false against every bound) and
+// then injected nothing.
+func TestNonFiniteRejected(t *testing.T) {
+	for _, k := range Keys("") {
+		for _, v := range []string{"NaN", "nan", "-NaN"} {
+			if p, err := ParsePlan(k + "=" + v); err == nil {
+				t.Errorf("ParsePlan(%s=%s) accepted as %q", k, v, p)
+			}
+		}
+	}
+	now := func() sim.Time { return 0 }
+	nan := math.NaN()
+	for _, p := range []Plan{{HypercallFailProb: nan}, {PollDropProb: nan}, {ServerCrashProb: nan}, {GrantDelayProb: nan}} {
+		if _, err := NewInjector(p, simrng.New(1), now, nil); err == nil {
+			t.Errorf("NewInjector accepted %+v", p)
+		}
+		if _, err := NewFleetInjector(p, simrng.New(1), now, nil); err == nil {
+			t.Errorf("NewFleetInjector accepted %+v", p)
+		}
+	}
+}
+
+// TestNoneRoundTrips: the zero plan prints "none", and "none" parses
+// back to the zero plan, through ParsePlan and through the text
+// marshaling the CLI flags use.
+func TestNoneRoundTrips(t *testing.T) {
+	for _, in := range []string{"none", " none ", Plan{}.String()} {
+		p, err := ParsePlan(in)
+		if err != nil || p != (Plan{}) {
+			t.Errorf("ParsePlan(%q) = %+v, %v; want the zero plan", in, p, err)
+		}
+	}
+	want, err := ParsePlan("drop=0.01,stalldur=5ms,losemodel=true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Plan{{}, want} {
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Plan
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("text round trip of %q gave %+v, %v", text, back, err)
+		}
 	}
 }

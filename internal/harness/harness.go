@@ -13,6 +13,7 @@ import (
 	"smartharvest/internal/check"
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/market"
 	"smartharvest/internal/metrics"
@@ -40,58 +41,20 @@ const (
 	BatchNone
 )
 
-func (b BatchKind) String() string {
-	switch b {
-	case BatchCPUBully:
-		return "cpubully"
-	case BatchHDInsight:
-		return "hdinsight"
-	case BatchTeraSort:
-		return "terasort"
-	case BatchFinite:
-		return "finite"
-	case BatchNone:
-		return "none"
-	default:
-		return fmt.Sprintf("BatchKind(%d)", int(b))
-	}
-}
+// BatchKindNames is BatchKind's name table.
+var BatchKindNames = grammar.Enum[BatchKind]{Pkg: "harness", What: "batch kind",
+	Names: []string{"cpubully", "hdinsight", "terasort", "finite", "none"}}
+
+func (b BatchKind) String() string { return BatchKindNames.String(b) }
 
 // ParseBatchKind is the inverse of String.
-func ParseBatchKind(s string) (BatchKind, error) {
-	switch s {
-	case "cpubully":
-		return BatchCPUBully, nil
-	case "hdinsight":
-		return BatchHDInsight, nil
-	case "terasort":
-		return BatchTeraSort, nil
-	case "finite":
-		return BatchFinite, nil
-	case "none":
-		return BatchNone, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown batch kind %q (want cpubully, hdinsight, terasort, finite, or none)", s)
-	}
-}
+func ParseBatchKind(s string) (BatchKind, error) { return BatchKindNames.Parse(s) }
 
 // MarshalText implements encoding.TextMarshaler.
-func (b BatchKind) MarshalText() ([]byte, error) {
-	if b < BatchCPUBully || b > BatchNone {
-		return nil, fmt.Errorf("harness: cannot marshal %s", b)
-	}
-	return []byte(b.String()), nil
-}
+func (b BatchKind) MarshalText() ([]byte, error) { return BatchKindNames.MarshalText(b) }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
-func (b *BatchKind) UnmarshalText(text []byte) error {
-	v, err := ParseBatchKind(string(text))
-	if err != nil {
-		return err
-	}
-	*b = v
-	return nil
-}
+func (b *BatchKind) UnmarshalText(text []byte) error { return BatchKindNames.UnmarshalText(b, text) }
 
 // ControllerFactory builds a policy for a primary allocation.
 type ControllerFactory func(alloc int) core.Controller
@@ -442,10 +405,10 @@ func (s *Scenario) validate() error {
 		return s.scenarioErr("Window", ErrBadWindow,
 			"Window %v shorter than PollInterval %v", s.Window, s.PollInterval)
 	}
-	if s.Batch < BatchCPUBully || s.Batch > BatchNone {
+	if !BatchKindNames.Valid(s.Batch) {
 		return s.scenarioErr("Batch", ErrUnknownBatch, "BatchKind(%d)", int(s.Batch))
 	}
-	if !s.Predictor.valid() {
+	if !predictors.Valid(s.Predictor) {
 		return s.scenarioErr("Predictor", ErrUnknownPredictor, "PredictorKind(%d)", int(s.Predictor))
 	}
 	if s.BatchWork < 0 || s.BatchWidth < 0 {

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"fmt"
-
 	"smartharvest/internal/core"
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/learner"
 )
 
@@ -33,57 +32,21 @@ const (
 	PredictorEnsemble
 )
 
-// predictorNames maps each kind to its learner-registry name.
-var predictorNames = map[PredictorKind]string{
-	PredictorCSOAA:    "csoaa",
-	PredictorAdaGrad:  "adagrad",
-	PredictorEWMA:     "ewma",
-	PredictorPeriodic: "periodic",
-	PredictorMLP:      "mlp",
-	PredictorEnsemble: "ensemble",
-}
+// predictors names each kind by its learner-registry name.
+var predictors = grammar.Enum[PredictorKind]{Pkg: "harness", Err: ErrUnknownPredictor,
+	Names: []string{"csoaa", "adagrad", "ewma", "periodic", "mlp", "ensemble"}}
 
-func (p PredictorKind) String() string {
-	if name, ok := predictorNames[p]; ok {
-		return name
-	}
-	return fmt.Sprintf("PredictorKind(%d)", int(p))
-}
-
-// valid reports whether p is a declared kind.
-func (p PredictorKind) valid() bool {
-	_, ok := predictorNames[p]
-	return ok
-}
+func (p PredictorKind) String() string { return predictors.String(p) }
 
 // ParsePredictor is the inverse of String. Unknown names return an error
 // wrapping ErrUnknownPredictor, testable with errors.Is.
-func ParsePredictor(s string) (PredictorKind, error) {
-	for kind, name := range predictorNames {
-		if name == s {
-			return kind, nil
-		}
-	}
-	return 0, fmt.Errorf("harness: %w %q (want one of %v)", ErrUnknownPredictor, s, learner.Names())
-}
+func ParsePredictor(s string) (PredictorKind, error) { return predictors.Parse(s) }
 
 // MarshalText implements encoding.TextMarshaler.
-func (p PredictorKind) MarshalText() ([]byte, error) {
-	if !p.valid() {
-		return nil, fmt.Errorf("harness: cannot marshal %s", p)
-	}
-	return []byte(p.String()), nil
-}
+func (p PredictorKind) MarshalText() ([]byte, error) { return predictors.MarshalText(p) }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
-func (p *PredictorKind) UnmarshalText(text []byte) error {
-	v, err := ParsePredictor(string(text))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *PredictorKind) UnmarshalText(text []byte) error { return predictors.UnmarshalText(p, text) }
 
 // factory returns the learner.Factory for p, or nil for the default
 // CSOAA kind — a nil factory makes core.NewSmartHarvest take its legacy
@@ -93,7 +56,7 @@ func (p PredictorKind) factory() learner.Factory {
 	if p == PredictorCSOAA {
 		return nil
 	}
-	name := predictorNames[p]
+	name := p.String()
 	return func(classes int) learner.Predictor {
 		pred, err := learner.NewPredictor(name, classes)
 		if err != nil {

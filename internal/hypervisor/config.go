@@ -22,6 +22,7 @@ package hypervisor
 import (
 	"fmt"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -38,46 +39,20 @@ const (
 	IPI
 )
 
-func (m Mechanism) String() string {
-	switch m {
-	case CpuGroups:
-		return "cpugroups"
-	case IPI:
-		return "ipis"
-	default:
-		return fmt.Sprintf("Mechanism(%d)", int(m))
-	}
-}
+// MechanismNames is Mechanism's name table.
+var MechanismNames = grammar.Enum[Mechanism]{Pkg: "hypervisor", What: "mechanism",
+	Names: []string{"cpugroups", "ipis"}}
+
+func (m Mechanism) String() string { return MechanismNames.String(m) }
 
 // ParseMechanism is the inverse of String.
-func ParseMechanism(s string) (Mechanism, error) {
-	switch s {
-	case "cpugroups":
-		return CpuGroups, nil
-	case "ipis":
-		return IPI, nil
-	default:
-		return 0, fmt.Errorf("hypervisor: unknown mechanism %q (want cpugroups or ipis)", s)
-	}
-}
+func ParseMechanism(s string) (Mechanism, error) { return MechanismNames.Parse(s) }
 
 // MarshalText implements encoding.TextMarshaler.
-func (m Mechanism) MarshalText() ([]byte, error) {
-	if m != CpuGroups && m != IPI {
-		return nil, fmt.Errorf("hypervisor: cannot marshal %s", m)
-	}
-	return []byte(m.String()), nil
-}
+func (m Mechanism) MarshalText() ([]byte, error) { return MechanismNames.MarshalText(m) }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
-func (m *Mechanism) UnmarshalText(text []byte) error {
-	v, err := ParseMechanism(string(text))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *Mechanism) UnmarshalText(text []byte) error { return MechanismNames.UnmarshalText(m, text) }
 
 // Config describes the simulated machine. The zero value is not useful;
 // start from DefaultConfig.

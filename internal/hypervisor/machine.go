@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -25,16 +26,9 @@ const (
 	numGroups
 )
 
-func (g GroupID) String() string {
-	switch g {
-	case PrimaryGroup:
-		return "primary"
-	case ElasticGroup:
-		return "elastic"
-	default:
-		return fmt.Sprintf("GroupID(%d)", int(g))
-	}
-}
+var groupNames = grammar.Enum[GroupID]{Names: []string{"primary", "elastic"}}
+
+func (g GroupID) String() string { return groupNames.String(g) }
 
 // vcpuState tracks where a virtual CPU is in its lifecycle.
 type vcpuState int
@@ -512,20 +506,9 @@ const (
 	ResizeFailed
 )
 
-func (s ResizeStatus) String() string {
-	switch s {
-	case ResizeApplied:
-		return "applied"
-	case ResizeNoop:
-		return "noop"
-	case ResizeRejected:
-		return "rejected"
-	case ResizeFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("ResizeStatus(%d)", int(s))
-	}
-}
+var resizeNames = grammar.Enum[ResizeStatus]{Names: []string{"applied", "noop", "rejected", "failed"}}
+
+func (s ResizeStatus) String() string { return resizeNames.String(s) }
 
 // Sentinel errors a SetPrimaryCores caller can test with errors.Is.
 var (

@@ -24,10 +24,9 @@ package market
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
@@ -54,24 +53,17 @@ const (
 	numTiers
 )
 
-var tierNames = [numTiers]string{"spot", "standard", "premium"}
+var tiers = grammar.Enum[Tier]{Pkg: "market", What: "tier", Unknown: "unknown",
+	Names: []string{"spot", "standard", "premium"}}
 
-func (t Tier) String() string {
-	if t < numTiers {
-		return tierNames[t]
-	}
-	return "unknown"
-}
+func (t Tier) String() string { return tiers.String(t) }
 
 // ParseTier parses a tier name as used by the -pools syntax.
-func ParseTier(s string) (Tier, error) {
-	for i, name := range tierNames {
-		if s == name {
-			return Tier(i), nil
-		}
-	}
-	return 0, fmt.Errorf("market: unknown tier %q (want spot, standard, or premium)", s)
-}
+func ParseTier(s string) (Tier, error) { return tiers.Parse(s) }
+
+// UnmarshalText implements encoding.TextUnmarshaler. (Tier has no
+// MarshalText: results carry it as a number.)
+func (t *Tier) UnmarshalText(text []byte) error { return tiers.UnmarshalText(t, text) }
 
 // TierParams are the SLA economics of one tier.
 type TierParams struct {
@@ -106,22 +98,24 @@ func (t Tier) Params() TierParams {
 func Tiers() []Tier { return []Tier{Spot, Standard, Premium} }
 
 // PoolSpec is one customer's pool request.
+//
+// Each field's `key` tag declares its -pools key (internal/grammar).
 type PoolSpec struct {
 	// Name identifies the pool in events and reports; required, unique.
-	Name string
+	Name string `key:"name,always"`
 	// Tier is the pool's eviction-SLA class.
-	Tier Tier
+	Tier Tier `key:"tier,always"`
 	// Reserved is the pool's harvested-core reservation: its share of
 	// each refill and the quantity the admission bound counts.
-	Reserved int
+	Reserved int `key:"reserved,always"`
 	// Size is the pool's balance capacity in core-time (core-seconds);
 	// refills beyond it are forfeited. Default: Reserved × 10 s.
-	Size sim.Time
+	Size sim.Time `key:"size"`
 	// Price is revenue per core-second of balance consumed (default 1).
-	Price float64
+	Price float64 `key:"price"`
 	// At is when the pool open is requested; zero (or anything earlier)
 	// means at the end of warmup.
-	At sim.Time
+	At sim.Time `key:"at"`
 }
 
 // withDefaults fills the per-pool defaults.
@@ -141,7 +135,7 @@ func (p PoolSpec) withDefaults() PoolSpec {
 type Config struct {
 	// Overcommit is the global overcommit ratio scaling every tier's
 	// admission bound (default 1.5).
-	Overcommit float64
+	Overcommit float64 `key:"overcommit"`
 	// Pools are the pool-open requests, processed in order (ties in At
 	// resolve in slice order).
 	Pools []PoolSpec
@@ -163,9 +157,19 @@ func (c Config) EffectiveOvercommit() float64 {
 	return c.Overcommit
 }
 
+// The -pools grammar, derived from the `key` tags: the global keys of
+// Config and the per-pool keys of PoolSpec.
+var (
+	configKeys = grammar.New[Config]("market")
+	poolKeys   = grammar.New[PoolSpec]("market")
+)
+
+// Keys lists the -pools keys, global keys first, for usage text.
+func Keys() []string { return append(configKeys.Keys(""), poolKeys.Keys("")...) }
+
 func (c Config) validate() error {
-	if c.Overcommit < 0 {
-		return fmt.Errorf("market: overcommit %v must be non-negative", c.Overcommit)
+	if err := configKeys.Check(c); err != nil {
+		return err
 	}
 	seen := make(map[string]bool, len(c.Pools))
 	for i, p := range c.Pools {
@@ -179,77 +183,40 @@ func (c Config) validate() error {
 			return fmt.Errorf("market: duplicate pool name %q", p.Name)
 		}
 		seen[p.Name] = true
-		if p.Tier >= numTiers {
-			return fmt.Errorf("market: pool %q has invalid tier", p.Name)
-		}
 		if p.Reserved < 1 {
 			return fmt.Errorf("market: pool %q reserved cores %d must be >= 1", p.Name, p.Reserved)
 		}
-		if p.Size < 0 || p.At < 0 {
-			return fmt.Errorf("market: pool %q size and open time must be non-negative", p.Name)
-		}
-		if p.Price < 0 {
-			return fmt.Errorf("market: pool %q price %v must be non-negative", p.Name, p.Price)
+		if err := poolKeys.Check(p); err != nil {
+			return fmt.Errorf("%w (pool %q)", err, p.Name)
 		}
 	}
 	return nil
 }
 
 // ParsePools parses the -pools CLI syntax: pool specs separated by ';',
-// each a comma-separated key=value list, e.g.
-//
-//	"overcommit=1.5;name=a,tier=spot,reserved=4,size=40s,price=0.5;name=b,tier=premium,reserved=2"
-//
-// Pool keys: name (required), tier (spot|standard|premium), reserved
-// (cores, required), size (Go duration, core-seconds of balance), price
-// (per core-second), at (Go duration, open time). The global key
-// overcommit may appear in a segment of its own. An empty string is the
-// zero (disabled) Config.
+// each a comma-separated key=value list of PoolSpec keys (name and
+// reserved required), and the global key overcommit in any segment.
+// The empty string and "none" are the zero (disabled) Config.
 func ParsePools(s string) (Config, error) {
 	var c Config
-	s = strings.TrimSpace(s)
-	if s == "" {
+	if s = strings.TrimSpace(s); s == grammar.None {
 		return c, nil
 	}
 	for _, seg := range strings.Split(s, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
+		if seg = strings.TrimSpace(seg); seg == "" {
 			continue
 		}
 		var p PoolSpec
 		pool := false
-		for _, kv := range strings.Split(seg, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return Config{}, fmt.Errorf("market: bad pair %q (want key=value)", kv)
+		err := poolKeys.Pairs(seg, func(k, v string) error {
+			if configKeys.Has(k) {
+				return configKeys.Set(&c, k, v)
 			}
-			var err error
-			switch k {
-			case "overcommit":
-				c.Overcommit, err = strconv.ParseFloat(v, 64)
-			case "name":
-				p.Name, pool = v, true
-			case "tier":
-				p.Tier, err = ParseTier(v)
-				pool = true
-			case "reserved":
-				p.Reserved, err = strconv.Atoi(v)
-				pool = true
-			case "size":
-				p.Size, err = parseDur(v)
-				pool = true
-			case "price":
-				p.Price, err = strconv.ParseFloat(v, 64)
-				pool = true
-			case "at":
-				p.At, err = parseDur(v)
-				pool = true
-			default:
-				return Config{}, fmt.Errorf("market: unknown key %q", k)
-			}
-			if err != nil {
-				return Config{}, fmt.Errorf("market: bad value for %s: %v", k, err)
-			}
+			pool = true
+			return poolKeys.Set(&p, k, v)
+		})
+		if err != nil {
+			return Config{}, err
 		}
 		if pool {
 			c.Pools = append(c.Pools, p)
@@ -261,45 +228,23 @@ func ParsePools(s string) (Config, error) {
 	return c, nil
 }
 
-func parseDur(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %v", d)
-	}
-	return sim.Duration(d), nil
-}
-
 // String renders the config back in ParsePools syntax (only non-zero
 // keys), "none" when disabled. ParsePools(c.String()) round-trips.
 func (c Config) String() string {
-	var segs []string
-	if c.Overcommit > 0 {
-		segs = append(segs, "overcommit="+strconv.FormatFloat(c.Overcommit, 'g', -1, 64))
-	}
+	segs := configKeys.Format(c)
 	for _, p := range c.Pools {
-		parts := []string{
-			"name=" + p.Name,
-			"tier=" + p.Tier.String(),
-			"reserved=" + strconv.Itoa(p.Reserved),
-		}
-		if p.Size > 0 {
-			parts = append(parts, "size="+p.Size.String())
-		}
-		if p.Price > 0 {
-			parts = append(parts, "price="+strconv.FormatFloat(p.Price, 'g', -1, 64))
-		}
-		if p.At > 0 {
-			parts = append(parts, "at="+p.At.String())
-		}
-		segs = append(segs, strings.Join(parts, ","))
+		segs = append(segs, strings.Join(poolKeys.Format(p), ","))
 	}
-	if len(segs) == 0 {
-		return "none"
-	}
-	return strings.Join(segs, ";")
+	return grammar.Join(segs, ";")
+}
+
+// MarshalText implements encoding.TextMarshaler.
+func (c Config) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (c *Config) UnmarshalText(text []byte) (err error) {
+	*c, err = ParsePools(string(text))
+	return err
 }
 
 // Pool is one admitted (or rejected) pool's live accounting state.

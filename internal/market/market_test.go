@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -242,6 +243,63 @@ func BenchmarkAdmission(b *testing.B) {
 			if l.AssignPool() == nil {
 				b.Fatal("no pool assigned")
 			}
+		}
+	}
+}
+
+// TestNonFiniteCannotBypassAdmission: a NaN overcommit makes every
+// admission bound NaN, and "reserved > NaN" is false, so before
+// non-finite numbers were refused a 400-core premium pool opened against
+// a 76-core fleet forecast. Parse and NewLedger both refuse it now.
+func TestNonFiniteCannotBypassAdmission(t *testing.T) {
+	for _, in := range []string{
+		"overcommit=NaN;name=a,tier=premium,reserved=400",
+		"overcommit=nan;name=a,tier=spot,reserved=2",
+		"overcommit=+Inf;name=a,tier=premium,reserved=400",
+		"overcommit=Inf",
+		"name=a,tier=spot,reserved=2,price=NaN",
+		"name=a,tier=spot,reserved=2,price=+Inf",
+	} {
+		if c, err := ParsePools(in); err == nil {
+			t.Errorf("ParsePools(%q) accepted as %q", in, c)
+		}
+	}
+	for _, cfg := range []Config{
+		{Overcommit: math.NaN(), Pools: []PoolSpec{{Name: "a", Tier: Premium, Reserved: 400}}},
+		{Overcommit: math.Inf(1), Pools: []PoolSpec{{Name: "a", Tier: Premium, Reserved: 400}}},
+		{Pools: []PoolSpec{{Name: "a", Tier: Spot, Reserved: 2, Price: math.NaN()}}},
+		{Pools: []PoolSpec{{Name: "a", Tier: Tier(7), Reserved: 2}}},
+	} {
+		l, err := NewLedger(cfg, 1, func() sim.Time { return 0 }, nil)
+		if err == nil {
+			admitted := l.TryOpen(0, 76) != nil
+			t.Errorf("NewLedger accepted %+v (pool admitted: %v)", cfg, admitted)
+		}
+	}
+}
+
+// TestNoneRoundTrips: the disabled config prints "none", and "none"
+// parses back to it, through ParsePools and through the text marshaling
+// the CLI flags use.
+func TestNoneRoundTrips(t *testing.T) {
+	for _, in := range []string{"none", " none ", Config{}.String()} {
+		c, err := ParsePools(in)
+		if err != nil || c.Enabled() || c.Overcommit != 0 {
+			t.Errorf("ParsePools(%q) = %+v, %v; want the zero config", in, c, err)
+		}
+	}
+	want, err := ParsePools("overcommit=2;name=a,tier=premium,reserved=3,size=5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Config{{}, want} {
+		text, err := c.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Config
+		if err := back.UnmarshalText(text); err != nil || back.String() != c.String() {
+			t.Errorf("text round trip of %q gave %q, %v", text, back, err)
 		}
 	}
 }

@@ -34,7 +34,10 @@
 // one stream out to several observers.
 package obs
 
-import "smartharvest/internal/sim"
+import (
+	"smartharvest/internal/grammar"
+	"smartharvest/internal/sim"
+)
 
 // SchemaVersion is the version tag every JSONL trace line carries.
 // Bump it when an event type gains, loses, or renames a field.
@@ -62,14 +65,10 @@ const (
 	ClampDegraded
 )
 
-var clampNames = [...]string{"none", "paused", "busy-floor", "alloc-cap", "degraded"}
+var clampNames = grammar.Enum[ClampReason]{Unknown: "unknown",
+	Names: []string{"none", "paused", "busy-floor", "alloc-cap", "degraded"}}
 
-func (c ClampReason) String() string {
-	if int(c) < len(clampNames) {
-		return clampNames[c]
-	}
-	return "unknown"
-}
+func (c ClampReason) String() string { return clampNames.String(c) }
 
 // Features are the per-window summary statistics of the busy-core
 // samples — the same five statistics the paper's learner consumes.
@@ -191,19 +190,14 @@ const (
 	FaultReconcileLoss
 )
 
-var faultNames = [...]string{
+var faultNames = grammar.Enum[FaultKind]{Unknown: "unknown", Names: []string{
 	"hypercall-fail", "hypercall-delay", "poll-drop", "poll-stale",
 	"poll-noise", "agent-stall", "agent-crash",
 	"server-crash", "grant-drop", "grant-delay", "read-stale",
 	"reconcile-loss",
-}
+}}
 
-func (k FaultKind) String() string {
-	if int(k) < len(faultNames) {
-		return faultNames[k]
-	}
-	return "unknown"
-}
+func (k FaultKind) String() string { return faultNames.String(k) }
 
 // DegradeReason explains what drove the agent into degraded mode.
 type DegradeReason uint8
@@ -217,14 +211,9 @@ const (
 	DegradeMissedPolls
 )
 
-var degradeNames = [...]string{"resize-failures", "missed-polls"}
+var degradeNames = grammar.Enum[DegradeReason]{Unknown: "unknown", Names: []string{"resize-failures", "missed-polls"}}
 
-func (r DegradeReason) String() string {
-	if int(r) < len(degradeNames) {
-		return degradeNames[r]
-	}
-	return "unknown"
-}
+func (r DegradeReason) String() string { return degradeNames.String(r) }
 
 // FaultInjected fires for every fault the injector delivers.
 type FaultInjected struct {
@@ -439,8 +428,7 @@ type PredictorInfo struct {
 type PoolOpen struct {
 	At   sim.Time
 	Pool string
-	// Tier is the pool's eviction-SLA tier name ("spot", "standard",
-	// "premium").
+	// Tier is the pool's eviction-SLA tier name (market.Tier's String).
 	Tier string
 	// Reserved is the pool's harvested-core reservation.
 	Reserved int

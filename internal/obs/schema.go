@@ -80,7 +80,7 @@ var schema = [numKinds]EventSchema{
 		boolF("safeguard", func(r *Record) bool { return r.WindowEnd.Safeguard }),
 		intF("pred", func(r *Record) int64 { return int64(r.WindowEnd.Prediction) }),
 		intF("target", func(r *Record) int64 { return int64(r.WindowEnd.Target) }),
-		enumF("clamp", clampNames[:], func(r *Record) string { return r.WindowEnd.Clamp.String() }),
+		enumF("clamp", clampNames.Names, func(r *Record) string { return r.WindowEnd.Clamp.String() }),
 	}},
 	KindSafeguardTrip: {Name: "safeguard", at: func(r *Record) sim.Time { return r.SafeguardTrip.At }, Fields: []Field{
 		intF("busy", func(r *Record) int64 { return int64(r.SafeguardTrip.Busy) }),
@@ -111,7 +111,7 @@ var schema = [numKinds]EventSchema{
 		boolF("finished", func(r *Record) bool { return r.BatchProgress.Finished }),
 	}},
 	KindFaultInjected: {Name: "fault", at: func(r *Record) sim.Time { return r.FaultInjected.At }, Fields: []Field{
-		enumF("kind", faultNames[:], func(r *Record) string { return r.FaultInjected.Kind.String() }),
+		enumF("kind", faultNames.Names, func(r *Record) string { return r.FaultInjected.Kind.String() }),
 		intF("dur", func(r *Record) int64 { return int64(r.FaultInjected.Dur) }),
 		intF("delta", func(r *Record) int64 { return int64(r.FaultInjected.Delta) }),
 	}},
@@ -121,7 +121,7 @@ var schema = [numKinds]EventSchema{
 		intF("backoff", func(r *Record) int64 { return int64(r.ResizeRetry.Backoff) }),
 	}},
 	KindDegradedEnter: {Name: "degraded-enter", at: func(r *Record) sim.Time { return r.DegradedEnter.At }, Fields: []Field{
-		enumF("reason", degradeNames[:], func(r *Record) string { return r.DegradedEnter.Reason.String() }),
+		enumF("reason", degradeNames.Names, func(r *Record) string { return r.DegradedEnter.Reason.String() }),
 		intF("failures", func(r *Record) int64 { return int64(r.DegradedEnter.Failures) }),
 		intF("missed_polls", func(r *Record) int64 { return int64(r.DegradedEnter.MissedPolls) }),
 	}},

@@ -35,6 +35,7 @@ import (
 	"smartharvest/internal/apps"
 	"smartharvest/internal/check"
 	"smartharvest/internal/cluster"
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/market"
 	"smartharvest/internal/metrics"
@@ -59,22 +60,13 @@ const (
 	Predicted
 )
 
-var policyNames = [...]string{"first-fit", "best-fit", "predicted"}
+var policyNames = grammar.Enum[Policy]{Pkg: "sched", What: "policy", Unknown: "unknown",
+	Names: []string{"first-fit", "best-fit", "predicted"}}
 
-func (p Policy) String() string {
-	if int(p) >= 0 && int(p) < len(policyNames) {
-		return policyNames[p]
-	}
-	return "unknown"
-}
+func (p Policy) String() string { return policyNames.String(p) }
 
 // ParsePolicy parses a Policy from its String form.
-func ParsePolicy(s string) (Policy, error) {
-	if i := slices.Index(policyNames[:], s); i >= 0 {
-		return Policy(i), nil
-	}
-	return 0, fmt.Errorf("sched: unknown policy %q (want first-fit, best-fit, or predicted)", s)
-}
+func ParsePolicy(s string) (Policy, error) { return policyNames.Parse(s) }
 
 // JobSpec describes one class of batch job.
 type JobSpec struct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"smartharvest/internal/grammar"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
 )
@@ -39,36 +40,14 @@ const (
 	ClassMixed
 )
 
-func (c Class) String() string {
-	switch c {
-	case ClassFlat:
-		return "flat"
-	case ClassPeriodic:
-		return "periodic"
-	case ClassBursty:
-		return "bursty"
-	case ClassMixed:
-		return "mixed"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
+// ClassNames is Class's name table.
+var ClassNames = grammar.Enum[Class]{Pkg: "workload", What: "class",
+	Names: []string{"flat", "periodic", "bursty", "mixed"}}
+
+func (c Class) String() string { return ClassNames.String(c) }
 
 // ParseClass is the inverse of String.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "flat":
-		return ClassFlat, nil
-	case "periodic":
-		return ClassPeriodic, nil
-	case "bursty":
-		return ClassBursty, nil
-	case "mixed":
-		return ClassMixed, nil
-	default:
-		return 0, fmt.Errorf("workload: unknown class %q (want flat, periodic, bursty, or mixed)", s)
-	}
-}
+func ParseClass(s string) (Class, error) { return ClassNames.Parse(s) }
 
 // CharKnobs are the characterization knobs a generated workload is
 // described by.

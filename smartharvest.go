@@ -90,8 +90,7 @@ const (
 	BatchNone      = harness.BatchNone
 )
 
-// ParseBatchKind parses a BatchKind from its String form ("cpubully",
-// "hdinsight", "terasort", "none").
+// ParseBatchKind parses a BatchKind from its String form.
 func ParseBatchKind(s string) (BatchKind, error) { return harness.ParseBatchKind(s) }
 
 // Mechanism selects how core reassignments take effect.
@@ -105,8 +104,7 @@ const (
 	IPI       = hypervisor.IPI
 )
 
-// ParseMechanism parses a Mechanism from its String form ("cpugroups",
-// "ipis").
+// ParseMechanism parses a Mechanism from its String form.
 func ParseMechanism(s string) (Mechanism, error) { return hypervisor.ParseMechanism(s) }
 
 // Controller is the policy interface the EVMAgent drives: it decides the
@@ -139,8 +137,7 @@ const (
 	AggressiveSafeguard   = core.AggressiveSafeguard
 )
 
-// ParseSafeguardMode parses a SafeguardMode from its String form
-// ("conservative", "aggressive").
+// ParseSafeguardMode parses a SafeguardMode from its String form.
 func ParseSafeguardMode(s string) (SafeguardMode, error) { return core.ParseSafeguardMode(s) }
 
 // PredictorKind selects the peak predictor the default SmartHarvest
@@ -159,9 +156,9 @@ const (
 	PredictorEnsemble = harness.PredictorEnsemble
 )
 
-// ParsePredictor parses a PredictorKind from its String form ("csoaa",
-// "adagrad", "ewma", "periodic", "mlp", "ensemble"). Unknown names
-// return an error wrapping ErrUnknownPredictor.
+// ParsePredictor parses a PredictorKind from its String form (one of
+// PredictorNames). Unknown names return an error wrapping
+// ErrUnknownPredictor.
 func ParsePredictor(s string) (PredictorKind, error) { return harness.ParsePredictor(s) }
 
 // PredictorNames returns the registered predictor names, sorted — the
@@ -373,7 +370,8 @@ const (
 type FaultPlan = faults.Plan
 
 // ParseFaultPlan parses the -faults CLI syntax: comma-separated
-// key=value pairs, e.g. "hfail=0.05,drop=0.01,stall=0.001,stalldur=60ms".
+// key=value pairs, one per FaultPlan field (see README "Chaos testing").
+// The empty string and "none" are the zero plan.
 func ParseFaultPlan(s string) (FaultPlan, error) { return faults.ParsePlan(s) }
 
 // PoolPlan is a harvested-capacity pool plan (Scenario.Pools; see
@@ -384,9 +382,8 @@ func ParseFaultPlan(s string) (FaultPlan, error) { return faults.ParsePlan(s) }
 type PoolPlan = market.Config
 
 // ParsePools parses the -pools CLI syntax: semicolon-separated pool
-// segments of comma-separated key=value pairs, e.g.
-// "overcommit=1.5;name=acme,tier=standard,reserved=4,price=2". The
-// empty string is the disabled plan.
+// segments of comma-separated key=value pairs (see README "Capacity
+// pools"). The empty string and "none" are the disabled plan.
 func ParsePools(s string) (PoolPlan, error) { return market.ParsePools(s) }
 
 // ResiliencePolicy tunes the agent's fault response: retry budget and
