@@ -124,7 +124,7 @@ func main() {
 	poll := flag.Duration("poll", time.Millisecond, "busy-core polling interval")
 	guard := flag.Bool("long-term-safeguard", true, "enable the QoS guard")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval")
-	modelFile := flag.String("model-file", "", "persist the learner's weights here across restarts (smartharvest policy only)")
+	modelFile := flag.String("model-file", "", "persist the predictor state here across restarts (smartharvest policy only)")
 	flag.Parse()
 
 	fail := func(err error) {

@@ -918,9 +918,10 @@ func (a *Agent) clampTarget(target, busy int) (int, obs.ClampReason) {
 }
 
 // windowFeatures summarizes the current window's samples for the
-// observer: the same five statistics the paper's learner consumes. Only
-// called with an observer attached, so the median sort's scratch buffer
-// never costs a disabled run anything.
+// observer: the learner's five quantities, computed as obs.Features
+// documents (midpoint median, two-pass std), which is not how the learner
+// computes them. Only called with an observer attached, so the median
+// sort's scratch buffer never costs a disabled run anything.
 func (a *Agent) windowFeatures(peak int) obs.Features {
 	n := len(a.samples)
 	if n == 0 {

@@ -164,10 +164,19 @@ func TestSmartHarvestModelPersistence(t *testing.T) {
 	if err := c.LoadModel(&buf2); err == nil {
 		t.Fatal("class mismatch accepted")
 	}
-	// Adaptive models do not persist.
-	d := NewSmartHarvest(10, SmartHarvestOptions{Adaptive: true})
-	if err := d.SaveModel(&buf2); err == nil {
-		t.Fatal("adaptive save accepted")
+	// Every predictor persists; AdaGrad's accumulators travel along.
+	d := NewSmartHarvest(10, zooOptions("adagrad"))
+	train(d)
+	var buf3 bytes.Buffer
+	if err := d.SaveModel(&buf3); err != nil {
+		t.Fatalf("adagrad save: %v", err)
+	}
+	e := NewSmartHarvest(10, zooOptions("adagrad"))
+	if err := e.LoadModel(&buf3); err != nil {
+		t.Fatalf("adagrad load: %v", err)
+	}
+	if got, want := e.OnWindowEnd(w), d.OnWindowEnd(w); got != want {
+		t.Fatalf("restored adagrad decision %d != original %d", got, want)
 	}
 }
 
@@ -222,25 +231,23 @@ func TestCheckpointRestorePredictionsIdentical(t *testing.T) {
 		t.Fatal("garbage checkpoint accepted")
 	}
 
-	// Adaptive models checkpoint through the Predictor round-trip (they
-	// still lack the host-agent SaveModel weight-file format, but the
-	// crash-restart path works).
-	d := NewSmartHarvest(10, SmartHarvestOptions{Adaptive: true})
+	// AdaGrad checkpoints through the same Predictor round-trip.
+	d := NewSmartHarvest(10, zooOptions("adagrad"))
 	for i := 0; i < w; i++ {
 		d.OnWindowEnd(window(i))
 	}
 	dsnap, err := d.Checkpoint()
 	if err != nil {
-		t.Fatalf("adaptive checkpoint: %v", err)
+		t.Fatalf("adagrad checkpoint: %v", err)
 	}
-	e := NewSmartHarvest(10, SmartHarvestOptions{Adaptive: true})
+	e := NewSmartHarvest(10, zooOptions("adagrad"))
 	if err := e.Restore(dsnap); err != nil {
-		t.Fatalf("adaptive restore: %v", err)
+		t.Fatalf("adagrad restore: %v", err)
 	}
 	for i := w; i < 2*w; i++ {
 		gd, ge := d.OnWindowEnd(window(i)), e.OnWindowEnd(window(i))
 		if gd != ge {
-			t.Fatalf("adaptive window %d: restored decision %d != original %d", i+1, ge, gd)
+			t.Fatalf("adagrad window %d: restored decision %d != original %d", i+1, ge, gd)
 		}
 	}
 	// A checkpoint from one predictor cannot restore into another.
@@ -250,6 +257,6 @@ func TestCheckpointRestorePredictionsIdentical(t *testing.T) {
 	}
 	d.Reset()
 	if got := d.OnWindowEnd(window(0)); got < 1 || got > 10 {
-		t.Fatalf("reset adaptive controller decision %d out of range", got)
+		t.Fatalf("reset adagrad controller decision %d out of range", got)
 	}
 }

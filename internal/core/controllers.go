@@ -68,16 +68,9 @@ type SmartHarvestOptions struct {
 	// features ("min", "max", "avg", "std", "median"); empty means all.
 	// Used by the feature-set ablation.
 	Features []string
-	// Adaptive switches the per-class regressors to AdaGrad per-weight
-	// step sizes instead of the paper's constant rate. Converges faster
-	// on stationary workloads but responds slower to late behaviour
-	// changes; included for the predictor ablation. Ignored when
-	// Predictor is set (use the "adagrad" registry factory instead).
-	Adaptive bool
 	// Predictor, when non-nil, supplies the peak predictor (typically a
-	// learner.Registry factory). Nil keeps the paper's default:
-	// constant-rate CSOAA (or AdaGrad when Adaptive is set), which stays
-	// byte-identical to the pre-interface controller.
+	// learner.Zoo factory). Nil keeps the paper's default: constant-rate
+	// CSOAA at LearningRate.
 	Predictor learner.Factory
 }
 
@@ -101,8 +94,6 @@ func NewSmartHarvest(alloc int, opts SmartHarvestOptions) *SmartHarvest {
 			panic(fmt.Sprintf("core: predictor %s built %d classes, want %d",
 				pred.Name(), pred.Classes(), classes))
 		}
-	} else if opts.Adaptive {
-		pred = learner.NewAdaGradPredictor(classes, learner.NumFeatures, opts.LearningRate)
 	} else {
 		pred = learner.NewCSOAAPredictor(classes, learner.NumFeatures, opts.LearningRate)
 	}
@@ -142,15 +133,6 @@ func (s *SmartHarvest) TrainUpdates() uint64 { return s.trainUpdates }
 
 // Predictor exposes the peak predictor for diagnostics.
 func (s *SmartHarvest) Predictor() learner.Predictor { return s.pred }
-
-// Model exposes the underlying classifier for diagnostics when the
-// predictor is CSOAA-family; other predictors return nil.
-func (s *SmartHarvest) Model() learner.Model {
-	if mp, ok := s.pred.(*learner.ModelPredictor); ok {
-		return mp.Model()
-	}
-	return nil
-}
 
 // OnWindowEnd implements Algorithm 1 lines 12-18. On a safeguard window
 // the model is neither trained nor re-featurized (the observed peak is
@@ -421,34 +403,28 @@ func (e *EWMAController) SetAlloc(alloc int) {
 	e.alloc = alloc
 }
 
-// SaveModel persists the learner's weights (constant-rate CSOAA models
-// only — the host-agent weight file format; other predictors persist via
-// Checkpoint), so a restarted host agent resumes from what it learned
-// instead of the conservative prior.
+// SaveModel writes the predictor's state (its Checkpoint bytes: the
+// host agent's -model-file), so a restarted host agent resumes from what
+// it learned instead of the conservative prior.
 func (s *SmartHarvest) SaveModel(w io.Writer) error {
-	mp, ok := s.pred.(*learner.ModelPredictor)
-	if !ok {
-		return fmt.Errorf("core: model type does not support persistence")
-	}
-	m, ok := mp.Model().(*learner.CSOAA)
-	if !ok {
-		return fmt.Errorf("core: model type does not support persistence")
-	}
-	return m.Save(w)
-}
-
-// LoadModel replaces the learner's weights with previously saved ones.
-// The saved model must have been trained for the same class count.
-func (s *SmartHarvest) LoadModel(r io.Reader) error {
-	m, err := learner.LoadCSOAA(r)
+	data, err := s.pred.Checkpoint()
 	if err != nil {
 		return err
 	}
-	if m.Classes() != s.pred.Classes() {
-		return fmt.Errorf("core: saved model has %d classes, want %d",
-			m.Classes(), s.pred.Classes())
+	_, err = w.Write(data)
+	return err
+}
+
+// LoadModel replaces the predictor's state with one SaveModel wrote for
+// the same predictor, class count and feature count.
+func (s *SmartHarvest) LoadModel(r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
 	}
-	s.pred = learner.WrapModel(m)
+	if err := s.pred.Restore(data); err != nil {
+		return err
+	}
 	s.havePrev = false
 	return nil
 }

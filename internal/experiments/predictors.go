@@ -76,7 +76,7 @@ func (a *accuracyObs) scores() (meanAbsErr, underFrac float64) {
 // prediction accuracy, safeguard-trigger rate, harvested core-seconds,
 // and the P99 cost against a no-harvest baseline per class. Scenarios
 // select predictors through the public Scenario.Predictor path, so this
-// doubles as an end-to-end exercise of the registry plumbing.
+// doubles as an end-to-end exercise of the zoo plumbing.
 func Predictors(cfg Config) (*Report, error) {
 	const (
 		charQPS = 30000 // per VM; 57 µs service → ~1.7 avg busy cores

@@ -67,7 +67,7 @@ func Ablations(cfg Config) (*Report, error) {
 	preds := withBase(scenario(cfg, "abl-base", spec, harness.NoHarvestFactory()))
 	pred := func(name string, f harness.ControllerFactory) { preds.add(name, scenario(cfg, "abl-"+name, spec, f)) }
 	pred("csoaa (paper)", smartharvest(cfg))
-	pred("csoaa adagrad", shf(core.SmartHarvestOptions{Adaptive: true}))
+	pred("csoaa adagrad", harness.SmartHarvestPredictorFactory(harness.PredictorAdaGrad, core.SmartHarvestOptions{}))
 	pred("ewma a=0.3 m=1", harness.EWMAFactory(0.3, 1))
 	pred("ewma a=0.1 m=2", harness.EWMAFactory(0.1, 2))
 	pred("prevpeak", controller(cfg, "prevpeak"))

@@ -8,8 +8,8 @@ import (
 
 // PredictorKind selects the SmartHarvest peak predictor, mirroring how
 // Mechanism and BatchKind select the reassignment mechanism and batch
-// workload. The zero value is the paper's CSOAA learner, so existing
-// scenarios are untouched.
+// workload. Its values index learner.Zoo. The zero value is the paper's
+// CSOAA learner, so existing scenarios are untouched.
 type PredictorKind int
 
 const (
@@ -32,9 +32,10 @@ const (
 	PredictorEnsemble
 )
 
-// predictors names each kind by its learner-registry name.
+// predictors names each kind by its learner.Zoo entry, whose order the
+// constants above follow.
 var predictors = grammar.Enum[PredictorKind]{Pkg: "harness", Err: ErrUnknownPredictor,
-	Names: []string{"csoaa", "adagrad", "ewma", "periodic", "mlp", "ensemble"}}
+	Names: learner.ZooNames()}
 
 func (p PredictorKind) String() string { return predictors.String(p) }
 
@@ -48,24 +49,14 @@ func (p PredictorKind) MarshalText() ([]byte, error) { return predictors.Marshal
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (p *PredictorKind) UnmarshalText(text []byte) error { return predictors.UnmarshalText(p, text) }
 
-// factory returns the learner.Factory for p, or nil for the default
-// CSOAA kind — a nil factory makes core.NewSmartHarvest take its legacy
-// construction path, which keeps default runs byte-identical to builds
-// that predate the Predictor interface.
+// factory returns p's learner.Zoo factory, or nil for the default CSOAA
+// kind, which core.NewSmartHarvest builds itself at the options'
+// LearningRate.
 func (p PredictorKind) factory() learner.Factory {
 	if p == PredictorCSOAA {
 		return nil
 	}
-	name := p.String()
-	return func(classes int) learner.Predictor {
-		pred, err := learner.NewPredictor(name, classes)
-		if err != nil {
-			// Every declared kind is registered; reaching this is a
-			// registry wiring bug.
-			panic(err)
-		}
-		return pred
-	}
+	return learner.Zoo[p].New
 }
 
 // SmartHarvestPredictorFactory builds a SmartHarvest controller factory

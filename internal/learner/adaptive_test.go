@@ -7,8 +7,13 @@ import (
 	"smartharvest/internal/simrng"
 )
 
+// newAdaGrad is the bare CSOAA with AdaGrad accumulators.
+func newAdaGrad(classes, nfeat int, lr float64) *CSOAA {
+	return NewAdaGradPredictor(classes, nfeat, lr).CSOAA
+}
+
 func TestAdaptiveLearnsConstantTarget(t *testing.T) {
-	a := NewAdaptiveCSOAA(11, NumFeatures, 0.5)
+	a := newAdaGrad(11, NumFeatures, 0.5)
 	cf := SkewedCost{UnderPenalty: 10}
 	x := []float64{0.1, 0.4, 0.2, 0.05, 0.2}
 	costs := make([]float64, 11)
@@ -24,14 +29,14 @@ func TestAdaptiveLearnsConstantTarget(t *testing.T) {
 }
 
 func TestAdaptiveUntrainedConservative(t *testing.T) {
-	a := NewAdaptiveCSOAA(11, NumFeatures, 0.5)
+	a := newAdaGrad(11, NumFeatures, 0.5)
 	if got := a.Predict(make([]float64, NumFeatures)); got != 10 {
 		t.Fatalf("untrained prediction %d", got)
 	}
 }
 
 func TestAdaptiveInitBias(t *testing.T) {
-	a := NewAdaptiveCSOAA(3, 1, 0.5)
+	a := newAdaGrad(3, 1, 0.5)
 	a.InitBias([]float64{5, 1, 3})
 	if got := a.Predict([]float64{0}); got != 1 {
 		t.Fatalf("biased prediction %d, want argmin class 1", got)
@@ -63,7 +68,7 @@ func TestAdaptiveConvergesFasterEarly(t *testing.T) {
 		}
 		return 2001
 	}
-	a := NewAdaptiveCSOAA(11, NumFeatures, 0.1)
+	a := newAdaGrad(11, NumFeatures, 0.1)
 	c := NewCSOAA(11, NumFeatures, 0.1)
 	adaptiveSteps := stepsTo(func() int { return a.Predict(x) }, func() { a.Update(x, costs) })
 	constSteps := stepsTo(func() int { return c.Predict(x) }, func() { c.Update(x, costs) })
@@ -75,7 +80,7 @@ func TestAdaptiveConvergesFasterEarly(t *testing.T) {
 
 func TestAdaptiveTracksChangingTargetEventually(t *testing.T) {
 	rng := simrng.New(3)
-	a := NewAdaptiveCSOAA(11, NumFeatures, 0.5)
+	a := newAdaGrad(11, NumFeatures, 0.5)
 	cf := SkewedCost{UnderPenalty: 10}
 	costs := make([]float64, 11)
 	x := make([]float64, NumFeatures)
@@ -98,12 +103,12 @@ func TestAdaptiveTracksChangingTargetEventually(t *testing.T) {
 
 func TestAdaptiveValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"classes": func() { NewAdaptiveCSOAA(1, 5, 0.5) },
-		"nfeat":   func() { NewAdaptiveCSOAA(3, 0, 0.5) },
-		"eta":     func() { NewAdaptiveCSOAA(3, 5, 0) },
-		"predict": func() { NewAdaptiveCSOAA(3, 5, 0.5).Predict([]float64{1}) },
-		"update":  func() { NewAdaptiveCSOAA(3, 5, 0.5).Update(make([]float64, 5), []float64{1}) },
-		"bias":    func() { NewAdaptiveCSOAA(3, 5, 0.5).InitBias([]float64{1}) },
+		"classes": func() { newAdaGrad(1, 5, 0.5) },
+		"nfeat":   func() { newAdaGrad(3, 0, 0.5) },
+		"eta":     func() { newAdaGrad(3, 5, 0) },
+		"predict": func() { newAdaGrad(3, 5, 0.5).Predict([]float64{1}) },
+		"update":  func() { newAdaGrad(3, 5, 0.5).Update(make([]float64, 5), []float64{1}) },
+		"bias":    func() { newAdaGrad(3, 5, 0.5).InitBias([]float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -150,7 +155,7 @@ func TestMaskedExtractorValidation(t *testing.T) {
 }
 
 func BenchmarkAdaptiveUpdate(b *testing.B) {
-	a := NewAdaptiveCSOAA(11, NumFeatures, 0.5)
+	a := newAdaGrad(11, NumFeatures, 0.5)
 	x := []float64{0.1, 0.7, 0.3, 0.1, 0.3}
 	costs := make([]float64, 11)
 	FillCosts(costs, SkewedCost{UnderPenalty: 10}, 5)

@@ -1,6 +1,9 @@
 package learner
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CSOAA is a cost-sensitive one-against-all multi-class classifier, the
 // same reduction the paper uses from Vowpal Wabbit: one linear regressor
@@ -8,6 +11,13 @@ import "fmt"
 // prediction selects the class with the lowest predicted cost. Training
 // regresses each class's output toward its observed cost with plain SGD
 // on squared loss.
+//
+// With AdaGrad accumulators (the "adagrad" zoo entry) each weight's step
+// instead shrinks with the squared gradient accumulated on that
+// coordinate, as Vowpal Wabbit's --adaptive does: it converges faster
+// early but responds slower to behaviour changes late in a long run —
+// the trade-off the paper's constant rate avoids. It exists for the
+// predictor ablation.
 //
 // Classes are core counts 0..NumClasses-1 for the primary VMs' predicted
 // peak. Prediction and update are O(classes × features) with no
@@ -20,6 +30,9 @@ type CSOAA struct {
 	// weights[c] holds class c's regressor: bias followed by one weight
 	// per feature.
 	weights [][]float64
+	// gradSq, when non-nil, holds AdaGrad's accumulated squared gradient
+	// for every weight, shaped like weights.
+	gradSq  [][]float64
 	updates uint64
 }
 
@@ -28,7 +41,7 @@ type CSOAA struct {
 // 0.1, kept constant so learning continues forever).
 //
 // Deprecated for harvesting-path construction: the agent consumes the
-// Predictor interface, so new call sites should go through the registry
+// Predictor interface, so new call sites should go through the zoo
 // (NewPredictor("csoaa", classes)) or NewCSOAAPredictor, which add
 // checkpointing and the contract tests for free. Constructing the bare
 // model remains supported for standalone classification use.
@@ -42,12 +55,16 @@ func NewCSOAA(classes, nfeat int, lr float64) *CSOAA {
 	if lr <= 0 || lr > 1 {
 		panic(fmt.Sprintf("learner: learning rate %v out of (0,1]", lr))
 	}
-	c := &CSOAA{classes: classes, nfeat: nfeat, lr: lr}
-	c.weights = make([][]float64, classes)
-	for i := range c.weights {
-		c.weights[i] = make([]float64, nfeat+1)
+	return &CSOAA{classes: classes, nfeat: nfeat, lr: lr, weights: zeroRows(classes, nfeat+1)}
+}
+
+// zeroRows allocates n zeroed rows of the given width.
+func zeroRows(n, width int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, width)
 	}
-	return c
+	return rows
 }
 
 // Classes returns the number of classes.
@@ -115,7 +132,8 @@ func (c *CSOAA) PredictedCosts(dst []float64, x []float64) []float64 {
 }
 
 // Update trains every per-class regressor toward its observed cost for
-// feature vector x. costs must have length Classes().
+// feature vector x: one constant-rate SGD step, or one AdaGrad step when
+// the model carries accumulators. costs must have length Classes().
 func (c *CSOAA) Update(x []float64, costs []float64) {
 	if len(x) != c.nfeat {
 		panic("learner: feature vector length mismatch")
@@ -126,13 +144,40 @@ func (c *CSOAA) Update(x []float64, costs []float64) {
 	for cl, target := range costs {
 		w := c.weights[cl]
 		err := target - c.score(cl, x)
-		g := c.lr * err
-		w[0] += g
+		if c.gradSq == nil {
+			g := c.lr * err
+			w[0] += g
+			for i, v := range x {
+				w[i+1] += g * v
+			}
+			continue
+		}
+		// Gradient of squared loss wrt weight i is -err * x_i.
+		g := c.gradSq[cl]
+		gb := -err
+		g[0] += gb * gb
+		w[0] += c.lr * err / math.Sqrt(g[0]+1e-8)
 		for i, v := range x {
-			w[i+1] += g * v
+			gi := -err * v
+			g[i+1] += gi * gi
+			if gi != 0 {
+				w[i+1] += c.lr * err * v / math.Sqrt(g[i+1]+1e-8)
+			}
 		}
 	}
 	c.updates++
+}
+
+// Reset zeroes every weight, accumulator and the update count, back to
+// freshly constructed.
+func (c *CSOAA) Reset() {
+	for cl := range c.weights {
+		clear(c.weights[cl])
+		if c.gradSq != nil {
+			clear(c.gradSq[cl])
+		}
+	}
+	c.updates = 0
 }
 
 // EWMA is the simple exponentially-weighted-moving-average peak predictor
@@ -183,18 +228,3 @@ func (e *EWMA) Predict() int {
 	}
 	return p
 }
-
-// Model is the classifier contract SmartHarvest's controller drives; both
-// CSOAA (constant rate, the paper's choice) and AdaptiveCSOAA (AdaGrad)
-// satisfy it.
-type Model interface {
-	Classes() int
-	Updates() uint64
-	InitBias(costs []float64)
-	Predict(x []float64) int
-	Update(x, costs []float64)
-}
-
-var (
-	_ Model = (*CSOAA)(nil)
-)

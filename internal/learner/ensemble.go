@@ -135,7 +135,7 @@ func (e *Ensemble) reselect() {
 // Active returns the index of the member currently serving predictions.
 func (e *Ensemble) Active() int { return e.active }
 
-// ActiveName returns the serving member's registry name.
+// ActiveName returns the serving member's zoo name.
 func (e *Ensemble) ActiveName() string { return e.members[e.active].Name() }
 
 // Fallback returns the index of the EWMA fallback member.

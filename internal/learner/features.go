@@ -113,3 +113,61 @@ func (f Features) Vector(dst []float64, scale float64) []float64 {
 	dst[4] = f.Median / scale
 	return dst
 }
+
+// MaskedExtractor wraps feature computation with a subset mask, zeroing
+// disabled features. It backs the feature-set ablation: the paper selected
+// its five features offline; the ablation measures what each contributes.
+type MaskedExtractor struct {
+	fe   *FeatureExtractor
+	mask [NumFeatures]bool
+}
+
+// FeatureName labels each feature index.
+var FeatureName = [NumFeatures]string{"min", "max", "avg", "std", "median"}
+
+// NewMaskedExtractor keeps only the named features ("min", "max", "avg",
+// "std", "median"); unknown names panic.
+func NewMaskedExtractor(maxValue int, keep ...string) *MaskedExtractor {
+	m := &MaskedExtractor{fe: NewFeatureExtractor(maxValue)}
+	if len(keep) == 0 {
+		panic("learner: empty feature mask")
+	}
+	for _, name := range keep {
+		found := false
+		for i, n := range FeatureName {
+			if n == name {
+				m.mask[i] = true
+				found = true
+				break
+			}
+		}
+		if !found {
+			panic("learner: unknown feature " + name)
+		}
+	}
+	return m
+}
+
+// Compute fills dst (length NumFeatures) with the masked, normalized
+// feature vector.
+func (m *MaskedExtractor) Compute(dst []float64, samples []int, scale float64) []float64 {
+	f := m.fe.Compute(samples)
+	f.Vector(dst, scale)
+	for i := range dst {
+		if !m.mask[i] {
+			dst[i] = 0
+		}
+	}
+	return dst
+}
+
+// Kept returns the enabled feature names, in index order.
+func (m *MaskedExtractor) Kept() []string {
+	var out []string
+	for i, on := range m.mask {
+		if on {
+			out = append(out, FeatureName[i])
+		}
+	}
+	return out
+}

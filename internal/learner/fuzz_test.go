@@ -6,30 +6,39 @@ import (
 	"testing"
 )
 
-// FuzzCSOAAPredict drives a CSOAA reduction with fuzz-chosen shape,
-// learning rate, and training stream, and asserts the properties the
-// agent relies on:
+// FuzzCSOAAPredict drives a CSOAA reduction with fuzz-chosen variant,
+// shape, learning rate, and training stream, and asserts the properties
+// the agent relies on:
 //
 //   - Predict always lands in [0, classes-1] — the learner can never ask
 //     for a core count outside [0, totalCores], no matter how adversarial
 //     the training data (including streams that blow the weights up to
 //     NaN/Inf).
-//   - Save/LoadCSOAA round-trips: the reloaded model predicts identically
-//     on probe vectors. When training diverged to non-finite weights,
-//     Save must refuse (JSON cannot carry NaN/Inf) rather than silently
-//     persist a poisoned model.
-//   - LoadCSOAA never panics on arbitrary bytes.
+//   - Checkpoint/Restore round-trips: a fresh model of the same variant
+//     and shape restored from the checkpoint predicts identically on
+//     probe vectors. When training diverged to non-finite weights,
+//     Checkpoint must refuse (JSON cannot carry NaN/Inf) rather than
+//     silently persist a poisoned model.
+//   - Restore never panics on arbitrary bytes into the shape the agent
+//     runs (11 classes, NumFeatures features), and a model it accepts
+//     still trains and predicts in range on a NumFeatures-long vector.
 func FuzzCSOAAPredict(f *testing.F) {
 	f.Add(uint8(9), uint8(3), uint16(100), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(0), uint8(0), uint16(0), []byte{})
 	f.Add(uint8(14), uint8(7), uint16(999), []byte("\xff\x80\x7f\x00spike\xfe"))
 	f.Add(uint8(2), uint8(1), uint16(500), bytes.Repeat([]byte{0x81, 0x7f}, 64))
+	f.Add(uint8(9), uint8(0x84), uint16(100), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 
 	f.Fuzz(func(t *testing.T, classesRaw, nfeatRaw uint8, lrRaw uint16, data []byte) {
 		classes := 2 + int(classesRaw)%15      // [2, 16] — cores 0..totalCores
 		nfeat := 1 + int(nfeatRaw)%8           // [1, 8]
 		lr := (float64(lrRaw%1000) + 1) / 1000 // (0, 1]
-		c := NewCSOAA(classes, nfeat, lr)
+		// The top bit of nfeatRaw, unused by nfeat, picks the variant.
+		build := NewCSOAAPredictor
+		if nfeatRaw&0x80 != 0 {
+			build = NewAdaGradPredictor
+		}
+		c := build(classes, nfeat, lr).CSOAA
 
 		// Deterministic byte stream, cycling so short inputs still train.
 		off := 0
@@ -75,38 +84,39 @@ func FuzzCSOAAPredict(f *testing.F) {
 			}
 		}
 
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			// Save may only refuse a model whose weights diverged to
-			// NaN/Inf — anything finite must serialize.
-			for _, w := range c.weights {
-				for _, v := range w {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						return
+		snap, err := c.Checkpoint()
+		if err != nil {
+			// Checkpoint may only refuse a model whose weights diverged
+			// to NaN/Inf — anything finite must serialize.
+			for _, rows := range [][][]float64{c.weights, c.gradSq} {
+				for _, w := range rows {
+					for _, v := range w {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							return
+						}
 					}
 				}
 			}
-			t.Fatalf("Save failed on a finite model: %v", err)
+			t.Fatalf("Checkpoint failed on a finite model: %v", err)
 		}
-		re, err := LoadCSOAA(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("LoadCSOAA rejected Save output: %v", err)
-		}
-		if re.Classes() != classes || re.nfeat != nfeat {
-			t.Fatalf("round-trip shape: got (%d, %d), want (%d, %d)",
-				re.Classes(), re.nfeat, classes, nfeat)
+		re := build(classes, nfeat, lr).CSOAA
+		if err := re.Restore(snap); err != nil {
+			t.Fatalf("Restore rejected Checkpoint output: %v", err)
 		}
 		for j, p := range probes {
 			if a, b := c.Predict(p), re.Predict(p); a != b {
-				t.Fatalf("probe %d: original predicts %d, reloaded predicts %d", j, a, b)
+				t.Fatalf("probe %d: original predicts %d, restored predicts %d", j, a, b)
 			}
 		}
 
-		// Arbitrary bytes must never panic the loader; a model it does
-		// accept must still predict in range.
-		if m, err := LoadCSOAA(bytes.NewReader(data)); err == nil {
-			if p := m.Predict(make([]float64, m.nfeat)); p < 0 || p >= m.Classes() {
-				t.Fatalf("loaded model Predict = %d outside [0, %d]", p, m.Classes()-1)
+		// Arbitrary bytes must never panic Restore; a model it does
+		// accept must still train and predict in range.
+		m := build(testClasses, NumFeatures, defaultLR).CSOAA
+		if err := m.Restore(data); err == nil {
+			v := make([]float64, NumFeatures)
+			m.Update(v, make([]float64, testClasses))
+			if p := m.Predict(v); p < 0 || p >= testClasses {
+				t.Fatalf("restored model Predict = %d outside [0, %d]", p, testClasses-1)
 			}
 		}
 	})

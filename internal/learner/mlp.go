@@ -232,21 +232,11 @@ func (m *MLP) Restore(data []byte) error {
 	if st.LR <= 0 || st.LR > 1 {
 		return fmt.Errorf("learner: mlp checkpoint lr %v out of (0, 1]", st.LR)
 	}
-	if len(st.W1) != st.Hidden || len(st.W2) != st.Classes {
-		return fmt.Errorf("learner: mlp checkpoint has %d/%d weight rows, want %d/%d",
-			len(st.W1), len(st.W2), st.Hidden, st.Classes)
+	if err := checkRows("mlp w1", st.W1, st.Hidden, st.NFeat+1); err != nil {
+		return err
 	}
-	for j, row := range st.W1 {
-		if len(row) != st.NFeat+1 {
-			return fmt.Errorf("learner: mlp hidden unit %d has %d weights, want %d",
-				j, len(row), st.NFeat+1)
-		}
-	}
-	for c, row := range st.W2 {
-		if len(row) != st.Hidden+1 {
-			return fmt.Errorf("learner: mlp class %d has %d weights, want %d",
-				c, len(row), st.Hidden+1)
-		}
+	if err := checkRows("mlp w2", st.W2, st.Classes, st.Hidden+1); err != nil {
+		return err
 	}
 	m.lr = st.LR
 	m.seed = st.Seed

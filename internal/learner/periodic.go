@@ -182,17 +182,16 @@ func (p *Periodic) Restore(data []byte) error {
 	if st.Classes != p.classes {
 		return fmt.Errorf("learner: periodic checkpoint has %d classes, want %d", st.Classes, p.classes)
 	}
-	if len(st.Periods) != len(p.periods) || len(st.Profile) != len(p.periods) || len(st.Errs) != len(p.periods) {
+	if len(st.Periods) != len(p.periods) || len(st.Errs) != len(p.periods) {
 		return fmt.Errorf("learner: periodic checkpoint has %d candidates, want %d",
 			len(st.Periods), len(p.periods))
 	}
-	for c, prof := range st.Profile {
-		if st.Periods[c] <= 0 {
-			return fmt.Errorf("learner: periodic checkpoint candidate %d has period %d", c, st.Periods[c])
-		}
-		if len(prof) != periodicBuckets {
-			return fmt.Errorf("learner: periodic checkpoint candidate %d has %d buckets, want %d",
-				c, len(prof), periodicBuckets)
+	if err := checkRows("periodic profile", st.Profile, len(p.periods), periodicBuckets); err != nil {
+		return err
+	}
+	for c, period := range st.Periods {
+		if period <= 0 {
+			return fmt.Errorf("learner: periodic checkpoint candidate %d has period %d", c, period)
 		}
 	}
 	p.periods = st.Periods

@@ -1,7 +1,6 @@
 package learner
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -9,9 +8,8 @@ import (
 // Predictor is the full agent↔learner contract: everything the
 // SmartHarvest controller needs from a peak predictor — prediction,
 // training, the conservative-prior seeding, and the checkpoint/restore/
-// reset round-trip the crash-restart resilience path drives. It
-// generalizes Model (which remains the bare classifier contract) so the
-// controller is no longer hard-wired to CSOAA.
+// reset round-trip the crash-restart resilience path drives, so the
+// controller is not hard-wired to CSOAA.
 //
 // The contract every implementation must honor:
 //
@@ -41,7 +39,7 @@ import (
 // peak (costs[peak] is minimal). Cost-based learners train on costs;
 // level-based learners train on peak.
 type Predictor interface {
-	// Name returns the registry name ("csoaa", "ewma", ...).
+	// Name returns the zoo name ("csoaa", "ewma", ...).
 	Name() string
 	// Classes returns the number of predictable classes (alloc+1).
 	Classes() int
@@ -68,122 +66,34 @@ type Predictor interface {
 	Reset()
 }
 
-// ModelPredictor adapts a Model (CSOAA or AdaptiveCSOAA) to the Predictor
-// contract: predictions and updates delegate unchanged, so the default
-// harvesting path stays byte-identical to the pre-interface code.
-type ModelPredictor struct {
-	model Model
+// CSOAAPredictor adapts CSOAA, in either variant, to the Predictor
+// contract: Predict and Update drop the arguments the classifier does not
+// use, and the other methods are the classifier's own.
+type CSOAAPredictor struct {
+	*CSOAA
 }
 
 // NewCSOAAPredictor builds the paper's default predictor: constant-rate
 // CSOAA over the five window features.
-func NewCSOAAPredictor(classes, nfeat int, lr float64) *ModelPredictor {
-	return &ModelPredictor{model: NewCSOAA(classes, nfeat, lr)}
+func NewCSOAAPredictor(classes, nfeat int, lr float64) *CSOAAPredictor {
+	return &CSOAAPredictor{NewCSOAA(classes, nfeat, lr)}
 }
 
-// NewAdaGradPredictor builds the AdaGrad variant (per-weight adaptive
-// step sizes; see AdaptiveCSOAA).
-func NewAdaGradPredictor(classes, nfeat int, eta float64) *ModelPredictor {
-	return &ModelPredictor{model: NewAdaptiveCSOAA(classes, nfeat, eta)}
+// NewAdaGradPredictor builds CSOAA with AdaGrad per-weight step sizes,
+// lr being the base step.
+func NewAdaGradPredictor(classes, nfeat int, lr float64) *CSOAAPredictor {
+	c := NewCSOAA(classes, nfeat, lr)
+	c.gradSq = zeroRows(classes, nfeat+1)
+	return &CSOAAPredictor{c}
 }
-
-// WrapModel adapts an existing Model. Only the two in-package models are
-// supported (checkpointing needs their concrete serialization).
-func WrapModel(m Model) *ModelPredictor {
-	switch m.(type) {
-	case *CSOAA, *AdaptiveCSOAA:
-		return &ModelPredictor{model: m}
-	default:
-		panic(fmt.Sprintf("learner: cannot wrap model type %T", m))
-	}
-}
-
-// Model exposes the wrapped classifier for diagnostics and persistence.
-func (p *ModelPredictor) Model() Model { return p.model }
-
-// Name implements Predictor.
-func (p *ModelPredictor) Name() string {
-	if _, ok := p.model.(*AdaptiveCSOAA); ok {
-		return "adagrad"
-	}
-	return "csoaa"
-}
-
-// Classes implements Predictor.
-func (p *ModelPredictor) Classes() int { return p.model.Classes() }
-
-// Updates implements Predictor.
-func (p *ModelPredictor) Updates() uint64 { return p.model.Updates() }
-
-// InitBias implements Predictor.
-func (p *ModelPredictor) InitBias(costs []float64) { p.model.InitBias(costs) }
 
 // Predict implements Predictor. The model is time-free; now is ignored.
-func (p *ModelPredictor) Predict(now int64, x []float64) int { return p.model.Predict(x) }
+func (p *CSOAAPredictor) Predict(now int64, x []float64) int { return p.CSOAA.Predict(x) }
 
 // Update implements Predictor: cost-sensitive regression on the cost
 // vector (the observed peak is implied by costs).
-func (p *ModelPredictor) Update(now int64, x []float64, peak int, costs []float64) {
-	p.model.Update(x, costs)
-}
-
-// Checkpoint implements Predictor.
-func (p *ModelPredictor) Checkpoint() ([]byte, error) {
-	var buf bytes.Buffer
-	switch m := p.model.(type) {
-	case *CSOAA:
-		if err := m.Save(&buf); err != nil {
-			return nil, err
-		}
-	case *AdaptiveCSOAA:
-		if err := m.Save(&buf); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("learner: model type %T does not checkpoint", p.model)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore implements Predictor. The checkpoint must come from the same
-// model variant with the same class count.
-func (p *ModelPredictor) Restore(data []byte) error {
-	switch p.model.(type) {
-	case *CSOAA:
-		m, err := LoadCSOAA(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		if m.Classes() != p.model.Classes() {
-			return fmt.Errorf("learner: checkpoint has %d classes, want %d",
-				m.Classes(), p.model.Classes())
-		}
-		p.model = m
-	case *AdaptiveCSOAA:
-		m, err := LoadAdaptiveCSOAA(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		if m.Classes() != p.model.Classes() {
-			return fmt.Errorf("learner: checkpoint has %d classes, want %d",
-				m.Classes(), p.model.Classes())
-		}
-		p.model = m
-	default:
-		return fmt.Errorf("learner: model type %T does not restore", p.model)
-	}
-	return nil
-}
-
-// Reset implements Predictor: a fresh model of the same variant and
-// shape, all weights zero.
-func (p *ModelPredictor) Reset() {
-	switch m := p.model.(type) {
-	case *CSOAA:
-		p.model = NewCSOAA(m.classes, m.nfeat, m.lr)
-	case *AdaptiveCSOAA:
-		p.model = NewAdaptiveCSOAA(m.classes, m.nfeat, m.eta)
-	}
+func (p *CSOAAPredictor) Update(now int64, x []float64, peak int, costs []float64) {
+	p.CSOAA.Update(x, costs)
 }
 
 // EWMAPredictor adapts the EWMA baseline to the Predictor contract. It
@@ -281,6 +191,6 @@ func (p *EWMAPredictor) Reset() {
 }
 
 var (
-	_ Predictor = (*ModelPredictor)(nil)
+	_ Predictor = (*CSOAAPredictor)(nil)
 	_ Predictor = (*EWMAPredictor)(nil)
 )

@@ -59,34 +59,9 @@ func TestRegistryNewUnknown(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsBadRegistrations(t *testing.T) {
-	cases := []struct {
-		name string
-		fn   func(r *Registry)
-	}{
-		{"empty name", func(r *Registry) { r.Register("", func(int) Predictor { return nil }) }},
-		{"nil factory", func(r *Registry) { r.Register("x", nil) }},
-		{"duplicate", func(r *Registry) {
-			f := func(classes int) Predictor { return NewEWMAPredictor(classes) }
-			r.Register("x", f)
-			r.Register("x", f)
-		}},
-	}
-	for _, tc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", tc.name)
-				}
-			}()
-			tc.fn(NewRegistry())
-		}()
-	}
-}
-
 // TestPredictorContractBasics checks the parts of the Predictor contract
-// shared by every registered implementation: the name round-trips
-// through the registry, class count sticks, an untrained predictor is
+// shared by every zoo implementation: the name round-trips through the
+// zoo, class count sticks, an untrained predictor is
 // conservative (max class), updates count, and Reset returns to the
 // untrained state.
 func TestPredictorContractBasics(t *testing.T) {
@@ -367,7 +342,7 @@ func TestEnsembleTracksBestMember(t *testing.T) {
 }
 
 // TestPredictorsZeroAlloc pins the hot-path allocation contract for
-// every registered predictor: once constructed and warmed, Predict and
+// every zoo predictor: once constructed and warmed, Predict and
 // Update must not allocate.
 func TestPredictorsZeroAlloc(t *testing.T) {
 	for _, name := range Names() {
@@ -392,21 +367,3 @@ func TestPredictorsZeroAlloc(t *testing.T) {
 		}
 	}
 }
-
-func TestWrapModelRejectsUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WrapModel accepted unknown model type")
-		}
-	}()
-	WrapModel(fakeModel{})
-}
-
-// fakeModel is a Model implementation the wrapper cannot checkpoint.
-type fakeModel struct{}
-
-func (fakeModel) Predict([]float64) int       { return 0 }
-func (fakeModel) Update([]float64, []float64) {}
-func (fakeModel) InitBias([]float64)          {}
-func (fakeModel) Classes() int                { return testClasses }
-func (fakeModel) Updates() uint64             { return 0 }

@@ -1,14 +1,18 @@
 package learner
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
-// modelState is the serialized form of a CSOAA model. A long-running host
-// agent (cmd/hostagent) can persist its learned weights across restarts so
-// a redeploy does not reset harvesting to the conservative prior.
+// modelState is the serialized form of a CSOAA model, and the host agent's
+// -model-file format (cmd/hostagent): a long-running agent persists what
+// it learned across restarts so a redeploy does not reset harvesting to
+// the conservative prior. The AdaGrad accumulators travel with the
+// weights: restoring only the weights would reset every per-coordinate
+// step size to its large initial value and briefly destabilize a
+// converged model.
 type modelState struct {
 	Version int         `json:"version"`
 	Classes int         `json:"classes"`
@@ -16,107 +20,78 @@ type modelState struct {
 	LR      float64     `json:"lr"`
 	Updates uint64      `json:"updates"`
 	Weights [][]float64 `json:"weights"`
+	GradSq  [][]float64 `json:"grad_sq,omitempty"`
 }
 
 const modelVersion = 1
 
-// Save writes the model's weights as JSON.
-func (c *CSOAA) Save(w io.Writer) error {
-	st := modelState{
+// Name returns the model's zoo name: "adagrad" when it carries AdaGrad
+// accumulators, "csoaa" otherwise.
+func (c *CSOAA) Name() string {
+	if c.gradSq != nil {
+		return "adagrad"
+	}
+	return "csoaa"
+}
+
+// Checkpoint serializes the model as one line of JSON. It fails on
+// weights that diverged to NaN or Inf, which JSON cannot carry.
+func (c *CSOAA) Checkpoint() ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(&modelState{
 		Version: modelVersion,
 		Classes: c.classes,
 		NFeat:   c.nfeat,
 		LR:      c.lr,
 		Updates: c.updates,
 		Weights: c.weights,
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&st)
+		GradSq:  c.gradSq,
+	})
+	return buf.Bytes(), err
 }
 
-// LoadCSOAA restores a model saved with Save. The restored model resumes
-// training from the persisted weights and update count.
-func LoadCSOAA(r io.Reader) (*CSOAA, error) {
+// Restore replaces the model with a checkpoint of the same variant, class
+// count and feature count, which resumes training from the checkpoint's
+// weights, update count and learning rate.
+func (c *CSOAA) Restore(data []byte) error {
 	var st modelState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("learner: decoding model: %w", err)
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("learner: decoding model: %w", err)
 	}
 	if st.Version != modelVersion {
-		return nil, fmt.Errorf("learner: unsupported model version %d", st.Version)
+		return fmt.Errorf("learner: unsupported model version %d", st.Version)
 	}
-	if st.Classes < 2 || st.NFeat < 1 || st.LR <= 0 || st.LR > 1 {
-		return nil, fmt.Errorf("learner: corrupt model header (classes=%d nfeat=%d lr=%v)",
-			st.Classes, st.NFeat, st.LR)
+	if st.Classes != c.classes || st.NFeat != c.nfeat {
+		return fmt.Errorf("learner: model has %d classes and %d features, want %d and %d",
+			st.Classes, st.NFeat, c.classes, c.nfeat)
 	}
-	if len(st.Weights) != st.Classes {
-		return nil, fmt.Errorf("learner: weight rows %d != classes %d", len(st.Weights), st.Classes)
+	if st.LR <= 0 || st.LR > 1 {
+		return fmt.Errorf("learner: model learning rate %v out of (0,1]", st.LR)
 	}
-	for i, row := range st.Weights {
-		if len(row) != st.NFeat+1 {
-			return nil, fmt.Errorf("learner: class %d has %d weights, want %d", i, len(row), st.NFeat+1)
+	if (st.GradSq != nil) != (c.gradSq != nil) {
+		return fmt.Errorf("learner: model variant mismatch: restoring into %s", c.Name())
+	}
+	if err := checkRows("weights", st.Weights, c.classes, c.nfeat+1); err != nil {
+		return err
+	}
+	if c.gradSq != nil {
+		if err := checkRows("grad_sq", st.GradSq, c.classes, c.nfeat+1); err != nil {
+			return err
 		}
 	}
-	c := NewCSOAA(st.Classes, st.NFeat, st.LR)
-	c.weights = st.Weights
-	c.updates = st.Updates
-	return c, nil
+	c.lr, c.weights, c.gradSq, c.updates = st.LR, st.Weights, st.GradSq, st.Updates
+	return nil
 }
 
-// adaptiveState is the serialized form of an AdaptiveCSOAA model. The
-// accumulated squared gradients travel with the weights: restoring only
-// the weights would reset every per-coordinate step size to its large
-// initial value and briefly destabilize a converged model.
-type adaptiveState struct {
-	Version int         `json:"version"`
-	Classes int         `json:"classes"`
-	NFeat   int         `json:"nfeat"`
-	Eta     float64     `json:"eta"`
-	Updates uint64      `json:"updates"`
-	Weights [][]float64 `json:"weights"`
-	GradSq  [][]float64 `json:"grad_sq"`
-}
-
-// Save writes the model's weights and AdaGrad accumulators as JSON.
-func (a *AdaptiveCSOAA) Save(w io.Writer) error {
-	st := adaptiveState{
-		Version: modelVersion,
-		Classes: a.classes,
-		NFeat:   a.nfeat,
-		Eta:     a.eta,
-		Updates: a.updates,
-		Weights: a.weights,
-		GradSq:  a.gradSq,
+// checkRows refuses a decoded matrix that is not n rows of width values.
+func checkRows(what string, rows [][]float64, n, width int) error {
+	if len(rows) != n {
+		return fmt.Errorf("learner: %s has %d rows, want %d", what, len(rows), n)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&st)
-}
-
-// LoadAdaptiveCSOAA restores a model saved with AdaptiveCSOAA.Save.
-func LoadAdaptiveCSOAA(r io.Reader) (*AdaptiveCSOAA, error) {
-	var st adaptiveState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("learner: decoding model: %w", err)
-	}
-	if st.Version != modelVersion {
-		return nil, fmt.Errorf("learner: unsupported model version %d", st.Version)
-	}
-	if st.Classes < 2 || st.NFeat < 1 || st.Eta <= 0 {
-		return nil, fmt.Errorf("learner: corrupt model header (classes=%d nfeat=%d eta=%v)",
-			st.Classes, st.NFeat, st.Eta)
-	}
-	if len(st.Weights) != st.Classes || len(st.GradSq) != st.Classes {
-		return nil, fmt.Errorf("learner: weight rows %d / gradsq rows %d != classes %d",
-			len(st.Weights), len(st.GradSq), st.Classes)
-	}
-	for i := 0; i < st.Classes; i++ {
-		if len(st.Weights[i]) != st.NFeat+1 || len(st.GradSq[i]) != st.NFeat+1 {
-			return nil, fmt.Errorf("learner: class %d has %d/%d weights, want %d",
-				i, len(st.Weights[i]), len(st.GradSq[i]), st.NFeat+1)
+	for i, row := range rows {
+		if len(row) != width {
+			return fmt.Errorf("learner: %s row %d has %d values, want %d", what, i, len(row), width)
 		}
 	}
-	a := NewAdaptiveCSOAA(st.Classes, st.NFeat, st.Eta)
-	a.weights = st.Weights
-	a.gradSq = st.GradSq
-	a.updates = st.Updates
-	return a, nil
+	return nil
 }

@@ -1,7 +1,7 @@
 package learner
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -14,17 +14,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		c.Update(x, FillCosts(costs, cf, 6))
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadCSOAA(&buf)
+	data, err := c.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Updates() != c.Updates() || restored.Classes() != c.Classes() {
-		t.Fatalf("metadata mismatch: %d/%d vs %d/%d",
-			restored.Updates(), restored.Classes(), c.Updates(), c.Classes())
+	restored := NewCSOAA(11, NumFeatures, 0.5)
+	if err := restored.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Updates() != c.Updates() || restored.lr != c.lr {
+		t.Fatalf("metadata mismatch: updates %d vs %d, lr %v vs %v",
+			restored.Updates(), c.Updates(), restored.lr, c.lr)
 	}
 	// Identical predictions on a grid of inputs.
 	probe := make([]float64, NumFeatures)
@@ -49,10 +49,11 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 		"bad-header":  `{"version":1,"classes":1,"nfeat":5,"lr":0.1,"weights":[[0]]}`,
 		"bad-lr":      `{"version":1,"classes":3,"nfeat":5,"lr":7,"weights":[[0],[0],[0]]}`,
 		"row-count":   `{"version":1,"classes":3,"nfeat":5,"lr":0.1,"weights":[[0,0,0,0,0,0]]}`,
-		"row-width":   `{"version":1,"classes":2,"nfeat":5,"lr":0.1,"weights":[[0],[0]]}`,
+		"row-width":   `{"version":1,"classes":3,"nfeat":5,"lr":0.1,"weights":[[0],[0],[0]]}`,
+		"trailing":    `{"version":1,"classes":3,"nfeat":5,"lr":0.1,"weights":[]} x`,
 	}
 	for name, in := range cases {
-		if _, err := LoadCSOAA(strings.NewReader(in)); err == nil {
+		if err := NewCSOAA(3, 5, 0.1).Restore([]byte(in)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -61,15 +62,59 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 func TestSaveLoadFreshModel(t *testing.T) {
 	c := NewCSOAA(3, 2, 0.5)
 	c.InitBias([]float64{2, 1, 0})
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	data, err := c.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadCSOAA(&buf)
-	if err != nil {
+	restored := NewCSOAA(3, 2, 0.5)
+	if err := restored.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Predict([]float64{0, 0}) != 2 {
 		t.Fatal("bias not preserved")
+	}
+}
+
+// zeroModel renders a version-1 checkpoint of an all-zero model.
+func zeroModel(classes, nfeat int, gradSq bool) string {
+	row := "[0" + strings.Repeat(",0", nfeat) + "]"
+	rows := "[" + row + strings.Repeat(","+row, classes-1) + "]"
+	s := fmt.Sprintf(`{"version":1,"classes":%d,"nfeat":%d,"lr":0.1,"updates":0,"weights":%s`, classes, nfeat, rows)
+	if gradSq {
+		s += `,"grad_sq":` + rows
+	}
+	return s + "}\n"
+}
+
+// TestRestoreRejectsShapeMismatch: a checkpoint restores only into a
+// model of the same class count, feature count and variant. An 11-class
+// model with three features used to be accepted and then panic the
+// first Predict on a five-feature window.
+func TestRestoreRejectsShapeMismatch(t *testing.T) {
+	for _, variant := range []struct {
+		name string
+		new  func() *CSOAAPredictor
+		grad bool
+	}{
+		{"csoaa", func() *CSOAAPredictor { return NewCSOAAPredictor(testClasses, NumFeatures, 0.1) }, false},
+		{"adagrad", func() *CSOAAPredictor { return NewAdaGradPredictor(testClasses, NumFeatures, 0.1) }, true},
+	} {
+		p := variant.new()
+		if err := p.Restore([]byte(zeroModel(testClasses, NumFeatures, variant.grad))); err != nil {
+			t.Fatalf("%s: own shape refused: %v", variant.name, err)
+		}
+		for name, in := range map[string]string{
+			"nfeat":   zeroModel(testClasses, 3, variant.grad),
+			"classes": zeroModel(testClasses+2, NumFeatures, variant.grad),
+			"variant": zeroModel(testClasses, NumFeatures, !variant.grad),
+		} {
+			p := variant.new()
+			if err := p.Restore([]byte(in)); err == nil {
+				t.Errorf("%s: %s mismatch accepted", variant.name, name)
+			}
+			if got := p.Predict(0, make([]float64, NumFeatures)); got != testClasses-1 {
+				t.Errorf("%s: %s mismatch changed the model: predicts %d", variant.name, name, got)
+			}
+		}
 	}
 }

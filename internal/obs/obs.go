@@ -71,7 +71,12 @@ var clampNames = grammar.Enum[ClampReason]{Unknown: "unknown",
 func (c ClampReason) String() string { return clampNames.String(c) }
 
 // Features are the per-window summary statistics of the busy-core
-// samples — the same five statistics the paper's learner consumes.
+// samples, in cores: the five quantities the paper's learner consumes,
+// but computed the trace's way, not the learner's. For an even sample
+// count Median is the midpoint of the middle two (samples 1,2,3,4 give
+// 2.5) where learner.FeatureExtractor takes the lower one (2), and Std is
+// the two-pass population deviation where the learner uses the one-pass
+// E[x²]−avg² form.
 type Features struct {
 	Min    int
 	Max    int
@@ -416,7 +421,7 @@ type AdmissionDegraded struct {
 // byte-identical to pre-predictor-API builds).
 type PredictorInfo struct {
 	At sim.Time
-	// Name is the predictor's registry name ("ewma", "periodic", ...).
+	// Name is the predictor's zoo name ("ewma", "periodic", ...).
 	Name string
 	// Classes is the predictor's class count (max allocation + 1).
 	Classes int
