@@ -310,6 +310,53 @@ func TestQoSRequiresConsecutiveWindows(t *testing.T) {
 	}
 }
 
+// qosTripsUnder runs an agent with the long-term safeguard on for 2 s
+// while every 100 ms the primaries report 100 dispatch waits, the first
+// `over` of them at `long` and the rest at 3 µs.
+func qosTripsUnder(t *testing.T, over int, long sim.Time) uint64 {
+	t.Helper()
+	loop := sim.NewLoop()
+	hv := newFake(loop, 11)
+	hv.busyFn = func(sim.Time) int { return 2 }
+	loop.NewTicker(0, 100*sim.Millisecond, func() {
+		for i := 0; i < 100; i++ {
+			w := int64(3 * sim.Microsecond)
+			if i < over {
+				w = int64(long)
+			}
+			hv.waits = append(hv.waits, w)
+		}
+	})
+	a := defaultAgent(t, loop, hv, NewSmartHarvest(10, SmartHarvestOptions{}), func(c *Config) {
+		c.LongTermSafeguard = true
+	})
+	a.Start()
+	loop.RunUntil(2 * sim.Second)
+	return a.QoSTrips()
+}
+
+// TestQoSWaitAtThresholdIsNotViolation pins the paper's "exceed 50 µs": a
+// wait of exactly QoSWaitThreshold is not a violation.
+func TestQoSWaitAtThresholdIsNotViolation(t *testing.T) {
+	if n := qosTripsUnder(t, 100, 50*sim.Microsecond); n != 0 {
+		t.Fatalf("waits of exactly 50µs tripped the QoS guard %d times", n)
+	}
+	if qosTripsUnder(t, 100, 50*sim.Microsecond+1) == 0 {
+		t.Fatal("waits just above 50µs never tripped the QoS guard")
+	}
+}
+
+// TestQoSExactlyOnePercentStrikes pins the paper's "≥ 1 %": a QoS window
+// in which exactly 1 % of waits exceed the threshold strikes.
+func TestQoSExactlyOnePercentStrikes(t *testing.T) {
+	if qosTripsUnder(t, 1, 300*sim.Microsecond) == 0 {
+		t.Fatal("exactly 1% of waits over the threshold never tripped the QoS guard")
+	}
+	if n := qosTripsUnder(t, 0, 300*sim.Microsecond); n != 0 {
+		t.Fatalf("clean waits tripped the QoS guard %d times", n)
+	}
+}
+
 func TestPrevPeakFollowsLastWindow(t *testing.T) {
 	loop := sim.NewLoop()
 	hv := newFake(loop, 11)
