@@ -16,9 +16,8 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
+	"smartharvest/internal/learner"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -359,8 +358,8 @@ type Agent struct {
 	pausedUntil   sim.Time // long-term safeguard cool-down end
 	qosStrikes    int
 	started       bool
-	resumePending bool  // a QoSResume event is owed once the pause expires
-	sortScratch   []int // reused for the observer's median computation
+	resumePending bool                      // a QoSResume event is owed once the pause expires
+	features      *learner.FeatureExtractor // the window event's features; nil without an observer
 
 	// Resilience state.
 	op             resizeOp
@@ -425,6 +424,9 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	a.pollFn = a.poll
 	_, eventDriven := hv.(EventDrivenBusy)
 	a.runAhead = eventDriven && cfg.Observer == nil
+	if cfg.Observer != nil {
+		a.features = learner.NewFeatureExtractor(hv.TotalCores())
+	}
 	return a, nil
 }
 
@@ -868,11 +870,15 @@ func (a *Agent) endWindow(safeguard bool, busy int) {
 	prediction := a.ctrl.OnWindowEnd(w)
 	target, clamp := a.clampTarget(prediction, busy)
 	if o := a.cfg.Observer; o != nil {
+		// The learner's own extractor, so a recorded window carries
+		// exactly the features a controller computes from it.
+		f := a.features.Compute(a.samples)
 		o.OnWindowEnd(obs.WindowEnd{
-			At:         now,
-			Seq:        a.windows,
-			Samples:    len(a.samples),
-			Features:   a.windowFeatures(peak),
+			At:      now,
+			Seq:     a.windows,
+			Samples: len(a.samples),
+			Features: obs.Features{Min: int(f.Min), Max: int(f.Max), Avg: f.Avg,
+				Std: f.Std, Median: f.Median},
 			Peak1s:     w.Peak1s,
 			Busy:       busy,
 			Safeguard:  safeguard,
@@ -915,41 +921,6 @@ func (a *Agent) clampTarget(target, busy int) (int, obs.ClampReason) {
 		reason = obs.ClampAllocCap
 	}
 	return target, reason
-}
-
-// windowFeatures summarizes the current window's samples for the
-// observer: the learner's five quantities, computed as obs.Features
-// documents (midpoint median, two-pass std), which is not how the learner
-// computes them. Only called with an observer attached, so the median
-// sort's scratch buffer never costs a disabled run anything.
-func (a *Agent) windowFeatures(peak int) obs.Features {
-	n := len(a.samples)
-	if n == 0 {
-		return obs.Features{}
-	}
-	f := obs.Features{Min: a.samples[0], Max: peak}
-	sum := 0
-	for _, s := range a.samples {
-		if s < f.Min {
-			f.Min = s
-		}
-		sum += s
-	}
-	f.Avg = float64(sum) / float64(n)
-	varSum := 0.0
-	for _, s := range a.samples {
-		d := float64(s) - f.Avg
-		varSum += d * d
-	}
-	f.Std = math.Sqrt(varSum / float64(n))
-	a.sortScratch = append(a.sortScratch[:0], a.samples...)
-	sort.Ints(a.sortScratch)
-	if n%2 == 1 {
-		f.Median = float64(a.sortScratch[n/2])
-	} else {
-		f.Median = float64(a.sortScratch[n/2-1]+a.sortScratch[n/2]) / 2
-	}
-	return f
 }
 
 // startResize begins a resize operation toward target, reporting true if

@@ -40,12 +40,12 @@ func (m *SafeguardMode) UnmarshalText(text []byte) error { return modeNames.Unma
 // classification over the five window features, predicting the next
 // window's peak primary core usage.
 type SmartHarvest struct {
-	alloc  int
-	fe     *learner.FeatureExtractor
-	masked *learner.MaskedExtractor // nil = all five features
-	pred   learner.Predictor
-	cost   learner.CostFunc
-	mode   SafeguardMode
+	alloc int
+	fe    *learner.FeatureExtractor
+	mask  learner.FeatureMask
+	pred  learner.Predictor
+	cost  learner.CostFunc
+	mode  SafeguardMode
 
 	x, prevX []float64
 	costs    []float64
@@ -108,7 +108,7 @@ func NewSmartHarvest(alloc int, opts SmartHarvestOptions) *SmartHarvest {
 		costs: make([]float64, classes),
 	}
 	if len(opts.Features) > 0 {
-		s.masked = learner.NewMaskedExtractor(alloc, opts.Features...)
+		s.mask = learner.NewFeatureMask(opts.Features...)
 	}
 	// Conservative prior: before any feedback, behave as if the peak is
 	// the full allocation, so the cold start cannot starve the primaries.
@@ -155,12 +155,8 @@ func (s *SmartHarvest) OnWindowEnd(w Window) int {
 		s.pred.Update(int64(w.At), s.prevX, w.Peak, learner.FillCosts(s.costs, s.cost, w.Peak))
 		s.trainUpdates++
 	}
-	if s.masked != nil {
-		s.masked.Compute(s.x, w.Samples, float64(s.alloc))
-	} else {
-		f := s.fe.Compute(w.Samples)
-		f.Vector(s.x, float64(s.alloc))
-	}
+	s.fe.Compute(w.Samples).Vector(s.x, float64(s.alloc))
+	s.mask.Apply(s.x)
 	copy(s.prevX, s.x)
 	s.havePrev = true
 	s.predictions++

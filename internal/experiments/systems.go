@@ -285,19 +285,19 @@ func MemHarvest(cfg Config) (*Report, error) {
 		col{head: "fault GB-s", w: 14, verb: "%.2f", key: "fault_gb_s"},
 		col{head: "episodes", w: 10, verb: "%d", key: "short_episodes"},
 		col{head: "reclaims", w: 9, verb: "%d", key: "reclaims"})
-	policies := []memharvest.Policy{
-		memharvest.NewLearned(64),
-		memharvest.NewFixedHeadroom(64, 2),
-		memharvest.NewFixedHeadroom(64, 8),
-		memharvest.NewFixedHeadroom(64, 16),
-		memharvest.NewFixedHeadroom(64, 24),
+	names := []string{"smartharvest-mem"}
+	ctrls := []core.Controller{memharvest.PeakFloor{Controller: core.NewSmartHarvest(64,
+		core.SmartHarvestOptions{Cost: learner.SkewedCost{UnderPenalty: 64.0 / 4}})}}
+	for _, k := range []int{2, 8, 16, 24} {
+		names = append(names, fmt.Sprintf("fixed-%dGB", k))
+		ctrls = append(ctrls, core.NewFixedBuffer(64, k))
 	}
-	for _, p := range policies {
-		res, err := memharvest.Run(mh, p)
+	for i, ctrl := range ctrls {
+		res, err := memharvest.Run(mh, ctrl)
 		if err != nil {
 			return nil, err
 		}
-		t.add("", res.Policy, res.AvgHarvestedGB, res.FaultSeconds, res.ShortEpisodes, res.Reclaims)
+		t.add("", names[i], res.AvgHarvestedGB, res.FaultSeconds, res.ShortEpisodes, res.Reclaims)
 	}
 	r.addf("(same CSOAA learner as the CPU agent, zero per-workload tuning: it lands on")
 	r.addf(" the fixed-headroom frontier automatically; actuation differs from CPU —")

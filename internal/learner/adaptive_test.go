@@ -121,27 +121,29 @@ func TestAdaptiveValidation(t *testing.T) {
 	}
 }
 
-func TestMaskedExtractor(t *testing.T) {
-	m := NewMaskedExtractor(10, "max", "avg")
-	dst := make([]float64, NumFeatures)
-	m.Compute(dst, []int{2, 4, 6, 8}, 10)
+func TestFeatureMask(t *testing.T) {
+	m := NewFeatureMask("max", "avg")
+	x := []float64{0.2, 0.8, 0.5, 0.3, 0.4}
+	m.Apply(x)
 	// min, std, median masked to zero; max=0.8, avg=0.5 present.
-	if dst[0] != 0 || dst[3] != 0 || dst[4] != 0 {
-		t.Fatalf("masked features leaked: %v", dst)
+	if x[0] != 0 || x[3] != 0 || x[4] != 0 {
+		t.Fatalf("masked features leaked: %v", x)
 	}
-	if dst[1] != 0.8 || dst[2] != 0.5 {
-		t.Fatalf("kept features wrong: %v", dst)
+	if x[1] != 0.8 || x[2] != 0.5 {
+		t.Fatalf("kept features wrong: %v", x)
 	}
-	kept := m.Kept()
-	if len(kept) != 2 || kept[0] != "max" || kept[1] != "avg" {
-		t.Fatalf("kept = %v", kept)
+	var all FeatureMask
+	x = []float64{0.2, 0.8, 0.5, 0.3, 0.4}
+	all.Apply(x)
+	if x[0] != 0.2 || x[4] != 0.4 {
+		t.Fatalf("zero mask dropped features: %v", x)
 	}
 }
 
-func TestMaskedExtractorValidation(t *testing.T) {
+func TestFeatureMaskValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty":   func() { NewMaskedExtractor(10) },
-		"unknown": func() { NewMaskedExtractor(10, "p95") },
+		"empty":   func() { NewFeatureMask() },
+		"unknown": func() { NewFeatureMask("p95") },
 	} {
 		func() {
 			defer func() {

@@ -114,29 +114,29 @@ func (f Features) Vector(dst []float64, scale float64) []float64 {
 	return dst
 }
 
-// MaskedExtractor wraps feature computation with a subset mask, zeroing
-// disabled features. It backs the feature-set ablation: the paper selected
-// its five features offline; the ablation measures what each contributes.
-type MaskedExtractor struct {
-	fe   *FeatureExtractor
-	mask [NumFeatures]bool
-}
-
 // FeatureName labels each feature index.
 var FeatureName = [NumFeatures]string{"min", "max", "avg", "std", "median"}
 
-// NewMaskedExtractor keeps only the named features ("min", "max", "avg",
-// "std", "median"); unknown names panic.
-func NewMaskedExtractor(maxValue int, keep ...string) *MaskedExtractor {
-	m := &MaskedExtractor{fe: NewFeatureExtractor(maxValue)}
+// FeatureMask marks the features a learner is denied; the zero value
+// denies none. It backs the feature-set ablation: the paper selected its
+// five features offline; the ablation measures what each contributes.
+type FeatureMask [NumFeatures]bool
+
+// NewFeatureMask keeps only the named features ("min", "max", "avg",
+// "std", "median"); an empty list and unknown names panic.
+func NewFeatureMask(keep ...string) FeatureMask {
 	if len(keep) == 0 {
 		panic("learner: empty feature mask")
+	}
+	var m FeatureMask
+	for i := range m {
+		m[i] = true
 	}
 	for _, name := range keep {
 		found := false
 		for i, n := range FeatureName {
 			if n == name {
-				m.mask[i] = true
+				m[i] = false
 				found = true
 				break
 			}
@@ -148,26 +148,12 @@ func NewMaskedExtractor(maxValue int, keep ...string) *MaskedExtractor {
 	return m
 }
 
-// Compute fills dst (length NumFeatures) with the masked, normalized
-// feature vector.
-func (m *MaskedExtractor) Compute(dst []float64, samples []int, scale float64) []float64 {
-	f := m.fe.Compute(samples)
-	f.Vector(dst, scale)
-	for i := range dst {
-		if !m.mask[i] {
-			dst[i] = 0
+// Apply zeroes the denied entries of a feature vector (length
+// NumFeatures).
+func (m *FeatureMask) Apply(x []float64) {
+	for i, off := range m {
+		if off {
+			x[i] = 0
 		}
 	}
-	return dst
-}
-
-// Kept returns the enabled feature names, in index order.
-func (m *MaskedExtractor) Kept() []string {
-	var out []string
-	for i, on := range m.mask {
-		if on {
-			out = append(out, FeatureName[i])
-		}
-	}
-	return out
 }

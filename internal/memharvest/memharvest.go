@@ -9,17 +9,18 @@
 //     primaries run short and accumulate fault time;
 //   - handing memory to the ElasticVM is comparatively cheap.
 //
-// The controller is the same cost-sensitive CSOAA learner the CPU agent
-// uses — per-GB classes, the five window features over demand samples,
-// the skewed cost function, and a conservative safeguard — demonstrating
-// that the learning layer transfers unchanged even though the actuation
-// layer is completely different.
+// The policy is a core.Controller, unchanged: core.SmartHarvest over
+// per-GB classes (the five window features over demand samples, the
+// skewed cost function) or core.FixedBuffer's headroom rule, with
+// memharvest's own conservative safeguard — demonstrating that the
+// learning layer transfers unchanged even though the actuation layer is
+// completely different.
 package memharvest
 
 import (
 	"fmt"
 
-	"smartharvest/internal/learner"
+	"smartharvest/internal/core"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
 )
@@ -97,95 +98,19 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Policy decides how many GB to leave assigned to the primaries for the
-// next window, given this window's demand samples (in whole GB).
-type Policy interface {
-	Name() string
-	Decide(samples []int, peak int) int
-}
+// PeakFloor never assigns the primaries less than the window's peak
+// demand (the CPU agent's busy+1 floor, in GB). It wraps the learned
+// policy, which has always had this floor; the fixed-headroom rows never
+// had it.
+type PeakFloor struct{ core.Controller }
 
-// FixedHeadroom keeps demand + k GB with the primaries.
-type FixedHeadroom struct {
-	total int
-	k     int
-}
-
-// NewFixedHeadroom builds the baseline with headroom k GB.
-func NewFixedHeadroom(total, k int) *FixedHeadroom {
-	if k < 0 || k > total {
-		panic("memharvest: bad headroom")
-	}
-	return &FixedHeadroom{total: total, k: k}
-}
-
-// Name implements Policy.
-func (f *FixedHeadroom) Name() string { return fmt.Sprintf("fixed-%dGB", f.k) }
-
-// Decide implements Policy.
-func (f *FixedHeadroom) Decide(samples []int, peak int) int {
-	t := samples[len(samples)-1] + f.k
-	if t > f.total {
-		t = f.total
-	}
-	return t
-}
-
-// Learned reuses the CPU agent's CSOAA learner over per-GB classes.
-type Learned struct {
-	total int
-	fe    *learner.FeatureExtractor
-	model *learner.CSOAA
-	cost  learner.CostFunc
-	x     []float64
-	prevX []float64
-	costs []float64
-	have  bool
-}
-
-// NewLearned builds the online-learning policy for a total of `total` GB.
-func NewLearned(total int) *Learned {
-	classes := total + 1
-	l := &Learned{
-		total: total,
-		fe:    learner.NewFeatureExtractor(total),
-		model: learner.NewCSOAA(classes, learner.NumFeatures, 0.1),
-		cost:  learner.SkewedCost{UnderPenalty: float64(total) / 4},
-		x:     make([]float64, learner.NumFeatures),
-		prevX: make([]float64, learner.NumFeatures),
-		costs: make([]float64, classes),
-	}
-	l.model.InitBias(learner.FillCosts(l.costs, l.cost, total))
-	return l
-}
-
-// Name implements Policy.
-func (l *Learned) Name() string { return "smartharvest-mem" }
-
-// Decide implements Policy: train on the previous prediction's features
-// against this window's peak, then predict the next peak.
-func (l *Learned) Decide(samples []int, peak int) int {
-	if l.have {
-		l.model.Update(l.prevX, learner.FillCosts(l.costs, l.cost, peak))
-	}
-	f := l.fe.Compute(samples)
-	f.Vector(l.x, float64(l.total))
-	copy(l.prevX, l.x)
-	l.have = true
-	t := l.model.Predict(l.x)
-	if t < peak {
-		// Never assign below current observed use (the CPU agent's
-		// busy+1 floor, in GB).
-		t = peak
-	}
-	if t > l.total {
-		t = l.total
-	}
-	return t
+// OnWindowEnd implements core.Controller.
+func (p PeakFloor) OnWindowEnd(w core.Window) int {
+	return max(p.Controller.OnWindowEnd(w), w.Peak)
 }
 
 // Result summarizes a run.
 type Result struct {
-	Policy string
 	// AvgHarvestedGB is the time-weighted average memory the ElasticVM
 	// held.
 	AvgHarvestedGB float64
@@ -199,8 +124,11 @@ type Result struct {
 	Reclaims int
 }
 
-// Run executes the simulation.
-func Run(cfg Config, policy Policy) (*Result, error) {
+// Run executes the simulation. At every window end ctrl, built for
+// cfg.TotalGB classes, picks how many GB to leave with the primaries for
+// the next window; it is never told of memharvest's safeguard, so a
+// learner trains on every window.
+func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -218,7 +146,7 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 	reclaimDone := sim.Time(0)       // in-flight reclaim completes here
 	var reclaimTarget float64
 
-	res := &Result{Policy: policy.Name()}
+	res := &Result{}
 	var harvestedIntegral, faultIntegral float64 // GB·ns
 	var measuredFrom sim.Time
 
@@ -297,7 +225,13 @@ func Run(cfg Config, policy Policy) (*Result, error) {
 		}
 		wasShort = short
 
-		target := policy.Decide(samples, peak)
+		target := ctrl.OnWindowEnd(core.Window{
+			At:            now,
+			Samples:       samples,
+			Peak:          peak,
+			CurrentTarget: int(assigned),
+			Busy:          samples[len(samples)-1],
+		})
 		samples = samples[:0]
 		if short {
 			// Safeguard: reclaim up to the observed peak plus slack.

@@ -3,12 +3,23 @@ package memharvest
 import (
 	"testing"
 
+	"smartharvest/internal/core"
+	"smartharvest/internal/learner"
 	"smartharvest/internal/sim"
 )
 
-func run(t *testing.T, p Policy, seed uint64) *Result {
+// learned is the experiment's learned row: core.SmartHarvest over per-GB
+// classes, floored at the window peak.
+func learned() core.Controller {
+	return PeakFloor{core.NewSmartHarvest(64, core.SmartHarvestOptions{
+		Cost: learner.SkewedCost{UnderPenalty: 64.0 / 4}})}
+}
+
+func fixed(k int) core.Controller { return core.NewFixedBuffer(64, k) }
+
+func run(t *testing.T, ctrl core.Controller, seed uint64) *Result {
 	t.Helper()
-	res, err := Run(Config{Seed: seed}, p)
+	res, err := Run(Config{Seed: seed}, ctrl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +27,7 @@ func run(t *testing.T, p Policy, seed uint64) *Result {
 }
 
 func TestLearnedHarvestsMemory(t *testing.T) {
-	res := run(t, NewLearned(64), 3)
+	res := run(t, learned(), 3)
 	// Demand averages ~24 GB of 64 plus a safety margin; a meaningful
 	// chunk must be harvested.
 	if res.AvgHarvestedGB < 10 {
@@ -28,13 +39,13 @@ func TestLearnedHarvestsMemory(t *testing.T) {
 }
 
 func TestLearnedBeatsNaiveHeadroomOnFrontier(t *testing.T) {
-	learned := run(t, NewLearned(64), 3)
+	learned := run(t, learned(), 3)
 	// A small fixed headroom harvests more but faults much more; a big
 	// one faults less but harvests much less. The learner should not be
 	// dominated by either (same or better on one axis when matched on
 	// the other).
-	small := run(t, NewFixedHeadroom(64, 2), 3)
-	big := run(t, NewFixedHeadroom(64, 24), 3)
+	small := run(t, fixed(2), 3)
+	big := run(t, fixed(24), 3)
 	if small.FaultSeconds <= learned.FaultSeconds && small.AvgHarvestedGB >= learned.AvgHarvestedGB {
 		t.Fatalf("learned dominated by fixed-2: learned=%+v fixed=%+v", learned, small)
 	}
@@ -44,8 +55,8 @@ func TestLearnedBeatsNaiveHeadroomOnFrontier(t *testing.T) {
 }
 
 func TestFixedHeadroomTradeoff(t *testing.T) {
-	small := run(t, NewFixedHeadroom(64, 2), 5)
-	big := run(t, NewFixedHeadroom(64, 20), 5)
+	small := run(t, fixed(2), 5)
+	big := run(t, fixed(20), 5)
 	if small.AvgHarvestedGB <= big.AvgHarvestedGB {
 		t.Fatalf("small headroom harvested %v <= big %v", small.AvgHarvestedGB, big.AvgHarvestedGB)
 	}
@@ -55,10 +66,9 @@ func TestFixedHeadroomTradeoff(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := run(t, NewLearned(64), 11)
-	b := run(t, NewLearned(64), 11)
-	if a.AvgHarvestedGB != b.AvgHarvestedGB || a.FaultSeconds != b.FaultSeconds ||
-		a.Reclaims != b.Reclaims {
+	a := run(t, learned(), 11)
+	b := run(t, learned(), 11)
+	if *a != *b {
 		t.Fatalf("runs diverged: %+v vs %+v", a, b)
 	}
 }
@@ -71,28 +81,22 @@ func TestValidation(t *testing.T) {
 		{TotalGB: 64, SamplesPerWindow: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, NewLearned(64)); err == nil {
+		if _, err := Run(cfg, learned()); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	if NewLearned(64).Name() != "smartharvest-mem" {
-		t.Error("learned name")
+func TestPeakFloor(t *testing.T) {
+	// A fixed buffer of 0 over a falling window assigns its last sample;
+	// the floor lifts that to the window's peak.
+	w := core.Window{Samples: []int{9, 4}, Peak: 9, Busy: 4, CurrentTarget: 64}
+	if got := fixed(0).OnWindowEnd(w); got != 4 {
+		t.Fatalf("unfloored target %d, want 4", got)
 	}
-	if NewFixedHeadroom(64, 8).Name() != "fixed-8GB" {
-		t.Error("fixed name")
+	if got := (PeakFloor{fixed(0)}).OnWindowEnd(w); got != 9 {
+		t.Fatalf("floored target %d, want 9", got)
 	}
-}
-
-func TestFixedHeadroomValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewFixedHeadroom(8, 10)
 }
 
 func TestReclaimLatencyMatters(t *testing.T) {
@@ -100,11 +104,11 @@ func TestReclaimLatencyMatters(t *testing.T) {
 	// reclaim under the same policy and demand.
 	slowCfg := Config{Seed: 9, ReclaimPerGB: 500 * sim.Millisecond}
 	fastCfg := Config{Seed: 9, ReclaimPerGB: sim.Millisecond}
-	slow, err := Run(slowCfg, NewFixedHeadroom(64, 4))
+	slow, err := Run(slowCfg, fixed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(fastCfg, NewFixedHeadroom(64, 4))
+	fast, err := Run(fastCfg, fixed(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,10 @@ var clampNames = grammar.Enum[ClampReason]{Unknown: "unknown",
 func (c ClampReason) String() string { return clampNames.String(c) }
 
 // Features are the per-window summary statistics of the busy-core
-// samples, in cores: the five quantities the paper's learner consumes,
-// but computed the trace's way, not the learner's. For an even sample
-// count Median is the midpoint of the middle two (samples 1,2,3,4 give
-// 2.5) where learner.FeatureExtractor takes the lower one (2), and Std is
-// the two-pass population deviation where the learner uses the one-pass
-// E[x²]−avg² form.
+// samples, in cores: the five quantities the paper's learner consumes, as
+// learner.FeatureExtractor computes them (Median is the lower median, Std
+// the population deviation), so a recorded window replays through the
+// learner exactly.
 type Features struct {
 	Min    int
 	Max    int

@@ -330,7 +330,8 @@ type (
 	ChurnApplied = obs.ChurnApplied
 	// BatchProgress fires at batch-job phase boundaries.
 	BatchProgress = obs.BatchProgress
-	// WindowFeatures are the per-window busy-sample statistics.
+	// WindowFeatures are the per-window busy-sample statistics, exactly
+	// the five features the learner computed from the window.
 	WindowFeatures = obs.Features
 	// FaultInjected fires when the fault-injection layer perturbs the run.
 	FaultInjected = obs.FaultInjected
