@@ -80,7 +80,7 @@ func TestReplayReproducesRun(t *testing.T) {
 			model := learner.NewCSOAA(maxAlloc+1, learner.NumFeatures, 0.1)
 			model.InitBias(learner.FillCosts(costs, cost, maxAlloc))
 
-			alloc := len(s.Primaries) * 10
+			alloc := len(s.Primaries) * 10 // the default PrimaryVMCores
 			x := make([]float64, learner.NumFeatures)
 			prevX := make([]float64, learner.NumFeatures)
 			havePrev := false
