@@ -2,6 +2,8 @@ package check_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,5 +135,32 @@ func TestValidateTraceErrorCap(t *testing.T) {
 	}
 	if len(errs) != 100 {
 		t.Fatalf("got %d errors, want the 100 cap", len(errs))
+	}
+}
+
+// TestValidateTraceFixtures: every committed JSONL fixture — the harness
+// trace golden and the three scheduler goldens — is a well-formed trace.
+func TestValidateTraceFixtures(t *testing.T) {
+	paths, err := filepath.Glob("../sched/testdata/*.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, "../harness/testdata/golden-trace.jsonl")
+	if len(paths) != 4 {
+		t.Fatalf("found %d trace fixtures, want 4: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs, err := check.ValidateTrace(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(errs) != 0 {
+			t.Errorf("%s: %d problems, first %s", path, len(errs), errs[0])
+		}
 	}
 }
