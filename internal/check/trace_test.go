@@ -90,6 +90,25 @@ func TestValidateTraceCorruptions(t *testing.T) {
 	}
 }
 
+// TestValidateTraceStrict: lines a JSON walk with loose types used to
+// accept, none of which the encoder can write.
+func TestValidateTraceStrict(t *testing.T) {
+	const resize = `{"v":1,"ev":"resize","t":1,"from":10,"to":5,"mech":"cpugroups","latency":1}`
+	for _, tc := range []struct{ name, line, want string }{
+		{"null in int", strings.Replace(resize, `"to":5`, `"to":null`, 1), `"to" is null`},
+		{"fraction in int", strings.Replace(resize, `"to":5`, `"to":1.5`, 1), `"to" has the wrong JSON type`},
+		{"0xff in string", strings.Replace(resize, "cpugroups", "cpu\xffgroups", 1), "UTF-8"},
+	} {
+		errs, err := check.ValidateTrace(strings.NewReader(tc.line + "\n"))
+		if err != nil {
+			t.Fatalf("ValidateTrace: %v", err)
+		}
+		if len(errs) != 1 || errs[0].Line != 1 || !strings.Contains(errs[0].Detail, tc.want) {
+			t.Errorf("%s: got %v, want one error on line 1 mentioning %s", tc.name, errs, tc.want)
+		}
+	}
+}
+
 func TestValidateTraceEventOrdering(t *testing.T) {
 	trace := `{"v":1,"ev":"qos-resume","t":100}
 {"v":1,"ev":"qos-resume","t":50}

@@ -83,74 +83,3 @@ func (a *Adapter) OnPoolGrant(e PoolGrant)     { emit(a, KindPoolGrant, &a.rec.P
 func (a *Adapter) OnPoolAccount(e PoolAccount) { emit(a, KindPoolAccount, &a.rec.PoolAccount, e) }
 func (a *Adapter) OnPoolEvict(e PoolEvict)     { emit(a, KindPoolEvict, &a.rec.PoolEvict, e) }
 func (a *Adapter) OnPoolSettle(e PoolSettle)   { emit(a, KindPoolSettle, &a.rec.PoolSettle, e) }
-
-// Dispatch is the Adapter's inverse: it delivers r to o through the typed
-// method r.Kind selects. Multi uses it for observers that are not Sinks;
-// replaying a captured stream into any Observer is a loop over Dispatch.
-// A Record of unknown Kind is dropped.
-func Dispatch(o Observer, r *Record) {
-	switch r.Kind {
-	case KindPollSample:
-		o.OnPollSample(r.PollSample)
-	case KindWindowEnd:
-		o.OnWindowEnd(r.WindowEnd)
-	case KindSafeguardTrip:
-		o.OnSafeguardTrip(r.SafeguardTrip)
-	case KindQoSTrip:
-		o.OnQoSTrip(r.QoSTrip)
-	case KindQoSResume:
-		o.OnQoSResume(r.QoSResume)
-	case KindResize:
-		o.OnResize(r.Resize)
-	case KindChurnApplied:
-		o.OnChurnApplied(r.ChurnApplied)
-	case KindBatchProgress:
-		o.OnBatchProgress(r.BatchProgress)
-	case KindFaultInjected:
-		o.OnFaultInjected(r.FaultInjected)
-	case KindResizeRetry:
-		o.OnResizeRetry(r.ResizeRetry)
-	case KindDegradedEnter:
-		o.OnDegradedEnter(r.DegradedEnter)
-	case KindDegradedExit:
-		o.OnDegradedExit(r.DegradedExit)
-	case KindJobSubmit:
-		o.OnJobSubmit(r.JobSubmit)
-	case KindJobStart:
-		o.OnJobStart(r.JobStart)
-	case KindJobEvict:
-		o.OnJobEvict(r.JobEvict)
-	case KindJobRequeue:
-		o.OnJobRequeue(r.JobRequeue)
-	case KindJobComplete:
-		o.OnJobComplete(r.JobComplete)
-	case KindJobSLOMiss:
-		o.OnJobSLOMiss(r.JobSLOMiss)
-	case KindPredictorInfo:
-		o.OnPredictorInfo(r.PredictorInfo)
-	case KindServerCrash:
-		o.OnServerCrash(r.ServerCrash)
-	case KindServerRestart:
-		o.OnServerRestart(r.ServerRestart)
-	case KindServerQuarantine:
-		o.OnServerQuarantine(r.ServerQuarantine)
-	case KindServerProbation:
-		o.OnServerProbation(r.ServerProbation)
-	case KindPlacementRetry:
-		o.OnPlacementRetry(r.PlacementRetry)
-	case KindAdmissionDegraded:
-		o.OnAdmissionDegraded(r.AdmissionDegraded)
-	case KindPoolOpen:
-		o.OnPoolOpen(r.PoolOpen)
-	case KindPoolReject:
-		o.OnPoolReject(r.PoolReject)
-	case KindPoolGrant:
-		o.OnPoolGrant(r.PoolGrant)
-	case KindPoolAccount:
-		o.OnPoolAccount(r.PoolAccount)
-	case KindPoolEvict:
-		o.OnPoolEvict(r.PoolEvict)
-	case KindPoolSettle:
-		o.OnPoolSettle(r.PoolSettle)
-	}
-}

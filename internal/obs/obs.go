@@ -9,7 +9,8 @@
 // kind-tagged union Record — the event envelope. Adapter is the one
 // implementation of the former on top of the latter, Dispatch its
 // inverse, and the descriptor table behind Schema the single owner of
-// every kind's wire name, timestamp and trace fields.
+// every kind's wire name, timestamp, trace fields and Observer method:
+// the JSONL encoder, its inverse Decode, and Dispatch all read it.
 //
 // The design constraint is zero overhead when disabled: every emission
 // site is guarded by a nil check on the observer, so a run without an

@@ -441,6 +441,8 @@ type TraceError = check.TraceError
 func NewChecker() *Checker { return check.New() }
 
 // ValidateTrace checks a JSONL trace (as written by TraceWriter) for
-// well-formedness: schema version, known events, required fields with the
-// right types, and non-decreasing timestamps.
+// well-formedness: every line must decode as a line the writer could
+// have written (schema version, known event, exactly its fields with the
+// right types, no null, valid UTF-8), and timestamps must not decrease.
+// It reports the first problem on each line.
 func ValidateTrace(r io.Reader) ([]TraceError, error) { return check.ValidateTrace(r) }
