@@ -12,30 +12,18 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// replaySink keeps, in memory, the events an open-loop replay of the
-// learner needs: window decisions, allocation changes, and the events
-// after which the run stops being open-loop (crash, degrade).
-type replaySink struct {
-	obs.Adapter
-	recs []obs.Record
-}
-
-func (s *replaySink) Observe(r *obs.Record) {
-	switch r.Kind {
-	case obs.KindWindowEnd, obs.KindChurnApplied, obs.KindFaultInjected, obs.KindDegradedEnter:
-		s.recs = append(s.recs, *r)
-	}
-}
-
-// TestReplayReproducesRun records a SmartHarvest run's window events and
-// feeds their features open-loop into a fresh CSOAA with the same prior,
-// training on the previous window's features against each window's peak
-// exactly as the controller does. Safeguard windows are skipped (the
-// controller neither trains nor predicts on them) and a churn event drops
-// the feature history and rescales the features, as SetAlloc does. Every
-// replayed prediction must equal the recorded one, and at the end of a run
-// that stayed open-loop the replayed model must checkpoint to the live
-// model's bytes: predictions alone can agree while the weights differ.
+// TestReplayReproducesRun records a SmartHarvest run's JSONL trace,
+// decodes it, and feeds the recorded windows' features open-loop into a
+// fresh CSOAA with the same prior, training on the previous window's
+// features against each window's peak exactly as the controller does.
+// Safeguard windows are skipped (the controller neither trains nor
+// predicts on them) and a churn event drops the feature history and
+// rescales the features, as SetAlloc does. Every replayed prediction must
+// equal the recorded one, and at the end of a run that stayed open-loop
+// the replayed model must checkpoint to the live model's bytes:
+// predictions alone can agree while the weights differ. Replaying from
+// the trace's bytes shows the text format carries every bit the learner
+// needs.
 func TestReplayReproducesRun(t *testing.T) {
 	arrival := apps.Memcached(20000)
 	shape := func(name string, primaries ...apps.PrimarySpec) Scenario {
@@ -68,10 +56,20 @@ func TestReplayReproducesRun(t *testing.T) {
 				return live
 			}
 			s.LongTermSafeguard = true
-			sink := &replaySink{}
-			sink.Sink = sink
+			var trace bytes.Buffer
+			sink := obs.NewJSONL(&trace, obs.JSONLOmitPolls())
 			if _, err := Run(s, WithObserver(sink)); err != nil {
 				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.Split(bytes.TrimSuffix(trace.Bytes(), []byte("\n")), []byte("\n"))
+			recs := make([]obs.Record, len(lines))
+			for i, line := range lines {
+				if err := obs.Decode(line, &recs[i]); err != nil {
+					t.Fatalf("trace line %d: %v", i+1, err)
+				}
 			}
 
 			maxAlloc := live.Predictor().Classes() - 1
@@ -87,7 +85,7 @@ func TestReplayReproducesRun(t *testing.T) {
 			replayed, churns, safeguards := 0, 0, 0
 			stopped := false
 		replay:
-			for _, r := range sink.recs {
+			for _, r := range recs {
 				switch r.Kind {
 				case obs.KindChurnApplied:
 					alloc = r.ChurnApplied.PrimaryAlloc

@@ -164,7 +164,51 @@ func TestSchedGolden(t *testing.T) {
 			dump = append(dump, '\n')
 			compareGolden(t, tc.name+".jsonl", trace)
 			compareGolden(t, tc.name+".result.json", dump)
+			reverifyGolden(t, tc.name+".jsonl", tc.cfg)
 		})
+	}
+}
+
+// reverifyGolden checks the committed trace from its bytes alone: every
+// line decodes and a JobChecker bound as Run binds one for cfg, fed the
+// decoded records, sees each of them and reports no violation. Raising
+// one decoded job-start grant above its job's width must then be caught.
+func reverifyGolden(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	recs := make([]obs.Record, len(lines))
+	for i, line := range lines {
+		if err := obs.Decode(line, &recs[i]); err != nil {
+			t.Fatalf("%s:%d: %v", name, i+1, err)
+		}
+	}
+	cfg.applyDefaults()
+	verify := func(recs []obs.Record) *check.Report {
+		c := check.NewJobChecker()
+		if err := c.Bind(cfg.jobConfig(cfg.Fleet.Servers)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			obs.Dispatch(c, &recs[i])
+		}
+		return c.Finish()
+	}
+	if rep := verify(recs); !rep.OK() || rep.Events != uint64(len(lines)) {
+		t.Fatalf("%s re-verified offline: %d events of %d lines, first violation %v",
+			name, rep.Events, len(lines), rep.First())
+	}
+	for i := range recs {
+		if recs[i].Kind == obs.KindJobStart {
+			recs[i].JobStart.Grant = 1 << 20
+			break
+		}
+	}
+	if rep := verify(recs); rep.OK() || rep.First().Invariant != check.InvJobCapacity {
+		t.Fatalf("%s with an oversized grant: first violation %v, want %s", name, rep.First(), check.InvJobCapacity)
 	}
 }
 

@@ -332,6 +332,23 @@ func BenchConfig(seed uint64) Config {
 	}
 }
 
+// jobConfig is what a JobChecker verifying a run of c on servers
+// servers needs to know; c has its defaults applied.
+func (c *Config) jobConfig(servers int) check.JobConfig {
+	return check.JobConfig{
+		MaxRequeues:         c.MaxRequeues,
+		Servers:             servers,
+		MaxPlacementRetries: c.MaxPlacementRetries,
+		PlacementBackoff:    c.PlacementBackoff,
+		QuarantineDur:       c.QuarantineDur,
+		QuarantineMax:       c.QuarantineMax,
+		ProbationDur:        c.ProbationDur,
+		DegradeEnter:        c.DegradeEnter,
+		DegradeExit:         c.DegradeExit,
+		Market:              c.Market,
+	}
+}
+
 // Run executes one scheduler simulation. Everything is deterministic
 // from the fleet seed: job arrivals draw from their own RNG stream, so
 // the tenant process is byte-identical to a plain cluster run with the
@@ -349,18 +366,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Checker != nil {
-		if err := cfg.Checker.Bind(check.JobConfig{
-			MaxRequeues:         cfg.MaxRequeues,
-			Servers:             fleet.Servers(),
-			MaxPlacementRetries: cfg.MaxPlacementRetries,
-			PlacementBackoff:    cfg.PlacementBackoff,
-			QuarantineDur:       cfg.QuarantineDur,
-			QuarantineMax:       cfg.QuarantineMax,
-			ProbationDur:        cfg.ProbationDur,
-			DegradeEnter:        cfg.DegradeEnter,
-			DegradeExit:         cfg.DegradeExit,
-			Market:              cfg.Market,
-		}); err != nil {
+		if err := cfg.Checker.Bind(cfg.jobConfig(fleet.Servers())); err != nil {
 			return nil, err
 		}
 	}
