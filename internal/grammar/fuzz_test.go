@@ -33,13 +33,14 @@ func FuzzGrammars(f *testing.F) {
 			f.Add(uint8(2+i), in)
 		}
 	}
-	// Inputs that were accepted before non-finite numbers were refused,
-	// and the "none" rendering that did not parse back.
+	// Inputs that were accepted before non-finite numbers and non-UTF-8
+	// pool names were refused, and the "none" rendering that did not
+	// parse back.
 	for _, in := range []string{"hfail=NaN", "drop=nan", "none", " none "} {
 		f.Add(uint8(0), in)
 	}
 	for _, in := range []string{"overcommit=NaN;name=a,tier=premium,reserved=400", "overcommit=+Inf",
-		"name=a,tier=spot,reserved=1,price=NaN", "none"} {
+		"name=a,tier=spot,reserved=1,price=NaN", "none", "name=a\xffb,tier=spot,reserved=2"} {
 		f.Add(uint8(1), in)
 	}
 

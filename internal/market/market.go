@@ -25,6 +25,7 @@ package market
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"smartharvest/internal/grammar"
 	"smartharvest/internal/obs"
@@ -179,6 +180,9 @@ func (c Config) validate() error {
 		if strings.ContainsAny(p.Name, ";,= ") {
 			return fmt.Errorf("market: pool name %q may not contain ';', ',', '=', or spaces", p.Name)
 		}
+		if !utf8.ValidString(p.Name) { // it is written into JSONL traces
+			return fmt.Errorf("market: pool name %q is not valid UTF-8", p.Name)
+		}
 		if seen[p.Name] {
 			return fmt.Errorf("market: duplicate pool name %q", p.Name)
 		}
@@ -309,9 +313,6 @@ func NewLedger(cfg Config, seed uint64, now func() sim.Time, observer obs.Observ
 	}
 	return l, nil
 }
-
-// Overcommit returns the (defaults-filled) global overcommit ratio.
-func (l *Ledger) Overcommit() float64 { return l.cfg.Overcommit }
 
 // Specs returns the defaults-filled pool requests in config order; the
 // scheduler uses them to schedule TryOpen calls.

@@ -97,6 +97,22 @@ func TestParsePoolsRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPoolNameMustBeUTF8: a pool name lands verbatim in pool-* trace
+// lines, so a name that is not valid UTF-8 would make the trace invalid
+// JSON. Both the -pools grammar and NewLedger refuse one.
+func TestPoolNameMustBeUTF8(t *testing.T) {
+	if c, err := ParsePools("name=a\xffb,tier=spot,reserved=2"); err == nil {
+		t.Fatalf("ParsePools accepted a non-UTF-8 pool name: %+v", c)
+	}
+	cfg := Config{Pools: []PoolSpec{{Name: "a\xffb", Tier: Spot, Reserved: 2}}}
+	if _, err := NewLedger(cfg, 1, func() sim.Time { return 0 }, nil); err == nil {
+		t.Fatal("NewLedger accepted a non-UTF-8 pool name")
+	}
+	if _, err := ParsePools("name=åb,tier=spot,reserved=2"); err != nil {
+		t.Fatalf("a UTF-8 pool name was refused: %v", err)
+	}
+}
+
 func TestLedgerAdmissionBound(t *testing.T) {
 	cfg, err := ParsePools("overcommit=1.5;name=s1,tier=spot,reserved=10;name=s2,tier=spot,reserved=21;name=p,tier=premium,reserved=8")
 	if err != nil {
