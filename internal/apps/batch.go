@@ -110,9 +110,6 @@ func NewBatchJob(name string, loop *sim.Loop, vm *hypervisor.VM, phases []BatchP
 // Name returns the job's name.
 func (j *BatchJob) Name() string { return j.name }
 
-// NumPhases returns how many phases the job has.
-func (j *BatchJob) NumPhases() int { return len(j.phases) }
-
 // SetPhaseHook registers fn to run at every phase boundary: once when
 // each phase starts (phase is 0-based), and a final time with
 // phase == phases and finished set. Must be called before Start.

@@ -172,7 +172,6 @@ type JobChecker struct {
 // event stream.
 type poolState struct {
 	tier       market.Tier
-	reserved   int
 	size       sim.Time
 	price      float64
 	balance    sim.Time
@@ -736,7 +735,7 @@ func (c *JobChecker) poolOpen(rec *obs.Record) {
 		c.pools = make(map[string]*poolState)
 	}
 	c.pools[e.Pool] = &poolState{
-		tier: t, reserved: e.Reserved, size: e.Size, price: e.Price,
+		tier: t, size: e.Size, price: e.Price,
 	}
 }
 

@@ -163,7 +163,6 @@ type tenant struct {
 	vm     *hypervisor.VM
 	server *server
 	srv    *workload.Server
-	spec   apps.PrimarySpec
 }
 
 // ServerStats summarizes one server's run.
@@ -370,7 +369,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			return
 		}
 		srv.Start()
-		tn := &tenant{vm: vm, server: target, srv: srv, spec: spec}
+		tn := &tenant{vm: vm, server: target, srv: srv}
 		target.tenants[tn] = struct{}{}
 		target.tenantsHostedTotal++
 		f.res.Placed++

@@ -430,9 +430,6 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	return a, nil
 }
 
-// Controller returns the agent's policy.
-func (a *Agent) Controller() Controller { return a.ctrl }
-
 // Target returns the current primary-core target.
 func (a *Agent) Target() int { return a.target }
 
@@ -495,9 +492,6 @@ func (a *Agent) Degradations() uint64 { return a.degradations }
 // Degraded reports whether the agent is currently in degraded
 // (NoHarvest) mode.
 func (a *Agent) Degraded() bool { return a.degraded }
-
-// Down reports whether the agent is currently dead from a ForceCrash.
-func (a *Agent) Down() bool { return a.dead }
 
 // TargetSeries returns the recorded per-window primary-core assignment
 // (empty unless Config.RecordSeries).

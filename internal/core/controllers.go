@@ -51,7 +51,6 @@ type SmartHarvest struct {
 	costs    []float64
 	havePrev bool
 
-	predictions  uint64
 	trainUpdates uint64
 }
 
@@ -125,9 +124,6 @@ func (s *SmartHarvest) Safeguards() bool { return true }
 // OnPoll implements Controller; SmartHarvest only acts at window ends.
 func (s *SmartHarvest) OnPoll(busy, currentTarget int) (int, bool) { return 0, false }
 
-// Predictions returns how many model predictions have been made.
-func (s *SmartHarvest) Predictions() uint64 { return s.predictions }
-
 // TrainUpdates returns how many model updates have been applied.
 func (s *SmartHarvest) TrainUpdates() uint64 { return s.trainUpdates }
 
@@ -159,7 +155,6 @@ func (s *SmartHarvest) OnWindowEnd(w Window) int {
 	s.mask.Apply(s.x)
 	copy(s.prevX, s.x)
 	s.havePrev = true
-	s.predictions++
 	t := s.pred.Predict(int64(w.At), s.x)
 	if t > s.alloc {
 		// Classes above the current allocation exist when the model was

@@ -99,12 +99,6 @@ func CheckStats() (runs, violations int64) {
 	return checkedRuns.Load(), checkViolations.Load()
 }
 
-// Default returns the full-length configuration (30 s measured per run,
-// close to the paper's one-minute runs but tractable on one core).
-func Default() Config {
-	return Config{Duration: 30 * sim.Second, Warmup: 2 * sim.Second, Seed: 1}
-}
-
 // Quick returns a configuration for smoke tests and benchmarks.
 func Quick() Config {
 	return Config{Duration: 6 * sim.Second, Warmup: 2 * sim.Second, Seed: 1}

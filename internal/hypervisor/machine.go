@@ -42,7 +42,6 @@ const (
 // VCPU is a virtual CPU of a VM. Guest work occupies exactly one vCPU.
 type VCPU struct {
 	vm         *VM
-	id         int
 	state      vcpuState
 	remaining  sim.Time // work left in the current item
 	done       func()   // invoked when the current item completes
@@ -75,12 +74,6 @@ type workItem struct {
 
 // Name returns the VM's name.
 func (vm *VM) Name() string { return vm.name }
-
-// Group returns the cpugroup the VM belongs to.
-func (vm *VM) Group() GroupID { return vm.group }
-
-// Alloc returns the VM's core allocation (its paid-for size).
-func (vm *VM) Alloc() int { return vm.alloc }
 
 // NumVCPUs returns the number of virtual CPUs.
 func (vm *VM) NumVCPUs() int { return len(vm.vcpus) }
@@ -213,8 +206,7 @@ type Machine struct {
 	ipiMu, ipiSigma float64 // log-normal parameters for IPI effect delay
 
 	// Instrumentation.
-	primaryWaits  []int64 // dispatch waits (ns) since the last drain
-	allWaits      [numGroups]*metrics.Histogram
+	primaryWaits  []int64            // dispatch waits (ns) since the last drain
 	growLatency   *metrics.Histogram // elastic +1 core: request -> effect
 	shrinkLatency *metrics.Histogram // elastic -1 core: request -> effect
 	coreCount     [numGroups]metrics.Counter
@@ -241,9 +233,6 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 		ratio = 1.0000001
 	}
 	m.ipiMu, m.ipiSigma = simrng.LogNormalParams(mean, ratio)
-	for g := GroupID(0); g < numGroups; g++ {
-		m.allWaits[g] = metrics.NewHistogram()
-	}
 	for i := 0; i < cfg.TotalCores; i++ {
 		c := &Core{id: i, group: PrimaryGroup}
 		c.sliceEnd = func() { m.sliceEnd(c) }
@@ -259,12 +248,6 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Loop returns the event loop the machine runs on.
-func (m *Machine) Loop() *sim.Loop { return m.loop }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // TotalCores returns the pool size.
 func (m *Machine) TotalCores() int { return m.cfg.TotalCores }
 
@@ -279,7 +262,7 @@ func (m *Machine) AddVM(name string, group GroupID, vcpus, alloc int) *VM {
 		vcpus: make([]VCPU, vcpus), idle: make([]*VCPU, vcpus)}
 	for i := range vm.vcpus {
 		v := &vm.vcpus[i]
-		*v = VCPU{vm: vm, id: i, state: vcpuIdle}
+		*v = VCPU{vm: vm, state: vcpuIdle}
 		vm.idle[i] = v
 	}
 	m.vms = append(m.vms, vm)
@@ -382,10 +365,6 @@ func (m *Machine) LogicalGroupCores(g GroupID) int { return m.logical[g] }
 // it with the scan.
 func (m *Machine) BusyCores(g GroupID) int { return m.busy[g] }
 
-// ReadyVCPUs returns the number of vCPUs in g's ready queue (demand that
-// could not be placed on a core).
-func (m *Machine) ReadyVCPUs(g GroupID) int { return len(m.queues[g]) }
-
 // DrainPrimaryWaits returns the primary vCPU dispatch-wait samples (ns)
 // recorded since the previous call, and resets the buffer. The agent's
 // long-term safeguard consumes these every 500 ms. The machine keeps the
@@ -396,9 +375,6 @@ func (m *Machine) DrainPrimaryWaits() []int64 {
 	m.primaryWaits = m.primaryWaits[:0]
 	return out
 }
-
-// WaitHistogram returns the cumulative dispatch-wait histogram for g.
-func (m *Machine) WaitHistogram(g GroupID) *metrics.Histogram { return m.allWaits[g] }
 
 // GrowLatency returns the histogram of request-to-effect latency for cores
 // moving into the elastic group (ElasticVM growth), reproducing Fig 14.
@@ -852,7 +828,6 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 		overhead += sim.Time(m.rng.Intn(int(span) + 1))
 	}
 	wait := int64(now-v.readySince) + int64(overhead)
-	m.allWaits[v.vm.group].Record(wait)
 	if v.vm.group == PrimaryGroup {
 		m.primaryWaits = append(m.primaryWaits, wait)
 	}

@@ -64,9 +64,6 @@ type Event struct {
 	idx  int // heap index; -1 once fired/canceled
 }
 
-// When returns the virtual time at which the event fires (or fired).
-func (e *Event) When() Time { return e.when }
-
 // Canceled reports whether the event has been removed from the queue,
 // either by firing or by Cancel. It is only meaningful while the caller
 // still owns the event (see the Event doc comment on recycling).

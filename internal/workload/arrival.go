@@ -60,10 +60,9 @@ func (u *Uniform) Next(sim.Time) (sim.Time, int) { return u.gap, 1 }
 // offered rate is eventRate * meanBatch. This is the main source of the
 // sub-25ms bursts the paper's learner must anticipate.
 type BatchPoisson struct {
-	rng       *simrng.Rand
-	meanGap   float64
-	geomP     float64
-	meanBatch float64
+	rng     *simrng.Rand
+	meanGap float64
+	geomP   float64
 }
 
 // NewBatchPoisson returns a compound Poisson process with the given total
@@ -75,10 +74,9 @@ func NewBatchPoisson(rng *simrng.Rand, qps, meanBatch float64) *BatchPoisson {
 	eventRate := qps / meanBatch
 	// batch = 1 + Geometric(p), mean = 1 + (1-p)/p = 1/p.
 	return &BatchPoisson{
-		rng:       rng,
-		meanGap:   1e9 / eventRate,
-		geomP:     1 / meanBatch,
-		meanBatch: meanBatch,
+		rng:     rng,
+		meanGap: 1e9 / eventRate,
+		geomP:   1 / meanBatch,
 	}
 }
 
