@@ -136,3 +136,77 @@ func TestCLIMatchesGoldens(t *testing.T) {
 		}
 	})
 }
+
+// TestRunDescriptionRefusals pins what the command refuses before it
+// runs anything: -grid with any run flag or positional id (the grid file
+// declares those), and, through the grid's own validation, flags that
+// describe no valid run.
+func TestRunDescriptionRefusals(t *testing.T) {
+	const fixture = "../../internal/experiments/testdata/grid.json"
+	cases := []struct {
+		name string
+		args []string
+		want []string // each must appear in stderr
+	}{
+		{"grid drops run flags", []string{"-grid", fixture, "-check", "-seed", "7", "-faults", "drop=0.5", "-trace", t.TempDir(), "fig5"},
+			[]string{"-check", "-seed", "-faults", "fig5"}},
+		{"grid with -duration", []string{"-grid", fixture, "-duration", "1s"}, []string{"-duration"}},
+		{"grid with -warmup", []string{"-grid", fixture, "-warmup", "1s"}, []string{"-warmup"}},
+		{"grid with -quick", []string{"-grid", fixture, "-quick"}, []string{"-quick"}},
+		{"grid with -seeds", []string{"-grid", fixture, "-seeds", "2"}, []string{"-seeds"}},
+		{"grid with -predictor", []string{"-grid", fixture, "-predictor", "ewma"}, []string{"-predictor"}},
+		{"grid with -pools", []string{"-grid", fixture, "-pools", "name=a,tier=spot,reserved=2"}, []string{"-pools"}},
+		{"grid with -tenants", []string{"-grid", fixture, "-tenants", "flat"}, []string{"-tenants"}},
+		{"grid with -out", []string{"-grid", fixture, "-out", t.TempDir()}, []string{"-out"}},
+		{"grid with an id", []string{"-grid", fixture, "table1"}, []string{"table1"}},
+		{"zero duration", []string{"-duration", "0s", "table1"}, []string{"bad duration"}},
+		{"negative duration", []string{"-duration", "-1s", "table1"}, []string{"bad duration"}},
+		{"negative seeds", []string{"-seeds", "-1", "table1"}, []string{"negative seeds"}},
+		{"seed zero", []string{"-seed", "0", "table1"}, []string{"-seed 0"}},
+		{"unknown id", []string{"-duration", "1s", "table1", "fig99"}, []string{"unknown experiment", "fig99"}},
+		{"duplicate id", []string{"-duration", "1s", "table1", "table1"}, []string{"duplicate run id"}},
+		{"bad fault plan", []string{"-faults", "drop=many", "sched"}, []string{"drop"}},
+		{"bad tenants", []string{"-tenants", "diurnal", "sched"}, []string{"diurnal"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, c.args...)
+			if code == 0 {
+				t.Fatalf("exit 0, want a refusal; stdout:\n%s", stdout)
+			}
+			if stdout != "" {
+				t.Errorf("ran before refusing; stdout:\n%s", stdout)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(stderr, w) {
+					t.Errorf("stderr %q does not name %q", stderr, w)
+				}
+			}
+			if strings.Contains(stderr, "-trace") {
+				t.Errorf("stderr %q refuses -trace, which applies to grids too", stderr)
+			}
+		})
+	}
+}
+
+// TestGridHonorsTrace pins that -trace applies to grid runs too: every
+// resolved run writes its JSONL traces into the directory.
+func TestGridHonorsTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations; skipped in -short")
+	}
+	dir := t.TempDir()
+	grid := filepath.Join(dir, "grid.json")
+	spec := `{"schema": "smartharvest-grid/v1", "runs": [{"experiment": "fig4", "duration": "1s", "warmup": "500ms"}]}`
+	if err := os.WriteFile(grid, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	traces := filepath.Join(dir, "traces")
+	if _, stderr, code := runCLI(t, "-grid", grid, "-grid-out", filepath.Join(dir, "out"), "-trace", traces); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	files, err := filepath.Glob(filepath.Join(traces, "*.jsonl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("-trace with -grid wrote no traces (%v)", err)
+	}
+}

@@ -9,25 +9,21 @@
 // report prints to stdout; -out additionally writes one file per
 // experiment.
 //
-// The runs within an experiment always share one worker pool, and when several experiments are requested the experiments
-// themselves also run concurrently; reports stream to stdout in request
-// order regardless. All output is byte-identical to a serial run
-// (-parallel 1) with the same seed.
+// The run flags and the positional ids are one experiment grid
+// (internal/experiments): the flags are its defaults and each id is a
+// run, so they are validated and executed exactly as a -grid file is.
+// Every experiment and seed runs on one worker pool that also bounds each
+// run's scenarios; reports stream to stdout in request order. All output
+// is byte-identical to a serial run (-parallel 1) with the same seed.
 //
-// Flags:
+// Run flags (refused together with -grid, which declares its own):
 //
 //	-duration  measured simulated time per run (default 30s)
 //	-warmup    warmup before measurement (default 2s)
-//	-seed      RNG seed (default 1)
+//	-seed      first RNG seed, at least 1 (default 1)
 //	-seeds     consecutive seeds per experiment (default 1)
-//	-parallel  worker-pool size for scenarios and experiments
-//	           (default 0 = GOMAXPROCS; 1 = fully serial)
 //	-quick     shortcut for -duration 6s
 //	-out DIR   also write <DIR>/<id>.txt
-//	-trace DIR write one JSONL event trace per run (scenario or
-//	           fleet-scheduler run) into DIR (poll samples omitted; see
-//	           internal/obs). Traces are byte-identical at any -parallel
-//	           setting.
 //	-check     attach the invariant checker (internal/check) to every
 //	           scenario and scheduler run; any violation fails its
 //	           experiment with the checker's report, and a verification
@@ -46,15 +42,24 @@
 //	-tenants   tenant workload-characterization class (-h lists them)
 //	           replacing the sched/market fleets' default tenant mix;
 //	           other experiments ignore it
+//
+// Flags of both front-ends:
+//
+//	-parallel  worker-pool size for runs and their scenarios
+//	           (default 0 = GOMAXPROCS; 1 = fully serial)
+//	-trace DIR write one JSONL event trace per run (scenario or
+//	           fleet-scheduler run) into DIR (poll samples omitted; see
+//	           internal/obs). Traces are byte-identical at any -parallel
+//	           setting.
 //	-list      list experiment IDs and exit
 //	-cpuprofile FILE, -memprofile FILE
 //	           write a CPU / heap profile of the whole invocation
 //	           (`go tool pprof FILE`)
 //
-// Grid mode (declarative experiment plans; see internal/bench):
+// Grid mode (declarative experiment plans; see internal/experiments):
 //
-//	-grid FILE     run the JSON experiment grid instead of positional
-//	               experiments, honoring -parallel; per-run artifacts
+//	-grid FILE     run the JSON experiment grid instead of the run flags
+//	               and positional experiments; per-run artifacts
 //	               (<id>.csv, <id>.json, <id>.txt, manifest.csv) are
 //	               byte-identical at any -parallel setting
 //	-grid-out DIR  artifact directory for -grid (default grid-out)
@@ -65,10 +70,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
-	"smartharvest/internal/bench"
 	"smartharvest/internal/experiments"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
@@ -79,43 +84,33 @@ import (
 	"smartharvest/internal/workload"
 )
 
-// jobOutput is everything one experiment (all its seeds) produced.
-type jobOutput struct {
-	id       string
-	stdout   strings.Builder // report text + per-seed wall times
-	combined []byte          // what -out writes
-	errs     []error
-	wall     time.Duration
-}
+// runFlags are the flags that describe the runs; a -grid file declares
+// those itself, so -grid refuses them.
+var runFlags = []string{"duration", "warmup", "quick", "seed", "seeds", "check",
+	"faults", "predictor", "pools", "tenants", "out"}
 
 func main() {
-	var cfg experiments.Config
-	duration := flag.Duration("duration", 30*time.Second, "measured simulated time per run")
-	warmup := flag.Duration("warmup", 2*time.Second, "simulated warmup before measurement")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "RNG seed")
-	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run each experiment with (the paper averages 3 runs)")
-	flag.IntVar(&cfg.Parallel, "parallel", 0, "scenario/experiment worker-pool size (0 = GOMAXPROCS, 1 = serial)")
+	// The run flags fill the defaults of a grid whose runs are the
+	// positional ids.
+	def := experiments.GridRun{Duration: "30s", Warmup: "2s", Seed: 1, Seeds: 1}
+	flag.StringVar(&def.Duration, "duration", def.Duration, "measured simulated time per run")
+	flag.StringVar(&def.Warmup, "warmup", def.Warmup, "simulated warmup before measurement")
+	flag.Uint64Var(&def.Seed, "seed", def.Seed, "first RNG seed (at least 1)")
+	flag.IntVar(&def.Seeds, "seeds", def.Seeds, "number of consecutive seeds to run each experiment with (the paper averages 3 runs)")
 	quick := flag.Bool("quick", false, "short runs (6s simulated)")
 	outDir := flag.String("out", "", "directory to also write per-experiment reports to")
-	flag.StringVar(&cfg.TraceDir, "trace", "", "directory to write per-run JSONL event traces to")
-	flag.BoolVar(&cfg.Check, "check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
-	flag.TextVar(&cfg.Faults, "faults", cfg.Faults, "fault plan for the sched experiment's fleet as comma-separated key=value pairs (keys: "+
+	flag.BoolVar(&def.Check, "check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
+	flag.StringVar(&def.Faults, "faults", "", "fault plan for the sched experiment's fleet as comma-separated key=value pairs (keys: "+
 		strings.Join(faults.Keys(""), ", ")+"; fleet-level: "+strings.Join(faults.Keys("fleet"), ", ")+")")
-	flag.TextVar(&cfg.Predictor, "predictor", cfg.Predictor, "peak predictor for every smartharvest row: "+strings.Join(learner.Names(), ", "))
-	flag.Func("pools", "harvested-capacity pool plan for the sched and market experiments as ';'-separated key=value lists (keys: "+
-		strings.Join(market.Keys(), ", ")+"; market runs it in place of its overcommit x tier-mix grid)", func(s string) error {
-		cfg.Pools = s
-		_, err := market.ParsePools(s)
-		return err
-	})
-	flag.Func("tenants", "tenant workload-characterization class for the sched and market experiments: "+
-		workload.ClassNames.List()+" (default: the four-primaries mix)", func(s string) error {
-		cfg.TenantMix = s
-		_, err := workload.ParseClass(s)
-		return err
-	})
+	flag.StringVar(&def.Predictor, "predictor", "", "peak predictor for every smartharvest row: "+strings.Join(learner.Names(), ", "))
+	flag.StringVar(&def.Pools, "pools", "", "harvested-capacity pool plan for the sched and market experiments as ';'-separated key=value lists (keys: "+
+		strings.Join(market.Keys(), ", ")+"; market runs it in place of its overcommit x tier-mix grid)")
+	flag.StringVar(&def.Tenants, "tenants", "", "tenant workload-characterization class for the sched and market experiments: "+
+		workload.ClassNames.List()+" (default: the four-primaries mix)")
+	parallel := flag.Int("parallel", 0, "run and scenario worker-pool size (0 = GOMAXPROCS, 1 = serial)")
+	traceDir := flag.String("trace", "", "directory to write per-run JSONL event traces to")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	gridFile := flag.String("grid", "", "run the declarative JSON experiment grid in FILE (see internal/bench)")
+	gridFile := flag.String("grid", "", "run the declarative JSON experiment grid in FILE (see internal/experiments)")
 	gridOut := flag.String("grid-out", "grid-out", "artifact directory for -grid runs")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (allocations included) to this file when the run ends")
@@ -127,184 +122,163 @@ func main() {
 		}
 		return
 	}
-	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
-	// exit ends the process through the profiles: os.Exit runs no defers.
-	exit := func(code int) {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			code = max(code, 1)
-		}
+	fail := func(code int, err error) {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(code)
 	}
+
+	grid := &experiments.Grid{Schema: experiments.GridSchema, Defaults: &def}
 	if *gridFile != "" {
-		exit(runGrid(*gridFile, *gridOut, cfg.Parallel))
-	}
-
-	cfg.Duration = sim.Duration(*duration)
-	cfg.Warmup = sim.Duration(*warmup)
-	if *quick {
-		cfg.Duration = 6 * sim.Second
-	}
-	if cfg.TraceDir != "" {
-		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			exit(1)
-		}
-	}
-
-	ids := flag.Args()
-	if len(ids) == 0 {
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			exit(1)
-		}
-	}
-
-	if *seeds < 1 {
-		*seeds = 1
-	}
-
-	simStart := harness.SimTimeExecuted()
-	wallStart := time.Now()
-
-	// Run experiments on a bounded pool; stream reports in request order.
-	ready := make([]chan *jobOutput, len(ids))
-	for i := range ready {
-		ready[i] = make(chan *jobOutput, 1)
-	}
-	used := make(chan int, 1)
-	go func() {
-		used <- harness.ForEach(len(ids), cfg.Parallel, func(i int) {
-			ready[i] <- runExperiment(ids[i], cfg, *seeds)
+		var refused []string
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(runFlags, f.Name) {
+				refused = append(refused, "-"+f.Name)
+			}
 		})
-	}()
-
-	exitCode := 0
-	outputs := make([]*jobOutput, len(ids))
-	for i := range ids {
-		out := <-ready[i]
-		outputs[i] = out
-		fmt.Print(out.stdout.String())
-		for _, err := range out.errs {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", out.id, err)
-			exitCode = 1
+		if refused = append(refused, flag.Args()...); len(refused) > 0 {
+			fail(2, fmt.Errorf("experiments: -grid %s declares the runs; refusing %s", *gridFile, strings.Join(refused, " ")))
 		}
-		if *outDir != "" && len(out.combined) > 0 {
-			path := filepath.Join(*outDir, out.id+".txt")
-			if err := os.WriteFile(path, out.combined, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", path, err)
-				exitCode = 1
+		var err error
+		if grid, err = experiments.LoadGrid(*gridFile); err != nil {
+			fail(2, err)
+		}
+	} else {
+		if def.Seed == 0 {
+			fail(2, fmt.Errorf("experiments: -seed 0: seeds start at 1"))
+		}
+		if *quick {
+			def.Duration = "6s"
+		}
+		ids := flag.Args()
+		if len(ids) == 0 {
+			for _, e := range experiments.All() {
+				ids = append(ids, e.ID)
+			}
+		}
+		for _, id := range ids {
+			grid.Runs = append(grid.Runs, experiments.GridRun{Experiment: id})
+		}
+	}
+	runs, err := grid.Expand()
+	if err != nil {
+		fail(2, err)
+	}
+	for _, dir := range []string{*traceDir, *outDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				fail(1, fmt.Errorf("experiments: %w", err))
 			}
 		}
 	}
+	check := false
+	for i := range runs {
+		runs[i].Cfg.TraceDir = *traceDir
+		check = check || runs[i].Cfg.Check
+	}
 
-	if len(ids) > 1 {
-		printSummary(outputs, time.Since(wallStart), harness.SimTimeExecuted()-simStart, <-used)
-	}
-	if cfg.Check {
-		runs, violations := experiments.CheckStats()
-		fmt.Printf("invariant checks: %d scenario runs verified, %d violations\n", runs, violations)
-		if violations > 0 {
-			exitCode = 1
-		}
-	}
-	exit(exitCode)
-}
-
-// runGrid executes a declarative experiment grid and writes per-run
-// artifacts, streaming each run's human report to stdout in order.
-func runGrid(gridPath, outDir string, parallel int) int {
-	grid, err := bench.LoadGrid(gridPath)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 2
+		fail(1, fmt.Errorf("experiments: %w", err))
 	}
-	results, err := bench.RunGrid(grid, parallel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 2
-	}
-	code := 0
-	for _, rr := range results {
-		if rr.Err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: grid run %s: %v\n", rr.ID, rr.Err)
+	simStart := harness.SimTimeExecuted()
+	wallStart := time.Now()
+	code, files := 0, 1 // files counts -grid-out's: the manifest and three per successful run
+	var results []experiments.RunResult
+	workers := experiments.RunGrid(runs, *parallel, func(rr experiments.RunResult) {
+		results = append(results, rr)
+		switch {
+		case rr.Err != nil:
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", rr.ID, rr.Err)
 			code = 1
-			continue
+		case *gridFile != "":
+			fmt.Printf("[%s]\n%s\n", rr.ID, rr.Report)
+			files += 3
+		default:
+			fmt.Print(seedReport(rr, def.Seeds))
+			fmt.Printf("(%s wall time)\n\n", rr.Wall.Round(10*time.Millisecond))
 		}
-		fmt.Printf("[%s]\n%s\n", rr.ID, rr.Report)
+	})
+
+	if *gridFile != "" {
+		if err := experiments.WriteArtifacts(*gridOut, results); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		} else {
+			fmt.Printf("wrote %d artifact files to %s\n", files, *gridOut)
+		}
+	} else {
+		if *outDir != "" {
+			if err := writeReports(*outDir, grid.Runs, results, def.Seeds); err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				code = 1
+			}
+		}
+		if len(grid.Runs) > 1 {
+			printSummary(grid.Runs, results, time.Since(wallStart), harness.SimTimeExecuted()-simStart, workers)
+		}
 	}
-	if err := bench.WriteArtifacts(outDir, results); err != nil {
+	if check {
+		verified, violations := experiments.CheckStats()
+		fmt.Printf("invariant checks: %d scenario runs verified, %d violations\n", verified, violations)
+		if violations > 0 {
+			code = 1
+		}
+	}
+	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
+		code = max(code, 1)
 	}
-	fmt.Printf("wrote %d artifact files to %s\n", 1+3*countOK(results), outDir)
-	return code
+	os.Exit(code)
 }
 
-func countOK(results []bench.RunResult) int {
-	n := 0
+// seedReport is one run's report as the positional front-end prints and
+// writes it: under a [seed N] header when each experiment runs several
+// seeds.
+func seedReport(rr experiments.RunResult, seeds int) string {
+	if seeds > 1 {
+		return fmt.Sprintf("[seed %d]\n%s", rr.Cfg.Seed, rr.Report)
+	}
+	return rr.Report.String()
+}
+
+// writeReports writes each experiment's reports, all its seeds in order,
+// to <dir>/<id>.txt; an experiment none of whose seeds succeeded writes
+// nothing.
+func writeReports(dir string, runs []experiments.GridRun, results []experiments.RunResult, seeds int) error {
+	texts := make([]string, len(runs))
 	for _, rr := range results {
 		if rr.Err == nil {
-			n++
+			texts[rr.Run] += seedReport(rr, seeds)
 		}
 	}
-	return n
-}
-
-// runExperiment executes one experiment across its seeds and collects
-// everything it printed, so concurrent experiments do not interleave.
-func runExperiment(id string, cfg experiments.Config, seeds int) *jobOutput {
-	out := &jobOutput{id: id}
-	start := time.Now()
-	defer func() { out.wall = time.Since(start) }()
-
-	run, ok := experiments.Lookup(id)
-	if !ok {
-		out.errs = append(out.errs, fmt.Errorf("unknown experiment %q (use -list)", id))
-		return out
-	}
-	for rep := 0; rep < seeds; rep++ {
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + uint64(rep)
-		repStart := time.Now()
-		report, err := run(runCfg)
-		if err != nil {
-			out.errs = append(out.errs, err)
+	for i, text := range texts {
+		if text == "" {
 			continue
 		}
-		if seeds > 1 {
-			fmt.Fprintf(&out.stdout, "[seed %d]\n", runCfg.Seed)
-			out.combined = append(out.combined, fmt.Sprintf("[seed %d]\n", runCfg.Seed)...)
+		path := filepath.Join(dir, runs[i].Experiment+".txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			return fmt.Errorf("writing %s: %w", path, err)
 		}
-		out.stdout.WriteString(report.String())
-		fmt.Fprintf(&out.stdout, "(%s wall time)\n\n", time.Since(repStart).Round(10*time.Millisecond))
-		out.combined = append(out.combined, report.String()...)
 	}
-	return out
+	return nil
 }
 
 // printSummary reports per-experiment wall time and the aggregate
 // simulation throughput, so parallel speedups are visible without
-// running benchmarks. Note that per-experiment wall times overlap when
-// experiments run concurrently, so they sum to more than the total.
-func printSummary(outputs []*jobOutput, wall time.Duration, simTime sim.Time, workers int) {
-	fmt.Printf("== summary (%d workers) ==\n", workers)
-	for _, out := range outputs {
-		status := ""
-		if len(out.errs) > 0 {
-			status = "  FAILED"
+// running benchmarks. An experiment's wall time is the sum of its seeds',
+// and runs overlap on the worker pool, so they sum to more than the total.
+func printSummary(runs []experiments.GridRun, results []experiments.RunResult, wall time.Duration, simTime sim.Time, workers int) {
+	walls := make([]time.Duration, len(runs))
+	status := make([]string, len(runs))
+	for _, rr := range results {
+		walls[rr.Run] += rr.Wall
+		if rr.Err != nil {
+			status[rr.Run] = "  FAILED"
 		}
-		fmt.Printf("%-12s %8s%s\n", out.id, out.wall.Round(10*time.Millisecond), status)
+	}
+	fmt.Printf("== summary (%d workers) ==\n", workers)
+	for i, run := range runs {
+		fmt.Printf("%-12s %8s%s\n", run.Experiment, walls[i].Round(10*time.Millisecond), status[i])
 	}
 	simSec := simTime.Seconds()
 	wallSec := wall.Seconds()
@@ -313,5 +287,5 @@ func printSummary(outputs []*jobOutput, wall time.Duration, simTime sim.Time, wo
 		rate = simSec / wallSec
 	}
 	fmt.Printf("total: %d experiments in %s wall; %.0f sim-s executed (%.1f sim-s/wall-s)\n",
-		len(outputs), wall.Round(10*time.Millisecond), simSec, rate)
+		len(runs), wall.Round(10*time.Millisecond), simSec, rate)
 }

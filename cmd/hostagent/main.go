@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"smartharvest/internal/core"
+	"smartharvest/internal/harness"
 	"smartharvest/internal/hostcg"
 	"smartharvest/internal/rtagent"
 	"smartharvest/internal/sim"
@@ -68,36 +69,6 @@ func parseCores(spec string) ([]int, error) {
 	return cores, nil
 }
 
-func buildController(policy string, alloc int) (core.Controller, error) {
-	name, arg, _ := strings.Cut(policy, ":")
-	n := 0
-	if arg != "" {
-		v, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("bad policy argument %q", arg)
-		}
-		n = v
-	}
-	switch name {
-	case "smartharvest":
-		return core.NewSmartHarvest(alloc, core.SmartHarvestOptions{}), nil
-	case "fixedbuffer":
-		if n == 0 {
-			n = 2
-		}
-		return core.NewFixedBuffer(alloc, n), nil
-	case "prevpeak":
-		if n == 0 {
-			n = 1
-		}
-		return core.NewPrevPeak(alloc, n, n > 1), nil
-	case "noharvest":
-		return core.NewNoHarvest(alloc), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 // agentConfig is the paper's agent configuration at the host's window
 // and poll rate, the elastic group keeping one core.
 func agentConfig(alloc int, window, poll time.Duration, guard bool) core.Config {
@@ -119,7 +90,7 @@ func main() {
 	primaryCg := flag.String("primary-cgroup", "", "cgroup v2 directory of the primary (latency-critical) processes")
 	elasticCg := flag.String("elastic-cgroup", "", "cgroup v2 directory of the elastic (batch) processes")
 	coreSpec := flag.String("cores", "", "harvesting core pool, e.g. 0-7 or 0,2,4-6")
-	policy := flag.String("policy", "smartharvest", "smartharvest, fixedbuffer[:k], prevpeak[:n], noharvest")
+	policy := flag.String("policy", "smartharvest", "harvesting policy: "+harness.PolicyUsage())
 	window := flag.Duration("window", 25*time.Millisecond, "learning window")
 	poll := flag.Duration("poll", time.Millisecond, "busy-core polling interval")
 	guard := flag.Bool("long-term-safeguard", true, "enable the QoS guard")
@@ -143,14 +114,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := backend.Init(); err != nil {
-		fail(err)
-	}
+	// Every flag is checked before backend.Init writes the first cpuset.
 	alloc := len(cores) - 1 // the elastic group keeps one core minimum
-	ctrl, err := buildController(*policy, alloc)
+	newCtrl, err := harness.ParsePolicy(*policy, alloc, "")
 	if err != nil {
 		fail(err)
 	}
+	ctrl := newCtrl(alloc)
 	sh, _ := ctrl.(*core.SmartHarvest)
 	if *modelFile != "" && sh == nil {
 		fail(fmt.Errorf("-model-file requires the smartharvest policy"))
@@ -189,6 +159,9 @@ func main() {
 	loop := sim.NewLoop()
 	agent, err := core.NewAgent(loop, backend, ctrl, agentConfig(alloc, *window, *poll, *guard))
 	if err != nil {
+		fail(err)
+	}
+	if err := backend.Init(); err != nil {
 		fail(err)
 	}
 	agent.Start()

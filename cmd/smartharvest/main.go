@@ -13,11 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"smartharvest"
+	"smartharvest/internal/apps"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
 	"smartharvest/internal/hypervisor"
@@ -26,108 +26,18 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// primaryList collects repeated -primary flags.
-type primaryList []string
-
-func (p *primaryList) String() string { return strings.Join(*p, ",") }
-func (p *primaryList) Set(v string) error {
-	*p = append(*p, v)
-	return nil
-}
-
-func parsePrimary(spec string) (smartharvest.PrimarySpec, error) {
-	name, arg, _ := strings.Cut(spec, ":")
-	qps := 0.0
-	if arg != "" {
-		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil {
-			return smartharvest.PrimarySpec{}, fmt.Errorf("bad load %q: %v", arg, err)
-		}
-		qps = v
-	}
-	switch name {
-	case "memcached":
-		if qps == 0 {
-			qps = 40000
-		}
-		return smartharvest.Memcached(qps), nil
-	case "memcached-swing":
-		if qps == 0 {
-			qps = 60000
-		}
-		return smartharvest.MemcachedSwinging(qps), nil
-	case "indexserve":
-		if qps == 0 {
-			qps = 500
-		}
-		return smartharvest.IndexServe(qps), nil
-	case "moses":
-		if qps == 0 {
-			qps = 400
-		}
-		return smartharvest.Moses(qps), nil
-	case "img-dnn":
-		if qps == 0 {
-			qps = 2000
-		}
-		return smartharvest.ImgDNN(qps), nil
-	case "squarewave":
-		return smartharvest.SquareWave(8, 1, 500*smartharvest.Millisecond), nil
-	default:
-		return smartharvest.PrimarySpec{}, fmt.Errorf("unknown primary %q", name)
-	}
-}
-
-func parsePolicy(spec, predictor string) (smartharvest.ControllerFactory, error) {
-	name, arg, _ := strings.Cut(spec, ":")
-	if predictor != "" && name != "smartharvest" {
-		return nil, fmt.Errorf("-predictor only applies to -policy smartharvest (got %q)", name)
-	}
-	n := 0
-	if arg != "" {
-		v, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("bad policy argument %q: %v", arg, err)
-		}
-		n = v
-	}
-	switch name {
-	case "smartharvest":
-		kind := smartharvest.PredictorCSOAA
-		if predictor != "" {
-			k, err := smartharvest.ParsePredictor(predictor)
-			if err != nil {
-				return nil, err
-			}
-			kind = k
-		}
-		return smartharvest.NewSmartHarvestPredictor(kind, smartharvest.SmartHarvestOptions{}), nil
-	case "fixedbuffer":
-		if n == 0 {
-			n = 4
-		}
-		return smartharvest.NewFixedBuffer(n), nil
-	case "prevpeak":
-		if n == 0 {
-			n = 1
-		}
-		return smartharvest.NewPrevPeak(n, n > 1), nil
-	case "ewma":
-		return smartharvest.NewEWMA(0.3, 1), nil
-	case "noharvest":
-		return smartharvest.NewNoHarvest(), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 func fmtNS(ns int64) string { return sim.Time(ns).String() }
 
 func main() {
 	s := smartharvest.Scenario{Name: "cli"}
-	var primaries primaryList
-	flag.Var(&primaries, "primary", "primary workload as name[:qps]; repeatable (default memcached:40000)")
-	policy := flag.String("policy", "smartharvest", "harvesting policy: smartharvest, fixedbuffer[:k], prevpeak[:n], ewma, noharvest")
+	flag.Func("primary", "primary workload as name[:qps]; repeatable (default memcached:40000)", func(v string) error {
+		spec, err := apps.ParsePrimary(v)
+		if err == nil {
+			s.Primaries = append(s.Primaries, spec)
+		}
+		return err
+	})
+	policy := flag.String("policy", "smartharvest", "harvesting policy: "+harness.PolicyUsage())
 	predictor := flag.String("predictor", "", fmt.Sprintf("peak predictor for -policy smartharvest: %s (default csoaa)",
 		strings.Join(smartharvest.PredictorNames(), ", ")))
 	flag.TextVar(&s.Batch, "batch", s.Batch, "ElasticVM workload: "+harness.BatchKindNames.List())
@@ -155,18 +65,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	if len(primaries) == 0 {
-		primaries = primaryList{"memcached:40000"}
-	}
-	for _, p := range primaries {
-		spec, err := parsePrimary(p)
-		if err != nil {
-			fail(err)
-		}
-		s.Primaries = append(s.Primaries, spec)
+	if len(s.Primaries) == 0 {
+		s.Primaries = []smartharvest.PrimarySpec{smartharvest.Memcached(40000)}
 	}
 	var err error
-	if s.Controller, err = parsePolicy(*policy, *predictor); err != nil {
+	if s.Controller, err = harness.ParsePolicy(*policy, len(s.Primaries)*harness.DefaultPrimaryVMCores, *predictor); err != nil {
 		fail(err)
 	}
 	s.BatchWork = sim.Duration(*batchWork)

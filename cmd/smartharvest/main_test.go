@@ -7,90 +7,6 @@ import (
 	"smartharvest"
 )
 
-func TestParsePrimary(t *testing.T) {
-	cases := []struct {
-		in      string
-		name    string
-		qps     float64
-		wantErr bool
-	}{
-		{"memcached:40000", "memcached", 40000, false},
-		{"memcached", "memcached", 40000, false}, // default load
-		{"indexserve:500", "indexserve", 500, false},
-		{"moses", "moses", 400, false},
-		{"img-dnn:2000", "img-dnn", 2000, false},
-		{"memcached-swing", "memcached-swing", 60000, false},
-		{"squarewave", "squarewave", 0, false},
-		{"nope", "", 0, true},
-		{"memcached:abc", "", 0, true},
-	}
-	for _, c := range cases {
-		spec, err := parsePrimary(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("parsePrimary(%q) accepted", c.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parsePrimary(%q): %v", c.in, err)
-			continue
-		}
-		if spec.Name != c.name {
-			t.Errorf("parsePrimary(%q) name %q, want %q", c.in, spec.Name, c.name)
-		}
-		if c.qps != 0 && spec.QPS != c.qps {
-			t.Errorf("parsePrimary(%q) qps %v, want %v", c.in, spec.QPS, c.qps)
-		}
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	good := map[string]string{
-		"smartharvest":  "smartharvest",
-		"fixedbuffer":   "fixedbuffer-4",
-		"fixedbuffer:7": "fixedbuffer-7",
-		"prevpeak":      "prevpeak",
-		"prevpeak:10":   "prevpeak10",
-		"ewma":          "ewma",
-		"noharvest":     "noharvest",
-	}
-	for in, want := range good {
-		f, err := parsePolicy(in, "")
-		if err != nil {
-			t.Errorf("parsePolicy(%q): %v", in, err)
-			continue
-		}
-		if got := f(10).Name(); got != want {
-			t.Errorf("parsePolicy(%q) -> %q, want %q", in, got, want)
-		}
-	}
-	for _, bad := range []string{"nope", "fixedbuffer:x"} {
-		if _, err := parsePolicy(bad, ""); err == nil {
-			t.Errorf("parsePolicy(%q) accepted", bad)
-		}
-	}
-}
-
-func TestParsePolicyPredictor(t *testing.T) {
-	for _, name := range smartharvest.PredictorNames() {
-		f, err := parsePolicy("smartharvest", name)
-		if err != nil {
-			t.Errorf("parsePolicy(smartharvest, %q): %v", name, err)
-			continue
-		}
-		if got := f(10).Name(); got != "smartharvest" {
-			t.Errorf("parsePolicy(smartharvest, %q) -> controller %q", name, got)
-		}
-	}
-	if _, err := parsePolicy("smartharvest", "nope"); err == nil {
-		t.Error("parsePolicy accepted an unknown predictor")
-	}
-	if _, err := parsePolicy("ewma", "mlp"); err == nil {
-		t.Error("parsePolicy accepted -predictor with a non-smartharvest policy")
-	}
-}
-
 // TestParseFaultPlanRoundTrip pins the -faults CLI syntax: every plan a
 // user can type — agent keys, fleet keys, and mixes — must survive
 // parse → String → parse unchanged.

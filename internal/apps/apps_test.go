@@ -336,3 +336,50 @@ func TestMemcachedVaryingLoadPhases(t *testing.T) {
 		t.Fatalf("phase2 offered %d, want ~20000", atLow)
 	}
 }
+
+// TestParsePrimary pins the -primary table: names, Table 1 default
+// loads, and refusal of loads that are not finite and positive (or that
+// a fixed-shape workload does not take).
+func TestParsePrimary(t *testing.T) {
+	cases := []struct {
+		in      string
+		name    string
+		qps     float64
+		wantErr bool
+	}{
+		{"memcached:40000", "memcached", 40000, false},
+		{"memcached", "memcached", 40000, false}, // default load
+		{"indexserve:500", "indexserve", 500, false},
+		{"moses", "moses", 400, false},
+		{"img-dnn:2000", "img-dnn", 2000, false},
+		{"memcached-swing", "memcached-swing", 60000, false},
+		{"squarewave", "squarewave", 0, false},
+		{"nope", "", 0, true},
+		{"memcached:abc", "", 0, true},
+		{"memcached:-5", "", 0, true},  // panicked in workload.NewPoisson
+		{"memcached:NaN", "", 0, true}, // panicked in sim.Loop.After
+		{"memcached:Inf", "", 0, true}, // never advanced simulated time
+		{"memcached:0", "", 0, true},
+		{"memcached:1e12", "", 0, true}, // arrivals closer than the clock tick
+		{"squarewave:5", "", 0, true},
+	}
+	for _, c := range cases {
+		spec, err := ParsePrimary(c.in)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("ParsePrimary(%q) accepted", c.in)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParsePrimary(%q): %v", c.in, err)
+			continue
+		}
+		if spec.Name != c.name {
+			t.Errorf("ParsePrimary(%q) name %q, want %q", c.in, spec.Name, c.name)
+		}
+		if c.qps != 0 && spec.QPS != c.qps {
+			t.Errorf("ParsePrimary(%q) qps %v, want %v", c.in, spec.QPS, c.qps)
+		}
+	}
+}

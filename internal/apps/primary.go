@@ -13,6 +13,8 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/sim"
@@ -186,6 +188,56 @@ func SquareWave(highConcurrency, lowConcurrency int, halfPeriod sim.Time) Primar
 			}), nil
 		},
 	}
+}
+
+// primaries is the -primary table of cmd/smartharvest: each workload by
+// name with the load it runs at when a spec gives none (its Table 1
+// load), or no load for squarewave, whose shape fixes its rate.
+var primaries = []struct {
+	name  string
+	qps   float64
+	build func(qps float64) PrimarySpec
+}{
+	{"memcached", 40000, Memcached},
+	{"memcached-swing", 60000, MemcachedSwinging},
+	{"indexserve", 500, IndexServe},
+	{"moses", 400, Moses},
+	{"img-dnn", 2000, ImgDNN},
+	{"squarewave", 0, func(float64) PrimarySpec { return SquareWave(8, 1, 500*sim.Millisecond) }},
+}
+
+// maxQPS is the largest load ParsePrimary accepts: one arrival per
+// nanosecond, the clock's tick, on average. Above it arrivals pile up on
+// the same instant and a run stops advancing in simulated time.
+const maxQPS = 1e9
+
+// ParsePrimary parses a -primary spec, "name[:qps]". The load, when
+// given, must be a finite positive rate of at most maxQPS, and
+// squarewave takes none.
+func ParsePrimary(spec string) (PrimarySpec, error) {
+	name, arg, _ := strings.Cut(spec, ":")
+	for _, p := range primaries {
+		if p.name != name {
+			continue
+		}
+		qps := p.qps
+		if arg != "" {
+			if qps == 0 {
+				return PrimarySpec{}, fmt.Errorf("apps: primary %s takes no load (got %q)", name, arg)
+			}
+			v, err := strconv.ParseFloat(arg, 64)
+			if err != nil || !(v > 0 && v <= maxQPS) {
+				return PrimarySpec{}, fmt.Errorf("apps: bad load %q for %s: want a rate in (0, %g] requests/s", arg, name, maxQPS)
+			}
+			qps = v
+		}
+		return p.build(qps), nil
+	}
+	names := make([]string, len(primaries))
+	for i, p := range primaries {
+		names[i] = p.name
+	}
+	return PrimarySpec{}, fmt.Errorf("apps: unknown primary %q (want %s)", name, strings.Join(names, ", "))
 }
 
 // MemcachedVaryingLoad reproduces Table 2's load schedule: each phase runs

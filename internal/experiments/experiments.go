@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5), plus the extensions beyond it. cmd/experiments exposes
-// them on the command line; bench_test.go at the repository root wraps
-// each one in a testing.B benchmark.
+// them on the command line, through the declarative grid in grid.go.
 //
 // An experiment is declared as data over two helpers (table.go):
 //

@@ -1,9 +1,10 @@
-package bench
+package experiments
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,31 @@ func testGrid(t *testing.T) *Grid {
 	return g
 }
 
+// runGrid expands g and runs it, collecting the results in order.
+func runGrid(t *testing.T, g *Grid, parallel int) []RunResult {
+	t.Helper()
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []RunResult
+	RunGrid(runs, parallel, func(rr RunResult) { results = append(results, rr) })
+	return results
+}
+
+// sortedArtifactNames lists the artifact file names (including the
+// manifest) a result set produces, sorted.
+func sortedArtifactNames(results []RunResult) []string {
+	names := []string{"manifest.csv"}
+	for _, rr := range results {
+		for _, a := range Artifacts(rr) {
+			names = append(names, a.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // TestRunGridDeterministicAcrossParallelism pins the grid's core
 // guarantee: the CSV/JSON/text artifacts are byte-identical whether the
 // grid runs fully serial or on a 4-way worker pool.
@@ -33,14 +59,8 @@ func TestRunGridDeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("runs simulations; skipped in -short")
 	}
 	g := testGrid(t)
-	serial, err := RunGrid(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunGrid(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runGrid(t, g, 1)
+	parallel := runGrid(t, g, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial produced %d results, parallel %d", len(serial), len(parallel))
 	}
@@ -69,15 +89,12 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Skip("runs simulations; skipped in -short")
 	}
 	g := testGrid(t)
-	results, err := RunGrid(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runGrid(t, g, 0)
 	dir := t.TempDir()
 	if err := WriteArtifacts(dir, results); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range SortedArtifactNames(results) {
+	for _, name := range sortedArtifactNames(results) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Errorf("missing artifact: %v", err)

@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import (
 	"bytes"
@@ -150,5 +150,37 @@ func TestGridDefaultsMerge(t *testing.T) {
 	}
 	if runs[0].Cfg.Predictor == runs[1].Cfg.Predictor {
 		t.Error("predictor override did not take effect")
+	}
+}
+
+// TestGridPoolsTenants pins the pools and tenants keys: they merge from
+// the defaults like every other key, land on Config.Pools and
+// Config.TenantMix, and are validated by their own grammars.
+func TestGridPoolsTenants(t *testing.T) {
+	g, err := ParseGrid([]byte(`{
+		"schema": "smartharvest-grid/v1",
+		"defaults": {"pools": "name=acme,tier=spot,reserved=2", "tenants": "bursty"},
+		"runs": [{"experiment": "sched"}, {"experiment": "market", "tenants": "flat"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if r.Cfg.Pools != "name=acme,tier=spot,reserved=2" {
+			t.Errorf("%s: pools %q, want the default plan", r.ID, r.Cfg.Pools)
+		}
+	}
+	if runs[0].Cfg.TenantMix != "bursty" || runs[1].Cfg.TenantMix != "flat" {
+		t.Errorf("tenants %q, %q; want bursty from defaults, flat from the run", runs[0].Cfg.TenantMix, runs[1].Cfg.TenantMix)
+	}
+	for _, bad := range []string{`"pools":"name=a,tier=gold,reserved=1"`, `"tenants":"diurnal"`} {
+		grid := `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"sched",` + bad + `}]}`
+		if _, err := ParseGrid([]byte(grid)); err == nil {
+			t.Errorf("ParseGrid accepted %s", bad)
+		}
 	}
 }

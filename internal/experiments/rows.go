@@ -2,7 +2,7 @@ package experiments
 
 // Machine-readable rows: every experiment records the same data it
 // formats into Report.Lines as typed cells, so the grid runner
-// (internal/bench) and any downstream tooling can consume experiment
+// (grid.go) and any downstream tooling can consume experiment
 // results without scraping the human tables. The emitters below have
 // stable schemas — smartharvest-rows/v1 — and deterministic byte output:
 // the same Report always marshals to the same CSV/JSON, which the grid

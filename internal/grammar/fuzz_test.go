@@ -1,20 +1,26 @@
 package grammar_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"smartharvest/internal/apps"
 	"smartharvest/internal/faults"
+	"smartharvest/internal/harness"
 	"smartharvest/internal/market"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
 )
 
 // FuzzGrammars drives every run-description grammar with arbitrary
-// text: which picks the fault plan (0), the pool plan (1) or one of the
-// enums (2 on, in enumPins order). Whatever a parser accepts must print
-// to a string that parses back to the same value (parse → String →
-// parse is a fixpoint), and must pass the consumer's own validation.
+// text: which picks the fault plan (0), the pool plan (1), one of the
+// enums (2 on, in enumPins order), the -policy spec or the -primary spec
+// (the last two). Whatever a plan or enum parser accepts must print to a
+// string that parses back to the same value (parse → String → parse is
+// a fixpoint), and must pass the consumer's own validation. An accepted
+// -policy spec must build its controller at allocation 10, and an
+// accepted -primary spec must carry a finite, positive load.
 func FuzzGrammars(f *testing.F) {
 	for _, c := range faultPlans {
 		f.Add(uint8(0), c.in)
@@ -44,9 +50,19 @@ func FuzzGrammars(f *testing.F) {
 		f.Add(uint8(1), in)
 	}
 
+	policy, primary := uint8(2+len(enumPins)), uint8(3+len(enumPins))
+	// The specs that panicked or hung the single-server commands before
+	// their tables refused them, and every name.
+	for _, in := range append(policySpecs, "fixedbuffer:-1", "fixedbuffer:40", "prevpeak:-2") {
+		f.Add(policy, in)
+	}
+	for _, in := range append(primarySpecs, "memcached:-5", "memcached:NaN", "memcached:Inf") {
+		f.Add(primary, in)
+	}
+
 	now := func() sim.Time { return 0 }
 	f.Fuzz(func(t *testing.T, which uint8, s string) {
-		switch which = which % uint8(2+len(enumPins)); which {
+		switch which = which % (primary + 1); which {
 		case 0:
 			p, err := faults.ParsePlan(s)
 			if err != nil {
@@ -74,6 +90,22 @@ func FuzzGrammars(f *testing.F) {
 			if _, err := market.NewLedger(c, 1, now, nil); err != nil {
 				t.Fatalf("ParsePools(%q) accepted a config NewLedger refuses: %v", s, err)
 			}
+		case policy:
+			build, err := harness.ParsePolicy(s, 10, "")
+			if err != nil {
+				return
+			}
+			if c := build(10); c == nil {
+				t.Fatalf("ParsePolicy(%q) built no controller", s)
+			}
+		case primary:
+			spec, err := apps.ParsePrimary(s)
+			if err != nil {
+				return
+			}
+			if !(spec.QPS > 0) || math.IsInf(spec.QPS, 0) {
+				t.Fatalf("ParsePrimary(%q) accepted load %v", s, spec.QPS)
+			}
 		default:
 			e := enumPins[which-2]
 			v, err := e.parse(s)
@@ -91,3 +123,10 @@ func FuzzGrammars(f *testing.F) {
 		}
 	})
 }
+
+// policySpecs and primarySpecs seed FuzzGrammars with every -policy
+// and -primary name, bare and with an argument.
+var (
+	policySpecs  = []string{"smartharvest", "fixedbuffer", "fixedbuffer:7", "prevpeak", "prevpeak:10", "ewma", "noharvest"}
+	primarySpecs = []string{"memcached", "memcached:40000", "memcached-swing", "indexserve:500", "moses", "img-dnn:2000", "squarewave"}
+)

@@ -7,7 +7,10 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"smartharvest/internal/apps"
 	"smartharvest/internal/check"
@@ -343,9 +346,13 @@ func (a faultyHV) BusyPrimaryCores() int {
 	return a.inj.SamplePoll(a.m.BusyCores(hypervisor.PrimaryGroup), a.m.GroupCores(hypervisor.PrimaryGroup))
 }
 
+// DefaultPrimaryVMCores is each primary VM's allocation when a Scenario
+// leaves PrimaryVMCores zero.
+const DefaultPrimaryVMCores = 10
+
 func (s *Scenario) applyDefaults() {
 	if s.PrimaryVMCores == 0 {
-		s.PrimaryVMCores = 10
+		s.PrimaryVMCores = DefaultPrimaryVMCores
 	}
 	if s.ElasticMin == 0 {
 		s.ElasticMin = 1
@@ -885,4 +892,86 @@ func NoHarvestFactory() ControllerFactory {
 // EWMAFactory builds the smoothing baseline.
 func EWMAFactory(alpha float64, margin int) ControllerFactory {
 	return func(alloc int) core.Controller { return core.NewEWMAController(alloc, alpha, margin) }
+}
+
+// policy is one row of the -policy table: the paper's learner or one of
+// its baselines. A policy that takes an argument ("name:arg") names it,
+// says what it counts and gives its default and least value; a fixed
+// buffer may also not exceed the allocation.
+type policy struct {
+	name, arg, what string // arg is "" for a policy that takes none
+	def, least      int
+	atMostAlloc     bool
+	factory         func(arg int, pred PredictorKind) ControllerFactory
+}
+
+// policies is the -policy table of cmd/smartharvest and cmd/hostagent.
+var policies = []policy{
+	{name: "smartharvest", factory: func(_ int, pred PredictorKind) ControllerFactory {
+		return SmartHarvestPredictorFactory(pred, core.SmartHarvestOptions{})
+	}},
+	{name: "fixedbuffer", arg: "k", what: "buffer cores", def: 4, least: 0, atMostAlloc: true,
+		factory: func(k int, _ PredictorKind) ControllerFactory { return FixedBufferFactory(k) }},
+	{name: "prevpeak", arg: "n", what: "windows", def: 1, least: 1,
+		factory: func(n int, _ PredictorKind) ControllerFactory { return PrevPeakFactory(n, n > 1) }},
+	{name: "ewma", factory: func(int, PredictorKind) ControllerFactory { return EWMAFactory(0.3, 1) }},
+	{name: "noharvest", factory: func(int, PredictorKind) ControllerFactory { return NoHarvestFactory() }},
+}
+
+// PolicyUsage renders the -policy table for a flag's usage text.
+func PolicyUsage() string {
+	specs := make([]string, len(policies))
+	for i, p := range policies {
+		specs[i] = p.name
+		if p.arg != "" {
+			specs[i] = fmt.Sprintf("%s[:%s] (%s, default %d)", p.name, p.arg, p.what, p.def)
+		}
+	}
+	return strings.Join(specs, ", ")
+}
+
+// ParsePolicy parses a -policy spec, "name[:arg]" (see PolicyUsage), for
+// a primary allocation of alloc cores. predictor, when not empty, names
+// smartharvest's peak predictor and is refused with any other policy.
+// Everything the controller constructors would panic on is refused here,
+// so the factory builds at alloc without panicking.
+func ParsePolicy(spec string, alloc int, predictor string) (ControllerFactory, error) {
+	name, arg, _ := strings.Cut(spec, ":")
+	i := slices.IndexFunc(policies, func(p policy) bool { return p.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("harness: unknown policy %q (want %s)", name, PolicyUsage())
+	}
+	p := policies[i]
+	if alloc < 1 {
+		return nil, fmt.Errorf("harness: policy %s needs at least one primary core, have %d", name, alloc)
+	}
+	n := p.def
+	if arg != "" {
+		if p.arg == "" {
+			return nil, fmt.Errorf("harness: policy %s takes no argument (got %q)", name, arg)
+		}
+		v, err := strconv.Atoi(arg)
+		if err != nil {
+			return nil, fmt.Errorf("harness: bad policy argument %q: %v", arg, err)
+		}
+		n = v
+	}
+	if n < p.least || p.atMostAlloc && n > alloc {
+		limit := "no upper bound"
+		if p.atMostAlloc {
+			limit = fmt.Sprintf("at most the %d-core allocation", alloc)
+		}
+		return nil, fmt.Errorf("harness: policy %s: %d %s is out of range (at least %d, %s)", name, n, p.what, p.least, limit)
+	}
+	kind := PredictorCSOAA
+	if predictor != "" {
+		if name != "smartharvest" {
+			return nil, fmt.Errorf("harness: a predictor applies only to policy smartharvest (got %q)", name)
+		}
+		var err error
+		if kind, err = ParsePredictor(predictor); err != nil {
+			return nil, err
+		}
+	}
+	return p.factory(n, kind), nil
 }

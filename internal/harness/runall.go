@@ -61,8 +61,8 @@ func RunAll(scenarios []Scenario, opts ...RunOption) ([]*Result, error) {
 // runtime.GOMAXPROCS(0) when workers < 1, clamped to n. Indices are
 // handed out in ascending order, and a single worker runs them inline,
 // so a caller that collects by index gets output independent of the pool
-// size. It is the one worker pool behind RunAll, the experiment sweeps,
-// bench.RunGrid and cmd/experiments.
+// size. It is the one worker pool behind RunAll, the experiment sweeps
+// and experiments.RunGrid.
 func ForEach(n, workers int, fn func(i int)) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -90,8 +90,8 @@ func ForEach(n, workers int, fn func(i int)) int {
 }
 
 // simTimeExecuted accumulates the simulated time advanced by every Run
-// in this process, across goroutines. cmd/experiments and bench_test use
-// deltas of this counter to report sim-seconds per wall-second.
+// in this process, across goroutines. cmd/experiments uses deltas of
+// this counter to report sim-seconds per wall-second.
 var simTimeExecuted atomic.Int64
 
 // SimTimeExecuted returns the cumulative simulated time executed by all
