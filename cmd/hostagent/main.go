@@ -86,6 +86,16 @@ func agentConfig(alloc int, window, poll time.Duration, guard bool) core.Config 
 	return cfg
 }
 
+// buildController builds the -policy controller for the agent's
+// primary allocation of alloc cores.
+func buildController(spec string, alloc int) (core.Controller, error) {
+	newCtrl, err := harness.ParsePolicy(spec, alloc, "")
+	if err != nil {
+		return nil, err
+	}
+	return newCtrl(alloc), nil
+}
+
 func main() {
 	primaryCg := flag.String("primary-cgroup", "", "cgroup v2 directory of the primary (latency-critical) processes")
 	elasticCg := flag.String("elastic-cgroup", "", "cgroup v2 directory of the elastic (batch) processes")
@@ -116,11 +126,10 @@ func main() {
 	}
 	// Every flag is checked before backend.Init writes the first cpuset.
 	alloc := len(cores) - 1 // the elastic group keeps one core minimum
-	newCtrl, err := harness.ParsePolicy(*policy, alloc, "")
+	ctrl, err := buildController(*policy, alloc)
 	if err != nil {
 		fail(err)
 	}
-	ctrl := newCtrl(alloc)
 	sh, _ := ctrl.(*core.SmartHarvest)
 	if *modelFile != "" && sh == nil {
 		fail(fmt.Errorf("-model-file requires the smartharvest policy"))

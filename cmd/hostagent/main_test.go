@@ -78,3 +78,26 @@ func TestAgentConfig(t *testing.T) {
 		}
 	}
 }
+
+func TestBuildController(t *testing.T) {
+	for in, want := range map[string]string{
+		"smartharvest":  "smartharvest",
+		"fixedbuffer:3": "fixedbuffer-3",
+		"prevpeak:10":   "prevpeak10",
+		"noharvest":     "noharvest",
+	} {
+		c, err := buildController(in, 10)
+		if err != nil {
+			t.Errorf("buildController(%q): %v", in, err)
+			continue
+		}
+		if c.Name() != want {
+			t.Errorf("buildController(%q) -> %q, want %q", in, c.Name(), want)
+		}
+	}
+	for _, bad := range []string{"nope", "fixedbuffer:z", "fixedbuffer:11"} {
+		if _, err := buildController(bad, 10); err == nil {
+			t.Errorf("buildController(%q) accepted", bad)
+		}
+	}
+}

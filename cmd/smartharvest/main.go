@@ -28,6 +28,12 @@ import (
 
 func fmtNS(ns int64) string { return sim.Time(ns).String() }
 
+// parsePolicy parses -policy and -predictor against the allocation the
+// run gives its primaries: harness.DefaultPrimaryVMCores cores each.
+func parsePolicy(spec, predictor string, primaries int) (smartharvest.ControllerFactory, error) {
+	return harness.ParsePolicy(spec, primaries*harness.DefaultPrimaryVMCores, predictor)
+}
+
 func main() {
 	s := smartharvest.Scenario{Name: "cli"}
 	flag.Func("primary", "primary workload as name[:qps]; repeatable (default memcached:40000)", func(v string) error {
@@ -69,7 +75,7 @@ func main() {
 		s.Primaries = []smartharvest.PrimarySpec{smartharvest.Memcached(40000)}
 	}
 	var err error
-	if s.Controller, err = harness.ParsePolicy(*policy, len(s.Primaries)*harness.DefaultPrimaryVMCores, *predictor); err != nil {
+	if s.Controller, err = parsePolicy(*policy, *predictor, len(s.Primaries)); err != nil {
 		fail(err)
 	}
 	s.BatchWork = sim.Duration(*batchWork)

@@ -7,6 +7,39 @@ import (
 	"smartharvest"
 )
 
+// TestParsePolicy pins the -policy names the command accepts and that
+// the allocation a policy argument is checked against grows with the
+// number of primaries.
+func TestParsePolicy(t *testing.T) {
+	good := map[string]string{
+		"smartharvest":  "smartharvest",
+		"fixedbuffer":   "fixedbuffer-4",
+		"fixedbuffer:7": "fixedbuffer-7",
+		"prevpeak":      "prevpeak",
+		"prevpeak:10":   "prevpeak10",
+		"ewma":          "ewma",
+		"noharvest":     "noharvest",
+	}
+	for in, want := range good {
+		f, err := parsePolicy(in, "", 1)
+		if err != nil {
+			t.Errorf("parsePolicy(%q): %v", in, err)
+			continue
+		}
+		if got := f(10).Name(); got != want {
+			t.Errorf("parsePolicy(%q) -> %q, want %q", in, got, want)
+		}
+	}
+	for _, bad := range []string{"nope", "fixedbuffer:x", "fixedbuffer:11"} {
+		if _, err := parsePolicy(bad, "", 1); err == nil {
+			t.Errorf("parsePolicy(%q) accepted", bad)
+		}
+	}
+	if _, err := parsePolicy("fixedbuffer:11", "", 2); err != nil {
+		t.Errorf("parsePolicy(fixedbuffer:11) with two primaries: %v", err)
+	}
+}
+
 // TestParseFaultPlanRoundTrip pins the -faults CLI syntax: every plan a
 // user can type — agent keys, fleet keys, and mixes — must survive
 // parse → String → parse unchanged.
