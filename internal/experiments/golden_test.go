@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,4 +89,69 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s differs from the golden:\n--- want ---\n%s\n--- got ---\n%s", path, want, got)
 	}
+}
+
+// schedGoldenGrid is the second golden scale of the job-scheduler
+// family: five measured seconds after a half-second warmup, long enough
+// that every policy submits, evicts and completes jobs (at one second
+// every job column is 0). The last run opens a pool plan on a bursty
+// tenant mix, so both values reach the scheduler through the grid.
+const schedGoldenGrid = `{"schema": "smartharvest-grid/v1",
+	"defaults": {"duration": "5s", "warmup": "500ms", "seed": 1},
+	"runs": [{"experiment": "sched"}, {"experiment": "fleetchaos"}, {"experiment": "market"},
+		{"id": "sched-pools-bursty", "experiment": "sched", "pools": "name=a,tier=spot,reserved=4", "tenants": "bursty"}]}`
+
+// TestSchedFamilyGoldens pins the sched, fleetchaos and market reports
+// at the five-second scale byte for byte against testdata/golden/5s
+// (one file set per grid run id), and fails a golden that ran no jobs:
+// each report must submit, evict and complete work. market's table has
+// no job columns; its completed work is its goodput and its evictions
+// are the ones charged to a tier (v-spot, v-std, v-prem).
+func TestSchedFamilyGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations; skipped in -short")
+	}
+	g, err := ParseGrid([]byte(schedGoldenGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		t.Run(r.ID, func(t *testing.T) {
+			t.Parallel()
+			run, _ := Lookup(r.Experiment)
+			rep, err := run(r.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("5s", r.ID+".txt"), []byte(rep.String()))
+			checkGolden(t, filepath.Join("5s", r.ID+".csv"), rep.CSV())
+			checkGolden(t, filepath.Join("5s", r.ID+".json"), rep.RowsJSON())
+			keys := [][]string{{"submitted"}, {"completed"}, {"evictions"}}
+			if r.Experiment == "market" {
+				keys = [][]string{{"goodput_core_s"}, {"viol_spot", "viol_standard", "viol_premium"}}
+			}
+			for _, k := range keys {
+				if sumCells(rep, k...) == 0 {
+					t.Errorf("vacuous golden: every row has %v = 0", k)
+				}
+			}
+		})
+	}
+}
+
+// sumCells totals the numeric cells under keys across a report's rows.
+func sumCells(r *Report, keys ...string) float64 {
+	var sum float64
+	for _, row := range r.Rows {
+		for _, c := range row.Cells {
+			if c.Numeric && slices.Contains(keys, c.Key) {
+				sum += c.Val
+			}
+		}
+	}
+	return sum
 }

@@ -184,3 +184,75 @@ func TestGridPoolsTenants(t *testing.T) {
 		}
 	}
 }
+
+// TestGridZeroWarmupAndMarshal pins two decodes: an explicit "0s"
+// warmup overrides a non-zero default, and Marshal writes a duration
+// back as the grid file spelled it.
+func TestGridZeroWarmupAndMarshal(t *testing.T) {
+	g, err := ParseGrid([]byte(`{"schema": "smartharvest-grid/v1",
+		"defaults": {"warmup": "250ms"},
+		"runs": [{"experiment": "table1", "warmup": "0s", "duration": "1500ms"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[0].Cfg.Warmup != 0 {
+		t.Errorf("warmup %v, want the run's 0s over the default 250ms", runs[0].Cfg.Warmup)
+	}
+	if runs[0].Cfg.Duration != 1500*sim.Millisecond {
+		t.Errorf("duration %v, want 1.5s", runs[0].Cfg.Duration)
+	}
+	out, err := g.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), `"duration": "1500ms"`) {
+		t.Errorf("Marshal does not keep the file's spelling of 1500ms:\n%s", out)
+	}
+}
+
+// TestGridPoolsNone pins "pools": "none" at the golden scale: sched runs
+// market-free, its report the golden one; market runs the empty plan in
+// place of its overcommit x tier-mix grid, one row per policy.
+func TestGridPoolsNone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations; skipped in -short")
+	}
+	g, err := ParseGrid([]byte(`{"schema": "smartharvest-grid/v1",
+		"defaults": {"duration": "1s", "warmup": "500ms", "seed": 1, "pools": "none"},
+		"runs": [{"experiment": "sched"}, {"experiment": "market"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		t.Run(r.Experiment, func(t *testing.T) {
+			t.Parallel()
+			run, _ := Lookup(r.Experiment)
+			rep, err := run(r.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Experiment == "sched" {
+				checkGolden(t, "sched.txt", []byte(rep.String()))
+				return
+			}
+			if len(rep.Rows) != len(schedPolicies) {
+				t.Fatalf("%d rows, want one per policy:\n%s", len(rep.Rows), rep)
+			}
+			for _, row := range rep.Rows {
+				for _, c := range row.Cells {
+					if c.Key == "mix" && c.Str != "custom" {
+						t.Errorf("mix %q, want custom:\n%s", c.Str, rep)
+					}
+				}
+			}
+		})
+	}
+}
