@@ -9,9 +9,9 @@
 // report prints to stdout; -out additionally writes one file per
 // experiment.
 //
-// The run flags and the positional ids are one experiment grid
-// (internal/experiments): the flags are its defaults and each id is a
-// run, so they are validated and executed exactly as a -grid file is.
+// The run flags fill one grid run (internal/experiments) per positional
+// id, typed as a -grid file's runs decode, so they are validated and
+// executed exactly as a -grid file is.
 // Every experiment and seed runs on one worker pool that also bounds each
 // run's scenarios; reports stream to stdout in request order. All output
 // is byte-identical to a serial run (-parallel 1) with the same seed.
@@ -90,23 +90,26 @@ var runFlags = []string{"duration", "warmup", "quick", "seed", "seeds", "check",
 	"faults", "predictor", "pools", "tenants", "out"}
 
 func main() {
-	// The run flags fill the defaults of a grid whose runs are the
-	// positional ids.
-	def := experiments.GridRun{Duration: "30s", Warmup: "2s", Seed: 1, Seeds: 1}
-	flag.StringVar(&def.Duration, "duration", def.Duration, "measured simulated time per run")
-	flag.StringVar(&def.Warmup, "warmup", def.Warmup, "simulated warmup before measurement")
+	// The run flags fill one run per positional id, all resolved as a
+	// grid's runs are.
+	def := experiments.GridRun{Seeds: 1, Config: experiments.Config{Duration: 30 * sim.Second, Warmup: 2 * sim.Second, Seed: 1}}
+	flag.TextVar(&def.Duration, "duration", def.Duration, "measured simulated time per run")
+	flag.TextVar(&def.Warmup, "warmup", def.Warmup, "simulated warmup before measurement")
 	flag.Uint64Var(&def.Seed, "seed", def.Seed, "first RNG seed (at least 1)")
 	flag.IntVar(&def.Seeds, "seeds", def.Seeds, "number of consecutive seeds to run each experiment with (the paper averages 3 runs)")
 	quick := flag.Bool("quick", false, "short runs (6s simulated)")
 	outDir := flag.String("out", "", "directory to also write per-experiment reports to")
 	flag.BoolVar(&def.Check, "check", false, "verify safety invariants on every scenario run (fails the experiment on violation)")
-	flag.StringVar(&def.Faults, "faults", "", "fault plan for the sched experiment's fleet as comma-separated key=value pairs (keys: "+
+	flag.TextVar(&def.Faults, "faults", def.Faults, "fault plan for the sched experiment's fleet as comma-separated key=value pairs (keys: "+
 		strings.Join(faults.Keys(""), ", ")+"; fleet-level: "+strings.Join(faults.Keys("fleet"), ", ")+")")
-	flag.StringVar(&def.Predictor, "predictor", "", "peak predictor for every smartharvest row: "+strings.Join(learner.Names(), ", "))
-	flag.StringVar(&def.Pools, "pools", "", "harvested-capacity pool plan for the sched and market experiments as ';'-separated key=value lists (keys: "+
+	flag.TextVar(&def.Predictor, "predictor", def.Predictor, "peak predictor for every smartharvest row: "+strings.Join(learner.Names(), ", "))
+	flag.TextVar(&def.Pools, "pools", def.Pools, "harvested-capacity pool plan for the sched and market experiments as ';'-separated key=value lists (keys: "+
 		strings.Join(market.Keys(), ", ")+"; market runs it in place of its overcommit x tier-mix grid)")
-	flag.StringVar(&def.Tenants, "tenants", "", "tenant workload-characterization class for the sched and market experiments: "+
-		workload.ClassNames.List()+" (default: the four-primaries mix)")
+	flag.Func("tenants", "tenant workload-characterization class for the sched and market experiments: "+
+		workload.ClassNames.List()+" (default: the four-primaries mix)", func(s string) error {
+		def.TenantMix = new(workload.Class)
+		return def.TenantMix.UnmarshalText([]byte(s))
+	})
 	parallel := flag.Int("parallel", 0, "run and scenario worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	traceDir := flag.String("trace", "", "directory to write per-run JSONL event traces to")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -114,7 +117,17 @@ func main() {
 	gridOut := flag.String("grid-out", "grid-out", "artifact directory for -grid runs")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (allocations included) to this file when the run ends")
-	flag.Parse()
+	// A refused flag value prints its error, not the whole usage.
+	usage := flag.Usage
+	flag.Usage = func() {}
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	switch err := flag.CommandLine.Parse(os.Args[1:]); {
+	case err == flag.ErrHelp:
+		usage()
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -127,7 +140,9 @@ func main() {
 		os.Exit(code)
 	}
 
-	grid := &experiments.Grid{Schema: experiments.GridSchema, Defaults: &def}
+	var runs []experiments.GridRun // the flags' runs, one per positional id
+	var resolved []experiments.ResolvedRun
+	var err error
 	if *gridFile != "" {
 		var refused []string
 		flag.Visit(func(f *flag.Flag) {
@@ -138,16 +153,17 @@ func main() {
 		if refused = append(refused, flag.Args()...); len(refused) > 0 {
 			fail(2, fmt.Errorf("experiments: -grid %s declares the runs; refusing %s", *gridFile, strings.Join(refused, " ")))
 		}
-		var err error
+		var grid *experiments.Grid
 		if grid, err = experiments.LoadGrid(*gridFile); err != nil {
 			fail(2, err)
 		}
+		resolved, err = grid.Expand()
 	} else {
 		if def.Seed == 0 {
 			fail(2, fmt.Errorf("experiments: -seed 0: seeds start at 1"))
 		}
 		if *quick {
-			def.Duration = "6s"
+			def.Duration = 6 * sim.Second
 		}
 		ids := flag.Args()
 		if len(ids) == 0 {
@@ -156,10 +172,12 @@ func main() {
 			}
 		}
 		for _, id := range ids {
-			grid.Runs = append(grid.Runs, experiments.GridRun{Experiment: id})
+			run := def
+			run.Experiment = id
+			runs = append(runs, run)
 		}
+		resolved, err = experiments.Resolve(runs)
 	}
-	runs, err := grid.Expand()
 	if err != nil {
 		fail(2, err)
 	}
@@ -171,9 +189,9 @@ func main() {
 		}
 	}
 	check := false
-	for i := range runs {
-		runs[i].Cfg.TraceDir = *traceDir
-		check = check || runs[i].Cfg.Check
+	for i := range resolved {
+		resolved[i].Cfg.TraceDir = *traceDir
+		check = check || resolved[i].Cfg.Check
 	}
 
 	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
@@ -184,7 +202,7 @@ func main() {
 	wallStart := time.Now()
 	code, files := 0, 1 // files counts -grid-out's: the manifest and three per successful run
 	var results []experiments.RunResult
-	workers := experiments.RunGrid(runs, *parallel, func(rr experiments.RunResult) {
+	workers := experiments.RunGrid(resolved, *parallel, func(rr experiments.RunResult) {
 		results = append(results, rr)
 		switch {
 		case rr.Err != nil:
@@ -208,13 +226,13 @@ func main() {
 		}
 	} else {
 		if *outDir != "" {
-			if err := writeReports(*outDir, grid.Runs, results, def.Seeds); err != nil {
+			if err := writeReports(*outDir, runs, results, def.Seeds); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				code = 1
 			}
 		}
-		if len(grid.Runs) > 1 {
-			printSummary(grid.Runs, results, time.Since(wallStart), harness.SimTimeExecuted()-simStart, workers)
+		if len(runs) > 1 {
+			printSummary(runs, results, time.Since(wallStart), harness.SimTimeExecuted()-simStart, workers)
 		}
 	}
 	if check {

@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"smartharvest/internal/core"
 	"smartharvest/internal/harness"
@@ -69,19 +68,16 @@ func parseCores(spec string) ([]int, error) {
 	return cores, nil
 }
 
-// agentConfig is the paper's agent configuration at the host's window
-// and poll rate, the elastic group keeping one core.
-func agentConfig(alloc int, window, poll time.Duration, guard bool) core.Config {
-	cfg := core.DefaultConfig(alloc, 1)
-	cfg.Window = sim.Duration(window)
-	cfg.PollInterval = sim.Duration(poll)
-	cfg.LongTermSafeguard = guard
+// agentConfig completes the flags' agent configuration for a primary
+// allocation of alloc cores.
+func agentConfig(cfg core.Config, alloc int) core.Config {
+	cfg.PrimaryAlloc = alloc
 	// The default missed-poll threshold is a tenth of the simulator's 500
 	// polls per window. Keep the ratio: at 25 polls per window a count of
 	// 50 could never be reached and a dead /proc/stat would never degrade
 	// the agent.
-	if poll > 0 {
-		cfg.Resilience.DegradeAfterMissedPolls = max(1, int(window/poll)/10)
+	if cfg.PollInterval > 0 {
+		cfg.Resilience.DegradeAfterMissedPolls = max(1, int(cfg.Window/cfg.PollInterval)/10)
 	}
 	return cfg
 }
@@ -101,10 +97,15 @@ func main() {
 	elasticCg := flag.String("elastic-cgroup", "", "cgroup v2 directory of the elastic (batch) processes")
 	coreSpec := flag.String("cores", "", "harvesting core pool, e.g. 0-7 or 0,2,4-6")
 	policy := flag.String("policy", "smartharvest", "harvesting policy: "+harness.PolicyUsage())
-	window := flag.Duration("window", 25*time.Millisecond, "learning window")
-	poll := flag.Duration("poll", time.Millisecond, "busy-core polling interval")
-	guard := flag.Bool("long-term-safeguard", true, "enable the QoS guard")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval")
+	// The flags fill the paper's agent configuration at a 1 ms poll, the
+	// elastic group keeping one core.
+	cfg := core.DefaultConfig(0, 1)
+	cfg.PollInterval = sim.Millisecond
+	flag.TextVar(&cfg.Window, "window", cfg.Window, "learning window")
+	flag.TextVar(&cfg.PollInterval, "poll", cfg.PollInterval, "busy-core polling interval")
+	flag.BoolVar(&cfg.LongTermSafeguard, "long-term-safeguard", cfg.LongTermSafeguard, "enable the QoS guard")
+	statsEvery := 10 * sim.Second
+	flag.TextVar(&statsEvery, "stats", statsEvery, "stats reporting interval")
 	modelFile := flag.String("model-file", "", "persist the predictor state here across restarts (smartharvest policy only)")
 	flag.Parse()
 
@@ -166,7 +167,7 @@ func main() {
 		}
 	}
 	loop := sim.NewLoop()
-	agent, err := core.NewAgent(loop, backend, ctrl, agentConfig(alloc, *window, *poll, *guard))
+	agent, err := core.NewAgent(loop, backend, ctrl, agentConfig(cfg, alloc))
 	if err != nil {
 		fail(err)
 	}
@@ -174,8 +175,8 @@ func main() {
 		fail(err)
 	}
 	agent.Start()
-	if *statsEvery > 0 {
-		loop.NewTicker(sim.Duration(*statsEvery), sim.Duration(*statsEvery), func() {
+	if statsEvery > 0 {
+		loop.NewTicker(statsEvery, statsEvery, func() {
 			fmt.Printf("hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d missed-polls=%d degraded=%v\n",
 				agent.Target(), agent.Windows(), agent.ResizeCount(),
 				agent.SafeguardInvocations(), agent.QoSTrips(), agent.MissedPolls(), agent.Degraded())

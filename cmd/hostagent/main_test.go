@@ -2,7 +2,6 @@ package main
 
 import (
 	"testing"
-	"time"
 
 	"smartharvest/internal/core"
 	"smartharvest/internal/hostcg"
@@ -54,16 +53,21 @@ func TestAgentConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := time.Millisecond
+	ms := sim.Millisecond
+	at := func(window, poll sim.Time) core.Config {
+		cfg := core.DefaultConfig(0, 1)
+		cfg.Window, cfg.PollInterval = window, poll
+		return agentConfig(cfg, 3)
+	}
 	for _, c := range []struct {
-		window, poll time.Duration
+		window, poll sim.Time
 		wantMissed   int // degrade threshold: a tenth of the polls in a window
 	}{
 		{25 * ms, ms, 2},
-		{25 * ms, 50 * time.Microsecond, 50},
+		{25 * ms, 50 * sim.Microsecond, 50},
 		{25 * ms, 25 * ms, 1},
 	} {
-		cfg := agentConfig(3, c.window, c.poll, true)
+		cfg := at(c.window, c.poll)
 		if got := cfg.Resilience.DegradeAfterMissedPolls; got != c.wantMissed {
 			t.Errorf("window %v poll %v: degrade after %d missed polls, want %d", c.window, c.poll, got, c.wantMissed)
 		}
@@ -72,8 +76,8 @@ func TestAgentConfig(t *testing.T) {
 		}
 	}
 	// Bad flag values are NewAgent's to reject, not agentConfig's to panic on.
-	for _, poll := range []time.Duration{0, -ms, 50 * ms} {
-		if _, err := core.NewAgent(sim.NewLoop(), backend, core.NewNoHarvest(3), agentConfig(3, 25*ms, poll, true)); err == nil {
+	for _, poll := range []sim.Time{0, -ms, 50 * ms} {
+		if _, err := core.NewAgent(sim.NewLoop(), backend, core.NewNoHarvest(3), at(25*ms, poll)); err == nil {
 			t.Errorf("-poll %v accepted", poll)
 		}
 	}

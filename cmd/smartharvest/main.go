@@ -35,7 +35,7 @@ func parsePolicy(spec, predictor string, primaries int) (smartharvest.Controller
 }
 
 func main() {
-	s := smartharvest.Scenario{Name: "cli"}
+	s := smartharvest.Scenario{Name: "cli", BatchWork: 8 * sim.Second, Duration: 30 * sim.Second, Warmup: 2 * sim.Second}
 	flag.Func("primary", "primary workload as name[:qps]; repeatable (default memcached:40000)", func(v string) error {
 		spec, err := apps.ParsePrimary(v)
 		if err == nil {
@@ -47,11 +47,11 @@ func main() {
 	predictor := flag.String("predictor", "", fmt.Sprintf("peak predictor for -policy smartharvest: %s (default csoaa)",
 		strings.Join(smartharvest.PredictorNames(), ", ")))
 	flag.TextVar(&s.Batch, "batch", s.Batch, "ElasticVM workload: "+harness.BatchKindNames.List())
-	batchWork := flag.Duration("batch-work", 8*time.Second, "finite batch allotment in core-time (-batch finite)")
+	flag.TextVar(&s.BatchWork, "batch-work", s.BatchWork, "finite batch allotment in core-time (-batch finite)")
 	flag.IntVar(&s.BatchWidth, "batch-width", 0, "finite batch parallelism cap in cores, 0 = all (-batch finite)")
 	flag.TextVar(&s.Mechanism, "mechanism", s.Mechanism, "core reassignment mechanism: "+hypervisor.MechanismNames.List())
-	duration := flag.Duration("duration", 30*time.Second, "measured simulated time")
-	warmup := flag.Duration("warmup", 2*time.Second, "simulated warmup")
+	flag.TextVar(&s.Duration, "duration", s.Duration, "measured simulated time")
+	flag.TextVar(&s.Warmup, "warmup", s.Warmup, "simulated warmup")
 	flag.Uint64Var(&s.Seed, "seed", 1, "RNG seed")
 	flag.BoolVar(&s.LongTermSafeguard, "long-term-safeguard", true, "enable the long-term QoS safeguard")
 	speedup := flag.Bool("speedup", false, "also run a NoHarvest baseline and report the batch speedup")
@@ -78,9 +78,6 @@ func main() {
 	if s.Controller, err = parsePolicy(*policy, *predictor, len(s.Primaries)); err != nil {
 		fail(err)
 	}
-	s.BatchWork = sim.Duration(*batchWork)
-	s.Duration = sim.Duration(*duration)
-	s.Warmup = sim.Duration(*warmup)
 
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -146,7 +143,7 @@ func main() {
 	}
 	if s.Batch == smartharvest.BatchFinite {
 		fmt.Printf("finite batch progress: %v of %v core-time\n",
-			res.BatchProgress, sim.Duration(*batchWork))
+			res.BatchProgress, s.BatchWork)
 	}
 	fmt.Printf("agent: %d windows, %d resizes, %d short-term safeguards, %d QoS trips\n",
 		res.Windows, res.Resizes, res.Safeguards, res.QoSTrips)

@@ -12,34 +12,24 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"smartharvest/internal/sim"
 	"smartharvest/internal/traces"
 )
 
 func main() {
-	qps := flag.Float64("qps", 500, "average request rate")
-	span := flag.Duration("span", 30*time.Second, "trace length")
-	burstFraction := flag.Float64("burst-fraction", 0.1, "fraction of requests arriving in bursts")
-	burstRate := flag.Float64("burst-rate", 20, "bursts per second")
-	burstWidth := flag.Duration("burst-width", 6*time.Millisecond, "burst spread")
-	wave := flag.Float64("load-wave", 0.3, "slow sinusoidal load modulation amplitude (0..1)")
-	wavePeriod := flag.Duration("wave-period", 20*time.Second, "load modulation period")
-	seed := flag.Uint64("seed", 1, "RNG seed")
+	cfg := traces.Config{Span: 30 * sim.Second, BurstWidth: 6 * sim.Millisecond, WavePeriod: 20 * sim.Second}
+	flag.Float64Var(&cfg.QPS, "qps", 500, "average request rate")
+	flag.TextVar(&cfg.Span, "span", cfg.Span, "trace length")
+	flag.Float64Var(&cfg.BurstFraction, "burst-fraction", 0.1, "fraction of requests arriving in bursts")
+	flag.Float64Var(&cfg.BurstRate, "burst-rate", 20, "bursts per second")
+	flag.TextVar(&cfg.BurstWidth, "burst-width", cfg.BurstWidth, "burst spread")
+	flag.Float64Var(&cfg.LoadWave, "load-wave", 0.3, "slow sinusoidal load modulation amplitude (0..1)")
+	flag.TextVar(&cfg.WavePeriod, "wave-period", cfg.WavePeriod, "load modulation period")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "RNG seed")
 	out := flag.String("o", "-", "output file, or - for stdout")
 	flag.Parse()
 
-	cfg := traces.Config{
-		QPS:           *qps,
-		Span:          sim.Duration(*span),
-		BurstFraction: *burstFraction,
-		BurstRate:     *burstRate,
-		BurstWidth:    sim.Duration(*burstWidth),
-		LoadWave:      *wave,
-		WavePeriod:    sim.Duration(*wavePeriod),
-		Seed:          *seed,
-	}
 	events, err := traces.Generate(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
@@ -66,5 +56,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: %d events over %v (%.1f qps)\n",
-		len(events), *span, float64(len(events))/span.Seconds())
+		len(events), cfg.Span, float64(len(events))/cfg.Span.Seconds())
 }

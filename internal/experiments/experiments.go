@@ -34,57 +34,60 @@ import (
 	"smartharvest/internal/harness"
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/learner"
+	"smartharvest/internal/market"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/textplot"
+	"smartharvest/internal/workload"
 )
 
 // Config scales the experiments. The zero value is invalid; use Default
-// or Quick.
+// or Quick. A grid run (grid.go) decodes its keys straight into it; the
+// json tags name them.
 type Config struct {
 	// Duration is the measured run length per scenario.
-	Duration sim.Time
+	Duration sim.Time `json:"duration"`
 	// Warmup precedes each measurement.
-	Warmup sim.Time
+	Warmup sim.Time `json:"warmup"`
 	// Seed drives all randomness.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Parallel bounds the scenario worker pool (0 = GOMAXPROCS).
 	// Results are byte-identical at any setting; see sweep.
-	Parallel int
+	Parallel int `json:"-"`
 	// TraceDir, when non-empty, writes one JSONL event trace per run —
 	// scenario or fleet-scheduler run — into the directory (poll samples
 	// omitted — they dominate volume ~1000:1). Each run owns its file, so
 	// traces are byte-identical at any Parallel setting. The directory
 	// must exist.
-	TraceDir string
+	TraceDir string `json:"-"`
 	// Check attaches an invariant checker (internal/check) to every
 	// scenario and scheduler run; any violation fails the experiment with
 	// the checker's report. CheckStats reports the process-wide tally.
-	Check bool
+	Check bool `json:"check"`
 	// Faults, when enabled, is injected into the sched experiment's
 	// fleet (every server), composing the job schedulers with degraded
 	// agents and (for fleet-level keys) a faulty control plane.
 	// Experiments that own their fault plans (chaos, fleetchaos)
 	// ignore it.
-	Faults faults.Plan
+	Faults faults.Plan `json:"faults"`
 	// Predictor selects the peak predictor every "smartharvest" row runs
 	// with (harness.PredictorKind names). The zero value is the paper's
 	// CSOAA learner, which keeps default reports byte-identical.
 	// Experiments that sweep predictor-adjacent options themselves
 	// (fig10's safeguards, fig13's costs, table3/ablation's learner
 	// comparison) keep their explicit configurations.
-	Predictor harness.PredictorKind
-	// Pools, when non-empty, is a harvested-capacity pool plan in the
-	// market.ParsePools grammar. The sched experiment opens it on its
-	// fleet; the market experiment runs it in place of its built-in
-	// overcommit × tier-mix grid. Empty (the default) leaves the sched
-	// experiment market-free and byte-identical to builds without pools.
-	Pools string
-	// TenantMix, when non-empty, names a workload-characterization class
-	// (flat, periodic, bursty, mixed); the sched and market experiments
-	// then sample tenant VMs from that class instead of the default
-	// four-primaries mix. Empty keeps the defaults byte-identical.
-	TenantMix string
+	Predictor harness.PredictorKind `json:"predictor"`
+	// Pools, when it sets anything, is a harvested-capacity pool plan.
+	// The sched experiment opens it on its fleet; the market experiment
+	// runs it in place of its built-in overcommit × tier-mix grid. The
+	// zero plan (the default) leaves the sched experiment market-free
+	// and byte-identical to builds without pools.
+	Pools market.Config `json:"pools"`
+	// TenantMix, when non-nil, is a workload-characterization class; the
+	// sched and market experiments then sample tenant VMs from that class
+	// instead of the default four-primaries mix. Nil keeps the defaults
+	// byte-identical.
+	TenantMix *workload.Class `json:"tenants"`
 }
 
 // checkedRuns and checkViolations tally invariant-checked scenario runs

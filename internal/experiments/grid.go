@@ -2,18 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"time"
 
-	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
-	"smartharvest/internal/market"
-	"smartharvest/internal/sim"
-	"smartharvest/internal/workload"
 )
 
 // GridSchema versions the declarative experiment grid file. A consumer
@@ -23,52 +19,48 @@ const GridSchema = "smartharvest-grid/v1"
 // Grid is a declarative experiment plan: which experiments to run, at
 // which Config knobs, over which seeds. One grid file is one
 // reproducible evaluation — `cmd/experiments -grid file.json` executes
-// it and emits per-run CSV/JSON/text artifacts. cmd/experiments reads
-// its run flags and positional ids as a Grid too, so both front-ends
-// share one Expand and one RunGrid.
+// it and emits per-run CSV/JSON/text artifacts.
+//
+// The file is the run description: Grid keeps the defaults and each
+// run as the JSON objects the file holds, and Expand decodes the
+// defaults and then the run's object into one GridRun. A key present in
+// the run overrides the default, its zero value ("0s", "csoaa", "flat",
+// false) too.
 type Grid struct {
 	Schema string `json:"schema"`
-	// Defaults seed every run's unset fields.
-	Defaults *GridRun  `json:"defaults,omitempty"`
-	Runs     []GridRun `json:"runs"`
+	// Defaults holds the keys every run starts from (all but id).
+	Defaults json.RawMessage   `json:"defaults,omitempty"`
+	Runs     []json.RawMessage `json:"runs"`
 }
 
-// GridRun declares one experiment execution (or, with Seeds > 1, a
-// consecutive-seed family). Zero fields inherit from Grid.Defaults,
-// then from the built-in defaults (quick scale, seed 1).
+// GridRun is one grid run as it decodes: an experiment execution, or
+// with Seeds > 1 a consecutive-seed family, at a Config. Keys a run and
+// its defaults leave out keep Quick's values (6 s, 2 s warmup, seed 1).
+// cmd/experiments builds one per positional id from its flags.
 type GridRun struct {
 	// ID is the artifact file stem; default "<experiment>-s<seed>". It
 	// may use only A-Z, a-z, 0-9, '.', '_' and '-', and may not start
 	// with '.', so it names a plain file inside the output directory.
-	ID string `json:"id,omitempty"`
+	ID string `json:"id"`
 	// Experiment is the experiment identifier (see -list). Every run
 	// needs one, its own or the defaults'.
-	Experiment string `json:"experiment,omitempty"`
-	// Duration and Warmup are Go duration strings ("6s", "1500ms").
-	Duration string `json:"duration,omitempty"`
-	Warmup   string `json:"warmup,omitempty"`
-	// Seed is the first RNG seed; Seeds expands the run into that many
-	// consecutive seeds (default 1).
-	Seed  uint64 `json:"seed,omitempty"`
-	Seeds int    `json:"seeds,omitempty"`
-	// Predictor swaps the peak predictor on smartharvest rows (a
-	// PredictorKind name).
-	Predictor string `json:"predictor,omitempty"`
-	// Check attaches the invariant checker to every scenario run.
-	Check bool `json:"check,omitempty"`
-	// Faults is a fault-plan string for experiments that honor
-	// Config.Faults (key=value pairs, e.g. "drop=0.01,stall=0.001").
-	Faults string `json:"faults,omitempty"`
-	// Pools is a pool plan (Config.Pools) and Tenants a tenant class
-	// (Config.TenantMix), both for the sched and market experiments.
-	Pools   string `json:"pools,omitempty"`
-	Tenants string `json:"tenants,omitempty"`
+	Experiment string `json:"experiment"`
+	// Seeds expands the run into that many consecutive seeds from
+	// Config.Seed (default 1).
+	Seeds int `json:"seeds"`
+	Config
 }
 
 // ParseGrid decodes and validates a grid file. Unknown fields are
 // rejected — a typoed knob must not silently no-op an evaluation.
 func ParseGrid(data []byte) (*Grid, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
+	// Compacting drops the file's layout first, so that a grid equals
+	// its own Marshal parsed back.
+	var b bytes.Buffer
+	if err := json.Compact(&b, data); err != nil {
+		return nil, fmt.Errorf("experiments: parsing grid: %w", err)
+	}
+	dec := json.NewDecoder(&b)
 	dec.DisallowUnknownFields()
 	var g Grid
 	if err := dec.Decode(&g); err != nil {
@@ -100,15 +92,19 @@ func LoadGrid(path string) (*Grid, error) {
 	return g, nil
 }
 
-// Marshal renders the grid as indented JSON with a trailing newline.
-// ParseGrid(Marshal(g)) round-trips to an identical Grid, and
-// Marshal(ParseGrid(file)) is byte-stable — the golden fixture pins it.
+// Marshal renders the grid as indented JSON with a trailing newline,
+// every value spelled as the file spelled it. ParseGrid(Marshal(g))
+// round-trips to an identical Grid, and Marshal(ParseGrid(file)) is
+// byte-stable — the golden fixture pins it.
 func (g *Grid) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(g); err != nil {
 		return nil, fmt.Errorf("experiments: marshaling grid: %w", err)
 	}
-	return append(out, '\n'), nil
+	return b.Bytes(), nil
 }
 
 // ResolvedRun is one fully-resolved grid entry: a unique artifact ID
@@ -121,91 +117,84 @@ type ResolvedRun struct {
 	Run int
 }
 
-// Expand applies defaults, expands seed families, and validates every
-// knob, returning one ResolvedRun per (run, seed) in declaration order.
+// Expand decodes every run over the defaults and resolves them
+// (Resolve): one ResolvedRun per (run, seed) in declaration order.
 func (g *Grid) Expand() ([]ResolvedRun, error) {
+	runs := make([]GridRun, len(g.Runs))
+	for i, obj := range g.Runs {
+		runs[i].Config = Quick()
+		if err := decodeRun(g.Defaults, &runs[i]); err != nil {
+			return nil, fmt.Errorf("experiments: grid defaults: %w", err)
+		}
+		runs[i].ID = "" // an id names one run
+		if err := decodeRun(obj, &runs[i]); err != nil {
+			return nil, fmt.Errorf("experiments: grid run %d: %w", i, err)
+		}
+	}
+	return Resolve(runs)
+}
+
+// decodeRun decodes one grid object into run, refusing unknown keys.
+// Each value decodes by its own type's UnmarshalText.
+func decodeRun(obj json.RawMessage, run *GridRun) error {
+	if obj == nil {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	dec.DisallowUnknownFields()
+	return dec.Decode(run)
+}
+
+// Resolve validates runs and expands their seed families, returning one
+// ResolvedRun per (run, seed) in declaration order.
+func Resolve(runs []GridRun) ([]ResolvedRun, error) {
 	var out []ResolvedRun
 	seen := map[string]bool{}
-	for i, run := range g.Runs {
-		if g.Defaults != nil {
-			run = merged(*g.Defaults, run)
-		}
+	for i, run := range runs {
 		if run.Experiment == "" {
 			return nil, fmt.Errorf("experiments: grid run %d: experiment required", i)
 		}
 		if _, ok := Lookup(run.Experiment); !ok {
 			return nil, fmt.Errorf("experiments: grid run %d: unknown experiment %q (use -list)", i, run.Experiment)
 		}
-		cfg, seeds, err := run.resolve()
-		if err != nil {
+		if err := run.check(); err != nil {
 			return nil, fmt.Errorf("experiments: grid run %d (%s): %w", i, run.Experiment, err)
 		}
-		for rep := range seeds {
-			rcfg := cfg
-			rcfg.Seed = cfg.Seed + uint64(rep)
-			id := run.ID
-			if id == "" {
-				id = run.Experiment
-			}
-			id = fmt.Sprintf("%s-s%d", id, rcfg.Seed)
+		stem := cmp.Or(run.ID, run.Experiment)
+		for rep := range max(run.Seeds, 1) {
+			cfg := run.Config
+			cfg.Seed += uint64(rep)
+			id := fmt.Sprintf("%s-s%d", stem, cfg.Seed)
 			if seen[id] {
 				return nil, fmt.Errorf("experiments: grid run %d (%s): duplicate run id %q", i, run.Experiment, id)
 			}
 			seen[id] = true
-			out = append(out, ResolvedRun{ID: id, Experiment: run.Experiment, Cfg: rcfg, Run: i})
+			out = append(out, ResolvedRun{ID: id, Experiment: run.Experiment, Cfg: cfg, Run: i})
 		}
 	}
 	return out, nil
 }
 
-// resolve validates run's knobs over the Quick defaults and returns the
-// Config of its first seed and the size of its seed family.
-func (run GridRun) resolve() (cfg Config, seeds int, err error) {
-	cfg = Quick()
-	if run.Duration != "" {
-		d, err := time.ParseDuration(run.Duration)
-		if err != nil || d <= 0 {
-			return cfg, 0, fmt.Errorf("bad duration %q", run.Duration)
-		}
-		cfg.Duration = sim.Duration(d)
-	}
-	if run.Warmup != "" {
-		d, err := time.ParseDuration(run.Warmup)
-		if err != nil || d < 0 {
-			return cfg, 0, fmt.Errorf("bad warmup %q", run.Warmup)
-		}
-		cfg.Warmup = sim.Duration(d)
-	}
-	if run.Seed != 0 {
-		cfg.Seed = run.Seed
-	}
-	if run.Predictor != "" {
-		if cfg.Predictor, err = harness.ParsePredictor(run.Predictor); err != nil {
-			return cfg, 0, err
-		}
-	}
-	if cfg.Faults, err = faults.ParsePlan(run.Faults); err != nil {
-		return cfg, 0, err
-	}
-	if _, err = market.ParsePools(run.Pools); err != nil {
-		return cfg, 0, err
-	}
-	if run.Tenants != "" {
-		if _, err = workload.ParseClass(run.Tenants); err != nil {
-			return cfg, 0, err
-		}
-	}
-	cfg.Pools, cfg.TenantMix, cfg.Check = run.Pools, run.Tenants, run.Check
-	switch seeds = max(run.Seeds, 1); {
+// check refuses the values no run can take: their types decode them,
+// but a run needs a positive duration, a warmup of at least zero, a
+// seed from 1, a bounded seed family and an id that is a safe file stem.
+func (run GridRun) check() error {
+	switch {
+	case run.Duration <= 0:
+		return fmt.Errorf("bad duration %v", run.Duration)
+	case run.Warmup < 0:
+		return fmt.Errorf("bad warmup %v", run.Warmup)
+	case run.Seed == 0:
+		return fmt.Errorf("seed 0: seeds start at 1")
 	case run.Seeds < 0:
-		return cfg, 0, fmt.Errorf("negative seeds")
-	case seeds > maxSeeds:
-		return cfg, 0, fmt.Errorf("%d seeds exceeds %d", seeds, maxSeeds)
+		return fmt.Errorf("negative seeds")
+	case run.Seeds > maxSeeds:
+		return fmt.Errorf("%d seeds exceeds %d", run.Seeds, maxSeeds)
 	case run.ID != "" && !safeStem(run.ID):
-		return cfg, 0, fmt.Errorf("run id %q is not a safe file stem "+
+		return fmt.Errorf("run id %q is not a safe file stem "+
 			"(use A-Z a-z 0-9 . _ - and do not start with .)", run.ID)
 	}
-	return cfg, seeds, nil
+	return nil
 }
 
 // maxSeeds bounds one run's seed family, so a typo cannot expand a grid
@@ -227,18 +216,6 @@ func safeStem(id string) bool {
 		}
 	}
 	return true
-}
-
-// merged overlays run's set fields on the defaults: every zero field of
-// run but its id takes the default's value.
-func merged(def, run GridRun) GridRun {
-	r, d := reflect.ValueOf(&run).Elem(), reflect.ValueOf(def)
-	for i := range r.NumField() {
-		if f := r.Field(i); f.IsZero() && r.Type().Field(i).Name != "ID" {
-			f.Set(d.Field(i))
-		}
-	}
-	return run
 }
 
 // RunResult is one executed grid entry.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"strconv"
@@ -37,6 +38,49 @@ func TestGridFixtureGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g, g2) {
 		t.Errorf("parse -> marshal -> parse changed the grid:\n%+v\nvs\n%+v", g, g2)
+	}
+}
+
+// TestGridOverridesFixture pins testdata/grid-overrides.json, which CI
+// runs: its defaults set every key, and its second run overrides each
+// key that has a valid zero value with it (a run needs a positive
+// duration, a seed from 1 and an experiment). The file marshals back to
+// itself, the first run inherits every default and the second none of
+// the ones it overrides.
+func TestGridOverridesFixture(t *testing.T) {
+	data, err := os.ReadFile("testdata/grid-overrides.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ParseGrid(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := g.Marshal(); err != nil || !bytes.Equal(out, data) {
+		t.Errorf("Marshal is not byte-identical to the fixture (%v):\n%s", err, out)
+	}
+	runs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range runs {
+		ids = append(ids, r.ID)
+	}
+	if want := []string{"sched-s2", "sched-s3", "zero-s2"}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("runs %v, want %v", ids, want)
+	}
+	inherit, zero := runs[0].Cfg, runs[2].Cfg
+	if inherit.Warmup != 500*sim.Millisecond || inherit.Predictor == 0 || !inherit.Check ||
+		!inherit.Faults.Enabled() || !inherit.Pools.Enabled() || fmt.Sprint(inherit.TenantMix) != "bursty" {
+		t.Errorf("first run does not inherit every default: %+v", inherit)
+	}
+	if zero.Duration != sim.Second || zero.Seed != 2 {
+		t.Errorf("zero run lost the default duration or seed: %+v", zero)
+	}
+	if zero.Warmup != 0 || zero.Predictor != 0 || zero.Check || zero.Faults.Enabled() ||
+		zero.Pools.Enabled() || fmt.Sprint(zero.TenantMix) != "flat" {
+		t.Errorf("zero run does not take its zero values: %+v", zero)
 	}
 }
 
@@ -170,11 +214,11 @@ func TestGridPoolsTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range runs {
-		if r.Cfg.Pools != "name=acme,tier=spot,reserved=2" {
+		if r.Cfg.Pools.String() != "name=acme,tier=spot,reserved=2" {
 			t.Errorf("%s: pools %q, want the default plan", r.ID, r.Cfg.Pools)
 		}
 	}
-	if runs[0].Cfg.TenantMix != "bursty" || runs[1].Cfg.TenantMix != "flat" {
+	if fmt.Sprint(runs[0].Cfg.TenantMix) != "bursty" || fmt.Sprint(runs[1].Cfg.TenantMix) != "flat" {
 		t.Errorf("tenants %q, %q; want bursty from defaults, flat from the run", runs[0].Cfg.TenantMix, runs[1].Cfg.TenantMix)
 	}
 	for _, bad := range []string{`"pools":"name=a,tier=gold,reserved=1"`, `"tenants":"diurnal"`} {
@@ -214,9 +258,9 @@ func TestGridZeroWarmupAndMarshal(t *testing.T) {
 	}
 }
 
-// TestGridPoolsNone pins "pools": "none" at the golden scale: sched runs
-// market-free, its report the golden one; market runs the empty plan in
-// place of its overcommit x tier-mix grid, one row per policy.
+// TestGridPoolsNone pins "pools": "none" at the golden scale: "none" is
+// the zero plan, which is no plan, so sched runs market-free and market
+// runs its overcommit x tier-mix grid — both reports the golden ones.
 func TestGridPoolsNone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations; skipped in -short")
@@ -239,20 +283,7 @@ func TestGridPoolsNone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Experiment == "sched" {
-				checkGolden(t, "sched.txt", []byte(rep.String()))
-				return
-			}
-			if len(rep.Rows) != len(schedPolicies) {
-				t.Fatalf("%d rows, want one per policy:\n%s", len(rep.Rows), rep)
-			}
-			for _, row := range rep.Rows {
-				for _, c := range row.Cells {
-					if c.Key == "mix" && c.Str != "custom" {
-						t.Errorf("mix %q, want custom:\n%s", c.Str, rep)
-					}
-				}
-			}
+			checkGolden(t, r.Experiment+".txt", []byte(rep.String()))
 		})
 	}
 }

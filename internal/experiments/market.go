@@ -7,7 +7,6 @@ import (
 	"smartharvest/internal/cluster"
 	"smartharvest/internal/market"
 	"smartharvest/internal/sched"
-	"smartharvest/internal/workload"
 )
 
 // marketJobRate is the fleet-job arrival rate the market experiment runs
@@ -26,18 +25,14 @@ const charTenantQPS = 30000
 const charMixSalt = 0xC11A55AB1E
 
 // tenantWorkloads maps cfg.TenantMix to the tenant workload list the
-// fleet samples arrivals from. Empty means nil: cluster.Config keeps its
+// fleet samples arrivals from. Nil means nil: cluster.Config keeps its
 // default four-primaries mix and runs stay byte-identical to builds
 // that never heard of the knob.
-func tenantWorkloads(cfg Config) ([]apps.PrimarySpec, error) {
-	if cfg.TenantMix == "" {
-		return nil, nil
+func tenantWorkloads(cfg Config) []apps.PrimarySpec {
+	if cfg.TenantMix == nil {
+		return nil
 	}
-	class, err := workload.ParseClass(cfg.TenantMix)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tenant mix: %w", err)
-	}
-	return apps.CharacterizedMix(cfg.Seed^charMixSalt, 4, class, charTenantQPS), nil
+	return apps.CharacterizedMix(cfg.Seed^charMixSalt, 4, *cfg.TenantMix, charTenantQPS)
 }
 
 // schedFleet is the fleet the job-scheduler experiments (sched,
@@ -64,10 +59,13 @@ func schedFleet(cfg Config, workloads []apps.PrimarySpec) cluster.Config {
 // bound (~38) rejects premium-heavy's standard pool, while 1.5 and 3.0
 // admit everything. Prices follow the SLA ladder — spot capacity sells
 // at a discount, premium at a markup.
-var marketMixes = []struct{ name, pools string }{
-	{"spot-heavy", "name=s1,tier=spot,reserved=40,price=0.5;name=m1,tier=standard,reserved=10;name=p1,tier=premium,reserved=5,price=2"},
-	{"balanced", "name=s1,tier=spot,reserved=20,price=0.5;name=m1,tier=standard,reserved=20;name=p1,tier=premium,reserved=24,price=2"},
-	{"premium-heavy", "name=s1,tier=spot,reserved=10,price=0.5;name=m1,tier=standard,reserved=48;name=p1,tier=premium,reserved=32,price=2"},
+var marketMixes = []struct {
+	name     string
+	reserved [3]int // cores of the spot, standard and premium pool
+}{
+	{"spot-heavy", [3]int{40, 10, 5}},
+	{"balanced", [3]int{20, 20, 24}},
+	{"premium-heavy", [3]int{10, 48, 32}},
 }
 
 // marketPlan is one point on the overcommit × tier-mix grid.
@@ -77,28 +75,24 @@ type marketPlan struct {
 }
 
 // marketPlans builds the pool-plan axis: the full overcommit × tier-mix
-// grid, or the single user-supplied plan when cfg.Pools is set (its own
-// overcommit applies, defaulted like everywhere else).
-func marketPlans(cfg Config) ([]marketPlan, error) {
-	if cfg.Pools != "" {
-		mc, err := market.ParsePools(cfg.Pools)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: market pools: %w", err)
-		}
-		return []marketPlan{{mix: "custom", cfg: mc}}, nil
+// grid, or the single user-supplied plan when cfg.Pools sets anything,
+// be it only an overcommit (its own overcommit applies, defaulted like
+// everywhere else).
+func marketPlans(cfg Config) []marketPlan {
+	if cfg.Pools.Enabled() || cfg.Pools.Overcommit != 0 {
+		return []marketPlan{{mix: "custom", cfg: cfg.Pools}}
 	}
 	var plans []marketPlan
 	for _, oc := range []float64{0.5, 1.5, 3.0} {
 		for _, mix := range marketMixes {
-			mc, err := market.ParsePools(mix.pools)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: market mix %s: %w", mix.name, err)
-			}
-			mc.Overcommit = oc
-			plans = append(plans, marketPlan{mix: mix.name, cfg: mc})
+			plans = append(plans, marketPlan{mix: mix.name, cfg: market.Config{Overcommit: oc, Pools: []market.PoolSpec{
+				{Name: "s1", Tier: market.Spot, Reserved: mix.reserved[0], Price: 0.5},
+				{Name: "m1", Tier: market.Standard, Reserved: mix.reserved[1]},
+				{Name: "p1", Tier: market.Premium, Reserved: mix.reserved[2], Price: 2},
+			}}})
 		}
 	}
-	return plans, nil
+	return plans
 }
 
 // Market sweeps the harvested-capacity market (internal/market) over
@@ -110,21 +104,14 @@ func marketPlans(cfg Config) ([]marketPlan, error) {
 // cfg.TenantMix (characterized tenant workloads), and cfg.Pools (a
 // user-supplied plan replacing the overcommit × mix grid).
 func Market(cfg Config) (*Report, error) {
-	workloads, err := tenantWorkloads(cfg)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := marketPlans(cfg)
-	if err != nil {
-		return nil, err
-	}
+	plans, workloads := marketPlans(cfg), tenantWorkloads(cfg)
 	secs := make([]*section, len(plans))
 	for i, plan := range plans {
 		secs[i] = &section{arms: policyArms(
 			fmt.Sprintf("market-%s-oc%g", plan.mix, plan.cfg.EffectiveOvercommit()),
 			sched.Config{Fleet: schedFleet(cfg, workloads), ArrivalRate: marketJobRate, Market: plan.cfg})}
 	}
-	err = sweep(cfg, secs...)
+	err := sweep(cfg, secs...)
 
 	r := &Report{ID: "market", Title: "harvested-capacity market: overcommit x tier mix x policy (extension)"}
 	t := newTable(r,

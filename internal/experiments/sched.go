@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"smartharvest/internal/market"
 	"smartharvest/internal/sched"
 )
 
@@ -20,21 +19,14 @@ import (
 // pool plan opened on every run's fleet; jobs then place against pool
 // balances and the report gains the market totals).
 func Sched(cfg Config) (*Report, error) {
-	workloads, err := tenantWorkloads(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mcfg, err := market.ParsePools(cfg.Pools)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: sched pools: %w", err)
-	}
 	var sec section
+	workloads := tenantWorkloads(cfg)
 	for _, rate := range []float64{1, 3} {
 		sec.arms = append(sec.arms, policyArms(fmt.Sprintf("sched-%g", rate), sched.Config{
-			Fleet: schedFleet(cfg, workloads), ArrivalRate: rate, Market: mcfg,
+			Fleet: schedFleet(cfg, workloads), ArrivalRate: rate, Market: cfg.Pools,
 		})...)
 	}
-	err = sweep(cfg, &sec)
+	err := sweep(cfg, &sec)
 
 	r := &Report{ID: "sched", Title: "harvest-aware job scheduling policies (extension)"}
 	cols := append([]col{
@@ -62,8 +54,8 @@ func Sched(cfg Config) (*Report, error) {
 	if cfg.Faults.Enabled() {
 		r.addf("faults injected across runs: %d", faults)
 	}
-	if mcfg.Enabled() {
-		r.addf("pool plan %q across runs: revenue %.1f, penalties %.1f", mcfg, revenue, penalties)
+	if cfg.Pools.Enabled() {
+		r.addf("pool plan %q across runs: revenue %.1f, penalties %.1f", cfg.Pools, revenue, penalties)
 	}
 	r.addf("(goodput counts completed work only; evicted progress is checkpointed, never double-counted)")
 	return r, err

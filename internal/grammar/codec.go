@@ -11,9 +11,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"time"
-
-	"smartharvest/internal/sim"
 )
 
 // None renders a value that prints no key; every parser reads it back
@@ -31,10 +28,11 @@ const None = "none"
 // true or non-empty. default=D,if=K makes Defaults fill D into the zero
 // field while the field keyed K is positive.
 //
-// Field types are float64 (checked finite and non-negative), int and
-// sim.Time (a Go duration; both checked non-negative), bool, string, and
-// enums: types whose pointer is an encoding.TextUnmarshaler, printed by
-// String and checked by parsing that back.
+// Field types are float64 (checked finite and non-negative), int
+// (checked non-negative), bool, string, and text types: types whose
+// pointer is an encoding.TextUnmarshaler, printed by String and checked
+// by parsing that back, integer ones also checked non-negative. sim.Time
+// (a Go duration) and the enums are text types.
 type Codec[T any] struct {
 	pkg    string
 	fields []field
@@ -155,18 +153,12 @@ func set(dst reflect.Value, s string) error {
 	}
 	var v any
 	var err error
-	switch {
-	case dst.Type() == reflect.TypeOf(sim.Time(0)):
-		var d time.Duration
-		if d, err = time.ParseDuration(s); err == nil && d < 0 {
-			err = fmt.Errorf("negative duration %v", d)
-		}
-		v = sim.Duration(d)
-	case dst.Kind() == reflect.Float64:
+	switch dst.Kind() {
+	case reflect.Float64:
 		v, err = strconv.ParseFloat(s, 64)
-	case dst.Kind() == reflect.Int:
+	case reflect.Int:
 		v, err = strconv.Atoi(s)
-	case dst.Kind() == reflect.Bool:
+	case reflect.Bool:
 		v, err = strconv.ParseBool(s)
 	default:
 		v = s
@@ -225,6 +217,8 @@ func (c *Codec[T]) Check(v T) error {
 	for _, f := range c.fields {
 		fv, want := rv.Field(f.index), ""
 		switch {
+		case fv.CanInt() && fv.Int() < 0:
+			want = "a non-negative value"
 		case reflect.PointerTo(fv.Type()).Implements(unmarshaler):
 			if set(reflect.New(fv.Type()).Elem(), fmt.Sprint(fv.Interface())) != nil {
 				want = "a declared name"
@@ -235,8 +229,6 @@ func (c *Codec[T]) Check(v T) error {
 			} else if !(x >= 0 && x <= math.MaxFloat64) {
 				want = "a finite non-negative number"
 			}
-		case fv.CanInt() && fv.Int() < 0:
-			want = "a non-negative value"
 		}
 		if want != "" {
 			return fmt.Errorf("%s: %s=%v is out of range (want %s)", c.pkg, f.key, fv.Interface(), want)

@@ -198,13 +198,15 @@ func take(fields map[string]json.RawMessage, name string, p any) error {
 	if string(raw) == "null" { // json.Unmarshal would leave p as it is
 		return fmt.Errorf("%q is null", name)
 	}
-	switch p := p.(type) {
+	switch v := p.(type) {
+	case *sim.Time: // nanoseconds, not the duration string UnmarshalText reads
+		p = (*int64)(v)
 	case *ClampReason:
-		return takeEnum(raw, name, &clampNames, p)
+		return takeEnum(raw, name, &clampNames, v)
 	case *FaultKind:
-		return takeEnum(raw, name, &faultNames, p)
+		return takeEnum(raw, name, &faultNames, v)
 	case *DegradeReason:
-		return takeEnum(raw, name, &degradeNames, p)
+		return takeEnum(raw, name, &degradeNames, v)
 	}
 	if json.Unmarshal(raw, p) != nil {
 		return fmt.Errorf("%q has the wrong JSON type", name)

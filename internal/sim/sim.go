@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -47,6 +48,25 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 func (t Time) String() string { return time.Duration(t).String() }
+
+// MarshalText writes t as a Go duration ("1.5s"), the form every flag,
+// grid file and key=value grammar spells a time in.
+func (t Time) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText reads a Go duration (time.ParseDuration); any sign.
+func (t *Time) UnmarshalText(text []byte) error {
+	d, err := time.ParseDuration(string(text))
+	if err != nil {
+		return fmt.Errorf("bad duration %q", text)
+	}
+	*t = Duration(d)
+	return nil
+}
+
+// MarshalJSON keeps a JSON document's time a number of nanoseconds, as
+// the trace schema and the scheduler's Result write it; only text forms
+// spell it as a duration.
+func (t Time) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, int64(t), 10), nil }
 
 // Event is a scheduled callback. The zero value is invalid; events are
 // created through Loop.At and Loop.After.

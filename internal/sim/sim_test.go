@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 	"time"
@@ -525,5 +526,48 @@ func TestStepLate(t *testing.T) {
 	}
 	if l.Now() != 3*Millisecond {
 		t.Fatalf("clock %v moved backwards or past the last event", l.Now())
+	}
+}
+
+// TestTimeTextCodec pins the text form every flag, grid file and grammar
+// reads a Time in: each duration default the commands print
+// round-trips, and what time.ParseDuration refuses stays refused.
+func TestTimeTextCodec(t *testing.T) {
+	for s, want := range map[string]Time{
+		"30s": 30 * Second, "2s": 2 * Second, "6s": 6 * Second, "8s": 8 * Second,
+		"25ms": 25 * Millisecond, "1ms": Millisecond, "10s": 10 * Second,
+		"6ms": 6 * Millisecond, "20s": 20 * Second, "1.5s": 1500 * Millisecond,
+		"250µs": 250 * Microsecond, "1m30s": 90 * Second, "0s": 0, "-1s": -Second,
+	} {
+		var got Time
+		if err := got.UnmarshalText([]byte(s)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if b, err := want.MarshalText(); err != nil || string(b) != s {
+			t.Errorf("MarshalText(%v) = %q, %v; want %q", want, b, err, s)
+		}
+	}
+	for _, s := range []string{"", "5", "fast", "1 ms", "1sec", "s", "1.5.s", "+-1s"} {
+		var got Time
+		if err := got.UnmarshalText([]byte(s)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted as %v", s, got)
+		}
+	}
+}
+
+// TestTimeJSON pins that a JSON document keeps a Time a number of
+// nanoseconds, as traces and scheduler results write it, while a JSON
+// string decodes as a duration.
+func TestTimeJSON(t *testing.T) {
+	b, err := json.Marshal(struct{ T Time }{1500 * Millisecond})
+	if err != nil || string(b) != `{"T":1500000000}` {
+		t.Errorf("json.Marshal = %s, %v", b, err)
+	}
+	var v struct{ T Time }
+	if err := json.Unmarshal([]byte(`{"T":"1500ms"}`), &v); err != nil || v.T != 1500*Millisecond {
+		t.Errorf("json.Unmarshal of a duration string = %v, %v", v.T, err)
+	}
+	if err := json.Unmarshal([]byte(`{"T":1500000000}`), &v); err == nil {
+		t.Error("json.Unmarshal accepted a number where a duration string belongs")
 	}
 }

@@ -49,6 +49,12 @@ func (c Class) String() string { return ClassNames.String(c) }
 // ParseClass is the inverse of String.
 func ParseClass(s string) (Class, error) { return ClassNames.Parse(s) }
 
+// MarshalText implements encoding.TextMarshaler.
+func (c Class) MarshalText() ([]byte, error) { return ClassNames.MarshalText(c) }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (c *Class) UnmarshalText(text []byte) error { return ClassNames.UnmarshalText(c, text) }
+
 // CharKnobs are the characterization knobs a generated workload is
 // described by.
 type CharKnobs struct {

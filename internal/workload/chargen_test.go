@@ -26,6 +26,30 @@ func TestClassRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClassTextCodec pins the text form a grid file and -tenants read a
+// Class in: every name round-trips, what ParseClass refuses stays
+// refused, and an undeclared class does not marshal.
+func TestClassTextCodec(t *testing.T) {
+	for _, name := range []string{"flat", "periodic", "bursty", "mixed"} {
+		var c Class
+		if err := c.UnmarshalText([]byte(name)); err != nil {
+			t.Errorf("UnmarshalText(%q): %v", name, err)
+		}
+		if b, err := c.MarshalText(); err != nil || string(b) != name {
+			t.Errorf("MarshalText(%v) = %q, %v; want %q", c, b, err, name)
+		}
+	}
+	for _, name := range []string{"", "nope", "diurnal", "FLAT", " flat", "bursty,flat"} {
+		c := ClassMixed
+		if err := c.UnmarshalText([]byte(name)); err == nil || c != ClassMixed {
+			t.Errorf("UnmarshalText(%q) accepted as %v", name, c)
+		}
+	}
+	if b, err := Class(99).MarshalText(); err == nil {
+		t.Errorf("Class(99) marshals to %q", b)
+	}
+}
+
 // drain advances an arrival process over [0, horizon) and returns the
 // total requests plus the raw event sequence.
 func drain(a Arrival, horizon sim.Time) (int, []TraceEvent) {
