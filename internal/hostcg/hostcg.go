@@ -134,10 +134,12 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// cpuTimes holds one core's jiffies from /proc/stat.
+// cpuTimes holds one core's jiffies from /proc/stat and, for a primary
+// core, the busy verdict they last gave.
 type cpuTimes struct {
 	total int64
 	idle  int64
+	busy  bool
 }
 
 // Backend implements core.Hypervisor over Linux cgroups.
@@ -264,9 +266,12 @@ func (b *Backend) SetPrimaryCores(n int) (core.ResizeResult, error) {
 
 // BusyPrimaryCores implements core.Hypervisor: it reads /proc/stat and
 // counts primary-group cores whose non-idle share since the previous
-// reading exceeds the busy threshold. A failed read or parse is a lost
-// reading (-1, with LastError set), never a replay of the previous one:
-// the agent counts it toward its missed-poll degradation ladder.
+// reading exceeds the busy threshold. A core whose jiffies did not move
+// since (a poll faster than USER_HZ ticks) keeps its previous verdict,
+// which errs toward the primaries keeping their cores. A failed read or
+// parse is a lost reading (-1, with LastError set), never a replay of
+// the previous one: the agent counts it toward its missed-poll
+// degradation ladder.
 func (b *Backend) BusyPrimaryCores() int {
 	data, err := b.cfg.OS.ReadFile(filepath.Join(b.cfg.ProcRoot, "stat"))
 	if err != nil {
@@ -284,17 +289,16 @@ func (b *Backend) BusyPrimaryCores() int {
 		if !ok {
 			continue
 		}
-		prev, seen := b.prevCPU[cpu]
+		if prev, seen := b.prevCPU[cpu]; seen {
+			if dTotal := cur.total - prev.total; dTotal > 0 {
+				cur.busy = 1-float64(cur.idle-prev.idle)/float64(dTotal) >= b.cfg.BusyThreshold
+			} else {
+				// Polled between two ticks: no news, keep the verdict.
+				cur.busy = prev.busy
+			}
+		}
 		b.prevCPU[cpu] = cur
-		if !seen {
-			continue
-		}
-		dTotal := cur.total - prev.total
-		dIdle := cur.idle - prev.idle
-		if dTotal <= 0 {
-			continue
-		}
-		if 1-float64(dIdle)/float64(dTotal) >= b.cfg.BusyThreshold {
+		if cur.busy {
 			busy++
 		}
 	}

@@ -196,6 +196,32 @@ func TestBusyPrimaryCores(t *testing.T) {
 	}
 }
 
+// TestBusySubJiffyPolls polls faster than /proc/stat ticks: at a 1 ms
+// poll and USER_HZ=100 a saturated core's jiffies move once every ten
+// reads. A core whose jiffies stood still keeps its last verdict, so
+// once the first tick is seen every read counts all five primaries busy.
+func TestBusySubJiffyPolls(t *testing.T) {
+	f := newFakeOS()
+	b, _ := New(testConfig(f))
+	if err := b.Init(); err != nil {
+		t.Fatal(err)
+	}
+	var jiffies int64
+	for read := range 1000 {
+		if read > 0 && read%10 == 0 {
+			jiffies++
+		}
+		lines := make([]string, 6)
+		for cpu := range lines {
+			lines[cpu] = statLine(cpu, 100+jiffies, 100)
+		}
+		setStat(f, lines...)
+		if got := b.BusyPrimaryCores(); jiffies > 0 && got != 5 {
+			t.Fatalf("read %d, %d jiffies in: busy %d, want 5", read, jiffies, got)
+		}
+	}
+}
+
 func TestBusyExcludesElasticCores(t *testing.T) {
 	f := newFakeOS()
 	b, _ := New(testConfig(f))
