@@ -41,9 +41,9 @@ import (
 	"smartharvest/internal/workload"
 )
 
-// Config scales the experiments. The zero value is invalid; use Default
-// or Quick. A grid run (grid.go) decodes its keys straight into it; the
-// json tags name them.
+// Config scales the experiments. The zero value is invalid; use Quick.
+// A grid run (grid.go) decodes its keys straight into it; the json tags
+// name them.
 type Config struct {
 	// Duration is the measured run length per scenario.
 	Duration sim.Time `json:"duration"`

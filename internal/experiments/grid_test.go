@@ -131,6 +131,12 @@ func TestGridValidationErrors(t *testing.T) {
 		{"negative seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":-2}]}`, "negative seeds"},
 		{"too many seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":2000000000}]}`, "seeds exceeds"},
 		{"duplicate ids", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1"},{"experiment":"table1"}]}`, "duplicate run id"},
+		{"seed zero", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seed":0}]}`, "seed 0"},
+		{"empty duration", `{"schema":"smartharvest-grid/v1","defaults":{"duration":"2s"},"runs":[{"experiment":"table1","duration":""}]}`, "bad duration"},
+		{"numeric duration", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","duration":5000000000}]}`, "duration"},
+		{"empty predictor", `{"schema":"smartharvest-grid/v1","defaults":{"predictor":"ewma"},"runs":[{"experiment":"table1","predictor":""}]}`, "predictor"},
+		{"empty experiment", `{"schema":"smartharvest-grid/v1","defaults":{"experiment":"table1"},"runs":[{"experiment":""}]}`, "experiment required"},
+		{"trailing data", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1"}]} x`, "parsing grid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+
+	"smartharvest/internal/sim"
 )
 
 // None renders a value that prints no key; every parser reads it back
@@ -219,6 +221,8 @@ func (c *Codec[T]) Check(v T) error {
 		switch {
 		case fv.CanInt() && fv.Int() < 0:
 			want = "a non-negative value"
+		case fv.Type() == reflect.TypeOf(sim.Time(0)):
+			// Any non-negative time is valid: no round trip, no allocation.
 		case reflect.PointerTo(fv.Type()).Implements(unmarshaler):
 			if set(reflect.New(fv.Type()).Elem(), fmt.Sprint(fv.Interface())) != nil {
 				want = "a declared name"
