@@ -18,15 +18,16 @@ import (
 )
 
 func main() {
-	cfg := traces.Config{Span: 30 * sim.Second, BurstWidth: 6 * sim.Millisecond, WavePeriod: 20 * sim.Second}
-	flag.Float64Var(&cfg.QPS, "qps", 500, "average request rate")
+	cfg := traces.Config{QPS: 500, Span: 30 * sim.Second, BurstFraction: 0.1, BurstRate: 20,
+		BurstWidth: 6 * sim.Millisecond, LoadWave: 0.3, WavePeriod: 20 * sim.Second, Seed: 1}
+	flag.Float64Var(&cfg.QPS, "qps", cfg.QPS, "average request rate")
 	flag.TextVar(&cfg.Span, "span", cfg.Span, "trace length")
-	flag.Float64Var(&cfg.BurstFraction, "burst-fraction", 0.1, "fraction of requests arriving in bursts")
-	flag.Float64Var(&cfg.BurstRate, "burst-rate", 20, "bursts per second")
+	flag.Float64Var(&cfg.BurstFraction, "burst-fraction", cfg.BurstFraction, "fraction of requests arriving in bursts")
+	flag.Float64Var(&cfg.BurstRate, "burst-rate", cfg.BurstRate, "bursts per second")
 	flag.TextVar(&cfg.BurstWidth, "burst-width", cfg.BurstWidth, "burst spread")
-	flag.Float64Var(&cfg.LoadWave, "load-wave", 0.3, "slow sinusoidal load modulation amplitude (0..1)")
+	flag.Float64Var(&cfg.LoadWave, "load-wave", cfg.LoadWave, "slow sinusoidal load modulation amplitude (0..1)")
 	flag.TextVar(&cfg.WavePeriod, "wave-period", cfg.WavePeriod, "load modulation period")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "RNG seed")
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "RNG seed")
 	out := flag.String("o", "-", "output file, or - for stdout")
 	flag.Parse()
 

@@ -25,8 +25,8 @@ const charTenantQPS = 30000
 const charMixSalt = 0xC11A55AB1E
 
 // tenantWorkloads maps cfg.TenantMix to the tenant workload list the
-// fleet samples arrivals from. Nil means nil: cluster.Config keeps its
-// default four-primaries mix and runs stay byte-identical to builds
+// fleet samples arrivals from. No class means nil: cluster.Config keeps
+// its default four-primaries mix and runs stay byte-identical to builds
 // that never heard of the knob.
 func tenantWorkloads(cfg Config) []apps.PrimarySpec {
 	if cfg.TenantMix == nil {

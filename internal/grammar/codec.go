@@ -32,9 +32,9 @@ const None = "none"
 //
 // Field types are float64 (checked finite and non-negative), int
 // (checked non-negative), bool, string, and text types: types whose
-// pointer is an encoding.TextUnmarshaler, printed by String and checked
-// by parsing that back, integer ones also checked non-negative. sim.Time
-// (a Go duration) and the enums are text types.
+// pointer is an encoding.TextUnmarshaler, such as the enums and sim.Time
+// (a Go duration). Integer text types are checked non-negative, and all
+// but sim.Time by printing with String and parsing that back.
 type Codec[T any] struct {
 	pkg    string
 	fields []field
