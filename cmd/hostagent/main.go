@@ -103,7 +103,7 @@ func main() {
 	cfg.PollInterval = sim.Millisecond
 	flag.TextVar(&cfg.Window, "window", cfg.Window, "learning window")
 	flag.TextVar(&cfg.PollInterval, "poll", cfg.PollInterval, "busy-core polling interval")
-	flag.BoolVar(&cfg.LongTermSafeguard, "long-term-safeguard", cfg.LongTermSafeguard, "enable the QoS guard")
+	flag.BoolVar(&cfg.LongTermSafeguard, "long-term-safeguard", cfg.LongTermSafeguard, "enable the QoS guard (for a policy with safeguards)")
 	statsEvery := 10 * sim.Second
 	flag.TextVar(&statsEvery, "stats", statsEvery, "stats reporting interval")
 	modelFile := flag.String("model-file", "", "persist the predictor state here across restarts (smartharvest policy only)")
@@ -177,9 +177,9 @@ func main() {
 	agent.Start()
 	if statsEvery > 0 {
 		loop.NewTicker(statsEvery, statsEvery, func() {
+			st := agent.Stats()
 			fmt.Printf("hostagent: target=%d windows=%d resizes=%d safeguards=%d qos-trips=%d missed-polls=%d degraded=%v\n",
-				agent.Target(), agent.Windows(), agent.ResizeCount(),
-				agent.SafeguardInvocations(), agent.QoSTrips(), agent.MissedPolls(), agent.Degraded())
+				agent.Target(), st.Windows, st.Resizes, st.Safeguards, st.QoSTrips, st.MissedPolls, st.Degraded)
 			if err := backend.LastError(); err != nil {
 				fmt.Fprintf(os.Stderr, "hostagent: backend: %v\n", err)
 			}

@@ -75,6 +75,21 @@ func TestAgentConfig(t *testing.T) {
 			t.Errorf("window %v poll %v: %v", c.window, c.poll, err)
 		}
 	}
+	// -long-term-safeguard is on by default, but the agent runs the QoS
+	// guard only for a policy with safeguards, as the simulator does.
+	for policy, want := range map[string]bool{"smartharvest": true, "fixedbuffer:1": false} {
+		ctrl, err := buildController(policy, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.NewAgent(sim.NewLoop(), backend, ctrl, at(25*ms, ms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Config().LongTermSafeguard; got != want {
+			t.Errorf("-policy %s: long-term safeguard %v, want %v", policy, got, want)
+		}
+	}
 	// Bad flag values are NewAgent's to reject, not agentConfig's to panic on.
 	for _, poll := range []sim.Time{0, -ms, 50 * ms} {
 		if _, err := core.NewAgent(sim.NewLoop(), backend, core.NewNoHarvest(3), at(25*ms, poll)); err == nil {

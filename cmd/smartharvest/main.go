@@ -53,7 +53,7 @@ func main() {
 	flag.TextVar(&s.Duration, "duration", s.Duration, "measured simulated time")
 	flag.TextVar(&s.Warmup, "warmup", s.Warmup, "simulated warmup")
 	flag.Uint64Var(&s.Seed, "seed", 1, "RNG seed")
-	flag.BoolVar(&s.LongTermSafeguard, "long-term-safeguard", true, "enable the long-term QoS safeguard")
+	flag.BoolVar(&s.LongTermSafeguard, "long-term-safeguard", true, "enable the long-term QoS safeguard (for a policy with safeguards)")
 	speedup := flag.Bool("speedup", false, "also run a NoHarvest baseline and report the batch speedup")
 	flag.TextVar(&s.Faults, "faults", s.Faults, "fault-injection plan as comma-separated key=value pairs (keys: "+
 		strings.Join(faults.Keys(""), ", ")+"; the fleet keys "+strings.Join(faults.Keys("fleet"), ", ")+

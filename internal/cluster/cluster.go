@@ -234,10 +234,11 @@ type Fleet struct {
 // until Finish (or the caller steps the loop itself).
 func NewFleet(cfg Config) (*Fleet, error) { return newFleet(cfg, nil) }
 
-// newFleet is NewFleet with an observer for the per-server agents. The
-// fleet never forwards their streams, so NewFleet passes nil; the
-// run-ahead equivalence test passes obs.NopObserver{}, which makes every
-// agent fire every poll (the reference run) and changes nothing else.
+// newFleet is NewFleet with an observer for the per-server agents and
+// machines. The fleet never forwards their streams, so NewFleet passes
+// nil; the run-ahead equivalence test passes obs.NopObserver{}, which
+// makes every agent fire every poll (the reference run) and changes
+// nothing else.
 func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -254,51 +255,21 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	maxAlloc := cfg.CoresPerServer - cfg.ElasticMin
 	f.servers = make([]*server, cfg.Servers)
 	for i := range f.servers {
-		hvCfg := hypervisor.DefaultConfig(cfg.CoresPerServer)
-		hvCfg.Mechanism = cfg.Mechanism
-		hvCfg.Seed = rng.Uint64()
-		// The injector (and its RNG draw) exists only when the plan
-		// injects agent-level faults, keeping fault-free runs — and
-		// fleet-only fault runs — byte-identical on the per-server streams
-		// to builds that never heard of fault injection.
-		var inj *faults.Injector
-		if cfg.Faults.AgentEnabled() {
-			var err error
-			inj, err = faults.NewInjector(cfg.Faults, simrng.New(rng.Uint64()), loop.Now, cfg.Observer)
-			if err != nil {
-				return nil, err
-			}
-			hvCfg.Faults = inj
-			f.injectors = append(f.injectors, inj)
-		}
-		machine, err := hypervisor.New(loop, hvCfg)
+		agentCfg := core.DefaultConfig(maxAlloc, cfg.ElasticMin)
+		agentCfg.Observer = agentObserver
+		// Empty server: one core reserved for the (absent) primaries'
+		// floor, everything else harvestable.
+		machine, agent, inj, err := harness.NewServer(loop, rng, cfg.Mechanism, cfg.Faults, cfg.Observer,
+			cfg.Controller(maxAlloc), agentCfg, 1)
 		if err != nil {
 			return nil, err
 		}
-		// Empty server: one core reserved for the (absent) primaries'
-		// floor, everything else harvestable.
-		machine.SetInitialSplit(1)
+		if inj != nil {
+			f.injectors = append(f.injectors, inj)
+		}
 		evm := machine.AddVM("elastic", hypervisor.ElasticGroup, cfg.CoresPerServer, cfg.CoresPerServer)
 		if !cfg.DisableElasticBully {
 			apps.NewCPUBully(loop, evm).Start()
-		}
-
-		agentCfg := core.DefaultConfig(maxAlloc, cfg.ElasticMin)
-		if cfg.Mechanism == hypervisor.IPI {
-			agentCfg.PostResizeSleep = 0
-		}
-		ctrl := cfg.Controller(maxAlloc)
-		agentCfg.LongTermSafeguard = ctrl.Safeguards()
-		agentCfg.Observer = agentObserver
-		if inj != nil {
-			agentCfg.Faults = inj
-		}
-		agent, err := core.NewAgent(loop, harness.MachineHypervisor(machine, inj), ctrl, agentCfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := agent.SetPrimaryAlloc(1); err != nil {
-			return nil, err
 		}
 		agent.Start()
 		f.servers[i] = &server{
@@ -566,13 +537,14 @@ func (f *Fleet) Finish() (*Result, error) {
 			harvestedSec = 0
 		}
 		cpuSec := s.evm.CPUTime().Seconds() - s.warmCPUSec
+		st := s.agent.Stats()
 		res.PerServer = append(res.PerServer, ServerStats{
 			TenantsHosted:     s.tenantsHostedTotal,
 			AvgHarvestedCores: harvestedSec / measured,
 			HarvestedCoreSec:  harvestedSec,
 			ElasticCPUSeconds: cpuSec,
-			Safeguards:        s.agent.SafeguardInvocations(),
-			QoSTrips:          s.agent.QoSTrips(),
+			Safeguards:        st.Safeguards,
+			QoSTrips:          st.QoSTrips,
 		})
 		res.HarvestedCoreSec += harvestedSec
 		res.ElasticCPUSec += cpuSec

@@ -35,8 +35,8 @@ func TestFleetRunAheadOnOffEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range f.servers {
-			polls += s.agent.Polls()
-			skipped += s.agent.PollsSkipped()
+			polls += s.agent.Stats().Polls
+			skipped += s.agent.Stats().PollsSkipped
 		}
 		return res, polls, skipped
 	}

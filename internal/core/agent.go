@@ -155,9 +155,12 @@ type Controller interface {
 	// busy, the target or that state can have changed, so a controller
 	// sees fewer OnPoll calls than the window has samples.
 	OnPoll(busy, currentTarget int) (target int, ok bool)
-	// Safeguards reports whether the agent's short-term safeguard should
-	// watch this policy's windows (SmartHarvest and PrevPeak variants).
-	// Constant for the controller's lifetime.
+	// Safeguards reports whether the agent runs its safeguards for this
+	// policy: the short-term one on every poll and, if
+	// Config.LongTermSafeguard is set, the long-term QoS guard
+	// (SmartHarvest, PrevPeak variants and EWMA; the paper's fixed-buffer
+	// and no-harvest baselines run without either). Constant for the
+	// controller's lifetime.
 	Safeguards() bool
 }
 
@@ -179,7 +182,8 @@ type Config struct {
 	// "peak over the past second".
 	PeakHistory sim.Time
 
-	// LongTermSafeguard enables the vCPU-wait QoS guard.
+	// LongTermSafeguard enables the vCPU-wait QoS guard for a controller
+	// whose Safeguards is true; NewAgent clears it for any other.
 	LongTermSafeguard bool
 	// QoSWindow is the wait-monitoring period (paper: 500 ms).
 	QoSWindow sim.Time
@@ -342,6 +346,34 @@ type resizeOp struct {
 	active  bool
 }
 
+// Stats counts what an agent has done since NewAgent (Agent.Stats). The
+// fault and resilience counters stay zero on fault-free runs.
+type Stats struct {
+	// Polls counts the poll events that fired and PollsSkipped the poll
+	// instants run-ahead recorded without one (see EventDrivenBusy); their
+	// sum is the same with run-ahead on or off.
+	Polls, PollsSkipped uint64
+	// Windows counts completed learning windows and Safeguards those the
+	// short-term safeguard cut short.
+	Windows, Safeguards uint64
+	// QoSTrips counts how often the long-term safeguard paused harvesting.
+	QoSTrips uint64
+	// Resizes counts resizes the hypervisor applied, ResizeFailures failed
+	// hypercall attempts, ResizeRetries the re-issued ones and
+	// ResizesAborted the operations abandoned after MaxRetries.
+	Resizes, ResizeRetries, ResizeFailures, ResizesAborted uint64
+	// MissedPolls counts lost busy readings and MissedWindows whole windows
+	// lost to stalls and crash restarts.
+	MissedPolls, MissedWindows uint64
+	// Crashes counts crash restarts (ForceCrash included) and Stalls stall
+	// faults.
+	Crashes, Stalls uint64
+	// Degradations counts falls back to NoHarvest behaviour; Degraded
+	// reports the agent is in that mode now.
+	Degradations uint64
+	Degraded     bool
+}
+
 // Agent is the EVMAgent: it owns the polling loop, the safeguards, and
 // the resize mechanics, delegating the per-window decision to a
 // Controller.
@@ -378,28 +410,15 @@ type Agent struct {
 	consecFailures int      // consecutive abandoned resize operations
 	windowMissed   int      // polls lost in the current window
 
-	// Stats.
-	polls          uint64 // poll callbacks fired
-	pollsSkipped   uint64 // poll instants run ahead over
-	windows        uint64
-	safeguards     uint64
-	qosTrips       uint64
-	resizeCount    uint64
-	resizeRetries  uint64 // re-issued hypercalls
-	resizeFailures uint64 // failed hypercall attempts
-	resizesAborted uint64 // operations abandoned after MaxRetries
-	missedPolls    uint64 // dropped busy readings
-	missedWindows  uint64 // whole windows lost to stalls/crashes
-	stalls         uint64
-	crashes        uint64
-	degradations   uint64
-	targetSeries   metrics.Series
-	peakSeries     metrics.Series
-	qosViolations  metrics.Series
+	stats         Stats // PollsSkipped may run ahead of the clock; see Stats()
+	targetSeries  metrics.Series
+	peakSeries    metrics.Series
+	qosViolations metrics.Series
 }
 
 // NewAgent wires an agent. The controller must already be configured for
-// cfg.PrimaryAlloc classes.
+// cfg.PrimaryAlloc classes. The long-term safeguard runs only if the
+// controller also wants Safeguards.
 func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agent, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -411,6 +430,7 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	if cfg.Resilience == (ResiliencePolicy{}) {
 		cfg.Resilience = DefaultResilience()
 	}
+	cfg.LongTermSafeguard = cfg.LongTermSafeguard && ctrl.Safeguards()
 	a := &Agent{
 		loop: loop, hv: hv, cfg: cfg, ctrl: ctrl,
 		target:       cfg.PrimaryAlloc,
@@ -433,65 +453,17 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 // Target returns the current primary-core target.
 func (a *Agent) Target() int { return a.target }
 
-// Polls returns how many poll events fired. Polls()+PollsSkipped() is the
-// number of poll instants the agent has accounted for, which run-ahead
-// leaves unchanged.
-func (a *Agent) Polls() uint64 { return a.polls }
-
-// PollsSkipped returns how many poll instants up to now run-ahead recorded
-// without firing an event; always zero unless the hypervisor is
-// EventDrivenBusy and no observer is attached.
-func (a *Agent) PollsSkipped() uint64 {
-	n := a.pollsSkipped
+// Stats returns the agent's counters as of now.
+func (a *Agent) Stats() Stats {
+	st := a.stats
 	if future := a.aheadUntil - a.loop.Now(); future > 0 {
 		// Covered by the pending run-ahead, but the clock is not there yet.
 		dt := a.cfg.PollInterval
-		n -= uint64((future + dt - 1) / dt)
+		st.PollsSkipped -= uint64((future + dt - 1) / dt)
 	}
-	return n
+	st.Degraded = a.degraded
+	return st
 }
-
-// Windows returns how many learning windows have completed.
-func (a *Agent) Windows() uint64 { return a.windows }
-
-// SafeguardInvocations returns how often the short-term safeguard fired.
-func (a *Agent) SafeguardInvocations() uint64 { return a.safeguards }
-
-// QoSTrips returns how often the long-term safeguard disabled harvesting.
-func (a *Agent) QoSTrips() uint64 { return a.qosTrips }
-
-// ResizeCount returns how many resizes the agent issued.
-func (a *Agent) ResizeCount() uint64 { return a.resizeCount }
-
-// ResizeRetries returns how many failed resizes were re-issued.
-func (a *Agent) ResizeRetries() uint64 { return a.resizeRetries }
-
-// ResizeFailures returns how many individual hypercall attempts failed.
-func (a *Agent) ResizeFailures() uint64 { return a.resizeFailures }
-
-// ResizesAborted returns how many resize operations were abandoned after
-// exhausting their retries.
-func (a *Agent) ResizesAborted() uint64 { return a.resizesAborted }
-
-// MissedPolls returns how many busy-core readings were lost.
-func (a *Agent) MissedPolls() uint64 { return a.missedPolls }
-
-// MissedWindows returns how many whole learning windows were lost to
-// stalls and crash restarts.
-func (a *Agent) MissedWindows() uint64 { return a.missedWindows }
-
-// Crashes returns how many crash-restart faults the agent absorbed.
-func (a *Agent) Crashes() uint64 { return a.crashes }
-
-// Stalls returns how many stall faults the agent absorbed.
-func (a *Agent) Stalls() uint64 { return a.stalls }
-
-// Degradations returns how often the agent fell back to NoHarvest.
-func (a *Agent) Degradations() uint64 { return a.degradations }
-
-// Degraded reports whether the agent is currently in degraded
-// (NoHarvest) mode.
-func (a *Agent) Degraded() bool { return a.degraded }
 
 // TargetSeries returns the recorded per-window primary-core assignment
 // (empty unless Config.RecordSeries).
@@ -505,9 +477,9 @@ func (a *Agent) PeakSeries() *metrics.Series { return &a.peakSeries }
 // waits (empty unless Config.RecordSeries).
 func (a *Agent) QoSViolationSeries() *metrics.Series { return &a.qosViolations }
 
-// HarvestingPaused reports whether the long-term safeguard currently has
+// harvestingPaused reports whether the long-term safeguard currently has
 // harvesting disabled.
-func (a *Agent) HarvestingPaused() bool { return a.loop.Now() < a.pausedUntil }
+func (a *Agent) harvestingPaused() bool { return a.loop.Now() < a.pausedUntil }
 
 // AllocAware is implemented by controllers that can follow primary-VM
 // arrivals and departures (allocation changes) at runtime.
@@ -563,8 +535,8 @@ func (a *Agent) ForceCrash(down sim.Time, loseModel bool) {
 	if a.dead || down <= 0 {
 		return
 	}
-	a.crashes++
-	a.missedWindows += uint64(down / a.cfg.Window)
+	a.stats.Crashes++
+	a.stats.MissedWindows += uint64(down / a.cfg.Window)
 	a.restartState(loseModel)
 	// Watchdog failsafe: tenants get their full allocation back.
 	a.target = a.cfg.PrimaryAlloc
@@ -590,18 +562,19 @@ func (a *Agent) fireAndForgetResize(n int) {
 	res, err := a.hv.SetPrimaryCores(n)
 	if err != nil {
 		a.lastFault = a.loop.Now()
-		a.resizeFailures++
+		a.stats.ResizeFailures++
 		a.splitDirty = true
 		return
 	}
 	if res.Applied {
-		a.resizeCount++
+		a.stats.Resizes++
 	}
 }
 
-// PrimaryAlloc returns the agent's current notion of the primary
-// allocation.
-func (a *Agent) PrimaryAlloc() int { return a.cfg.PrimaryAlloc }
+// Config returns the configuration the agent runs with: NewAgent's, with
+// its defaults and the safeguard rule applied, and PrimaryAlloc as
+// SetPrimaryAlloc last left it.
+func (a *Agent) Config() Config { return a.cfg }
 
 // Start begins the agent's loops. The primary VMs initially hold their
 // full allocation.
@@ -643,14 +616,14 @@ func (a *Agent) startWindow() {
 // agentFault absorbs a stall or crash-restart fault.
 func (a *Agent) agentFault(f AgentFault) {
 	if f.Crash {
-		a.crashes++
+		a.stats.Crashes++
 		a.restartState(f.LoseModel)
 	} else {
-		a.stalls++
+		a.stats.Stalls++
 	}
 	delay := f.Stall + f.Restart
 	if delay > 0 {
-		a.missedWindows += uint64(delay / a.cfg.Window)
+		a.stats.MissedWindows += uint64(delay / a.cfg.Window)
 		a.loop.After(delay, a.wakeFn)
 		return
 	}
@@ -714,14 +687,14 @@ func (a *Agent) pollAhead(busy int) {
 	for j := sim.Time(0); j < skip; j++ {
 		a.samples = append(a.samples, busy)
 	}
-	a.pollsSkipped += uint64(skip)
+	a.stats.PollsSkipped += uint64(skip)
 	a.aheadUntil = now + skip*dt
 	a.loop.After((skip+1)*dt, a.pollFn)
 }
 
 // poll is one iteration of Algorithm 1's inner loop.
 func (a *Agent) poll() {
-	a.polls++
+	a.stats.Polls++
 	if a.dead {
 		return
 	}
@@ -779,7 +752,7 @@ func (a *Agent) poll() {
 // reading as the decision-instant busy value).
 func (a *Agent) droppedPoll() {
 	now := a.loop.Now()
-	a.missedPolls++
+	a.stats.MissedPolls++
 	a.windowMissed++
 	a.lastFault = now
 	if !a.degraded && a.windowMissed >= a.cfg.Resilience.DegradeAfterMissedPolls {
@@ -802,7 +775,7 @@ func (a *Agent) droppedPoll() {
 func (a *Agent) enterDegraded(reason obs.DegradeReason) {
 	a.degraded = true
 	a.degradedSince = a.loop.Now()
-	a.degradations++
+	a.stats.Degradations++
 	if o := a.cfg.Observer; o != nil {
 		o.OnDegradedEnter(obs.DegradedEnter{
 			At:          a.loop.Now(),
@@ -818,9 +791,9 @@ func (a *Agent) enterDegraded(reason obs.DegradeReason) {
 // after a clean probation — so the very decision that ends probation can
 // resume harvesting.
 func (a *Agent) endWindow(safeguard bool, busy int) {
-	a.windows++
+	a.stats.Windows++
 	if safeguard {
-		a.safeguards++
+		a.stats.Safeguards++
 	}
 	now := a.loop.Now()
 	if a.degraded && a.lastFault >= 0 && now-a.lastFault >= a.cfg.Resilience.Probation {
@@ -869,7 +842,7 @@ func (a *Agent) endWindow(safeguard bool, busy int) {
 		f := a.features.Compute(a.samples)
 		o.OnWindowEnd(obs.WindowEnd{
 			At:      now,
-			Seq:     a.windows,
+			Seq:     a.stats.Windows,
 			Samples: len(a.samples),
 			Features: obs.Features{Min: int(f.Min), Max: int(f.Max), Avg: f.Avg,
 				Std: f.Std, Median: f.Median},
@@ -897,7 +870,7 @@ func (a *Agent) endWindow(safeguard bool, busy int) {
 // full allocation while the long-term safeguard has harvesting paused.
 // The second return explains which rule (if any) overrode the input.
 func (a *Agent) clampTarget(target, busy int) (int, obs.ClampReason) {
-	if a.HarvestingPaused() {
+	if a.harvestingPaused() {
 		return a.cfg.PrimaryAlloc, obs.ClampPaused
 	}
 	if a.degraded {
@@ -944,7 +917,7 @@ func (a *Agent) attemptResize() bool {
 		if !res.Applied {
 			return false
 		}
-		a.resizeCount++
+		a.stats.Resizes++
 		if d := res.Latency + a.cfg.PostResizeSleep; d > 0 {
 			a.loop.After(d, a.opDoneFn)
 			return true
@@ -955,12 +928,12 @@ func (a *Agent) attemptResize() bool {
 	// Transient hypercall failure: the split did not change.
 	now := a.loop.Now()
 	a.lastFault = now
-	a.resizeFailures++
+	a.stats.ResizeFailures++
 	p := &a.cfg.Resilience
 	if a.op.attempt < p.MaxRetries {
 		a.op.attempt++
 		backoff := p.RetryBackoff << (a.op.attempt - 1)
-		a.resizeRetries++
+		a.stats.ResizeRetries++
 		if o := a.cfg.Observer; o != nil {
 			o.OnResizeRetry(obs.ResizeRetry{
 				At:      now,
@@ -975,7 +948,7 @@ func (a *Agent) attemptResize() bool {
 
 	// Retries exhausted: abandon the operation. The in-force split is
 	// unchanged, so it stays legal; the next window decision tries again.
-	a.resizesAborted++
+	a.stats.ResizesAborted++
 	a.splitDirty = true
 	a.consecFailures++
 	if !a.degraded && a.consecFailures >= p.DegradeAfterFailures {
@@ -1079,17 +1052,17 @@ func (a *Agent) qosCheck() {
 	if !a.cfg.LongTermSafeguard {
 		return
 	}
-	// A pause expires implicitly (HarvestingPaused compares against the
+	// A pause expires implicitly (harvestingPaused compares against the
 	// clock), so the resume event is emitted from the first QoS check that
 	// observes the expiry.
-	if a.resumePending && !a.HarvestingPaused() {
+	if a.resumePending && !a.harvestingPaused() {
 		a.resumePending = false
 		if o := a.cfg.Observer; o != nil {
 			o.OnQoSResume(obs.QoSResume{At: a.loop.Now()})
 		}
 	}
-	if a.qosStrikes >= a.cfg.QoSConsecutive && !a.HarvestingPaused() {
-		a.qosTrips++
+	if a.qosStrikes >= a.cfg.QoSConsecutive && !a.harvestingPaused() {
+		a.stats.QoSTrips++
 		a.qosStrikes = 0
 		a.pausedUntil = a.loop.Now() + a.cfg.HarvestPause
 		a.resumePending = true

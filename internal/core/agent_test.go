@@ -84,8 +84,8 @@ func TestNoHarvestNeverResizes(t *testing.T) {
 	if hv.primary != 10 {
 		t.Fatalf("primary %d", hv.primary)
 	}
-	if a.Windows() < 70 {
-		t.Fatalf("windows %d; 25ms windows over 2s should exceed 70", a.Windows())
+	if a.Stats().Windows < 70 {
+		t.Fatalf("windows %d; 25ms windows over 2s should exceed 70", a.Stats().Windows)
 	}
 }
 
@@ -129,11 +129,11 @@ func TestFixedBufferSleepLimitsReassignmentRate(t *testing.T) {
 	})
 	a.Start()
 	loop.RunUntil(sim.Second)
-	if a.ResizeCount() > 110 {
-		t.Fatalf("%d resizes in 1s despite 10ms sleep", a.ResizeCount())
+	if a.Stats().Resizes > 110 {
+		t.Fatalf("%d resizes in 1s despite 10ms sleep", a.Stats().Resizes)
 	}
-	if a.ResizeCount() < 50 {
-		t.Fatalf("only %d resizes; sleep should not stall the agent", a.ResizeCount())
+	if a.Stats().Resizes < 50 {
+		t.Fatalf("only %d resizes; sleep should not stall the agent", a.Stats().Resizes)
 	}
 }
 
@@ -154,9 +154,9 @@ func TestShortTermSafeguardConservative(t *testing.T) {
 	if hv.primary > 6 {
 		t.Fatalf("calm-phase primary %d; learner should have harvested", hv.primary)
 	}
-	before := a.SafeguardInvocations()
+	before := a.Stats().Safeguards
 	loop.RunUntil(615 * sim.Millisecond)
-	if a.SafeguardInvocations() <= before {
+	if a.Stats().Safeguards <= before {
 		t.Fatal("safeguard did not fire on the spike")
 	}
 	// The demand is capped by the assignment, so the conservative
@@ -188,7 +188,7 @@ func TestShortTermSafeguardAggressiveReturnsAll(t *testing.T) {
 	if hv.primary != 10 {
 		t.Fatalf("aggressive safeguard should return all cores, got %d", hv.primary)
 	}
-	if a.SafeguardInvocations() == 0 {
+	if a.Stats().Safeguards == 0 {
 		t.Fatal("safeguard never fired")
 	}
 }
@@ -214,8 +214,8 @@ func TestSmartHarvestLearnsSteadyWorkload(t *testing.T) {
 	// usage touching the prediction empties the buffer and fires the
 	// safeguard (the paper's equality trigger) — so the safeguard is not
 	// rare on this adversarial sawtooth, but it must not dominate.
-	if a.SafeguardInvocations() > a.Windows()*6/10 {
-		t.Fatalf("safeguards %d of %d windows", a.SafeguardInvocations(), a.Windows())
+	if a.Stats().Safeguards > a.Stats().Windows*6/10 {
+		t.Fatalf("safeguards %d of %d windows", a.Stats().Safeguards, a.Stats().Windows)
 	}
 }
 
@@ -261,10 +261,10 @@ func TestLongTermSafeguardTripsAndRecovers(t *testing.T) {
 	})
 	a.Start()
 	loop.RunUntil(1500 * sim.Millisecond)
-	if a.QoSTrips() != 1 {
-		t.Fatalf("QoS trips %d, want 1 (two consecutive 500ms violations)", a.QoSTrips())
+	if a.Stats().QoSTrips != 1 {
+		t.Fatalf("QoS trips %d, want 1 (two consecutive 500ms violations)", a.Stats().QoSTrips)
 	}
-	if !a.HarvestingPaused() || hv.primary != 10 {
+	if !a.harvestingPaused() || hv.primary != 10 {
 		t.Fatalf("harvesting not paused: primary %d", hv.primary)
 	}
 	// While paused the learner keeps training.
@@ -275,7 +275,7 @@ func TestLongTermSafeguardTripsAndRecovers(t *testing.T) {
 	}
 	// After the pause and clean waits, harvesting resumes.
 	loop.RunUntil(6 * sim.Second)
-	if a.HarvestingPaused() {
+	if a.harvestingPaused() {
 		t.Fatal("pause never ended")
 	}
 	if hv.primary > 6 {
@@ -305,15 +305,16 @@ func TestQoSRequiresConsecutiveWindows(t *testing.T) {
 	})
 	a.Start()
 	loop.RunUntil(10 * sim.Second)
-	if a.QoSTrips() != 0 {
-		t.Fatalf("QoS tripped %d times on alternating windows", a.QoSTrips())
+	if a.Stats().QoSTrips != 0 {
+		t.Fatalf("QoS tripped %d times on alternating windows", a.Stats().QoSTrips)
 	}
 }
 
 // qosTripsUnder runs an agent with the long-term safeguard on for 2 s
 // while every 100 ms the primaries report 100 dispatch waits, the first
-// `over` of them at `long` and the rest at 3 µs.
-func qosTripsUnder(t *testing.T, over int, long sim.Time) uint64 {
+// `over` of them at `long` and the rest at 3 µs. A nil ctrl is
+// SmartHarvest.
+func qosTripsUnder(t *testing.T, ctrl Controller, over int, long sim.Time) uint64 {
 	t.Helper()
 	loop := sim.NewLoop()
 	hv := newFake(loop, 11)
@@ -327,21 +328,43 @@ func qosTripsUnder(t *testing.T, over int, long sim.Time) uint64 {
 			hv.waits = append(hv.waits, w)
 		}
 	})
-	a := defaultAgent(t, loop, hv, NewSmartHarvest(10, SmartHarvestOptions{}), func(c *Config) {
+	if ctrl == nil {
+		ctrl = NewSmartHarvest(10, SmartHarvestOptions{})
+	}
+	a := defaultAgent(t, loop, hv, ctrl, func(c *Config) {
 		c.LongTermSafeguard = true
 	})
 	a.Start()
 	loop.RunUntil(2 * sim.Second)
-	return a.QoSTrips()
+	return a.Stats().QoSTrips
+}
+
+// TestLongTermSafeguardOnlyForSafeguardPolicies: with LongTermSafeguard
+// on and every dispatch wait over QoSWaitThreshold, the QoS guard trips
+// for each policy with Safeguards and never for the paper's fixed-buffer
+// and no-harvest baselines, which run without safeguards.
+func TestLongTermSafeguardOnlyForSafeguardPolicies(t *testing.T) {
+	for _, ctrl := range []Controller{
+		NewSmartHarvest(10, SmartHarvestOptions{}),
+		NewPrevPeak(10, 1, false),
+		NewEWMAController(10, 0.3, 1),
+		NewFixedBuffer(10, 4),
+		NewNoHarvest(10),
+	} {
+		trips := qosTripsUnder(t, ctrl, 100, DefaultConfig(10, 1).QoSWaitThreshold+1)
+		if (trips > 0) != ctrl.Safeguards() {
+			t.Errorf("%s (Safeguards %v): %d QoS trips", ctrl.Name(), ctrl.Safeguards(), trips)
+		}
+	}
 }
 
 // TestQoSWaitAtThresholdIsNotViolation pins the paper's "exceed 50 µs": a
 // wait of exactly QoSWaitThreshold is not a violation.
 func TestQoSWaitAtThresholdIsNotViolation(t *testing.T) {
-	if n := qosTripsUnder(t, 100, 50*sim.Microsecond); n != 0 {
+	if n := qosTripsUnder(t, nil, 100, 50*sim.Microsecond); n != 0 {
 		t.Fatalf("waits of exactly 50µs tripped the QoS guard %d times", n)
 	}
-	if qosTripsUnder(t, 100, 50*sim.Microsecond+1) == 0 {
+	if qosTripsUnder(t, nil, 100, 50*sim.Microsecond+1) == 0 {
 		t.Fatal("waits just above 50µs never tripped the QoS guard")
 	}
 }
@@ -349,10 +372,10 @@ func TestQoSWaitAtThresholdIsNotViolation(t *testing.T) {
 // TestQoSExactlyOnePercentStrikes pins the paper's "≥ 1 %": a QoS window
 // in which exactly 1 % of waits exceed the threshold strikes.
 func TestQoSExactlyOnePercentStrikes(t *testing.T) {
-	if qosTripsUnder(t, 1, 300*sim.Microsecond) == 0 {
+	if qosTripsUnder(t, nil, 1, 300*sim.Microsecond) == 0 {
 		t.Fatal("exactly 1% of waits over the threshold never tripped the QoS guard")
 	}
-	if n := qosTripsUnder(t, 0, 300*sim.Microsecond); n != 0 {
+	if n := qosTripsUnder(t, nil, 0, 300*sim.Microsecond); n != 0 {
 		t.Fatalf("clean waits tripped the QoS guard %d times", n)
 	}
 }
@@ -430,7 +453,7 @@ func TestEWMAControllerLags(t *testing.T) {
 	// The EWMA prediction cannot anticipate the burst; the safeguard is
 	// what reacts, ratcheting the allocation up during the burst.
 	loop.RunUntil(1095 * sim.Millisecond)
-	if a.SafeguardInvocations() == 0 {
+	if a.Stats().Safeguards == 0 {
 		t.Fatal("safeguard never fired; EWMA should have been caught out")
 	}
 	if hv.primary < calm+3 {

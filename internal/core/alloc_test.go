@@ -24,8 +24,8 @@ func TestSetPrimaryAllocShrinksImmediately(t *testing.T) {
 	if err := a.SetPrimaryAlloc(10); err != nil {
 		t.Fatal(err)
 	}
-	if a.PrimaryAlloc() != 10 {
-		t.Fatalf("alloc %d", a.PrimaryAlloc())
+	if a.Config().PrimaryAlloc != 10 {
+		t.Fatalf("alloc %d", a.Config().PrimaryAlloc)
 	}
 	if hv.primary > 10 {
 		t.Fatalf("primary %d; departed cores not released", hv.primary)

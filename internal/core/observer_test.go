@@ -18,10 +18,10 @@ func TestAgentEmitsWindowAndPollEvents(t *testing.T) {
 	a.Start()
 	loop.RunUntil(2 * sim.Second)
 
-	if got, want := ring.Total(obs.KindWindowEnd), a.Windows(); got != want {
+	if got, want := ring.Total(obs.KindWindowEnd), a.Stats().Windows; got != want {
 		t.Errorf("WindowEnd events %d, agent windows %d", got, want)
 	}
-	if got, want := ring.Total(obs.KindSafeguardTrip), a.SafeguardInvocations(); got != want {
+	if got, want := ring.Total(obs.KindSafeguardTrip), a.Stats().Safeguards; got != want {
 		t.Errorf("SafeguardTrip events %d, agent safeguards %d", got, want)
 	}
 	if ring.Total(obs.KindPollSample) == 0 {
@@ -78,10 +78,10 @@ func TestAgentEmitsQoSTripAndResume(t *testing.T) {
 	agent.Start()
 	loop.RunUntil(6 * sim.Second)
 
-	if agent.QoSTrips() == 0 {
+	if agent.Stats().QoSTrips == 0 {
 		t.Fatal("starved waits did not trip the long-term safeguard")
 	}
-	if got, want := ring.Total(obs.KindQoSTrip), agent.QoSTrips(); got != want {
+	if got, want := ring.Total(obs.KindQoSTrip), agent.Stats().QoSTrips; got != want {
 		t.Errorf("QoSTrip events %d, agent trips %d", got, want)
 	}
 	if ring.Total(obs.KindQoSResume) == 0 {
@@ -201,7 +201,7 @@ func TestPauseExpiresOnWindowBoundary(t *testing.T) {
 	agent.Start()
 	loop.RunUntil(4 * sim.Second)
 
-	if got := agent.QoSTrips(); got != 1 {
+	if got := agent.Stats().QoSTrips; got != 1 {
 		t.Fatalf("QoS trips %d, want exactly 1", got)
 	}
 	const pausedUntil = 2500 * sim.Millisecond

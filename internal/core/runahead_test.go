@@ -90,7 +90,7 @@ func (s script) run(t *testing.T, marked bool) outcome {
 		a.Start()
 	}
 	loop.RunUntil(s.end)
-	return outcome{log.windows, hv.calls, a.Polls(), a.PollsSkipped(), a}
+	return outcome{log.windows, hv.calls, a.Stats().Polls, a.Stats().PollsSkipped, a}
 }
 
 // check runs the script both ways and demands identical behaviour, that the
@@ -204,13 +204,20 @@ func TestRunAheadSafeguardMidGap(t *testing.T) {
 	}
 }
 
+// safeguarded is a policy with the agent's safeguards switched on.
+type safeguarded struct{ Controller }
+
+func (safeguarded) Safeguards() bool { return true }
+
 // (c) FixedBuffer reacts at poll granularity, and its reaction is clamped
 // by a long-term-safeguard pause that runs out in the middle of a window:
-// the first poll after the expiry has to be the one that resizes.
+// the first poll after the expiry has to be the one that resizes. The
+// agent runs the guard only for a policy with Safeguards, which the
+// paper's fixed buffer is not, so the test switches them on.
 func TestRunAheadFixedBufferAndPauseExpiry(t *testing.T) {
 	const pause = 137*sim.Millisecond + 330*sim.Microsecond + 7
 	ref, got := script{
-		ctrl: func() Controller { return NewFixedBuffer(10, 3) },
+		ctrl: func() Controller { return safeguarded{NewFixedBuffer(10, 3)} },
 		config: func(c *Config) {
 			c.LongTermSafeguard = true
 			c.HarvestPause = pause
@@ -227,8 +234,8 @@ func TestRunAheadFixedBufferAndPauseExpiry(t *testing.T) {
 		},
 		end: sim.Second,
 	}.check(t)
-	if ref.agent.QoSTrips() != 1 || got.agent.QoSTrips() != 1 {
-		t.Fatalf("QoS trips %d/%d, want 1 each", ref.agent.QoSTrips(), got.agent.QoSTrips())
+	if ref.agent.Stats().QoSTrips != 1 || got.agent.Stats().QoSTrips != 1 {
+		t.Fatalf("QoS trips %d/%d, want 1 each", ref.agent.Stats().QoSTrips, got.agent.Stats().QoSTrips)
 	}
 	// Paused at 500 ms with busy 6: the trip hands back all 10 cores, and
 	// the reaction to the expiry is the first resize after it.
@@ -267,8 +274,8 @@ func TestRunAheadAllocChangeAndCrash(t *testing.T) {
 		},
 		end: 450 * sim.Millisecond,
 	}.check(t)
-	if ref.agent.Crashes() != 2 || got.agent.Crashes() != 2 {
-		t.Fatalf("crashes %d/%d, want 2 each", ref.agent.Crashes(), got.agent.Crashes())
+	if ref.agent.Stats().Crashes != 2 || got.agent.Stats().Crashes != 2 {
+		t.Fatalf("crashes %d/%d, want 2 each", ref.agent.Stats().Crashes, got.agent.Stats().Crashes)
 	}
 	clamped := false
 	for _, w := range ref.windows {

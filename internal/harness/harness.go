@@ -100,8 +100,9 @@ type Scenario struct {
 	Window sim.Time
 	// PollInterval overrides the busy-poll period (default 50 µs).
 	PollInterval sim.Time
-	// LongTermSafeguard enables the QoS guard (meaningful for policies
-	// with Safeguards(); default on for SmartHarvest-like policies).
+	// LongTermSafeguard enables the QoS guard, which the agent runs only
+	// for a policy with Safeguards() (default on with the default
+	// controller).
 	LongTermSafeguard bool
 	// CollectBusyStats additionally samples busy primary cores at the
 	// poll interval to produce Table 1's statistics.
@@ -223,36 +224,15 @@ type Result struct {
 	// work (BatchFinite only; equals BatchWork when finished).
 	BatchProgress sim.Time
 
-	// Agent behaviour.
-	Windows    uint64
-	Safeguards uint64
-	QoSTrips   uint64
-	Resizes    uint64
-	// Polls counts the agent's poll events that fired and PollsSkipped
-	// the poll instants run-ahead recorded without an event (see
-	// core.EventDrivenBusy); their sum is the same with run-ahead on or
-	// off. Events counts every event the run's loop fired, warm-up
-	// included; a skipped poll is an event not fired, so Events+PollsSkipped
-	// is the same either way too. Diagnostic only: no table, CSV or trace
-	// reports them.
-	Polls        uint64
-	PollsSkipped uint64
-	Events       uint64
-
-	// Fault-injection and resilience counters (all zero on fault-free
-	// runs).
+	// Stats is the agent's counters at the end of the run.
+	core.Stats
+	// Events counts every event the run's loop fired, warm-up included; a
+	// skipped poll is an event not fired, so Events+PollsSkipped is the
+	// same with run-ahead on or off. Diagnostic only, like Polls and
+	// PollsSkipped: no table, CSV or trace reports them.
+	Events uint64
+	// FaultsInjected counts injected faults (zero on fault-free runs).
 	FaultsInjected uint64
-	ResizeRetries  uint64
-	ResizeFailures uint64
-	ResizesAborted uint64
-	MissedPolls    uint64
-	MissedWindows  uint64
-	Stalls         uint64
-	Crashes        uint64
-	Degradations   uint64
-	// Degraded reports the agent ended the run in degraded (NoHarvest)
-	// mode.
-	Degraded bool
 
 	// Reassignment-mechanism latency (Figure 14).
 	Grow, Shrink metrics.Summary
@@ -276,18 +256,66 @@ type Result struct {
 	Check *check.Report
 }
 
-// MachineHypervisor adapts the simulated machine to the agent's
-// black-box hypervisor contract. A non-nil injector additionally routes
-// the busy-core signal through it, so polls can be dropped, staled, or
-// perturbed. Only the injector-free adapter is core.EventDrivenBusy, so
-// only it lets the agent run its poll ahead.
-func MachineHypervisor(m *hypervisor.Machine, inj *faults.Injector) core.Hypervisor {
-	if inj != nil {
-		return faultyHV{machineHV{m}, m, inj}
+// NewServer assembles one simulated server on loop, for Run and for each
+// server of an internal/cluster fleet: a machine of
+// cfg.PrimaryAlloc+cfg.ElasticMin cores under mech, initial of them in
+// the primary group, and an agent harvesting it with ctrl from a primary
+// allocation of initial cores (cfg.PrimaryAlloc is the most it can
+// follow). It draws the machine's seed from rng, then, if plan has
+// agent-level faults, the seed of an agent-fault injector that reports
+// to faultObs. cfg.Observer sees the machine's and the agent's events.
+// With IPIs the agent does not sleep after a resize. The caller adds the
+// VMs and starts the agent.
+func NewServer(loop *sim.Loop, rng *simrng.Rand, mech hypervisor.Mechanism, plan faults.Plan,
+	faultObs obs.Observer, ctrl core.Controller, cfg core.Config, initial int,
+) (*hypervisor.Machine, *core.Agent, *faults.Injector, error) {
+	hvCfg := hypervisor.DefaultConfig(cfg.PrimaryAlloc + cfg.ElasticMin)
+	hvCfg.Mechanism = mech
+	hvCfg.Seed = rng.Uint64()
+	hvCfg.Observer = cfg.Observer
+	// The injector (and its RNG draw) exists only when the plan injects
+	// agent-level faults, so a fault-free or fleet-only plan leaves the
+	// run byte-identical to one that never heard of fault injection.
+	var inj *faults.Injector
+	if plan.AgentEnabled() {
+		var err error
+		if inj, err = faults.NewInjector(plan, simrng.New(rng.Uint64()), loop.Now, faultObs); err != nil {
+			return nil, nil, nil, err
+		}
+		hvCfg.Faults = inj
+		cfg.Faults = inj
 	}
-	return machineHV{m}
+	m, err := hypervisor.New(loop, hvCfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m.SetInitialSplit(initial)
+	if mech == hypervisor.IPI {
+		cfg.PostResizeSleep = 0
+	}
+	// The injector also routes the busy-core signal, so polls can be
+	// dropped, staled or perturbed; only the injector-free adapter is
+	// core.EventDrivenBusy and lets the agent run its poll ahead.
+	var hv core.Hypervisor = machineHV{m}
+	if inj != nil {
+		hv = faultyHV{machineHV{m}, m, inj}
+	}
+	agent, err := core.NewAgent(loop, hv, ctrl, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if initial != cfg.PrimaryAlloc {
+		// The cores beyond the initial allocation stay unallocated until
+		// arrivals claim them.
+		if err := agent.SetPrimaryAlloc(initial); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return m, agent, inj, nil
 }
 
+// machineHV adapts the simulated machine to the agent's black-box
+// hypervisor contract.
 type machineHV struct {
 	m *hypervisor.Machine
 }
@@ -500,16 +528,11 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 
 	loop := sim.NewLoop()
 
-	// The controller and agent config are resolved before the machine so
-	// an attached checker can be bound to the run's final parameters and
-	// chained into the observer both layers share.
 	ctrl := s.Controller(maxAlloc)
 	agentCfg := core.DefaultConfig(maxAlloc, s.ElasticMin)
 	agentCfg.Window = s.Window
 	agentCfg.PollInterval = s.PollInterval
-	// The long-term QoS guard belongs to SmartHarvest-style policies;
-	// the paper's baselines (fixed buffer, PrevPeak) run without it.
-	agentCfg.LongTermSafeguard = s.LongTermSafeguard && ctrl.Safeguards()
+	agentCfg.LongTermSafeguard = s.LongTermSafeguard
 	agentCfg.RecordSeries = s.RecordSeries
 	if s.QoSWaitThreshold > 0 {
 		agentCfg.QoSWaitThreshold = s.QoSWaitThreshold
@@ -517,33 +540,38 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	if s.QoSViolationFrac > 0 {
 		agentCfg.QoSViolationFrac = s.QoSViolationFrac
 	}
-	if s.Mechanism == hypervisor.IPI {
-		agentCfg.PostResizeSleep = 0
-	}
 	if s.Resilience != nil {
 		agentCfg.Resilience = *s.Resilience
 	}
-	if agentCfg.Resilience == (core.ResiliencePolicy{}) {
-		agentCfg.Resilience = core.DefaultResilience()
+	if s.Checker != nil {
+		s.Observer = obs.Multi(s.Observer, s.Checker)
+	}
+	agentCfg.Observer = s.Observer
+	// The controller is sized for the maximum concurrent allocation so it
+	// can follow churn; the agent starts at the initial allocation.
+	machine, agent, injector, err := NewServer(loop, rng, s.Mechanism, s.Faults, s.Observer, ctrl, agentCfg, alloc)
+	if err != nil {
+		return nil, err
 	}
 	if s.Checker != nil {
+		// Assembling the server emitted nothing, so the checker is bound
+		// before the first event, to the values the agent runs with.
+		c := agent.Config()
 		if err := s.Checker.Bind(check.Config{
 			TotalCores:        total,
 			PrimaryAlloc:      alloc,
 			PrimaryVMCores:    s.PrimaryVMCores,
 			ElasticMin:        s.ElasticMin,
-			HarvestPause:      agentCfg.HarvestPause,
-			QoSViolationFrac:  agentCfg.QoSViolationFrac,
-			LongTermSafeguard: agentCfg.LongTermSafeguard,
-			MaxRetries:        agentCfg.Resilience.MaxRetries,
-			RetryBackoff:      agentCfg.Resilience.RetryBackoff,
-			Probation:         agentCfg.Resilience.Probation,
+			HarvestPause:      c.HarvestPause,
+			QoSViolationFrac:  c.QoSViolationFrac,
+			LongTermSafeguard: c.LongTermSafeguard,
+			MaxRetries:        c.Resilience.MaxRetries,
+			RetryBackoff:      c.Resilience.RetryBackoff,
+			Probation:         c.Resilience.Probation,
 		}); err != nil {
 			return nil, err
 		}
-		s.Observer = obs.Multi(s.Observer, s.Checker)
 	}
-	agentCfg.Observer = s.Observer
 	// Announce the predictor identity at the head of the trace — but only
 	// for non-default selections, so default CSOAA traces stay
 	// byte-identical to pre-Predictor-API builds.
@@ -553,29 +581,6 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 			Classes: maxAlloc + 1,
 		})
 	}
-
-	hvCfg := hypervisor.DefaultConfig(total)
-	hvCfg.Mechanism = s.Mechanism
-	hvCfg.Seed = rng.Uint64()
-	hvCfg.Observer = s.Observer
-	// The injector (and its RNG stream) exists only when the plan injects
-	// something: a zero plan consumes no draws, keeping fault-free runs
-	// byte-identical to scenarios that never heard of fault injection.
-	var injector *faults.Injector
-	if s.Faults.AgentEnabled() {
-		inj, err := faults.NewInjector(s.Faults, simrng.New(rng.Uint64()), loop.Now, s.Observer)
-		if err != nil {
-			return nil, err
-		}
-		injector = inj
-		hvCfg.Faults = injector
-		agentCfg.Faults = injector
-	}
-	machine, err := hypervisor.New(loop, hvCfg)
-	if err != nil {
-		return nil, err
-	}
-	machine.SetInitialSplit(alloc)
 
 	// Primary VMs and servers.
 	var servers []*workload.Server
@@ -595,6 +600,7 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	var batchJob *apps.BatchJob
 	var finite *apps.FiniteWork
 	var finiteDoneAt sim.Time
+	var done func() bool // a finite batch job's completion; nil for the others
 	switch s.Batch {
 	case BatchCPUBully:
 		apps.NewCPUBully(loop, evm).Start()
@@ -612,6 +618,7 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 			finite.LimitParallelism(s.BatchWidth)
 		}
 		finite.Start()
+		done = finite.Done
 	case BatchNone:
 	default:
 		// Unreachable: validate rejects unknown kinds up front.
@@ -628,23 +635,9 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 			})
 		}
 		batchJob.Start()
+		done = batchJob.Finished
 	}
 
-	// Agent. The controller is sized for the maximum concurrent
-	// allocation so it can follow churn; the agent starts at the initial
-	// allocation. (agentCfg and ctrl were resolved above, before the
-	// machine, so the checker could bind to them.)
-	agent, err := core.NewAgent(loop, MachineHypervisor(machine, injector), ctrl, agentCfg)
-	if err != nil {
-		return nil, err
-	}
-	if alloc != maxAlloc {
-		// Start at the initial allocation; the extra capacity is
-		// unallocated until arrivals claim it.
-		if err := agent.SetPrimaryAlloc(alloc); err != nil {
-			return nil, err
-		}
-	}
 	agent.Start()
 
 	// Schedule VM churn.
@@ -741,18 +734,8 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 	}
 	// For completion-time experiments, keep running until the batch job
 	// finishes (the primaries keep serving).
-	if batchJob != nil && !batchJob.Finished() {
-		for !batchJob.Finished() && loop.Now() < end+10*60*sim.Second {
-			if !loop.Step() {
-				break
-			}
-		}
-	}
-	if finite != nil && !finite.Done() {
-		for !finite.Done() && loop.Now() < end+10*60*sim.Second {
-			if !loop.Step() {
-				break
-			}
+	if done != nil {
+		for !done() && loop.Now() < end+10*60*sim.Second && loop.Step() {
 		}
 	}
 
@@ -793,25 +776,11 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 		res.BatchTime = finiteDoneAt
 		res.BatchProgress = finite.Completed()
 	}
-	res.Windows = agent.Windows()
-	res.Safeguards = agent.SafeguardInvocations()
-	res.QoSTrips = agent.QoSTrips()
-	res.Resizes = machine.Resizes()
-	res.Polls = agent.Polls()
-	res.PollsSkipped = agent.PollsSkipped()
+	res.Stats = agent.Stats()
 	res.Events = loop.Fired()
 	if injector != nil {
 		res.FaultsInjected = injector.Total()
 	}
-	res.ResizeRetries = agent.ResizeRetries()
-	res.ResizeFailures = agent.ResizeFailures()
-	res.ResizesAborted = agent.ResizesAborted()
-	res.MissedPolls = agent.MissedPolls()
-	res.MissedWindows = agent.MissedWindows()
-	res.Stalls = agent.Stalls()
-	res.Crashes = agent.Crashes()
-	res.Degradations = agent.Degradations()
-	res.Degraded = agent.Degraded()
 	res.Grow = machine.GrowLatency().Summarize()
 	res.Shrink = machine.ShrinkLatency().Summarize()
 	res.GrowCDF = machine.GrowLatency().CDF()

@@ -300,16 +300,16 @@ func TestLostReadingsDegradeAgent(t *testing.T) {
 	f.errOn["/proc/stat"] = fmt.Errorf("transient")
 	loop.RunUntil(loop.Now() + 3*sim.Millisecond)
 	delete(f.errOn, "/proc/stat")
-	if a.MissedPolls() != 3 || a.Degraded() {
-		t.Fatalf("missed %d degraded %v after 3 failing reads, want 3 and false", a.MissedPolls(), a.Degraded())
+	if a.Stats().MissedPolls != 3 || a.Stats().Degraded {
+		t.Fatalf("missed %d degraded %v after 3 failing reads, want 3 and false", a.Stats().MissedPolls, a.Stats().Degraded)
 	}
 	loop.RunUntil(200 * sim.Millisecond)
 
 	// A dead /proc/stat: the threshold is crossed inside one window.
 	f.errOn["/proc/stat"] = fmt.Errorf("gone")
 	loop.RunUntil(300 * sim.Millisecond)
-	if !a.Degraded() {
-		t.Fatalf("agent not degraded after %d lost readings", a.MissedPolls())
+	if !a.Stats().Degraded {
+		t.Fatalf("agent not degraded after %d lost readings", a.Stats().MissedPolls)
 	}
 	if got := f.files["/cg/primary/cpuset.cpus"]; got != "0-4" {
 		t.Fatalf("primary cpuset %q while degraded, want the full allocation \"0-4\"", got)

@@ -167,7 +167,7 @@ func TestPacedRunSkipsNoPoll(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	Run(ctx, loop, &fakeClock{limit: time.Second, cancel: cancel})
-	if polls, skipped := agent.Polls(), agent.PollsSkipped(); polls != 1000 || skipped != 0 {
+	if polls, skipped := agent.Stats().Polls, agent.Stats().PollsSkipped; polls != 1000 || skipped != 0 {
 		t.Fatalf("%d polls fired and %d skipped over a paced second of 1 ms polls, want 1000 and 0", polls, skipped)
 	}
 }
