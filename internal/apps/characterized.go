@@ -9,9 +9,9 @@ import (
 	"smartharvest/internal/workload"
 )
 
-// charHorizon bounds the precomputed shared burst schedule. It only has
-// to cover the experiment duration; runs are a few tens of virtual
-// seconds at most.
+// charHorizon is the length of the precomputed shared burst schedule.
+// A longer run loops it: each VM replays its joined epochs again every
+// charHorizon, so correlated bursts continue past it.
 const charHorizon = 120 * sim.Second
 
 // Characterized returns a primary described by workload-characterization

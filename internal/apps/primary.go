@@ -95,7 +95,8 @@ func MemcachedSwinging(qps float64) PrimarySpec {
 // IndexServe models a web-search index-serving node: each query fans out
 // to several index partitions served in parallel, giving millisecond-scale
 // latencies and sharp multi-core demand spikes. Load comes from a
-// synthetic bursty trace standing in for the paper's Bing query traces.
+// synthetic bursty trace standing in for the paper's Bing query traces,
+// streamed: 30 s of it, looped, drawn as the run goes.
 //
 // Calibration for Table 1 at 500 QPS: avg busy ≈ 1.3 cores → per-query
 // CPU ≈ 2.6 ms spread over a fanout of 3; avg peak ≈ 7.
@@ -106,13 +107,13 @@ func IndexServe(qps float64) PrimarySpec {
 		Build: func(loop *sim.Loop, vm *hypervisor.VM, rng *simrng.Rand, warmup sim.Time) (*workload.Server, error) {
 			cfg := traces.DefaultConfig(qps, 30*sim.Second)
 			cfg.Seed = rng.Uint64()
-			events, err := traces.Generate(cfg)
+			trace, err := traces.NewStream(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("apps: indexserve trace: %w", err)
 			}
 			return workload.NewServer(loop, vm, workload.ServerConfig{
 				Name:    "indexserve",
-				Arrival: workload.NewTraceReplay(events, cfg.Span),
+				Arrival: trace,
 				Service: workload.NewLogNormalService(rng.Split(), 870*sim.Microsecond, 3, 20*sim.Millisecond),
 				Fanout:  workload.FixedFanout(3),
 				Stagger: workload.NewExpService(rng.Split(), 150*sim.Microsecond),

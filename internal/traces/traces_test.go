@@ -79,16 +79,44 @@ func TestGenerateBurstiness(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	burst := func(rate float64) Config {
+		return Config{QPS: 100, Span: sim.Second, BurstFraction: 0.5, BurstRate: rate, BurstWidth: sim.Millisecond}
+	}
 	bad := []Config{
 		{QPS: 0, Span: sim.Second},
 		{QPS: 100, Span: 0},
 		{QPS: 100, Span: sim.Second, BurstFraction: 1.5},
 		{QPS: 100, Span: sim.Second, BurstFraction: 0.5}, // no burst rate/width
 		{QPS: 100, Span: sim.Second, LoadWave: 2},
+		// A load wave needs a period: t % WavePeriod divides by it.
+		{QPS: 100, Span: sim.Second, LoadWave: 0.3},
+		{QPS: 100, Span: sim.Second, LoadWave: 0.3, WavePeriod: -sim.Second},
+		// Rates must be finite and within [minRate, maxRate]: at +Inf the
+		// mean gap is 0 and the draw loop never advances, and far enough
+		// below the floor the mean gap is +Inf.
+		{QPS: inf, Span: sim.Second},
+		{QPS: nan, Span: sim.Second},
+		{QPS: 2e9, Span: sim.Second},
+		{QPS: 1e-300, Span: sim.Second},
+		burst(inf), burst(nan), burst(2e9), burst(1e-300),
+		// NaN passes a plain range check.
+		{QPS: 100, Span: sim.Second, BurstFraction: nan},
+		{QPS: 100, Span: sim.Second, LoadWave: nan, WavePeriod: sim.Second},
 	}
 	for i, cfg := range bad {
+		// validate first: at an unguarded rate Generate would not return.
+		if err := cfg.validate(); err == nil {
+			t.Fatalf("config %d accepted: %+v", i, cfg)
+		}
 		if _, err := Generate(cfg); err == nil {
-			t.Fatalf("config %d accepted", i)
+			t.Fatalf("config %d generated: %+v", i, cfg)
+		}
+	}
+	edges := []Config{{QPS: minRate, Span: sim.Second}, {QPS: maxRate, Span: sim.Second}, burst(minRate), burst(maxRate)}
+	for _, cfg := range edges {
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("a rate at the bound refused: %v", err)
 		}
 	}
 }
@@ -145,11 +173,12 @@ func TestSinApprox(t *testing.T) {
 	}
 }
 
-// TestGenerateMatchesSortSliceReference pins the trace bytes across the
-// move from sort.Slice to slices.SortFunc: neither sort is stable, and the
-// output is the same only because events that tie on At are identical
-// values. The three configs cover background only, bursts (squeezed into
-// 200 ns so that timestamps do tie), and the default bursts on a load wave.
+// TestGenerateMatchesSortSliceReference pins the trace bytes to the eager
+// events as sort.Slice orders them: no sort here is stable, nor is the
+// stream's merge, and the output is the same only because events that tie
+// on At are identical values. The three configs cover background only,
+// bursts (squeezed into 200 ns so that timestamps do tie), and the
+// default bursts on a load wave.
 func TestGenerateMatchesSortSliceReference(t *testing.T) {
 	plain := DefaultConfig(2000, 10*sim.Second)
 	plain.BurstFraction, plain.LoadWave = 0, 0
@@ -158,7 +187,7 @@ func TestGenerateMatchesSortSliceReference(t *testing.T) {
 	wave := DefaultConfig(2000, 10*sim.Second)
 	wave.LoadWave, wave.WavePeriod = 0.6, 2*sim.Second
 	for name, cfg := range map[string]Config{"no bursts": plain, "bursts": bursts, "load wave": wave} {
-		want := arrivals(cfg)
+		want := eagerArrivals(cfg)
 		sort.Slice(want, func(i, j int) bool { return want[i].At < want[j].At })
 		got, err := Generate(cfg)
 		if err != nil {

@@ -138,13 +138,15 @@ func (k CharKnobs) validate() {
 // its own seed so every VM sharing it sees the same epochs. The schedule
 // is immutable after construction; each VM replays it with a private
 // read cursor, so sharing one schedule across VMs is safe and draws
-// nothing from any scenario RNG stream.
+// nothing from any scenario RNG stream. A run longer than the horizon
+// sees the schedule again, shifted by one horizon per loop.
 type BurstSchedule struct {
-	epochs []sim.Time
+	epochs  []sim.Time
+	horizon sim.Time
 }
 
 // NewBurstSchedule precomputes Poisson burst epochs at the given rate
-// (events per second) over [0, horizon).
+// (events per second) over [0, horizon), the schedule's loop period.
 func NewBurstSchedule(seed uint64, rate float64, horizon sim.Time) *BurstSchedule {
 	if rate <= 0 || horizon <= 0 {
 		panic(fmt.Sprintf("workload: bad BurstSchedule params rate=%v horizon=%v", rate, horizon))
@@ -155,7 +157,7 @@ func NewBurstSchedule(seed uint64, rate float64, horizon sim.Time) *BurstSchedul
 	for t := sim.Time(rng.Exp(meanGap)); t < horizon; t += sim.Time(rng.Exp(meanGap)) {
 		epochs = append(epochs, t)
 	}
-	return &BurstSchedule{epochs: epochs}
+	return &BurstSchedule{epochs: epochs, horizon: horizon}
 }
 
 // Epochs returns the shared burst times (read-only).
@@ -208,14 +210,21 @@ func (s *sinusoidal) Next(now sim.Time) (sim.Time, int) {
 // different-but-overlapping subsets) and a private Poisson process
 // carrying the remaining (1-Correlation) share of the burst rate. Batch
 // sizes are always drawn privately — correlation aligns burst times, not
-// exact sizes.
+// exact sizes. The joined subset repeats every schedule horizon.
 type burster struct {
 	rng      *simrng.Rand
-	joined   []sim.Time // this VM's subset of the shared epochs
+	joined   []sim.Time // this VM's subset of the shared epochs, one loop's worth
+	horizon  sim.Time   // the shared schedule's loop period
+	base     sim.Time   // offset of the current loop
 	idx      int
 	privGap  float64 // mean private burst gap, ns; 0 = no private bursts
 	privNext sim.Time
-	geomP    float64
+	// privBatch, when positive, is the batch of the private burst at
+	// privNext, drawn ahead at a loop boundary, and privAfter the private
+	// burst after it.
+	privBatch int
+	privAfter sim.Time
+	geomP     float64
 }
 
 func newBurster(rng *simrng.Rand, knobs CharKnobs, shared *BurstSchedule) *burster {
@@ -229,6 +238,7 @@ func newBurster(rng *simrng.Rand, knobs CharKnobs, shared *BurstSchedule) *burst
 				b.joined = append(b.joined, at)
 			}
 		}
+		b.horizon = shared.horizon
 	}
 	if privRate := knobs.BurstRate * (1 - knobs.Correlation); privRate > 0 {
 		b.privGap = 1e9 / privRate
@@ -237,39 +247,67 @@ func newBurster(rng *simrng.Rand, knobs CharKnobs, shared *BurstSchedule) *burst
 }
 
 // Next implements Arrival: the earlier of the next joined shared epoch
-// and the next private burst fires. When both sources are exhausted it
-// returns a quiet batch-0 beat (the merge layer skips those).
+// and the next private burst fires. Once a loop's joined epochs are
+// spent, a quiet batch-0 beat at the loop's end (the merge layer skips
+// those) starts the next loop.
+//
+// Returning that beat, the burster draws the private burst due after it
+// ahead, with the draws firing it would have made. So every draw before
+// the horizon is the one a schedule that never loops makes, and a run no
+// longer than the horizon is unchanged by the looping.
 func (b *burster) Next(now sim.Time) (sim.Time, int) {
 	const never = sim.Time(math.MaxInt64)
-	for b.idx < len(b.joined) && b.joined[b.idx] <= now {
-		b.idx++
+	for {
+		for b.idx < len(b.joined) && b.base+b.joined[b.idx] <= now {
+			b.idx++
+		}
+		if b.idx < len(b.joined) || len(b.joined) == 0 || now < b.base+b.horizon {
+			break
+		}
+		b.base += b.horizon
+		b.idx = 0
 	}
-	sharedNext := never
+	next, fromShared := never, false
 	if b.idx < len(b.joined) {
-		sharedNext = b.joined[b.idx]
+		next, fromShared = b.base+b.joined[b.idx], true
+	} else if len(b.joined) > 0 {
+		next = b.base + b.horizon
 	}
-	privNext := never
 	if b.privGap > 0 {
 		if b.privNext <= now {
 			b.privNext = now + sim.Time(b.rng.Exp(b.privGap))
 		}
-		privNext = b.privNext
+		if b.privNext < next || !fromShared && b.privNext == next {
+			return b.firePrivate(now)
+		}
 	}
-	next, fromShared := sharedNext, true
-	if privNext < next {
-		next, fromShared = privNext, false
-	}
-	if next == never {
-		// Shared schedule ran out and there is no private process: go
-		// quiet for a long beat rather than spinning.
+	switch {
+	case fromShared:
+		b.idx++
+		return next - now, 1 + b.rng.Geometric(b.geomP)
+	case next == never:
+		// No shared epochs and no private process: go quiet for a long
+		// beat rather than spinning.
 		return sim.Second, 0
 	}
-	if fromShared {
-		b.idx++
-	} else {
-		b.privNext = next + sim.Time(b.rng.Exp(b.privGap))
+	if b.privGap > 0 && b.privBatch == 0 {
+		b.privAfter = b.privNext + sim.Time(b.rng.Exp(b.privGap))
+		b.privBatch = 1 + b.rng.Geometric(b.geomP)
 	}
-	return next - now, 1 + b.rng.Geometric(b.geomP)
+	return next - now, 0
+}
+
+// firePrivate emits the private burst at privNext and draws the one after
+// it, unless a loop boundary drew both ahead.
+func (b *burster) firePrivate(now sim.Time) (sim.Time, int) {
+	at, batch := b.privNext, b.privBatch
+	if batch > 0 {
+		b.privNext, b.privBatch = b.privAfter, 0
+	} else {
+		b.privNext = at + sim.Time(b.rng.Exp(b.privGap))
+		batch = 1 + b.rng.Geometric(b.geomP)
+	}
+	return at - now, batch
 }
 
 // merged interleaves two arrival processes into one stream.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"smartharvest/internal/sim"
@@ -204,4 +205,58 @@ func TestNewCharacterizedRejectsMissingSchedule(t *testing.T) {
 		}
 	}()
 	NewCharacterized(simrng.New(1), CharKnobs{BaseQPS: 100, BurstRate: 2, BurstMean: 4, Correlation: 0.5}, nil)
+}
+
+// TestSharedBurstsLoopPastHorizon runs a bursty VM for 250 s on a 120 s
+// schedule: the shared-epoch bursts of [120 s, 240 s) must be those of
+// [0, 120 s) shifted by one horizon, not missing.
+func TestSharedBurstsLoopPastHorizon(t *testing.T) {
+	const horizon = 120 * sim.Second
+	knobs := KnobsFor(ClassBursty, 30000)
+	shared := NewBurstSchedule(7, knobs.BurstRate, horizon)
+	b := newBurster(simrng.New(3), knobs, shared)
+	joined := make(map[sim.Time]bool, len(b.joined))
+	for _, e := range b.joined {
+		joined[e] = true
+	}
+	var first, second []sim.Time
+	for now := sim.Time(0); now < 250*sim.Second; {
+		gap, batch := b.Next(now)
+		now += gap
+		switch {
+		case batch == 0:
+		case now < horizon && joined[now]:
+			first = append(first, now)
+		case now >= horizon && now < 2*horizon && joined[now-horizon]:
+			second = append(second, now-horizon)
+		}
+	}
+	if len(first) == 0 || !slices.Equal(first, b.joined) {
+		t.Fatalf("first loop fired %d of %d joined epochs", len(first), len(b.joined))
+	}
+	if !slices.Equal(second, first) {
+		t.Fatalf("second loop fired %d shared bursts, want the first loop's %d shifted by %v",
+			len(second), len(first), horizon)
+	}
+}
+
+// TestBurstLoopKeepsRunsWithinHorizon: every arrival before the horizon
+// is the one a schedule that never loops gives, for every correlated
+// class over many seeds. The short horizon puts a loop boundary between
+// some VM's last burst before it and the next private burst, where the
+// burster draws ahead.
+func TestBurstLoopKeepsRunsWithinHorizon(t *testing.T) {
+	const horizon = 3 * sim.Second
+	for _, class := range []Class{ClassPeriodic, ClassBursty, ClassMixed} {
+		knobs := KnobsFor(class, 2000)
+		for seed := uint64(1); seed <= 40; seed++ {
+			looped := NewBurstSchedule(seed, knobs.BurstRate, horizon)
+			once := &BurstSchedule{epochs: looped.epochs, horizon: math.MaxInt64}
+			_, want := drain(NewCharacterized(simrng.New(seed), knobs, once), horizon)
+			_, got := drain(NewCharacterized(simrng.New(seed), knobs, looped), horizon)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v seed %d: arrivals before the horizon differ once the schedule loops", class, seed)
+			}
+		}
+	}
 }
