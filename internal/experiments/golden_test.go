@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +48,51 @@ func TestExperimentGoldens(t *testing.T) {
 			checkGolden(t, e.ID+".json", rep.RowsJSON())
 		})
 	}
+}
+
+// TestPredictorsTracesPinned pins the predictor ablation's per-run JSONL
+// traces (TraceDir, poll samples omitted) at the golden scale by one
+// sha256 per file in testdata/golden/predictors-traces.sha256, and demands
+// that each traced SmartHarvest run other than CSOAA opens its trace with
+// exactly one predictor event naming its row's predictor. Regenerate with
+// -update, only for an intended change of a trace.
+func TestPredictorsTracesPinned(t *testing.T) {
+	t.Parallel()
+	cfg := goldenConfig()
+	cfg.TraceDir = t.TempDir()
+	if _, err := Predictors(cfg); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(cfg.TraceDir, "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(predictorClasses) * (1 + len(predictorKinds)); len(files) != want {
+		t.Fatalf("%d trace files, want %d", len(files), want)
+	}
+	var manifest bytes.Buffer
+	announced := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(f)
+		fmt.Fprintf(&manifest, "%x  %s\n", sha256.Sum256(data), name)
+		if n := bytes.Count(data, []byte(`"ev":"predictor"`)); n > 0 {
+			announced++
+			// Run names are pred-<class>-<predictor>.
+			kind := strings.Split(name, "-")[2]
+			first, _, _ := bytes.Cut(data, []byte("\n"))
+			if want := fmt.Sprintf(`"ev":"predictor","t":0,"name":%q,`, kind); n != 1 || !bytes.Contains(first, []byte(want)) {
+				t.Errorf("%s: %d predictor events, want one opening the trace with %s", name, n, want)
+			}
+		}
+	}
+	if want := len(predictorClasses) * (len(predictorKinds) - 1); announced != want {
+		t.Errorf("%d traces announce their predictor, want %d (every arm but csoaa)", announced, want)
+	}
+	checkGolden(t, "predictors-traces.sha256", manifest.Bytes())
 }
 
 // reportShape renders what of a report does not depend on timing: its
