@@ -114,8 +114,8 @@ func TestChurnViaFacade(t *testing.T) {
 }
 
 // TestPredictorCatalog exercises every predictor kind through the
-// facade: name round-trip, WithPredictor selection, and an end-to-end
-// run per kind.
+// facade: name round-trip, NewSmartHarvestPredictor selection, and an
+// end-to-end run per kind.
 func TestPredictorCatalog(t *testing.T) {
 	names := smartharvest.PredictorNames()
 	if len(names) < 6 {
@@ -132,12 +132,14 @@ func TestPredictorCatalog(t *testing.T) {
 				t.Fatalf("ParsePredictor(%q).String() = %q", name, kind)
 			}
 			res, err := smartharvest.Run(smartharvest.Scenario{
-				Name:      "pred-" + name,
-				Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-				Duration:  2 * smartharvest.Second,
-				Warmup:    smartharvest.Second,
-				Seed:      5,
-			}, smartharvest.WithPredictor(kind))
+				Name:              "pred-" + name,
+				Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
+				Controller:        smartharvest.NewSmartHarvestPredictor(kind, smartharvest.SmartHarvestOptions{}),
+				LongTermSafeguard: true,
+				Duration:          2 * smartharvest.Second,
+				Warmup:            smartharvest.Second,
+				Seed:              5,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,19 +157,5 @@ func TestPredictorCatalog(t *testing.T) {
 func TestPredictorErrors(t *testing.T) {
 	if _, err := smartharvest.ParsePredictor("nope"); !errors.Is(err, smartharvest.ErrUnknownPredictor) {
 		t.Fatalf("ParsePredictor(nope) = %v", err)
-	}
-	_, err := smartharvest.Run(smartharvest.Scenario{
-		Name:       "pred-conflict",
-		Primaries:  []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-		Controller: smartharvest.NewEWMA(0.3, 1),
-		Duration:   smartharvest.Second,
-		Seed:       5,
-	}, smartharvest.WithPredictor(smartharvest.PredictorMLP))
-	if !errors.Is(err, smartharvest.ErrPredictorConflict) {
-		t.Fatalf("conflicting scenario: %v", err)
-	}
-	var se *smartharvest.ScenarioError
-	if !errors.As(err, &se) || se.Field != "Predictor" {
-		t.Fatalf("want *ScenarioError on Predictor, got %v", err)
 	}
 }

@@ -61,10 +61,10 @@ func (h halfPolicy) OnWindowEnd(smartharvest.Window) int { return h.target }
 func (h halfPolicy) OnPoll(busy, cur int) (int, bool)    { return 0, false }
 func (h halfPolicy) Safeguards() bool                    { return false }
 
-// ExampleWithObserver attaches an aggregating observer to a run. The
+// ExampleRun_observer attaches an aggregating observer to a run. The
 // Metrics sink counts every event kind; a Ring or TraceWriter can be
 // swapped in the same way for buffered records or a JSONL stream.
-func ExampleWithObserver() {
+func ExampleRun_observer() {
 	m := smartharvest.EventMetrics()
 	res, err := smartharvest.Run(smartharvest.Scenario{
 		Name:      "observed",
@@ -72,7 +72,8 @@ func ExampleWithObserver() {
 		Duration:  5 * smartharvest.Second,
 		Warmup:    smartharvest.Second,
 		Seed:      42,
-	}, smartharvest.WithObserver(m))
+		Observer:  m,
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

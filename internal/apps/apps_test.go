@@ -338,8 +338,8 @@ func TestMemcachedVaryingLoadPhases(t *testing.T) {
 }
 
 // TestParsePrimary pins the -primary table: names, Table 1 default
-// loads, and refusal of loads that are not finite and positive (or that
-// a fixed-shape workload does not take).
+// loads, and refusal of loads outside [minQPS, maxQPS] (or that a
+// fixed-shape workload does not take).
 func TestParsePrimary(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -361,6 +361,10 @@ func TestParsePrimary(t *testing.T) {
 		{"memcached:Inf", "", 0, true}, // never advanced simulated time
 		{"memcached:0", "", 0, true},
 		{"memcached:1e12", "", 0, true}, // arrivals closer than the clock tick
+		{"memcached:1e-6", "memcached", 1e-6, false},
+		{"memcached:1e-300", "", 0, true}, // mean gap past the clock's range: "sim: negative delay"
+		{"moses:1e-300", "", 0, true},
+		{"img-dnn:1e-300", "", 0, true},
 		{"squarewave:5", "", 0, true},
 	}
 	for _, c := range cases {

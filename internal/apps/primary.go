@@ -207,14 +207,21 @@ var primaries = []struct {
 	{"squarewave", 0, func(float64) PrimarySpec { return SquareWave(8, 1, 500*sim.Millisecond) }},
 }
 
-// maxQPS is the largest load ParsePrimary accepts: one arrival per
-// nanosecond, the clock's tick, on average. Above it arrivals pile up on
-// the same instant and a run stops advancing in simulated time.
-const maxQPS = 1e9
+// minQPS and maxQPS bound the load ParsePrimary accepts. maxQPS is one
+// arrival per nanosecond, the clock's tick, on average: above it arrivals
+// pile up on the same instant and a run stops advancing in simulated
+// time. minQPS is a mean gap of 1e15 ns: the largest exponential draw
+// (~36.7 means), doubled by a batched arrival and stretched ~6.7x by an
+// MMPP's calm phase, stays near 5e17 ns, well inside the clock's int64
+// range, where a far smaller load's gap converts to a negative time.
+const (
+	minQPS = 1e-6
+	maxQPS = 1e9
+)
 
 // ParsePrimary parses a -primary spec, "name[:qps]". The load, when
-// given, must be a finite positive rate of at most maxQPS, and
-// squarewave takes none.
+// given, must be a finite rate in [minQPS, maxQPS], and squarewave takes
+// none.
 func ParsePrimary(spec string) (PrimarySpec, error) {
 	name, arg, _ := strings.Cut(spec, ":")
 	for _, p := range primaries {
@@ -227,8 +234,8 @@ func ParsePrimary(spec string) (PrimarySpec, error) {
 				return PrimarySpec{}, fmt.Errorf("apps: primary %s takes no load (got %q)", name, arg)
 			}
 			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil || !(v > 0 && v <= maxQPS) {
-				return PrimarySpec{}, fmt.Errorf("apps: bad load %q for %s: want a rate in (0, %g] requests/s", arg, name, maxQPS)
+			if err != nil || !(v >= minQPS && v <= maxQPS) {
+				return PrimarySpec{}, fmt.Errorf("apps: bad load %q for %s: want a rate in [%g, %g] requests/s", arg, name, minQPS, maxQPS)
 			}
 			qps = v
 		}

@@ -26,12 +26,11 @@
 //
 // Violations accumulate into a structured Report carrying the first
 // failing event and its surrounding ring-buffer context (the most recent
-// events before the failure). Attach a Checker with harness.WithChecker or
-// Scenario.Checker; the harness binds it to the resolved scenario and the
-// Result carries the Report. When no checker is attached nothing in the
-// hot loops changes — the observer nil checks keep disabled runs at zero
-// allocations (guarded by the benchmarks in internal/sim and
-// internal/core).
+// events before the failure). Attach a Checker with Scenario.Checker; the
+// harness binds it to the resolved scenario and the Result carries the
+// Report. When no checker is attached nothing in the hot loops changes —
+// the observer nil checks keep disabled runs at zero allocations (guarded
+// by the benchmarks in internal/sim and internal/core).
 package check
 
 import (

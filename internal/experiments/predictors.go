@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smartharvest/internal/apps"
+	"smartharvest/internal/core"
 	"smartharvest/internal/harness"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -74,9 +75,8 @@ func (a *accuracyObs) scores() (meanAbsErr, underFrac float64) {
 // Predictors is the predictor-ablation experiment: every registered
 // predictor against every workload-characterization class, reporting
 // prediction accuracy, safeguard-trigger rate, harvested core-seconds,
-// and the P99 cost against a no-harvest baseline per class. Scenarios
-// select predictors through the public Scenario.Predictor path, so this
-// doubles as an end-to-end exercise of the zoo plumbing.
+// and the P99 cost against a no-harvest baseline per class. Every arm
+// runs the long-term safeguard, as a scenario's default controller does.
 func Predictors(cfg Config) (*Report, error) {
 	const (
 		charQPS = 30000 // per VM; 57 µs service → ~1.7 avg busy cores
@@ -93,8 +93,9 @@ func Predictors(cfg Config) (*Report, error) {
 		}
 		sec := withBase(mk(fmt.Sprintf("pred-%v-base", class), harness.NoHarvestFactory()))
 		for _, kind := range predictorKinds {
-			s := mk(fmt.Sprintf("pred-%v-%v", class, kind), nil)
-			s.Predictor = kind // Controller stays nil: the public default path
+			s := mk(fmt.Sprintf("pred-%v-%v", class, kind),
+				harness.SmartHarvestPredictorFactory(kind, core.SmartHarvestOptions{}))
+			s.LongTermSafeguard = true
 			s.Observer = &accuracyObs{warmup: cfg.Warmup}
 			sec.add(kind.String(), s)
 		}
@@ -123,7 +124,7 @@ func Predictors(cfg Config) (*Report, error) {
 				sgRate = float64(res.Safeguards) / float64(res.Windows)
 			}
 			absErr, under := acc.scores()
-			t.add(fmt.Sprintf("class-%v", class), a.scen.Predictor, absErr,
+			t.add(fmt.Sprintf("class-%v", class), a.name, absErr,
 				shown{fmt.Sprintf("%.0f%%", 100*under), under},
 				sgRate, res.AvgHarvestedCores*cfg.Duration.Seconds(), vsBase(res, base)[:2])
 		}

@@ -1,7 +1,6 @@
 package grammar_test
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -20,7 +19,7 @@ import (
 // string that parses back to the same value (parse → String → parse is
 // a fixpoint), and must pass the consumer's own validation. An accepted
 // -policy spec must build its controller at allocation 10, and an
-// accepted -primary spec must carry a finite, positive load.
+// accepted -primary spec must carry a load in [1e-6, 1e9] requests/s.
 func FuzzGrammars(f *testing.F) {
 	for _, c := range faultPlans {
 		f.Add(uint8(0), c.in)
@@ -56,7 +55,7 @@ func FuzzGrammars(f *testing.F) {
 	for _, in := range append(policySpecs, "fixedbuffer:-1", "fixedbuffer:40", "prevpeak:-2") {
 		f.Add(policy, in)
 	}
-	for _, in := range append(primarySpecs, "memcached:-5", "memcached:NaN", "memcached:Inf") {
+	for _, in := range append(primarySpecs, "memcached:-5", "memcached:NaN", "memcached:Inf", "memcached:1e-300") {
 		f.Add(primary, in)
 	}
 
@@ -103,7 +102,7 @@ func FuzzGrammars(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if !(spec.QPS > 0) || math.IsInf(spec.QPS, 0) {
+			if !(spec.QPS >= 1e-6 && spec.QPS <= 1e9) {
 				t.Fatalf("ParsePrimary(%q) accepted load %v", s, spec.QPS)
 			}
 		default:

@@ -6,6 +6,7 @@ import (
 
 	"smartharvest/internal/apps"
 	"smartharvest/internal/check"
+	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/market"
 	"smartharvest/internal/obs"
@@ -30,7 +31,8 @@ func chaosTrace(t *testing.T, s Scenario) ([]byte, *Result) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf, obs.JSONLOmitPolls())
 	s.Observer = sink
-	res, err := Run(s, WithChecker(check.New()))
+	s.Checker = check.New()
+	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,8 @@ func TestFleetScopeRejectionLeavesCallerUntouched(t *testing.T) {
 			w := obs.NewJSONL(&buf)
 			s := short("refused", apps.Memcached(40000))
 			s.Duration = 200 * sim.Millisecond
-			s.Predictor = PredictorEWMA // would announce itself at the head of the trace
+			// EWMA would announce itself at the head of the trace.
+			s.Controller = SmartHarvestPredictorFactory(PredictorEWMA, core.SmartHarvestOptions{})
 			s.Checker = check.New()
 			s.Observer = w
 			bad := s

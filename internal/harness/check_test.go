@@ -60,7 +60,8 @@ func TestRunWithCheckerClean(t *testing.T) {
 	for _, s := range scenarios {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			res, err := Run(s, WithChecker(check.New()))
+			s.Checker = check.New()
+			res, err := Run(s)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -94,7 +95,8 @@ func TestCheckerChainsAfterObserver(t *testing.T) {
 	ring := obs.NewRing(8)
 	s := checkedScenario("check-chained")
 	s.Observer = ring
-	res, err := Run(s, WithChecker(check.New()))
+	s.Checker = check.New()
+	res, err := Run(s)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -108,11 +110,13 @@ func TestCheckerChainsAfterObserver(t *testing.T) {
 
 // TestCheckerReuseRejected: one Checker verifies one run.
 func TestCheckerReuseRejected(t *testing.T) {
-	c := check.New()
-	if _, err := Run(checkedScenario("check-first"), WithChecker(c)); err != nil {
+	first, second := checkedScenario("check-first"), checkedScenario("check-second")
+	first.Checker = check.New()
+	second.Checker = first.Checker
+	if _, err := Run(first); err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	if _, err := Run(checkedScenario("check-second"), WithChecker(c)); err == nil {
+	if _, err := Run(second); err == nil {
 		t.Fatal("Run accepted an already-bound checker")
 	}
 }
@@ -141,7 +145,8 @@ func TestDifferentialOracleFixedBufferVsNoHarvest(t *testing.T) {
 		s.LongTermSafeguard = false // neither policy has Safeguards()
 		s.Controller = f
 		s.Observer = sink
-		res, err := Run(s, WithChecker(check.New()))
+		s.Checker = check.New()
+		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -23,14 +23,9 @@ var (
 	ErrBadChurn = errors.New("bad churn schedule")
 	// ErrUnknownBatch: Batch is not one of the declared BatchKind values.
 	ErrUnknownBatch = errors.New("unknown batch kind")
-	// ErrUnknownPredictor: Predictor is not one of the declared
-	// PredictorKind values (or, from ParsePredictor, the name is not a
-	// registered predictor).
+	// ErrUnknownPredictor: from ParsePredictor, the name is not a
+	// registered predictor.
 	ErrUnknownPredictor = errors.New("unknown predictor")
-	// ErrPredictorConflict: the scenario sets both an explicit Controller
-	// and a non-default Predictor; the predictor would be silently
-	// ignored, so the combination is rejected instead.
-	ErrPredictorConflict = errors.New("predictor conflicts with explicit controller")
 )
 
 // ScenarioError reports which scenario and field failed validation. It

@@ -82,15 +82,10 @@ type Scenario struct {
 	BatchWidth int
 	// Mechanism selects cpugroups or IPIs (default cpugroups).
 	Mechanism hypervisor.Mechanism
-	// Controller builds the policy (default SmartHarvest).
+	// Controller builds the policy (default SmartHarvest with the
+	// paper's CSOAA learner; SmartHarvestPredictorFactory selects another
+	// peak predictor).
 	Controller ControllerFactory
-	// Predictor selects the SmartHarvest peak predictor for the default
-	// controller (default CSOAA, the paper's learner). Setting it
-	// together with an explicit Controller is rejected
-	// (ErrPredictorConflict): the predictor rides inside the default
-	// SmartHarvest controller, so an explicit factory would silently
-	// ignore it. Use SmartHarvestPredictorFactory to combine the two.
-	Predictor PredictorKind
 	// Duration is the measured run length (default 20 s simulated).
 	Duration sim.Time
 	// Warmup precedes Duration; latencies and harvest averages exclude
@@ -146,37 +141,6 @@ type Scenario struct {
 	// Resilience overrides the agent's fault-response policy; nil keeps
 	// core.DefaultResilience.
 	Resilience *core.ResiliencePolicy
-}
-
-// ScenarioOption adjusts a Scenario at Run time without mutating the
-// caller's copy — the functional-option face of the same knobs.
-type ScenarioOption func(*Scenario)
-
-// WithObserver attaches an observer to the run.
-func WithObserver(o obs.Observer) ScenarioOption {
-	return func(s *Scenario) { s.Observer = o }
-}
-
-// WithSeed overrides the scenario's seed.
-func WithSeed(seed uint64) ScenarioOption {
-	return func(s *Scenario) { s.Seed = seed }
-}
-
-// WithPredictor selects the SmartHarvest peak predictor for the run (see
-// Scenario.Predictor).
-func WithPredictor(p PredictorKind) ScenarioOption {
-	return func(s *Scenario) { s.Predictor = p }
-}
-
-// WithDuration overrides the measured run length.
-func WithDuration(d sim.Time) ScenarioOption {
-	return func(s *Scenario) { s.Duration = d }
-}
-
-// WithChecker attaches an invariant checker to the run. Run binds it and
-// places its Report in Result.Check; pass a fresh check.New() per run.
-func WithChecker(c *check.Checker) ScenarioOption {
-	return func(s *Scenario) { s.Checker = c }
 }
 
 // ChurnEvent is one primary-VM arrival or departure.
@@ -401,15 +365,7 @@ func (s *Scenario) applyDefaults() {
 		s.Seed = 1
 	}
 	if s.Controller == nil {
-		// The factory is nil for the default CSOAA kind, which routes
-		// core.NewSmartHarvest down its legacy construction path and keeps
-		// default runs byte-identical to pre-Predictor-API builds. The
-		// closure defers factory resolution until after validate has
-		// rejected out-of-range kinds.
-		pred := s.Predictor
-		s.Controller = func(alloc int) core.Controller {
-			return core.NewSmartHarvest(alloc, core.SmartHarvestOptions{Predictor: pred.factory()})
-		}
+		s.Controller = SmartHarvestFactory(core.SmartHarvestOptions{})
 		s.LongTermSafeguard = true
 	}
 }
@@ -442,9 +398,6 @@ func (s *Scenario) validate() error {
 	}
 	if !BatchKindNames.Valid(s.Batch) {
 		return s.scenarioErr("Batch", ErrUnknownBatch, "BatchKind(%d)", int(s.Batch))
-	}
-	if !predictors.Valid(s.Predictor) {
-		return s.scenarioErr("Predictor", ErrUnknownPredictor, "PredictorKind(%d)", int(s.Predictor))
 	}
 	if s.BatchWork < 0 || s.BatchWidth < 0 {
 		return s.scenarioErr("BatchWork/BatchWidth", ErrUnknownBatch,
@@ -499,20 +452,11 @@ func (s *Scenario) maxConcurrentAlloc() (int, error) {
 	return peak * s.PrimaryVMCores, nil
 }
 
-// Run executes the scenario and returns its results. Options are applied
-// to a copy of s, so the caller's Scenario is never mutated. Validation
-// failures return a *ScenarioError wrapping one of the package's sentinel
-// errors (ErrNoPrimaries, ErrBadDuration, ...), testable with errors.Is.
-func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
-	for _, opt := range opts {
-		opt(&s)
-	}
-	// The conflict is only detectable before applyDefaults installs the
-	// default controller.
-	if s.Controller != nil && s.Predictor != PredictorCSOAA {
-		return nil, s.scenarioErr("Predictor", ErrPredictorConflict,
-			"Controller set with Predictor=%s; use SmartHarvestPredictorFactory", s.Predictor)
-	}
+// Run executes the scenario and returns its results. It works on a copy
+// of s, so the caller's Scenario is never mutated. Validation failures
+// return a *ScenarioError wrapping one of the package's sentinel errors
+// (ErrNoPrimaries, ErrBadDuration, ...), testable with errors.Is.
+func Run(s Scenario) (*Result, error) {
 	s.applyDefaults()
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -572,13 +516,12 @@ func Run(s Scenario, opts ...ScenarioOption) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Announce the predictor identity at the head of the trace — but only
-	// for non-default selections, so default CSOAA traces stay
-	// byte-identical to pre-Predictor-API builds.
-	if s.Predictor != PredictorCSOAA && s.Observer != nil {
+	// Announce the controller's peak predictor at the head of the trace,
+	// unless it is the paper's CSOAA, so default traces carry no such line.
+	if sh, ok := ctrl.(*core.SmartHarvest); ok && s.Observer != nil && sh.Predictor().Name() != "csoaa" {
 		s.Observer.OnPredictorInfo(obs.PredictorInfo{
-			Name:    s.Predictor.String(),
-			Classes: maxAlloc + 1,
+			Name:    sh.Predictor().Name(),
+			Classes: sh.Predictor().Classes(),
 		})
 	}
 

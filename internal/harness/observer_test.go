@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"smartharvest/internal/apps"
+	"smartharvest/internal/check"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -38,7 +39,8 @@ func runTrace(t *testing.T, s Scenario, opts ...obs.JSONLOption) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf, opts...)
-	if _, err := Run(s, WithObserver(sink)); err != nil {
+	s.Observer = sink
+	if _, err := Run(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
@@ -97,7 +99,7 @@ func TestTraceByteIdenticalAcrossParallelism(t *testing.T) {
 		s.Observer = obs.NewJSONL(&bufs[i], obs.JSONLOmitPolls())
 		withObs[i] = s
 	}
-	if _, err := RunAll(withObs, Parallelism(4)); err != nil {
+	if _, err := RunAll(withObs, 4); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range scenarios {
@@ -120,7 +122,8 @@ func TestTraceByteIdenticalAcrossParallelism(t *testing.T) {
 func TestMetricsSinkMatchesResult(t *testing.T) {
 	for _, s := range representativeScenarios() {
 		m := obs.NewMetrics()
-		res, err := Run(s, WithObserver(m))
+		s.Observer = m
+		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -146,26 +149,19 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 	}
 }
 
-// TestScenarioOptionsDoNotMutateCaller checks the functional options are
-// applied to Run's copy only.
+// TestScenarioOptionsDoNotMutateCaller: Run fills in defaults and chains
+// the checker on its own copy, so the caller's Scenario is unchanged.
 func TestScenarioOptionsDoNotMutateCaller(t *testing.T) {
 	s := Scenario{
 		Name: "opts", Primaries: []apps.PrimarySpec{apps.IndexServe(200)},
-		Duration: sim.Second, Warmup: 500 * sim.Millisecond, Seed: 1,
+		Duration: sim.Second, Warmup: 500 * sim.Millisecond,
+		Checker: check.New(),
 	}
-	ring := obs.NewRing(1 << 12)
-	res, err := Run(s, WithObserver(ring), WithSeed(7), WithDuration(2*sim.Second))
-	if err != nil {
+	if _, err := Run(s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Observer != nil || s.Seed != 1 || s.Duration != sim.Second {
+	if s.Observer != nil || s.Controller != nil || s.Seed != 0 || s.Window != 0 || s.LongTermSafeguard {
 		t.Fatalf("caller's scenario mutated: %+v", s)
-	}
-	if res.Duration != 2*sim.Second {
-		t.Fatalf("WithDuration not applied: %v", res.Duration)
-	}
-	if ring.TotalEvents() == 0 {
-		t.Fatal("WithObserver not applied: no events recorded")
 	}
 }
 

@@ -60,9 +60,8 @@ func (p PredictorKind) factory() learner.Factory {
 }
 
 // SmartHarvestPredictorFactory builds a SmartHarvest controller factory
-// running the selected predictor. It is the explicit-Controller
-// counterpart to Scenario.Predictor for callers (like cmd/smartharvest)
-// that compose the controller themselves.
+// running the selected predictor: the one way to run a scenario with a
+// peak predictor other than the default CSOAA.
 func SmartHarvestPredictorFactory(kind PredictorKind, opts core.SmartHarvestOptions) ControllerFactory {
 	opts.Predictor = kind.factory()
 	return func(alloc int) core.Controller {

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"smartharvest/internal/apps"
+	"smartharvest/internal/core"
 	"smartharvest/internal/learner"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -63,40 +65,6 @@ func TestParsePredictorUnknown(t *testing.T) {
 	}
 }
 
-func TestScenarioRejectsUnknownPredictor(t *testing.T) {
-	s := short("bad-pred", apps.Memcached(40000))
-	s.Predictor = PredictorKind(99)
-	_, err := Run(s)
-	if !errors.Is(err, ErrUnknownPredictor) {
-		t.Fatalf("Run = %v, want ErrUnknownPredictor", err)
-	}
-	var se *ScenarioError
-	if !errors.As(err, &se) || se.Field != "Predictor" {
-		t.Fatalf("want *ScenarioError on field Predictor, got %v", err)
-	}
-}
-
-func TestScenarioRejectsPredictorConflict(t *testing.T) {
-	// An explicit Controller would silently ignore Predictor, so the
-	// combination must be rejected, not guessed at.
-	s := short("pred-conflict", apps.Memcached(40000))
-	s.Controller = NoHarvestFactory()
-	s.Predictor = PredictorEWMA
-	_, err := Run(s)
-	if !errors.Is(err, ErrPredictorConflict) {
-		t.Fatalf("Run = %v, want ErrPredictorConflict", err)
-	}
-	var se *ScenarioError
-	if !errors.As(err, &se) || se.Field != "Predictor" {
-		t.Fatalf("want *ScenarioError on field Predictor, got %v", err)
-	}
-	// The default kind with an explicit controller is fine.
-	s.Predictor = PredictorCSOAA
-	if _, err := Run(s); err != nil {
-		t.Fatalf("Controller with default Predictor: %v", err)
-	}
-}
-
 // predInfoCapture records PredictorInfo events.
 type predInfoCapture struct {
 	obs.NopObserver
@@ -105,54 +73,47 @@ type predInfoCapture struct {
 
 func (c *predInfoCapture) OnPredictorInfo(e obs.PredictorInfo) { c.infos = append(c.infos, e) }
 
+// TestPredictorInfoEmission: the run announces the peak predictor of the
+// controller it built, once, unless that predictor is the paper's CSOAA —
+// at any learning rate, so default traces and the learning-rate
+// ablation's carry no predictor line.
 func TestPredictorInfoEmission(t *testing.T) {
-	mk := func(kind PredictorKind) (*predInfoCapture, *Result) {
-		s := short("pred-info", apps.Memcached(40000))
-		s.Duration = 500 * sim.Millisecond
-		s.Warmup = 100 * sim.Millisecond
-		s.Predictor = kind
-		cap := &predInfoCapture{}
-		s.Observer = cap
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cap, res
+	cases := []struct {
+		name string
+		ctrl ControllerFactory
+		want []obs.PredictorInfo
+	}{
+		{"csoaa", SmartHarvestPredictorFactory(PredictorCSOAA, core.SmartHarvestOptions{}), nil},
+		{"csoaa-lr0.05", SmartHarvestFactory(core.SmartHarvestOptions{LearningRate: 0.05}), nil},
+		{"adagrad", SmartHarvestPredictorFactory(PredictorAdaGrad, core.SmartHarvestOptions{}),
+			[]obs.PredictorInfo{{Name: "adagrad", Classes: 11}}},
+		{"ewma", SmartHarvestPredictorFactory(PredictorEWMA, core.SmartHarvestOptions{}),
+			[]obs.PredictorInfo{{Name: "ewma", Classes: 11}}}, // alloc+1: one 10-core VM
 	}
-
-	// Default CSOAA runs emit nothing: their traces must stay
-	// byte-identical to builds that predate the predictor API.
-	cap, _ := mk(PredictorCSOAA)
-	if len(cap.infos) != 0 {
-		t.Fatalf("default run emitted %d PredictorInfo events", len(cap.infos))
-	}
-
-	cap, res := mk(PredictorEWMA)
-	if len(cap.infos) != 1 {
-		t.Fatalf("ewma run emitted %d PredictorInfo events, want 1", len(cap.infos))
-	}
-	info := cap.infos[0]
-	if info.Name != "ewma" {
-		t.Errorf("PredictorInfo.Name = %q", info.Name)
-	}
-	if info.Classes < 2 {
-		t.Errorf("PredictorInfo.Classes = %d", info.Classes)
-	}
-	if res.Policy != "smartharvest" {
-		t.Errorf("policy %q, want smartharvest", res.Policy)
-	}
-}
-
-func TestWithPredictorOption(t *testing.T) {
-	var s Scenario
-	WithPredictor(PredictorPeriodic)(&s)
-	if s.Predictor != PredictorPeriodic {
-		t.Fatalf("WithPredictor set %v", s.Predictor)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := short("pred-info", apps.Memcached(40000))
+			s.Duration = 500 * sim.Millisecond
+			s.Warmup = 100 * sim.Millisecond
+			s.Controller = tc.ctrl
+			cap := &predInfoCapture{}
+			s.Observer = cap
+			res, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(cap.infos, tc.want) {
+				t.Errorf("PredictorInfo events %+v, want %+v", cap.infos, tc.want)
+			}
+			if res.Policy != "smartharvest" {
+				t.Errorf("policy %q, want smartharvest", res.Policy)
+			}
+		})
 	}
 }
 
 // TestZooPredictorsRunEndToEnd drives each non-default predictor through
-// a real (short) scenario via the public Scenario.Predictor path.
+// a real (short) scenario.
 func TestZooPredictorsRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -164,7 +125,7 @@ func TestZooPredictorsRunEndToEnd(t *testing.T) {
 			s := short("zoo-"+kind.String(), apps.Memcached(40000))
 			s.Duration = 2 * sim.Second
 			s.Warmup = 500 * sim.Millisecond
-			s.Predictor = kind
+			s.Controller = SmartHarvestPredictorFactory(kind, core.SmartHarvestOptions{})
 			res, err := Run(s)
 			if err != nil {
 				t.Fatal(err)

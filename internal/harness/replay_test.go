@@ -58,7 +58,8 @@ func TestReplayReproducesRun(t *testing.T) {
 			s.LongTermSafeguard = true
 			var trace bytes.Buffer
 			sink := obs.NewJSONL(&trace, obs.JSONLOmitPolls())
-			if _, err := Run(s, WithObserver(sink)); err != nil {
+			s.Observer = sink
+			if _, err := Run(s); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.Flush(); err != nil {

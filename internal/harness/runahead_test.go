@@ -83,7 +83,8 @@ func runBothWays(t *testing.T, s Scenario) (on, off *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err = Run(s, WithObserver(obs.NopObserver{}))
+	s.Observer = obs.NopObserver{}
+	off, err = Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,20 +10,8 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// RunOption configures RunAll.
-type RunOption func(*runAllConfig)
-
-type runAllConfig struct {
-	parallelism int
-}
-
-// Parallelism bounds the number of scenarios RunAll executes
-// concurrently. n < 1 selects the default, runtime.GOMAXPROCS(0).
-func Parallelism(n int) RunOption {
-	return func(c *runAllConfig) { c.parallelism = n }
-}
-
-// RunAll executes independent scenarios across a bounded worker pool and
+// RunAll executes independent scenarios on a pool of at most parallel
+// workers (parallel < 1 means runtime.GOMAXPROCS(0), as in ForEach) and
 // returns their results in input order, so output is byte-identical to
 // calling Run serially on each scenario.
 //
@@ -38,14 +26,10 @@ func Parallelism(n int) RunOption {
 // in the result slice and contributes one wrapped error (carrying its
 // index and name) to the joined error; other scenarios still run to
 // completion.
-func RunAll(scenarios []Scenario, opts ...RunOption) ([]*Result, error) {
-	var cfg runAllConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func RunAll(scenarios []Scenario, parallel int) ([]*Result, error) {
 	results := make([]*Result, len(scenarios))
 	errs := make([]error, len(scenarios))
-	ForEach(len(scenarios), cfg.parallelism, func(i int) {
+	ForEach(len(scenarios), parallel, func(i int) {
 		res, err := Run(scenarios[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("scenario %d (%s): %w", i, scenarios[i].Name, err)

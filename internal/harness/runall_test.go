@@ -90,7 +90,7 @@ func TestRunAllDeterminism(t *testing.T) {
 		serial1[i], serial2[i] = r1, r2
 	}
 
-	parallel, err := RunAll(scenarios, Parallelism(4))
+	parallel, err := RunAll(scenarios, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	good2.Name = "good2"
 	good2.Seed = 4
 
-	results, err := RunAll([]Scenario{good1, bad, good2}, Parallelism(4))
+	results, err := RunAll([]Scenario{good1, bad, good2}, 4)
 	if err == nil {
 		t.Fatal("expected an error for the invalid scenario")
 	}
@@ -141,14 +141,14 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 
 // TestRunAllEmptyAndSingle covers the pool's degenerate sizes.
 func TestRunAllEmptyAndSingle(t *testing.T) {
-	if res, err := RunAll(nil); err != nil || len(res) != 0 {
+	if res, err := RunAll(nil, 0); err != nil || len(res) != 0 {
 		t.Fatalf("empty RunAll: %v, %v", res, err)
 	}
 	s := Scenario{
 		Name: "solo", Primaries: []apps.PrimarySpec{apps.IndexServe(200)},
 		Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 5,
 	}
-	res, err := RunAll([]Scenario{s}, Parallelism(8))
+	res, err := RunAll([]Scenario{s}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSpeedupHelpers(t *testing.T) {
 	if base.Name != "sp-baseline" || base.LongTermSafeguard {
 		t.Fatalf("baseline scenario misconfigured: %+v", base)
 	}
-	results, err := RunAll([]Scenario{s, base}, Parallelism(2))
+	results, err := RunAll([]Scenario{s, base}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

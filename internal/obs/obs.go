@@ -414,10 +414,10 @@ type AdmissionDegraded struct {
 	Window sim.Time
 }
 
-// PredictorInfo fires once at run start when the scenario selects a
-// non-default predictor, recording which predictor identity produced the
-// trace (default CSOAA runs emit nothing, keeping their traces
-// byte-identical to pre-predictor-API builds).
+// PredictorInfo fires once at run start when the run's SmartHarvest
+// controller learns with a predictor other than CSOAA, recording which
+// predictor produced the trace (CSOAA runs, at any learning rate, emit
+// nothing, so default traces carry no such line).
 type PredictorInfo struct {
 	At sim.Time
 	// Name is the predictor's zoo name ("ewma", "periodic", ...).

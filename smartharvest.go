@@ -140,9 +140,9 @@ const (
 // ParseSafeguardMode parses a SafeguardMode from its String form.
 func ParseSafeguardMode(s string) (SafeguardMode, error) { return core.ParseSafeguardMode(s) }
 
-// PredictorKind selects the peak predictor the default SmartHarvest
-// controller learns with (Scenario.Predictor / WithPredictor). The zero
-// value is the paper's CSOAA learner.
+// PredictorKind selects the peak predictor a SmartHarvest controller
+// learns with (see NewSmartHarvestPredictor). The zero value is the
+// paper's CSOAA learner.
 type PredictorKind = harness.PredictorKind
 
 // Predictor choices — the built-in zoo. See internal/learner for the
@@ -166,47 +166,24 @@ func ParsePredictor(s string) (PredictorKind, error) { return harness.ParsePredi
 func PredictorNames() []string { return learner.Names() }
 
 // NewSmartHarvestPredictor builds a SmartHarvest controller factory
-// running the selected predictor — the explicit-Controller counterpart
-// to Scenario.Predictor for callers that compose the controller
-// themselves (Scenario.Predictor and an explicit Controller are mutually
-// exclusive; Run rejects the combination with ErrPredictorConflict).
+// running the selected predictor. Set it as Scenario.Controller to run a
+// predictor other than the default CSOAA; a run with an Observer then
+// opens its trace with a PredictorInfo event naming it.
 func NewSmartHarvestPredictor(kind PredictorKind, opts SmartHarvestOptions) ControllerFactory {
 	return harness.SmartHarvestPredictorFactory(kind, opts)
 }
-
-// ScenarioOption adjusts a Scenario at Run time (the caller's copy is
-// never mutated).
-type ScenarioOption = harness.ScenarioOption
-
-// WithObserver attaches an Observer to the run.
-func WithObserver(o Observer) ScenarioOption { return harness.WithObserver(o) }
-
-// WithSeed overrides the scenario's RNG seed.
-func WithSeed(seed uint64) ScenarioOption { return harness.WithSeed(seed) }
-
-// WithPredictor selects the peak predictor for the default SmartHarvest
-// controller (only valid when Scenario.Controller is nil).
-func WithPredictor(p PredictorKind) ScenarioOption { return harness.WithPredictor(p) }
-
-// WithDuration overrides the measured run length.
-func WithDuration(d Time) ScenarioOption { return harness.WithDuration(d) }
-
-// WithChecker attaches an invariant Checker to the run (see NewChecker);
-// the verification Report lands in Result.Check.
-func WithChecker(c *Checker) ScenarioOption { return harness.WithChecker(c) }
 
 // Structured scenario-validation errors. Run returns a *ScenarioError
 // wrapping one of these sentinels when the Scenario is malformed; test
 // with errors.Is and recover detail with errors.As.
 var (
-	ErrNoPrimaries       = harness.ErrNoPrimaries
-	ErrBadCoreCounts     = harness.ErrBadCoreCounts
-	ErrBadDuration       = harness.ErrBadDuration
-	ErrBadWindow         = harness.ErrBadWindow
-	ErrBadChurn          = harness.ErrBadChurn
-	ErrUnknownBatch      = harness.ErrUnknownBatch
-	ErrUnknownPredictor  = harness.ErrUnknownPredictor
-	ErrPredictorConflict = harness.ErrPredictorConflict
+	ErrNoPrimaries      = harness.ErrNoPrimaries
+	ErrBadCoreCounts    = harness.ErrBadCoreCounts
+	ErrBadDuration      = harness.ErrBadDuration
+	ErrBadWindow        = harness.ErrBadWindow
+	ErrBadChurn         = harness.ErrBadChurn
+	ErrUnknownBatch     = harness.ErrUnknownBatch
+	ErrUnknownPredictor = harness.ErrUnknownPredictor
 )
 
 // ScenarioError reports which scenario and field failed validation.
@@ -216,21 +193,16 @@ type ScenarioError = harness.ScenarioError
 // results. Runs are deterministic given Scenario.Seed — with an observer
 // attached, so is the event stream. Validation failures return a
 // *ScenarioError wrapping one of the Err* sentinels.
-func Run(s Scenario, opts ...ScenarioOption) (*Result, error) { return harness.Run(s, opts...) }
+func Run(s Scenario) (*Result, error) { return harness.Run(s) }
 
-// RunOption configures RunAll.
-type RunOption = harness.RunOption
-
-// Parallelism bounds RunAll's worker pool; 0 or less means GOMAXPROCS.
-func Parallelism(n int) RunOption { return harness.Parallelism(n) }
-
-// RunAll executes scenarios concurrently on a bounded worker pool and
-// returns results in input order. Each scenario is an independent
-// simulation, so results are identical to running them serially; errors
-// for individual scenarios are joined and reported together, with the
-// corresponding result slots left nil.
-func RunAll(scenarios []Scenario, opts ...RunOption) ([]*Result, error) {
-	return harness.RunAll(scenarios, opts...)
+// RunAll executes scenarios concurrently on a pool of at most parallel
+// workers (0 or less means GOMAXPROCS) and returns results in input
+// order. Each scenario is an independent simulation, so results are
+// identical to running them serially; errors for individual scenarios
+// are joined and reported together, with the corresponding result slots
+// left nil.
+func RunAll(scenarios []Scenario, parallel int) ([]*Result, error) {
+	return harness.RunAll(scenarios, parallel)
 }
 
 // RunSpeedup runs the scenario twice — with its policy and with
@@ -299,7 +271,7 @@ func MemcachedVaryingLoad(phaseQPS []float64, phaseLen Time) PrimarySpec {
 }
 
 // Observability — the typed event stream a run can emit (see
-// Scenario.Observer / WithObserver). With no observer attached the hot
+// Scenario.Observer). With no observer attached the hot
 // path performs no allocation and no interface calls; with one attached,
 // events arrive synchronously in deterministic order, so a trace is a
 // pure function of the scenario and seed.
@@ -341,8 +313,8 @@ type (
 	DegradedEnter = obs.DegradedEnter
 	// DegradedExit fires when a clean probation ends degraded mode.
 	DegradedExit = obs.DegradedExit
-	// PredictorInfo announces a non-default predictor selection at the
-	// start of a run.
+	// PredictorInfo names the controller's peak predictor at the start
+	// of a run, unless it is the default CSOAA.
 	PredictorInfo = obs.PredictorInfo
 )
 
@@ -422,8 +394,8 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 // contract: core conservation at every resize, monotonic sim time, the
 // legality of both safeguards' state machines (including the exact
 // harvest-pause duration), and prediction/clamp consistency at every
-// window decision. Attach one per run with Scenario.Checker or
-// WithChecker; the harness binds it and puts the Report in Result.Check.
+// window decision. Attach one per run with Scenario.Checker; the harness
+// binds it and puts the Report in Result.Check.
 
 // Checker verifies one run's event stream against the safety invariants.
 type Checker = check.Checker
