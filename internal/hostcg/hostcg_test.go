@@ -119,8 +119,14 @@ func TestSetPrimaryCoresWritesAndClamps(t *testing.T) {
 	if err := b.Init(); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := b.SetPrimaryCores(2); err != nil || !res.Applied {
+	res, err := b.SetPrimaryCores(2)
+	if err != nil || !res.Applied {
 		t.Fatalf("resize: applied=%v err=%v", res.Applied, err)
+	}
+	// The paper's ~200 µs per resize is what the agent is told a resize
+	// costs.
+	if res.Latency != 200*sim.Microsecond {
+		t.Fatalf("resize latency %v, want 200µs", res.Latency)
 	}
 	if f.files["/cg/primary/cpuset.cpus"] != "0-1" ||
 		f.files["/cg/elastic/cpuset.cpus"] != "2-5" {
