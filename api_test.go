@@ -131,10 +131,14 @@ func TestPredictorCatalog(t *testing.T) {
 			if kind.String() != name {
 				t.Fatalf("ParsePredictor(%q).String() = %q", name, kind)
 			}
+			ctrl, err := smartharvest.NewSmartHarvestPredictor(kind, smartharvest.SmartHarvestOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := smartharvest.Run(smartharvest.Scenario{
 				Name:              "pred-" + name,
 				Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-				Controller:        smartharvest.NewSmartHarvestPredictor(kind, smartharvest.SmartHarvestOptions{}),
+				Controller:        ctrl,
 				LongTermSafeguard: true,
 				Duration:          2 * smartharvest.Second,
 				Warmup:            smartharvest.Second,
@@ -157,5 +161,11 @@ func TestPredictorCatalog(t *testing.T) {
 func TestPredictorErrors(t *testing.T) {
 	if _, err := smartharvest.ParsePredictor("nope"); !errors.Is(err, smartharvest.ErrUnknownPredictor) {
 		t.Fatalf("ParsePredictor(nope) = %v", err)
+	}
+	for _, kind := range []smartharvest.PredictorKind{99, -1} {
+		f, err := smartharvest.NewSmartHarvestPredictor(kind, smartharvest.SmartHarvestOptions{})
+		if f != nil || !errors.Is(err, smartharvest.ErrUnknownPredictor) {
+			t.Errorf("NewSmartHarvestPredictor(%d) = %v, %v; want ErrUnknownPredictor", int(kind), f != nil, err)
+		}
 	}
 }

@@ -37,6 +37,12 @@ import (
 	"smartharvest/internal/sim"
 )
 
+// maxCPUs bounds a core id: the largest NR_CPUS a Linux kernel builds
+// with. parseCores refuses an id at or past it before expanding a range,
+// so a typo such as 0-99999999 fails fast instead of building a 10^8-entry
+// list.
+const maxCPUs = 8192
+
 // parseCores expands "0-3,6,8-9" into a core list.
 func parseCores(spec string) ([]int, error) {
 	var cores []int
@@ -45,22 +51,18 @@ func parseCores(spec string) ([]int, error) {
 		if part == "" {
 			continue
 		}
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || b < a {
-				return nil, fmt.Errorf("bad core range %q", part)
-			}
-			for c := a; c <= b; c++ {
-				cores = append(cores, c)
-			}
-			continue
+		lo, hi, isRange := strings.Cut(part, "-")
+		if !isRange {
+			hi = lo
 		}
-		c, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad core id %q", part)
+		a, err1 := strconv.Atoi(lo)
+		b, err2 := strconv.Atoi(hi)
+		if err1 != nil || err2 != nil || b < a || b >= maxCPUs {
+			return nil, fmt.Errorf("bad core id or range %q (ids run 0-%d)", part, maxCPUs-1)
 		}
-		cores = append(cores, c)
+		for c := a; c <= b; c++ {
+			cores = append(cores, c)
+		}
 	}
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("empty core list")

@@ -22,6 +22,9 @@ func TestParseCores(t *testing.T) {
 		{"a-b", nil, true},
 		{"3-1", nil, true},
 		{"x", nil, true},
+		{"0-70000", nil, true}, // past the largest Linux NR_CPUS, refused before expanding
+		{"8192", nil, true},
+		{"8191", []int{8191}, false},
 	}
 	for _, c := range cases {
 		got, err := parseCores(c.in)

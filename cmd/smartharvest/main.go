@@ -21,7 +21,6 @@ import (
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
 	"smartharvest/internal/hypervisor"
-	"smartharvest/internal/market"
 	"smartharvest/internal/profile"
 	"smartharvest/internal/sim"
 )
@@ -58,8 +57,6 @@ func main() {
 	flag.TextVar(&s.Faults, "faults", s.Faults, "fault-injection plan as comma-separated key=value pairs (keys: "+
 		strings.Join(faults.Keys(""), ", ")+"; the fleet keys "+strings.Join(faults.Keys("fleet"), ", ")+
 		" need a multi-server fleet and are rejected here)")
-	flag.TextVar(&s.Pools, "pools", s.Pools, "harvested-capacity pool plan as ';'-separated key=value lists (keys: "+
-		strings.Join(market.Keys(), ", ")+"); pools need a multi-server fleet and are rejected here, use cmd/experiments -pools")
 	trace := flag.String("trace", "", "write a JSONL event trace of the run to this file (poll samples included)")
 	checkRun := flag.Bool("check", false, "verify the run against the safety invariants and print the report (exit 1 on violation)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"smartharvest"
@@ -116,91 +115,5 @@ func TestParseBatch(t *testing.T) {
 	}
 	if _, err := smartharvest.ParseBatchKind("nope"); err == nil {
 		t.Error("ParseBatchKind accepted junk")
-	}
-}
-
-// TestParsePoolsRoundTrip pins the -pools CLI syntax: every plan a user
-// can type must survive parse → String → parse with an identical
-// rendering (String emits only non-zero keys, so the canonical form is
-// stable even when the input spelled values differently).
-func TestParsePoolsRoundTrip(t *testing.T) {
-	empty, err := smartharvest.ParsePools("")
-	if err != nil {
-		t.Fatalf("ParsePools(\"\"): %v", err)
-	}
-	if empty.Enabled() || empty.String() != "none" {
-		t.Errorf("empty spec parsed to %q (enabled=%v), want the disabled plan rendered as \"none\"", empty, empty.Enabled())
-	}
-	cases := []string{
-		"name=acme,tier=spot,reserved=4",
-		"overcommit=1.5;name=acme,tier=standard,reserved=4,price=2",
-		"name=a,tier=spot,reserved=2;name=b,tier=premium,reserved=1,size=90s,at=3s",
-		"overcommit=2", // overcommit without pools: valid, still disabled
-		"name=big,tier=standard,reserved=16,size=10m,price=0.5,at=1.5s",
-	}
-	for _, in := range cases {
-		plan, err := smartharvest.ParsePools(in)
-		if err != nil {
-			t.Errorf("ParsePools(%q): %v", in, err)
-			continue
-		}
-		again, err := smartharvest.ParsePools(plan.String())
-		if err != nil {
-			t.Errorf("ParsePools(%q).String() = %q does not reparse: %v", in, plan.String(), err)
-			continue
-		}
-		if again.String() != plan.String() {
-			t.Errorf("ParsePools(%q) round-trip changed the plan:\n first %q\nsecond %q", in, plan, again)
-		}
-	}
-}
-
-// TestParsePoolsRejectsGarbage pins the rejection side: malformed
-// pairs, unknown keys, and out-of-range values must error rather than
-// silently opening nothing.
-func TestParsePoolsRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"bogus=1",                            // unknown key
-		"name=a",                             // pool without tier/reserved
-		"name=,tier=spot,reserved=1",         // empty name
-		"name=a,tier=gold,reserved=1",        // unknown tier
-		"name=a,tier=spot,reserved=0",        // non-positive reservation
-		"name=a,tier=spot,reserved=-2",       // negative reservation
-		"name=a,tier=spot reserved=2",        // missing '='
-		"name=a,tier=spot,reserved=two",      // not a number
-		"name=a,tier=spot,reserved=1,size=5", // duration without a unit
-		"name=a,tier=spot,reserved=1,at=-1s", // negative time
-		"overcommit=nope",                    // not a number
-		"overcommit=-1",                      // negative overcommit
-		"name=a,tier=spot,reserved=1;name=a,tier=spot,reserved=1", // duplicate name
-	}
-	for _, in := range cases {
-		if _, err := smartharvest.ParsePools(in); err == nil {
-			t.Errorf("ParsePools(%q) accepted garbage", in)
-		}
-	}
-}
-
-// TestRunRejectsPoolPlan pins the single-server gate this command
-// relies on: a non-empty -pools plan must fail the run with a clear
-// error (pools ride on the multi-server fleet scheduler), not be
-// silently ignored.
-func TestRunRejectsPoolPlan(t *testing.T) {
-	pools, err := smartharvest.ParsePools("name=acme,tier=spot,reserved=2")
-	if err != nil {
-		t.Fatalf("ParsePools: %v", err)
-	}
-	s := smartharvest.Scenario{
-		Name:       "cli-pools",
-		Primaries:  []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Controller: smartharvest.NewFixedBuffer(4),
-		Duration:   smartharvest.Second,
-		Seed:       1,
-		Pools:      pools,
-	}
-	if _, err := smartharvest.Run(s); err == nil {
-		t.Fatal("Run accepted a pool plan on a single-server scenario")
-	} else if want := "pool plan"; !strings.Contains(err.Error(), want) {
-		t.Errorf("Run error %q does not mention %q", err, want)
 	}
 }

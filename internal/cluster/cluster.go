@@ -38,8 +38,6 @@ type Config struct {
 	CoresPerServer int
 	// ElasticMin is the per-server ElasticVM minimum (default 1).
 	ElasticMin int
-	// VMCores is the allocation of each tenant VM (default 10).
-	VMCores int
 	// Controller builds each server's policy (default SmartHarvest).
 	Controller harness.ControllerFactory
 	// Mechanism selects the reassignment path.
@@ -96,9 +94,6 @@ func (c *Config) applyDefaults() {
 	if c.ElasticMin == 0 {
 		c.ElasticMin = 1
 	}
-	if c.VMCores == 0 {
-		c.VMCores = 10
-	}
 	if c.Controller == nil {
 		c.Controller = func(alloc int) core.Controller {
 			return core.NewSmartHarvest(alloc, core.SmartHarvestOptions{})
@@ -131,7 +126,7 @@ func (c *Config) validate() error {
 	if c.Servers < 1 {
 		return fmt.Errorf("cluster: need at least one server")
 	}
-	if c.CoresPerServer < c.VMCores+c.ElasticMin {
+	if c.CoresPerServer < harness.DefaultPrimaryVMCores+c.ElasticMin {
 		return fmt.Errorf("cluster: servers too small for one tenant VM")
 	}
 	if c.ArrivalRate < 0 {
@@ -156,7 +151,7 @@ type server struct {
 	tenantsHostedTotal int
 }
 
-func (s *server) allocUsed(vmCores int) int { return len(s.tenants) * vmCores }
+func (s *server) allocUsed() int { return len(s.tenants) * harness.DefaultPrimaryVMCores }
 
 // tenant is one placed primary VM.
 type tenant struct {
@@ -315,7 +310,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	place = func(spec apps.PrimarySpec, retriesLeft int) {
 		var target *server
 		for _, s := range f.servers {
-			if s.allocUsed(cfg.VMCores)+cfg.VMCores <= s.maxAlloc {
+			if s.allocUsed()+harness.DefaultPrimaryVMCores <= s.maxAlloc {
 				target = s
 				break
 			}
@@ -333,7 +328,8 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			}
 			return
 		}
-		vm := target.machine.AddVM(spec.Name, hypervisor.PrimaryGroup, cfg.VMCores, cfg.VMCores)
+		vm := target.machine.AddVM(spec.Name, hypervisor.PrimaryGroup,
+			harness.DefaultPrimaryVMCores, harness.DefaultPrimaryVMCores)
 		srv, err := spec.Build(loop, vm, rng.Split(), cfg.Warmup)
 		if err != nil {
 			f.runErr = err
@@ -344,7 +340,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 		target.tenants[tn] = struct{}{}
 		target.tenantsHostedTotal++
 		f.res.Placed++
-		if err := target.agent.SetPrimaryAlloc(target.allocUsed(cfg.VMCores)); err != nil {
+		if err := target.agent.SetPrimaryAlloc(target.allocUsed()); err != nil {
 			f.runErr = err
 			return
 		}
@@ -358,7 +354,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			tn.server.machine.RemoveVM(tn.vm)
 			delete(tn.server.tenants, tn)
 			f.res.Departed++
-			alloc := tn.server.allocUsed(cfg.VMCores)
+			alloc := tn.server.allocUsed()
 			if alloc < 1 {
 				alloc = 1 // empty-server floor
 			}

@@ -164,6 +164,13 @@ type Controller interface {
 	Safeguards() bool
 }
 
+// The agent's fixed numbers; a Window longer than peakHistory is refused.
+const (
+	peakHistory          = sim.Second            // the conservative safeguard's "peak over the past second"
+	qosWindow            = 500 * sim.Millisecond // the long-term guard's wait-monitoring period
+	degradeAfterFailures = 3                     // consecutive abandoned resizes that enter degraded mode
+)
+
 // Config parameterizes the agent. DefaultConfig gives the paper's values.
 type Config struct {
 	// PrimaryAlloc is the number of cores allocated (sold) to the
@@ -178,15 +185,10 @@ type Config struct {
 	// PostResizeSleep is how long the agent sleeps after a resize to let
 	// it take effect (paper: 10 ms on cpugroups, 0 with IPIs).
 	PostResizeSleep sim.Time
-	// PeakHistory is the lookback for the conservative safeguard's
-	// "peak over the past second".
-	PeakHistory sim.Time
 
 	// LongTermSafeguard enables the vCPU-wait QoS guard for a controller
 	// whose Safeguards is true; NewAgent clears it for any other.
 	LongTermSafeguard bool
-	// QoSWindow is the wait-monitoring period (paper: 500 ms).
-	QoSWindow sim.Time
 	// QoSWaitThreshold is the per-dispatch wait considered bad (50 µs).
 	QoSWaitThreshold sim.Time
 	// QoSViolationFrac is the fraction of primary vCPU dispatch waits
@@ -230,9 +232,6 @@ type ResiliencePolicy struct {
 	// RetryBackoff is the delay before the first retry; it doubles per
 	// attempt (exponential backoff).
 	RetryBackoff sim.Time
-	// DegradeAfterFailures: this many consecutive abandoned resize
-	// operations enter degraded mode.
-	DegradeAfterFailures int
 	// DegradeAfterMissedPolls: this many lost busy-core polls within one
 	// learning window enter degraded mode.
 	DegradeAfterMissedPolls int
@@ -249,7 +248,6 @@ func DefaultResilience() ResiliencePolicy {
 	return ResiliencePolicy{
 		MaxRetries:              3,
 		RetryBackoff:            sim.Millisecond,
-		DegradeAfterFailures:    3,
 		DegradeAfterMissedPolls: 50,
 		Probation:               sim.Second,
 	}
@@ -263,8 +261,8 @@ func (p *ResiliencePolicy) validate() error {
 	if p.MaxRetries > 0 && p.RetryBackoff <= 0 {
 		return fmt.Errorf("core: retries require a positive backoff")
 	}
-	if p.DegradeAfterFailures < 1 || p.DegradeAfterMissedPolls < 1 {
-		return fmt.Errorf("core: degradation thresholds must be >= 1")
+	if p.DegradeAfterMissedPolls < 1 {
+		return fmt.Errorf("core: DegradeAfterMissedPolls must be >= 1")
 	}
 	if p.Probation <= 0 {
 		return fmt.Errorf("core: Probation must be positive")
@@ -281,9 +279,7 @@ func DefaultConfig(primaryAlloc, elasticMin int) Config {
 		Window:            25 * sim.Millisecond,
 		PollInterval:      50 * sim.Microsecond,
 		PostResizeSleep:   10 * sim.Millisecond,
-		PeakHistory:       sim.Second,
 		LongTermSafeguard: true,
-		QoSWindow:         500 * sim.Millisecond,
 		QoSWaitThreshold:  50 * sim.Microsecond,
 		QoSViolationFrac:  0.01,
 		QoSConsecutive:    1,
@@ -302,12 +298,12 @@ func (c *Config) validate() error {
 	if c.Window <= 0 || c.PollInterval <= 0 || c.PollInterval > c.Window {
 		return fmt.Errorf("core: need 0 < PollInterval <= Window")
 	}
-	if c.PostResizeSleep < 0 || c.PeakHistory < c.Window {
-		return fmt.Errorf("core: bad sleep/history")
+	if c.PostResizeSleep < 0 || c.Window > peakHistory {
+		return fmt.Errorf("core: bad sleep, or Window %v past the %v peak history", c.Window, peakHistory)
 	}
 	// The QoS monitor runs regardless of whether the long-term safeguard
 	// acts on it, so its parameters must always be sane.
-	if c.QoSWindow <= 0 || c.QoSWaitThreshold <= 0 ||
+	if c.QoSWaitThreshold <= 0 ||
 		c.QoSViolationFrac <= 0 || c.QoSViolationFrac > 1 || c.QoSConsecutive < 1 ||
 		c.HarvestPause <= 0 {
 		return fmt.Errorf("core: bad long-term safeguard parameters")
@@ -588,7 +584,7 @@ func (a *Agent) Start() {
 	// The QoS monitor always runs (it also keeps the hypervisor's wait
 	// buffer drained and feeds diagnostics); it only *acts* when the
 	// long-term safeguard is enabled.
-	a.loop.NewTicker(a.cfg.QoSWindow, a.cfg.QoSWindow, a.qosCheck)
+	a.loop.NewTicker(qosWindow, qosWindow, a.qosCheck)
 }
 
 // beginWindow consults the fault injector (if any), then resets window
@@ -951,7 +947,7 @@ func (a *Agent) attemptResize() bool {
 	a.stats.ResizesAborted++
 	a.splitDirty = true
 	a.consecFailures++
-	if !a.degraded && a.consecFailures >= p.DegradeAfterFailures {
+	if !a.degraded && a.consecFailures >= degradeAfterFailures {
 		a.enterDegraded(obs.DegradeResizeFailures)
 	}
 	if res.Latency > 0 {
@@ -998,10 +994,10 @@ func (a *Agent) resumeAfterOp(resume resumeKind) {
 	}
 }
 
-// trimPeaks drops history older than PeakHistory.
+// trimPeaks drops history older than peakHistory.
 func (a *Agent) trimPeaks(now sim.Time) {
 	cut := 0
-	for cut < len(a.peaks) && a.peaks[cut].at < now-a.cfg.PeakHistory {
+	for cut < len(a.peaks) && a.peaks[cut].at < now-peakHistory {
 		cut++
 	}
 	if cut > 0 {

@@ -470,7 +470,8 @@ func TestAgentValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(10, 1); c.PollInterval = 0; return c },
 		func() Config { c := DefaultConfig(10, 1); c.PollInterval = c.Window * 2; return c },
 		func() Config { c := DefaultConfig(10, 1); c.QoSViolationFrac = 0; return c },
-		func() Config { c := DefaultConfig(10, 1); c.PeakHistory = 0; return c },
+		// A window longer than the 1 s peak history.
+		func() Config { c := DefaultConfig(10, 1); c.Window = 2 * sim.Second; return c },
 		func() Config { c := DefaultConfig(20, 1); return c }, // exceeds total
 	}
 	for i, mk := range bad {

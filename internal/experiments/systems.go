@@ -286,17 +286,14 @@ func MemHarvest(cfg Config) (*Report, error) {
 		col{head: "episodes", w: 10, verb: "%d", key: "short_episodes"},
 		col{head: "reclaims", w: 9, verb: "%d", key: "reclaims"})
 	names := []string{"smartharvest-mem"}
-	ctrls := []core.Controller{memharvest.PeakFloor{Controller: core.NewSmartHarvest(64,
-		core.SmartHarvestOptions{Cost: learner.SkewedCost{UnderPenalty: 64.0 / 4}})}}
+	ctrls := []core.Controller{memharvest.PeakFloor{Controller: core.NewSmartHarvest(memharvest.TotalGB,
+		core.SmartHarvestOptions{Cost: learner.SkewedCost{UnderPenalty: memharvest.TotalGB / 4}})}}
 	for _, k := range []int{2, 8, 16, 24} {
 		names = append(names, fmt.Sprintf("fixed-%dGB", k))
-		ctrls = append(ctrls, core.NewFixedBuffer(64, k))
+		ctrls = append(ctrls, core.NewFixedBuffer(memharvest.TotalGB, k))
 	}
 	for i, ctrl := range ctrls {
-		res, err := memharvest.Run(mh, ctrl)
-		if err != nil {
-			return nil, err
-		}
+		res := memharvest.Run(mh, ctrl)
 		t.add("", names[i], res.AvgHarvestedGB, res.FaultSeconds, res.ShortEpisodes, res.Reclaims)
 	}
 	r.addf("(same CSOAA learner as the CPU agent, zero per-workload tuning: it lands on")

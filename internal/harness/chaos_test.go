@@ -8,7 +8,6 @@ import (
 	"smartharvest/internal/check"
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
-	"smartharvest/internal/market"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -101,10 +100,10 @@ func TestFleetPlanRejectedOnSingleServer(t *testing.T) {
 }
 
 // TestFleetScopeRejectionLeavesCallerUntouched: a scenario refused for a
-// fleet-only fault plan or a pool plan must be refused in validate —
-// before Run binds the single-use Checker or announces the predictor —
-// so the caller's checker is still bindable and its trace still empty.
-// (Both refusals used to sit after Checker.Bind and OnPredictorInfo.)
+// fleet-only fault plan must be refused in validate — before Run binds
+// the single-use Checker or announces the predictor — so the caller's
+// checker is still bindable and its trace still empty. (The refusal used
+// to sit after Checker.Bind and OnPredictorInfo.)
 func TestFleetScopeRejectionLeavesCallerUntouched(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -112,9 +111,6 @@ func TestFleetScopeRejectionLeavesCallerUntouched(t *testing.T) {
 	}{
 		{"fleet-only fault plan", func(s *Scenario) { s.Faults = faults.Plan{GrantDropProb: 0.2} }},
 		{"mixed fault plan", func(s *Scenario) { s.Faults = faults.Plan{HypercallFailProb: 0.1, ServerCrashProb: 0.01} }},
-		{"pool plan", func(s *Scenario) {
-			s.Pools = market.Config{Pools: []market.PoolSpec{{Name: "acme", Reserved: 2}}}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

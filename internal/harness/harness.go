@@ -18,7 +18,6 @@ import (
 	"smartharvest/internal/faults"
 	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
-	"smartharvest/internal/market"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -133,11 +132,6 @@ type Scenario struct {
 	// internal/faults). The zero Plan is disabled and draws nothing from
 	// the scenario RNG, so fault-free runs stay byte-identical.
 	Faults faults.Plan
-	// Pools is a harvested-capacity pool plan (see internal/market).
-	// Pools are an economy over a fleet's shared harvest; a single-server
-	// scenario has no fleet scheduler to run them, so any non-zero plan
-	// is rejected up front rather than silently ignored.
-	Pools market.Config
 	// Resilience overrides the agent's fault-response policy; nil keeps
 	// core.DefaultResilience.
 	Resilience *core.ResiliencePolicy
@@ -411,15 +405,10 @@ func (s *Scenario) validate() error {
 	}
 	// Fleet-level faults (server crashes, grant drops, stale reads) have
 	// no meaning on a single-server scenario — rejecting them keeps a
-	// mistyped plan from silently injecting nothing. Pool plans are
-	// likewise fleet-scoped: balances refill from the fleet harvest and
-	// admission is bounded by the fleet forecast. Both are refused here,
-	// before the run binds its Checker or emits its first event.
+	// mistyped plan from silently injecting nothing. They are refused
+	// here, before the run binds its Checker or emits its first event.
 	if s.Faults.FleetEnabled() {
 		return fmt.Errorf("harness: scenario %q: fleet-level fault plan %q requires a multi-server fleet (internal/cluster); single-server scenarios accept agent-level keys only", s.Name, s.Faults)
-	}
-	if s.Pools.Enabled() {
-		return fmt.Errorf("harness: scenario %q: pool plan %q requires a multi-server fleet (internal/market rides on internal/sched); single-server scenarios take no -pools", s.Name, s.Pools)
 	}
 	return nil
 }

@@ -51,8 +51,11 @@ func (p *PredictorKind) UnmarshalText(text []byte) error { return predictors.Unm
 
 // factory returns p's learner.Zoo factory, or nil for the default CSOAA
 // kind, which core.NewSmartHarvest builds itself at the options'
-// LearningRate.
+// LearningRate. An undeclared kind is a programming error and panics.
 func (p PredictorKind) factory() learner.Factory {
+	if !predictors.Valid(p) {
+		panic("harness: undeclared " + p.String())
+	}
 	if p == PredictorCSOAA {
 		return nil
 	}
@@ -61,7 +64,8 @@ func (p PredictorKind) factory() learner.Factory {
 
 // SmartHarvestPredictorFactory builds a SmartHarvest controller factory
 // running the selected predictor: the one way to run a scenario with a
-// peak predictor other than the default CSOAA.
+// peak predictor other than the default CSOAA. It panics on a kind that
+// is not one of the Predictor constants.
 func SmartHarvestPredictorFactory(kind PredictorKind, opts core.SmartHarvestOptions) ControllerFactory {
 	opts.Predictor = kind.factory()
 	return func(alloc int) core.Controller {

@@ -65,6 +65,23 @@ func TestParsePredictorUnknown(t *testing.T) {
 	}
 }
 
+// TestUndeclaredPredictorKindPanics: building a factory for a kind
+// outside the zoo panics with a message naming the kind, not with an
+// index out of range.
+func TestUndeclaredPredictorKindPanics(t *testing.T) {
+	for _, kind := range []PredictorKind{99, -1, PredictorKind(len(learner.Zoo))} {
+		func() {
+			want := "harness: undeclared " + kind.String()
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("SmartHarvestPredictorFactory(%d) panicked with %v, want %q", int(kind), got, want)
+				}
+			}()
+			SmartHarvestPredictorFactory(kind, core.SmartHarvestOptions{})
+		}()
+	}
+}
+
 // predInfoCapture records PredictorInfo events.
 type predInfoCapture struct {
 	obs.NopObserver

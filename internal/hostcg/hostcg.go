@@ -76,6 +76,15 @@ func parsePIDs(s string) ([]int, error) {
 	return pids, nil
 }
 
+// A core counts busy when at least busyThreshold of a poll interval was
+// non-idle. resizeLatency, the paper's per-resize cost, is what the agent
+// is told a resize takes: cpuset writes are fast but their effect is
+// scheduler-paced.
+const (
+	busyThreshold = 0.5
+	resizeLatency = 200 * sim.Microsecond
+)
+
 // Config describes the host layout.
 type Config struct {
 	// PrimaryCgroup and ElasticCgroup are cgroup v2 directory paths
@@ -88,13 +97,6 @@ type Config struct {
 	Cores []int
 	// ProcRoot is the procfs mount (default /proc).
 	ProcRoot string
-	// BusyThreshold is the per-interval CPU utilization above which a
-	// core counts as busy (default 0.5, i.e. >50% of the polling
-	// interval spent non-idle).
-	BusyThreshold float64
-	// ResizeLatency is reported to the agent as the cost of a resize;
-	// cpuset writes are fast but their effect is scheduler-paced.
-	ResizeLatency sim.Time
 	// OS provides host access (default RealOS).
 	OS OS
 }
@@ -102,12 +104,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.ProcRoot == "" {
 		c.ProcRoot = "/proc"
-	}
-	if c.BusyThreshold == 0 {
-		c.BusyThreshold = 0.5
-	}
-	if c.ResizeLatency == 0 {
-		c.ResizeLatency = 200 * sim.Microsecond
 	}
 	if c.OS == nil {
 		c.OS = RealOS{}
@@ -127,9 +123,6 @@ func (c *Config) validate() error {
 			return fmt.Errorf("hostcg: invalid or duplicate core id %d", c)
 		}
 		seen[c] = true
-	}
-	if c.BusyThreshold < 0 || c.BusyThreshold > 1 {
-		return fmt.Errorf("hostcg: BusyThreshold %v out of [0,1]", c.BusyThreshold)
 	}
 	return nil
 }
@@ -187,9 +180,6 @@ func (b *Backend) Init() error {
 
 // TotalCores implements core.Hypervisor.
 func (b *Backend) TotalCores() int { return len(b.cfg.Cores) }
-
-// ResizeLatency reports the configured per-resize cost.
-func (b *Backend) ResizeLatency() sim.Time { return b.cfg.ResizeLatency }
 
 // Resizes returns how many cpuset updates have been applied.
 func (b *Backend) Resizes() uint64 { return b.resizes }
@@ -261,7 +251,7 @@ func (b *Backend) SetPrimaryCores(n int) (core.ResizeResult, error) {
 		return core.ResizeResult{}, err
 	}
 	b.resizes++
-	return core.ResizeResult{Applied: true, Latency: b.cfg.ResizeLatency}, nil
+	return core.ResizeResult{Applied: true, Latency: resizeLatency}, nil
 }
 
 // BusyPrimaryCores implements core.Hypervisor: it reads /proc/stat and
@@ -291,7 +281,7 @@ func (b *Backend) BusyPrimaryCores() int {
 		}
 		if prev, seen := b.prevCPU[cpu]; seen {
 			if dTotal := cur.total - prev.total; dTotal > 0 {
-				cur.busy = 1-float64(cur.idle-prev.idle)/float64(dTotal) >= b.cfg.BusyThreshold
+				cur.busy = 1-float64(cur.idle-prev.idle)/float64(dTotal) >= busyThreshold
 			} else {
 				// Polled between two ticks: no news, keep the verdict.
 				cur.busy = prev.busy

@@ -414,7 +414,6 @@ func TestConfigValidation(t *testing.T) {
 		{PrimaryCgroup: "/a", ElasticCgroup: "/b", Cores: []int{0}},
 		{PrimaryCgroup: "/a", ElasticCgroup: "/b", Cores: []int{0, 0}},
 		{PrimaryCgroup: "/a", ElasticCgroup: "/b", Cores: []int{0, -1}},
-		{PrimaryCgroup: "/a", ElasticCgroup: "/b", Cores: []int{0, 1}, BusyThreshold: 2},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

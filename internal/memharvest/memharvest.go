@@ -18,50 +18,41 @@
 package memharvest
 
 import (
-	"fmt"
-
 	"smartharvest/internal/core"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
 )
 
+// TotalGB is the primaries' memory allocation in GB: the harvestable pool
+// (the ElasticVM's own minimum is outside it), and so the class count of
+// the controller given to Run.
+const TotalGB = 64
+
+// Each 1 s learning window (memory demand moves far slower than CPU
+// demand) sees samplesPerWindow demand samples. The primaries' working
+// set is a slow random walk between demandMin and demandMax GB with
+// allocation surges of surgeGB, arriving at surgeRate per second.
+const (
+	window               = sim.Second
+	samplesPerWindow     = 20
+	demandMin, demandMax = 8.0, 40.0
+	surgeRate            = 0.1
+	surgeGB              = 12.0
+)
+
 // Config describes one memory-harvesting run.
 type Config struct {
-	// TotalGB is the primaries' memory allocation in GB (the harvestable
-	// pool; the ElasticVM's own minimum is outside it).
-	TotalGB int
-	// Window is the learning window (default 1 s — memory demand moves
-	// far slower than CPU demand).
-	Window sim.Time
-	// SamplesPerWindow is how many demand observations feed the features
-	// (default 20).
-	SamplesPerWindow int
 	// ReclaimPerGB is how long returning one harvested GB to the
 	// primaries takes (default 200 ms: balloon deflate + zeroing).
 	ReclaimPerGB sim.Time
 	// Duration and Warmup bound the measured run.
 	Duration sim.Time
 	Warmup   sim.Time
-	// Demand parameterizes the primaries' working-set process: a slow
-	// random walk between DemandMin and DemandMax GB with occasional
-	// surges (allocation spikes).
-	DemandMin, DemandMax float64
-	SurgeRate            float64 // surges per second
-	SurgeGB              float64 // surge amplitude
 	// Seed drives randomness.
 	Seed uint64
 }
 
 func (c *Config) applyDefaults() {
-	if c.TotalGB == 0 {
-		c.TotalGB = 64
-	}
-	if c.Window == 0 {
-		c.Window = sim.Second
-	}
-	if c.SamplesPerWindow == 0 {
-		c.SamplesPerWindow = 20
-	}
 	if c.ReclaimPerGB == 0 {
 		c.ReclaimPerGB = 200 * sim.Millisecond
 	}
@@ -71,31 +62,9 @@ func (c *Config) applyDefaults() {
 	if c.Warmup == 0 {
 		c.Warmup = 10 * sim.Second
 	}
-	if c.DemandMax == 0 {
-		c.DemandMin, c.DemandMax = 8, 40
-	}
-	if c.SurgeRate == 0 {
-		c.SurgeRate = 0.1
-	}
-	if c.SurgeGB == 0 {
-		c.SurgeGB = 12
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-}
-
-func (c *Config) validate() error {
-	if c.TotalGB < 4 {
-		return fmt.Errorf("memharvest: TotalGB %d too small", c.TotalGB)
-	}
-	if c.DemandMin < 0 || c.DemandMax > float64(c.TotalGB) || c.DemandMin >= c.DemandMax {
-		return fmt.Errorf("memharvest: bad demand range [%v, %v]", c.DemandMin, c.DemandMax)
-	}
-	if c.SamplesPerWindow < 2 {
-		return fmt.Errorf("memharvest: need at least 2 samples per window")
-	}
-	return nil
 }
 
 // PeakFloor never assigns the primaries less than the window's peak
@@ -125,32 +94,29 @@ type Result struct {
 }
 
 // Run executes the simulation. At every window end ctrl, built for
-// cfg.TotalGB classes, picks how many GB to leave with the primaries for
-// the next window; it is never told of memharvest's safeguard, so a
-// learner trains on every window.
-func Run(cfg Config, ctrl core.Controller) (*Result, error) {
+// TotalGB classes, picks how many GB to leave with the primaries for the
+// next window; it is never told of memharvest's safeguard, so a learner
+// trains on every window.
+func Run(cfg Config, ctrl core.Controller) *Result {
 	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	rng := simrng.New(cfg.Seed)
 	loop := sim.NewLoop()
 
 	// Demand process state.
-	demand := (cfg.DemandMin + cfg.DemandMax) / 2
+	demand := (demandMin + demandMax) / 2
 	surgeUntil := sim.Time(0)
-	sampleGap := cfg.Window / sim.Time(cfg.SamplesPerWindow)
+	sampleGap := window / samplesPerWindow
 
 	// Assignment state.
-	assigned := float64(cfg.TotalGB) // GB currently with the primaries
-	reclaimDone := sim.Time(0)       // in-flight reclaim completes here
+	assigned := float64(TotalGB) // GB currently with the primaries
+	reclaimDone := sim.Time(0)   // in-flight reclaim completes here
 	var reclaimTarget float64
 
 	res := &Result{}
 	var harvestedIntegral, faultIntegral float64 // GB·ns
 	var measuredFrom sim.Time
 
-	samples := make([]int, 0, cfg.SamplesPerWindow)
+	samples := make([]int, 0, samplesPerWindow)
 	var prevT sim.Time
 
 	step := func(now sim.Time) {
@@ -178,7 +144,7 @@ func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 			if measuredFrom == 0 {
 				measuredFrom = now
 			}
-			harvested := float64(cfg.TotalGB) - avail
+			harvested := float64(TotalGB) - avail
 			if harvested > 0 {
 				harvestedIntegral += harvested * dt
 			}
@@ -189,20 +155,20 @@ func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 
 		// Advance the demand random walk.
 		demand += rng.Normal(0, 0.4)
-		if demand < cfg.DemandMin {
-			demand = cfg.DemandMin
+		if demand < demandMin {
+			demand = demandMin
 		}
-		if demand > cfg.DemandMax {
-			demand = cfg.DemandMax
+		if demand > demandMax {
+			demand = demandMax
 		}
-		if rng.Bool(cfg.SurgeRate * sampleGap.Seconds()) {
+		if rng.Bool(surgeRate * sampleGap.Seconds()) {
 			surgeUntil = now + sim.Time(rng.Exp(float64(3*sim.Second)))
 		}
 		if now < surgeUntil {
-			if d := demand + cfg.SurgeGB; d <= float64(cfg.TotalGB) {
+			if d := demand + surgeGB; d <= float64(TotalGB) {
 				demand = d
 			} else {
-				demand = float64(cfg.TotalGB)
+				demand = float64(TotalGB)
 			}
 		}
 
@@ -236,8 +202,8 @@ func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 		if short {
 			// Safeguard: reclaim up to the observed peak plus slack.
 			target = peak + 2
-			if target > cfg.TotalGB {
-				target = cfg.TotalGB
+			if target > TotalGB {
+				target = TotalGB
 			}
 		}
 		tf := float64(target)
@@ -256,7 +222,7 @@ func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 	}
 
 	loop.NewTicker(sampleGap, sampleGap, func() { step(loop.Now()) })
-	loop.NewTicker(cfg.Window, cfg.Window, func() { windowEnd(loop.Now()) })
+	loop.NewTicker(window, window, func() { windowEnd(loop.Now()) })
 	end := cfg.Warmup + cfg.Duration
 	loop.RunUntil(end)
 
@@ -265,5 +231,5 @@ func Run(cfg Config, ctrl core.Controller) (*Result, error) {
 		res.AvgHarvestedGB = harvestedIntegral / span
 		res.FaultSeconds = faultIntegral / 1e9
 	}
-	return res, nil
+	return res
 }

@@ -25,10 +25,7 @@ func TestDefaultConfigPinned(t *testing.T) {
 		{fixed(16), "fixed-16GB", 21.654791666666668, 354.74193022367797, 10, 125},
 		{fixed(24), "fixed-24GB", 13.651458333333334, 64.24733910648654, 10, 125},
 	} {
-		res, err := Run(Config{}, tc.ctrl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := Run(Config{}, tc.ctrl)
 		want := Result{AvgHarvestedGB: tc.gb, FaultSeconds: tc.faults,
 			ShortEpisodes: tc.short, Reclaims: tc.reclaim}
 		if *res != want {

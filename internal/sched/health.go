@@ -8,6 +8,10 @@ import (
 	"smartharvest/internal/sim"
 )
 
+// degradeWindow is the sliding window over fault signals that
+// Config.DegradeEnter and DegradeExit count.
+const degradeWindow = 250 * sim.Millisecond
+
 // health is the scheduler's self-healing collaborator under fleet-level
 // chaos (internal/faults fleet plans): dropped placement grants are
 // retried with bounded exponential backoff, servers whose grants keep
@@ -180,7 +184,7 @@ func (h *health) endRound(now sim.Time) {
 }
 
 func (h *health) pruneFaults(now sim.Time) {
-	cut := now - h.s.cfg.DegradeWindow
+	cut := now - degradeWindow
 	h.faultTimes = slices.DeleteFunc(h.faultTimes, func(t sim.Time) bool { return t <= cut })
 }
 
@@ -191,7 +195,7 @@ func (h *health) setDegraded(now sim.Time, on bool) {
 		s.res.Degraded++
 	}
 	s.obs.OnAdmissionDegraded(obs.AdmissionDegraded{
-		At: now, Entered: on, Faults: len(h.faultTimes), Window: s.cfg.DegradeWindow,
+		At: now, Entered: on, Faults: len(h.faultTimes), Window: degradeWindow,
 	})
 }
 

@@ -94,7 +94,7 @@ func (p *pools) tick() {
 	if p.ledger == nil {
 		return
 	}
-	s, dt := p.s, p.s.cfg.ReconcileEvery
+	s, dt := p.s, reconcileEvery
 	p.ledger.Refill(s.fleet.TotalHarvestedCores(), dt)
 	var exhausted []*job
 	for _, rs := range s.running {

@@ -78,6 +78,10 @@ type JobSpec struct {
 	Deadline sim.Time
 }
 
+// reconcileEvery is the eviction/placement reconciliation period: one
+// learning window.
+const reconcileEvery = 25 * sim.Millisecond
+
 // Config describes one scheduler run.
 type Config struct {
 	// Fleet configures the underlying cluster simulation; its ElasticVM
@@ -95,9 +99,6 @@ type Config struct {
 	// MaxRequeues is the per-job requeue budget: an eviction beyond it
 	// abandons the job (default 3).
 	MaxRequeues int
-	// ReconcileEvery is the eviction/placement reconciliation period
-	// (default 25 ms, one learning window).
-	ReconcileEvery sim.Time
 	// Checker, when set, verifies the job event stream online; Bind is
 	// called automatically and the report lands in Result.Check.
 	Checker *check.JobChecker
@@ -127,14 +128,13 @@ type Config struct {
 	// probation: usable, but one more failure re-quarantines it (doubled
 	// window), while surviving it clears its record (default 500 ms).
 	ProbationDur sim.Time
-	// DegradeWindow, DegradeEnter, DegradeExit govern graceful admission
+	// DegradeEnter and DegradeExit govern graceful admission
 	// degradation: once DegradeEnter fault signals (dropped grants,
-	// crashes, lost reconciles) land within a sliding DegradeWindow,
+	// crashes, lost reconciles) land within a sliding degradeWindow,
 	// placements fall back to conservative first-fit, at most one per
-	// round, until the count subsides to DegradeExit (250 ms, 8, 2).
-	DegradeWindow sim.Time
-	DegradeEnter  int
-	DegradeExit   int
+	// round, until the count subsides to DegradeExit (8, 2).
+	DegradeEnter int
+	DegradeExit  int
 }
 
 func (c *Config) applyDefaults() {
@@ -148,14 +148,12 @@ func (c *Config) applyDefaults() {
 	}
 	c.ArrivalRate = cmp.Or(c.ArrivalRate, 1)
 	c.MaxRequeues = cmp.Or(c.MaxRequeues, 3)
-	c.ReconcileEvery = cmp.Or(c.ReconcileEvery, 25*sim.Millisecond)
 	c.MaxPlacementRetries = cmp.Or(c.MaxPlacementRetries, 3)
 	c.PlacementBackoff = cmp.Or(c.PlacementBackoff, 5*sim.Millisecond)
 	c.QuarantineAfter = cmp.Or(c.QuarantineAfter, 3)
 	c.QuarantineDur = cmp.Or(c.QuarantineDur, 250*sim.Millisecond)
 	c.QuarantineMax = cmp.Or(c.QuarantineMax, 2*sim.Second)
 	c.ProbationDur = cmp.Or(c.ProbationDur, 500*sim.Millisecond)
-	c.DegradeWindow = cmp.Or(c.DegradeWindow, 250*sim.Millisecond)
 	c.DegradeEnter = cmp.Or(c.DegradeEnter, 8)
 	c.DegradeExit = cmp.Or(c.DegradeExit, 2)
 }
@@ -164,12 +162,12 @@ func (c *Config) validate() error {
 	if c.Policy < FirstFit || c.Policy > Predicted {
 		return fmt.Errorf("sched: unknown policy %d", int(c.Policy))
 	}
-	if c.ArrivalRate < 0 || c.MaxRequeues < 0 || c.ReconcileEvery < 0 {
-		return fmt.Errorf("sched: negative ArrivalRate, MaxRequeues, or ReconcileEvery")
+	if c.ArrivalRate < 0 || c.MaxRequeues < 0 {
+		return fmt.Errorf("sched: negative ArrivalRate or MaxRequeues")
 	}
 	if c.MaxPlacementRetries < 0 || c.PlacementBackoff < 0 || c.QuarantineAfter < 0 ||
 		c.QuarantineDur < 0 || c.QuarantineMax < 0 || c.ProbationDur < 0 ||
-		c.DegradeWindow < 0 || c.DegradeEnter < 0 || c.DegradeExit < 0 {
+		c.DegradeEnter < 0 || c.DegradeExit < 0 {
 		return fmt.Errorf("sched: negative resilience knob")
 	}
 	if c.DegradeExit >= c.DegradeEnter {
@@ -397,7 +395,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Reconciliation: evict overcommitted servers, then place what fits.
-	s.loop.NewTicker(fleet.Warmup(), cfg.ReconcileEvery, s.reconcile)
+	s.loop.NewTicker(fleet.Warmup(), reconcileEvery, s.reconcile)
 
 	if s.res.Fleet, err = fleet.Finish(); err != nil {
 		return nil, err

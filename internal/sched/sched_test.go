@@ -349,7 +349,6 @@ func TestSchedResilienceKnobsInertOnFaultFreeRuns(t *testing.T) {
 	tuned.QuarantineDur = 50 * sim.Millisecond
 	tuned.QuarantineMax = 200 * sim.Millisecond
 	tuned.ProbationDur = 100 * sim.Millisecond
-	tuned.DegradeWindow = sim.Second
 	tuned.DegradeEnter = 2
 	tuned.DegradeExit = 1
 	a, b := trace(base), trace(tuned)

@@ -43,7 +43,6 @@ import (
 	"smartharvest/internal/harness"
 	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/learner"
-	"smartharvest/internal/market"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -168,9 +167,15 @@ func PredictorNames() []string { return learner.Names() }
 // NewSmartHarvestPredictor builds a SmartHarvest controller factory
 // running the selected predictor. Set it as Scenario.Controller to run a
 // predictor other than the default CSOAA; a run with an Observer then
-// opens its trace with a PredictorInfo event naming it.
-func NewSmartHarvestPredictor(kind PredictorKind, opts SmartHarvestOptions) ControllerFactory {
-	return harness.SmartHarvestPredictorFactory(kind, opts)
+// opens its trace with a PredictorInfo event naming it. A kind that is
+// not one of the Predictor constants returns an error wrapping
+// ErrUnknownPredictor.
+func NewSmartHarvestPredictor(kind PredictorKind, opts SmartHarvestOptions) (ControllerFactory, error) {
+	// An undeclared kind renders as PredictorKind(n), which no name parses.
+	if _, err := harness.ParsePredictor(kind.String()); err != nil {
+		return nil, err
+	}
+	return harness.SmartHarvestPredictorFactory(kind, opts), nil
 }
 
 // Structured scenario-validation errors. Run returns a *ScenarioError
@@ -346,18 +351,6 @@ type FaultPlan = faults.Plan
 // key=value pairs, one per FaultPlan field (see README "Chaos testing").
 // The empty string and "none" are the zero plan.
 func ParseFaultPlan(s string) (FaultPlan, error) { return faults.ParsePlan(s) }
-
-// PoolPlan is a harvested-capacity pool plan (Scenario.Pools; see
-// internal/market). Pools are an economy over a fleet's shared harvest:
-// a single-server Scenario has no fleet scheduler to run one, so any
-// non-empty plan is rejected at Run rather than silently ignored — the
-// plan belongs on the multi-server sched/market experiments.
-type PoolPlan = market.Config
-
-// ParsePools parses the -pools CLI syntax: semicolon-separated pool
-// segments of comma-separated key=value pairs (see README "Capacity
-// pools"). The empty string and "none" are the disabled plan.
-func ParsePools(s string) (PoolPlan, error) { return market.ParsePools(s) }
 
 // ResiliencePolicy tunes the agent's fault response: retry budget and
 // backoff, degradation thresholds, and the probation for re-entry
