@@ -135,6 +135,12 @@ func (c *Config) validate() error {
 	if c.RejectRetries < 0 || c.RejectRetryDelay < 0 {
 		return fmt.Errorf("cluster: negative RejectRetries or RejectRetryDelay")
 	}
+	if c.Duration < 0 || c.Warmup < 0 {
+		return fmt.Errorf("cluster: negative Duration %v or Warmup %v", c.Duration, c.Warmup)
+	}
+	if c.Duration > math.MaxInt64-c.Warmup {
+		return fmt.Errorf("cluster: Warmup %v + Duration %v overflows the clock", c.Warmup, c.Duration)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"smartharvest/internal/apps"
@@ -141,6 +142,9 @@ func TestFleetValidation(t *testing.T) {
 		{Servers: 0},
 		{Servers: 1, CoresPerServer: 5}, // too small for a tenant
 		{Servers: 1, ArrivalRate: -1},
+		{Servers: 1, Warmup: -sim.Second},
+		{Servers: 1, Duration: -sim.Second},
+		{Servers: 1, Duration: math.MaxInt64 - sim.Second}, // + the 2 s default warmup
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

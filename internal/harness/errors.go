@@ -13,7 +13,8 @@ var (
 	ErrNoPrimaries = errors.New("no primary workloads")
 	// ErrBadCoreCounts: PrimaryVMCores or ElasticMin is out of range.
 	ErrBadCoreCounts = errors.New("bad core counts")
-	// ErrBadDuration: Duration or Warmup is negative.
+	// ErrBadDuration: Duration or Warmup is negative, or their sum
+	// overflows the simulated clock.
 	ErrBadDuration = errors.New("bad duration")
 	// ErrBadWindow: the learning window or poll interval is invalid
 	// (either non-positive, or Window < PollInterval).

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -381,6 +382,10 @@ func (s *Scenario) validate() error {
 	}
 	if s.Warmup < 0 {
 		return s.scenarioErr("Warmup", ErrBadDuration, "Warmup=%v", s.Warmup)
+	}
+	if s.Duration > math.MaxInt64-s.Warmup {
+		return s.scenarioErr("Duration", ErrBadDuration,
+			"Warmup %v + Duration %v overflows the clock", s.Warmup, s.Duration)
 	}
 	if s.Window <= 0 || s.PollInterval <= 0 {
 		return s.scenarioErr("Window/PollInterval", ErrBadWindow,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -180,6 +181,10 @@ func TestScenarioValidationErrors(t *testing.T) {
 		{"negative-elastic-min", func(s *Scenario) { s.ElasticMin = -1 }, ErrBadCoreCounts},
 		{"negative-duration", func(s *Scenario) { s.Duration = -sim.Second }, ErrBadDuration},
 		{"negative-warmup", func(s *Scenario) { s.Warmup = -sim.Second }, ErrBadDuration},
+		{"warmup-plus-duration-overflows", func(s *Scenario) {
+			s.Warmup = 2 * sim.Second
+			s.Duration = math.MaxInt64 - sim.Second
+		}, ErrBadDuration},
 		{"negative-window", func(s *Scenario) { s.Window = -sim.Millisecond }, ErrBadWindow},
 		{"window-below-poll", func(s *Scenario) {
 			s.Window = 10 * sim.Microsecond
