@@ -174,6 +174,7 @@ type sinusoidal struct {
 	amp     float64
 	period  float64 // ns
 	peakGap float64 // mean gap at the peak rate, ns
+	lowQPS  float64 // the least rate the sine gives, computed as at sin = -1
 }
 
 func newSinusoidal(rng *simrng.Rand, baseQPS, amp float64, period sim.Time) *sinusoidal {
@@ -182,6 +183,7 @@ func newSinusoidal(rng *simrng.Rand, baseQPS, amp float64, period sim.Time) *sin
 		baseQPS: baseQPS,
 		amp:     amp,
 		peakGap: 1e9 / (baseQPS * (1 + amp)),
+		lowQPS:  baseQPS * (1 - amp),
 	}
 	if amp > 0 {
 		s.period = float64(period)
@@ -197,11 +199,19 @@ func (s *sinusoidal) Next(now sim.Time) (sim.Time, int) {
 		if s.amp == 0 {
 			return t - now, 1
 		}
-		rate := s.baseQPS * (1 + s.amp*math.Sin(2*math.Pi*float64(t)/s.period))
-		if s.rng.Float64()*s.baseQPS*(1+s.amp) <= rate {
+		if s.accept(t, s.rng.Float64()) {
 			return t - now, 1
 		}
 	}
+}
+
+// accept thins the candidate at t with the uniform draw u. math.Sin never
+// leaves [-1, 1] and float rounding is monotone, so rate(t) is never below
+// lowQPS, which is rate(t) computed at sin = -1; a candidate at or under it
+// is accepted without the sine, with the decision the full formula gives.
+func (s *sinusoidal) accept(t sim.Time, u float64) bool {
+	c := u * s.baseQPS * (1 + s.amp)
+	return c <= s.lowQPS || c <= s.baseQPS*(1+s.amp*math.Sin(2*math.Pi*float64(t)/s.period))
 }
 
 // burster emits burst batches from two sources: the shared server-wide

@@ -260,3 +260,48 @@ func TestBurstLoopKeepsRunsWithinHorizon(t *testing.T) {
 		}
 	}
 }
+
+// TestSinusoidalSineSkipExact holds the thinning's sine skip to the full
+// formula: over 10^6 candidates per amplitude, accept decides as
+// u·base·(1+amp) <= base·(1 + amp·sin(2πt/P)) does, and the skip is taken
+// for a share of them when amp > 0.
+func TestSinusoidalSineSkipExact(t *testing.T) {
+	const candidates = 1_000_000
+	for _, amp := range []float64{0, 0.5, 0.6, 0.99} {
+		s := newSinusoidal(simrng.New(3), 3000, amp, 4*sim.Second)
+		if amp == 0 {
+			s.period = float64(4 * sim.Second) // the full formula divides by it
+		}
+		draw := simrng.New(uint64(1000 * amp))
+		skipped := 0
+		for i := 0; i < candidates; i++ {
+			at := sim.Time(draw.Uint64() >> 20) // up to ~4.9 hours
+			u := draw.Float64()
+			full := u*s.baseQPS*(1+s.amp) <= s.baseQPS*(1+s.amp*math.Sin(2*math.Pi*float64(at)/s.period))
+			if got := s.accept(at, u); got != full {
+				t.Fatalf("amp %v: accept(%v, %v) = %v, full formula %v", amp, at, u, got, full)
+			}
+			if u*s.baseQPS*(1+s.amp) <= s.lowQPS {
+				skipped++
+			}
+		}
+		// The edge: sin within a hair of -1, u within ulps of the bound.
+		trough := sim.Time(3 * s.period / 4)
+		for dt := sim.Time(-3); dt <= 3; dt++ {
+			u := s.lowQPS / (s.baseQPS * (1 + s.amp))
+			for k := 0; k < 8; k++ {
+				u = math.Nextafter(u, 0)
+			}
+			for k := 0; k < 16; k++ {
+				full := u*s.baseQPS*(1+s.amp) <= s.baseQPS*(1+s.amp*math.Sin(2*math.Pi*float64(trough+dt)/s.period))
+				if got := s.accept(trough+dt, u); got != full {
+					t.Fatalf("amp %v: accept(%v, %v) = %v at the trough, full formula %v", amp, trough+dt, u, got, full)
+				}
+				u = math.Nextafter(u, 1)
+			}
+		}
+		if amp > 0 && (skipped == 0 || skipped == candidates) {
+			t.Errorf("amp %v: %d of %d candidates skipped the sine", amp, skipped, candidates)
+		}
+	}
+}
