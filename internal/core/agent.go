@@ -395,16 +395,17 @@ type Agent struct {
 	opRetryFn      func() // a fault-free resize continuation must not
 	wakeFn         func() // allocate
 	pollFn         func()
-	runAhead       bool     // hv is EventDrivenBusy and no observer is attached
-	aheadUntil     sim.Time // last poll instant the pending run-ahead covers
-	dead           bool     // ForceCrash downtime: every loop is severed
-	lastBusy       int      // last delivered busy reading (for dropped polls)
-	splitDirty     bool     // a fire-and-forget resize (QoS/churn) failed
-	degraded       bool     // harvesting abandoned; NoHarvest behaviour
-	degradedSince  sim.Time // when degraded mode was entered
-	lastFault      sim.Time // last agent-visible fault (probation anchor)
-	consecFailures int      // consecutive abandoned resize operations
-	windowMissed   int      // polls lost in the current window
+	pollLane       *sim.Lane // every poll PollInterval ahead goes here
+	runAhead       bool      // hv is EventDrivenBusy and no observer is attached
+	aheadUntil     sim.Time  // last poll instant the pending run-ahead covers
+	dead           bool      // ForceCrash downtime: every loop is severed
+	lastBusy       int       // last delivered busy reading (for dropped polls)
+	splitDirty     bool      // a fire-and-forget resize (QoS/churn) failed
+	degraded       bool      // harvesting abandoned; NoHarvest behaviour
+	degradedSince  sim.Time  // when degraded mode was entered
+	lastFault      sim.Time  // last agent-visible fault (probation anchor)
+	consecFailures int       // consecutive abandoned resize operations
+	windowMissed   int       // polls lost in the current window
 
 	stats         Stats // PollsSkipped may run ahead of the clock; see Stats()
 	targetSeries  metrics.Series
@@ -438,6 +439,7 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	a.opRetryFn = a.opRetry
 	a.wakeFn = a.wake
 	a.pollFn = a.poll
+	a.pollLane = loop.Lane(cfg.PollInterval)
 	_, eventDriven := hv.(EventDrivenBusy)
 	a.runAhead = eventDriven && cfg.Observer == nil
 	if cfg.Observer != nil {
@@ -657,8 +659,11 @@ func (a *Agent) restartState(loseModel bool) {
 	cp.Reset()
 }
 
+// schedulePoll schedules the next poll one interval ahead, on the loop's
+// lane for that interval: it is shared by every agent on the loop, and
+// costs O(1) where the heap costs O(log n) (DESIGN §5).
 func (a *Agent) schedulePoll() {
-	a.loop.After(a.cfg.PollInterval, a.pollFn)
+	a.pollLane.After(a.pollFn)
 }
 
 // pollAhead stands in for schedulePoll after a poll that changed nothing
@@ -685,6 +690,10 @@ func (a *Agent) pollAhead(busy int) {
 	}
 	a.stats.PollsSkipped += uint64(skip)
 	a.aheadUntil = now + skip*dt
+	if skip == 0 {
+		a.pollLane.After(a.pollFn)
+		return
+	}
 	a.loop.After((skip+1)*dt, a.pollFn)
 }
 

@@ -49,3 +49,45 @@ func BenchmarkCancel(b *testing.B) {
 		l.Cancel(e)
 	}
 }
+
+// BenchmarkLoopFleetShape measures one fired event on a loop shaped like an
+// eight-server fleet: about 120 standing heap events that re-arm 1–1000 µs
+// ahead (requests, slices, tickers) and eight sources re-arming every
+// 50 µs (the agents' polls), which then make up about 40 % of what fires.
+// The "lane" case sends the sources through Lane.After, the "heap" case
+// through Loop.After; both fire the same events in the same order.
+func BenchmarkLoopFleetShape(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		viaLane bool
+	}{{"lane", true}, {"heap", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			l := NewLoop()
+			lane := l.Lane(50 * Microsecond)
+			rng := uint64(1)
+			for i := 0; i < 120; i++ {
+				var fn func()
+				fn = func() {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					l.After(Time(1+rng>>33%1000)*Microsecond, fn)
+				}
+				l.At(Time(i)*Microsecond, fn)
+			}
+			for i := 0; i < 8; i++ {
+				var poll func()
+				if tc.viaLane {
+					poll = func() { lane.After(poll) }
+				} else {
+					poll = func() { l.After(50*Microsecond, poll) }
+				}
+				l.At(Time(i)*6*Microsecond, poll)
+			}
+			l.RunUntil(10 * Millisecond) // settle: free list and ring grown
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Step()
+			}
+		})
+	}
+}

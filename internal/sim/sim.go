@@ -10,7 +10,10 @@
 // the queue is a hand-rolled binary heap — no container/heap interface
 // round-trips or `any` boxing — and fired or canceled events are recycled
 // through a per-Loop free list instead of being left to the garbage
-// collector.
+// collector. Events that are always scheduled the same delay ahead and
+// never canceled (the agents' polls) can skip the heap altogether: a Lane
+// is a FIFO that is already in firing order, merged with the heap root at
+// each pop.
 package sim
 
 import (
@@ -106,8 +109,11 @@ type Loop struct {
 	now     Time
 	queue   []*Event // binary min-heap ordered by (when, seq)
 	free    []*Event // recycled events, reused by At/After
+	first   *Lane    // the lane whose head fires first; nil when all are empty
+	laned   int      // events pending in all lanes
 	nextSeq uint64
 	fired   uint64
+	lanes   Lane // the first lane asked for, heading a list of the rest
 }
 
 // NewLoop returns an empty loop with the clock at zero.
@@ -117,7 +123,7 @@ func NewLoop() *Loop { return &Loop{} }
 func (l *Loop) Now() Time { return l.now }
 
 // Len returns the number of pending events.
-func (l *Loop) Len() int { return len(l.queue) }
+func (l *Loop) Len() int { return len(l.queue) + l.laned }
 
 // Fired returns the total number of events executed so far; useful in
 // tests and as a progress measure.
@@ -198,7 +204,8 @@ func (l *Loop) push(e *Event) {
 	l.siftUp(len(l.queue)-1, e)
 }
 
-// popFront removes and returns the earliest event, marking it detached.
+// popFront removes and returns the earliest heap event, marking it
+// detached.
 func (l *Loop) popFront() *Event {
 	q := l.queue
 	e := q[0]
@@ -269,32 +276,67 @@ func (l *Loop) siftDown(i int, e *Event) {
 	e.idx = i
 }
 
-// step fires the earliest pending event. The queue must be non-empty.
-func (l *Loop) step() {
+// maxTime is past every event: a bound that lets anything fire.
+const maxTime = Time(1<<63 - 1)
+
+// step fires the earliest pending event if it is due by end, with the
+// clock at its time, or where the clock is if a StepLate has already
+// taken it past that. It reports whether an event fired. The clock never
+// goes backwards, which is what keeps every lane in (when, seq) order.
+func (l *Loop) step(end Time) bool {
+	if ln := l.first; ln != nil && (len(l.queue) == 0 || ln.ahead(l.queue[0])) {
+		return l.stepLane(ln, end)
+	}
+	if len(l.queue) == 0 || l.queue[0].when > end {
+		return false
+	}
 	e := l.popFront()
-	l.now = e.when
+	l.now = max(l.now, e.when)
+	l.fired++
 	fn := e.fn
 	e.fn = nil
-	l.fired++
 	fn()
 	if e.idx < 0 { // not re-armed by the callback (Ticker re-arms)
 		l.recycle(e)
 	}
-}
-
-// Step executes the next pending event, advancing the clock to its time.
-// It returns false if the queue is empty.
-func (l *Loop) Step() bool {
-	if len(l.queue) == 0 {
-		return false
-	}
-	l.step()
 	return true
 }
+
+// stepLane is step when the head of lane ln is the earliest event. It is
+// a function of its own so that step's heap path, which single-server runs
+// mostly take (their polls run ahead on the heap), carries none of it.
+func (l *Loop) stepLane(ln *Lane, end Time) bool {
+	h := &ln.ring[ln.head]
+	if h.when > end {
+		return false
+	}
+	l.now = max(l.now, h.when)
+	l.fired++
+	fn := h.fn
+	h.fn = nil
+	ln.head = (ln.head + 1) & (len(ln.ring) - 1)
+	ln.n--
+	l.laned--
+	if l.lanes.next != nil {
+		l.refirst()
+	} else if ln.n == 0 { // a lone lane leads until it empties
+		l.first = nil
+	}
+	fn()
+	return true
+}
+
+// Step executes the next pending event, advancing the clock to its time
+// (an event a StepLate has overtaken fires at the clock as it is). It
+// returns false if the queue is empty.
+func (l *Loop) Step() bool { return l.step(maxTime) }
 
 // Next returns the time of the earliest pending event; ok is false when
 // the queue is empty.
 func (l *Loop) Next() (t Time, ok bool) {
+	if ln := l.first; ln != nil && (len(l.queue) == 0 || ln.ahead(l.queue[0])) {
+		return ln.ring[ln.head].when, true
+	}
 	if len(l.queue) == 0 {
 		return 0, false
 	}
@@ -308,18 +350,19 @@ func (l *Loop) Next() (t Time, ok bool) {
 // yields one late callback instead of a burst of catch-up ones. Events
 // overtaken by now keep their (time, FIFO) order and each fires at now.
 func (l *Loop) StepLate(now Time) bool {
-	// Safe on the heap: step pops the root before anything compares it.
-	if len(l.queue) > 0 && l.queue[0].when < now {
-		l.queue[0].when = now
+	if l.Len() == 0 {
+		return false
 	}
-	return l.Step()
+	// The head is still chosen and popped by its own (when, seq); only
+	// the clock it fires at is raised.
+	l.now = max(l.now, now)
+	return l.step(maxTime)
 }
 
 // RunUntil executes events until the clock would pass end, then sets the
 // clock to exactly end. Events scheduled at exactly end do run.
 func (l *Loop) RunUntil(end Time) {
-	for len(l.queue) > 0 && l.queue[0].when <= end {
-		l.step()
+	for l.step(end) {
 	}
 	if l.now < end {
 		l.now = end
@@ -328,9 +371,112 @@ func (l *Loop) RunUntil(end Time) {
 
 // Run executes events until the queue is empty.
 func (l *Loop) Run() {
-	for len(l.queue) > 0 {
-		l.step()
+	for l.step(maxTime) {
 	}
+}
+
+// Lane is a FIFO of events that all fire a fixed delay after they are
+// scheduled, and are never canceled: the agents' 50 µs polls. Each push
+// lands at now+d with the loop's next sequence number, and now never
+// decreases, so the lane is already in (when, seq) order; the loop merges
+// its head with the heap root at every pop, so the lane changes no
+// event's firing order, only what finding it costs. The pending events sit
+// by value in a ring that starts in the Lane itself and grows by doubling.
+type Lane struct {
+	loop  *Loop
+	next  *Lane // the loop's next lane
+	d     Time
+	ring  []laneEvent // len is a power of two
+	head  int         // ring index of the earliest pending event
+	n     int         // pending events
+	small [8]laneEvent
+}
+
+type laneEvent struct {
+	when Time
+	seq  uint64
+	fn   func()
+}
+
+// Lane returns the loop's lane for delay d, creating it on first use; all
+// callers asking for the same d share one lane.
+func (l *Loop) Lane(d Time) *Lane {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative lane delay %v", d))
+	}
+	ln := &l.lanes
+	if ln.loop == nil { // the first lane lives in the Loop itself
+		ln.init(l, d)
+	}
+	for ln.d != d {
+		if ln.next == nil {
+			ln.next = new(Lane)
+			ln.next.init(l, d)
+		}
+		ln = ln.next
+	}
+	return ln
+}
+
+func (ln *Lane) init(l *Loop, d Time) {
+	ln.loop, ln.d = l, d
+	ln.ring = ln.small[:]
+}
+
+// ahead reports whether the lane's head, which must be pending, fires
+// before e.
+func (ln *Lane) ahead(e *Event) bool {
+	h := &ln.ring[ln.head]
+	return h.when < e.when || h.when == e.when && h.seq < e.seq
+}
+
+// before reports whether a fires ahead of b.
+func (a *laneEvent) before(b *laneEvent) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
+
+// After schedules fn to run the lane's delay after the current time. It
+// fires exactly where Loop.After(d, fn) would, but returns no handle: a
+// lane event cannot be canceled.
+func (ln *Lane) After(fn func()) {
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	if ln.n == len(ln.ring) {
+		ln.grow()
+	}
+	l := ln.loop
+	when := l.now + ln.d
+	ln.ring[(ln.head+ln.n)&(len(ln.ring)-1)] = laneEvent{when: when, seq: l.nextSeq, fn: fn}
+	l.nextSeq++
+	ln.n++
+	l.laned++
+	// A push changes the lane's head only if the lane was empty; the new
+	// head has the largest seq yet, so it leads only by an earlier time.
+	if f := l.first; f == nil || ln.n == 1 && when < f.ring[f.head].when {
+		l.first = ln
+	}
+}
+
+// refirst finds the leading lane again, over every lane.
+func (l *Loop) refirst() {
+	l.first = nil
+	for ln := &l.lanes; ln != nil; ln = ln.next {
+		if ln.n == 0 {
+			continue
+		}
+		if f := l.first; f == nil || ln.ring[ln.head].before(&f.ring[f.head]) {
+			l.first = ln
+		}
+	}
+}
+
+// grow doubles the full ring, unrolling it so head is index 0.
+func (ln *Lane) grow() {
+	ring := make([]laneEvent, 2*len(ln.ring))
+	k := copy(ring, ln.ring[ln.head:])
+	copy(ring[k:], ln.ring[:ln.head])
+	ln.ring, ln.head = ring, 0
 }
 
 // Ticker invokes fn every interval until stopped, starting at start.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -527,6 +528,44 @@ func TestStepLate(t *testing.T) {
 	if l.Now() != 3*Millisecond {
 		t.Fatalf("clock %v moved backwards or past the last event", l.Now())
 	}
+
+	// A lane event overtaken by now keeps its (when, seq) rank against the
+	// heap: the heap event at 1ms was scheduled after the lane push at
+	// 0.5ms, so it fires after it even though both fire at the late clock.
+	// A poll re-arming on the lane counts its interval from the late clock,
+	// and a plain Step after a late one leaves the clock where it is.
+	l = NewLoop()
+	got = got[:0]
+	lane := l.Lane(500 * Microsecond)
+	polls := 0
+	var poll func()
+	poll = func() {
+		got = append(got, fire{0, l.Now()})
+		if polls++; polls < 3 {
+			lane.After(poll)
+		}
+	}
+	lane.After(poll)
+	l.At(Millisecond, func() { got = append(got, fire{1, l.Now()}) })
+	l.At(400*Microsecond, func() { got = append(got, fire{2, l.Now()}) })
+	late = 2 * Millisecond
+	l.StepLate(late) // event 2 at 0.4ms
+	l.StepLate(late) // the lane's poll at 0.5ms re-arms at late+0.5ms
+	l.Step()         // event 1 at 1ms, overtaken: fires at late, not 1ms
+	if when, _ := l.Next(); when != late+500*Microsecond {
+		t.Fatalf("re-armed poll due at %v, want %v", when, late+500*Microsecond)
+	}
+	l.StepLate(3 * Millisecond)
+	l.Run()
+	want = []fire{{2, late}, {0, late}, {1, late}, {0, 3 * Millisecond}, {0, 3*Millisecond + 500*Microsecond}}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
 }
 
 // TestTimeTextCodec pins the text form every flag, grid file and grammar
@@ -569,5 +608,36 @@ func TestTimeJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"T":1500000000}`), &v); err == nil {
 		t.Error("json.Unmarshal accepted a number where a duration string belongs")
+	}
+}
+
+// TestLaneZeroAllocs pins the lane at zero bytes: eight sources push and
+// pop through the lane's own eight-slot ring, which wraps thousands of
+// times, merged against a heap that holds a ticker and re-armed events. It reads the bytes the runtime allocated, not
+// AllocsPerRun, which truncates anything under one allocation per run to 0.
+func TestLaneZeroAllocs(t *testing.T) {
+	l := NewLoop()
+	lane := l.Lane(50 * Microsecond)
+	polls := 0
+	for i := 0; i < 8; i++ {
+		var poll func()
+		poll = func() { polls++; lane.After(poll) }
+		l.At(Time(i)*6*Microsecond, poll)
+	}
+	var other func()
+	other = func() { l.After(31*Microsecond, other) }
+	l.At(0, other)
+	l.NewTicker(0, 25*Millisecond, func() {})
+	l.RunUntil(Millisecond) // settle: free list primed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	polls = 0
+	l.RunUntil(l.Now() + Second)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+		t.Fatalf("lane push/pop allocated %d B over %d polls, want 0", b, polls)
+	}
+	if len(lane.ring) != 8 || polls < 1000*len(lane.ring) {
+		t.Fatalf("ring of %d slots saw %d polls; want 8 slots wrapped at least 1000 times", len(lane.ring), polls)
 	}
 }
