@@ -34,10 +34,9 @@ type Config struct {
 	// Servers is the fleet size.
 	Servers int
 	// CoresPerServer is each server's harvesting pool (default 21:
-	// capacity for two 10-core tenants plus the ElasticVM minimum).
+	// capacity for two 10-core tenants plus the ElasticVM minimum,
+	// harness.ElasticMin).
 	CoresPerServer int
-	// ElasticMin is the per-server ElasticVM minimum (default 1).
-	ElasticMin int
 	// Controller builds each server's policy (default SmartHarvest).
 	Controller harness.ControllerFactory
 	// Mechanism selects the reassignment path.
@@ -91,9 +90,6 @@ func (c *Config) applyDefaults() {
 	if c.CoresPerServer == 0 {
 		c.CoresPerServer = 21
 	}
-	if c.ElasticMin == 0 {
-		c.ElasticMin = 1
-	}
 	if c.Controller == nil {
 		c.Controller = func(alloc int) core.Controller {
 			return core.NewSmartHarvest(alloc, core.SmartHarvestOptions{})
@@ -126,7 +122,7 @@ func (c *Config) validate() error {
 	if c.Servers < 1 {
 		return fmt.Errorf("cluster: need at least one server")
 	}
-	if c.CoresPerServer < harness.DefaultPrimaryVMCores+c.ElasticMin {
+	if c.CoresPerServer < harness.DefaultPrimaryVMCores+harness.ElasticMin {
 		return fmt.Errorf("cluster: servers too small for one tenant VM")
 	}
 	if c.ArrivalRate < 0 {
@@ -253,10 +249,10 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 		end:    cfg.Warmup + cfg.Duration,
 	}
 
-	maxAlloc := cfg.CoresPerServer - cfg.ElasticMin
+	maxAlloc := cfg.CoresPerServer - harness.ElasticMin
 	f.servers = make([]*server, cfg.Servers)
 	for i := range f.servers {
-		agentCfg := core.DefaultConfig(maxAlloc, cfg.ElasticMin)
+		agentCfg := core.DefaultConfig(maxAlloc, harness.ElasticMin)
 		agentCfg.Observer = agentObserver
 		// Empty server: one core reserved for the (absent) primaries'
 		// floor, everything else harvestable.
@@ -458,7 +454,7 @@ func (f *Fleet) HarvestedCores(i int) int {
 	if f.Crashed(i) {
 		return 0
 	}
-	n := f.servers[i].machine.GroupCores(hypervisor.ElasticGroup) - f.cfg.ElasticMin
+	n := f.servers[i].machine.GroupCores(hypervisor.ElasticGroup) - harness.ElasticMin
 	if n < 0 {
 		n = 0
 	}
@@ -534,7 +530,7 @@ func (f *Fleet) Finish() (*Result, error) {
 	perServer := make([]float64, 0, len(f.servers))
 	for _, s := range f.servers {
 		harvestedSec := s.machine.CoreSeconds(hypervisor.ElasticGroup) - s.warmCoreSec -
-			float64(f.cfg.ElasticMin)*measured
+			harness.ElasticMin*measured
 		if harvestedSec < 0 {
 			harvestedSec = 0
 		}

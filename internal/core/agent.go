@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"smartharvest/internal/learner"
-	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -199,10 +198,6 @@ type Config struct {
 	// HarvestPause is how long harvesting stays disabled once tripped
 	// (10 s).
 	HarvestPause sim.Time
-
-	// RecordSeries enables per-window time-series recording (allocation
-	// and observed peak), used by Figure 7.
-	RecordSeries bool
 
 	// Observer receives the agent's event stream (polls, window
 	// decisions, safeguard and QoS trips). Nil disables observation; the
@@ -407,10 +402,7 @@ type Agent struct {
 	consecFailures int       // consecutive abandoned resize operations
 	windowMissed   int       // polls lost in the current window
 
-	stats         Stats // PollsSkipped may run ahead of the clock; see Stats()
-	targetSeries  metrics.Series
-	peakSeries    metrics.Series
-	qosViolations metrics.Series
+	stats Stats // PollsSkipped may run ahead of the clock; see Stats()
 }
 
 // NewAgent wires an agent. The controller must already be configured for
@@ -430,10 +422,8 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	cfg.LongTermSafeguard = cfg.LongTermSafeguard && ctrl.Safeguards()
 	a := &Agent{
 		loop: loop, hv: hv, cfg: cfg, ctrl: ctrl,
-		target:       cfg.PrimaryAlloc,
-		lastFault:    -1,
-		targetSeries: metrics.Series{Name: "primary-target"},
-		peakSeries:   metrics.Series{Name: "window-peak"},
+		target:    cfg.PrimaryAlloc,
+		lastFault: -1,
 	}
 	a.opDoneFn = a.opDone
 	a.opRetryFn = a.opRetry
@@ -462,18 +452,6 @@ func (a *Agent) Stats() Stats {
 	st.Degraded = a.degraded
 	return st
 }
-
-// TargetSeries returns the recorded per-window primary-core assignment
-// (empty unless Config.RecordSeries).
-func (a *Agent) TargetSeries() *metrics.Series { return &a.targetSeries }
-
-// PeakSeries returns the recorded per-window observed peak (empty unless
-// Config.RecordSeries).
-func (a *Agent) PeakSeries() *metrics.Series { return &a.peakSeries }
-
-// QoSViolationSeries returns the per-QoS-window fraction of bad dispatch
-// waits (empty unless Config.RecordSeries).
-func (a *Agent) QoSViolationSeries() *metrics.Series { return &a.qosViolations }
 
 // harvestingPaused reports whether the long-term safeguard currently has
 // harvesting disabled.
@@ -860,11 +838,6 @@ func (a *Agent) endWindow(safeguard bool, busy int) {
 		})
 	}
 
-	if a.cfg.RecordSeries {
-		a.targetSeries.Add(int64(now), float64(target))
-		a.peakSeries.Add(int64(now), float64(peak))
-	}
-
 	if !a.startResize(target, resumeWindow) {
 		a.beginWindow()
 	}
@@ -1045,9 +1018,6 @@ func (a *Agent) qosCheck() {
 	frac := 0.0
 	if len(waits) > 0 {
 		frac = float64(bad) / float64(len(waits))
-	}
-	if a.cfg.RecordSeries {
-		a.qosViolations.Add(int64(a.loop.Now()), frac)
 	}
 	if frac >= a.cfg.QoSViolationFrac {
 		a.qosStrikes++

@@ -533,20 +533,3 @@ func TestControllerNames(t *testing.T) {
 		t.Error("safeguard mode names")
 	}
 }
-
-func TestRecordSeries(t *testing.T) {
-	loop := sim.NewLoop()
-	hv := newFake(loop, 11)
-	hv.busyFn = func(sim.Time) int { return 2 }
-	a := defaultAgent(t, loop, hv, NewSmartHarvest(10, SmartHarvestOptions{}), func(c *Config) {
-		c.RecordSeries = true
-	})
-	a.Start()
-	loop.RunUntil(sim.Second)
-	if a.TargetSeries().Len() == 0 || a.PeakSeries().Len() == 0 {
-		t.Fatal("series not recorded")
-	}
-	if a.TargetSeries().Len() != a.PeakSeries().Len() {
-		t.Fatal("series lengths differ")
-	}
-}

@@ -294,7 +294,7 @@ func Table1(cfg Config) (*Report, error) {
 	var sec section
 	for _, spec := range standardPrimaries() {
 		s := scenario(cfg, "table1-"+spec.Name, spec, harness.NoHarvestFactory())
-		s.CollectBusyStats = true
+		s.Observer = newBusyStats(cfg.Warmup)
 		sec.add(spec.Name, s)
 	}
 	if err := sweep(cfg, &sec); err != nil {
@@ -314,7 +314,8 @@ func Table1(cfg Config) (*Report, error) {
 	}
 	for _, a := range sec.arms {
 		p := paper[a.name]
-		t.add("", a.name, a.scen.Primaries[0].QPS, a.res.AvgBusyCores, a.res.AvgWindowPeak,
+		busy, peak := a.scen.Observer.(*busyStats).means()
+		t.add("", a.name, a.scen.Primaries[0].QPS, busy, peak,
 			fmt.Sprintf("  (paper: %.1f / %.1f)", p[0], p[1]))
 	}
 	return r, nil
@@ -500,7 +501,7 @@ func Fig7(cfg Config) (*Report, error) {
 	sec := withBase(scenario(cfg, "fig7-base", spec, harness.NoHarvestFactory()))
 	for _, p := range []string{"prevpeak10", "smartharvest"} {
 		s := scenario(cfg, "fig7-"+p, spec, controller(cfg, p))
-		s.RecordSeries = true
+		s.Observer = &windowSeries{}
 		sec.add(p, s)
 	}
 	if err := sweep(cfg, sec); err != nil {
@@ -520,13 +521,14 @@ func Fig7(cfg Config) (*Report, error) {
 	excerptEnd := excerptStart + 2*sim.Second
 	for _, a := range sec.arms {
 		var alloc, peak []textplot.Point
-		for j, p := range a.res.TargetSeries.Points {
+		ws := a.scen.Observer.(*windowSeries)
+		for j, p := range ws.target.Points {
 			if sim.Time(p.Time) < excerptStart || sim.Time(p.Time) > excerptEnd {
 				continue
 			}
 			ts := float64(p.Time) / 1e9
 			alloc = append(alloc, textplot.Point{X: ts, Y: p.Value})
-			peak = append(peak, textplot.Point{X: ts, Y: a.res.PeakSeries.Points[j].Value})
+			peak = append(peak, textplot.Point{X: ts, Y: ws.peak.Points[j].Value})
 		}
 		r.addPlot(textplot.Render([]textplot.Series{
 			{Name: "allocated cores", Glyph: '#', Points: alloc},

@@ -1,80 +1,58 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
-	"smartharvest/internal/apps"
-	"smartharvest/internal/harness"
+	"smartharvest/internal/metrics"
+	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
 
-// TestBusyStatsMatchesCollectBusyStats: the busyStats sink, fed by the
-// agent's poll samples, reproduces the harness's own busy-core sampler bit
-// for bit: the mean busy cores, every window peak with its time, and the
-// window count, for Table 1's primaries under NoHarvest.
-func TestBusyStatsMatchesCollectBusyStats(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 7} {
-		for _, dur := range []sim.Time{sim.Second, 3 * sim.Second} {
-			for _, spec := range standardPrimaries() {
-				cfg := Config{Duration: dur, Warmup: 2 * sim.Second, Seed: seed}
-				t.Run(fmt.Sprintf("%s-s%d-%v", spec.Name, seed, dur), func(t *testing.T) {
-					t.Parallel()
-					s := scenario(cfg, "table1-"+spec.Name, spec, harness.NoHarvestFactory())
-					s.CollectBusyStats = true
-					sink := newBusyStats(cfg.Warmup)
-					s.Observer = sink
-					res, err := harness.Run(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					busy, peak := sink.means()
-					if busy != res.AvgBusyCores || peak != res.AvgWindowPeak {
-						t.Errorf("sink busy %v peak %v, harness busy %v peak %v",
-							busy, peak, res.AvgBusyCores, res.AvgWindowPeak)
-					}
-					if !reflect.DeepEqual(sink.peaks.Points, res.BusyWindowPeak.Points) {
-						t.Errorf("window peaks differ: sink %d windows, harness %d",
-							sink.peaks.Len(), res.BusyWindowPeak.Len())
-					}
-				})
-			}
-		}
+// TestBusyStatsWindows feeds busyStats a hand-built poll stream: samples
+// before warm-up are ignored, a sample at a window's end instant counts
+// in the next window, and the trailing partial window is not a peak.
+func TestBusyStatsWindows(t *testing.T) {
+	const warmup = 100 * sim.Millisecond
+	ms := sim.Millisecond
+	b := newBusyStats(warmup)
+	for _, e := range []obs.PollSample{
+		{At: 50 * ms, Busy: 9}, // warm-up
+		{At: 100 * ms, Busy: 2},
+		{At: 110 * ms, Busy: 4},
+		{At: 125 * ms, Busy: 7}, // the first window's end opens the second
+		{At: 140 * ms, Busy: 1},
+		{At: 150 * ms, Busy: 3},
+		{At: 160 * ms, Busy: 8}, // trailing partial window
+	} {
+		b.OnPollSample(e)
+	}
+	want := []metrics.Point{{Time: int64(125 * ms), Value: 4}, {Time: int64(150 * ms), Value: 7}}
+	if !reflect.DeepEqual(b.peaks.Points, want) {
+		t.Errorf("window peaks %v, want %v", b.peaks.Points, want)
+	}
+	if busy, peak := b.means(); busy != 25.0/6 || peak != 5.5 {
+		t.Errorf("means busy %v peak %v, want %v and 5.5", busy, peak, 25.0/6)
+	}
+	if busy, peak := newBusyStats(warmup).means(); busy != 0 || peak != 0 {
+		t.Errorf("empty means %v %v", busy, peak)
 	}
 }
 
-// TestWindowSeriesMatchesRecordSeries: the windowSeries sink, fed by the
-// agent's window events, reproduces the agent's own target and peak series
-// point for point, on Figure 7's square wave and on Memcached.
-func TestWindowSeriesMatchesRecordSeries(t *testing.T) {
-	for _, seed := range []uint64{1, 3} {
-		cfg := Config{Duration: 3 * sim.Second, Warmup: 2 * sim.Second, Seed: seed}
-		for _, spec := range []apps.PrimarySpec{apps.SquareWave(8, 1, 500*sim.Millisecond), apps.Memcached(40000)} {
-			for _, p := range []string{"smartharvest", "prevpeak10"} {
-				t.Run(fmt.Sprintf("%s-%s-s%d", spec.Name, p, seed), func(t *testing.T) {
-					t.Parallel()
-					s := scenario(cfg, "fig7-"+p, spec, controller(cfg, p))
-					s.RecordSeries = true
-					sink := &windowSeries{}
-					s.Observer = sink
-					res, err := harness.Run(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sink.target.Len() == 0 {
-						t.Fatal("no windows recorded")
-					}
-					if !reflect.DeepEqual(sink.target.Points, res.TargetSeries.Points) {
-						t.Errorf("target series differ: sink %d points, agent %d",
-							sink.target.Len(), res.TargetSeries.Len())
-					}
-					if !reflect.DeepEqual(sink.peak.Points, res.PeakSeries.Points) {
-						t.Errorf("peak series differ: sink %d points, agent %d",
-							sink.peak.Len(), res.PeakSeries.Len())
-					}
-				})
-			}
-		}
+// TestWindowSeriesPoints: each window event adds (At, Target) to the
+// target series and (At, Features.Max) to the peak series, not the raw
+// prediction or the decision-instant busy reading.
+func TestWindowSeriesPoints(t *testing.T) {
+	var w windowSeries
+	w.OnWindowEnd(obs.WindowEnd{At: 25 * sim.Millisecond, Features: obs.Features{Min: 1, Max: 6},
+		Peak1s: 9, Busy: 2, Prediction: 3, Target: 7})
+	w.OnWindowEnd(obs.WindowEnd{At: 40 * sim.Millisecond, Features: obs.Features{Max: 10},
+		Busy: 10, Safeguard: true, Prediction: 5, Target: 10})
+	at := []int64{int64(25 * sim.Millisecond), int64(40 * sim.Millisecond)}
+	if want := []metrics.Point{{Time: at[0], Value: 7}, {Time: at[1], Value: 10}}; !reflect.DeepEqual(w.target.Points, want) {
+		t.Errorf("target series %v, want %v", w.target.Points, want)
+	}
+	if want := []metrics.Point{{Time: at[0], Value: 6}, {Time: at[1], Value: 10}}; !reflect.DeepEqual(w.peak.Points, want) {
+		t.Errorf("peak series %v, want %v", w.peak.Points, want)
 	}
 }

@@ -119,7 +119,8 @@ func Churn(cfg Config) (*Report, error) {
 	third := cfg.Duration / 3
 	arrival := apps.Memcached(40000)
 	s := scenario(cfg, "churn", apps.Memcached(40000), smartharvest(cfg))
-	s.RecordSeries = true
+	series := &windowSeries{}
+	s.Observer = series
 	s.Churn = []harness.ChurnEvent{
 		{At: cfg.Warmup + third, Depart: -1, Arrive: &arrival},
 		{At: cfg.Warmup + 2*third, Depart: 0},
@@ -148,7 +149,7 @@ func Churn(cfg Config) (*Report, error) {
 	// Allocation trace: the primary target should track ~alloc of the
 	// current phase (drop after the departure).
 	r.addf("primary-core target over time:")
-	for _, p := range res.TargetSeries.Downsample(12).Points {
+	for _, p := range series.target.Downsample(12).Points {
 		r.addf("  t=%5.1fs target=%4.1f", float64(p.Time)/1e9, p.Value)
 	}
 	return r, nil

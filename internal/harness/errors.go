@@ -11,8 +11,6 @@ import (
 var (
 	// ErrNoPrimaries: the scenario declares no primary workloads.
 	ErrNoPrimaries = errors.New("no primary workloads")
-	// ErrBadCoreCounts: PrimaryVMCores or ElasticMin is out of range.
-	ErrBadCoreCounts = errors.New("bad core counts")
 	// ErrBadDuration: Duration or Warmup is negative, or their sum
 	// overflows the simulated clock.
 	ErrBadDuration = errors.New("bad duration")

@@ -66,12 +66,8 @@ type ControllerFactory func(alloc int) core.Controller
 type Scenario struct {
 	// Name labels output.
 	Name string
-	// Primaries run one per 10-core VM (PrimaryVMCores overridable).
+	// Primaries run one per DefaultPrimaryVMCores-core VM.
 	Primaries []apps.PrimarySpec
-	// PrimaryVMCores is the allocation per primary VM (default 10).
-	PrimaryVMCores int
-	// ElasticMin is the ElasticVM's minimum core count (default 1).
-	ElasticMin int
 	// Batch selects the ElasticVM workload (default CPUBully).
 	Batch BatchKind
 	// BatchWork is the finite allotment for BatchFinite, in core-time
@@ -99,11 +95,6 @@ type Scenario struct {
 	// for a policy with Safeguards() (default on with the default
 	// controller).
 	LongTermSafeguard bool
-	// CollectBusyStats additionally samples busy primary cores at the
-	// poll interval to produce Table 1's statistics.
-	CollectBusyStats bool
-	// RecordSeries captures per-window target/peak series (Figure 7).
-	RecordSeries bool
 	// QoSWaitThreshold and QoSViolationFrac override the long-term
 	// safeguard's trip criterion when non-zero (used by the safeguard
 	// sensitivity ablation).
@@ -133,9 +124,6 @@ type Scenario struct {
 	// internal/faults). The zero Plan is disabled and draws nothing from
 	// the scenario RNG, so fault-free runs stay byte-identical.
 	Faults faults.Plan
-	// Resilience overrides the agent's fault-response policy; nil keeps
-	// core.DefaultResilience.
-	Resilience *core.ResiliencePolicy
 }
 
 // ChurnEvent is one primary-VM arrival or departure.
@@ -197,18 +185,6 @@ type Result struct {
 	Grow, Shrink metrics.Summary
 	GrowCDF      []metrics.CDFPoint
 	ShrinkCDF    []metrics.CDFPoint
-
-	// Busy-core statistics (Table 1), if CollectBusyStats.
-	AvgBusyCores   float64
-	AvgWindowPeak  float64
-	BusyWindowPeak *metrics.Series // per-25ms-window peaks over time
-
-	// Per-window agent series (Figure 7), if RecordSeries.
-	TargetSeries *metrics.Series
-	PeakSeries   *metrics.Series
-	// QoSViolations is the per-500ms fraction of bad dispatch waits, if
-	// RecordSeries.
-	QoSViolations *metrics.Series
 
 	// Check is the invariant-verification report when Scenario.Checker was
 	// attached; nil otherwise. Check.OK() reports a clean run.
@@ -333,17 +309,14 @@ func (a faultyHV) BusyPrimaryCores() int {
 	return a.inj.SamplePoll(a.m.BusyCores(hypervisor.PrimaryGroup), a.m.GroupCores(hypervisor.PrimaryGroup))
 }
 
-// DefaultPrimaryVMCores is each primary VM's allocation when a Scenario
-// leaves PrimaryVMCores zero.
+// DefaultPrimaryVMCores is each primary VM's allocation.
 const DefaultPrimaryVMCores = 10
 
+// ElasticMin is the ElasticVM's minimum core count, on a scenario's
+// server and on each server of an internal/cluster fleet.
+const ElasticMin = 1
+
 func (s *Scenario) applyDefaults() {
-	if s.PrimaryVMCores == 0 {
-		s.PrimaryVMCores = DefaultPrimaryVMCores
-	}
-	if s.ElasticMin == 0 {
-		s.ElasticMin = 1
-	}
 	if s.Duration == 0 {
 		s.Duration = 20 * sim.Second
 	}
@@ -372,10 +345,6 @@ func (s *Scenario) applyDefaults() {
 func (s *Scenario) validate() error {
 	if len(s.Primaries) == 0 {
 		return s.scenarioErr("Primaries", ErrNoPrimaries, "")
-	}
-	if s.PrimaryVMCores < 1 || s.ElasticMin < 1 {
-		return s.scenarioErr("PrimaryVMCores/ElasticMin", ErrBadCoreCounts,
-			"PrimaryVMCores=%d ElasticMin=%d", s.PrimaryVMCores, s.ElasticMin)
 	}
 	if s.Duration < 0 {
 		return s.scenarioErr("Duration", ErrBadDuration, "Duration=%v", s.Duration)
@@ -443,7 +412,7 @@ func (s *Scenario) maxConcurrentAlloc() (int, error) {
 			}
 		}
 	}
-	return peak * s.PrimaryVMCores, nil
+	return peak * DefaultPrimaryVMCores, nil
 }
 
 // Run executes the scenario and returns its results. It works on a copy
@@ -457,29 +426,25 @@ func Run(s Scenario) (*Result, error) {
 	}
 	rng := simrng.New(s.Seed)
 
-	alloc := len(s.Primaries) * s.PrimaryVMCores
+	alloc := len(s.Primaries) * DefaultPrimaryVMCores
 	maxAlloc, err := s.maxConcurrentAlloc()
 	if err != nil {
 		return nil, err
 	}
-	total := maxAlloc + s.ElasticMin
+	total := maxAlloc + ElasticMin
 
 	loop := sim.NewLoop()
 
 	ctrl := s.Controller(maxAlloc)
-	agentCfg := core.DefaultConfig(maxAlloc, s.ElasticMin)
+	agentCfg := core.DefaultConfig(maxAlloc, ElasticMin)
 	agentCfg.Window = s.Window
 	agentCfg.PollInterval = s.PollInterval
 	agentCfg.LongTermSafeguard = s.LongTermSafeguard
-	agentCfg.RecordSeries = s.RecordSeries
 	if s.QoSWaitThreshold > 0 {
 		agentCfg.QoSWaitThreshold = s.QoSWaitThreshold
 	}
 	if s.QoSViolationFrac > 0 {
 		agentCfg.QoSViolationFrac = s.QoSViolationFrac
-	}
-	if s.Resilience != nil {
-		agentCfg.Resilience = *s.Resilience
 	}
 	if s.Checker != nil {
 		s.Observer = obs.Multi(s.Observer, s.Checker)
@@ -498,8 +463,8 @@ func Run(s Scenario) (*Result, error) {
 		if err := s.Checker.Bind(check.Config{
 			TotalCores:        total,
 			PrimaryAlloc:      alloc,
-			PrimaryVMCores:    s.PrimaryVMCores,
-			ElasticMin:        s.ElasticMin,
+			PrimaryVMCores:    DefaultPrimaryVMCores,
+			ElasticMin:        ElasticMin,
 			HarvestPause:      c.HarvestPause,
 			QoSViolationFrac:  c.QoSViolationFrac,
 			LongTermSafeguard: c.LongTermSafeguard,
@@ -523,7 +488,7 @@ func Run(s Scenario) (*Result, error) {
 	var servers []*workload.Server
 	for i, spec := range s.Primaries {
 		vm := machine.AddVM(fmt.Sprintf("%s-%d", spec.Name, i),
-			hypervisor.PrimaryGroup, s.PrimaryVMCores, s.PrimaryVMCores)
+			hypervisor.PrimaryGroup, DefaultPrimaryVMCores, DefaultPrimaryVMCores)
 		srv, err := spec.Build(loop, vm, rng.Split(), s.Warmup)
 		if err != nil {
 			return nil, fmt.Errorf("harness: building %s: %w", spec.Name, err)
@@ -591,7 +556,7 @@ func Run(s Scenario) (*Result, error) {
 			}
 			if ev.Arrive != nil {
 				vm := machine.AddVM(fmt.Sprintf("%s-%d", ev.Arrive.Name, len(vms)),
-					hypervisor.PrimaryGroup, s.PrimaryVMCores, s.PrimaryVMCores)
+					hypervisor.PrimaryGroup, DefaultPrimaryVMCores, DefaultPrimaryVMCores)
 				srv, err := ev.Arrive.Build(loop, vm, rng.Split(), s.Warmup)
 				if err != nil {
 					churnErr = err
@@ -615,7 +580,7 @@ func Run(s Scenario) (*Result, error) {
 					live++
 				}
 			}
-			if err := agent.SetPrimaryAlloc(live * s.PrimaryVMCores); err != nil {
+			if err := agent.SetPrimaryAlloc(live * DefaultPrimaryVMCores); err != nil {
 				churnErr = err
 				return
 			}
@@ -629,31 +594,9 @@ func Run(s Scenario) (*Result, error) {
 					Arrived:       arrived,
 					Departed:      ev.Depart,
 					LivePrimaries: live,
-					PrimaryAlloc:  live * s.PrimaryVMCores,
+					PrimaryAlloc:  live * DefaultPrimaryVMCores,
 				})
 			}
-		})
-	}
-
-	// Optional busy-core statistics sampler (Table 1 methodology: poll
-	// every PollInterval, peak per 25 ms window).
-	var busySum float64
-	var busyN uint64
-	var peakSeries *metrics.Series
-	if s.CollectBusyStats {
-		peakSeries = &metrics.Series{Name: "busy-window-peak"}
-		winPeak := 0
-		loop.NewTicker(s.Warmup, s.PollInterval, func() {
-			b := machine.BusyCores(hypervisor.PrimaryGroup)
-			busySum += float64(b)
-			busyN++
-			if b > winPeak {
-				winPeak = b
-			}
-		})
-		loop.NewTicker(s.Warmup+25*sim.Millisecond, 25*sim.Millisecond, func() {
-			peakSeries.Add(int64(loop.Now()), float64(winPeak))
-			winPeak = 0
 		})
 	}
 
@@ -700,7 +643,7 @@ func Run(s Scenario) (*Result, error) {
 		res.AvgElasticCores = (machine.CoreSeconds(hypervisor.ElasticGroup) - elasticCoreSecAtWarmup) / measured
 		res.ElasticCPUSeconds = evm.CPUTime().Seconds() - elasticCPUAtWarmup
 	}
-	res.AvgHarvestedCores = res.AvgElasticCores - float64(s.ElasticMin)
+	res.AvgHarvestedCores = res.AvgElasticCores - ElasticMin
 	if res.AvgHarvestedCores < 0 {
 		res.AvgHarvestedCores = 0
 	}
@@ -722,16 +665,6 @@ func Run(s Scenario) (*Result, error) {
 	res.Shrink = machine.ShrinkLatency().Summarize()
 	res.GrowCDF = machine.GrowLatency().CDF()
 	res.ShrinkCDF = machine.ShrinkLatency().CDF()
-	if s.CollectBusyStats && busyN > 0 {
-		res.AvgBusyCores = busySum / float64(busyN)
-		res.AvgWindowPeak = peakSeries.Mean()
-		res.BusyWindowPeak = peakSeries
-	}
-	if s.RecordSeries {
-		res.TargetSeries = agent.TargetSeries()
-		res.PeakSeries = agent.PeakSeries()
-		res.QoSViolations = agent.QoSViolationSeries()
-	}
 	if s.Checker != nil {
 		// Fold the hypervisor's end-of-run state self-check into the
 		// report: the event stream can look legal while the machine's

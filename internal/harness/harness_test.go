@@ -185,34 +185,6 @@ func TestIPIMechanismHarvestsMore(t *testing.T) {
 	}
 }
 
-func TestCollectBusyStats(t *testing.T) {
-	s := short("stats", apps.Memcached(40000))
-	s.Controller = NoHarvestFactory()
-	s.CollectBusyStats = true
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgBusyCores <= 0 || res.AvgWindowPeak <= res.AvgBusyCores {
-		t.Fatalf("busy stats avg=%v peak=%v", res.AvgBusyCores, res.AvgWindowPeak)
-	}
-	if res.BusyWindowPeak.Len() == 0 {
-		t.Fatal("no peak series")
-	}
-}
-
-func TestRecordSeries(t *testing.T) {
-	s := short("series", apps.Memcached(40000))
-	s.RecordSeries = true
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TargetSeries == nil || res.TargetSeries.Len() == 0 {
-		t.Fatal("no target series")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() *Result {
 		s := short("det", apps.Memcached(40000))

@@ -177,8 +177,6 @@ func TestScenarioValidationErrors(t *testing.T) {
 		want error
 	}{
 		{"no-primaries", func(s *Scenario) { s.Primaries = nil }, ErrNoPrimaries},
-		{"negative-vm-cores", func(s *Scenario) { s.PrimaryVMCores = -4 }, ErrBadCoreCounts},
-		{"negative-elastic-min", func(s *Scenario) { s.ElasticMin = -1 }, ErrBadCoreCounts},
 		{"negative-duration", func(s *Scenario) { s.Duration = -sim.Second }, ErrBadDuration},
 		{"negative-warmup", func(s *Scenario) { s.Warmup = -sim.Second }, ErrBadDuration},
 		{"warmup-plus-duration-overflows", func(s *Scenario) {

@@ -20,7 +20,7 @@ import (
 // runAheadShapes covers the quick suite's scenario shapes: each primary
 // workload, several primaries in one group, both reassignment mechanisms,
 // every controller, a finite batch job that outlives the measured run,
-// series and busy-stats collection, and tenant churn.
+// and tenant churn.
 func runAheadShapes() []Scenario {
 	shape := func(name string, primaries ...apps.PrimarySpec) Scenario {
 		return Scenario{
@@ -61,11 +61,11 @@ func runAheadShapes() []Scenario {
 			s.Batch = BatchFinite
 			s.BatchWork = 20 * sim.Second
 		}),
+		// Figure 7's kind of run: the square wave whose per-window series
+		// that report plots, under PrevPeak.
 		with(shape("series", apps.SquareWave(8, 1, 250*sim.Millisecond)), func(s *Scenario) {
-			s.RecordSeries = true
 			s.Controller = PrevPeakFactory(1, false)
 		}),
-		with(shape("busy-stats", apps.IndexServe(500)), func(s *Scenario) { s.CollectBusyStats = true }),
 		with(shape("churn", apps.IndexServe(500), apps.Moses(400)), func(s *Scenario) {
 			s.Churn = []ChurnEvent{
 				{At: 600 * sim.Millisecond, Depart: 1},

@@ -12,7 +12,7 @@ import (
 
 // representativeScenarios covers one scenario per experiment family:
 // single-primary (fig4/5/10/13-style), multi-primary (fig8/9/11),
-// busy-stats collection (table1), series recording (fig7), batch
+// NoHarvest (table1), a square wave under PrevPeak (fig7), batch
 // completion (fig6), and churn.
 func representativeScenarios() []Scenario {
 	mcArrival := apps.Memcached(20000)
@@ -31,13 +31,11 @@ func representativeScenarios() []Scenario {
 	multi := short("multi-primary", apps.Memcached(40000), apps.IndexServe(500))
 	multi.Controller = FixedBufferFactory(6)
 
-	busy := short("busy-stats", apps.IndexServe(500))
-	busy.Controller = NoHarvestFactory()
-	busy.CollectBusyStats = true
+	noharvest := short("noharvest", apps.IndexServe(500))
+	noharvest.Controller = NoHarvestFactory()
 
-	series := short("record-series", apps.SquareWave(8, 1, 500*sim.Millisecond))
-	series.RecordSeries = true
-	series.Controller = PrevPeakFactory(1, false)
+	square := short("square-wave", apps.SquareWave(8, 1, 500*sim.Millisecond))
+	square.Controller = PrevPeakFactory(1, false)
 
 	batch := short("batch", apps.IndexServe(500))
 	batch.Batch = BatchTeraSort
@@ -48,7 +46,7 @@ func representativeScenarios() []Scenario {
 		{At: 3 * sim.Second, Depart: 0},
 	}
 
-	return []Scenario{single, multi, busy, series, batch, churn}
+	return []Scenario{single, multi, noharvest, square, batch, churn}
 }
 
 // renderResult formats a Result the way report generators consume it, so

@@ -74,20 +74,6 @@ func (s *Series) Add(t int64, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Max returns the largest recorded value, or 0 if empty.
-func (s *Series) Max() float64 {
-	max := math.Inf(-1)
-	for _, p := range s.Points {
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
 // Mean returns the unweighted mean of the samples, or 0 if empty.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {

@@ -183,7 +183,6 @@ func NewSmartHarvestPredictor(kind PredictorKind, opts SmartHarvestOptions) (Con
 // with errors.Is and recover detail with errors.As.
 var (
 	ErrNoPrimaries      = harness.ErrNoPrimaries
-	ErrBadCoreCounts    = harness.ErrBadCoreCounts
 	ErrBadDuration      = harness.ErrBadDuration
 	ErrBadWindow        = harness.ErrBadWindow
 	ErrBadChurn         = harness.ErrBadChurn
@@ -340,7 +339,7 @@ const (
 // internal/faults). A FaultPlan on Scenario.Faults perturbs the resize
 // hypercall, the busy-core signal, and the agent itself, all driven by
 // the scenario seed; the agent responds with bounded retries and, past
-// the ResiliencePolicy thresholds, graceful degradation to NoHarvest.
+// its resilience thresholds, graceful degradation to NoHarvest.
 
 // FaultPlan parameterizes fault injection for a run (Scenario.Faults).
 // The zero value injects nothing and leaves the run byte-identical to a
@@ -351,14 +350,6 @@ type FaultPlan = faults.Plan
 // key=value pairs, one per FaultPlan field (see README "Chaos testing").
 // The empty string and "none" are the zero plan.
 func ParseFaultPlan(s string) (FaultPlan, error) { return faults.ParsePlan(s) }
-
-// ResiliencePolicy tunes the agent's fault response: retry budget and
-// backoff, degradation thresholds, and the probation for re-entry
-// (Scenario.Resilience).
-type ResiliencePolicy = core.ResiliencePolicy
-
-// DefaultResilience returns the default fault-response policy.
-func DefaultResilience() ResiliencePolicy { return core.DefaultResilience() }
 
 // TraceSchemaVersion is the "v" field every JSONL trace line carries.
 const TraceSchemaVersion = obs.SchemaVersion
