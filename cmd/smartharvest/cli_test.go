@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"smartharvest"
 )
 
 // TestMain lets a test run this command as a child process: with
@@ -72,6 +74,29 @@ func TestCLIRefusesBadSpecs(t *testing.T) {
 				t.Errorf("ran before refusing; stdout:\n%s", stdout.String())
 			}
 		})
+	}
+}
+
+// TestCLISpeedupTraceIsValid: with -speedup the -trace file holds the
+// harvesting run alone, so it is a well-formed trace whose clock never
+// goes back; the NoHarvest baseline is not traced into it.
+func TestCLISpeedupTraceIsValid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if _, stderr, err := runCLI(t, "-primary", "indexserve:500", "-batch", "hdinsight", "-speedup",
+		"-duration", "1s", "-trace", path); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	errs, err := smartharvest.ValidateTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) > 0 {
+		t.Errorf("%d trace errors, the first %v", len(errs), errs[0])
 	}
 }
 

@@ -95,8 +95,8 @@ func main() {
 
 	var checker *smartharvest.Checker
 	if *checkRun {
-		// With -speedup, only the harvesting run is verified: the baseline
-		// scenario drops the checker (one checker verifies one run).
+		// With -speedup, only the harvesting run is verified and traced:
+		// the baseline scenario drops the checker and the observer.
 		checker = smartharvest.NewChecker()
 		s.Checker = checker
 	}

@@ -122,12 +122,14 @@ func TestCheckerReuseRejected(t *testing.T) {
 }
 
 // TestBaselineScenarioDropsChecker: RunSpeedup's baseline run must not
-// inherit the with-run's checker (it can only bind once).
+// inherit the with-run's checker (it can only bind once) or its observer
+// (a trace would hold both runs, its clock going back at the seam).
 func TestBaselineScenarioDropsChecker(t *testing.T) {
 	s := checkedScenario("check-speedup")
 	s.Checker = check.New()
-	if base := BaselineScenario(s); base.Checker != nil {
-		t.Fatal("BaselineScenario kept the original's checker")
+	s.Observer = obs.NopObserver{}
+	if base := BaselineScenario(s); base.Checker != nil || base.Observer != nil {
+		t.Fatalf("BaselineScenario kept the original's checker %v or observer %v", base.Checker, base.Observer)
 	}
 }
 

@@ -682,9 +682,10 @@ func Run(s Scenario) (*Result, error) {
 func (r *Result) P99(i int) int64 { return r.Primaries[i].Latency.P99 }
 
 // RunSpeedup runs the scenario twice — once with the given policy and
-// once with NoHarvest (ElasticVM pinned to its minimum, which defaults to
-// one core) — and returns the batch job's completion-time speedup, as in
-// the paper's Figure 6. Callers that want the two runs on the RunAll
+// once with NoHarvest (ElasticVM pinned to its one-core minimum, and
+// unobserved: s's Observer and Checker see only the first run) — and
+// returns the batch job's completion-time speedup, as in the paper's
+// Figure 6. Callers that want the two runs on the RunAll
 // worker pool can instead declare the pair (s, BaselineScenario(s)) and
 // combine the results with Speedup.
 func RunSpeedup(s Scenario) (speedup float64, with, baseline *Result, err error) {

@@ -84,14 +84,14 @@ func SimTimeExecuted() sim.Time { return sim.Time(simTimeExecuted.Load()) }
 
 // BaselineScenario returns s reconfigured as the no-harvest baseline
 // RunSpeedup compares against: same workloads and seed, ElasticVM pinned
-// to its minimum.
+// to its minimum, and neither s's Observer nor its Checker, which belong
+// to the run of s; attach the baseline's own.
 func BaselineScenario(s Scenario) Scenario {
 	base := s
 	base.Name = s.Name + "-baseline"
 	base.Controller = NoHarvestFactory()
 	base.LongTermSafeguard = false
-	// A Checker verifies exactly one run; the baseline needs its own.
-	base.Checker = nil
+	base.Observer, base.Checker = nil, nil
 	return base
 }
 
