@@ -46,8 +46,10 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr bytes.Buffer, err erro
 
 // TestCLIRefusesBadSpecs pins that -primary loads that are not finite or
 // too small for the clock, -policy arguments out of range for the
-// allocation, and a -duration that overflows the clock, end the command with an error and a non-zero exit before
-// anything runs — not with a panic or a run that never ends.
+// allocation, a -duration that overflows the clock and a -warmup that is
+// not positive (zero would silently run the 2 s default) end the command
+// with an error and a non-zero exit before anything runs — not with a
+// panic or a run that never ends.
 func TestCLIRefusesBadSpecs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-primary", "memcached:-5"},
@@ -60,6 +62,7 @@ func TestCLIRefusesBadSpecs(t *testing.T) {
 		{"-policy", "fixedbuffer:40"},
 		{"-policy", "prevpeak:-2"},
 		{"-duration", "9223372036s"}, // + the 2 s warmup wraps the clock
+		{"-warmup", "0s"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			stdout, stderr, err := runCLI(t, append([]string{"-duration", "1s"}, args...)...)

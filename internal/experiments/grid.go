@@ -24,8 +24,8 @@ const GridSchema = "smartharvest-grid/v1"
 // The file is the run description: Grid keeps the defaults and each
 // run as the JSON objects the file holds, and Expand decodes the
 // defaults and then the run's object into one GridRun. A key present in
-// the run overrides the default, its zero value ("0s", "csoaa", "flat",
-// false) too.
+// the run overrides the default, its zero value ("csoaa", "flat", false)
+// too.
 type Grid struct {
 	Schema string `json:"schema"`
 	// Defaults holds the keys every run starts from (all but id).
@@ -176,14 +176,15 @@ func Resolve(runs []GridRun) ([]ResolvedRun, error) {
 }
 
 // check refuses the values no run can take: their types decode them,
-// but a run needs a positive duration, a warmup of at least zero, a
-// seed from 1, a bounded seed family and an id that is a safe file stem.
+// but a run needs a positive duration, a positive warmup (the harness
+// reads zero as its 2 s default), a seed from 1, a bounded seed family
+// and an id that is a safe file stem.
 func (run GridRun) check() error {
 	switch {
 	case run.Duration <= 0:
 		return fmt.Errorf("bad duration %v", run.Duration)
-	case run.Warmup < 0:
-		return fmt.Errorf("bad warmup %v", run.Warmup)
+	case run.Warmup <= 0:
+		return fmt.Errorf("bad warmup %v: want a positive warmup (zero would run the 2s default)", run.Warmup)
 	case run.Seed == 0:
 		return fmt.Errorf("seed 0: seeds start at 1")
 	case run.Seeds < 0:

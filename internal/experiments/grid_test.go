@@ -44,7 +44,7 @@ func TestGridFixtureGolden(t *testing.T) {
 // TestGridOverridesFixture pins testdata/grid-overrides.json, which CI
 // runs: its defaults set every key, and its second run overrides each
 // key that has a valid zero value with it (a run needs a positive
-// duration, a seed from 1 and an experiment). The file marshals back to
+// duration and warmup, a seed from 1 and an experiment). The file marshals back to
 // itself, the first run inherits every default and the second none of
 // the ones it overrides.
 func TestGridOverridesFixture(t *testing.T) {
@@ -75,10 +75,10 @@ func TestGridOverridesFixture(t *testing.T) {
 		!inherit.Faults.Enabled() || !inherit.Pools.Enabled() || fmt.Sprint(inherit.TenantMix) != "bursty" {
 		t.Errorf("first run does not inherit every default: %+v", inherit)
 	}
-	if zero.Duration != sim.Second || zero.Seed != 2 {
-		t.Errorf("zero run lost the default duration or seed: %+v", zero)
+	if zero.Duration != sim.Second || zero.Warmup != 500*sim.Millisecond || zero.Seed != 2 {
+		t.Errorf("zero run lost the default duration, warmup or seed: %+v", zero)
 	}
-	if zero.Warmup != 0 || zero.Predictor != 0 || zero.Check || zero.Faults.Enabled() ||
+	if zero.Predictor != 0 || zero.Check || zero.Faults.Enabled() ||
 		zero.Pools.Enabled() || fmt.Sprint(zero.TenantMix) != "flat" {
 		t.Errorf("zero run does not take its zero values: %+v", zero)
 	}
@@ -126,6 +126,7 @@ func TestGridValidationErrors(t *testing.T) {
 		{"unknown experiment", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"fig99"}]}`, "unknown experiment"},
 		{"bad duration", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","duration":"fast"}]}`, "bad duration"},
 		{"negative warmup", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","warmup":"-1s"}]}`, "bad warmup"},
+		{"zero warmup", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","warmup":"0s"}]}`, "zero would run the 2s default"},
 		{"bad predictor", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","predictor":"oracle9000"}]}`, "predictor"},
 		{"bad faults", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","faults":"drop=many"}]}`, "fault"},
 		{"negative seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":-2}]}`, "negative seeds"},
@@ -236,12 +237,18 @@ func TestGridPoolsTenants(t *testing.T) {
 }
 
 // TestGridZeroWarmupAndMarshal pins two decodes: an explicit "0s"
-// warmup overrides a non-zero default, and Marshal writes a duration
-// back as the grid file spelled it.
+// warmup overrides a non-zero default and is then refused (the harness
+// would run its 2 s default), and Marshal writes a duration the way the
+// file spells it.
 func TestGridZeroWarmupAndMarshal(t *testing.T) {
-	g, err := ParseGrid([]byte(`{"schema": "smartharvest-grid/v1",
-		"defaults": {"warmup": "250ms"},
-		"runs": [{"experiment": "table1", "warmup": "0s", "duration": "1500ms"}]}`))
+	grid := func(warmup string) string {
+		return `{"schema": "smartharvest-grid/v1", "defaults": {"warmup": "250ms"},
+			"runs": [{"experiment": "table1", "warmup": "` + warmup + `", "duration": "1500ms"}]}`
+	}
+	if _, err := ParseGrid([]byte(grid("0s"))); err == nil || !strings.Contains(err.Error(), "bad warmup 0s") {
+		t.Errorf("zero warmup over a 250ms default: error %v, want bad warmup 0s", err)
+	}
+	g, err := ParseGrid([]byte(grid("1ms")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +256,8 @@ func TestGridZeroWarmupAndMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs[0].Cfg.Warmup != 0 {
-		t.Errorf("warmup %v, want the run's 0s over the default 250ms", runs[0].Cfg.Warmup)
+	if runs[0].Cfg.Warmup != sim.Millisecond {
+		t.Errorf("warmup %v, want the run's 1ms over the default 250ms", runs[0].Cfg.Warmup)
 	}
 	if runs[0].Cfg.Duration != 1500*sim.Millisecond {
 		t.Errorf("duration %v, want 1.5s", runs[0].Cfg.Duration)
