@@ -13,7 +13,8 @@ package faults
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"smartharvest/internal/core"
@@ -144,52 +145,90 @@ func (p *Plan) UnmarshalText(text []byte) (err error) {
 	return err
 }
 
+// tally is what both injectors share: the plan in force, the stream
+// their draws come from, and the per-kind counts of what they injected.
+type tally struct {
+	plan   Plan
+	rng    *simrng.Rand
+	now    func() sim.Time
+	obs    obs.Observer
+	counts map[obs.FaultKind]uint64
+}
+
+// newTally checks plan and fills its defaults.
+func newTally(plan Plan, rng *simrng.Rand, now func() sim.Time, observer obs.Observer) (tally, error) {
+	if err := planKeys.Check(plan); err != nil {
+		return tally{}, err
+	}
+	return tally{plan: plan.withDefaults(), rng: rng, now: now, obs: observer,
+		counts: make(map[obs.FaultKind]uint64)}, nil
+}
+
+// Plan returns the (defaults-filled) plan in force.
+func (t *tally) Plan() Plan { return t.plan }
+
+// emit counts one injected fault and reports it to the observer.
+func (t *tally) emit(kind obs.FaultKind, dur sim.Time, delta int) {
+	t.counts[kind]++
+	if t.obs != nil {
+		t.obs.OnFaultInjected(obs.FaultInjected{At: t.now(), Kind: kind, Dur: dur, Delta: delta})
+	}
+}
+
+// Counts returns a copy of the per-kind injection tallies.
+func (t *tally) Counts() map[obs.FaultKind]uint64 { return maps.Clone(t.counts) }
+
+// Total returns how many faults were injected across all kinds.
+func (t *tally) Total() uint64 {
+	var n uint64
+	for _, v := range t.counts {
+		n += v
+	}
+	return n
+}
+
+// CountsString renders the tallies deterministically (sorted by kind).
+func (t *tally) CountsString() string {
+	kinds := make([]obs.FaultKind, 0, len(t.counts))
+	for k := range t.counts {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	if len(kinds) == 0 {
+		return "none"
+	}
+	parts := make([]string, len(kinds))
+	for i, k := range kinds {
+		parts[i] = fmt.Sprintf("%s=%d", k, t.counts[k])
+	}
+	return strings.Join(parts, " ")
+}
+
 // Injector draws the fault schedule. It implements
 // hypervisor.ResizeFaults and core.AgentFaults, and its SamplePoll
 // wraps the busy-core signal. One injector serves one scenario; it is
 // not safe for concurrent use (the sim loop is single-threaded).
 type Injector struct {
-	plan Plan
-	rng  *simrng.Rand
-	now  func() sim.Time
-	obs  obs.Observer
+	tally
 
 	delayMu, delaySigma float64
 	lastBusy            int // last delivered (possibly faulty) reading
-
-	counts map[obs.FaultKind]uint64
 }
 
 // NewInjector builds an injector for the plan (defaults filled) drawing
 // from rng. now supplies the current simulated time for event stamps;
 // observer may be nil.
 func NewInjector(plan Plan, rng *simrng.Rand, now func() sim.Time, observer obs.Observer) (*Injector, error) {
-	if err := planKeys.Check(plan); err != nil {
+	t, err := newTally(plan, rng, now, observer)
+	if err != nil {
 		return nil, err
 	}
-	plan = plan.withDefaults()
-	inj := &Injector{
-		plan:   plan,
-		rng:    rng,
-		now:    now,
-		obs:    observer,
-		counts: make(map[obs.FaultKind]uint64),
-	}
-	if plan.HypercallDelayProb > 0 {
-		ratio := float64(plan.HypercallDelayP99) / float64(plan.HypercallDelayMean)
-		inj.delayMu, inj.delaySigma = simrng.LogNormalParams(float64(plan.HypercallDelayMean), ratio)
+	inj := &Injector{tally: t}
+	if p := inj.plan; p.HypercallDelayProb > 0 {
+		ratio := float64(p.HypercallDelayP99) / float64(p.HypercallDelayMean)
+		inj.delayMu, inj.delaySigma = simrng.LogNormalParams(float64(p.HypercallDelayMean), ratio)
 	}
 	return inj, nil
-}
-
-// Plan returns the (defaults-filled) plan in force.
-func (i *Injector) Plan() Plan { return i.plan }
-
-func (i *Injector) emit(kind obs.FaultKind, dur sim.Time, delta int) {
-	i.counts[kind]++
-	if i.obs != nil {
-		i.obs.OnFaultInjected(obs.FaultInjected{At: i.now(), Kind: kind, Dur: dur, Delta: delta})
-	}
 }
 
 // ResizeFault implements hypervisor.ResizeFaults: consulted once per
@@ -254,47 +293,6 @@ func (i *Injector) WindowFault() core.AgentFault {
 	return core.AgentFault{}
 }
 
-// Counts returns a copy of the per-kind injection tallies.
-func (i *Injector) Counts() map[obs.FaultKind]uint64 { return countsCopy(i.counts) }
-
-// Total returns how many faults were injected across all kinds.
-func (i *Injector) Total() uint64 { return countsTotal(i.counts) }
-
-// CountsString renders the tallies deterministically (sorted by kind).
-func (i *Injector) CountsString() string { return countsString(i.counts) }
-
-func countsCopy(counts map[obs.FaultKind]uint64) map[obs.FaultKind]uint64 {
-	out := make(map[obs.FaultKind]uint64, len(counts))
-	for k, v := range counts {
-		out[k] = v
-	}
-	return out
-}
-
-func countsTotal(counts map[obs.FaultKind]uint64) uint64 {
-	var n uint64
-	for _, v := range counts {
-		n += v
-	}
-	return n
-}
-
-func countsString(counts map[obs.FaultKind]uint64) string {
-	kinds := make([]int, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	var parts []string
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", obs.FaultKind(k), counts[obs.FaultKind(k)]))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
-}
-
 // FleetInjector draws the fleet-level fault schedule: server crashes and
 // scheduler↔server control-plane faults. It is consulted by
 // internal/cluster (crash ticks) and internal/sched (grant, read, and
@@ -306,38 +304,17 @@ func countsString(counts map[obs.FaultKind]uint64) string {
 // Like Injector, it is single-threaded (the sim loop serializes all
 // callers) and emits one obs.FaultInjected per injected fault; for
 // server-scoped kinds the event's Delta field carries the server index.
-type FleetInjector struct {
-	plan   Plan
-	rng    *simrng.Rand
-	now    func() sim.Time
-	obs    obs.Observer
-	counts map[obs.FaultKind]uint64
-}
+type FleetInjector struct{ tally }
 
 // NewFleetInjector builds a fleet injector for the plan (defaults
 // filled) drawing from rng — give it a dedicated stream, not one shared
 // with agent injectors. observer may be nil.
 func NewFleetInjector(plan Plan, rng *simrng.Rand, now func() sim.Time, observer obs.Observer) (*FleetInjector, error) {
-	if err := planKeys.Check(plan); err != nil {
+	t, err := newTally(plan, rng, now, observer)
+	if err != nil {
 		return nil, err
 	}
-	return &FleetInjector{
-		plan:   plan.withDefaults(),
-		rng:    rng,
-		now:    now,
-		obs:    observer,
-		counts: make(map[obs.FaultKind]uint64),
-	}, nil
-}
-
-// Plan returns the (defaults-filled) plan in force.
-func (i *FleetInjector) Plan() Plan { return i.plan }
-
-func (i *FleetInjector) emit(kind obs.FaultKind, dur sim.Time, delta int) {
-	i.counts[kind]++
-	if i.obs != nil {
-		i.obs.OnFaultInjected(obs.FaultInjected{At: i.now(), Kind: kind, Dur: dur, Delta: delta})
-	}
+	return &FleetInjector{t}, nil
 }
 
 // CrashTick draws one server's crash decision for the current tick and
@@ -385,15 +362,6 @@ func (i *FleetInjector) ReconcileLoss(server int) bool {
 	}
 	return false
 }
-
-// Counts returns a copy of the per-kind injection tallies.
-func (i *FleetInjector) Counts() map[obs.FaultKind]uint64 { return countsCopy(i.counts) }
-
-// Total returns how many faults were injected across all kinds.
-func (i *FleetInjector) Total() uint64 { return countsTotal(i.counts) }
-
-// CountsString renders the tallies deterministically (sorted by kind).
-func (i *FleetInjector) CountsString() string { return countsString(i.counts) }
 
 // Interface conformance.
 var (
