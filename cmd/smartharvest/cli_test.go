@@ -46,8 +46,9 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr bytes.Buffer, err erro
 
 // TestCLIRefusesBadSpecs pins that -primary loads that are not finite or
 // too small for the clock, -policy arguments out of range for the
-// allocation, a -duration that overflows the clock and a -warmup that is
-// not positive (zero would silently run the 2 s default) end the command
+// allocation, a -duration that overflows the clock or is not positive
+// (zero would silently run the 20 s default) and a -warmup that is not
+// positive (zero would silently run the 2 s default) end the command
 // with an error and a non-zero exit before anything runs — not with a
 // panic or a run that never ends.
 func TestCLIRefusesBadSpecs(t *testing.T) {
@@ -62,6 +63,7 @@ func TestCLIRefusesBadSpecs(t *testing.T) {
 		{"-policy", "fixedbuffer:40"},
 		{"-policy", "prevpeak:-2"},
 		{"-duration", "9223372036s"}, // + the 2 s warmup wraps the clock
+		{"-duration", "0s"},
 		{"-warmup", "0s"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
