@@ -26,7 +26,6 @@ import (
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 	"smartharvest/internal/simrng"
-	"smartharvest/internal/workload"
 )
 
 // Config describes the fleet and its tenant stream.
@@ -140,36 +139,14 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// server is one fleet member.
-type server struct {
-	machine *hypervisor.Machine
-	agent   *core.Agent
-	evm     *hypervisor.VM
-	tenants map[*tenant]struct{}
-
-	maxAlloc           int
-	warmCoreSec        float64 // elastic core-seconds at warmup
-	warmCPUSec         float64
-	tenantsHostedTotal int
-}
-
-func (s *server) allocUsed() int { return len(s.tenants) * harness.DefaultPrimaryVMCores }
-
-// tenant is one placed primary VM.
-type tenant struct {
-	vm     *hypervisor.VM
-	server *server
-	srv    *workload.Server
-}
-
-// ServerStats summarizes one server's run.
+// ServerStats summarizes one server's run: the tenants it hosted, its
+// ElasticVM's harvest (HarvestedCoreSec is AvgHarvestedCores over the
+// measured span) and its agent's counters.
 type ServerStats struct {
-	TenantsHosted     int
-	AvgHarvestedCores float64
-	HarvestedCoreSec  float64
-	ElasticCPUSeconds float64
-	Safeguards        uint64
-	QoSTrips          uint64
+	TenantsHosted int
+	harness.Harvest
+	HarvestedCoreSec float64
+	core.Stats
 }
 
 // HarvestSpread is the distribution of per-server harvested core-seconds
@@ -208,15 +185,15 @@ type Result struct {
 // calling Finish, querying each server's harvested capacity and placing
 // job VMs into the elastic groups as it goes.
 type Fleet struct {
-	cfg       Config
-	loop      *sim.Loop
-	servers   []*server
-	injectors []*faults.Injector
-	res       *Result
-	merged    *metrics.Histogram
-	runErr    error
-	end       sim.Time
-	finished  bool
+	cfg      Config
+	loop     *sim.Loop
+	servers  []*harness.Server
+	maxAlloc int // each server's most primary cores
+	res      *Result
+	merged   *metrics.Histogram
+	runErr   error
+	end      sim.Time
+	finished bool
 
 	// Fleet-chaos state (nil/empty without fleet fault kinds).
 	fleetInj  *faults.FleetInjector
@@ -245,34 +222,27 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	loop := sim.NewLoop()
 	f := &Fleet{
 		cfg: cfg, loop: loop, res: &Result{},
-		merged: metrics.NewHistogram(),
-		end:    cfg.Warmup + cfg.Duration,
+		merged:   metrics.NewHistogram(),
+		end:      cfg.Warmup + cfg.Duration,
+		maxAlloc: cfg.CoresPerServer - harness.ElasticMin,
 	}
 
-	maxAlloc := cfg.CoresPerServer - harness.ElasticMin
-	f.servers = make([]*server, cfg.Servers)
+	f.servers = make([]*harness.Server, cfg.Servers)
 	for i := range f.servers {
-		agentCfg := core.DefaultConfig(maxAlloc, harness.ElasticMin)
+		agentCfg := core.DefaultConfig(f.maxAlloc, harness.ElasticMin)
 		agentCfg.Observer = agentObserver
 		// Empty server: one core reserved for the (absent) primaries'
 		// floor, everything else harvestable.
-		machine, agent, inj, err := harness.NewServer(loop, rng, cfg.Mechanism, cfg.Faults, cfg.Observer,
-			cfg.Controller(maxAlloc), agentCfg, 1)
+		s, err := harness.NewServer(loop, rng, cfg.Mechanism, cfg.Faults, cfg.Observer,
+			cfg.Controller(f.maxAlloc), agentCfg, 1)
 		if err != nil {
 			return nil, err
 		}
-		if inj != nil {
-			f.injectors = append(f.injectors, inj)
-		}
-		evm := machine.AddVM("elastic", hypervisor.ElasticGroup, cfg.CoresPerServer, cfg.CoresPerServer)
 		if !cfg.DisableElasticBully {
-			apps.NewCPUBully(loop, evm).Start()
+			apps.NewCPUBully(loop, s.Elastic).Start()
 		}
-		agent.Start()
-		f.servers[i] = &server{
-			machine: machine, agent: agent, evm: evm,
-			tenants: map[*tenant]struct{}{}, maxAlloc: maxAlloc,
-		}
+		s.Agent.Start()
+		f.servers[i] = s
 	}
 
 	// Fleet-level fault machinery. The injector's stream is derived from
@@ -310,9 +280,9 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	// retries after a delay (when configured) before finally rejecting.
 	var place func(spec apps.PrimarySpec, retriesLeft int)
 	place = func(spec apps.PrimarySpec, retriesLeft int) {
-		var target *server
+		var target *harness.Server
 		for _, s := range f.servers {
-			if s.allocUsed()+harness.DefaultPrimaryVMCores <= s.maxAlloc {
+			if (s.Live()+1)*harness.DefaultPrimaryVMCores <= f.maxAlloc {
 				target = s
 				break
 			}
@@ -330,19 +300,13 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			}
 			return
 		}
-		vm := target.machine.AddVM(spec.Name, hypervisor.PrimaryGroup,
-			harness.DefaultPrimaryVMCores, harness.DefaultPrimaryVMCores)
-		srv, err := spec.Build(loop, vm, rng.Split(), cfg.Warmup)
+		p, err := target.AddPrimary(spec, cfg.Warmup)
 		if err != nil {
 			f.runErr = err
 			return
 		}
-		srv.Start()
-		tn := &tenant{vm: vm, server: target, srv: srv}
-		target.tenants[tn] = struct{}{}
-		target.tenantsHostedTotal++
 		f.res.Placed++
-		if err := target.agent.SetPrimaryAlloc(target.allocUsed()); err != nil {
+		if err := target.Agent.SetPrimaryAlloc(target.Live() * harness.DefaultPrimaryVMCores); err != nil {
 			f.runErr = err
 			return
 		}
@@ -352,15 +316,12 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			if f.runErr != nil {
 				return
 			}
-			f.merged.Merge(tn.srv.Latency())
-			tn.server.machine.RemoveVM(tn.vm)
-			delete(tn.server.tenants, tn)
+			f.merged.Merge(p.Latency())
+			target.Machine.RemoveVM(p.VM())
 			f.res.Departed++
-			alloc := tn.server.allocUsed()
-			if alloc < 1 {
-				alloc = 1 // empty-server floor
-			}
-			if err := tn.server.agent.SetPrimaryAlloc(alloc); err != nil {
+			// An empty server keeps a one-core primary floor.
+			alloc := max(target.Live()*harness.DefaultPrimaryVMCores, 1)
+			if err := target.Agent.SetPrimaryAlloc(alloc); err != nil {
 				f.runErr = err
 			}
 		})
@@ -380,8 +341,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 
 	loop.At(cfg.Warmup, func() {
 		for _, s := range f.servers {
-			s.warmCoreSec = s.machine.CoreSeconds(hypervisor.ElasticGroup)
-			s.warmCPUSec = s.evm.CPUTime().Seconds()
+			s.MarkWarm()
 		}
 	})
 	return f, nil
@@ -402,7 +362,7 @@ func (f *Fleet) crashServer(i int, down sim.Time) {
 	if f.onCrash != nil {
 		f.onCrash(i)
 	}
-	f.servers[i].agent.ForceCrash(down, f.cfg.Faults.LoseModel)
+	f.servers[i].Agent.ForceCrash(down, f.cfg.Faults.LoseModel)
 	f.loop.After(down, func() {
 		f.crashed[i] = false
 		if o := f.cfg.Observer; o != nil {
@@ -454,7 +414,7 @@ func (f *Fleet) HarvestedCores(i int) int {
 	if f.Crashed(i) {
 		return 0
 	}
-	n := f.servers[i].machine.GroupCores(hypervisor.ElasticGroup) - harness.ElasticMin
+	n := f.servers[i].Machine.GroupCores(hypervisor.ElasticGroup) - harness.ElasticMin
 	if n < 0 {
 		n = 0
 	}
@@ -471,8 +431,7 @@ func (f *Fleet) ForecastCores(i int) int {
 	if f.Crashed(i) {
 		return 0
 	}
-	s := f.servers[i]
-	n := s.maxAlloc - s.agent.Target()
+	n := f.maxAlloc - f.servers[i].Agent.Target()
 	if n < 0 {
 		n = 0
 	}
@@ -504,13 +463,13 @@ func (f *Fleet) TotalForecastCores() int {
 // i's elastic group, where it shares harvested cores with (and is
 // scheduled exactly like) the ElasticVM.
 func (f *Fleet) AddJobVM(i int, name string, vcpus int) *hypervisor.VM {
-	return f.servers[i].machine.AddVM(name, hypervisor.ElasticGroup, vcpus, vcpus)
+	return f.servers[i].Machine.AddVM(name, hypervisor.ElasticGroup, vcpus, vcpus)
 }
 
 // RemoveJobVM removes a job VM placed by AddJobVM: running vCPUs stop
 // immediately and queued guest work is discarded.
 func (f *Fleet) RemoveJobVM(i int, vm *hypervisor.VM) {
-	f.servers[i].machine.RemoveVM(vm)
+	f.servers[i].Machine.RemoveVM(vm)
 }
 
 // Finish runs the simulation to the end time and aggregates the result.
@@ -529,39 +488,32 @@ func (f *Fleet) Finish() (*Result, error) {
 	measured := f.cfg.Duration.Seconds()
 	perServer := make([]float64, 0, len(f.servers))
 	for _, s := range f.servers {
-		harvestedSec := s.machine.CoreSeconds(hypervisor.ElasticGroup) - s.warmCoreSec -
-			harness.ElasticMin*measured
-		if harvestedSec < 0 {
-			harvestedSec = 0
+		h := s.Harvest(measured)
+		st := ServerStats{
+			TenantsHosted:    len(s.Primaries),
+			Harvest:          h,
+			HarvestedCoreSec: h.AvgHarvestedCores * measured,
+			Stats:            s.Agent.Stats(),
 		}
-		cpuSec := s.evm.CPUTime().Seconds() - s.warmCPUSec
-		st := s.agent.Stats()
-		res.PerServer = append(res.PerServer, ServerStats{
-			TenantsHosted:     s.tenantsHostedTotal,
-			AvgHarvestedCores: harvestedSec / measured,
-			HarvestedCoreSec:  harvestedSec,
-			ElasticCPUSeconds: cpuSec,
-			Safeguards:        st.Safeguards,
-			QoSTrips:          st.QoSTrips,
-		})
-		res.HarvestedCoreSec += harvestedSec
-		res.ElasticCPUSec += cpuSec
-		res.FleetAvgHarvested += harvestedSec / measured
-		perServer = append(perServer, harvestedSec)
+		res.PerServer = append(res.PerServer, st)
+		res.HarvestedCoreSec += st.HarvestedCoreSec
+		res.ElasticCPUSec += h.ElasticCPUSeconds
+		res.FleetAvgHarvested += h.AvgHarvestedCores
+		perServer = append(perServer, st.HarvestedCoreSec)
+		if s.Faults != nil {
+			res.FaultsInjected += s.Faults.Total()
+		}
+		// Latencies of tenants still resident at the end.
+		for _, p := range s.Primaries {
+			if !p.VM().Removed() {
+				f.merged.Merge(p.Latency())
+			}
+		}
 	}
 	res.FleetAvgHarvested /= float64(len(f.servers))
 	res.Spread = spreadOf(perServer)
-	for _, inj := range f.injectors {
-		res.FaultsInjected += inj.Total()
-	}
 	if f.fleetInj != nil {
 		res.FaultsInjected += f.fleetInj.Total()
-	}
-	// Latencies of tenants still resident at the end.
-	for _, s := range f.servers {
-		for tn := range s.tenants {
-			f.merged.Merge(tn.srv.Latency())
-		}
 	}
 	res.TenantLatency = f.merged.Summarize()
 	return res, nil

@@ -24,7 +24,6 @@ func TestDepartedTenantStopsOfferingLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop, s := f.Loop(), f.servers[0]
-	live := map[*tenant]bool{}
 	frozen := map[*workload.Server]uint64{}
 	var emptyFired uint64
 	var emptyTime sim.Time
@@ -33,20 +32,16 @@ func TestDepartedTenantStopsOfferingLoad(t *testing.T) {
 		if !ok || at > f.End() {
 			break
 		}
-		t0, fired0, empty := loop.Now(), loop.Fired(), len(s.tenants) == 0
+		t0, fired0, empty := loop.Now(), loop.Fired(), s.Live() == 0
 		loop.Step()
 		if empty && len(frozen) > 0 {
 			emptyFired += loop.Fired() - fired0
 			emptyTime += loop.Now() - t0
 		}
-		for tn := range live {
-			if _, ok := s.tenants[tn]; !ok {
-				delete(live, tn)
-				frozen[tn.srv] = tn.srv.Offered()
+		for _, p := range s.Primaries {
+			if _, seen := frozen[p]; !seen && p.VM().Removed() {
+				frozen[p] = p.Offered()
 			}
-		}
-		for tn := range s.tenants {
-			live[tn] = true
 		}
 		for srv, n := range frozen {
 			if srv.Offered() != n {

@@ -155,14 +155,7 @@ type Result struct {
 
 	Primaries []PrimaryResult
 
-	// AvgHarvestedCores is the time-weighted average number of cores the
-	// ElasticVM held beyond its minimum, measured after warmup.
-	AvgHarvestedCores float64
-	// AvgElasticCores includes the minimum.
-	AvgElasticCores float64
-	// ElasticCPUSeconds is CPU actually executed by the ElasticVM after
-	// warmup.
-	ElasticCPUSeconds float64
+	Harvest
 
 	// Batch job completion (for HDInsight/TeraSort/Finite).
 	BatchFinished bool
@@ -191,62 +184,137 @@ type Result struct {
 	Check *check.Report
 }
 
-// NewServer assembles one simulated server on loop, for Run and for each
-// server of an internal/cluster fleet: a machine of
+// Server is one simulated server as NewServer assembles it, for Run and
+// for each server of an internal/cluster fleet.
+type Server struct {
+	Machine *hypervisor.Machine
+	Agent   *core.Agent
+	// Elastic is the ElasticVM: a vCPU per physical core (paper §3.2).
+	Elastic *hypervisor.VM
+	// Faults is the agent-fault injector, nil without agent-level faults.
+	Faults *faults.Injector
+	// Primaries holds every primary VM's workload in arrival order,
+	// departed ones included.
+	Primaries []*workload.Server
+
+	loop                    *sim.Loop
+	rng                     *simrng.Rand
+	warmCoreSec, warmCPUSec float64 // the ElasticVM's accounting at MarkWarm
+}
+
+// Harvest is what a server's ElasticVM got over the measured span.
+type Harvest struct {
+	// AvgHarvestedCores is the time-weighted average number of cores the
+	// ElasticVM held beyond its minimum, measured after warmup.
+	AvgHarvestedCores float64
+	// AvgElasticCores includes the minimum.
+	AvgElasticCores float64
+	// ElasticCPUSeconds is CPU actually executed by the ElasticVM after
+	// warmup.
+	ElasticCPUSeconds float64
+}
+
+// NewServer assembles one simulated server on loop: a machine of
 // cfg.PrimaryAlloc+cfg.ElasticMin cores under mech, initial of them in
-// the primary group, and an agent harvesting it with ctrl from a primary
-// allocation of initial cores (cfg.PrimaryAlloc is the most it can
-// follow). It draws the machine's seed from rng, then, if plan has
-// agent-level faults, the seed of an agent-fault injector that reports
-// to faultObs. cfg.Observer sees the machine's and the agent's events.
-// With IPIs the agent does not sleep after a resize. The caller adds the
-// VMs and starts the agent.
+// the primary group, its ElasticVM, and an agent harvesting it with ctrl
+// from a primary allocation of initial cores (cfg.PrimaryAlloc is the
+// most it can follow). It draws the machine's seed from rng, then, if
+// plan has agent-level faults, the seed of an agent-fault injector that
+// reports to faultObs; AddPrimary splits rng too. cfg.Observer sees the
+// machine's and the agent's events. With IPIs the agent does not sleep
+// after a resize. The caller adds the primaries, starts the ElasticVM's
+// workload and the agent, and schedules MarkWarm.
 func NewServer(loop *sim.Loop, rng *simrng.Rand, mech hypervisor.Mechanism, plan faults.Plan,
 	faultObs obs.Observer, ctrl core.Controller, cfg core.Config, initial int,
-) (*hypervisor.Machine, *core.Agent, *faults.Injector, error) {
-	hvCfg := hypervisor.DefaultConfig(cfg.PrimaryAlloc + cfg.ElasticMin)
+) (*Server, error) {
+	total := cfg.PrimaryAlloc + cfg.ElasticMin
+	hvCfg := hypervisor.DefaultConfig(total)
 	hvCfg.Mechanism = mech
 	hvCfg.Seed = rng.Uint64()
 	hvCfg.Observer = cfg.Observer
+	s := &Server{loop: loop, rng: rng}
+	var err error
 	// The injector (and its RNG draw) exists only when the plan injects
 	// agent-level faults, so a fault-free or fleet-only plan leaves the
 	// run byte-identical to one that never heard of fault injection.
-	var inj *faults.Injector
 	if plan.AgentEnabled() {
-		var err error
-		if inj, err = faults.NewInjector(plan, simrng.New(rng.Uint64()), loop.Now, faultObs); err != nil {
-			return nil, nil, nil, err
+		if s.Faults, err = faults.NewInjector(plan, simrng.New(rng.Uint64()), loop.Now, faultObs); err != nil {
+			return nil, err
 		}
-		hvCfg.Faults = inj
-		cfg.Faults = inj
+		hvCfg.Faults = s.Faults
+		cfg.Faults = s.Faults
 	}
-	m, err := hypervisor.New(loop, hvCfg)
-	if err != nil {
-		return nil, nil, nil, err
+	if s.Machine, err = hypervisor.New(loop, hvCfg); err != nil {
+		return nil, err
 	}
-	m.SetInitialSplit(initial)
+	s.Machine.SetInitialSplit(initial)
 	if mech == hypervisor.IPI {
 		cfg.PostResizeSleep = 0
 	}
 	// The injector also routes the busy-core signal, so polls can be
 	// dropped, staled or perturbed; only the injector-free adapter is
 	// core.EventDrivenBusy and lets the agent run its poll ahead.
-	var hv core.Hypervisor = machineHV{m}
-	if inj != nil {
-		hv = faultyHV{machineHV{m}, m, inj}
+	var hv core.Hypervisor = machineHV{s.Machine}
+	if s.Faults != nil {
+		hv = faultyHV{machineHV{s.Machine}, s.Machine, s.Faults}
 	}
-	agent, err := core.NewAgent(loop, hv, ctrl, cfg)
-	if err != nil {
-		return nil, nil, nil, err
+	if s.Agent, err = core.NewAgent(loop, hv, ctrl, cfg); err != nil {
+		return nil, err
 	}
 	if initial != cfg.PrimaryAlloc {
 		// The cores beyond the initial allocation stay unallocated until
 		// arrivals claim them.
-		if err := agent.SetPrimaryAlloc(initial); err != nil {
-			return nil, nil, nil, err
+		if err := s.Agent.SetPrimaryAlloc(initial); err != nil {
+			return nil, err
 		}
 	}
-	return m, agent, inj, nil
+	s.Elastic = s.Machine.AddVM("elastic", hypervisor.ElasticGroup, total, total)
+	return s, nil
+}
+
+// AddPrimary adds a DefaultPrimaryVMCores-core primary VM running spec,
+// builds its workload on a split of the server's RNG (latencies recorded
+// from warmup on) and starts it.
+func (s *Server) AddPrimary(spec apps.PrimarySpec, warmup sim.Time) (*workload.Server, error) {
+	vm := s.Machine.AddVM(fmt.Sprintf("%s-%d", spec.Name, len(s.Primaries)),
+		hypervisor.PrimaryGroup, DefaultPrimaryVMCores, DefaultPrimaryVMCores)
+	p, err := spec.Build(s.loop, vm, s.rng.Split(), warmup)
+	if err != nil {
+		return nil, fmt.Errorf("harness: building %s: %w", spec.Name, err)
+	}
+	p.Start()
+	s.Primaries = append(s.Primaries, p)
+	return p, nil
+}
+
+// Live counts the primaries that have not departed.
+func (s *Server) Live() int {
+	n := 0
+	for _, p := range s.Primaries {
+		if !p.VM().Removed() {
+			n++
+		}
+	}
+	return n
+}
+
+// MarkWarm snapshots the ElasticVM's accounting at the end of warm-up,
+// where Harvest measures from.
+func (s *Server) MarkWarm() {
+	s.warmCoreSec = s.Machine.CoreSeconds(hypervisor.ElasticGroup)
+	s.warmCPUSec = s.Elastic.CPUTime().Seconds()
+}
+
+// Harvest is the ElasticVM's harvest since MarkWarm, averaged over
+// measured seconds.
+func (s *Server) Harvest(measured float64) Harvest {
+	var h Harvest
+	if measured > 0 {
+		h.AvgElasticCores = (s.Machine.CoreSeconds(hypervisor.ElasticGroup) - s.warmCoreSec) / measured
+		h.ElasticCPUSeconds = s.Elastic.CPUTime().Seconds() - s.warmCPUSec
+	}
+	h.AvgHarvestedCores = max(0, h.AvgElasticCores-ElasticMin)
+	return h
 }
 
 // machineHV adapts the simulated machine to the agent's black-box
@@ -431,7 +499,6 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := maxAlloc + ElasticMin
 
 	loop := sim.NewLoop()
 
@@ -452,16 +519,16 @@ func Run(s Scenario) (*Result, error) {
 	agentCfg.Observer = s.Observer
 	// The controller is sized for the maximum concurrent allocation so it
 	// can follow churn; the agent starts at the initial allocation.
-	machine, agent, injector, err := NewServer(loop, rng, s.Mechanism, s.Faults, s.Observer, ctrl, agentCfg, alloc)
+	srv, err := NewServer(loop, rng, s.Mechanism, s.Faults, s.Observer, ctrl, agentCfg, alloc)
 	if err != nil {
 		return nil, err
 	}
 	if s.Checker != nil {
 		// Assembling the server emitted nothing, so the checker is bound
 		// before the first event, to the values the agent runs with.
-		c := agent.Config()
+		c := srv.Agent.Config()
 		if err := s.Checker.Bind(check.Config{
-			TotalCores:        total,
+			TotalCores:        maxAlloc + ElasticMin,
 			PrimaryAlloc:      alloc,
 			PrimaryVMCores:    DefaultPrimaryVMCores,
 			ElasticMin:        ElasticMin,
@@ -484,38 +551,29 @@ func Run(s Scenario) (*Result, error) {
 		})
 	}
 
-	// Primary VMs and servers.
-	var servers []*workload.Server
-	for i, spec := range s.Primaries {
-		vm := machine.AddVM(fmt.Sprintf("%s-%d", spec.Name, i),
-			hypervisor.PrimaryGroup, DefaultPrimaryVMCores, DefaultPrimaryVMCores)
-		srv, err := spec.Build(loop, vm, rng.Split(), s.Warmup)
-		if err != nil {
-			return nil, fmt.Errorf("harness: building %s: %w", spec.Name, err)
+	for _, spec := range s.Primaries {
+		if _, err := srv.AddPrimary(spec, s.Warmup); err != nil {
+			return nil, err
 		}
-		srv.Start()
-		servers = append(servers, srv)
 	}
 
-	// ElasticVM: as many vCPUs as physical cores (paper §3.2).
-	evm := machine.AddVM("elastic", hypervisor.ElasticGroup, total, total)
 	var batchJob *apps.BatchJob
 	var finite *apps.FiniteWork
 	var finiteDoneAt sim.Time
 	var done func() bool // a finite batch job's completion; nil for the others
 	switch s.Batch {
 	case BatchCPUBully:
-		apps.NewCPUBully(loop, evm).Start()
+		apps.NewCPUBully(loop, srv.Elastic).Start()
 	case BatchHDInsight:
-		batchJob = apps.HDInsight(loop, evm, nil)
+		batchJob = apps.HDInsight(loop, srv.Elastic, nil)
 	case BatchTeraSort:
-		batchJob = apps.TeraSort(loop, evm, nil)
+		batchJob = apps.TeraSort(loop, srv.Elastic, nil)
 	case BatchFinite:
 		work := s.BatchWork
 		if work == 0 {
 			work = 8 * sim.Second
 		}
-		finite = apps.NewFiniteWork(loop, evm, work, func() { finiteDoneAt = loop.Now() })
+		finite = apps.NewFiniteWork(loop, srv.Elastic, work, func() { finiteDoneAt = loop.Now() })
 		if s.BatchWidth > 0 {
 			finite.LimitParallelism(s.BatchWidth)
 		}
@@ -540,47 +598,29 @@ func Run(s Scenario) (*Result, error) {
 		done = batchJob.Finished
 	}
 
-	agent.Start()
+	srv.Agent.Start()
 
 	// Schedule VM churn.
 	var churnErr error
-	vms := make([]*hypervisor.VM, len(servers))
-	for i, srv := range servers {
-		vms[i] = srv.VM()
-	}
 	for _, ev := range s.Churn {
-		ev := ev
 		loop.At(ev.At, func() {
 			if churnErr != nil {
 				return
 			}
 			if ev.Arrive != nil {
-				vm := machine.AddVM(fmt.Sprintf("%s-%d", ev.Arrive.Name, len(vms)),
-					hypervisor.PrimaryGroup, DefaultPrimaryVMCores, DefaultPrimaryVMCores)
-				srv, err := ev.Arrive.Build(loop, vm, rng.Split(), s.Warmup)
-				if err != nil {
-					churnErr = err
+				if _, churnErr = srv.AddPrimary(*ev.Arrive, s.Warmup); churnErr != nil {
 					return
 				}
-				srv.Start()
-				servers = append(servers, srv)
-				vms = append(vms, vm)
 			}
 			if ev.Depart >= 0 {
-				if ev.Depart >= len(vms) || vms[ev.Depart] == nil {
+				if ev.Depart >= len(srv.Primaries) || srv.Primaries[ev.Depart].VM().Removed() {
 					churnErr = fmt.Errorf("harness: churn departure %d invalid", ev.Depart)
 					return
 				}
-				machine.RemoveVM(vms[ev.Depart])
-				vms[ev.Depart] = nil
+				srv.Machine.RemoveVM(srv.Primaries[ev.Depart].VM())
 			}
-			live := 0
-			for _, vm := range vms {
-				if vm != nil {
-					live++
-				}
-			}
-			if err := agent.SetPrimaryAlloc(live * DefaultPrimaryVMCores); err != nil {
+			live := srv.Live()
+			if err := srv.Agent.SetPrimaryAlloc(live * DefaultPrimaryVMCores); err != nil {
 				churnErr = err
 				return
 			}
@@ -599,13 +639,7 @@ func Run(s Scenario) (*Result, error) {
 			}
 		})
 	}
-
-	// Snapshot harvest accounting at warmup.
-	var elasticCoreSecAtWarmup, elasticCPUAtWarmup float64
-	loop.At(s.Warmup, func() {
-		elasticCoreSecAtWarmup = machine.CoreSeconds(hypervisor.ElasticGroup)
-		elasticCPUAtWarmup = evm.CPUTime().Seconds()
-	})
+	loop.At(s.Warmup, srv.MarkWarm)
 
 	end := s.Warmup + s.Duration
 	loop.RunUntil(end)
@@ -624,28 +658,21 @@ func Run(s Scenario) (*Result, error) {
 		Policy:    ctrl.Name(),
 		Mechanism: s.Mechanism.String(),
 		Duration:  s.Duration,
+		Harvest:   srv.Harvest((loop.Now() - s.Warmup).Seconds()),
+		Stats:     srv.Agent.Stats(),
+		Events:    loop.Fired(),
 	}
-	for _, srv := range servers {
+	for _, p := range srv.Primaries {
 		pr := PrimaryResult{
-			Name:      srv.Name(),
-			Latency:   srv.Latency().Summarize(),
-			Offered:   srv.Offered(),
-			Completed: srv.Completed(),
+			Name:      p.Name(),
+			Latency:   p.Latency().Summarize(),
+			Offered:   p.Offered(),
+			Completed: p.Completed(),
 		}
-		for i := 0; i < srv.NumPhases(); i++ {
-			pr.Phases = append(pr.Phases, srv.PhaseLatency(i).Summarize())
+		for i := 0; i < p.NumPhases(); i++ {
+			pr.Phases = append(pr.Phases, p.PhaseLatency(i).Summarize())
 		}
 		res.Primaries = append(res.Primaries, pr)
-	}
-
-	measured := (loop.Now() - s.Warmup).Seconds()
-	if measured > 0 {
-		res.AvgElasticCores = (machine.CoreSeconds(hypervisor.ElasticGroup) - elasticCoreSecAtWarmup) / measured
-		res.ElasticCPUSeconds = evm.CPUTime().Seconds() - elasticCPUAtWarmup
-	}
-	res.AvgHarvestedCores = res.AvgElasticCores - ElasticMin
-	if res.AvgHarvestedCores < 0 {
-		res.AvgHarvestedCores = 0
 	}
 	if batchJob != nil {
 		res.BatchFinished = batchJob.Finished()
@@ -656,20 +683,18 @@ func Run(s Scenario) (*Result, error) {
 		res.BatchTime = finiteDoneAt
 		res.BatchProgress = finite.Completed()
 	}
-	res.Stats = agent.Stats()
-	res.Events = loop.Fired()
-	if injector != nil {
-		res.FaultsInjected = injector.Total()
+	if srv.Faults != nil {
+		res.FaultsInjected = srv.Faults.Total()
 	}
-	res.Grow = machine.GrowLatency().Summarize()
-	res.Shrink = machine.ShrinkLatency().Summarize()
-	res.GrowCDF = machine.GrowLatency().CDF()
-	res.ShrinkCDF = machine.ShrinkLatency().CDF()
+	res.Grow = srv.Machine.GrowLatency().Summarize()
+	res.Shrink = srv.Machine.ShrinkLatency().Summarize()
+	res.GrowCDF = srv.Machine.GrowLatency().CDF()
+	res.ShrinkCDF = srv.Machine.ShrinkLatency().CDF()
 	if s.Checker != nil {
 		// Fold the hypervisor's end-of-run state self-check into the
 		// report: the event stream can look legal while the machine's
 		// internal accounting drifted.
-		if err := machine.CheckInvariants(); err != nil {
+		if err := srv.Machine.CheckInvariants(); err != nil {
 			s.Checker.Flag(check.InvMachineState, loop.Now(), err.Error())
 		}
 		res.Check = s.Checker.Finish()
