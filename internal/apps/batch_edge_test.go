@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 
 	"smartharvest/internal/hypervisor"
@@ -77,5 +78,62 @@ func TestBatchJobOnDoneCallbackOnce(t *testing.T) {
 	loop.RunUntil(sim.Second)
 	if calls != 1 {
 		t.Fatalf("onDone called %d times", calls)
+	}
+}
+
+// batchPhaseTimes runs job on a 6-core machine whose primary allocation
+// swings between 1 and 4 cores every 37 ms, so cores leave and join the
+// ElasticVM in the middle of its chunks. It returns the time each phase
+// began, then the completion time.
+func batchPhaseTimes(t *testing.T, build func(*sim.Loop, *hypervisor.VM) *BatchJob) []sim.Time {
+	t.Helper()
+	loop, m := rig(t, 6)
+	m.SetInitialSplit(2)
+	vm := m.AddVM("elastic", hypervisor.ElasticGroup, 6, 6)
+	job := build(loop, vm)
+	var at []sim.Time
+	job.SetPhaseHook(func(phase, phases int, finished bool) { at = append(at, loop.Now()) })
+	swing := 0
+	loop.NewTicker(37*sim.Millisecond, 37*sim.Millisecond, func() {
+		swing++
+		if _, err := m.SetPrimaryCores(1 + 3*(swing%2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	job.Start()
+	loop.RunUntil(120 * sim.Second)
+	if !job.Finished() || job.FinishedAt() != at[len(at)-1] {
+		t.Fatalf("finished %v at %v, last boundary %v", job.Finished(), job.FinishedAt(), at)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return at
+}
+
+// TestBatchJobPhaseTimesPinned pins, to the nanosecond, every phase
+// boundary and the completion of an HDInsight and a TeraSort run while the
+// ElasticVM grows and shrinks under them. The speedup tests only bound
+// completion times; this is the reference for any change to how a job
+// feeds its phases to the VM.
+func TestBatchJobPhaseTimesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Loop, *hypervisor.VM) *BatchJob
+		want  []sim.Time
+	}{
+		{"hdinsight", func(l *sim.Loop, vm *hypervisor.VM) *BatchJob { return HDInsight(l, vm, nil) }, []sim.Time{
+			0, 120086425, 821671707, 941748250, 1637233491, 1757311980, 2450837988, 2570916855,
+			3265836065, 3385922301, 4081395154, 4201480907, 4896942767, 5017026052, 5710007122,
+			5830094438, 6521668627, 6641759510, 7335835186, 7455921985, 8151410259, 8271487318,
+			8966962834, 9087051638, 9780006929,
+		}},
+		{"terasort", func(l *sim.Loop, vm *hypervisor.VM) *BatchJob { return TeraSort(l, vm, nil) }, []sim.Time{
+			0, 2000000000, 6002853524, 9002853524, 13576688093, 15576688093, 16577423535,
+		}},
+	} {
+		if got := batchPhaseTimes(t, tc.build); !slices.Equal(got, tc.want) {
+			t.Errorf("%s phase boundaries\n got %v\nwant %v", tc.name, got, tc.want)
+		}
 	}
 }
