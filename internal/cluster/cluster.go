@@ -405,37 +405,24 @@ func (f *Fleet) End() sim.Time { return f.end }
 // Warmup returns the configured warmup span.
 func (f *Fleet) Warmup() sim.Time { return f.cfg.Warmup }
 
-// HarvestedCores returns server i's harvested capacity right now: the
-// elastic group's physical cores beyond the ElasticVM's guaranteed
-// minimum. This is what a fleet scheduler may grant to jobs.
-// A crashed server harvests nothing: its agent is dead and its cores
-// are back with the tenants.
+// HarvestedCores returns server i's harvested capacity right now
+// (harness.Server.HarvestedCores). A crashed server harvests nothing: its
+// agent is dead and its cores are back with the tenants.
 func (f *Fleet) HarvestedCores(i int) int {
 	if f.Crashed(i) {
 		return 0
 	}
-	n := f.servers[i].Machine.GroupCores(hypervisor.ElasticGroup) - harness.ElasticMin
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return f.servers[i].HarvestedCores()
 }
 
-// ForecastCores returns server i's predicted harvested capacity for the
-// next learning window: the agent's live in-force primary-core target
-// subtracted from the harvestable pool. This is the learner's own
-// forecast — when the safeguards pin the target to the full allocation,
-// the forecast collapses to zero, which is exactly the signal a
-// prediction-aware placement policy wants.
+// ForecastCores returns the agent's forecast of server i's harvested
+// capacity for the next learning window (harness.Server.ForecastCores),
+// zero while the server is crashed.
 func (f *Fleet) ForecastCores(i int) int {
 	if f.Crashed(i) {
 		return 0
 	}
-	n := f.maxAlloc - f.servers[i].Agent.Target()
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return f.servers[i].ForecastCores()
 }
 
 // TotalHarvestedCores sums HarvestedCores across the fleet — the live

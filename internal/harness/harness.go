@@ -317,6 +317,22 @@ func (s *Server) Harvest(measured float64) Harvest {
 	return h
 }
 
+// HarvestedCores is the server's harvested capacity right now: the
+// elastic group's physical cores beyond the ElasticVM's minimum. This is
+// what a fleet scheduler may grant to jobs.
+func (s *Server) HarvestedCores() int {
+	return max(0, s.Machine.GroupCores(hypervisor.ElasticGroup)-ElasticMin)
+}
+
+// ForecastCores is the agent's forecast of HarvestedCores for the next
+// learning window: its in-force primary-core target subtracted from the
+// harvestable pool. When the safeguards pin the target to the full
+// allocation the forecast collapses to zero, which is exactly the signal
+// a prediction-aware placement policy wants.
+func (s *Server) ForecastCores() int {
+	return max(0, s.Machine.TotalCores()-ElasticMin-s.Agent.Target())
+}
+
 // machineHV adapts the simulated machine to the agent's black-box
 // hypervisor contract.
 type machineHV struct {
