@@ -63,22 +63,20 @@ type BatchPhase struct {
 // BatchJob runs a sequence of phases on a VM and records its completion
 // time. CPU phases adapt to however many cores the hypervisor actually
 // provides — more harvested cores, faster completion — which is what the
-// paper's Figure 6 speedup measurements capture.
+// paper's Figure 6 speedup measurements capture. Each CPU phase runs as a
+// FiniteWork allotment whose completion starts the next phase.
 type BatchJob struct {
 	name   string
 	loop   *sim.Loop
 	vm     *hypervisor.VM
 	phases []BatchPhase
-	chunk  sim.Time
 
-	cur         int
-	remaining   sim.Time
-	outstanding int
-	started     bool
-	finished    bool
-	finishedAt  sim.Time
-	onDone      func(sim.Time)
-	onPhase     func(phase, phases int, finished bool)
+	cur        int
+	started    bool
+	finished   bool
+	finishedAt sim.Time
+	onDone     func(sim.Time)
+	onPhase    func(phase, phases int, finished bool)
 }
 
 // NewBatchJob builds a job; onDone (optional) fires with the completion
@@ -101,10 +99,7 @@ func NewBatchJob(name string, loop *sim.Loop, vm *hypervisor.VM, phases []BatchP
 			panic(fmt.Sprintf("apps: phase %d: unknown kind", i))
 		}
 	}
-	return &BatchJob{
-		name: name, loop: loop, vm: vm, phases: phases,
-		chunk: 5 * sim.Millisecond, onDone: onDone,
-	}
+	return &BatchJob{name: name, loop: loop, vm: vm, phases: phases, onDone: onDone}
 }
 
 // Name returns the job's name.
@@ -157,40 +152,11 @@ func (j *BatchJob) nextPhase() {
 	case IOPhase:
 		j.loop.After(p.IOTime, j.nextPhase)
 	case CPUPhase:
-		j.remaining = p.Work
-		j.pump()
-	}
-}
-
-// pump keeps up to Parallelism chunks outstanding for the current CPU
-// phase, advancing to the next phase when all work has executed.
-func (j *BatchJob) pump() {
-	p := j.phases[j.cur]
-	par := p.Parallelism
-	if par <= 0 || par > j.vm.NumVCPUs() {
-		par = j.vm.NumVCPUs()
-	}
-	for j.remaining > 0 && j.outstanding < par {
-		c := j.chunk
-		if c > j.remaining {
-			c = j.remaining
+		w := NewFiniteWork(j.loop, j.vm, p.Work, j.nextPhase)
+		if p.Parallelism > 0 {
+			w.LimitParallelism(p.Parallelism)
 		}
-		j.remaining -= c
-		j.outstanding++
-		phase := j.cur
-		j.vm.Submit(c, func() {
-			j.outstanding--
-			// Guard against a stale completion racing a phase change
-			// (cannot happen with the current pump logic, but cheap).
-			if j.cur != phase {
-				return
-			}
-			if j.remaining > 0 {
-				j.pump()
-			} else if j.outstanding == 0 {
-				j.nextPhase()
-			}
-		})
+		w.Start()
 	}
 }
 

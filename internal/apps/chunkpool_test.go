@@ -179,3 +179,39 @@ func TestFiniteWorkZeroAllocs(t *testing.T) {
 			b, res.MemAllocs, res.N)
 	}
 }
+
+// BenchmarkBatchJob runs a one-phase batch job on a warmed 4-core machine;
+// one op is one 5 ms chunk of its CPU phase. Run with -benchmem for
+// B/chunk.
+func BenchmarkBatchJob(b *testing.B) {
+	loop, m := rig(b, 4)
+	m.SetInitialSplit(0)
+	vm := m.AddVM("job", hypervisor.ElasticGroup, 4, 4)
+	NewBatchJob("bench", loop, vm, []BatchPhase{{Kind: CPUPhase, Work: 1 << 62}}, nil).Start()
+	loop.RunUntil(sim.Second) // the chunk pool and the run queues reach capacity
+	const chunk = 5 * sim.Millisecond
+	before := vm.CPUTime()
+	b.ReportAllocs()
+	b.ResetTimer()
+	loop.RunUntil(loop.Now() + sim.Time(b.N)*chunk/4)
+	b.StopTimer()
+	if done := int((vm.CPUTime() - before) / chunk); b.N > 1000 && (done < b.N*9/10 || done > b.N*11/10) {
+		b.Fatalf("%d chunks completed over %d ops", done, b.N)
+	}
+}
+
+// TestBatchJobZeroAllocs holds a running batch phase to zero bytes a
+// chunk, on B/op as TestFiniteWorkZeroAllocs does.
+func TestBatchJobZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed")
+	}
+	res := testing.Benchmark(BenchmarkBatchJob)
+	if res.N < 100000 {
+		t.Fatalf("measured only %d chunks, want at least 100000", res.N)
+	}
+	if b := res.AllocedBytesPerOp(); b != 0 || res.MemAllocs*1000 > uint64(res.N) {
+		t.Fatalf("batch job allocates %d B/chunk (%d allocs over %d chunks), want 0",
+			b, res.MemAllocs, res.N)
+	}
+}

@@ -9,8 +9,8 @@ import (
 
 // FiniteWork generalizes CPUBully to a finite allotment: a perfectly
 // parallel CPU-bound job that consumes exactly Work core-time and then
-// stops. It is the workload unit of the fleet scheduler (internal/sched):
-// unlike BatchJob's phase structure, FiniteWork supports preemption with
+// stops. It is the workload unit of the fleet scheduler (internal/sched)
+// and runs each CPU phase of a BatchJob. It supports preemption with
 // checkpointed progress — Stop halts the job and reports how much work
 // completed, so an evicted job can be resumed elsewhere with only its
 // unfinished chunks re-run, never double-counting work.
