@@ -49,16 +49,6 @@ type Config struct {
 	// the paper's four primaries at their standard loads).
 	Workloads []apps.PrimarySpec
 
-	// RejectRetries, when positive, gives each rejected tenant arrival up
-	// to that many retry attempts, each after RejectRetryDelay, before it
-	// is finally counted as Rejected. Zero (the default) drops rejected
-	// arrivals immediately — runs are byte-identical to builds that never
-	// heard of retries, since no extra randomness is drawn either way.
-	RejectRetries int
-	// RejectRetryDelay is the wait before each retry attempt (default
-	// 500 ms when RejectRetries is positive).
-	RejectRetryDelay sim.Time
-
 	// DisableElasticBully leaves each server's ElasticVM idle instead of
 	// running the CPU bully, so harvested capacity is available to fleet
 	// jobs placed through Fleet.AddJobVM (internal/sched).
@@ -109,9 +99,6 @@ func (c *Config) applyDefaults() {
 	if c.MeanLifetime == 0 {
 		c.MeanLifetime = 20 * sim.Second
 	}
-	if c.RejectRetries > 0 && c.RejectRetryDelay == 0 {
-		c.RejectRetryDelay = 500 * sim.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -126,9 +113,6 @@ func (c *Config) validate() error {
 	}
 	if c.ArrivalRate < 0 {
 		return fmt.Errorf("cluster: negative arrival rate")
-	}
-	if c.RejectRetries < 0 || c.RejectRetryDelay < 0 {
-		return fmt.Errorf("cluster: negative RejectRetries or RejectRetryDelay")
 	}
 	if c.Duration < 0 || c.Warmup < 0 {
 		return fmt.Errorf("cluster: negative Duration %v or Warmup %v", c.Duration, c.Warmup)
@@ -166,7 +150,7 @@ func (s HarvestSpread) String() string {
 // Result aggregates a fleet run.
 type Result struct {
 	Placed, Rejected  int
-	Retries           int // rejected-arrival retry attempts performed
+	Retries           int // always zero: a tenant that finds no room is rejected
 	Departed          int
 	PerServer         []ServerStats
 	FleetAvgHarvested float64 // per-server average of harvested cores
@@ -277,9 +261,8 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	}
 
 	// place puts a tenant on the first server with room; a full fleet
-	// retries after a delay (when configured) before finally rejecting.
-	var place func(spec apps.PrimarySpec, retriesLeft int)
-	place = func(spec apps.PrimarySpec, retriesLeft int) {
+	// rejects it.
+	place := func(spec apps.PrimarySpec) {
 		var target *harness.Server
 		for _, s := range f.servers {
 			if (s.Live()+1)*harness.DefaultPrimaryVMCores <= f.maxAlloc {
@@ -288,16 +271,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			}
 		}
 		if target == nil {
-			if retriesLeft > 0 {
-				f.res.Retries++
-				loop.After(cfg.RejectRetryDelay, func() {
-					if f.runErr == nil {
-						place(spec, retriesLeft-1)
-					}
-				})
-			} else {
-				f.res.Rejected++
-			}
+			f.res.Rejected++
 			return
 		}
 		p, err := target.AddPrimary(spec, cfg.Warmup)
@@ -327,13 +301,12 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 		})
 	}
 
-	// Tenant arrival process. The workload draw happens at arrival time
-	// (before the fit search), so the RNG stream is identical whether or
-	// not retries are enabled.
+	// Tenant arrival process. The workload draw happens at arrival time,
+	// before the fit search.
 	if cfg.ArrivalRate > 0 {
 		var next func()
 		next = func() {
-			place(cfg.Workloads[rng.Intn(len(cfg.Workloads))], cfg.RejectRetries)
+			place(cfg.Workloads[rng.Intn(len(cfg.Workloads))])
 			loop.After(sim.Time(rng.Exp(1e9/cfg.ArrivalRate)), next)
 		}
 		loop.After(sim.Time(rng.Exp(1e9/cfg.ArrivalRate)), next)

@@ -169,57 +169,6 @@ func TestFleetCustomController(t *testing.T) {
 	}
 }
 
-func TestFleetRejectRetrySalvagesArrivals(t *testing.T) {
-	// One single-slot server with short tenant lifetimes: without retries
-	// every arrival that lands while the slot is taken is lost; with
-	// retries some of them wait out a departure and place. The tenant
-	// stream itself must be identical either way.
-	// Arrivals are sparse: when one lands during occupancy the next fresh
-	// arrival is seconds away, so only a waiting retry can claim the slot
-	// the departure frees.
-	base := Config{
-		Servers:        1,
-		CoresPerServer: 11, // room for exactly one 10-core tenant
-		ArrivalRate:    0.4,
-		MeanLifetime:   4 * sim.Second,
-		Duration:       30 * sim.Second,
-		Warmup:         sim.Second,
-		Seed:           31,
-		Workloads:      []apps.PrimarySpec{apps.Memcached(40000)},
-	}
-	off, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Retries != 0 {
-		t.Fatalf("retries %d with the feature off", off.Retries)
-	}
-	withRetries := base
-	withRetries.RejectRetries = 8
-	withRetries.RejectRetryDelay = sim.Second // out-wait a 4s mean lifetime
-	on, err := Run(withRetries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Retries == 0 {
-		t.Fatal("no retry attempts despite rejections and RejectRetries=6")
-	}
-	if on.Placed <= off.Placed {
-		t.Fatalf("retries placed %d tenants, no better than %d without",
-			on.Placed, off.Placed)
-	}
-	if on.Rejected >= off.Rejected {
-		t.Fatalf("retries left %d rejections, want fewer than %d",
-			on.Rejected, off.Rejected)
-	}
-	// The arrival process draws from the same RNG stream in both modes,
-	// so totals match up to retries still pending when the run ends.
-	if gap := (off.Placed + off.Rejected) - (on.Placed + on.Rejected); gap < 0 || gap > 5 {
-		t.Fatalf("arrival stream perturbed: %d+%d vs %d+%d",
-			off.Placed, off.Rejected, on.Placed, on.Rejected)
-	}
-}
-
 func TestFleetFirstFitReusesFreedServer(t *testing.T) {
 	// Regression: a tenant departure must actually free its server for
 	// the next first-fit placement. Two single-slot servers with heavy

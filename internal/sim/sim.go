@@ -514,20 +514,6 @@ func (t *Ticker) tick() {
 	}
 }
 
-// SetInterval changes the interval used for subsequent reschedules.
-//
-// Contract: the change only affects the *next* reschedule. A tick that
-// is already pending fires at its originally scheduled time; the first
-// tick after that pending one is the first to use the new interval.
-// Called from inside the tick callback, the new interval therefore takes
-// effect immediately (the next tick is scheduled after fn returns).
-func (t *Ticker) SetInterval(interval Time) {
-	if interval <= 0 {
-		panic("sim: non-positive ticker interval")
-	}
-	t.interval = interval
-}
-
 // Stop halts the ticker. Safe to call from inside the tick callback and
 // idempotent.
 func (t *Ticker) Stop() {

@@ -208,29 +208,6 @@ func TestTickerStopFromCallback(t *testing.T) {
 	tk.Stop() // idempotent
 }
 
-func TestTickerSetInterval(t *testing.T) {
-	l := NewLoop()
-	var ticks []Time
-	var tk *Ticker
-	tk = l.NewTicker(0, Millisecond, func() {
-		ticks = append(ticks, l.Now())
-		if len(ticks) == 2 {
-			tk.SetInterval(5 * Millisecond)
-		}
-	})
-	l.RunUntil(12 * Millisecond)
-	tk.Stop()
-	want := []Time{0, Millisecond, 6 * Millisecond, 11 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
 func TestEventRecycling(t *testing.T) {
 	l := NewLoop()
 	e1 := l.After(Microsecond, func() {})
@@ -318,55 +295,6 @@ func TestTickerStopInsideTick(t *testing.T) {
 	l.Run()
 	if !fired || count != 1 {
 		t.Fatalf("recycled tick event misbehaved: fired=%v count=%d", fired, count)
-	}
-}
-
-// TestTickerSetIntervalPendingUnaffected pins the SetInterval contract:
-// the change applies from the next reschedule; a tick already pending
-// fires at its originally scheduled time.
-func TestTickerSetIntervalPendingUnaffected(t *testing.T) {
-	l := NewLoop()
-	var ticks []Time
-	tk := l.NewTicker(0, 2*Millisecond, func() { ticks = append(ticks, l.Now()) })
-	// After the t=0 tick, a tick is pending at t=2ms. Changing the
-	// interval at t=1ms must not move it.
-	l.At(Millisecond, func() { tk.SetInterval(5 * Millisecond) })
-	l.RunUntil(8 * Millisecond)
-	tk.Stop()
-	want := []Time{0, 2 * Millisecond, 7 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-// TestTickerSetIntervalInsideTick pins the other half of the contract:
-// from inside the callback the new interval takes effect immediately,
-// because the next tick is scheduled after the callback returns.
-func TestTickerSetIntervalInsideTick(t *testing.T) {
-	l := NewLoop()
-	var ticks []Time
-	var tk *Ticker
-	tk = l.NewTicker(0, Millisecond, func() {
-		ticks = append(ticks, l.Now())
-		if len(ticks) == 1 {
-			tk.SetInterval(3 * Millisecond)
-		}
-	})
-	l.RunUntil(7 * Millisecond)
-	tk.Stop()
-	want := []Time{0, 3 * Millisecond, 6 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
 	}
 }
 
