@@ -124,8 +124,8 @@ func (c *Config) validate() error {
 }
 
 // ServerStats summarizes one server's run: the tenants it hosted, its
-// ElasticVM's harvest (HarvestedCoreSec is AvgHarvestedCores over the
-// measured span) and its agent's counters.
+// ElasticVM's harvest (HarvestedCoreSec is harness.Server's
+// HarvestedCoreTime over the measured span) and its agent's counters.
 type ServerStats struct {
 	TenantsHosted int
 	harness.Harvest
@@ -445,18 +445,20 @@ func (f *Fleet) Finish() (*Result, error) {
 	}
 
 	res := f.res
-	measured := f.cfg.Duration.Seconds()
+	measured := f.cfg.Duration
 	perServer := make([]float64, 0, len(f.servers))
+	var harvested sim.Time
 	for _, s := range f.servers {
 		h := s.Harvest(measured)
+		ht := s.HarvestedCoreTime(measured)
 		st := ServerStats{
 			TenantsHosted:    len(s.Primaries),
 			Harvest:          h,
-			HarvestedCoreSec: h.AvgHarvestedCores * measured,
+			HarvestedCoreSec: ht.Seconds(),
 			Stats:            s.Agent.Stats(),
 		}
 		res.PerServer = append(res.PerServer, st)
-		res.HarvestedCoreSec += st.HarvestedCoreSec
+		harvested += ht
 		res.ElasticCPUSec += h.ElasticCPUSeconds
 		res.FleetAvgHarvested += h.AvgHarvestedCores
 		perServer = append(perServer, st.HarvestedCoreSec)
@@ -470,6 +472,7 @@ func (f *Fleet) Finish() (*Result, error) {
 			}
 		}
 	}
+	res.HarvestedCoreSec = harvested.Seconds()
 	res.FleetAvgHarvested /= float64(len(f.servers))
 	res.Spread = spreadOf(perServer)
 	if f.fleetInj != nil {

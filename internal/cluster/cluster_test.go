@@ -8,6 +8,7 @@ import (
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
+	"smartharvest/internal/hypervisor"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
 )
@@ -333,5 +334,39 @@ func TestFleetControlPlanePlanLeavesServersUntouched(t *testing.T) {
 	}
 	if faulted.FaultsInjected != 0 {
 		t.Fatalf("injected %d faults with no consumer", faulted.FaultsInjected)
+	}
+}
+
+// TestNoHarvestFleetHarvestsExactlyZero runs a full 8-server fleet whose
+// agents never harvest: every ElasticVM sits at its minimum throughout, so
+// the harvest must read exactly zero, not floating-point residue.
+func TestNoHarvestFleetHarvestsExactlyZero(t *testing.T) {
+	res, err := Run(Config{
+		Servers:             8,
+		Mechanism:           hypervisor.IPI,
+		ArrivalRate:         20,
+		MeanLifetime:        20 * sim.Second,
+		Workloads:           []apps.PrimarySpec{apps.Memcached(8000)},
+		Duration:            3 * sim.Second,
+		Warmup:              2 * sim.Second,
+		Seed:                1,
+		Controller:          harness.NoHarvestFactory(),
+		DisableElasticBully: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placed == 0 {
+		t.Fatal("no tenants placed")
+	}
+	if res.HarvestedCoreSec != 0 || res.FleetAvgHarvested != 0 {
+		t.Fatalf("NoHarvest fleet harvested %v core-s, %v cores a server; want exactly 0",
+			res.HarvestedCoreSec, res.FleetAvgHarvested)
+	}
+	for i, s := range res.PerServer {
+		if s.HarvestedCoreSec != 0 || s.AvgHarvestedCores != 0 || s.AvgElasticCores != harness.ElasticMin {
+			t.Fatalf("server %d: harvested %v core-s, %v cores, elastic %v cores",
+				i, s.HarvestedCoreSec, s.AvgHarvestedCores, s.AvgElasticCores)
+		}
 	}
 }

@@ -197,9 +197,9 @@ type Server struct {
 	// departed ones included.
 	Primaries []*workload.Server
 
-	loop                    *sim.Loop
-	rng                     *simrng.Rand
-	warmCoreSec, warmCPUSec float64 // the ElasticVM's accounting at MarkWarm
+	loop                  *sim.Loop
+	rng                   *simrng.Rand
+	warmCoreTime, warmCPU sim.Time // the ElasticVM's accounting at MarkWarm
 }
 
 // Harvest is what a server's ElasticVM got over the measured span.
@@ -301,17 +301,24 @@ func (s *Server) Live() int {
 // MarkWarm snapshots the ElasticVM's accounting at the end of warm-up,
 // where Harvest measures from.
 func (s *Server) MarkWarm() {
-	s.warmCoreSec = s.Machine.CoreSeconds(hypervisor.ElasticGroup)
-	s.warmCPUSec = s.Elastic.CPUTime().Seconds()
+	s.warmCoreTime = s.Machine.CoreTime(hypervisor.ElasticGroup)
+	s.warmCPU = s.Elastic.CPUTime()
 }
 
-// Harvest is the ElasticVM's harvest since MarkWarm, averaged over
-// measured seconds.
-func (s *Server) Harvest(measured float64) Harvest {
+// HarvestedCoreTime is the core-time the ElasticVM held beyond its
+// minimum over the measured span since MarkWarm. It is exact, so an
+// ElasticVM that never grew reads zero.
+func (s *Server) HarvestedCoreTime(measured sim.Time) sim.Time {
+	return max(0, s.Machine.CoreTime(hypervisor.ElasticGroup)-s.warmCoreTime-ElasticMin*measured)
+}
+
+// Harvest is the ElasticVM's harvest since MarkWarm, averaged over the
+// measured span that followed it.
+func (s *Server) Harvest(measured sim.Time) Harvest {
 	var h Harvest
 	if measured > 0 {
-		h.AvgElasticCores = (s.Machine.CoreSeconds(hypervisor.ElasticGroup) - s.warmCoreSec) / measured
-		h.ElasticCPUSeconds = s.Elastic.CPUTime().Seconds() - s.warmCPUSec
+		h.AvgElasticCores = float64(s.Machine.CoreTime(hypervisor.ElasticGroup)-s.warmCoreTime) / float64(measured)
+		h.ElasticCPUSeconds = (s.Elastic.CPUTime() - s.warmCPU).Seconds()
 	}
 	h.AvgHarvestedCores = max(0, h.AvgElasticCores-ElasticMin)
 	return h
@@ -674,7 +681,7 @@ func Run(s Scenario) (*Result, error) {
 		Policy:    ctrl.Name(),
 		Mechanism: s.Mechanism.String(),
 		Duration:  s.Duration,
-		Harvest:   srv.Harvest((loop.Now() - s.Warmup).Seconds()),
+		Harvest:   srv.Harvest(loop.Now() - s.Warmup),
 		Stats:     srv.Agent.Stats(),
 		Events:    loop.Fired(),
 	}

@@ -206,10 +206,11 @@ type Machine struct {
 	ipiMu, ipiSigma float64 // log-normal parameters for IPI effect delay
 
 	// Instrumentation.
-	primaryWaits  []int64            // dispatch waits (ns) since the last drain
-	growLatency   *metrics.Histogram // elastic +1 core: request -> effect
-	shrinkLatency *metrics.Histogram // elastic -1 core: request -> effect
-	coreCount     [numGroups]metrics.Counter
+	primaryWaits  []int64             // dispatch waits (ns) since the last drain
+	growLatency   *metrics.Histogram  // elastic +1 core: request -> effect
+	shrinkLatency *metrics.Histogram  // elastic -1 core: request -> effect
+	coreTime      [numGroups]sim.Time // core-time of each group up to accruedAt
+	accruedAt     sim.Time
 	resizes       uint64
 	preemptions   uint64
 }
@@ -243,8 +244,7 @@ func New(loop *sim.Loop, cfg Config) (*Machine, error) {
 	}
 	m.counts[PrimaryGroup] = cfg.TotalCores
 	m.logical[PrimaryGroup] = cfg.TotalCores
-	m.coreCount[PrimaryGroup].Set(int64(loop.Now()), float64(cfg.TotalCores))
-	m.coreCount[ElasticGroup].Set(int64(loop.Now()), 0)
+	m.accruedAt = loop.Now()
 	return m, nil
 }
 
@@ -329,6 +329,7 @@ func (m *Machine) SetInitialSplit(primaryCores int) {
 	if primaryCores < 0 || primaryCores > m.cfg.TotalCores {
 		panic(fmt.Sprintf("hypervisor: initial split %d out of range", primaryCores))
 	}
+	m.accrue()
 	m.busy = [numGroups]int{}
 	for i, c := range m.cores {
 		g := PrimaryGroup
@@ -344,9 +345,6 @@ func (m *Machine) SetInitialSplit(primaryCores int) {
 	m.counts[PrimaryGroup] = primaryCores
 	m.counts[ElasticGroup] = m.cfg.TotalCores - primaryCores
 	m.logical = m.counts
-	now := int64(m.loop.Now())
-	m.coreCount[PrimaryGroup].Set(now, float64(primaryCores))
-	m.coreCount[ElasticGroup].Set(now, float64(m.cfg.TotalCores-primaryCores))
 }
 
 // GroupCores returns the number of physical cores currently in g.
@@ -383,16 +381,21 @@ func (m *Machine) GrowLatency() *metrics.Histogram { return m.growLatency }
 // ShrinkLatency returns the histogram for cores leaving the elastic group.
 func (m *Machine) ShrinkLatency() *metrics.Histogram { return m.shrinkLatency }
 
-// AvgCores returns the time-weighted average physical core count of g.
-func (m *Machine) AvgCores(g GroupID) float64 {
-	return m.coreCount[g].Average(int64(m.loop.Now()))
+// CoreTime returns the integral of g's physical core count over time
+// since the machine was built, in core-nanoseconds. It is exact: the
+// difference of two readings divided by the time between them is g's
+// average core count over that interval.
+func (m *Machine) CoreTime(g GroupID) sim.Time {
+	return m.coreTime[g] + sim.Time(m.counts[g])*(m.loop.Now()-m.accruedAt)
 }
 
-// CoreSeconds returns the integral of g's physical core count over time,
-// in core-seconds; differences between two readings give the average core
-// count over an interval (used to exclude warmup from harvest averages).
-func (m *Machine) CoreSeconds(g GroupID) float64 {
-	return m.coreCount[g].Integral(int64(m.loop.Now())) / 1e9
+// accrue folds the core counts in force since accruedAt into coreTime;
+// it runs before any group's count changes.
+func (m *Machine) accrue() {
+	for g := range m.coreTime {
+		m.coreTime[g] = m.CoreTime(GroupID(g))
+	}
+	m.accruedAt = m.loop.Now()
 }
 
 // Resizes returns how many resize operations have been issued.
@@ -723,11 +726,9 @@ func (m *Machine) applyMove(c *Core) {
 	c.pending = false
 	c.eligible = false
 	c.group = to
+	m.accrue()
 	m.counts[from]--
 	m.counts[to]++
-	now := int64(m.loop.Now())
-	m.coreCount[from].Set(now, float64(m.counts[from]))
-	m.coreCount[to].Set(now, float64(m.counts[to]))
 	m.trySchedule(to)
 }
 

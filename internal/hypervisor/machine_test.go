@@ -354,9 +354,13 @@ func TestAvgCoresTimeWeighted(t *testing.T) {
 	m.SetPrimaryCores(6)
 	loop.RunUntil(200 * sim.Millisecond)
 	// Elastic had ~0 cores for 100ms then ~4 for 100ms -> avg ~2.
-	avg := m.AvgCores(ElasticGroup)
+	avg := float64(m.CoreTime(ElasticGroup)) / float64(loop.Now())
 	if avg < 1.8 || avg > 2.1 {
 		t.Fatalf("avg elastic cores %v, want ~2", avg)
+	}
+	// The ledger is exact: every core is in one group at every instant.
+	if got, want := m.CoreTime(PrimaryGroup)+m.CoreTime(ElasticGroup), 10*loop.Now(); got != want {
+		t.Fatalf("core-time sums to %v, want %v", got, want)
 	}
 }
 

@@ -2,57 +2,6 @@ package metrics
 
 import "math"
 
-// Counter accumulates a time-weighted integral of a step function, such as
-// "number of cores assigned to the ElasticVM over time". The average value
-// over an interval is Integral/elapsed.
-type Counter struct {
-	value    float64
-	lastTime int64
-	integral float64
-	started  bool
-	start    int64
-}
-
-// Set updates the step function's value at time now (nanoseconds), folding
-// the previous value's contribution into the integral.
-func (c *Counter) Set(now int64, v float64) {
-	if !c.started {
-		c.started = true
-		c.start = now
-		c.lastTime = now
-		c.value = v
-		return
-	}
-	if now < c.lastTime {
-		panic("metrics: Counter time went backwards")
-	}
-	c.integral += c.value * float64(now-c.lastTime)
-	c.lastTime = now
-	c.value = v
-}
-
-// Value returns the current value of the step function.
-func (c *Counter) Value() float64 { return c.value }
-
-// Average returns the time-weighted average from the first Set through
-// time now. It returns the current value if no time has elapsed.
-func (c *Counter) Average(now int64) float64 {
-	if !c.started || now <= c.start {
-		return c.value
-	}
-	integral := c.integral + c.value*float64(now-c.lastTime)
-	return integral / float64(now-c.start)
-}
-
-// Integral returns the integral of the step function through now, in
-// value·nanoseconds.
-func (c *Counter) Integral(now int64) float64 {
-	if !c.started {
-		return 0
-	}
-	return c.integral + c.value*float64(now-c.lastTime)
-}
-
 // Point is one sample of a time series.
 type Point struct {
 	Time  int64 // nanoseconds

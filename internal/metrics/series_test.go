@@ -6,60 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounterAverage(t *testing.T) {
-	var c Counter
-	c.Set(0, 2)
-	c.Set(10, 4) // value 2 for 10ns
-	c.Set(30, 0) // value 4 for 20ns
-	// average over [0,30] = (2*10 + 4*20) / 30 = 100/30
-	got := c.Average(30)
-	want := 100.0 / 30.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("average = %v, want %v", got, want)
-	}
-	// Extending with value 0 for another 70ns: 100/100 = 1.
-	if got := c.Average(100); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("average(100) = %v", got)
-	}
-}
-
-func TestCounterIntegral(t *testing.T) {
-	var c Counter
-	c.Set(5, 3)
-	if c.Integral(15) != 30 {
-		t.Fatalf("integral = %v", c.Integral(15))
-	}
-	var empty Counter
-	if empty.Integral(100) != 0 {
-		t.Fatal("empty counter integral not 0")
-	}
-}
-
-func TestCounterBeforeStart(t *testing.T) {
-	var c Counter
-	if c.Average(100) != 0 {
-		t.Fatal("unstarted counter average not 0")
-	}
-	c.Set(50, 7)
-	if c.Average(50) != 7 {
-		t.Fatal("zero-elapsed average should be current value")
-	}
-	if c.Value() != 7 {
-		t.Fatal("value")
-	}
-}
-
-func TestCounterTimeBackwardsPanics(t *testing.T) {
-	var c Counter
-	c.Set(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on time going backwards")
-		}
-	}()
-	c.Set(5, 2)
-}
-
 func TestSeriesBasics(t *testing.T) {
 	var s Series
 	if s.Mean() != 0 {
