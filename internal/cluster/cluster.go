@@ -182,7 +182,6 @@ type Fleet struct {
 	// Fleet-chaos state (nil/empty without fleet fault kinds).
 	fleetInj  *faults.FleetInjector
 	crashed   []bool
-	crashAt   []sim.Time
 	onCrash   func(server int)
 	onRestart func(server int)
 }
@@ -241,7 +240,6 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 		}
 		f.fleetInj = inj
 		f.crashed = make([]bool, cfg.Servers)
-		f.crashAt = make([]sim.Time, cfg.Servers)
 		if inj.Plan().ServerCrashProb > 0 {
 			// Crash decisions tick at the learning-window cadence, per up
 			// server in index order, starting after warmup (the warmup
@@ -328,7 +326,6 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 func (f *Fleet) crashServer(i int, down sim.Time) {
 	now := f.loop.Now()
 	f.crashed[i] = true
-	f.crashAt[i] = now
 	if o := f.cfg.Observer; o != nil {
 		o.OnServerCrash(obs.ServerCrash{At: now, Server: i, Down: down})
 	}
@@ -433,12 +430,18 @@ func (f *Fleet) RemoveJobVM(i int, vm *hypervisor.VM) {
 }
 
 // Finish runs the simulation to the end time and aggregates the result.
-// Calling it again returns the same result.
+// Calling it again returns the same result. It stops the servers' input
+// producers (harness.Server.Close) on the way out.
 func (f *Fleet) Finish() (*Result, error) {
 	if f.finished {
 		return f.res, f.runErr
 	}
 	f.finished = true
+	defer func() {
+		for _, s := range f.servers {
+			s.Close()
+		}
+	}()
 	f.loop.RunUntil(f.end)
 	if f.runErr != nil {
 		return nil, f.runErr

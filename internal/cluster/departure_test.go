@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"smartharvest/internal/apps"
 	"smartharvest/internal/sim"
@@ -61,5 +63,51 @@ func TestDepartedTenantStopsOfferingLoad(t *testing.T) {
 	t.Logf("%d departures; %.0f events a simulated second over %v without tenants", res.Departed, rate, emptyTime)
 	if rate > 4000 {
 		t.Fatalf("%.0f events a simulated second on a server whose tenants have all departed", rate)
+	}
+}
+
+// TestDepartedTenantStopsItsInputProducer: with a second processor a
+// Memcached(40000) tenant draws its input on a producer goroutine
+// (workload's input pipeline); a departed tenant's producer stops, so at
+// any instant there are at most as many producers as live tenants, and
+// none once the last tenant has left.
+func TestDepartedTenantStopsItsInputProducer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	f, err := NewFleet(Config{
+		Servers: 1, ArrivalRate: 0.5, MeanLifetime: sim.Second,
+		Duration: 8 * sim.Second, Warmup: 500 * sim.Millisecond, Seed: 3,
+		Workloads:           []apps.PrimarySpec{apps.Memcached(40000)},
+		DisableElasticBully: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, s := f.Loop(), f.servers[0]
+	producers := func() int {
+		// A closed producer may still be on its way out.
+		n := runtime.NumGoroutine() - base
+		for deadline := time.Now().Add(2 * time.Second); n > s.Live() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine() - base
+		}
+		return n
+	}
+	peak, departures, emptied := 0, 0, false
+	for at := 50 * sim.Millisecond; at <= f.End(); at += 50 * sim.Millisecond {
+		loop.RunUntil(at)
+		n := producers()
+		if n > s.Live() {
+			t.Fatalf("%d producers for %d live tenants at %v", n, s.Live(), at)
+		}
+		peak = max(peak, n)
+		departures = len(s.Primaries) - s.Live()
+		emptied = emptied || departures > 0 && s.Live() == 0
+	}
+	if peak == 0 || !emptied {
+		t.Fatalf("peak %d producers, emptied %v: the scenario does not exercise a departure", peak, emptied)
+	}
+	if _, err := f.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

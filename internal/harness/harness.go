@@ -287,6 +287,13 @@ func (s *Server) AddPrimary(spec apps.PrimarySpec, warmup sim.Time) (*workload.S
 	return p, nil
 }
 
+// Close stops every primary's input producer (workload.Server.Close).
+func (s *Server) Close() {
+	for _, p := range s.Primaries {
+		p.Close()
+	}
+}
+
 // Live counts the primaries that have not departed.
 func (s *Server) Live() int {
 	n := 0
@@ -546,6 +553,9 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// After RunUntil the loop may step on until a batch job finishes, so
+	// the primaries' producers stop only on the way out.
+	defer srv.Close()
 	if s.Checker != nil {
 		// Assembling the server emitted nothing, so the checker is bound
 		// before the first event, to the values the agent runs with.

@@ -620,8 +620,9 @@ func (d dispatcher) Observe(r *Record) { Dispatch(d.o, r) }
 
 // Multi returns an observer that forwards every event to each of the
 // given observers, in argument order. Nil entries are skipped; a single
-// non-nil observer is returned unwrapped. Observers that are Sinks share
-// one Record per event; the rest are reached through Dispatch.
+// non-nil observer is returned unwrapped, and a Multi among them is
+// spliced in as its own observers. Observers that are Sinks share one
+// Record per event; the rest are reached through Dispatch.
 func Multi(observers ...Observer) Observer {
 	var live []Observer
 	for _, o := range observers {
@@ -635,13 +636,16 @@ func Multi(observers ...Observer) Observer {
 	case 1:
 		return live[0]
 	}
-	m := &multi{sinks: make([]Sink, len(live))}
+	m := &multi{}
 	m.Sink = m
-	for i, o := range live {
-		if s, ok := o.(Sink); ok {
-			m.sinks[i] = s
-		} else {
-			m.sinks[i] = dispatcher{o}
+	for _, o := range live {
+		switch s := o.(type) {
+		case *multi:
+			m.sinks = append(m.sinks, s.sinks...)
+		case Sink:
+			m.sinks = append(m.sinks, s)
+		default:
+			m.sinks = append(m.sinks, dispatcher{o})
 		}
 	}
 	return m

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -293,3 +295,70 @@ func TestKindAndClampStrings(t *testing.T) {
 		t.Error("ClampReason strings wrong")
 	}
 }
+
+// TestRingMatchesFullCopy: a Ring that copies only each record's member
+// keeps what one copying whole records keeps, over seeded random streams
+// of every kind that wrap rings of several sizes and cross a Reset.
+func TestRingMatchesFullCopy(t *testing.T) {
+	types := eventTypes(t)
+	recT := reflect.TypeOf(Record{})
+	for k := Kind(0); k < numKinds; k++ {
+		if f := recT.Field(int(k) + 1); f.Type != types[k] {
+			t.Fatalf("Record field %d is %s, want kind %v's %s", k+1, f.Name, k, types[k].Name())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 7, 64} {
+		r := NewRing(capacity)
+		var ref []Record
+		for i := 0; i < 20*capacity+300; i++ {
+			if i == 10*capacity+150 {
+				r.Reset()
+				ref = ref[:0]
+			}
+			var rec Record
+			rec.Kind = Kind(rng.Intn(int(numKinds)))
+			next := rng.Int63n(1 << 20)
+			fill(reflect.ValueOf(&rec).Elem().Field(int(rec.Kind)+1), &next)
+			if i%2 == 0 {
+				r.Observe(&rec)
+			} else {
+				Dispatch(r, &rec) // through the Adapter's scratch record
+			}
+			if ref = append(ref, rec); len(ref) > capacity {
+				ref = ref[1:]
+			}
+			if got := r.Records(); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("capacity %d, event %d (%v): ring holds %d records that differ from the full-copy reference's %d",
+					capacity, i, rec.Kind, len(got), len(ref))
+			}
+		}
+	}
+}
+
+// TestMultiSplicesNestedMultis: a Multi passed to Multi contributes its
+// observers, in order, instead of a second fan-out level.
+func TestMultiSplicesNestedMultis(t *testing.T) {
+	var order []string
+	tag := func(name string) Observer {
+		c := &tagSink{name: name, order: &order}
+		c.Sink = c
+		return c
+	}
+	m := Multi(Multi(tag("a"), tag("b")), tag("c"), Multi(tag("d"), nil, Multi(tag("e"), tag("f"))))
+	if n := len(m.(*multi).sinks); n != 6 {
+		t.Fatalf("%d sinks, want the 6 leaves", n)
+	}
+	m.OnQoSResume(QoSResume{})
+	if got := strings.Join(order, ""); got != "abcdef" {
+		t.Fatalf("delivery order %q, want abcdef", got)
+	}
+}
+
+type tagSink struct {
+	Adapter
+	name  string
+	order *[]string
+}
+
+func (s *tagSink) Observe(*Record) { *s.order = append(*s.order, s.name) }

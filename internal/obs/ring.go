@@ -80,6 +80,46 @@ type Record struct {
 	PoolSettle  PoolSettle
 }
 
+// members[k] copies the union member kind k selects from src to dst, and
+// only it: Record is over a kilobyte, most of it members an event of
+// another kind leaves zero.
+var members = [numKinds]func(dst, src *Record){
+	KindPollSample:        func(d, s *Record) { d.PollSample = s.PollSample },
+	KindWindowEnd:         func(d, s *Record) { d.WindowEnd = s.WindowEnd },
+	KindSafeguardTrip:     func(d, s *Record) { d.SafeguardTrip = s.SafeguardTrip },
+	KindQoSTrip:           func(d, s *Record) { d.QoSTrip = s.QoSTrip },
+	KindQoSResume:         func(d, s *Record) { d.QoSResume = s.QoSResume },
+	KindResize:            func(d, s *Record) { d.Resize = s.Resize },
+	KindChurnApplied:      func(d, s *Record) { d.ChurnApplied = s.ChurnApplied },
+	KindBatchProgress:     func(d, s *Record) { d.BatchProgress = s.BatchProgress },
+	KindFaultInjected:     func(d, s *Record) { d.FaultInjected = s.FaultInjected },
+	KindResizeRetry:       func(d, s *Record) { d.ResizeRetry = s.ResizeRetry },
+	KindDegradedEnter:     func(d, s *Record) { d.DegradedEnter = s.DegradedEnter },
+	KindDegradedExit:      func(d, s *Record) { d.DegradedExit = s.DegradedExit },
+	KindJobSubmit:         func(d, s *Record) { d.JobSubmit = s.JobSubmit },
+	KindJobStart:          func(d, s *Record) { d.JobStart = s.JobStart },
+	KindJobEvict:          func(d, s *Record) { d.JobEvict = s.JobEvict },
+	KindJobRequeue:        func(d, s *Record) { d.JobRequeue = s.JobRequeue },
+	KindJobComplete:       func(d, s *Record) { d.JobComplete = s.JobComplete },
+	KindJobSLOMiss:        func(d, s *Record) { d.JobSLOMiss = s.JobSLOMiss },
+	KindPredictorInfo:     func(d, s *Record) { d.PredictorInfo = s.PredictorInfo },
+	KindServerCrash:       func(d, s *Record) { d.ServerCrash = s.ServerCrash },
+	KindServerRestart:     func(d, s *Record) { d.ServerRestart = s.ServerRestart },
+	KindServerQuarantine:  func(d, s *Record) { d.ServerQuarantine = s.ServerQuarantine },
+	KindServerProbation:   func(d, s *Record) { d.ServerProbation = s.ServerProbation },
+	KindPlacementRetry:    func(d, s *Record) { d.PlacementRetry = s.PlacementRetry },
+	KindAdmissionDegraded: func(d, s *Record) { d.AdmissionDegraded = s.AdmissionDegraded },
+	KindPoolOpen:          func(d, s *Record) { d.PoolOpen = s.PoolOpen },
+	KindPoolReject:        func(d, s *Record) { d.PoolReject = s.PoolReject },
+	KindPoolGrant:         func(d, s *Record) { d.PoolGrant = s.PoolGrant },
+	KindPoolAccount:       func(d, s *Record) { d.PoolAccount = s.PoolAccount },
+	KindPoolEvict:         func(d, s *Record) { d.PoolEvict = s.PoolEvict },
+	KindPoolSettle:        func(d, s *Record) { d.PoolSettle = s.PoolSettle },
+}
+
+// zeroRecord is all zero; copying a member from it clears that member.
+var zeroRecord Record
+
 // Ring is the in-memory flight-recorder sink: it keeps the most recent
 // events in a fixed-capacity circular buffer and counts everything it has
 // seen. The zero value is not usable; call NewRing.
@@ -143,9 +183,14 @@ func (r *Ring) Reset() {
 	r.total = [numKinds]uint64{}
 }
 
-// Observe implements Sink: it stores a copy of rec.
+// Observe implements Sink: it stores a copy of rec. It copies only the
+// member rec.Kind selects, after clearing the member the overwritten
+// record's kind selected, so every slot keeps exactly one member set.
 func (r *Ring) Observe(rec *Record) {
-	r.buf[r.next] = *rec
+	slot := &r.buf[r.next]
+	members[slot.Kind](slot, &zeroRecord)
+	slot.Kind = rec.Kind
+	members[rec.Kind](slot, rec)
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0

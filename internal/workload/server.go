@@ -10,7 +10,11 @@ import (
 
 // ServerConfig describes a latency-critical, open-loop request server.
 type ServerConfig struct {
-	Name    string
+	Name string
+	// Arrival and Service must own their randomness: they share no state
+	// with each other, with Fanout or Stagger, or with anything else the
+	// run touches, because a high-rate server draws them ahead on another
+	// goroutine (pipeline.go).
 	Arrival Arrival
 	Service ServiceDist
 	// Fanout gives the number of parallel subtasks per request; each
@@ -56,6 +60,14 @@ type Server struct {
 	batch        int    // how many requests the scheduled arrival admits
 	freeRequests *request
 	freeSubtasks *subtask
+
+	// Windows of probeArrivals arrival events measure the arrival rate;
+	// from the first at pipelineMinQPS on, pipe draws the input ahead
+	// (pipeline.go).
+	probeLeft int
+	probeReqs int
+	probeFrom sim.Time
+	pipe      *pipeline
 }
 
 // request is one in-flight request. The server owns the record: admit takes
@@ -168,8 +180,26 @@ func (s *Server) Start() {
 		panic("workload: server started twice")
 	}
 	s.started = true
+	s.probeLeft, s.probeFrom = probeArrivals, s.loop.Now()
 	s.scheduleNext()
 }
+
+// Close stops the producer goroutine drawing the server's input ahead, if
+// it has one; the server must generate no more load afterwards. Close is
+// idempotent, and the server closes itself once its VM is removed.
+func (s *Server) Close() {
+	if s.pipe != nil {
+		s.pipe.close()
+		s.pipe = nil
+		s.cfg.Arrival, s.cfg.Service = closedInput{}, closedInput{}
+	}
+}
+
+// closedInput stands in for a closed server's input: drawing it is a bug.
+type closedInput struct{}
+
+func (closedInput) Next(sim.Time) (sim.Time, int) { panic("workload: server drawn after Close") }
+func (closedInput) Sample() sim.Time              { panic("workload: server drawn after Close") }
 
 // scheduleNext arms the next arrival. Only one is ever outstanding, so its
 // batch size travels in a field.
@@ -185,12 +215,35 @@ func (s *Server) scheduleNext() {
 // except as stranded records, heap events and Offered.
 func (s *Server) arrival() {
 	if s.vm.Removed() {
+		s.Close()
 		return
 	}
 	for i, n := 0, s.batch; i < n; i++ {
 		s.admit()
 	}
+	if s.probeLeft > 0 {
+		s.probe()
+	}
 	s.scheduleNext()
+}
+
+// probe counts one arrival event towards the rate measurement, taken over
+// windows of probeArrivals events. After the first window at
+// pipelineMinQPS or above, the server hands its arrival process and
+// service distribution to a producer, which continues them from the next
+// draw on, and stops measuring.
+func (s *Server) probe() {
+	s.probeReqs += s.batch
+	if s.probeLeft--; s.probeLeft > 0 {
+		return
+	}
+	if !usePipeline(s.probeReqs, s.loop.Now()-s.probeFrom) {
+		s.probeLeft, s.probeReqs, s.probeFrom = probeArrivals, 0, s.loop.Now()
+		return
+	}
+	s.pipe = newPipeline(s.cfg.Arrival, s.cfg.Service, s.loop.Now())
+	s.cfg.Arrival, s.cfg.Service = s.pipe, s.pipe
+	go s.pipe.produce()
 }
 
 // admit starts one request: fan out subtasks and join.
