@@ -162,7 +162,7 @@ func TestCPUBullyConsumesAllCores(t *testing.T) {
 	loop, m := rig(t, 4)
 	m.SetInitialSplit(0) // all 4 cores to elastic
 	vm := m.AddVM("bully", hypervisor.ElasticGroup, 4, 4)
-	NewCPUBully(loop, vm).Start()
+	NewCPUBully(vm).Start()
 	loop.RunUntil(2 * sim.Second)
 	// With 4 cores for 2s the bully should execute ~8 core-seconds.
 	got := vm.CPUTime().Seconds()
@@ -172,10 +172,10 @@ func TestCPUBullyConsumesAllCores(t *testing.T) {
 }
 
 func TestCPUBullyStartTwicePanics(t *testing.T) {
-	loop, m := rig(t, 2)
+	_, m := rig(t, 2)
 	m.SetInitialSplit(0)
 	vm := m.AddVM("bully", hypervisor.ElasticGroup, 2, 2)
-	b := NewCPUBully(loop, vm)
+	b := NewCPUBully(vm)
 	b.Start()
 	defer func() {
 		if recover() == nil {
@@ -236,8 +236,7 @@ func TestHDInsightAmdahlCeiling(t *testing.T) {
 		loop, m := rig(t, cores)
 		m.SetInitialSplit(0)
 		vm := m.AddVM("hdinsight", hypervisor.ElasticGroup, cores, cores)
-		job := HDInsight(loop, m.VMs()[0], nil)
-		_ = vm
+		job := HDInsight(loop, vm, nil)
 		job.Start()
 		loop.RunUntil(300 * sim.Second)
 		if !job.Finished() {

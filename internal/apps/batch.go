@@ -12,7 +12,6 @@ import (
 // progress metric is simply the VM's accumulated CPU time, from which the
 // harness derives "average cores harvested".
 type CPUBully struct {
-	loop    *sim.Loop
 	vm      *hypervisor.VM
 	chunk   sim.Time
 	refill  func() // b.submitChunk, bound once: a chunk completion allocates nothing
@@ -20,8 +19,8 @@ type CPUBully struct {
 }
 
 // NewCPUBully builds a bully on the given (elastic) VM.
-func NewCPUBully(loop *sim.Loop, vm *hypervisor.VM) *CPUBully {
-	b := &CPUBully{loop: loop, vm: vm, chunk: 10 * sim.Millisecond}
+func NewCPUBully(vm *hypervisor.VM) *CPUBully {
+	b := &CPUBully{vm: vm, chunk: 10 * sim.Millisecond}
 	b.refill = b.submitChunk
 	return b
 }
@@ -152,7 +151,7 @@ func (j *BatchJob) nextPhase() {
 	case IOPhase:
 		j.loop.After(p.IOTime, j.nextPhase)
 	case CPUPhase:
-		w := NewFiniteWork(j.loop, j.vm, p.Work, j.nextPhase)
+		w := NewFiniteWork(j.vm, p.Work, j.nextPhase)
 		if p.Parallelism > 0 {
 			w.LimitParallelism(p.Parallelism)
 		}

@@ -35,7 +35,7 @@ func TestFiniteWorkChunkRecycling(t *testing.T) {
 		loop, m := rig(t, 2)
 		m.SetInitialSplit(0)
 		vm := m.AddVM("job", hypervisor.ElasticGroup, 2, 2)
-		w := NewFiniteWork(loop, vm, 10*sim.Second, nil)
+		w := NewFiniteWork(vm, 10*sim.Second, nil)
 		w.Start()
 		loop.RunUntil(sim.Second + 2*sim.Millisecond)
 		// Every completion resubmits at once: both records are in flight.
@@ -55,8 +55,11 @@ func TestFiniteWorkChunkRecycling(t *testing.T) {
 		if n := checkChunkFreeList(t, w); n != 2 {
 			t.Fatalf("%d chunk records at rest after the stale completions, want 2", n)
 		}
-		if vm.ActiveThreads() != 0 {
-			t.Fatalf("%d vCPUs busy after Stop drained", vm.ActiveThreads())
+		// Drained: no vCPU holds work, so the VM, with every core, runs no more.
+		cpu = vm.CPUTime()
+		loop.RunUntil(3 * sim.Second)
+		if vm.CPUTime() != cpu || vm.QueueLen() != 0 {
+			t.Fatalf("the VM still runs work after Stop drained: cpu %v -> %v, queue %d", cpu, vm.CPUTime(), vm.QueueLen())
 		}
 	})
 
@@ -78,7 +81,7 @@ func TestFiniteWorkChunkRecycling(t *testing.T) {
 		})
 		for i := 1; ; i++ {
 			vm := m.AddVM(fmt.Sprintf("job-a%d", i), hypervisor.ElasticGroup, 1+i%3, 1+i%3)
-			w = NewFiniteWork(loop, vm, total-progress, nil)
+			w = NewFiniteWork(vm, total-progress, nil)
 			w.Start()
 			works = append(works, w)
 			if i == 4 {
@@ -104,7 +107,7 @@ func TestFiniteWorkChunkRecycling(t *testing.T) {
 		loop, m := rig(t, 2)
 		m.SetInitialSplit(0)
 		vm := m.AddVM("job", hypervisor.ElasticGroup, 2, 2)
-		w := NewFiniteWork(loop, vm, 10*sim.Second, nil)
+		w := NewFiniteWork(vm, 10*sim.Second, nil)
 		w.Start()
 		loop.RunUntil(sim.Second + 2*sim.Millisecond)
 		m.RemoveVM(vm)
@@ -129,7 +132,7 @@ func TestFiniteWorkChunkCompletingTwicePanics(t *testing.T) {
 	loop, m := rig(t, 1)
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job", hypervisor.ElasticGroup, 1, 1)
-	w := NewFiniteWork(loop, vm, 10*sim.Millisecond, nil)
+	w := NewFiniteWork(vm, 10*sim.Millisecond, nil)
 	w.Start()
 	loop.RunUntil(sim.Second)
 	k := w.free
@@ -150,7 +153,7 @@ func BenchmarkFiniteWork(b *testing.B) {
 	loop, m := rig(b, 4)
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job", hypervisor.ElasticGroup, 4, 4)
-	w := NewFiniteWork(loop, vm, 1<<62, nil)
+	w := NewFiniteWork(vm, 1<<62, nil)
 	w.Start()
 	loop.RunUntil(sim.Second) // the chunk pool and the run queues reach capacity
 	before := w.Completed()

@@ -15,7 +15,6 @@ import (
 // completed, so an evicted job can be resumed elsewhere with only its
 // unfinished chunks re-run, never double-counting work.
 type FiniteWork struct {
-	loop  *sim.Loop
 	vm    *hypervisor.VM
 	total sim.Time // CPU work still owed when started
 	chunk sim.Time
@@ -52,12 +51,12 @@ type chunk struct {
 // NewFiniteWork builds a finite-work job on vm owing total CPU work;
 // onDone (optional) fires exactly once when the allotment completes.
 // Parallelism is bounded by the VM's vCPU count.
-func NewFiniteWork(loop *sim.Loop, vm *hypervisor.VM, total sim.Time, onDone func()) *FiniteWork {
+func NewFiniteWork(vm *hypervisor.VM, total sim.Time, onDone func()) *FiniteWork {
 	if total <= 0 {
 		panic(fmt.Sprintf("apps: finite work needs positive total, got %v", total))
 	}
 	return &FiniteWork{
-		loop: loop, vm: vm, total: total,
+		vm: vm, total: total,
 		chunk: 5 * sim.Millisecond, onDone: onDone,
 	}
 }

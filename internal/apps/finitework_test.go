@@ -12,7 +12,7 @@ func TestFiniteWorkCompletesExactly(t *testing.T) {
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job", hypervisor.ElasticGroup, 4, 4)
 	done := false
-	w := NewFiniteWork(loop, vm, 8*sim.Second, func() { done = true })
+	w := NewFiniteWork(vm, 8*sim.Second, func() { done = true })
 	w.Start()
 	loop.RunUntil(60 * sim.Second)
 	if !done || !w.Done() {
@@ -34,7 +34,7 @@ func TestFiniteWorkScalesWithCores(t *testing.T) {
 		m.SetInitialSplit(0)
 		vm := m.AddVM("job", hypervisor.ElasticGroup, cores, cores)
 		var at sim.Time
-		w := NewFiniteWork(loop, vm, 8*sim.Second, nil)
+		w := NewFiniteWork(vm, 8*sim.Second, nil)
 		w.Start()
 		loop.NewTicker(0, sim.Millisecond, func() {
 			if w.Done() && at == 0 {
@@ -57,7 +57,7 @@ func TestFiniteWorkStopCheckpointsProgress(t *testing.T) {
 	loop, m := rig(t, 2)
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job", hypervisor.ElasticGroup, 2, 2)
-	w := NewFiniteWork(loop, vm, 10*sim.Second, nil)
+	w := NewFiniteWork(vm, 10*sim.Second, nil)
 	w.Start()
 	loop.RunUntil(sim.Second) // 2 cores x 1s = ~2s of the 10s done
 	progress := w.Stop()
@@ -92,14 +92,14 @@ func TestFiniteWorkResumeNeverDoubleCounts(t *testing.T) {
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job-a", hypervisor.ElasticGroup, 2, 2)
 	const total = 6 * sim.Second
-	w := NewFiniteWork(loop, vm, total, nil)
+	w := NewFiniteWork(vm, total, nil)
 	w.Start()
 	loop.RunUntil(1500 * sim.Millisecond)
 	ckpt := w.Stop()
 	m.RemoveVM(vm)
 
 	vm2 := m.AddVM("job-b", hypervisor.ElasticGroup, 2, 2)
-	w2 := NewFiniteWork(loop, vm2, total-ckpt, nil)
+	w2 := NewFiniteWork(vm2, total-ckpt, nil)
 	w2.Start()
 	loop.RunUntil(60 * sim.Second)
 	if !w2.Done() {
@@ -111,7 +111,7 @@ func TestFiniteWorkResumeNeverDoubleCounts(t *testing.T) {
 }
 
 func TestFiniteWorkBadTotalPanics(t *testing.T) {
-	loop, m := rig(t, 2)
+	_, m := rig(t, 2)
 	m.SetInitialSplit(0)
 	vm := m.AddVM("job", hypervisor.ElasticGroup, 2, 2)
 	defer func() {
@@ -119,5 +119,5 @@ func TestFiniteWorkBadTotalPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewFiniteWork(loop, vm, 0, nil)
+	NewFiniteWork(vm, 0, nil)
 }

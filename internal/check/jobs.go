@@ -220,9 +220,6 @@ func (c *JobChecker) Bind(cfg JobConfig) error {
 // Finish returns the report; calling it again returns the same report.
 func (c *JobChecker) Finish() *Report { return &c.report }
 
-// Report returns the accumulated report.
-func (c *JobChecker) Report() *Report { return c.Finish() }
-
 // Observe implements obs.Sink. The shared checks — usage, time
 // monotonicity, orphan resolution — run first, then the kind's own
 // handler; the per-machine agent events have none and only feed the

@@ -222,7 +222,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 			return nil, err
 		}
 		if !cfg.DisableElasticBully {
-			apps.NewCPUBully(loop, s.Elastic).Start()
+			apps.NewCPUBully(s.Elastic).Start()
 		}
 		s.Agent.Start()
 		f.servers[i] = s

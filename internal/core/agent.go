@@ -334,7 +334,6 @@ type resizeOp struct {
 	target  int
 	attempt int // failed attempts so far (retry number)
 	resume  resumeKind
-	active  bool
 }
 
 // Stats counts what an agent has done since NewAgent (Agent.Stats). The
@@ -386,14 +385,15 @@ type Agent struct {
 
 	// Resilience state.
 	op             resizeOp
-	opDoneFn       func() // cached method values: scheduling the poll or
-	opRetryFn      func() // a fault-free resize continuation must not
-	wakeFn         func() // allocate
-	pollFn         func()
+	opDoneFn       func()    // the continuations of the current life, bound
+	opRetryFn      func()    // once per life (bindLife): scheduling the poll
+	wakeFn         func()    // or a fault-free resize continuation must not
+	pollFn         func()    // allocate
 	pollLane       *sim.Lane // every poll PollInterval ahead goes here
 	runAhead       bool      // hv is EventDrivenBusy and no observer is attached
 	aheadUntil     sim.Time  // last poll instant the pending run-ahead covers
 	dead           bool      // ForceCrash downtime: every loop is severed
+	life           uint64    // ForceCrash count: a continuation of an earlier life is dropped
 	lastBusy       int       // last delivered busy reading (for dropped polls)
 	splitDirty     bool      // a fire-and-forget resize (QoS/churn) failed
 	degraded       bool      // harvesting abandoned; NoHarvest behaviour
@@ -425,10 +425,7 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 		target:    cfg.PrimaryAlloc,
 		lastFault: -1,
 	}
-	a.opDoneFn = a.opDone
-	a.opRetryFn = a.opRetry
-	a.wakeFn = a.wake
-	a.pollFn = a.poll
+	a.bindLife()
 	a.pollLane = loop.Lane(cfg.PollInterval)
 	_, eventDriven := hv.(EventDrivenBusy)
 	a.runAhead = eventDriven && cfg.Observer == nil
@@ -518,8 +515,23 @@ func (a *Agent) ForceCrash(down sim.Time, loseModel bool) {
 	a.target = a.cfg.PrimaryAlloc
 	a.fireAndForgetResize(a.target)
 	a.dead = true
-	a.op.active = false
+	a.life++
+	a.bindLife()
 	a.loop.After(down, a.revive)
+}
+
+// bindLife binds the agent's continuations to its current life. The agent
+// is one thread: while it lives, exactly one of them is pending. One that
+// a ForceCrash orphaned may still fire after the revival, which has
+// started a loop of its own; it compares its life with the agent's and
+// drops out, so the revived agent runs one loop. (Lane pushes cannot be
+// canceled, and a canceled event would drop out of Loop.Fired.)
+func (a *Agent) bindLife() {
+	life := a.life
+	a.opDoneFn = func() { a.opDone(life) }
+	a.opRetryFn = func() { a.opRetry(life) }
+	a.wakeFn = func() { a.wake(life) }
+	a.pollFn = func() { a.poll(life) }
 }
 
 // revive brings a ForceCrash'd agent back: the downtime was an
@@ -603,13 +615,13 @@ func (a *Agent) agentFault(f AgentFault) {
 		a.loop.After(delay, a.wakeFn)
 		return
 	}
-	a.wake()
+	a.wake(a.life)
 }
 
 // wake resumes after a stall/crash: the fault was agent-visible (the
 // probation clock restarts) and the window grid re-syncs to now.
-func (a *Agent) wake() {
-	if a.dead {
+func (a *Agent) wake(life uint64) {
+	if a.dead || life != a.life {
 		return
 	}
 	a.lastFault = a.loop.Now()
@@ -676,9 +688,9 @@ func (a *Agent) pollAhead(busy int) {
 }
 
 // poll is one iteration of Algorithm 1's inner loop.
-func (a *Agent) poll() {
+func (a *Agent) poll(life uint64) {
 	a.stats.Polls++
-	if a.dead {
+	if a.dead || life != a.life {
 		return
 	}
 	busy := a.hv.BusyPrimaryCores()
@@ -876,12 +888,8 @@ func (a *Agent) startResize(target int, resume resumeKind) bool {
 	if target == a.target && !a.splitDirty {
 		return false
 	}
-	a.op = resizeOp{target: target, attempt: 0, resume: resume, active: true}
-	if a.attemptResize() {
-		return true
-	}
-	a.op.active = false
-	return false
+	a.op = resizeOp{target: target, attempt: 0, resume: resume}
+	return a.attemptResize()
 }
 
 // attemptResize issues one hypercall for the in-flight operation and
@@ -941,24 +949,22 @@ func (a *Agent) attemptResize() bool {
 
 // opDone completes the in-flight resize operation and resumes the loop
 // it interrupted.
-func (a *Agent) opDone() {
-	if a.dead {
+func (a *Agent) opDone(life uint64) {
+	if a.dead || life != a.life {
 		return
 	}
-	resume := a.op.resume
-	a.op.active = false
-	a.resumeAfterOp(resume)
+	a.resumeAfterOp(a.op.resume)
 }
 
 // opRetry re-issues the in-flight operation after its backoff.
-func (a *Agent) opRetry() {
-	if a.dead {
+func (a *Agent) opRetry(life uint64) {
+	if a.dead || life != a.life {
 		return
 	}
 	if a.attemptResize() {
 		return
 	}
-	a.opDone()
+	a.opDone(life)
 }
 
 // resumeAfterOp continues whichever loop the resize suspended.

@@ -207,8 +207,8 @@ func TestSmartHarvestLearnsSteadyWorkload(t *testing.T) {
 	if hv.primary < 4 || hv.primary > 7 {
 		t.Fatalf("steady-state primary %d, want 4-7 (peak 4 + small margin)", hv.primary)
 	}
-	if ctrl.TrainUpdates() < 50 {
-		t.Fatalf("train updates %d", ctrl.TrainUpdates())
+	if ctrl.Predictor().Updates() < 50 {
+		t.Fatalf("train updates %d", ctrl.Predictor().Updates())
 	}
 	// The learner may converge to exactly the true peak, in which case
 	// usage touching the prediction empties the buffer and fires the
@@ -268,9 +268,9 @@ func TestLongTermSafeguardTripsAndRecovers(t *testing.T) {
 		t.Fatalf("harvesting not paused: primary %d", hv.primary)
 	}
 	// While paused the learner keeps training.
-	trained := ctrl.TrainUpdates()
+	trained := ctrl.Predictor().Updates()
 	loop.RunUntil(2500 * sim.Millisecond)
-	if ctrl.TrainUpdates() <= trained {
+	if ctrl.Predictor().Updates() <= trained {
 		t.Fatal("learner stopped training during pause")
 	}
 	// After the pause and clean waits, harvesting resumes.

@@ -208,18 +208,19 @@ func TestCheckpointRestorePredictionsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainsAtCheckpoint := a.TrainUpdates()
+	trainsAtCheckpoint := a.Predictor().Updates()
 	b := NewSmartHarvest(10, SmartHarvestOptions{})
 	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
+	trainsAtRestore := b.Predictor().Updates()
 	for i := w; i < 2*w; i++ {
 		ga, gb := a.OnWindowEnd(window(i)), b.OnWindowEnd(window(i))
 		if ga != gb {
 			t.Fatalf("window %d: restored decision %d != original %d", i+1, gb, ga)
 		}
 	}
-	if got, want := b.TrainUpdates(), a.TrainUpdates()-trainsAtCheckpoint; got != want {
+	if got, want := b.Predictor().Updates()-trainsAtRestore, a.Predictor().Updates()-trainsAtCheckpoint; got != want {
 		t.Fatalf("restored controller trained %d times, original %d after checkpoint", got, want)
 	}
 

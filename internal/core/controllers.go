@@ -50,8 +50,6 @@ type SmartHarvest struct {
 	x, prevX []float64
 	costs    []float64
 	havePrev bool
-
-	trainUpdates uint64
 }
 
 // SmartHarvestOptions tunes the controller; zero values mean defaults.
@@ -124,9 +122,6 @@ func (s *SmartHarvest) Safeguards() bool { return true }
 // OnPoll implements Controller; SmartHarvest only acts at window ends.
 func (s *SmartHarvest) OnPoll(busy, currentTarget int) (int, bool) { return 0, false }
 
-// TrainUpdates returns how many model updates have been applied.
-func (s *SmartHarvest) TrainUpdates() uint64 { return s.trainUpdates }
-
 // Predictor exposes the peak predictor for diagnostics.
 func (s *SmartHarvest) Predictor() learner.Predictor { return s.pred }
 
@@ -149,7 +144,6 @@ func (s *SmartHarvest) OnWindowEnd(w Window) int {
 	}
 	if s.havePrev {
 		s.pred.Update(int64(w.At), s.prevX, w.Peak, learner.FillCosts(s.costs, s.cost, w.Peak))
-		s.trainUpdates++
 	}
 	s.fe.Compute(w.Samples).Vector(s.x, float64(s.alloc))
 	s.mask.Apply(s.x)

@@ -12,11 +12,6 @@
 package faults
 
 import (
-	"fmt"
-	"maps"
-	"slices"
-	"strings"
-
 	"smartharvest/internal/core"
 	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
@@ -175,9 +170,6 @@ func (t *tally) emit(kind obs.FaultKind, dur sim.Time, delta int) {
 	}
 }
 
-// Counts returns a copy of the per-kind injection tallies.
-func (t *tally) Counts() map[obs.FaultKind]uint64 { return maps.Clone(t.counts) }
-
 // Total returns how many faults were injected across all kinds.
 func (t *tally) Total() uint64 {
 	var n uint64
@@ -185,23 +177,6 @@ func (t *tally) Total() uint64 {
 		n += v
 	}
 	return n
-}
-
-// CountsString renders the tallies deterministically (sorted by kind).
-func (t *tally) CountsString() string {
-	kinds := make([]obs.FaultKind, 0, len(t.counts))
-	for k := range t.counts {
-		kinds = append(kinds, k)
-	}
-	slices.Sort(kinds)
-	if len(kinds) == 0 {
-		return "none"
-	}
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s=%d", k, t.counts[k])
-	}
-	return strings.Join(parts, " ")
 }
 
 // Injector draws the fault schedule. It implements

@@ -596,7 +596,7 @@ func Run(s Scenario) (*Result, error) {
 	var done func() bool // a finite batch job's completion; nil for the others
 	switch s.Batch {
 	case BatchCPUBully:
-		apps.NewCPUBully(loop, srv.Elastic).Start()
+		apps.NewCPUBully(srv.Elastic).Start()
 	case BatchHDInsight:
 		batchJob = apps.HDInsight(loop, srv.Elastic, nil)
 	case BatchTeraSort:
@@ -606,7 +606,7 @@ func Run(s Scenario) (*Result, error) {
 		if work == 0 {
 			work = 8 * sim.Second
 		}
-		finite = apps.NewFiniteWork(loop, srv.Elastic, work, func() { finiteDoneAt = loop.Now() })
+		finite = apps.NewFiniteWork(srv.Elastic, work, func() { finiteDoneAt = loop.Now() })
 		if s.BatchWidth > 0 {
 			finite.LimitParallelism(s.BatchWidth)
 		}

@@ -143,7 +143,6 @@ type Backend struct {
 	prevCPU   map[int]cpuTimes
 	prevWait  map[int]int64 // pid -> cumulative run-queue wait ns
 	waitBuf   []int64
-	resizes   uint64
 	lastError error
 }
 
@@ -180,9 +179,6 @@ func (b *Backend) Init() error {
 
 // TotalCores implements core.Hypervisor.
 func (b *Backend) TotalCores() int { return len(b.cfg.Cores) }
-
-// Resizes returns how many cpuset updates have been applied.
-func (b *Backend) Resizes() uint64 { return b.resizes }
 
 // LastError returns the most recent host-access error (monitoring paths
 // are best-effort and must not crash the agent loop).
@@ -250,7 +246,6 @@ func (b *Backend) SetPrimaryCores(n int) (core.ResizeResult, error) {
 		b.lastError = err
 		return core.ResizeResult{}, err
 	}
-	b.resizes++
 	return core.ResizeResult{Applied: true, Latency: resizeLatency}, nil
 }
 

@@ -30,19 +30,9 @@ var groupNames = grammar.Enum[GroupID]{Names: []string{"primary", "elastic"}}
 
 func (g GroupID) String() string { return groupNames.String(g) }
 
-// vcpuState tracks where a virtual CPU is in its lifecycle.
-type vcpuState int
-
-const (
-	vcpuIdle vcpuState = iota
-	vcpuReady
-	vcpuRunning
-)
-
 // VCPU is a virtual CPU of a VM. Guest work occupies exactly one vCPU.
 type VCPU struct {
 	vm         *VM
-	state      vcpuState
 	remaining  sim.Time // work left in the current item
 	done       func()   // invoked when the current item completes
 	readySince sim.Time
@@ -64,16 +54,12 @@ type VM struct {
 	running int        // vCPUs currently dispatched
 	cpuTime sim.Time   // total work executed
 	removed bool       // VM has been deregistered; Submit becomes a no-op
-	dropped uint64     // work items discarded after removal
 }
 
 type workItem struct {
 	work sim.Time
 	done func()
 }
-
-// Name returns the VM's name.
-func (vm *VM) Name() string { return vm.name }
 
 // NumVCPUs returns the number of virtual CPUs.
 func (vm *VM) NumVCPUs() int { return len(vm.vcpus) }
@@ -85,22 +71,14 @@ func (vm *VM) CPUTime() sim.Time { return vm.cpuTime }
 // QueueLen returns the number of guest work items waiting for a vCPU.
 func (vm *VM) QueueLen() int { return len(vm.queue) - vm.qhead }
 
-// ActiveThreads returns the number of vCPUs that currently have work
-// (ready or running); this is the VM's instantaneous core demand.
-func (vm *VM) ActiveThreads() int { return len(vm.vcpus) - len(vm.idle) }
-
 // Removed reports whether the VM has been deregistered.
 func (vm *VM) Removed() bool { return vm.removed }
-
-// Dropped returns how many work items were discarded after removal.
-func (vm *VM) Dropped() uint64 { return vm.dropped }
 
 // Submit hands the guest a unit of CPU-bound work. It runs on an idle
 // vCPU immediately, or waits in the guest run queue. done (optional) fires
 // when the work has fully executed. Work below 1 ns is clamped up.
 func (vm *VM) Submit(work sim.Time, done func()) {
 	if vm.removed {
-		vm.dropped++
 		return
 	}
 	if work < 1 {
@@ -140,7 +118,6 @@ func (vm *VM) releaseVCPU(v *VCPU) {
 		vm.m.wake(v)
 		return
 	}
-	v.state = vcpuIdle
 	v.done = nil
 	vm.idle = append(vm.idle, v)
 }
@@ -211,8 +188,6 @@ type Machine struct {
 	shrinkLatency *metrics.Histogram  // elastic -1 core: request -> effect
 	coreTime      [numGroups]sim.Time // core-time of each group up to accruedAt
 	accruedAt     sim.Time
-	resizes       uint64
-	preemptions   uint64
 }
 
 // New constructs a machine on the given loop. All cores start in the
@@ -262,15 +237,12 @@ func (m *Machine) AddVM(name string, group GroupID, vcpus, alloc int) *VM {
 		vcpus: make([]VCPU, vcpus), idle: make([]*VCPU, vcpus)}
 	for i := range vm.vcpus {
 		v := &vm.vcpus[i]
-		*v = VCPU{vm: vm, state: vcpuIdle}
+		*v = VCPU{vm: vm}
 		vm.idle[i] = v
 	}
 	m.vms = append(m.vms, vm)
 	return vm
 }
-
-// VMs returns the registered VMs.
-func (m *Machine) VMs() []*VM { return m.vms }
 
 // RemoveVM deregisters a VM, as when a tenant's deployment is deleted:
 // running vCPUs are stopped immediately (their consumed work is
@@ -312,7 +284,6 @@ func (m *Machine) RemoveVM(vm *VM) {
 		if v.vm != vm {
 			q = append(q, v)
 		} else {
-			v.state = vcpuIdle
 			v.done = nil
 		}
 	}
@@ -349,10 +320,6 @@ func (m *Machine) SetInitialSplit(primaryCores int) {
 
 // GroupCores returns the number of physical cores currently in g.
 func (m *Machine) GroupCores(g GroupID) int { return m.counts[g] }
-
-// LogicalGroupCores returns g's core count including in-flight moves; this
-// is what a caller that just issued a resize should reason about.
-func (m *Machine) LogicalGroupCores(g GroupID) int { return m.logical[g] }
 
 // BusyCores returns how many cores of group g are currently executing a
 // vCPU. This is the paper's conservative "busy" signal: a core counts as
@@ -397,13 +364,6 @@ func (m *Machine) accrue() {
 	}
 	m.accruedAt = m.loop.Now()
 }
-
-// Resizes returns how many resize operations have been issued.
-func (m *Machine) Resizes() uint64 { return m.resizes }
-
-// Preemptions returns how many running vCPUs have been preempted by IPIs
-// or scheduling-boundary group changes.
-func (m *Machine) Preemptions() uint64 { return m.preemptions }
 
 // CheckInvariants verifies the machine's internal accounting: physical and
 // logical core counts both sum to TotalCores (core conservation across the
@@ -535,7 +495,6 @@ func (m *Machine) SetPrimaryCores(n int) (ResizeOutcome, error) {
 			return ResizeOutcome{Status: ResizeFailed, Latency: lat}, ErrResizeFailed
 		}
 	}
-	m.resizes++
 	if o := m.cfg.Observer; o != nil {
 		o.OnResize(obs.Resize{
 			At:        m.loop.Now(),
@@ -751,11 +710,9 @@ func (m *Machine) preempt(c *Core) {
 	v.vm.running--
 	c.running = nil
 	m.busy[c.group]--
-	m.preemptions++
 	if v.remaining <= 0 {
 		m.finishWork(v)
 	} else {
-		v.state = vcpuReady
 		v.readySince = now
 		v.core = nil
 		m.queues[v.vm.group] = append(m.queues[v.vm.group], v)
@@ -764,7 +721,6 @@ func (m *Machine) preempt(c *Core) {
 
 // wake marks v ready and attempts to dispatch it.
 func (m *Machine) wake(v *VCPU) {
-	v.state = vcpuReady
 	v.readySince = m.loop.Now()
 	g := v.vm.group
 	m.queues[g] = append(m.queues[g], v)
@@ -833,7 +789,6 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 		m.primaryWaits = append(m.primaryWaits, wait)
 	}
 
-	v.state = vcpuRunning
 	v.core = c
 	v.vm.running++
 	c.running = v
@@ -877,7 +832,6 @@ func (m *Machine) sliceEnd(c *Core) {
 		c.sliceEvent = m.loop.After(slice, c.sliceEnd)
 		return
 	} else {
-		v.state = vcpuReady
 		v.readySince = m.loop.Now()
 		v.core = nil
 		m.queues[g] = append(m.queues[g], v)
@@ -898,7 +852,6 @@ func (m *Machine) sliceEnd(c *Core) {
 // starting queued guest work) and fire the completion callback.
 func (m *Machine) finishWork(v *VCPU) {
 	done := v.done
-	v.state = vcpuIdle
 	v.core = nil
 	v.remaining = 0
 	v.vm.releaseVCPU(v)

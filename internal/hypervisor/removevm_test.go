@@ -49,11 +49,15 @@ func TestRemoveVMDropsQueuedWork(t *testing.T) {
 		t.Fatal("guest queue not dropped")
 	}
 	// Post-removal submissions are discarded, not queued.
-	vm.Submit(sim.Millisecond, nil)
-	if vm.Dropped() != 1 || vm.QueueLen() != 0 {
-		t.Fatalf("dropped=%d queue=%d", vm.Dropped(), vm.QueueLen())
+	cpu := vm.CPUTime()
+	vm.Submit(sim.Millisecond, func() { t.Fatal("work submitted after removal completed") })
+	if vm.QueueLen() != 0 {
+		t.Fatalf("queue %d after a post-removal submit", vm.QueueLen())
 	}
 	loop.RunUntil(sim.Second)
+	if vm.CPUTime() != cpu {
+		t.Fatalf("removed VM ran work: cpu %v -> %v", cpu, vm.CPUTime())
+	}
 	m.checkInvariants(t)
 }
 

@@ -42,7 +42,7 @@ type CSOAA struct {
 //
 // Deprecated for harvesting-path construction: the agent consumes the
 // Predictor interface, so new call sites should go through the zoo
-// (NewPredictor("csoaa", classes)) or NewCSOAAPredictor, which add
+// (Zoo's "csoaa" entry) or NewCSOAAPredictor, which add
 // checkpointing and the contract tests for free. Constructing the bare
 // model remains supported for standalone classification use.
 func NewCSOAA(classes, nfeat int, lr float64) *CSOAA {
@@ -117,18 +117,6 @@ func (c *CSOAA) Predict(x []float64) int {
 		}
 	}
 	return best
-}
-
-// PredictedCosts writes each class's predicted cost into dst (length
-// Classes()) and returns it; useful for diagnostics and tests.
-func (c *CSOAA) PredictedCosts(dst []float64, x []float64) []float64 {
-	if len(dst) != c.classes {
-		panic("learner: bad costs length")
-	}
-	for cl := range dst {
-		dst[cl] = c.score(cl, x)
-	}
-	return dst
 }
 
 // Update trains every per-class regressor toward its observed cost for

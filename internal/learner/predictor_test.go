@@ -49,27 +49,15 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-func TestRegistryNewUnknown(t *testing.T) {
-	_, err := NewPredictor("nope", testClasses)
-	if err == nil {
-		t.Fatal("unknown predictor accepted")
-	}
-	if !strings.Contains(err.Error(), "csoaa") {
-		t.Errorf("error %q does not list known names", err)
-	}
-}
-
 // TestPredictorContractBasics checks the parts of the Predictor contract
 // shared by every zoo implementation: the name round-trips through the
 // zoo, class count sticks, an untrained predictor is
 // conservative (max class), updates count, and Reset returns to the
 // untrained state.
 func TestPredictorContractBasics(t *testing.T) {
-	for _, name := range Names() {
-		p, err := NewPredictor(name, testClasses)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, e := range Zoo {
+		name := e.Name
+		p := e.New(testClasses)
 		if p.Name() != name {
 			t.Errorf("%s: Name() = %q", name, p.Name())
 		}
@@ -106,8 +94,9 @@ func TestPredictorContractBasics(t *testing.T) {
 // TestPredictorInitBiasPanicsAfterTraining pins the misuse guard: every
 // implementation must reject a late InitBias loudly.
 func TestPredictorInitBiasPanicsAfterTraining(t *testing.T) {
-	for _, name := range Names() {
-		p, _ := NewPredictor(name, testClasses)
+	for _, e := range Zoo {
+		name := e.Name
+		p := e.New(testClasses)
 		rng := simrng.New(2)
 		x, costs := synthWindow(rng, 4)
 		p.Update(0, x, 4, costs)
@@ -127,11 +116,9 @@ func TestPredictorInitBiasPanicsAfterTraining(t *testing.T) {
 // then both must produce bit-identical predictions AND keep agreeing
 // through further training.
 func TestPredictorCheckpointRestoreBitIdentical(t *testing.T) {
-	for _, name := range Names() {
-		p, err := NewPredictor(name, testClasses)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, e := range Zoo {
+		name := e.Name
+		p := e.New(testClasses)
 		rng := simrng.New(3)
 		for i := 0; i < 150; i++ {
 			now := int64(i) * windowNS
@@ -144,7 +131,7 @@ func TestPredictorCheckpointRestoreBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: checkpoint: %v", name, err)
 		}
-		q, _ := NewPredictor(name, testClasses)
+		q := e.New(testClasses)
 		if err := q.Restore(snap); err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}
@@ -170,13 +157,14 @@ func TestPredictorCheckpointRestoreBitIdentical(t *testing.T) {
 // TestPredictorRestoreRejectsGarbage: malformed and cross-shaped
 // payloads must error, not corrupt state.
 func TestPredictorRestoreRejectsGarbage(t *testing.T) {
-	for _, name := range Names() {
-		p, _ := NewPredictor(name, testClasses)
+	for _, e := range Zoo {
+		name := e.Name
+		p := e.New(testClasses)
 		if err := p.Restore([]byte("{")); err == nil {
 			t.Errorf("%s: truncated payload accepted", name)
 		}
 		// A checkpoint from a different class count must be rejected.
-		other, _ := NewPredictor(name, testClasses+2)
+		other := e.New(testClasses + 2)
 		snap, err := other.Checkpoint()
 		if err != nil {
 			t.Fatalf("%s: checkpoint: %v", name, err)
@@ -345,8 +333,9 @@ func TestEnsembleTracksBestMember(t *testing.T) {
 // every zoo predictor: once constructed and warmed, Predict and
 // Update must not allocate.
 func TestPredictorsZeroAlloc(t *testing.T) {
-	for _, name := range Names() {
-		p, _ := NewPredictor(name, testClasses)
+	for _, e := range Zoo {
+		name := e.Name
+		p := e.New(testClasses)
 		rng := simrng.New(10)
 		x, costs := synthWindow(rng, 5)
 		// Warm up: first calls may lazily size internal state.

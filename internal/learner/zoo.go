@@ -1,9 +1,6 @@
 package learner
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // defaultLR is the paper's constant CSOAA learning rate, shared by every
 // zoo entry that builds a CSOAA-backed predictor.
@@ -46,15 +43,4 @@ func Names() []string {
 	out := ZooNames()
 	sort.Strings(out)
 	return out
-}
-
-// NewPredictor builds the named zoo predictor, or errors if the name is
-// unknown.
-func NewPredictor(name string, classes int) (Predictor, error) {
-	for _, e := range Zoo {
-		if e.Name == name {
-			return e.New(classes), nil
-		}
-	}
-	return nil, fmt.Errorf("learner: unknown predictor %q (have %v)", name, Names())
 }

@@ -47,8 +47,8 @@ func FuzzHistogramQuantile(f *testing.F) {
 			}
 			return
 		}
-		if h.Count() != uint64(len(samples)) {
-			t.Fatalf("Count = %d, want %d", h.Count(), len(samples))
+		if h.total != uint64(len(samples)) {
+			t.Fatalf("Count = %d, want %d", h.total, len(samples))
 		}
 
 		for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {

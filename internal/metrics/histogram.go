@@ -102,12 +102,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Sum returns the sum of recorded values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -192,34 +186,6 @@ func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
 func (h *Histogram) P95() int64  { return h.Quantile(0.95) }
 func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
 func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
-
-// CountAbove returns how many recorded values are (approximately) greater
-// than threshold. Values sharing the threshold's bucket are counted as
-// above only if the bucket's low bound exceeds the threshold, giving a
-// conservative (under-)estimate consistent with bucket precision.
-func (h *Histogram) CountAbove(threshold int64) uint64 {
-	if threshold < 0 {
-		return h.total
-	}
-	var n uint64
-	start := h.bucketIndex(threshold) + 1
-	for i := start; i < len(h.counts); i++ {
-		n += h.counts[i]
-	}
-	return n
-}
-
-// Reset clears the histogram for reuse without reallocating.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-	h.sumSq = 0
-	h.min = math.MaxInt64
-	h.max = math.MinInt64
-}
 
 // Merge adds other's recorded values into h. The histograms must have the
 // same precision.

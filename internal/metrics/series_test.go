@@ -14,8 +14,8 @@ func TestSeriesBasics(t *testing.T) {
 	s.Add(1, 2)
 	s.Add(2, 8)
 	s.Add(3, 5)
-	if s.Len() != 3 || s.Mean() != 5 {
-		t.Fatalf("series stats: len %d mean %v", s.Len(), s.Mean())
+	if len(s.Points) != 3 || s.Mean() != 5 {
+		t.Fatalf("series stats: len %d mean %v", len(s.Points), s.Mean())
 	}
 }
 
@@ -25,8 +25,8 @@ func TestSeriesDownsample(t *testing.T) {
 		s.Add(int64(i), float64(i))
 	}
 	d := s.Downsample(10)
-	if d.Len() != 10 {
-		t.Fatalf("downsampled to %d points", d.Len())
+	if len(d.Points) != 10 {
+		t.Fatalf("downsampled to %d points", len(d.Points))
 	}
 	// Chunk means preserve the overall mean.
 	if math.Abs(d.Mean()-s.Mean()) > 1e-9 {

@@ -502,7 +502,7 @@ func (s *scheduler) start(j *job, server int) {
 	s.pools.granted(j)
 	s.committed[server] += grant
 	j.vm = s.fleet.AddJobVM(server, fmt.Sprintf("%s-a%d", j.name, j.evictions+1), grant)
-	j.app = apps.NewFiniteWork(s.loop, j.vm, j.remaining(), j.workDoneFn)
+	j.app = apps.NewFiniteWork(j.vm, j.remaining(), j.workDoneFn)
 	j.app.Start()
 	s.running[server] = append(s.running[server], j)
 }

@@ -87,11 +87,6 @@ type Event struct {
 	idx  int // heap index; -1 once fired/canceled
 }
 
-// Canceled reports whether the event has been removed from the queue,
-// either by firing or by Cancel. It is only meaningful while the caller
-// still owns the event (see the Event doc comment on recycling).
-func (e *Event) Canceled() bool { return e.idx < 0 }
-
 // before reports whether a fires ahead of b: earlier time first, FIFO
 // among events at the same instant.
 func (a *Event) before(b *Event) bool {
@@ -366,12 +361,6 @@ func (l *Loop) RunUntil(end Time) {
 	}
 	if l.now < end {
 		l.now = end
-	}
-}
-
-// Run executes events until the queue is empty.
-func (l *Loop) Run() {
-	for l.step(maxTime) {
 	}
 }
 

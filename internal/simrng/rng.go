@@ -140,14 +140,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// LogNormalMeanP99 returns a log-normal sample parameterized by its mean and
-// the ratio p99/mean, which is a far more natural way to describe a
-// latency distribution than (mu, sigma). ratio must be > 1.
-func (r *Rand) LogNormalMeanP99(mean, ratio float64) float64 {
-	mu, sigma := LogNormalParams(mean, ratio)
-	return r.LogNormal(mu, sigma)
-}
-
 // z99 is the standard normal 99th-percentile quantile.
 const z99 = 2.3263478740408408
 
@@ -175,16 +167,6 @@ func LogNormalParams(mean, ratio float64) (mu, sigma float64) {
 	return mu, sigma
 }
 
-// Pareto returns a bounded Pareto sample with the given shape alpha and
-// minimum xm. Heavy-tailed; used for the occasional very slow request.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // Geometric returns the number of failures before the first success for a
 // Bernoulli process with success probability p in (0, 1]. The mean is
 // (1-p)/p.
@@ -199,104 +181,7 @@ func (r *Rand) Geometric(p float64) int {
 	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
 }
 
-// Poisson returns a Poisson-distributed value with the given mean, using
-// Knuth's method for small means and normal approximation for large ones.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation with continuity correction; adequate for
-		// workload batch sizing at large means.
-		v := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	n := 0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return n
-		}
-		n++
-	}
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Zipf draws from a Zipf distribution over [0, n) with exponent s >= 0.
-// It uses inversion over a precomputed table-free approximation (rejection
-// sampling per Gonnet); adequate for key-popularity modeling.
-type Zipf struct {
-	r    *Rand
-	n    int
-	s    float64
-	hx0  float64
-	hxm  float64
-	dist float64
-}
-
-// NewZipf constructs a Zipf sampler over ranks [0, n) with exponent s > 1
-// not required; s in (0, ∞), s != 1 handled, s == 1 uses the harmonic form.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	z := &Zipf{r: r, n: n, s: s}
-	z.hx0 = z.h(0.5)
-	z.hxm = z.h(float64(n) + 0.5)
-	z.dist = z.hx0 - z.hxm
-	return z
-}
-
-// h is the integral of x^-s, used for inversion-by-rejection.
-func (z *Zipf) h(x float64) float64 {
-	if z.s == 1 {
-		return -math.Log(x)
-	}
-	return math.Pow(x, 1-z.s) / (z.s - 1)
-}
-
-func (z *Zipf) hInv(x float64) float64 {
-	if z.s == 1 {
-		return math.Exp(-x)
-	}
-	return math.Pow(x*(z.s-1), 1/(1-z.s))
-}
-
-// Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	for {
-		u := z.hx0 - z.r.Float64()*z.dist
-		x := z.hInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		if k > float64(z.n) {
-			k = float64(z.n)
-		}
-		// Accept with probability proportional to the true mass.
-		ratio := math.Pow(k, -z.s) / math.Pow(x, -z.s)
-		if ratio >= 1 || z.r.Float64() < ratio {
-			return int(k) - 1
-		}
-	}
 }

@@ -3,7 +3,6 @@ package simrng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -136,11 +135,12 @@ func TestLogNormalParamsRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := New(17)
+		mu, sigma := LogNormalParams(c.mean, c.ratio)
 		const n = 400000
 		samples := make([]float64, n)
 		sum := 0.0
 		for i := range samples {
-			samples[i] = r.LogNormalMeanP99(c.mean, c.ratio)
+			samples[i] = r.LogNormal(mu, sigma)
 			sum += samples[i]
 		}
 		mean := sum / n
@@ -172,76 +172,6 @@ func TestGeometricMean(t *testing.T) {
 	want := (1 - p) / p
 	if math.Abs(mean-want) > 0.05 {
 		t.Fatalf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(29)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		const n = 100000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean)/math.Max(mean, 1) > 0.05 {
-			t.Fatalf("poisson(%v) mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
-func TestParetoBounds(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 100000; i++ {
-		v := r.Pareto(10, 2)
-		if v < 10 {
-			t.Fatalf("Pareto sample %v below xm", v)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipfRangeAndSkew(t *testing.T) {
-	r := New(41)
-	z := NewZipf(r, 1000, 1.01)
-	counts := make(map[int]int)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 1000 {
-			t.Fatalf("zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[500] {
-		t.Fatalf("zipf not skewed: rank0=%d rank500=%d", counts[0], counts[500])
-	}
-	// Rank 0 should dominate: > 5% of mass for s~1 over 1000 ranks.
-	if float64(counts[0])/n < 0.05 {
-		t.Fatalf("zipf rank 0 mass too small: %v", float64(counts[0])/n)
 	}
 }
 

@@ -39,22 +39,6 @@ func (p *Poisson) Next(sim.Time) (sim.Time, int) {
 	return sim.Time(p.rng.Exp(p.mean)), 1
 }
 
-// Uniform is a deterministic, evenly spaced arrival process.
-type Uniform struct {
-	gap sim.Time
-}
-
-// NewUniform returns evenly spaced arrivals at the given rate.
-func NewUniform(qps float64) *Uniform {
-	if qps <= 0 {
-		panic(fmt.Sprintf("workload: non-positive rate %v", qps))
-	}
-	return &Uniform{gap: sim.Time(1e9 / qps)}
-}
-
-// Next implements Arrival.
-func (u *Uniform) Next(sim.Time) (sim.Time, int) { return u.gap, 1 }
-
 // BatchPoisson is a compound Poisson process: batch events arrive with
 // exponential gaps and each event carries 1+Geometric(p) requests, so the
 // offered rate is eventRate * meanBatch. This is the main source of the

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"smartharvest/internal/grammar"
 	"smartharvest/internal/sim"
@@ -159,9 +158,6 @@ func NewBurstSchedule(seed uint64, rate float64, horizon sim.Time) *BurstSchedul
 	}
 	return &BurstSchedule{epochs: epochs, horizon: horizon}
 }
-
-// Epochs returns the shared burst times (read-only).
-func (b *BurstSchedule) Epochs() []sim.Time { return b.epochs }
 
 // sinusoidal is a non-homogeneous Poisson arrival process with rate
 // BaseQPS*(1 + A*sin(2πt/P)), sampled exactly by thinning against the
@@ -378,12 +374,4 @@ func NewCharacterized(rng *simrng.Rand, knobs CharKnobs, shared *BurstSchedule) 
 		return smooth
 	}
 	return merge(smooth, newBurster(rng, knobs, shared))
-}
-
-// PeakEpochs returns, for diagnostics and tests, the subset of epochs in
-// [from, to) — handy for asserting cross-VM burst alignment.
-func (b *BurstSchedule) PeakEpochs(from, to sim.Time) []sim.Time {
-	lo := sort.Search(len(b.epochs), func(i int) bool { return b.epochs[i] >= from })
-	hi := sort.Search(len(b.epochs), func(i int) bool { return b.epochs[i] >= to })
-	return b.epochs[lo:hi]
 }

@@ -106,14 +106,14 @@ func TestRequestRecordRecycling(t *testing.T) {
 
 			if tc.removeAt != 0 {
 				m.RemoveVM(vm)
-				completed, recorded := srv.Completed(), srv.Latency().Count()
+				completed, recorded := srv.Completed(), srv.Latency().Summarize().Count
 				if completed == 0 || completed >= srv.Offered() {
 					t.Fatalf("removal not mid-flight: completed %d of %d", completed, srv.Offered())
 				}
 				loop.RunUntil(2 * sim.Second)
-				if srv.Completed() != completed || srv.Latency().Count() != recorded {
+				if srv.Completed() != completed || srv.Latency().Summarize().Count != recorded {
 					t.Fatalf("completions after RemoveVM: %d -> %d (histogram %d -> %d)",
-						completed, srv.Completed(), recorded, srv.Latency().Count())
+						completed, srv.Completed(), recorded, srv.Latency().Summarize().Count)
 				}
 				checkFreeLists(t, srv)
 				if err := m.CheckInvariants(); err != nil {
@@ -126,7 +126,7 @@ func TestRequestRecordRecycling(t *testing.T) {
 			if srv.Completed() != srv.Offered() {
 				t.Fatalf("completed %d of %d offered after the drain", srv.Completed(), srv.Offered())
 			}
-			if got, want := srv.Latency().Count(), srv.Offered()-offeredInWarmup; got != want {
+			if got, want := srv.Latency().Summarize().Count, srv.Offered()-offeredInWarmup; got != want {
 				t.Fatalf("latency histogram holds %d samples, want the %d post-warm-up completions", got, want)
 			}
 			// Every record is back, exactly once, and there are far fewer

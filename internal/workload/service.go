@@ -97,17 +97,6 @@ func (b *Bimodal) Sample() sim.Time {
 	return b.fast.Sample()
 }
 
-// Mean returns the analytic mean of the mixture if both parts are
-// Deterministic, else -1. Useful in tests.
-func (b *Bimodal) Mean() sim.Time {
-	f, okF := b.fast.(Deterministic)
-	s, okS := b.slow.(Deterministic)
-	if !okF || !okS {
-		return -1
-	}
-	return sim.Time((1-b.pSlow)*float64(f) + b.pSlow*float64(s))
-}
-
 // FanoutDist samples how many parallel subtasks a request fans out to
 // (IndexServe-style partitioned query serving).
 type FanoutDist interface {
@@ -123,23 +112,4 @@ func (f FixedFanout) SampleFanout() int {
 		return 1
 	}
 	return int(f)
-}
-
-// RangeFanout fans out to a uniform number of subtasks in [Min, Max].
-type RangeFanout struct {
-	rng      *simrng.Rand
-	Min, Max int
-}
-
-// NewRangeFanout builds a uniform fanout sampler.
-func NewRangeFanout(rng *simrng.Rand, min, max int) *RangeFanout {
-	if min < 1 || max < min {
-		panic("workload: bad RangeFanout")
-	}
-	return &RangeFanout{rng: rng, Min: min, Max: max}
-}
-
-// SampleFanout implements FanoutDist.
-func (r *RangeFanout) SampleFanout() int {
-	return r.Min + r.rng.Intn(r.Max-r.Min+1)
 }

@@ -309,7 +309,7 @@ func TestServerWarmupDiscardsEarlySamples(t *testing.T) {
 	srv.Start()
 	loop.RunUntil(2 * sim.Second)
 	// ~2000 requests offered, only ~1000 post-warmup recorded.
-	n := srv.Latency().Count()
+	n := srv.Latency().Summarize().Count
 	if n < 900 || n > 1100 {
 		t.Fatalf("recorded %d samples, want ~1000", n)
 	}
@@ -365,14 +365,14 @@ func TestServerPhaseLatencies(t *testing.T) {
 	}
 	total := uint64(0)
 	for i := 0; i < 3; i++ {
-		n := srv.PhaseLatency(i).Count()
+		n := srv.PhaseLatency(i).Summarize().Count
 		if n < 900 || n > 1100 {
 			t.Fatalf("phase %d count %d, want ~1000", i, n)
 		}
 		total += n
 	}
-	if total != srv.Latency().Count() {
-		t.Fatalf("phase counts %d != overall %d", total, srv.Latency().Count())
+	if total != srv.Latency().Summarize().Count {
+		t.Fatalf("phase counts %d != overall %d", total, srv.Latency().Summarize().Count)
 	}
 }
 
