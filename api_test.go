@@ -24,11 +24,12 @@ func TestWorkloadCatalog(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			res, err := smartharvest.Run(smartharvest.Scenario{
-				Name:      "catalog-" + spec.Name,
-				Primaries: []smartharvest.PrimarySpec{spec},
-				Duration:  2 * smartharvest.Second,
-				Warmup:    smartharvest.Second,
-				Seed:      4,
+				Name:              "catalog-" + spec.Name,
+				Primaries:         []smartharvest.PrimarySpec{spec},
+				Duration:          2 * smartharvest.Second,
+				Warmup:            smartharvest.Second,
+				Seed:              4,
+				LongTermSafeguard: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -52,12 +53,13 @@ func TestBatchCatalog(t *testing.T) {
 		batch := batch
 		t.Run(batch.String(), func(t *testing.T) {
 			res, err := smartharvest.Run(smartharvest.Scenario{
-				Name:      "batch-" + batch.String(),
-				Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-				Batch:     batch,
-				Duration:  2 * smartharvest.Second,
-				Warmup:    smartharvest.Second,
-				Seed:      6,
+				Name:              "batch-" + batch.String(),
+				Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
+				Batch:             batch,
+				Duration:          2 * smartharvest.Second,
+				Warmup:            smartharvest.Second,
+				Seed:              6,
+				LongTermSafeguard: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -76,12 +78,13 @@ func TestBatchCatalog(t *testing.T) {
 func TestMechanisms(t *testing.T) {
 	for _, mech := range []smartharvest.Mechanism{smartharvest.CpuGroups, smartharvest.IPI} {
 		res, err := smartharvest.Run(smartharvest.Scenario{
-			Name:      "mech-" + mech.String(),
-			Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-			Mechanism: mech,
-			Duration:  2 * smartharvest.Second,
-			Warmup:    smartharvest.Second,
-			Seed:      8,
+			Name:              "mech-" + mech.String(),
+			Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
+			Mechanism:         mech,
+			Duration:          2 * smartharvest.Second,
+			Warmup:            smartharvest.Second,
+			Seed:              8,
+			LongTermSafeguard: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -96,11 +99,12 @@ func TestMechanisms(t *testing.T) {
 func TestChurnViaFacade(t *testing.T) {
 	arrival := smartharvest.IndexServe(500)
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "facade-churn",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-		Duration:  4 * smartharvest.Second,
-		Warmup:    smartharvest.Second,
-		Seed:      9,
+		Name:              "facade-churn",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
+		Duration:          4 * smartharvest.Second,
+		Warmup:            smartharvest.Second,
+		Seed:              9,
+		LongTermSafeguard: true,
 		Churn: []smartharvest.ChurnEvent{
 			{At: 3 * smartharvest.Second, Depart: -1, Arrive: &arrival},
 		},

@@ -76,7 +76,6 @@ import (
 
 	"smartharvest/internal/experiments"
 	"smartharvest/internal/faults"
-	"smartharvest/internal/harness"
 	"smartharvest/internal/learner"
 	"smartharvest/internal/market"
 	"smartharvest/internal/profile"
@@ -198,12 +197,15 @@ func main() {
 	if err != nil {
 		fail(1, fmt.Errorf("experiments: %w", err))
 	}
-	simStart := harness.SimTimeExecuted()
 	wallStart := time.Now()
 	code, files := 0, 1 // files counts -grid-out's: the manifest and three per successful run
 	var results []experiments.RunResult
+	var tally experiments.Tally
 	workers := experiments.RunGrid(resolved, *parallel, func(rr experiments.RunResult) {
 		results = append(results, rr)
+		tally.SimTime += rr.SimTime
+		tally.Checked += rr.Checked
+		tally.Violations += rr.Violations
 		switch {
 		case rr.Err != nil:
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", rr.ID, rr.Err)
@@ -232,13 +234,12 @@ func main() {
 			}
 		}
 		if len(runs) > 1 {
-			printSummary(runs, results, time.Since(wallStart), harness.SimTimeExecuted()-simStart, workers)
+			printSummary(runs, results, time.Since(wallStart), tally.SimTime, workers)
 		}
 	}
 	if check {
-		verified, violations := experiments.CheckStats()
-		fmt.Printf("invariant checks: %d scenario runs verified, %d violations\n", verified, violations)
-		if violations > 0 {
+		fmt.Printf("invariant checks: %d scenario runs verified, %d violations\n", tally.Checked, tally.Violations)
+		if tally.Violations > 0 {
 			code = 1
 		}
 	}

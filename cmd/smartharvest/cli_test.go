@@ -47,10 +47,8 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr bytes.Buffer, err erro
 // TestCLIRefusesBadSpecs pins that -primary loads that are not finite or
 // too small for the clock, -policy arguments out of range for the
 // allocation, a -duration that overflows the clock or is not positive
-// (zero would silently run the 20 s default) and a -warmup that is not
-// positive (zero would silently run the 2 s default) end the command
-// with an error and a non-zero exit before anything runs — not with a
-// panic or a run that never ends.
+// and a negative -warmup end the command with an error and a non-zero
+// exit before anything runs — not with a panic or a run that never ends.
 func TestCLIRefusesBadSpecs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-primary", "memcached:-5"},
@@ -64,7 +62,7 @@ func TestCLIRefusesBadSpecs(t *testing.T) {
 		{"-policy", "prevpeak:-2"},
 		{"-duration", "9223372036s"}, // + the 2 s warmup wraps the clock
 		{"-duration", "0s"},
-		{"-warmup", "0s"},
+		{"-warmup", "-1s"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			stdout, stderr, err := runCLI(t, append([]string{"-duration", "1s"}, args...)...)
@@ -79,6 +77,18 @@ func TestCLIRefusesBadSpecs(t *testing.T) {
 				t.Errorf("ran before refusing; stdout:\n%s", stdout.String())
 			}
 		})
+	}
+}
+
+// TestCLIZeroWarmupRuns: -warmup 0s is a run measured from t = 0, not a
+// refusal and not the 2 s warm-up of the flag's default.
+func TestCLIZeroWarmupRuns(t *testing.T) {
+	stdout, stderr, err := runCLI(t, "-duration", "1s", "-warmup", "0s")
+	if err != nil {
+		t.Fatalf("-warmup 0s: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "simulated=1s") {
+		t.Errorf("want a 1s run; stdout:\n%s", stdout.String())
 	}
 }
 

@@ -68,12 +68,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if s.Duration <= 0 {
-		fail(fmt.Errorf("-duration %v: want a positive duration (zero would run the 20s default)", s.Duration))
-	}
-	if s.Warmup <= 0 {
-		fail(fmt.Errorf("-warmup %v: want a positive warmup (zero would run the 2s default)", s.Warmup))
-	}
 	if len(s.Primaries) == 0 {
 		s.Primaries = []smartharvest.PrimarySpec{smartharvest.Memcached(40000)}
 	}

@@ -10,11 +10,12 @@ import (
 // primary, the default SmartHarvest policy, a CPU-hungry batch consumer.
 func ExampleRun() {
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "example",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Duration:  5 * smartharvest.Second,
-		Warmup:    2 * smartharvest.Second,
-		Seed:      42,
+		Name:              "example",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
+		Duration:          5 * smartharvest.Second,
+		Warmup:            2 * smartharvest.Second,
+		Seed:              42,
+		LongTermSafeguard: true,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -67,12 +68,13 @@ func (h halfPolicy) Safeguards() bool                    { return false }
 func ExampleRun_observer() {
 	m := smartharvest.EventMetrics()
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "observed",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Duration:  5 * smartharvest.Second,
-		Warmup:    smartharvest.Second,
-		Seed:      42,
-		Observer:  m,
+		Name:              "observed",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
+		Duration:          5 * smartharvest.Second,
+		Warmup:            smartharvest.Second,
+		Seed:              42,
+		LongTermSafeguard: true,
+		Observer:          m,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -91,12 +93,13 @@ func ExampleRun_observer() {
 // harvested cores than on the ElasticVM's guaranteed minimum.
 func ExampleRunSpeedup() {
 	speedup, _, _, err := smartharvest.RunSpeedup(smartharvest.Scenario{
-		Name:      "speedup-example",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
-		Batch:     smartharvest.BatchHDInsight,
-		Duration:  5 * smartharvest.Second,
-		Warmup:    smartharvest.Second,
-		Seed:      2,
+		Name:              "speedup-example",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(20000)},
+		Batch:             smartharvest.BatchHDInsight,
+		Duration:          5 * smartharvest.Second,
+		Warmup:            smartharvest.Second,
+		Seed:              2,
+		LongTermSafeguard: true,
 	})
 	if err != nil {
 		fmt.Println("error:", err)

@@ -25,6 +25,7 @@ func main() {
 			Primaries: []smartharvest.PrimarySpec{smartharvest.IndexServe(500)},
 			Batch:     batch,
 			Duration:  20 * smartharvest.Second,
+			Warmup:    2 * smartharvest.Second,
 			Seed:      11,
 			Controller: smartharvest.NewSmartHarvest(
 				smartharvest.SmartHarvestOptions{}),

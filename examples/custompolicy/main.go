@@ -73,6 +73,7 @@ func main() {
 			Primaries:  primaries,
 			Controller: ctrl,
 			Duration:   30 * smartharvest.Second,
+			Warmup:     2 * smartharvest.Second,
 			Seed:       3,
 		})
 		if err != nil {

@@ -24,10 +24,12 @@ func main() {
 	// whatever is idle or unallocated.
 	arrival := smartharvest.IndexServe(500)
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "fleet-slice",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Duration:  30 * smartharvest.Second,
-		Seed:      21,
+		Name:              "fleet-slice",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
+		Duration:          30 * smartharvest.Second,
+		Warmup:            2 * smartharvest.Second,
+		Seed:              21,
+		LongTermSafeguard: true,
 		Churn: []smartharvest.ChurnEvent{
 			// An IndexServe tenant arrives at t=10s...
 			{At: 10 * smartharvest.Second, Depart: -1, Arrive: &arrival},

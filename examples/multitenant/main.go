@@ -28,6 +28,7 @@ func main() {
 			Primaries:         primaries,
 			Controller:        ctrl,
 			Duration:          30 * smartharvest.Second,
+			Warmup:            2 * smartharvest.Second,
 			Seed:              7,
 			LongTermSafeguard: true,
 		})

@@ -22,6 +22,7 @@ func main() {
 		Primaries:  []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
 		Controller: smartharvest.NewNoHarvest(),
 		Duration:   30 * smartharvest.Second,
+		Warmup:     2 * smartharvest.Second,
 		Seed:       42,
 	})
 	if err != nil {
@@ -33,10 +34,12 @@ func main() {
 	// an online cost-sensitive classifier, and lends the rest to the
 	// ElasticVM.
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "quickstart",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Duration:  30 * smartharvest.Second,
-		Seed:      42,
+		Name:              "quickstart",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
+		Duration:          30 * smartharvest.Second,
+		Warmup:            2 * smartharvest.Second,
+		Seed:              42,
+		LongTermSafeguard: true,
 	})
 	if err != nil {
 		log.Fatal(err)

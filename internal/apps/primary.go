@@ -282,7 +282,7 @@ func MemcachedVaryingLoad(phaseQPS []float64, phaseLen sim.Time) PrimarySpec {
 
 // WithPhaseBoundaries wraps a PrimarySpec so the built server also
 // records per-phase latency histograms (see
-// workload.ServerConfig.PhaseBoundaries); used by the varying-load
+// workload.Server.ConfigurePhases); used by the varying-load
 // experiments (paper Table 2).
 func WithPhaseBoundaries(spec PrimarySpec, boundaries []sim.Time) PrimarySpec {
 	inner := spec.Build

@@ -21,12 +21,13 @@ func realTrace(t *testing.T) []byte {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	_, err := harness.Run(harness.Scenario{
-		Name:      "trace-validate",
-		Primaries: []apps.PrimarySpec{apps.Memcached(40000)},
-		Duration:  500 * sim.Millisecond,
-		Warmup:    100 * sim.Millisecond,
-		Seed:      1,
-		Observer:  sink,
+		Name:              "trace-validate",
+		Primaries:         []apps.PrimarySpec{apps.Memcached(40000)},
+		Duration:          500 * sim.Millisecond,
+		Warmup:            100 * sim.Millisecond,
+		Seed:              1,
+		LongTermSafeguard: true,
+		Observer:          sink,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -15,7 +15,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"smartharvest/internal/apps"
 	"smartharvest/internal/core"
@@ -32,21 +31,23 @@ import (
 type Config struct {
 	// Servers is the fleet size.
 	Servers int
-	// CoresPerServer is each server's harvesting pool (default 21:
-	// capacity for two 10-core tenants plus the ElasticVM minimum,
-	// harness.ElasticMin).
+	// CoresPerServer is each server's harvesting pool; zero gives 21:
+	// capacity for two harness.DefaultPrimaryVMCores tenants plus the
+	// ElasticVM minimum, harness.ElasticMin.
 	CoresPerServer int
-	// Controller builds each server's policy (default SmartHarvest).
+	// Controller builds each server's policy; nil runs SmartHarvest, as
+	// a harness.Scenario does.
 	Controller harness.ControllerFactory
 	// Mechanism selects the reassignment path.
 	Mechanism hypervisor.Mechanism
 
 	// ArrivalRate is tenant VM arrivals per second across the fleet.
 	ArrivalRate float64
-	// MeanLifetime is the tenants' exponential lifetime mean.
+	// MeanLifetime is the tenants' exponential lifetime mean; zero is
+	// refused.
 	MeanLifetime sim.Time
-	// Workloads are sampled uniformly for each arriving tenant (default:
-	// the paper's four primaries at their standard loads).
+	// Workloads are sampled uniformly for each arriving tenant; empty
+	// samples the paper's four primaries at their standard loads.
 	Workloads []apps.PrimarySpec
 
 	// DisableElasticBully leaves each server's ElasticVM idle instead of
@@ -68,36 +69,26 @@ type Config struct {
 	// across servers).
 	Observer obs.Observer
 
-	// Duration is the measured time; Warmup precedes it.
+	// Duration is the measured time; zero is refused. Warmup precedes
+	// it; zero measures from t = 0.
 	Duration sim.Time
 	Warmup   sim.Time
-	// Seed drives all randomness.
+	// Seed drives all randomness; zero runs seed 1.
 	Seed uint64
 }
 
 func (c *Config) applyDefaults() {
 	if c.CoresPerServer == 0 {
-		c.CoresPerServer = 21
+		c.CoresPerServer = 2*harness.DefaultPrimaryVMCores + harness.ElasticMin
 	}
 	if c.Controller == nil {
-		c.Controller = func(alloc int) core.Controller {
-			return core.NewSmartHarvest(alloc, core.SmartHarvestOptions{})
-		}
+		c.Controller = harness.SmartHarvestFactory(core.SmartHarvestOptions{})
 	}
 	if len(c.Workloads) == 0 {
 		c.Workloads = []apps.PrimarySpec{
 			apps.Memcached(40000), apps.IndexServe(500),
 			apps.Moses(400), apps.ImgDNN(2000),
 		}
-	}
-	if c.Duration == 0 {
-		c.Duration = 30 * sim.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 2 * sim.Second
-	}
-	if c.MeanLifetime == 0 {
-		c.MeanLifetime = 20 * sim.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -114,8 +105,9 @@ func (c *Config) validate() error {
 	if c.ArrivalRate < 0 {
 		return fmt.Errorf("cluster: negative arrival rate")
 	}
-	if c.Duration < 0 || c.Warmup < 0 {
-		return fmt.Errorf("cluster: negative Duration %v or Warmup %v", c.Duration, c.Warmup)
+	if c.Duration <= 0 || c.MeanLifetime <= 0 || c.Warmup < 0 {
+		return fmt.Errorf("cluster: need a positive Duration (%v) and MeanLifetime (%v) and a Warmup (%v) not negative",
+			c.Duration, c.MeanLifetime, c.Warmup)
 	}
 	if c.Duration > math.MaxInt64-c.Warmup {
 		return fmt.Errorf("cluster: Warmup %v + Duration %v overflows the clock", c.Warmup, c.Duration)
@@ -375,6 +367,9 @@ func (f *Fleet) End() sim.Time { return f.end }
 // Warmup returns the configured warmup span.
 func (f *Fleet) Warmup() sim.Time { return f.cfg.Warmup }
 
+// Seed is the seed the fleet runs, its default applied.
+func (f *Fleet) Seed() uint64 { return f.cfg.Seed }
+
 // HarvestedCores returns server i's harvested capacity right now
 // (harness.Server.HarvestedCores). A crashed server harvests nothing: its
 // agent is dead and its cores are back with the tenants.
@@ -449,7 +444,7 @@ func (f *Fleet) Finish() (*Result, error) {
 
 	res := f.res
 	measured := f.cfg.Duration
-	perServer := make([]float64, 0, len(f.servers))
+	perServer := make([]int64, 0, len(f.servers))
 	var harvested sim.Time
 	for _, s := range f.servers {
 		h := s.Harvest(measured)
@@ -464,7 +459,7 @@ func (f *Fleet) Finish() (*Result, error) {
 		harvested += ht
 		res.ElasticCPUSec += h.ElasticCPUSeconds
 		res.FleetAvgHarvested += h.AvgHarvestedCores
-		perServer = append(perServer, st.HarvestedCoreSec)
+		perServer = append(perServer, int64(ht))
 		if s.Faults != nil {
 			res.FaultsInjected += s.Faults.Total()
 		}
@@ -477,35 +472,13 @@ func (f *Fleet) Finish() (*Result, error) {
 	}
 	res.HarvestedCoreSec = harvested.Seconds()
 	res.FleetAvgHarvested /= float64(len(f.servers))
-	res.Spread = spreadOf(perServer)
+	spread := func(q float64) float64 { return sim.Time(metrics.ExactQuantile(perServer, q)).Seconds() }
+	res.Spread = HarvestSpread{Min: spread(0), Median: spread(0.5), P99: spread(0.99), Max: spread(1)}
 	if f.fleetInj != nil {
 		res.FaultsInjected += f.fleetInj.Total()
 	}
 	res.TenantLatency = f.merged.Summarize()
 	return res, nil
-}
-
-// spreadOf computes nearest-rank quantiles over per-server values
-// (mirroring metrics.ExactQuantile's convention).
-func spreadOf(xs []float64) HarvestSpread {
-	if len(xs) == 0 {
-		return HarvestSpread{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	rank := func(q float64) float64 {
-		r := int(math.Ceil(q * float64(len(s))))
-		if r < 1 {
-			r = 1
-		}
-		return s[r-1]
-	}
-	return HarvestSpread{
-		Min:    s[0],
-		Median: rank(0.5),
-		P99:    rank(0.99),
-		Max:    s[len(s)-1],
-	}
 }
 
 // Run executes the fleet simulation start to finish.

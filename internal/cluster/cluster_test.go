@@ -138,16 +138,25 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetValidation: each config differs from a valid one in one field,
+// and a zero Duration or MeanLifetime is refused rather than defaulted.
 func TestFleetValidation(t *testing.T) {
-	bad := []Config{
-		{Servers: 0},
-		{Servers: 1, CoresPerServer: 5}, // too small for a tenant
-		{Servers: 1, ArrivalRate: -1},
-		{Servers: 1, Warmup: -sim.Second},
-		{Servers: 1, Duration: -sim.Second},
-		{Servers: 1, Duration: math.MaxInt64 - sim.Second}, // + the 2 s default warmup
+	ok := Config{Servers: 1, MeanLifetime: sim.Second, Duration: sim.Second}
+	if _, err := Run(ok); err != nil {
+		t.Fatalf("valid config refused: %v", err)
 	}
-	for i, cfg := range bad {
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.Servers = 0 },
+		func(c *Config) { c.CoresPerServer = 5 }, // too small for a tenant
+		func(c *Config) { c.ArrivalRate = -1 },
+		func(c *Config) { c.Warmup = -sim.Second },
+		func(c *Config) { c.Duration = -sim.Second },
+		func(c *Config) { c.Duration = 0 },
+		func(c *Config) { c.MeanLifetime = 0 },
+		func(c *Config) { c.Warmup, c.Duration = 2*sim.Second, math.MaxInt64-sim.Second },
+	} {
+		cfg := ok
+		mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}

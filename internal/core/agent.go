@@ -207,7 +207,7 @@ type Config struct {
 	Observer obs.Observer
 
 	// Resilience governs how the agent survives hypervisor and signal
-	// faults. The zero value selects DefaultResilience.
+	// faults. The zero value is refused; start from DefaultResilience.
 	Resilience ResiliencePolicy
 
 	// Faults, when non-nil, is consulted at every window boundary and may
@@ -303,14 +303,7 @@ func (c *Config) validate() error {
 		c.HarvestPause <= 0 {
 		return fmt.Errorf("core: bad long-term safeguard parameters")
 	}
-	// A fully zero policy means "unset" and is replaced with the default
-	// by NewAgent; anything partially set must be coherent.
-	if c.Resilience != (ResiliencePolicy{}) {
-		if err := c.Resilience.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Resilience.validate()
 }
 
 // windowPeak is one entry of the trailing peak history.
@@ -415,9 +408,6 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 	if cfg.PrimaryAlloc+cfg.ElasticMin > hv.TotalCores() {
 		return nil, fmt.Errorf("core: alloc %d + elastic min %d exceeds %d cores",
 			cfg.PrimaryAlloc, cfg.ElasticMin, hv.TotalCores())
-	}
-	if cfg.Resilience == (ResiliencePolicy{}) {
-		cfg.Resilience = DefaultResilience()
 	}
 	cfg.LongTermSafeguard = cfg.LongTermSafeguard && ctrl.Safeguards()
 	a := &Agent{

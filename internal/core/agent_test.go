@@ -473,6 +473,8 @@ func TestAgentValidation(t *testing.T) {
 		// A window longer than the 1 s peak history.
 		func() Config { c := DefaultConfig(10, 1); c.Window = 2 * sim.Second; return c },
 		func() Config { c := DefaultConfig(20, 1); return c }, // exceeds total
+		// A zero ResiliencePolicy is refused, not read as the default.
+		func() Config { c := DefaultConfig(10, 1); c.Resilience = ResiliencePolicy{}; return c },
 	}
 	for i, mk := range bad {
 		if _, err := NewAgent(loop, hv, NewNoHarvest(10), mk()); err == nil {

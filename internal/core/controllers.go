@@ -54,8 +54,8 @@ type SmartHarvest struct {
 
 // SmartHarvestOptions tunes the controller; zero values mean defaults.
 type SmartHarvestOptions struct {
-	// LearningRate defaults to 0.1 (VW's default, kept constant).
-	// Ignored when Predictor is set — the factory owns its step sizes.
+	// LearningRate defaults to learner.DefaultLR, kept constant. Ignored
+	// when Predictor is set — the factory owns its step sizes.
 	LearningRate float64
 	// Cost defaults to the skewed cost with UnderPenalty = alloc.
 	Cost learner.CostFunc
@@ -78,7 +78,7 @@ func NewSmartHarvest(alloc int, opts SmartHarvestOptions) *SmartHarvest {
 		panic(fmt.Sprintf("core: bad alloc %d", alloc))
 	}
 	if opts.LearningRate == 0 {
-		opts.LearningRate = 0.1
+		opts.LearningRate = learner.DefaultLR
 	}
 	if opts.Cost == nil {
 		opts.Cost = learner.SkewedCost{UnderPenalty: float64(alloc)}

@@ -1,17 +1,24 @@
 // Package deadcode holds a tier-1 guard over the whole source tree: the
 // module and the nested benchmark module are type-checked from source, test
-// files left out, and two kinds of code that no program uses are refused.
+// files left out, and three kinds of code are refused.
 //
 //   - An exported function or method under internal/ that no non-test code
 //     references. A method that implements a method of some interface is
 //     exempt: it is called through the interface.
 //   - An unexported struct field under internal/ that non-test code writes
 //     (assignment, ++/--, composite-literal key) but never reads.
+//   - A zero-to-default substitution under internal/ on an exported field
+//     F of a struct under internal/, in any of three forms: an if that
+//     tests x.F against its zero value (== or <= 0, nil, "", T{} or
+//     len(x.F) == 0) and stores into x.F; an if that stores x.F elsewhere
+//     only when it is non-zero (!= or > its zero value); and any
+//     cmp.Or(x.F, ...).
 //
-// Each exception to the first rule is named in allowlist with the reason it
-// stays; an entry that names something gone, or something that has since
-// gained a caller, is reported as stale. Accessors that only a package's
-// own tests use belong in its accessors_test.go. The guard uses only the
+// Each exception to the first rule is named in allowlist, and each to the
+// third in defaults, with the reason it stays; an entry that names something
+// gone, or something that has since gained a caller or lost its
+// substitution, is reported as stale. Accessors that only a package's own
+// tests use belong in its accessors_test.go. The guard uses only the
 // standard library.
 package deadcode
 
@@ -19,12 +26,14 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -69,6 +78,58 @@ var allowlist = map[string]string{
 		"FuzzLoopOrder stop tickers to drain a loop",
 }
 
+// defaults names each site under internal/ where non-test code still
+// replaces the zero value of an exported field with a default, with the
+// caller that leaves the field zero and so keeps the substitution. Keys are
+// the field (the import path below internal/, the struct's type name and
+// the field's name), " in ", and the function that substitutes it (the
+// import path below internal/, the receiver's type name for a method, and
+// the name). Every default is stated once: where two packages fill the same
+// knob, the second takes its value from the first.
+var defaults = map[string]string{
+	// benchmark/workloads.go builds these literals and cannot change with
+	// this tree; a zero there must keep meaning what it meant.
+	"harness.Scenario.Window in harness.Scenario.applyDefaults":       "benchmark/workloads.go singleScenario leaves it zero; the value is core.DefaultConfig's",
+	"harness.Scenario.PollInterval in harness.Scenario.applyDefaults": "benchmark/workloads.go singleScenario leaves it zero; the value is core.DefaultConfig's",
+	"harness.Scenario.QoSWaitThreshold in harness.Run":                "benchmark/workloads.go singleScenario leaves it zero; the agent keeps core.DefaultConfig's",
+	"harness.Scenario.QoSViolationFrac in harness.Run":                "benchmark/workloads.go singleScenario leaves it zero; the agent keeps core.DefaultConfig's",
+	"cluster.Config.CoresPerServer in cluster.Config.applyDefaults":   "benchmark/workloads.go fleetConfig leaves it zero",
+	"cluster.Config.Controller in cluster.Config.applyDefaults": "benchmark/workloads.go fleetConfig leaves it nil; the value is harness.SmartHarvestFactory's, " +
+		"as for a nil harness.Scenario.Controller",
+	"cluster.Config.Observer in sched.Run":                           "benchmark/workloads.go fleetConfig leaves it nil; sched then emits its job events into obs.NopObserver",
+	"sched.Config.MaxRequeues in sched.Config.applyDefaults":         "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.MaxPlacementRetries in sched.Config.applyDefaults": "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.PlacementBackoff in sched.Config.applyDefaults":    "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.QuarantineAfter in sched.Config.applyDefaults":     "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.QuarantineDur in sched.Config.applyDefaults":       "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.QuarantineMax in sched.Config.applyDefaults":       "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.ProbationDur in sched.Config.applyDefaults":        "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.DegradeEnter in sched.Config.applyDefaults":        "benchmark/workloads.go runFleet leaves it zero",
+	"sched.Config.DegradeExit in sched.Config.applyDefaults":         "benchmark/workloads.go runFleet leaves it zero",
+	"core.SmartHarvestOptions.LearningRate in core.NewSmartHarvest": "benchmark/workloads.go smartHarvest passes SmartHarvestOptions{}; " +
+		"the value is learner.DefaultLR",
+	"core.SmartHarvestOptions.Cost in core.NewSmartHarvest": "benchmark/workloads.go smartHarvest passes SmartHarvestOptions{}",
+
+	// Seeds start at 1 everywhere; --seed reaches 0 through benchmark/'s
+	// seed+pair.
+	"harness.Scenario.Seed in harness.Scenario.applyDefaults":   "benchmark/main.go --seed: benchmark/workloads.go runSingle sets seed+pair, which may be 0",
+	"cluster.Config.Seed in cluster.Config.applyDefaults":       "benchmark/main.go --seed: benchmark/workloads.go fleetConfig sets seed+pair, which may be 0",
+	"memharvest.Config.Seed in memharvest.Config.applyDefaults": "experiments.MemHarvest passes its run's seed; seeds start at 1, as for harness.Scenario.Seed and cluster.Config.Seed",
+	"harness.Scenario.Controller in harness.Scenario.applyDefaults": "root facade: smartharvest.Scenario's documented minimal run leaves it nil; " +
+		"nil runs the same harness.SmartHarvestFactory controller as a nil cluster.Config.Controller",
+
+	// Production callers in this tree that leave the field zero.
+	"cluster.Config.Workloads in cluster.Config.applyDefaults":          "experiments.schedFleet leaves it nil without a -tenants class",
+	"sched.Config.Jobs in sched.Config.applyDefaults":                   "experiments.Sched, FleetChaos and Market leave it empty",
+	"memharvest.Config.ReclaimPerGB in memharvest.Config.applyDefaults": "experiments.MemHarvest leaves it zero, and zero would divide by zero in Run",
+	"hostcg.Config.ProcRoot in hostcg.Config.applyDefaults":             "cmd/hostagent leaves it unset: /proc",
+	"hostcg.Config.OS in hostcg.Config.applyDefaults":                   "cmd/hostagent leaves it unset: RealOS",
+	"workload.ServerConfig.Fanout in workload.NewServer":                "every apps primary but IndexServe leaves it nil: one subtask a request",
+	"market.PoolSpec.Size in market.PoolSpec.withDefaults":              "-pools grammar: a pool without size=, as in benchmark/workloads.go balancedPools, holds Reserved x 10 s",
+	"market.PoolSpec.Price in market.PoolSpec.withDefaults":             "-pools grammar: a pool without price=, as in benchmark/workloads.go balancedPools, sells at 1",
+	"experiments.GridRun.ID in experiments.Resolve":                     "grid grammar and cmd/experiments' positional ids: a run without an id takes its experiment's name",
+}
+
 // TestNoDeadCode is the guard itself.
 func TestNoDeadCode(t *testing.T) {
 	root, err := filepath.Abs("../..")
@@ -79,15 +140,16 @@ func TestNoDeadCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rep.problems(allowlist) {
+	for _, p := range rep.problems(allowlist, defaults) {
 		t.Error(p)
 	}
 }
 
 // TestGuardCatchesPlantedFaults runs the same analysis over a fixture that
 // plants each fault the guard exists to report: a dead exported func, a
-// write-only unexported field, and two stale allowlist entries (one names a
-// function that is gone, one a function that is now called).
+// write-only unexported field, each form of zero-to-default substitution,
+// two stale allowlist entries (one names a function that is gone, one a
+// function that is now called) and a stale defaults entry.
 func TestGuardCatchesPlantedFaults(t *testing.T) {
 	rep, err := analyze(filepath.Join("testdata", "fixture"), "fixture")
 	if err != nil {
@@ -97,12 +159,21 @@ func TestGuardCatchesPlantedFaults(t *testing.T) {
 		"dead.Gone":   "stale: names a function the fixture no longer has",
 		"dead.Called": "stale: names a function a non-test caller now calls",
 		"dead.Kept":   "a live entry: Kept has no caller",
+	}, map[string]string{
+		"dead.Config.Seed in dead.Config.Resolve":  "a live entry: the fixture's program leaves Seed zero",
+		"dead.Config.Width in dead.Config.Resolve": "stale: Width is taken literally",
 	})
 	want := []string{
 		"dead.Dead: exported func with no non-test caller",
 		"dead.Counter.hits: unexported field written but never read",
 		"allowlist entry dead.Called is stale: it now has a non-test caller",
 		"allowlist entry dead.Gone is stale: no such exported func or method",
+		"dead.Config.Rate in dead.Config.Resolve: zero replaced by a default (if x.F == zero { x.F = ... })",
+		"dead.Config.Limit in dead.Config.Resolve: zero replaced by a default (if x.F == zero { x.F = ... })",
+		"dead.Config.Tags in dead.Config.Resolve: zero replaced by a default (if x.F == zero { x.F = ... })",
+		"dead.Config.Scale in dead.Config.Resolve: copied only when non-zero (if x.F != zero { y = x.F })",
+		"dead.Config.Name in dead.Config.Resolve: zero replaced by a default (cmp.Or(x.F, ...))",
+		"defaults entry dead.Config.Width in dead.Config.Resolve is stale: no zero-to-default substitution there",
 	}
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -117,11 +188,29 @@ func TestGuardCatchesPlantedFaults(t *testing.T) {
 type report struct {
 	funcs     map[string]bool // name -> has a non-test reference
 	writeOnly []string
+	// substituted maps each site of a zero-to-default substitution (a
+	// field in a function) to the forms found there, each form once.
+	substituted map[string][]string
 }
 
-// problems lists the guard's findings against allow, sorted.
-func (r *report) problems(allow map[string]string) []string {
+// problems lists the guard's findings against allow and defs, sorted.
+func (r *report) problems(allow, defs map[string]string) []string {
 	var out []string
+	for site, forms := range r.substituted {
+		if defs[site] == "" {
+			for _, form := range forms {
+				out = append(out, site+": "+form)
+			}
+		}
+	}
+	for name, reason := range defs {
+		switch {
+		case strings.TrimSpace(reason) == "":
+			out = append(out, "defaults entry "+name+" gives no reason")
+		case r.substituted[name] == nil:
+			out = append(out, "defaults entry "+name+" is stale: no zero-to-default substitution there")
+		}
+	}
 	for name, used := range r.funcs {
 		if !used && allow[name] == "" {
 			out = append(out, name+": exported func with no non-test caller")
@@ -226,9 +315,11 @@ func analyze(root, modPath string) (*report, error) {
 	}
 	viaInterface := interfaceMethods(pkgs)
 
-	// Declarations: exported funcs and methods, unexported named fields.
+	// Declarations: exported funcs and methods, unexported named fields,
+	// exported named fields.
 	decls := map[*types.Func]string{}
 	fields := map[*types.Var]string{}
+	exported := map[*types.Var]string{}
 	for _, path := range paths {
 		p := pkgs[path]
 		if !strings.HasPrefix(path, internal) {
@@ -251,7 +342,12 @@ func analyze(root, modPath string) (*report, error) {
 				decls[fn] = name(fn, recv)
 			}
 			structFields(f, func(typeName string, id *ast.Ident) {
-				if v, ok := p.info.Defs[id].(*types.Var); ok && !v.Exported() && v.Name() != "_" {
+				v, ok := p.info.Defs[id].(*types.Var)
+				switch {
+				case !ok || v.Name() == "_":
+				case v.Exported():
+					exported[v] = name(v, typeName)
+				default:
 					fields[v] = name(v, typeName)
 				}
 			})
@@ -296,7 +392,20 @@ func analyze(root, modPath string) (*report, error) {
 		}
 	}
 
-	rep := &report{funcs: map[string]bool{}}
+	rep := &report{funcs: map[string]bool{}, substituted: map[string][]string{}}
+	for _, path := range paths {
+		p := pkgs[path]
+		if !strings.HasPrefix(path, internal) {
+			continue
+		}
+		for _, f := range p.files {
+			substitutions(p.info, f, strings.TrimPrefix(path, internal), exported, func(site, form string) {
+				if !slices.Contains(rep.substituted[site], form) {
+					rep.substituted[site] = append(rep.substituted[site], form)
+				}
+			})
+		}
+	}
 	for fn, n := range decls {
 		rep.funcs[n] = called[fn]
 	}
@@ -307,6 +416,128 @@ func analyze(root, modPath string) (*report, error) {
 	}
 	sort.Strings(rep.writeOnly)
 	return rep, nil
+}
+
+// The three forms of zero-to-default substitution, as the guard reports them.
+const (
+	formFill = "zero replaced by a default (if x.F == zero { x.F = ... })"
+	formCopy = "copied only when non-zero (if x.F != zero { y = x.F })"
+	formOr   = "zero replaced by a default (cmp.Or(x.F, ...))"
+)
+
+// substitutions calls found with the site and form of each zero-to-default
+// substitution in f, a file of the package scope below internal/, on one of
+// fields. The site is the field's name (from fields), " in ", and the
+// function that substitutes it.
+func substitutions(info *types.Info, f *ast.File, scope string, fields map[*types.Var]string, found func(site, form string)) {
+	// field is the tracked field e selects, or nil.
+	field := func(e ast.Expr) *types.Var {
+		s, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		v, ok := info.Uses[s.Sel].(*types.Var)
+		if !ok || fields[v.Origin()] == "" {
+			return nil
+		}
+		return v.Origin()
+	}
+	zero := func(e ast.Expr) bool {
+		if lit, ok := ast.Unparen(e).(*ast.CompositeLit); ok {
+			return len(lit.Elts) == 0
+		}
+		tv := info.Types[e]
+		if tv.IsNil() {
+			return true
+		}
+		switch v := tv.Value; {
+		case v == nil:
+			return false
+		case v.Kind() == constant.String:
+			return constant.StringVal(v) == ""
+		case v.Kind() == constant.Int || v.Kind() == constant.Float:
+			return constant.Sign(v) == 0
+		}
+		return false
+	}
+	// tested is the field cond compares with its zero value under one of
+	// ops, directly or through len, or nil.
+	tested := func(cond ast.Expr, ops ...token.Token) *types.Var {
+		b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+		if !ok || !slices.Contains(ops, b.Op) || !zero(b.Y) {
+			return nil
+		}
+		if call, ok := ast.Unparen(b.X).(*ast.CallExpr); ok && len(call.Args) == 1 {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+				if fn, ok := info.Uses[id].(*types.Builtin); ok && fn.Name() == "len" {
+					return field(call.Args[0])
+				}
+			}
+		}
+		return field(b.X)
+	}
+	// stores reports whether body assigns to v (into) or assigns v to
+	// something else (!into).
+	stores := func(body *ast.BlockStmt, v *types.Var, into bool) bool {
+		hit := false
+		ast.Inspect(body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || hit {
+				return !hit
+			}
+			for i, lhs := range as.Lhs {
+				switch {
+				case into:
+					hit = field(lhs) == v
+				case len(as.Rhs) == len(as.Lhs):
+					hit = field(as.Rhs[i]) == v && field(lhs) != v
+				}
+				if hit {
+					break
+				}
+			}
+			return !hit
+		})
+		return hit
+	}
+	for _, d := range f.Decls {
+		where := scope
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			if fd.Recv != nil {
+				fn := info.Defs[fd.Name].(*types.Func)
+				where += "." + recvNamed(fn.Type().(*types.Signature).Recv().Type()).Obj().Name()
+			}
+			where += "." + fd.Name.Name
+		}
+		at := func(v *types.Var) string { return fields[v] + " in " + where }
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if v := tested(n.Cond, token.EQL, token.LEQ); v != nil && stores(n.Body, v, true) {
+					found(at(v), formFill)
+				}
+				if v := tested(n.Cond, token.NEQ, token.GTR); v != nil && stores(n.Body, v, false) {
+					found(at(v), formCopy)
+				}
+			case *ast.CallExpr:
+				fun := ast.Unparen(n.Fun)
+				if ix, ok := fun.(*ast.IndexExpr); ok {
+					fun = ix.X
+				}
+				sel, ok := fun.(*ast.SelectorExpr)
+				if !ok || len(n.Args) == 0 {
+					break
+				}
+				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
+					fn.Pkg().Path() == "cmp" && fn.Name() == "Or" {
+					if v := field(n.Args[0]); v != nil {
+						found(at(v), formOr)
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // writeTargets returns the identifiers in f that name a field only as the

@@ -6,7 +6,8 @@ import "fixture/internal/dead"
 func main() {
 	var c dead.Counter
 	c.Add(dead.Called())
-	if err := dead.Check(c.Total()); err != nil {
+	cfg := dead.Config{Width: 2}
+	if err := dead.Check(c.Total() + int(cfg.Resolve())); err != nil {
 		panic(err)
 	}
 }

@@ -2,6 +2,8 @@
 // must let pass.
 package dead
 
+import "cmp"
+
 // Dead has no caller but the package's test: the guard reports it.
 func Dead() int { return 1 }
 
@@ -38,4 +40,42 @@ func Check(n int) error {
 		return failure{}
 	}
 	return nil
+}
+
+// Config plants each form of zero-to-default substitution on its exported
+// fields. Width is taken literally: a test of it against zero that stores
+// nothing is no substitution.
+type Config struct {
+	Rate  float64
+	Limit int
+	Tags  []string
+	Scale float64
+	Name  string
+	Seed  uint64
+	Width int
+}
+
+// Resolve fills c's defaults and returns the scale in force.
+func (c *Config) Resolve() float64 {
+	if c.Width == 0 {
+		return 0
+	}
+	if c.Rate == 0 {
+		c.Rate = 0.5
+	}
+	if c.Limit <= 0 {
+		c.Limit = 8
+	}
+	if len(c.Tags) == 0 {
+		c.Tags = []string{"default"}
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	scale := 1.0
+	if c.Scale > 0 {
+		scale = c.Scale
+	}
+	c.Name = cmp.Or(c.Name, "unnamed")
+	return scale
 }

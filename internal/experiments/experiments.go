@@ -26,9 +26,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"smartharvest/internal/apps"
+	"smartharvest/internal/check"
+	"smartharvest/internal/cluster"
 	"smartharvest/internal/core"
 	"smartharvest/internal/faults"
 	"smartharvest/internal/harness"
@@ -62,7 +63,8 @@ type Config struct {
 	TraceDir string `json:"-"`
 	// Check attaches an invariant checker (internal/check) to every
 	// scenario and scheduler run; any violation fails the experiment with
-	// the checker's report. CheckStats reports the process-wide tally.
+	// the checker's report. RunGrid reports each run's count of checked
+	// runs and violations in its RunResult.
 	Check bool `json:"check"`
 	// Faults, when enabled, is injected into the sched experiment's
 	// fleet (every server), composing the job schedulers with degraded
@@ -88,17 +90,37 @@ type Config struct {
 	// instead of the default four-primaries mix. Nil keeps the defaults
 	// byte-identical.
 	TenantMix *workload.Class `json:"tenants"`
+
+	// tally, when set (by RunGrid), counts what the run's simulations
+	// executed.
+	tally *Tally
 }
 
-// checkedRuns and checkViolations tally invariant-checked scenario runs
-// across all experiments in this process (experiments may run
-// concurrently under cmd/experiments).
-var checkedRuns, checkViolations atomic.Int64
+// Tally is what one experiment run's simulations executed: the simulated
+// time, a fleet's counted once per server, and how many of them an
+// invariant checker verified, with the violations it found.
+type Tally struct {
+	SimTime             sim.Time
+	Checked, Violations int64
+}
 
-// CheckStats returns how many scenario runs were invariant-verified so
-// far in this process and how many violations they produced in total.
-func CheckStats() (runs, violations int64) {
-	return checkedRuns.Load(), checkViolations.Load()
+// add counts one simulation of simTime, verified by rep when rep is not
+// nil. A nil Tally counts nothing.
+func (t *Tally) add(simTime sim.Time, rep *check.Report) {
+	if t == nil {
+		return
+	}
+	t.SimTime += simTime
+	if rep != nil {
+		t.Checked++
+		t.Violations += int64(len(rep.Violations) + rep.Dropped)
+	}
+}
+
+// fleetTime is the simulated time a run of fleet executes: its loop time
+// once per server.
+func fleetTime(fleet cluster.Config) sim.Time {
+	return sim.Time(fleet.Servers) * (fleet.Warmup + fleet.Duration)
 }
 
 // Quick returns a configuration for smoke tests and benchmarks.

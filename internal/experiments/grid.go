@@ -176,15 +176,14 @@ func Resolve(runs []GridRun) ([]ResolvedRun, error) {
 }
 
 // check refuses the values no run can take: their types decode them,
-// but a run needs a positive duration, a positive warmup (the harness
-// reads zero as its 2 s default), a seed from 1, a bounded seed family
-// and an id that is a safe file stem.
+// but a run needs a positive duration, a warmup that is not negative, a
+// seed from 1, a bounded seed family and an id that is a safe file stem.
 func (run GridRun) check() error {
 	switch {
 	case run.Duration <= 0:
 		return fmt.Errorf("bad duration %v", run.Duration)
-	case run.Warmup <= 0:
-		return fmt.Errorf("bad warmup %v: want a positive warmup (zero would run the 2s default)", run.Warmup)
+	case run.Warmup < 0:
+		return fmt.Errorf("bad warmup %v", run.Warmup)
 	case run.Seed == 0:
 		return fmt.Errorf("seed 0: seeds start at 1")
 	case run.Seeds < 0:
@@ -226,6 +225,8 @@ type RunResult struct {
 	Err    error
 	// Wall is the run's wall-clock time.
 	Wall time.Duration
+	// Tally is what the run's simulations executed.
+	Tally
 }
 
 // RunGrid executes runs on a bounded worker pool and hands each result
@@ -245,9 +246,10 @@ func RunGrid(runs []ResolvedRun, parallel int, emit func(RunResult)) int {
 			run, _ := Lookup(runs[i].Experiment) // validated by Expand
 			cfg := runs[i].Cfg
 			cfg.Parallel = parallel
+			cfg.tally = new(Tally)
 			start := time.Now()
 			rep, err := run(cfg)
-			ready[i] <- RunResult{ResolvedRun: runs[i], Report: rep, Err: err, Wall: time.Since(start)}
+			ready[i] <- RunResult{ResolvedRun: runs[i], Report: rep, Err: err, Wall: time.Since(start), Tally: *cfg.tally}
 		})
 	}()
 	for _, r := range ready {

@@ -16,7 +16,7 @@ import (
 // The checked-in corpus (testdata/fuzz/FuzzParseGrid) starts from
 // testdata/grid.json, the ids that once escaped -grid-out or broke the
 // manifest, and the values whose decoding is easy to get wrong: zero
-// overrides ("csoaa", "flat", false), a refused "0s" warmup, "none" and
+// overrides ("csoaa", "flat", false), a "0s" warmup, "none" and
 // "1500ms".
 func FuzzParseGrid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

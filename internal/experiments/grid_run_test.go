@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"smartharvest/internal/sim"
 )
 
 // testGrid is a small fast grid used by the execution tests.
@@ -136,4 +138,34 @@ func firstLine(b []byte) string {
 		return s[:i]
 	}
 	return s
+}
+
+// TestRunGridTalliesFleetTime: a run's tally counts a fleet's simulated
+// time once per server — fleet's two 8-server runs and each of sched's
+// 4-server scheduler runs — and sched's checked runs.
+func TestRunGridTalliesFleetTime(t *testing.T) {
+	g, err := ParseGrid([]byte(`{
+		"schema": "smartharvest-grid/v1",
+		"defaults": {"duration": "1s", "warmup": "250ms", "check": true},
+		"runs": [{"experiment": "fleet"}, {"experiment": "sched"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := runGrid(t, g, 2)
+	for _, rr := range results {
+		if rr.Err != nil {
+			t.Fatalf("%s: %v", rr.ID, rr.Err)
+		}
+	}
+	const fleetRun = 1250 * sim.Millisecond
+	if fleet := results[0]; fleet.SimTime != 2*8*fleetRun || fleet.Checked != 0 {
+		t.Errorf("fleet tallied %v over %d checked runs, want %v over none", fleet.SimTime, fleet.Checked, 2*8*fleetRun)
+	}
+	sched := results[1]
+	if runs := sched.SimTime / (4 * fleetRun); runs == 0 || sched.SimTime%(4*fleetRun) != 0 ||
+		sched.Checked != int64(runs) || sched.Violations != 0 {
+		t.Errorf("sched tallied %v over %d checked runs with %d violations, want whole 4-server runs, each checked and clean",
+			sched.SimTime, sched.Checked, sched.Violations)
+	}
 }

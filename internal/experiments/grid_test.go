@@ -126,7 +126,6 @@ func TestGridValidationErrors(t *testing.T) {
 		{"unknown experiment", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"fig99"}]}`, "unknown experiment"},
 		{"bad duration", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","duration":"fast"}]}`, "bad duration"},
 		{"negative warmup", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","warmup":"-1s"}]}`, "bad warmup"},
-		{"zero warmup", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","warmup":"0s"}]}`, "zero would run the 2s default"},
 		{"bad predictor", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","predictor":"oracle9000"}]}`, "predictor"},
 		{"bad faults", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","faults":"drop=many"}]}`, "fault"},
 		{"negative seeds", `{"schema":"smartharvest-grid/v1","runs":[{"experiment":"table1","seeds":-2}]}`, "negative seeds"},
@@ -237,16 +236,20 @@ func TestGridPoolsTenants(t *testing.T) {
 }
 
 // TestGridZeroWarmupAndMarshal pins two decodes: an explicit "0s"
-// warmup overrides a non-zero default and is then refused (the harness
-// would run its 2 s default), and Marshal writes a duration the way the
-// file spells it.
+// warmup overrides a non-zero default and is taken as zero (the run
+// measures from t = 0), and Marshal writes a duration the way the file
+// spells it.
 func TestGridZeroWarmupAndMarshal(t *testing.T) {
 	grid := func(warmup string) string {
 		return `{"schema": "smartharvest-grid/v1", "defaults": {"warmup": "250ms"},
 			"runs": [{"experiment": "table1", "warmup": "` + warmup + `", "duration": "1500ms"}]}`
 	}
-	if _, err := ParseGrid([]byte(grid("0s"))); err == nil || !strings.Contains(err.Error(), "bad warmup 0s") {
-		t.Errorf("zero warmup over a 250ms default: error %v, want bad warmup 0s", err)
+	zero, err := ParseGrid([]byte(grid("0s")))
+	if err != nil {
+		t.Fatalf("zero warmup over a 250ms default: %v", err)
+	}
+	if runs, err := zero.Expand(); err != nil || runs[0].Cfg.Warmup != 0 {
+		t.Errorf("zero warmup over a 250ms default: error %v, runs %+v, want warmup 0", err, runs)
 	}
 	g, err := ParseGrid([]byte(grid("1ms")))
 	if err != nil {

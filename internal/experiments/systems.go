@@ -27,7 +27,7 @@ func Table3(cfg Config) (*Report, error) {
 	for i := range samples {
 		samples[i] = rng.Intn(11)
 	}
-	model := learner.NewCSOAA(11, learner.NumFeatures, 0.1)
+	model := learner.NewCSOAA(11, learner.NumFeatures, learner.DefaultLR)
 	x := make([]float64, learner.NumFeatures)
 	costs := make([]float64, 11)
 	learner.FillCosts(costs, learner.SkewedCost{UnderPenalty: 10}, 5)
@@ -68,7 +68,8 @@ func Ablations(cfg Config) (*Report, error) {
 	pred := func(name string, f harness.ControllerFactory) { preds.add(name, scenario(cfg, "abl-"+name, spec, f)) }
 	pred("csoaa (paper)", smartharvest(cfg))
 	pred("csoaa adagrad", harness.SmartHarvestPredictorFactory(harness.PredictorAdaGrad, core.SmartHarvestOptions{}))
-	pred("ewma a=0.3 m=1", harness.EWMAFactory(0.3, 1))
+	pred(fmt.Sprintf("ewma a=%v m=%d", learner.EWMAAlpha, learner.EWMAMargin),
+		harness.EWMAFactory(learner.EWMAAlpha, learner.EWMAMargin))
 	pred("ewma a=0.1 m=2", harness.EWMAFactory(0.1, 2))
 	pred("prevpeak", controller(cfg, "prevpeak"))
 	pred("prevpeak10", controller(cfg, "prevpeak10"))
@@ -179,7 +180,7 @@ func Fleet(cfg Config) (*Report, error) {
 		{"unallocated-only", "noharvest"},
 		{"smartharvest", "smartharvest"},
 	} {
-		res, err := cluster.Run(cluster.Config{
+		fleet := cluster.Config{
 			Servers:      8,
 			ArrivalRate:  1.2,
 			MeanLifetime: cfg.Duration / 2,
@@ -187,10 +188,12 @@ func Fleet(cfg Config) (*Report, error) {
 			Warmup:       cfg.Warmup,
 			Seed:         cfg.Seed,
 			Controller:   controller(cfg, pol.policy),
-		})
+		}
+		res, err := cluster.Run(fleet)
 		if err != nil {
 			return nil, err
 		}
+		cfg.tally.add(fleetTime(fleet), nil)
 		t.add("", pol.name, res.Placed, res.Rejected, res.Departed, res.HarvestedCoreSec,
 			res.ElasticCPUSec, res.TenantLatency.P50, res.TenantLatency.P99)
 		r.addf("%-14s harvested %.1f core-s total (%.2f cores/server avg); elastic executed %.1f core-s",

@@ -209,11 +209,11 @@ func withBase(scen harness.Scenario) *section { return &section{base: &arm{scen:
 // the configured worker pool and stores each result on its arm. Every run
 // is an independent seeded simulation, so results are byte-identical at
 // any cfg.Parallel. With cfg.Check each run carries an invariant checker
-// (check.New for scenarios, check.NewJobChecker for scheduler runs) whose
-// verdict is counted into CheckStats; with cfg.TraceDir each run writes
-// its own JSONL trace, named after the run, its seed and its index (poll
-// samples omitted). A run that fails or violates an invariant contributes
-// one error to the joined error; the others still run.
+// (check.New for scenarios, check.NewJobChecker for scheduler runs); with
+// cfg.TraceDir each run writes its own JSONL trace, named after the run,
+// its seed and its index (poll samples omitted). A run that fails or
+// violates an invariant contributes one error to the joined error; the
+// others still run. Every run is counted into cfg's tally.
 func sweep(cfg Config, secs ...*section) error {
 	var arms []*arm
 	for _, s := range secs {
@@ -224,6 +224,14 @@ func sweep(cfg Config, secs ...*section) error {
 	}
 	errs := make([]error, len(arms))
 	harness.ForEach(len(arms), cfg.Parallel, func(i int) { errs[i] = arms[i].run(cfg, i) })
+	for _, a := range arms {
+		switch {
+		case a.res != nil:
+			cfg.tally.add(a.res.SimTime, a.res.Check)
+		case a.sres != nil:
+			cfg.tally.add(fleetTime(a.fleet.Fleet), a.sres.Check)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -273,12 +281,8 @@ func (a *arm) run(cfg Config, i int) (err error) {
 	if err != nil {
 		return fmt.Errorf("experiments: run %d (%s): %w", i, name, err)
 	}
-	if rep != nil {
-		checkedRuns.Add(1)
-		if !rep.OK() {
-			checkViolations.Add(int64(len(rep.Violations) + rep.Dropped))
-			return fmt.Errorf("experiments: run %d (%s) violated invariants:\n%s", i, name, rep)
-		}
+	if rep != nil && !rep.OK() {
+		return fmt.Errorf("experiments: run %d (%s) violated invariants:\n%s", i, name, rep)
 	}
 	return nil
 }

@@ -12,11 +12,12 @@ func TestChurnDeparture(t *testing.T) {
 	// unallocated and the harvest should jump accordingly.
 	mc := apps.Memcached(40000)
 	s := Scenario{
-		Name:      "churn-depart",
-		Primaries: []apps.PrimarySpec{mc, mc},
-		Duration:  8 * sim.Second,
-		Warmup:    2 * sim.Second,
-		Seed:      5,
+		Name:              "churn-depart",
+		Primaries:         []apps.PrimarySpec{mc, mc},
+		Duration:          8 * sim.Second,
+		Warmup:            2 * sim.Second,
+		Seed:              5,
+		LongTermSafeguard: true,
 		Churn: []ChurnEvent{
 			{At: 6 * sim.Second, Depart: 1},
 		},
@@ -45,10 +46,11 @@ func TestChurnDeparture(t *testing.T) {
 func TestChurnDepartedPrimaryStopsOffering(t *testing.T) {
 	mc := apps.Memcached(40000)
 	base := Scenario{
-		Name:      "churn-silent",
-		Primaries: []apps.PrimarySpec{mc, mc},
-		Warmup:    sim.Second,
-		Seed:      5,
+		Name:              "churn-silent",
+		Primaries:         []apps.PrimarySpec{mc, mc},
+		Warmup:            sim.Second,
+		Seed:              5,
+		LongTermSafeguard: true,
 	}
 	churned, cut := base, base
 	churned.Duration = 3 * sim.Second
@@ -78,11 +80,12 @@ func TestChurnArrival(t *testing.T) {
 	mc := apps.Memcached(40000)
 	arrival := apps.Memcached(40000)
 	s := Scenario{
-		Name:      "churn-arrive",
-		Primaries: []apps.PrimarySpec{mc},
-		Duration:  8 * sim.Second,
-		Warmup:    2 * sim.Second,
-		Seed:      5,
+		Name:              "churn-arrive",
+		Primaries:         []apps.PrimarySpec{mc},
+		Duration:          8 * sim.Second,
+		Warmup:            2 * sim.Second,
+		Seed:              5,
+		LongTermSafeguard: true,
 		Churn: []ChurnEvent{
 			{At: 6 * sim.Second, Depart: -1, Arrive: &arrival},
 		},
@@ -110,11 +113,12 @@ func TestChurnArrivalTailProtected(t *testing.T) {
 	mc := apps.Memcached(40000)
 	arrival := apps.Memcached(40000)
 	s := Scenario{
-		Name:      "churn-protect",
-		Primaries: []apps.PrimarySpec{mc},
-		Duration:  10 * sim.Second,
-		Warmup:    2 * sim.Second,
-		Seed:      9,
+		Name:              "churn-protect",
+		Primaries:         []apps.PrimarySpec{mc},
+		Duration:          10 * sim.Second,
+		Warmup:            2 * sim.Second,
+		Seed:              9,
+		LongTermSafeguard: true,
 		Churn: []ChurnEvent{
 			{At: 4 * sim.Second, Depart: -1, Arrive: &arrival},
 		},

@@ -70,7 +70,7 @@ func TestResultCountersPinned(t *testing.T) {
 	} {
 		res, err := harness.Run(harness.Scenario{
 			Name: "pin", Primaries: []apps.PrimarySpec{c.primary},
-			Duration: 5 * sim.Second, Warmup: 500 * sim.Millisecond, Seed: 7,
+			Duration: 5 * sim.Second, Warmup: 500 * sim.Millisecond, Seed: 7, LongTermSafeguard: true,
 			Faults: chaosAgentPlan.Scale(c.scale),
 		})
 		if err != nil {

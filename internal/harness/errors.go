@@ -11,8 +11,8 @@ import (
 var (
 	// ErrNoPrimaries: the scenario declares no primary workloads.
 	ErrNoPrimaries = errors.New("no primary workloads")
-	// ErrBadDuration: Duration or Warmup is negative, or their sum
-	// overflows the simulated clock.
+	// ErrBadDuration: Duration is not positive, Warmup is negative, or
+	// their sum overflows the simulated clock.
 	ErrBadDuration = errors.New("bad duration")
 	// ErrBadWindow: the learning window or poll interval is invalid
 	// (either non-positive, or Window < PollInterval).

@@ -19,6 +19,7 @@ import (
 	"smartharvest/internal/faults"
 	"smartharvest/internal/grammar"
 	"smartharvest/internal/hypervisor"
+	"smartharvest/internal/learner"
 	"smartharvest/internal/metrics"
 	"smartharvest/internal/obs"
 	"smartharvest/internal/sim"
@@ -70,34 +71,36 @@ type Scenario struct {
 	Primaries []apps.PrimarySpec
 	// Batch selects the ElasticVM workload (default CPUBully).
 	Batch BatchKind
-	// BatchWork is the finite allotment for BatchFinite, in core-time
-	// (default 8 s); ignored for other kinds.
+	// BatchWork is the finite allotment for BatchFinite, in core-time;
+	// BatchFinite refuses zero. Ignored for other kinds.
 	BatchWork sim.Time
 	// BatchWidth caps BatchFinite's parallelism in cores (default 0 =
 	// every ElasticVM vCPU); ignored for other kinds.
 	BatchWidth int
 	// Mechanism selects cpugroups or IPIs (default cpugroups).
 	Mechanism hypervisor.Mechanism
-	// Controller builds the policy (default SmartHarvest with the
-	// paper's CSOAA learner; SmartHarvestPredictorFactory selects another
-	// peak predictor).
+	// Controller builds the policy. Nil runs SmartHarvest with the
+	// paper's CSOAA learner, as an internal/cluster fleet does;
+	// SmartHarvestPredictorFactory selects another peak predictor.
 	Controller ControllerFactory
-	// Duration is the measured run length (default 20 s simulated).
+	// Duration is the measured run length; zero is refused.
 	Duration sim.Time
 	// Warmup precedes Duration; latencies and harvest averages exclude
-	// it (default 2 s).
+	// it. Zero measures from t = 0.
 	Warmup sim.Time
-	// Window overrides the agent's learning window (default 25 ms).
+	// Window overrides the agent's learning window; zero keeps
+	// core.DefaultConfig's 25 ms.
 	Window sim.Time
-	// PollInterval overrides the busy-poll period (default 50 µs).
+	// PollInterval overrides the busy-poll period; zero keeps
+	// core.DefaultConfig's 50 µs.
 	PollInterval sim.Time
 	// LongTermSafeguard enables the QoS guard, which the agent runs only
-	// for a policy with Safeguards() (default on with the default
-	// controller).
+	// for a policy with Safeguards(). It is off unless set, whatever the
+	// controller.
 	LongTermSafeguard bool
 	// QoSWaitThreshold and QoSViolationFrac override the long-term
-	// safeguard's trip criterion when non-zero (used by the safeguard
-	// sensitivity ablation).
+	// safeguard's trip criterion; zero keeps core.DefaultConfig's (used
+	// by the safeguard sensitivity ablation).
 	QoSWaitThreshold sim.Time
 	QoSViolationFrac float64
 	// Churn schedules primary-VM arrivals and departures during the run,
@@ -106,7 +109,7 @@ type Scenario struct {
 	// allocation; cores belonging to departed (or not-yet-arrived)
 	// tenants are unallocated and flow to the ElasticVM.
 	Churn []ChurnEvent
-	// Seed drives all randomness.
+	// Seed drives all randomness; zero runs seed 1.
 	Seed uint64
 	// Observer receives the run's typed event stream (window decisions,
 	// safeguard/QoS trips, resizes, churn, batch progress). Nil disables
@@ -166,6 +169,9 @@ type Result struct {
 
 	// Stats is the agent's counters at the end of the run.
 	core.Stats
+	// SimTime is the simulated time the run's loop executed: warm-up,
+	// Duration and any time a finite batch job ran past them.
+	SimTime sim.Time
 	// Events counts every event the run's loop fired, warm-up included; a
 	// skipped poll is an event not fired, so Events+PollsSkipped is the
 	// same with run-ahead on or off. Diagnostic only, like Polls and
@@ -415,36 +421,30 @@ const DefaultPrimaryVMCores = 10
 const ElasticMin = 1
 
 func (s *Scenario) applyDefaults() {
-	if s.Duration == 0 {
-		s.Duration = 20 * sim.Second
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 2 * sim.Second
-	}
+	agent := core.DefaultConfig(DefaultPrimaryVMCores, ElasticMin)
 	if s.Window == 0 {
-		s.Window = 25 * sim.Millisecond
+		s.Window = agent.Window
 	}
 	if s.PollInterval == 0 {
-		s.PollInterval = 50 * sim.Microsecond
+		s.PollInterval = agent.PollInterval
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
 	if s.Controller == nil {
 		s.Controller = SmartHarvestFactory(core.SmartHarvestOptions{})
-		s.LongTermSafeguard = true
 	}
 }
 
-// validate runs after applyDefaults, so zero values have already been
-// filled in; what it rejects is explicitly bad input. Every error wraps
-// one of the package's sentinel errors (see errors.go), except the two
+// validate runs after applyDefaults; what it rejects is explicitly bad
+// input, a zero that has no meaning included. Every error wraps one of
+// the package's sentinel errors (see errors.go), except the two
 // fleet-scope refusals at the end.
 func (s *Scenario) validate() error {
 	if len(s.Primaries) == 0 {
 		return s.scenarioErr("Primaries", ErrNoPrimaries, "")
 	}
-	if s.Duration < 0 {
+	if s.Duration <= 0 {
 		return s.scenarioErr("Duration", ErrBadDuration, "Duration=%v", s.Duration)
 	}
 	if s.Warmup < 0 {
@@ -465,7 +465,7 @@ func (s *Scenario) validate() error {
 	if !BatchKindNames.Valid(s.Batch) {
 		return s.scenarioErr("Batch", ErrUnknownBatch, "BatchKind(%d)", int(s.Batch))
 	}
-	if s.BatchWork < 0 || s.BatchWidth < 0 {
+	if s.BatchWork < 0 || s.BatchWidth < 0 || s.Batch == BatchFinite && s.BatchWork == 0 {
 		return s.scenarioErr("BatchWork/BatchWidth", ErrUnknownBatch,
 			"BatchWork=%v BatchWidth=%d", s.BatchWork, s.BatchWidth)
 	}
@@ -602,11 +602,7 @@ func Run(s Scenario) (*Result, error) {
 	case BatchTeraSort:
 		batchJob = apps.TeraSort(loop, srv.Elastic, nil)
 	case BatchFinite:
-		work := s.BatchWork
-		if work == 0 {
-			work = 8 * sim.Second
-		}
-		finite = apps.NewFiniteWork(srv.Elastic, work, func() { finiteDoneAt = loop.Now() })
+		finite = apps.NewFiniteWork(srv.Elastic, s.BatchWork, func() { finiteDoneAt = loop.Now() })
 		if s.BatchWidth > 0 {
 			finite.LimitParallelism(s.BatchWidth)
 		}
@@ -693,6 +689,7 @@ func Run(s Scenario) (*Result, error) {
 		Duration:  s.Duration,
 		Harvest:   srv.Harvest(loop.Now() - s.Warmup),
 		Stats:     srv.Agent.Stats(),
+		SimTime:   loop.Now(),
 		Events:    loop.Fired(),
 	}
 	for _, p := range srv.Primaries {
@@ -732,7 +729,6 @@ func Run(s Scenario) (*Result, error) {
 		}
 		res.Check = s.Checker.Finish()
 	}
-	simTimeExecuted.Add(int64(loop.Now()))
 	return res, nil
 }
 
@@ -812,7 +808,9 @@ var policies = []policy{
 		factory: func(k int, _ PredictorKind) ControllerFactory { return FixedBufferFactory(k) }},
 	{name: "prevpeak", arg: "n", what: "windows", def: 1, least: 1,
 		factory: func(n int, _ PredictorKind) ControllerFactory { return PrevPeakFactory(n, n > 1) }},
-	{name: "ewma", factory: func(int, PredictorKind) ControllerFactory { return EWMAFactory(0.3, 1) }},
+	{name: "ewma", factory: func(int, PredictorKind) ControllerFactory {
+		return EWMAFactory(learner.EWMAAlpha, learner.EWMAMargin)
+	}},
 	{name: "noharvest", factory: func(int, PredictorKind) ControllerFactory { return NoHarvestFactory() }},
 }
 

@@ -13,11 +13,12 @@ import (
 // learner to settle, short enough to keep the suite fast.
 func short(name string, primary apps.PrimarySpec) Scenario {
 	return Scenario{
-		Name:      name,
-		Primaries: []apps.PrimarySpec{primary},
-		Duration:  6 * sim.Second,
-		Warmup:    2 * sim.Second,
-		Seed:      7,
+		Name:              name,
+		Primaries:         []apps.PrimarySpec{primary},
+		Duration:          6 * sim.Second,
+		Warmup:            2 * sim.Second,
+		Seed:              7,
+		LongTermSafeguard: true,
 	}
 }
 
@@ -142,11 +143,12 @@ func TestSpeedupHDInsight(t *testing.T) {
 
 func TestMultiplePrimariesShareGroup(t *testing.T) {
 	s := Scenario{
-		Name:      "multi",
-		Primaries: []apps.PrimarySpec{apps.Memcached(40000), apps.IndexServe(500)},
-		Duration:  5 * sim.Second,
-		Warmup:    2 * sim.Second,
-		Seed:      3,
+		Name:              "multi",
+		Primaries:         []apps.PrimarySpec{apps.Memcached(40000), apps.IndexServe(500)},
+		Duration:          5 * sim.Second,
+		Warmup:            2 * sim.Second,
+		Seed:              3,
+		LongTermSafeguard: true,
 	}
 	res, err := Run(s)
 	if err != nil {

@@ -22,12 +22,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 func traceScenario() Scenario {
 	arrival := apps.Memcached(20000)
 	return Scenario{
-		Name:         "golden-trace",
-		Primaries:    []apps.PrimarySpec{apps.Memcached(40000)},
-		Duration:     200 * sim.Millisecond,
-		Warmup:       100 * sim.Millisecond,
-		PollInterval: 5 * sim.Millisecond,
-		Seed:         11,
+		Name:              "golden-trace",
+		Primaries:         []apps.PrimarySpec{apps.Memcached(40000)},
+		Duration:          200 * sim.Millisecond,
+		Warmup:            100 * sim.Millisecond,
+		PollInterval:      5 * sim.Millisecond,
+		Seed:              11,
+		LongTermSafeguard: true,
 		Churn: []ChurnEvent{
 			{At: 150 * sim.Millisecond, Depart: -1, Arrive: &arrival},
 			{At: 250 * sim.Millisecond, Depart: 1},
@@ -177,6 +178,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 		want error
 	}{
 		{"no-primaries", func(s *Scenario) { s.Primaries = nil }, ErrNoPrimaries},
+		{"zero-duration", func(s *Scenario) { s.Duration = 0 }, ErrBadDuration},
 		{"negative-duration", func(s *Scenario) { s.Duration = -sim.Second }, ErrBadDuration},
 		{"negative-warmup", func(s *Scenario) { s.Warmup = -sim.Second }, ErrBadDuration},
 		{"warmup-plus-duration-overflows", func(s *Scenario) {
@@ -189,6 +191,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 			s.PollInterval = 50 * sim.Microsecond
 		}, ErrBadWindow},
 		{"unknown-batch", func(s *Scenario) { s.Batch = BatchKind(99) }, ErrUnknownBatch},
+		{"finite-batch-without-work", func(s *Scenario) { s.Batch = BatchFinite }, ErrUnknownBatch},
 		{"churn-depart-below-minus-one", func(s *Scenario) {
 			s.Churn = []ChurnEvent{{At: sim.Second, Depart: -2}}
 		}, ErrBadChurn},
@@ -223,9 +226,38 @@ func TestScenarioValidationErrors(t *testing.T) {
 	// A well-formed scenario must not be rejected.
 	if _, err := Run(Scenario{
 		Name: "ok", Primaries: one,
-		Duration: 500 * sim.Millisecond, Warmup: 100 * sim.Millisecond, Seed: 1,
+		Duration: 500 * sim.Millisecond, Warmup: 100 * sim.Millisecond, Seed: 1, LongTermSafeguard: true,
 	}); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
+	}
+
+	// Zero warmup is no warm-up: the run measures from t = 0, so every
+	// completed request is in the latency histogram.
+	res, err := Run(Scenario{Name: "no-warmup", Primaries: one, Duration: 500 * sim.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatalf("zero-warmup scenario rejected: %v", err)
+	}
+	if p := res.Primaries[0]; p.Completed == 0 || p.Latency.Count != p.Completed {
+		t.Fatalf("zero warmup measured %d of %d completed requests, want all", p.Latency.Count, p.Completed)
+	}
+	if res.SimTime != 500*sim.Millisecond {
+		t.Fatalf("zero warmup ran %v, want the 500ms Duration alone", res.SimTime)
+	}
+}
+
+// TestNilControllerLeavesLongTermSafeguardOff: a nil Controller runs the
+// default SmartHarvest and nothing else; the long-term guard stays as the
+// caller set it. With it off, an IndexServe run takes no 10 s lock-out.
+func TestNilControllerLeavesLongTermSafeguardOff(t *testing.T) {
+	res, err := Run(Scenario{
+		Name: "nil-controller", Primaries: []apps.PrimarySpec{apps.IndexServe(500)},
+		Duration: 10 * sim.Second, Warmup: 2 * sim.Second, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy != "smartharvest" || res.QoSTrips != 0 {
+		t.Fatalf("policy %s with %d QoS trips, want smartharvest with none", res.Policy, res.QoSTrips)
 	}
 }
 

@@ -112,7 +112,7 @@ func TestPredictorInfoEmission(t *testing.T) {
 			s := short("pred-info", apps.Memcached(40000))
 			s.Duration = 500 * sim.Millisecond
 			s.Warmup = 100 * sim.Millisecond
-			s.Controller = tc.ctrl
+			s.Controller, s.LongTermSafeguard = tc.ctrl, false
 			cap := &predInfoCapture{}
 			s.Observer = cap
 			res, err := Run(s)
@@ -142,7 +142,7 @@ func TestZooPredictorsRunEndToEnd(t *testing.T) {
 			s := short("zoo-"+kind.String(), apps.Memcached(40000))
 			s.Duration = 2 * sim.Second
 			s.Warmup = 500 * sim.Millisecond
-			s.Controller = SmartHarvestPredictorFactory(kind, core.SmartHarvestOptions{})
+			s.Controller, s.LongTermSafeguard = SmartHarvestPredictorFactory(kind, core.SmartHarvestOptions{}), false
 			res, err := Run(s)
 			if err != nil {
 				t.Fatal(err)

@@ -24,11 +24,12 @@ import (
 func runAheadShapes() []Scenario {
 	shape := func(name string, primaries ...apps.PrimarySpec) Scenario {
 		return Scenario{
-			Name:      name,
-			Primaries: primaries,
-			Duration:  1500 * sim.Millisecond,
-			Warmup:    300 * sim.Millisecond,
-			Seed:      7,
+			Name:              name,
+			Primaries:         primaries,
+			Duration:          1500 * sim.Millisecond,
+			Warmup:            300 * sim.Millisecond,
+			Seed:              7,
+			LongTermSafeguard: true,
 		}
 	}
 	with := func(s Scenario, mut func(*Scenario)) Scenario { mut(&s); return s }
@@ -49,12 +50,16 @@ func runAheadShapes() []Scenario {
 			s.Controller = FixedBufferFactory(2)
 		}),
 		with(shape("fixedbuffer", apps.IndexServe(500)), func(s *Scenario) { s.Controller = FixedBufferFactory(4) }),
-		with(shape("prevpeak", apps.Moses(400)), func(s *Scenario) { s.Controller = PrevPeakFactory(1, false) }),
-		with(shape("prevpeak10", apps.IndexServe(500)), func(s *Scenario) { s.Controller = PrevPeakFactory(10, true) }),
-		with(shape("ewma", apps.ImgDNN(2000)), func(s *Scenario) { s.Controller = EWMAFactory(0.3, 2) }),
+		with(shape("prevpeak", apps.Moses(400)), func(s *Scenario) {
+			s.Controller, s.LongTermSafeguard = PrevPeakFactory(1, false), false
+		}),
+		with(shape("prevpeak10", apps.IndexServe(500)), func(s *Scenario) {
+			s.Controller, s.LongTermSafeguard = PrevPeakFactory(10, true), false
+		}),
+		with(shape("ewma", apps.ImgDNN(2000)), func(s *Scenario) { s.Controller, s.LongTermSafeguard = EWMAFactory(0.3, 2), false }),
 		with(shape("noharvest", apps.IndexServe(500)), func(s *Scenario) { s.Controller = NoHarvestFactory() }),
 		with(shape("no-long-term-safeguard", apps.SquareWave(9, 1, 150*sim.Millisecond)), func(s *Scenario) {
-			s.Controller = SmartHarvestFactory(core.SmartHarvestOptions{})
+			s.Controller, s.LongTermSafeguard = SmartHarvestFactory(core.SmartHarvestOptions{}), false
 		}),
 		with(shape("terasort", apps.IndexServe(500)), func(s *Scenario) { s.Batch = BatchTeraSort }),
 		with(shape("finite", apps.Moses(400)), func(s *Scenario) {
@@ -64,7 +69,7 @@ func runAheadShapes() []Scenario {
 		// Figure 7's kind of run: the square wave whose per-window series
 		// that report plots, under PrevPeak.
 		with(shape("series", apps.SquareWave(8, 1, 250*sim.Millisecond)), func(s *Scenario) {
-			s.Controller = PrevPeakFactory(1, false)
+			s.Controller, s.LongTermSafeguard = PrevPeakFactory(1, false), false
 		}),
 		with(shape("churn", apps.IndexServe(500), apps.Moses(400)), func(s *Scenario) {
 			s.Churn = []ChurnEvent{

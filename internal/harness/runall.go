@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"smartharvest/internal/sim"
 )
 
 // RunAll executes independent scenarios on a pool of at most parallel
@@ -72,15 +70,6 @@ func ForEach(n, workers int, fn func(i int)) int {
 	wg.Wait()
 	return workers
 }
-
-// simTimeExecuted accumulates the simulated time advanced by every Run
-// in this process, across goroutines. cmd/experiments uses deltas of
-// this counter to report sim-seconds per wall-second.
-var simTimeExecuted atomic.Int64
-
-// SimTimeExecuted returns the cumulative simulated time executed by all
-// Run calls so far (monotonic; read deltas around a region of interest).
-func SimTimeExecuted() sim.Time { return sim.Time(simTimeExecuted.Load()) }
 
 // BaselineScenario returns s reconfigured as the no-harvest baseline
 // RunSpeedup compares against: same workloads and seed, ElasticVM pinned

@@ -18,15 +18,15 @@ func representativeScenarios() []Scenario {
 	mcArrival := apps.Memcached(20000)
 	short := func(name string, primaries ...apps.PrimarySpec) Scenario {
 		return Scenario{
-			Name:      name,
-			Primaries: primaries,
-			Duration:  3 * sim.Second,
-			Warmup:    sim.Second,
-			Seed:      11,
+			Name:              name,
+			Primaries:         primaries,
+			Duration:          3 * sim.Second,
+			Warmup:            sim.Second,
+			Seed:              11,
+			LongTermSafeguard: true,
 		}
 	}
 	single := short("single-primary", apps.Memcached(40000))
-	single.LongTermSafeguard = true
 
 	multi := short("multi-primary", apps.Memcached(40000), apps.IndexServe(500))
 	multi.Controller = FixedBufferFactory(6)
@@ -35,7 +35,7 @@ func representativeScenarios() []Scenario {
 	noharvest.Controller = NoHarvestFactory()
 
 	square := short("square-wave", apps.SquareWave(8, 1, 500*sim.Millisecond))
-	square.Controller = PrevPeakFactory(1, false)
+	square.Controller, square.LongTermSafeguard = PrevPeakFactory(1, false), false
 
 	batch := short("batch", apps.IndexServe(500))
 	batch.Batch = BatchTeraSort
@@ -112,7 +112,7 @@ func TestRunAllDeterminism(t *testing.T) {
 func TestRunAllOrderAndErrors(t *testing.T) {
 	good1 := Scenario{
 		Name: "good1", Primaries: []apps.PrimarySpec{apps.IndexServe(200)},
-		Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 3,
+		Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 3, LongTermSafeguard: true,
 	}
 	bad := Scenario{Name: "bad-no-primaries"} // validate() rejects
 	good2 := good1
@@ -144,7 +144,7 @@ func TestRunAllEmptyAndSingle(t *testing.T) {
 	}
 	s := Scenario{
 		Name: "solo", Primaries: []apps.PrimarySpec{apps.IndexServe(200)},
-		Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 5,
+		Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 5, LongTermSafeguard: true,
 	}
 	res, err := RunAll([]Scenario{s}, 8)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestRunAllEmptyAndSingle(t *testing.T) {
 func TestSpeedupHelpers(t *testing.T) {
 	s := Scenario{
 		Name: "sp", Primaries: []apps.PrimarySpec{apps.IndexServe(200)},
-		Batch: BatchTeraSort, Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 6,
+		Batch: BatchTeraSort, Duration: 2 * sim.Second, Warmup: sim.Second, Seed: 6, LongTermSafeguard: true,
 	}
 	base := BaselineScenario(s)
 	if base.Name != "sp-baseline" || base.LongTermSafeguard {

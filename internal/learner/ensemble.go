@@ -54,7 +54,7 @@ func NewEnsemble(classes int) *Ensemble {
 	}
 	members := []Predictor{
 		NewEWMAPredictor(classes),
-		NewCSOAAPredictor(classes, NumFeatures, defaultLR),
+		NewCSOAAPredictor(classes, NumFeatures, DefaultLR),
 		NewPeriodic(classes),
 		NewMLP(classes),
 	}

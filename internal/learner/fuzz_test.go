@@ -111,7 +111,7 @@ func FuzzCSOAAPredict(f *testing.F) {
 
 		// Arbitrary bytes must never panic Restore; a model it does
 		// accept must still train and predict in range.
-		m := build(testClasses, NumFeatures, defaultLR).CSOAA
+		m := build(testClasses, NumFeatures, DefaultLR).CSOAA
 		if err := m.Restore(data); err == nil {
 			v := make([]float64, NumFeatures)
 			m.Update(v, make([]float64, testClasses))

@@ -107,11 +107,11 @@ type EWMAPredictor struct {
 	updates uint64
 }
 
-// ewmaAlpha and ewmaMargin are the stock EWMA baseline constants (the
-// same ones cmd/smartharvest's "ewma" policy uses).
+// EWMAAlpha and EWMAMargin are the stock EWMA baseline constants, which
+// the "ewma" policy of cmd/smartharvest and cmd/hostagent runs too.
 const (
-	ewmaAlpha  = 0.3
-	ewmaMargin = 1
+	EWMAAlpha  = 0.3
+	EWMAMargin = 1
 )
 
 // NewEWMAPredictor builds the EWMA predictor over classes 0..classes-1.
@@ -119,7 +119,7 @@ func NewEWMAPredictor(classes int) *EWMAPredictor {
 	if classes < 2 {
 		panic("learner: need >= 2 classes")
 	}
-	return &EWMAPredictor{e: NewEWMA(ewmaAlpha, ewmaMargin, classes-1), classes: classes}
+	return &EWMAPredictor{e: NewEWMA(EWMAAlpha, EWMAMargin, classes-1), classes: classes}
 }
 
 // Name implements Predictor.
@@ -186,7 +186,7 @@ func (p *EWMAPredictor) Restore(data []byte) error {
 
 // Reset implements Predictor.
 func (p *EWMAPredictor) Reset() {
-	p.e = NewEWMA(ewmaAlpha, ewmaMargin, p.classes-1)
+	p.e = NewEWMA(EWMAAlpha, EWMAMargin, p.classes-1)
 	p.updates = 0
 }
 

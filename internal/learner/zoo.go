@@ -2,9 +2,9 @@ package learner
 
 import "sort"
 
-// defaultLR is the paper's constant CSOAA learning rate, shared by every
-// zoo entry that builds a CSOAA-backed predictor.
-const defaultLR = 0.1
+// DefaultLR is the paper's constant CSOAA learning rate (VW's default), for
+// every CSOAA-backed zoo entry and core.NewSmartHarvest.
+const DefaultLR = 0.1
 
 // Factory builds a predictor for a given class count (alloc+1). All
 // other shape parameters (feature count, learning rate, hidden width)
@@ -21,8 +21,8 @@ type ZooEntry struct {
 // Zoo is the predictor zoo, the one place its names are declared. Its
 // order is harness.PredictorKind's: the paper's CSOAA comes first.
 var Zoo = []ZooEntry{
-	{"csoaa", func(classes int) Predictor { return NewCSOAAPredictor(classes, NumFeatures, defaultLR) }},
-	{"adagrad", func(classes int) Predictor { return NewAdaGradPredictor(classes, NumFeatures, defaultLR) }},
+	{"csoaa", func(classes int) Predictor { return NewCSOAAPredictor(classes, NumFeatures, DefaultLR) }},
+	{"adagrad", func(classes int) Predictor { return NewAdaGradPredictor(classes, NumFeatures, DefaultLR) }},
 	{"ewma", func(classes int) Predictor { return NewEWMAPredictor(classes) }},
 	{"periodic", func(classes int) Predictor { return NewPeriodic(classes) }},
 	{"mlp", func(classes int) Predictor { return NewMLP(classes) }},

@@ -43,24 +43,19 @@ const (
 // Config describes one memory-harvesting run.
 type Config struct {
 	// ReclaimPerGB is how long returning one harvested GB to the
-	// primaries takes (default 200 ms: balloon deflate + zeroing).
+	// primaries takes; zero gives 200 ms (balloon deflate + zeroing).
 	ReclaimPerGB sim.Time
-	// Duration and Warmup bound the measured run.
+	// Duration is the measured run length and must be positive. Warmup
+	// precedes it; zero measures from t = 0.
 	Duration sim.Time
 	Warmup   sim.Time
-	// Seed drives randomness.
+	// Seed drives randomness; zero runs seed 1.
 	Seed uint64
 }
 
 func (c *Config) applyDefaults() {
 	if c.ReclaimPerGB == 0 {
 		c.ReclaimPerGB = 200 * sim.Millisecond
-	}
-	if c.Duration == 0 {
-		c.Duration = 120 * sim.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * sim.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -96,8 +91,11 @@ type Result struct {
 // Run executes the simulation. At every window end ctrl, built for
 // TotalGB classes, picks how many GB to leave with the primaries for the
 // next window; it is never told of memharvest's safeguard, so a learner
-// trains on every window.
+// trains on every window. It panics on a Duration that is not positive.
 func Run(cfg Config, ctrl core.Controller) *Result {
+	if cfg.Duration <= 0 {
+		panic("memharvest: Duration must be positive")
+	}
 	cfg.applyDefaults()
 	rng := simrng.New(cfg.Seed)
 	loop := sim.NewLoop()

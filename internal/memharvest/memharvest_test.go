@@ -17,7 +17,28 @@ func learned() core.Controller {
 
 func fixed(k int) core.Controller { return core.NewFixedBuffer(TotalGB, k) }
 
-func run(ctrl core.Controller, seed uint64) *Result { return Run(Config{Seed: seed}, ctrl) }
+// config is the run length the package's tests pin: 120 s measured after
+// a 10 s warm-up.
+func config(seed uint64) Config {
+	return Config{Duration: 120 * sim.Second, Warmup: 10 * sim.Second, Seed: seed}
+}
+
+func run(ctrl core.Controller, seed uint64) *Result { return Run(config(seed), ctrl) }
+
+// TestNonPositiveDurationPanics: Run returns no error, so a run with no
+// measured time is a programming error rather than a default.
+func TestNonPositiveDurationPanics(t *testing.T) {
+	for _, d := range []sim.Time{0, -sim.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Duration %v: no panic", d)
+				}
+			}()
+			Run(Config{Duration: d}, fixed(4))
+		}()
+	}
+}
 
 func TestLearnedHarvestsMemory(t *testing.T) {
 	res := run(learned(), 3)
@@ -81,8 +102,8 @@ func TestPeakFloor(t *testing.T) {
 func TestReclaimLatencyMatters(t *testing.T) {
 	// With instant reclaim, faults should drop sharply versus slow
 	// reclaim under the same policy and demand.
-	slowCfg := Config{Seed: 9, ReclaimPerGB: 500 * sim.Millisecond}
-	fastCfg := Config{Seed: 9, ReclaimPerGB: sim.Millisecond}
+	slowCfg, fastCfg := config(9), config(9)
+	slowCfg.ReclaimPerGB, fastCfg.ReclaimPerGB = 500*sim.Millisecond, sim.Millisecond
 	slow, fast := Run(slowCfg, fixed(4)), Run(fastCfg, fixed(4))
 	if fast.FaultSeconds >= slow.FaultSeconds {
 		t.Fatalf("fast reclaim faulted %v >= slow %v", fast.FaultSeconds, slow.FaultSeconds)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestDefaultConfigPinned pins every Result field of the five policies the
-// memharvest experiment compares, at the package's default config (120 s,
-// seed 1). The experiment golden runs at a scale where the learner has not
+// memharvest experiment compares, at 120 s after a 10 s warm-up, seed 1.
+// The experiment golden runs at a scale where the learner has not
 // harvested yet, so this is what pins the learned policy's behaviour.
 func TestDefaultConfigPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -25,7 +25,7 @@ func TestDefaultConfigPinned(t *testing.T) {
 		{fixed(16), "fixed-16GB", 21.654791666666668, 354.74193022367797, 10, 125},
 		{fixed(24), "fixed-24GB", 13.651458333333334, 64.24733910648654, 10, 125},
 	} {
-		res := Run(Config{}, tc.ctrl)
+		res := Run(config(1), tc.ctrl)
 		want := Result{AvgHarvestedGB: tc.gb, FaultSeconds: tc.faults,
 			ShortEpisodes: tc.short, Reclaims: tc.reclaim}
 		if *res != want {

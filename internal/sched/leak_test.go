@@ -52,7 +52,7 @@ func TestRunsStopTheirInputProducers(t *testing.T) {
 	peak := newGoroutinePeak()
 	if _, err := harness.Run(harness.Scenario{
 		Name: "leak", Primaries: []apps.PrimarySpec{apps.Memcached(40000), apps.Memcached(20000)},
-		Duration: sim.Second, Warmup: 200 * sim.Millisecond, Seed: 1, Observer: peak,
+		Duration: sim.Second, Warmup: 200 * sim.Millisecond, Seed: 1, LongTermSafeguard: true, Observer: peak,
 	}); err != nil {
 		t.Fatal(err)
 	}

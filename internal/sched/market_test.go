@@ -158,10 +158,11 @@ func TestSchedMarketOvercommitRejects(t *testing.T) {
 	c := check.NewJobChecker()
 	pools := mustPools(t, "overcommit=0.001;name=wish,tier=premium,reserved=50,at=3s")
 	res, err := Run(Config{
-		Fleet:   quietFleet(53),
-		Policy:  FirstFit,
-		Market:  pools,
-		Checker: c,
+		Fleet:       quietFleet(53),
+		Policy:      FirstFit,
+		ArrivalRate: 1,
+		Market:      pools,
+		Checker:     c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestSchedMarketZeroConfigInert(t *testing.T) {
 	// plan must be byte-identical to one that never heard of the market
 	// (and carries no pool events), even with a non-default overcommit
 	// knob dangling.
-	base := Config{Fleet: churnFleet(7), Policy: Predicted}
+	base := Config{Fleet: churnFleet(7), Policy: Predicted, ArrivalRate: 1}
 	withKnob := base
 	withKnob.Market = market.Config{Overcommit: 3}
 	a, _ := marketTrace(t, base)
@@ -233,9 +234,10 @@ func TestSchedMarketLeavesTenantsUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Fleet:  churnFleet(61),
-		Policy: FirstFit,
-		Market: mustPools(t, "name=a,tier=spot,reserved=4,at=3s"),
+		Fleet:       churnFleet(61),
+		Policy:      FirstFit,
+		ArrivalRate: 1,
+		Market:      mustPools(t, "name=a,tier=spot,reserved=4,at=3s"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,14 +90,14 @@ type Config struct {
 	Fleet cluster.Config
 	// Policy selects the placement policy.
 	Policy Policy
-	// ArrivalRate is job arrivals per second across the fleet (default 1).
-	// Arrivals start after the fleet's warmup.
+	// ArrivalRate is job arrivals per second across the fleet; zero
+	// submits no jobs. Arrivals start after the fleet's warmup.
 	ArrivalRate float64
-	// Jobs are sampled uniformly for each arrival (default: a small,
-	// medium-deadline, and large-no-deadline mix).
+	// Jobs are sampled uniformly for each arrival; empty samples a small,
+	// medium-deadline, and large-no-deadline mix.
 	Jobs []JobSpec
 	// MaxRequeues is the per-job requeue budget: an eviction beyond it
-	// abandons the job (default 3).
+	// abandons the job (zero gives 3).
 	MaxRequeues int
 	// Checker, when set, verifies the job event stream online; Bind is
 	// called automatically and the report lands in Result.Check.
@@ -110,6 +110,7 @@ type Config struct {
 	// Resilience knobs (health.go). They engage only when Fleet.Faults
 	// enables fleet faults (server crashes or control-plane faults);
 	// without those no failure is ever observed and the knobs are inert.
+	// Each reads zero as its default, given in parentheses.
 
 	// MaxPlacementRetries bounds how often one placement is retried after
 	// a dropped grant before the job returns to the queue (default 3).
@@ -146,7 +147,6 @@ func (c *Config) applyDefaults() {
 			{Work: 16 * sim.Second, Width: 8},
 		}
 	}
-	c.ArrivalRate = cmp.Or(c.ArrivalRate, 1)
 	c.MaxRequeues = cmp.Or(c.MaxRequeues, 3)
 	c.MaxPlacementRetries = cmp.Or(c.MaxPlacementRetries, 3)
 	c.PlacementBackoff = cmp.Or(c.PlacementBackoff, 5*sim.Millisecond)
@@ -376,7 +376,7 @@ func Run(cfg Config) (*Result, error) {
 		committed: make([]int, fleet.Servers()),
 		res:       &Result{Policy: cfg.Policy},
 	}
-	seed := cmp.Or(cfg.Fleet.Seed, 1)
+	seed := fleet.Seed()
 	s.health = newHealth(s)
 	if s.pools, err = newPools(s, seed); err != nil {
 		return nil, err

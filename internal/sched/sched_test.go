@@ -24,6 +24,20 @@ func quietFleet(seed uint64) cluster.Config {
 	}
 }
 
+// TestSchedZeroArrivalRateSubmitsNothing: ArrivalRate is taken literally,
+// so a run without a job stream submits no job.
+func TestSchedZeroArrivalRateSubmitsNothing(t *testing.T) {
+	fleet := quietFleet(3)
+	fleet.Duration, fleet.Warmup = 3*sim.Second, 500*sim.Millisecond
+	res, err := Run(Config{Fleet: fleet, Policy: FirstFit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Submitted != 0 {
+		t.Fatalf("ArrivalRate 0 submitted %d jobs, want none", res.Submitted)
+	}
+}
+
 // churnFleet is a heavily loaded fleet: tenants stream in and out, so
 // harvested capacity collapses under running jobs and evictions happen.
 func churnFleet(seed uint64) cluster.Config {
@@ -60,9 +74,10 @@ func TestSchedCompletesJobsAllPolicies(t *testing.T) {
 			t.Parallel()
 			c := check.NewJobChecker()
 			res, err := Run(Config{
-				Fleet:   quietFleet(11),
-				Policy:  p,
-				Checker: c,
+				Fleet:       quietFleet(11),
+				Policy:      p,
+				ArrivalRate: 1,
+				Checker:     c,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -122,9 +137,10 @@ func TestSchedEvictsAndRequeuesUnderChurn(t *testing.T) {
 func TestSchedSLOAccounting(t *testing.T) {
 	t.Parallel()
 	res, err := Run(Config{
-		Fleet:  quietFleet(17),
-		Policy: BestFit,
-		Jobs:   []JobSpec{{Work: 2 * sim.Second, Width: 4, Deadline: 8 * sim.Second}},
+		Fleet:       quietFleet(17),
+		Policy:      BestFit,
+		ArrivalRate: 1,
+		Jobs:        []JobSpec{{Work: 2 * sim.Second, Width: 4, Deadline: 8 * sim.Second}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +163,7 @@ func TestSchedSLOAccounting(t *testing.T) {
 func TestSchedDeterministic(t *testing.T) {
 	t.Parallel()
 	sig := func() string {
-		res, err := Run(Config{Fleet: churnFleet(23), Policy: Predicted})
+		res, err := Run(Config{Fleet: churnFleet(23), Policy: Predicted, ArrivalRate: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +189,7 @@ func TestSchedJobStreamLeavesTenantsUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Fleet: churnFleet(29), Policy: FirstFit})
+	res, err := Run(Config{Fleet: churnFleet(29), Policy: FirstFit, ArrivalRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +277,7 @@ func TestSchedStaleReadStormDoesNotMassEvict(t *testing.T) {
 	fc := quietFleet(23)
 	fc.Faults = mustPlan(t, "rstale=1")
 	c := check.NewJobChecker()
-	res, err := Run(Config{Fleet: fc, Policy: FirstFit, Checker: c})
+	res, err := Run(Config{Fleet: fc, Policy: FirstFit, ArrivalRate: 1, Checker: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +357,7 @@ func TestSchedResilienceKnobsInertOnFaultFreeRuns(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := Config{Fleet: churnFleet(7), Policy: Predicted}
+	base := Config{Fleet: churnFleet(7), Policy: Predicted, ArrivalRate: 1}
 	tuned := base
 	tuned.MaxPlacementRetries = 9
 	tuned.PlacementBackoff = sim.Millisecond

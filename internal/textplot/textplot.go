@@ -27,8 +27,8 @@ var defaultGlyphs = []rune{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
 // Options control rendering.
 type Options struct {
-	// Width and Height are the plot area size in characters (default
-	// 56x16).
+	// Width and Height are the plot area size in characters, at least
+	// 16x4: a smaller value, zero included, is raised to that.
 	Width, Height int
 	// Title is printed above the plot.
 	Title string
@@ -40,26 +40,11 @@ type Options struct {
 	YMin, YMax float64
 }
 
-func (o *Options) applyDefaults() {
-	if o.Width <= 0 {
-		o.Width = 56
-	}
-	if o.Height <= 0 {
-		o.Height = 16
-	}
-	if o.Width < 16 {
-		o.Width = 16
-	}
-	if o.Height < 4 {
-		o.Height = 4
-	}
-}
-
 // Render draws the series onto a character grid with axes and a legend.
 // Series with no points are skipped; an empty plot returns a note instead
 // of axes.
 func Render(series []Series, opts Options) string {
-	opts.applyDefaults()
+	opts.Width, opts.Height = max(opts.Width, 16), max(opts.Height, 4)
 	var pts int
 	for _, s := range series {
 		pts += len(s.Points)

@@ -28,12 +28,6 @@ type ServerConfig struct {
 	// Warmup discards latency samples recorded before this time, so the
 	// learner's cold start does not pollute steady-state tails.
 	Warmup sim.Time
-	// PhaseBoundaries, if set, additionally buckets latencies into one
-	// histogram per phase: phase i covers arrivals in
-	// [boundary[i-1], boundary[i]) with boundary[-1] = 0 and a final
-	// phase for arrivals at or after the last boundary. Used by the
-	// varying-load experiments (paper Table 2). Must be ascending.
-	PhaseBoundaries []sim.Time
 }
 
 // Server runs a latency-critical application inside a VM: requests arrive
@@ -48,6 +42,7 @@ type Server struct {
 	vm   *hypervisor.VM
 
 	latency   *metrics.Histogram
+	bounds    []sim.Time // phase boundaries (ConfigurePhases)
 	phases    []*metrics.Histogram
 	completed uint64
 	offered   uint64
@@ -99,18 +94,8 @@ func NewServer(loop *sim.Loop, vm *hypervisor.VM, cfg ServerConfig) *Server {
 	if cfg.Fanout == nil {
 		cfg.Fanout = FixedFanout(1)
 	}
-	for i := 1; i < len(cfg.PhaseBoundaries); i++ {
-		if cfg.PhaseBoundaries[i] <= cfg.PhaseBoundaries[i-1] {
-			panic(fmt.Sprintf("workload: server %q phase boundaries not ascending", cfg.Name))
-		}
-	}
 	s := &Server{cfg: cfg, loop: loop, vm: vm, latency: metrics.NewHistogram()}
 	s.arrive = s.arrival
-	if n := len(cfg.PhaseBoundaries); n > 0 {
-		for i := 0; i <= n; i++ {
-			s.phases = append(s.phases, metrics.NewHistogram())
-		}
-	}
 	return s
 }
 
@@ -124,7 +109,7 @@ func (s *Server) VM() *hypervisor.VM { return s.vm }
 func (s *Server) Latency() *metrics.Histogram { return s.latency }
 
 // PhaseLatency returns the latency histogram for phase i (see
-// ServerConfig.PhaseBoundaries). It panics if phases were not configured.
+// ConfigurePhases). It panics if phases were not configured.
 func (s *Server) PhaseLatency(i int) *metrics.Histogram {
 	if len(s.phases) == 0 {
 		panic("workload: server has no phase boundaries configured")
@@ -139,14 +124,17 @@ func (s *Server) NumPhases() int { return len(s.phases) }
 // phaseIndex maps an arrival time to its phase histogram index.
 func (s *Server) phaseIndex(at sim.Time) int {
 	i := 0
-	for i < len(s.cfg.PhaseBoundaries) && at >= s.cfg.PhaseBoundaries[i] {
+	for i < len(s.bounds) && at >= s.bounds[i] {
 		i++
 	}
 	return i
 }
 
-// ConfigurePhases installs phase boundaries after construction (see
-// ServerConfig.PhaseBoundaries). It must be called before Start and only
+// ConfigurePhases additionally buckets latencies into one histogram per
+// phase: phase i covers arrivals in [boundaries[i-1], boundaries[i]) with
+// boundaries[-1] = 0, and a final phase takes arrivals at or after the
+// last boundary. Used by the varying-load experiments (paper Table 2).
+// The boundaries must ascend; it must be called before Start and only
 // once.
 func (s *Server) ConfigurePhases(boundaries []sim.Time) {
 	if s.started {
@@ -160,7 +148,7 @@ func (s *Server) ConfigurePhases(boundaries []sim.Time) {
 			panic("workload: phase boundaries not ascending")
 		}
 	}
-	s.cfg.PhaseBoundaries = boundaries
+	s.bounds = boundaries
 	for i := 0; i <= len(boundaries); i++ {
 		s.phases = append(s.phases, metrics.NewHistogram())
 	}

@@ -354,10 +354,8 @@ func TestServerPhaseLatencies(t *testing.T) {
 		Name:    "phased",
 		Arrival: NewUniform(1000),
 		Service: Deterministic(100 * sim.Microsecond),
-		PhaseBoundaries: []sim.Time{
-			sim.Second, 2 * sim.Second,
-		},
 	})
+	srv.ConfigurePhases([]sim.Time{sim.Second, 2 * sim.Second})
 	srv.Start()
 	loop.RunUntil(3 * sim.Second)
 	if srv.NumPhases() != 3 {

@@ -25,6 +25,7 @@
 //		Name:      "quickstart",
 //		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
 //		Duration:  30 * smartharvest.Second,
+//		Warmup:    2 * smartharvest.Second,
 //	})
 //
 // The lower-level building blocks (the discrete-event loop, the simulated

@@ -9,11 +9,12 @@ import (
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	res, err := smartharvest.Run(smartharvest.Scenario{
-		Name:      "api-quickstart",
-		Primaries: []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
-		Duration:  4 * smartharvest.Second,
-		Warmup:    2 * smartharvest.Second,
-		Seed:      5,
+		Name:              "api-quickstart",
+		Primaries:         []smartharvest.PrimarySpec{smartharvest.Memcached(40000)},
+		Duration:          4 * smartharvest.Second,
+		Warmup:            2 * smartharvest.Second,
+		Seed:              5,
+		LongTermSafeguard: true,
 	})
 	if err != nil {
 		t.Fatal(err)
