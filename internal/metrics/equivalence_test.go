@@ -1,0 +1,103 @@
+package metrics
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"smartharvest/internal/simrng"
+)
+
+// sameAsDense fails t unless h answers every query exactly as the dense
+// reference d does.
+func sameAsDense(t *testing.T, what string, h *Histogram, d *denseHistogram) {
+	t.Helper()
+	for _, q := range []float64{0, 0.5, 0.99, 0.999, 1} {
+		if got, want := h.Quantile(q), d.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %d, dense %d", what, q, got, want)
+		}
+	}
+	if got, want := h.CDF(), d.CDF(); !slices.Equal(got, want) {
+		t.Fatalf("%s: CDF\n%v\ndense\n%v", what, got, want)
+	}
+	if got, want := h.Summarize(), d.Summarize(); got != want {
+		t.Fatalf("%s: Summarize %+v, dense %+v", what, got, want)
+	}
+}
+
+// recordBoth records vals into a fresh Histogram and a fresh dense
+// reference of the same precision.
+func recordBoth(subBits uint, vals []int64) (*Histogram, *denseHistogram) {
+	h, d := NewHistogramPrecision(subBits), newDense(subBits)
+	for _, v := range vals {
+		h.Record(v)
+		d.Record(v)
+	}
+	return h, d
+}
+
+// mergeBothWays merges b into a and a into b, each on fresh copies, and
+// holds both results to the dense reference's.
+func mergeBothWays(t *testing.T, what string, subBits uint, a, b []int64) {
+	t.Helper()
+	for _, way := range [2][2][]int64{{a, b}, {b, a}} {
+		h, d := recordBoth(subBits, way[0])
+		ho, do := recordBoth(subBits, way[1])
+		h.Merge(ho)
+		d.Merge(do)
+		sameAsDense(t, what, h, d)
+		sameAsDense(t, what+" (merged-in side)", ho, do)
+	}
+}
+
+// TestHistogramMatchesDense holds Histogram to the dense reference at every
+// precision: the extremes (0, MaxInt64, negatives, which clamp to 0), a
+// spread over every tier, values within one tier, and merges of disjoint,
+// overlapping, nested and empty ranges, both ways.
+func TestHistogramMatchesDense(t *testing.T) {
+	r := simrng.New(46)
+	spread := func(n int, loBit, hiBit uint) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			bit := loBit + uint(r.Intn(int(hiBit-loBit)+1))
+			out[i] = int64(r.Uint64() >> (64 - bit) >> 1)
+		}
+		return out
+	}
+	for subBits := uint(1); subBits <= 16; subBits++ {
+		t.Run(fmt.Sprint(subBits), func(t *testing.T) {
+			edges := []int64{0, math.MaxInt64, -1, math.MinInt64, 1, 1<<subBits - 1, 1 << subBits, math.MaxInt64 - 1}
+			low, high := spread(500, 1, 20), spread(500, 40, 64)
+			sets := map[string][]int64{
+				"empty":       nil,
+				"edges":       edges,
+				"zero":        {0, 0, -7},
+				"max":         {math.MaxInt64},
+				"all tiers":   spread(2000, 1, 64),
+				"one tier":    {1 << 30, 1<<30 + 12345, 1<<31 - 1},
+				"low":         low,
+				"high":        high,
+				"low+edges":   append(slices.Clone(low), edges...),
+				"latency-ish": spread(2000, 14, 24),
+			}
+			for name, vals := range sets {
+				h, d := recordBoth(subBits, vals)
+				sameAsDense(t, name, h, d)
+			}
+			for _, m := range []struct {
+				name string
+				a, b []int64
+			}{
+				{"disjoint", low, high},
+				{"overlapping", spread(300, 10, 40), spread(300, 25, 55)},
+				{"nested", spread(300, 5, 60), spread(300, 30, 32)},
+				{"with edges", edges, spread(300, 20, 30)},
+				{"empty", nil, low},
+				{"both empty", nil, nil},
+			} {
+				mergeBothWays(t, m.name, subBits, m.a, m.b)
+			}
+		})
+	}
+}

@@ -9,7 +9,8 @@ import (
 // fuzz-chosen precision and cross-checks every quantile estimate against
 // ExactQuantile on the raw samples. The documented contract: relative
 // error bounded by the bucket precision 2^-subBits (plus one count of
-// integer-rounding slop in the linear region).
+// integer-rounding slop in the linear region). It then holds the
+// histogram, and both merges of its two halves, to the dense reference.
 func FuzzHistogramQuantile(f *testing.F) {
 	f.Add(uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), []byte{0xff, 0xff, 0x00, 0x00, 0x80, 0x40})
@@ -24,7 +25,7 @@ func FuzzHistogramQuantile(f *testing.F) {
 		// value and a shifted wide-range value, the second the magnitude.
 		// This covers both the exact (linear) buckets and the logarithmic
 		// region up to ~2^62.
-		var samples []int64
+		var samples, raw []int64
 		for i := 0; i+1 < len(data) && len(samples) < 4096; i += 2 {
 			b0, b1 := data[i], data[i+1]
 			var v int64
@@ -35,12 +36,17 @@ func FuzzHistogramQuantile(f *testing.F) {
 			}
 			h.Record(v)
 			samples = append(samples, v)
+			raw = append(raw, v)
 		}
 		// A trailing odd byte exercises the negative-clamp path.
 		if len(data)%2 == 1 {
 			h.Record(-int64(data[len(data)-1]))
 			samples = append(samples, 0) // Record clamps negatives to zero
+			raw = append(raw, -int64(data[len(data)-1]))
 		}
+		_, d := recordBoth(subBits, raw)
+		sameAsDense(t, "fuzz", h, d)
+		mergeBothWays(t, "fuzz halves", subBits, raw[:len(raw)/2], raw[len(raw)/2:])
 		if len(samples) == 0 {
 			if h.Quantile(0.5) != 0 {
 				t.Fatalf("empty histogram Quantile = %d, want 0", h.Quantile(0.5))
