@@ -26,27 +26,20 @@ var updateQoSWaits = flag.Bool("update", false, "rewrite testdata/qos-waits.txt 
 // agent read and how many of them exceeded its QoSWaitThreshold.
 type qosRecorder struct {
 	core.Hypervisor
-	threshold int64
-	now       func() sim.Time
-	log       strings.Builder
-	checks    int
+	now    func() sim.Time
+	log    strings.Builder
+	checks int
 }
 
-func (r *qosRecorder) DrainPrimaryWaits() []int64 {
-	w := r.Hypervisor.DrainPrimaryWaits()
-	over := 0
-	for _, x := range w {
-		if x > r.threshold {
-			over++
-		}
-	}
-	r.record(len(w), over)
-	return w
+func (r *qosRecorder) SetPrimaryWaitThreshold(t sim.Time) {
+	r.Hypervisor.(core.PrimaryWaitCounter).SetPrimaryWaitThreshold(t)
 }
 
-func (r *qosRecorder) record(waits, over int) {
+func (r *qosRecorder) DrainPrimaryWaitCounts() (waits, over int) {
+	waits, over = r.Hypervisor.(core.PrimaryWaitCounter).DrainPrimaryWaitCounts()
 	r.checks++
 	fmt.Fprintf(&r.log, "%v %d %d\n", r.now(), waits, over)
+	return waits, over
 }
 
 // recordQoS puts a qosRecorder in front of a's hypervisor. The agent keeps
@@ -55,7 +48,7 @@ func (r *qosRecorder) record(waits, over int) {
 func recordQoS(a *core.Agent, now func() sim.Time) *qosRecorder {
 	f := reflect.ValueOf(a).Elem().FieldByName("hv")
 	hv := (*core.Hypervisor)(unsafe.Pointer(f.UnsafeAddr()))
-	r := &qosRecorder{Hypervisor: *hv, threshold: int64(a.Config().QoSWaitThreshold), now: now}
+	r := &qosRecorder{Hypervisor: *hv, now: now}
 	*hv = r
 	return r
 }

@@ -49,9 +49,21 @@ type Hypervisor interface {
 	// goes to the ElasticVM. A transient failure returns a non-nil error
 	// and leaves the split unchanged; the agent retries with backoff.
 	SetPrimaryCores(n int) (ResizeResult, error)
-	// DrainPrimaryWaits returns primary vCPU dispatch-wait samples (ns)
-	// recorded since the last call.
-	DrainPrimaryWaits() []int64
+}
+
+// PrimaryWaitCounter is what a Hypervisor implements to feed the
+// long-term safeguard (paper §3.4), which needs, each 500 ms, only the
+// share of primary vCPU dispatch waits above QoSWaitThreshold: the
+// hypervisor counts the waits and those over the threshold instead of
+// handing over every one. NewAgent sets the threshold once. A Hypervisor
+// without it reports no waits, so the guard never strikes.
+type PrimaryWaitCounter interface {
+	// SetPrimaryWaitThreshold sets the wait above which a dispatch counts
+	// as over.
+	SetPrimaryWaitThreshold(threshold sim.Time)
+	// DrainPrimaryWaitCounts returns how many primary dispatch waits there
+	// were since the previous call, and how many exceeded the threshold.
+	DrainPrimaryWaitCounts() (waits, over int)
 }
 
 // EventDrivenBusy is the marker a Hypervisor implements to let the agent
@@ -410,6 +422,9 @@ func NewAgent(loop *sim.Loop, hv Hypervisor, ctrl Controller, cfg Config) (*Agen
 			cfg.PrimaryAlloc, cfg.ElasticMin, hv.TotalCores())
 	}
 	cfg.LongTermSafeguard = cfg.LongTermSafeguard && ctrl.Safeguards()
+	if wc, ok := hv.(PrimaryWaitCounter); ok {
+		wc.SetPrimaryWaitThreshold(cfg.QoSWaitThreshold)
+	}
 	a := &Agent{
 		loop: loop, hv: hv, cfg: cfg, ctrl: ctrl,
 		target:    cfg.PrimaryAlloc,
@@ -1004,16 +1019,13 @@ func (a *Agent) qosCheck() {
 		// agent observes nothing (waits accumulate for the revival).
 		return
 	}
-	waits := a.hv.DrainPrimaryWaits()
-	bad := 0
-	for _, w := range waits {
-		if w > int64(a.cfg.QoSWaitThreshold) {
-			bad++
-		}
+	var waits, bad int
+	if wc, ok := a.hv.(PrimaryWaitCounter); ok {
+		waits, bad = wc.DrainPrimaryWaitCounts()
 	}
 	frac := 0.0
-	if len(waits) > 0 {
-		frac = float64(bad) / float64(len(waits))
+	if waits > 0 {
+		frac = float64(bad) / float64(waits)
 	}
 	if frac >= a.cfg.QoSViolationFrac {
 		a.qosStrikes++
@@ -1041,7 +1053,7 @@ func (a *Agent) qosCheck() {
 			o.OnQoSTrip(obs.QoSTrip{
 				At:         a.loop.Now(),
 				Frac:       frac,
-				Waits:      len(waits),
+				Waits:      waits,
 				PauseUntil: a.pausedUntil,
 			})
 		}

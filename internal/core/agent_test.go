@@ -16,7 +16,8 @@ type fakeHV struct {
 	busyFn    func(now sim.Time) int
 	primary   int
 	resizeLat sim.Time
-	waits     []int64
+	waits     []int64 // dispatch waits (ns) queued for the next drain
+	threshold sim.Time
 	resizeLog []int
 	// failResizes fails the next N non-no-op resize requests.
 	failResizes int
@@ -47,10 +48,19 @@ func (f *fakeHV) SetPrimaryCores(n int) (ResizeResult, error) {
 	f.resizeLog = append(f.resizeLog, n)
 	return ResizeResult{Applied: true, Latency: f.resizeLat}, nil
 }
-func (f *fakeHV) DrainPrimaryWaits() []int64 {
-	w := f.waits
+func (f *fakeHV) SetPrimaryWaitThreshold(t sim.Time) { f.threshold = t }
+
+// DrainPrimaryWaitCounts counts the waits the test queued, against the
+// threshold the agent set.
+func (f *fakeHV) DrainPrimaryWaitCounts() (waits, over int) {
+	for _, w := range f.waits {
+		if w > int64(f.threshold) {
+			over++
+		}
+	}
+	waits = len(f.waits)
 	f.waits = nil
-	return w
+	return waits, over
 }
 
 func newFake(loop *sim.Loop, total int) *fakeHV {

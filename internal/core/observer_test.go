@@ -59,9 +59,7 @@ func TestAgentEmitsWindowAndPollEvents(t *testing.T) {
 // the long-term safeguard to trip at the first QoS check.
 type starvedHV struct{ *fakeHV }
 
-func (h starvedHV) DrainPrimaryWaits() []int64 {
-	return []int64{int64(sim.Millisecond), int64(sim.Millisecond)}
-}
+func (h starvedHV) DrainPrimaryWaitCounts() (waits, over int) { return 2, 2 }
 
 func TestAgentEmitsQoSTripAndResume(t *testing.T) {
 	loop := sim.NewLoop()
@@ -170,12 +168,12 @@ type starvedOnceHV struct {
 	drained bool
 }
 
-func (h *starvedOnceHV) DrainPrimaryWaits() []int64 {
+func (h *starvedOnceHV) DrainPrimaryWaitCounts() (waits, over int) {
 	if h.drained {
-		return nil
+		return 0, 0
 	}
 	h.drained = true
-	return []int64{int64(sim.Millisecond), int64(sim.Millisecond)}
+	return 2, 2
 }
 
 // TestPauseExpiresOnWindowBoundary pins the boundary semantics of the

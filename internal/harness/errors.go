@@ -20,6 +20,9 @@ var (
 	// ErrBadChurn: a churn event is malformed (departure index out of
 	// range, or the schedule would leave no primary VMs).
 	ErrBadChurn = errors.New("bad churn schedule")
+	// ErrBadQoS: QoSWaitThreshold or QoSViolationFrac is negative, or
+	// QoSViolationFrac is NaN.
+	ErrBadQoS = errors.New("bad QoS criterion")
 	// ErrUnknownBatch: Batch is not one of the declared BatchKind values.
 	ErrUnknownBatch = errors.New("unknown batch kind")
 	// ErrUnknownPredictor: from ParsePredictor, the name is not a

@@ -100,7 +100,8 @@ type Scenario struct {
 	LongTermSafeguard bool
 	// QoSWaitThreshold and QoSViolationFrac override the long-term
 	// safeguard's trip criterion; zero keeps core.DefaultConfig's (used
-	// by the safeguard sensitivity ablation).
+	// by the safeguard sensitivity ablation), and a negative (or NaN)
+	// value is refused.
 	QoSWaitThreshold sim.Time
 	QoSViolationFrac float64
 	// Churn schedules primary-VM arrivals and departures during the run,
@@ -371,18 +372,24 @@ func (a machineHV) SetPrimaryCores(n int) (core.ResizeResult, error) {
 		Latency: out.Latency,
 	}, nil
 }
-func (a machineHV) DrainPrimaryWaits() []int64 { return a.m.DrainPrimaryWaits() }
+func (a machineHV) SetPrimaryWaitThreshold(t sim.Time) { a.m.SetPrimaryWaitThreshold(t) }
+func (a machineHV) DrainPrimaryWaitCounts() (int, int) { return a.m.DrainPrimaryWaitCounts() }
 
 // BusyChangesOnlyInLoopEvents implements core.EventDrivenBusy: BusyCores
 // is a count the machine updates only in dispatch, slice-end, preemption
 // and core-move events of its loop.
 func (machineHV) BusyChangesOnlyInLoopEvents() {}
 
-var _ core.EventDrivenBusy = machineHV{}
+var (
+	_ core.EventDrivenBusy    = machineHV{}
+	_ core.PrimaryWaitCounter = machineHV{}
+	_ core.PrimaryWaitCounter = faultyHV{}
+)
 
 // faultyHV embeds the Hypervisor interface, not machineHV, so the
 // run-ahead marker is not promoted: SamplePoll draws from the injector's
 // RNG on every poll, and skipping a poll would shift every later draw.
+// The embedding hides the wait counter too, so faultyHV forwards it.
 type faultyHV struct {
 	core.Hypervisor
 	m   *hypervisor.Machine
@@ -412,6 +419,9 @@ func (a faultyHV) BusyPrimaryCores() int {
 	// cores the group does not hold.
 	return a.inj.SamplePoll(a.m.BusyCores(hypervisor.PrimaryGroup), a.m.GroupCores(hypervisor.PrimaryGroup))
 }
+
+func (a faultyHV) SetPrimaryWaitThreshold(t sim.Time) { a.m.SetPrimaryWaitThreshold(t) }
+func (a faultyHV) DrainPrimaryWaitCounts() (int, int) { return a.m.DrainPrimaryWaitCounts() }
 
 // DefaultPrimaryVMCores is each primary VM's allocation.
 const DefaultPrimaryVMCores = 10
@@ -468,6 +478,10 @@ func (s *Scenario) validate() error {
 	if s.BatchWork < 0 || s.BatchWidth < 0 || s.Batch == BatchFinite && s.BatchWork == 0 {
 		return s.scenarioErr("BatchWork/BatchWidth", ErrUnknownBatch,
 			"BatchWork=%v BatchWidth=%d", s.BatchWork, s.BatchWidth)
+	}
+	if s.QoSWaitThreshold < 0 || !(s.QoSViolationFrac >= 0) {
+		return s.scenarioErr("QoSWaitThreshold/QoSViolationFrac", ErrBadQoS,
+			"QoSWaitThreshold=%v QoSViolationFrac=%v", s.QoSWaitThreshold, s.QoSViolationFrac)
 	}
 	for i, ev := range s.Churn {
 		if ev.Depart < -1 {

@@ -190,6 +190,9 @@ func TestScenarioValidationErrors(t *testing.T) {
 			s.Window = 10 * sim.Microsecond
 			s.PollInterval = 50 * sim.Microsecond
 		}, ErrBadWindow},
+		{"negative-qos-wait-threshold", func(s *Scenario) { s.QoSWaitThreshold = -sim.Millisecond }, ErrBadQoS},
+		{"negative-qos-violation-frac", func(s *Scenario) { s.QoSViolationFrac = -3 }, ErrBadQoS},
+		{"nan-qos-violation-frac", func(s *Scenario) { s.QoSViolationFrac = math.NaN() }, ErrBadQoS},
 		{"unknown-batch", func(s *Scenario) { s.Batch = BatchKind(99) }, ErrUnknownBatch},
 		{"finite-batch-without-work", func(s *Scenario) { s.Batch = BatchFinite }, ErrUnknownBatch},
 		{"churn-depart-below-minus-one", func(s *Scenario) {

@@ -140,10 +140,11 @@ type Backend struct {
 	cfg     Config
 	primary int // current primary core count
 
-	prevCPU   map[int]cpuTimes
-	prevWait  map[int]int64 // pid -> cumulative run-queue wait ns
-	waitBuf   []int64
-	lastError error
+	prevCPU       map[int]cpuTimes
+	prevWait      map[int]int64 // pid -> cumulative run-queue wait ns
+	seen          map[int]bool  // the pids of the current drain, cleared for the next
+	waitThreshold sim.Time      // a per-task wait delta above it counts as over
+	lastError     error
 }
 
 // Compile-time: *Backend must not be a core.EventDrivenBusy — its busy
@@ -155,6 +156,8 @@ var _ = struct {
 	*Backend
 	core.EventDrivenBusy
 }.BusyChangesOnlyInLoopEvents
+
+var _ core.PrimaryWaitCounter = (*Backend)(nil)
 
 // New validates the configuration and returns a backend. It does not
 // touch the host until Init.
@@ -168,6 +171,7 @@ func New(cfg Config) (*Backend, error) {
 		primary:  len(cfg.Cores),
 		prevCPU:  map[int]cpuTimes{},
 		prevWait: map[int]int64{},
+		seen:     map[int]bool{},
 	}, nil
 }
 
@@ -330,21 +334,23 @@ func parseProcStat(s string) (map[int]cpuTimes, error) {
 	return out, nil
 }
 
-// DrainPrimaryWaits implements core.Hypervisor: it samples each primary
-// task's cumulative run-queue wait from /proc/<pid>/schedstat and returns
-// the per-task deltas since the previous drain. A delta is the closest
-// host-side analogue of the paper's "vCPU wait time per dispatch"
-// aggregated over a QoS window.
-func (b *Backend) DrainPrimaryWaits() []int64 {
-	out := b.waitBuf[:0]
+// SetPrimaryWaitThreshold implements core.PrimaryWaitCounter.
+func (b *Backend) SetPrimaryWaitThreshold(threshold sim.Time) { b.waitThreshold = threshold }
+
+// DrainPrimaryWaitCounts implements core.PrimaryWaitCounter: it samples
+// each primary task's cumulative run-queue wait from /proc/<pid>/schedstat
+// and counts the per-task deltas since the previous drain, and those
+// above the threshold. A delta is the closest host-side analogue of the
+// paper's "vCPU wait time per dispatch" aggregated over a QoS window.
+func (b *Backend) DrainPrimaryWaitCounts() (waits, over int) {
 	pids, err := b.cfg.OS.ListPIDs(b.cfg.PrimaryCgroup)
 	if err != nil {
 		b.lastError = err
-		return nil
+		return 0, 0
 	}
-	seen := map[int]bool{}
+	clear(b.seen)
 	for _, pid := range pids {
-		seen[pid] = true
+		b.seen[pid] = true
 		data, err := b.cfg.OS.ReadFile(filepath.Join(b.cfg.ProcRoot, strconv.Itoa(pid), "schedstat"))
 		if err != nil {
 			continue // task exited between listing and reading
@@ -355,18 +361,20 @@ func (b *Backend) DrainPrimaryWaits() []int64 {
 			continue
 		}
 		if prev, ok := b.prevWait[pid]; ok && wait >= prev {
-			out = append(out, wait-prev)
+			waits++
+			if sim.Time(wait-prev) > b.waitThreshold {
+				over++
+			}
 		}
 		b.prevWait[pid] = wait
 	}
 	// Forget exited tasks.
 	for pid := range b.prevWait {
-		if !seen[pid] {
+		if !b.seen[pid] {
 			delete(b.prevWait, pid)
 		}
 	}
-	b.waitBuf = out
-	return out
+	return waits, over
 }
 
 // parseSchedstatWait extracts the run-queue wait field (second value) of

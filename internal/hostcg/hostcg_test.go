@@ -323,24 +323,31 @@ func TestLostReadingsDegradeAgent(t *testing.T) {
 	}
 }
 
-func TestDrainPrimaryWaits(t *testing.T) {
+// TestDrainPrimaryWaitCounts: the first drain sets each task's baseline;
+// each later one counts a delta per task, and as over only a delta above
+// the threshold: one exactly at it does not count, one just above does.
+func TestDrainPrimaryWaitCounts(t *testing.T) {
 	f := newFakeOS()
 	b, _ := New(testConfig(f))
 	if err := b.Init(); err != nil {
 		t.Fatal(err)
 	}
-	f.pids["/cg/primary"] = []int{101, 102}
+	b.SetPrimaryWaitThreshold(400)
+	f.pids["/cg/primary"] = []int{101, 102, 103}
 	f.files["/proc/101/schedstat"] = "5000 1000 42\n"
 	f.files["/proc/102/schedstat"] = "9000 2000 77\n"
-	// First drain establishes baselines: no deltas.
-	if got := b.DrainPrimaryWaits(); len(got) != 0 {
-		t.Fatalf("first drain %v", got)
+	f.files["/proc/103/schedstat"] = "9000 3000 77\n"
+	if waits, over := b.DrainPrimaryWaitCounts(); waits != 0 || over != 0 {
+		t.Fatalf("first drain (%d, %d), want (0, 0)", waits, over)
 	}
-	f.files["/proc/101/schedstat"] = "6000 1500 44\n"
-	f.files["/proc/102/schedstat"] = "9500 2300 79\n"
-	got := b.DrainPrimaryWaits()
-	if len(got) != 2 || got[0] != 500 || got[1] != 300 {
-		t.Fatalf("deltas %v, want [500 300]", got)
+	f.files["/proc/101/schedstat"] = "6000 1401 44\n" // 401: just above
+	f.files["/proc/102/schedstat"] = "9500 2400 79\n" // 400: at the threshold
+	f.files["/proc/103/schedstat"] = "9500 3300 79\n" // 300: below
+	if waits, over := b.DrainPrimaryWaitCounts(); waits != 3 || over != 1 {
+		t.Fatalf("drain (%d, %d), want (3, 1)", waits, over)
+	}
+	if waits, over := b.DrainPrimaryWaitCounts(); waits != 3 || over != 0 {
+		t.Fatalf("drain with no new waits (%d, %d), want (3, 0)", waits, over)
 	}
 }
 
@@ -352,14 +359,14 @@ func TestDrainForgetsExitedTasks(t *testing.T) {
 	}
 	f.pids["/cg/primary"] = []int{101}
 	f.files["/proc/101/schedstat"] = "1 100 1\n"
-	b.DrainPrimaryWaits()
+	b.DrainPrimaryWaitCounts()
 	// Task exits; a new task reuses the pid later with a LOWER counter.
 	f.pids["/cg/primary"] = []int{}
-	b.DrainPrimaryWaits()
+	b.DrainPrimaryWaitCounts()
 	f.pids["/cg/primary"] = []int{101}
 	f.files["/proc/101/schedstat"] = "1 5 1\n"
-	if got := b.DrainPrimaryWaits(); len(got) != 0 {
-		t.Fatalf("stale baseline produced deltas %v", got)
+	if waits, over := b.DrainPrimaryWaitCounts(); waits != 0 || over != 0 {
+		t.Fatalf("stale baseline counted (%d, %d)", waits, over)
 	}
 }
 
@@ -369,14 +376,14 @@ func TestDrainSkipsVanishedProc(t *testing.T) {
 	if err := b.Init(); err != nil {
 		t.Fatal(err)
 	}
+	b.SetPrimaryWaitThreshold(40)
 	f.pids["/cg/primary"] = []int{101, 102}
 	f.files["/proc/101/schedstat"] = "1 100 1\n"
 	// 102 has no schedstat (exited between list and read): skipped.
-	b.DrainPrimaryWaits()
+	b.DrainPrimaryWaitCounts()
 	f.files["/proc/101/schedstat"] = "1 150 1\n"
-	got := b.DrainPrimaryWaits()
-	if len(got) != 1 || got[0] != 50 {
-		t.Fatalf("deltas %v", got)
+	if waits, over := b.DrainPrimaryWaitCounts(); waits != 1 || over != 1 {
+		t.Fatalf("drain (%d, %d), want (1, 1)", waits, over)
 	}
 }
 

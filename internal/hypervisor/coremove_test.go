@@ -37,8 +37,8 @@ func benchmarkCoreMoves(mech Mechanism) func(b *testing.B) {
 				}
 				loop.RunUntil(loop.Now() + 20*sim.Millisecond)
 			}
-			// The agent drains the wait samples; nobody else would.
-			m.DrainPrimaryWaits()
+			// The agent drains the wait counts every 500 ms.
+			m.DrainPrimaryWaitCounts()
 		}
 		for i := 0; i < 50; i++ {
 			round() // run queues and the event heap reach capacity

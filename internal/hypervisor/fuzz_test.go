@@ -64,6 +64,9 @@ func driveMachine(t *testing.T, mech Mechanism, seed uint64, steps int, pick fun
 		t.Fatal(err)
 	}
 	m.SetInitialSplit(6)
+	// Every wait of at least zero counts as over, so over == waits at the
+	// end says no dispatch waited a negative time.
+	m.SetPrimaryWaitThreshold(-1)
 	evm := m.AddVM("elastic", ElasticGroup, 8, 8)
 
 	type tracked struct {
@@ -155,10 +158,7 @@ func driveMachine(t *testing.T, mech Mechanism, seed uint64, steps int, pick fun
 	if evm.CPUTime() != elasticSubmitted {
 		t.Fatalf("elastic executed %v of %v submitted", evm.CPUTime(), elasticSubmitted)
 	}
-	// Wait samples must all be non-negative.
-	for _, w := range m.DrainPrimaryWaits() {
-		if w < 0 {
-			t.Fatalf("negative wait %d", w)
-		}
+	if waits, over := m.DrainPrimaryWaitCounts(); over != waits {
+		t.Fatalf("%d of %d dispatch waits negative", waits-over, waits)
 	}
 }

@@ -183,7 +183,8 @@ type Machine struct {
 	ipiMu, ipiSigma float64 // log-normal parameters for IPI effect delay
 
 	// Instrumentation.
-	primaryWaits  []int64             // dispatch waits (ns) since the last drain
+	waitThreshold sim.Time            // a primary dispatch wait above it counts as over
+	waits, over   int                 // primary dispatch waits since the last drain, and those over
 	growLatency   *metrics.Histogram  // elastic +1 core: request -> effect
 	shrinkLatency *metrics.Histogram  // elastic -1 core: request -> effect
 	coreTime      [numGroups]sim.Time // core-time of each group up to accruedAt
@@ -330,15 +331,19 @@ func (m *Machine) GroupCores(g GroupID) int { return m.counts[g] }
 // it with the scan.
 func (m *Machine) BusyCores(g GroupID) int { return m.busy[g] }
 
-// DrainPrimaryWaits returns the primary vCPU dispatch-wait samples (ns)
-// recorded since the previous call, and resets the buffer. The agent's
-// long-term safeguard consumes these every 500 ms. The machine keeps the
-// one buffer: the returned slice is valid only until the machine next
-// dispatches a primary vCPU, so read it before the event loop runs on.
-func (m *Machine) DrainPrimaryWaits() []int64 {
-	out := m.primaryWaits
-	m.primaryWaits = m.primaryWaits[:0]
-	return out
+// SetPrimaryWaitThreshold sets the dispatch wait above which
+// DrainPrimaryWaitCounts counts a primary dispatch as over: the agent's
+// QoSWaitThreshold, which the machine does not default.
+func (m *Machine) SetPrimaryWaitThreshold(threshold sim.Time) { m.waitThreshold = threshold }
+
+// DrainPrimaryWaitCounts returns how many primary vCPU dispatches there
+// were since the previous call and how many of them waited longer than
+// the threshold, and resets both counts. The agent's long-term safeguard
+// reads them every 500 ms.
+func (m *Machine) DrainPrimaryWaitCounts() (waits, over int) {
+	waits, over = m.waits, m.over
+	m.waits, m.over = 0, 0
+	return waits, over
 }
 
 // GrowLatency returns the histogram of request-to-effect latency for cores
@@ -784,9 +789,11 @@ func (m *Machine) dispatch(c *Core, v *VCPU) {
 	if span := m.cfg.DispatchOverheadMax - m.cfg.DispatchOverheadMin; span > 0 {
 		overhead += sim.Time(m.rng.Intn(int(span) + 1))
 	}
-	wait := int64(now-v.readySince) + int64(overhead)
 	if v.vm.group == PrimaryGroup {
-		m.primaryWaits = append(m.primaryWaits, wait)
+		m.waits++
+		if now-v.readySince+overhead > m.waitThreshold {
+			m.over++
+		}
 	}
 
 	v.core = c

@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"smartharvest/internal/sim"
@@ -261,29 +262,23 @@ func TestResizeFlipFlopCancelsPendingMoves(t *testing.T) {
 	m.checkInvariants(t)
 }
 
-func TestWaitSamplesRecordedOnContention(t *testing.T) {
+func TestWaitCountsOnContention(t *testing.T) {
 	loop, m := newTestMachine(t, 1, CpuGroups)
 	m.SetInitialSplit(1)
+	m.SetPrimaryWaitThreshold(5*sim.Millisecond - 1)
 	vm := m.AddVM("p", PrimaryGroup, 2, 2)
 	vm.Submit(5*sim.Millisecond, nil)
 	vm.Submit(5*sim.Millisecond, nil) // must wait for the first
 	loop.RunUntil(sim.Second)
-	waits := m.DrainPrimaryWaits()
-	if len(waits) < 2 {
-		t.Fatalf("wait samples %d", len(waits))
+	waits, over := m.DrainPrimaryWaitCounts()
+	if waits < 2 {
+		t.Fatalf("%d dispatch waits, want at least 2", waits)
 	}
-	var maxWait int64
-	for _, w := range waits {
-		if w > maxWait {
-			maxWait = w
-		}
+	if over < 1 {
+		t.Fatalf("no wait over 5ms-1 of %d; the second job queues behind the first for 5ms", waits)
 	}
-	if maxWait < int64(5*sim.Millisecond) {
-		t.Fatalf("max wait %v, want >= 5ms (queued behind first job)", maxWait)
-	}
-	// Drain resets.
-	if len(m.DrainPrimaryWaits()) != 0 {
-		t.Fatal("drain did not reset")
+	if waits, over := m.DrainPrimaryWaitCounts(); waits != 0 || over != 0 {
+		t.Fatalf("drain did not reset: (%d, %d)", waits, over)
 	}
 }
 
@@ -293,32 +288,35 @@ func TestNoWaitSamplesPerQuantumWhenAlone(t *testing.T) {
 	vm := m.AddVM("p", PrimaryGroup, 1, 1)
 	vm.Submit(100*sim.Millisecond, nil) // 10 quanta
 	loop.RunUntil(sim.Second)
-	if n := len(m.DrainPrimaryWaits()); n != 1 {
-		t.Fatalf("wait samples %d; a lone thread should only record its initial dispatch", n)
+	if n, _ := m.DrainPrimaryWaitCounts(); n != 1 {
+		t.Fatalf("%d dispatch waits; a lone thread should only record its initial dispatch", n)
 	}
 }
 
+// TestDispatchOverheadBounds: 200 uncontended dispatches each wait their
+// dispatch overhead alone, so all are over a threshold just below its
+// minimum and none over its maximum.
 func TestDispatchOverheadBounds(t *testing.T) {
-	loop := sim.NewLoop()
 	cfg := DefaultConfig(4)
-	m, err := New(loop, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetInitialSplit(4)
-	vm := m.AddVM("p", PrimaryGroup, 4, 4)
-	for i := 0; i < 200; i++ {
-		at := sim.Time(i) * sim.Millisecond
-		loop.At(at, func() { vm.Submit(100*sim.Microsecond, nil) })
-	}
-	loop.RunUntil(sim.Second)
-	waits := m.DrainPrimaryWaits()
-	if len(waits) != 200 {
-		t.Fatalf("samples %d", len(waits))
-	}
-	for _, w := range waits {
-		if w < int64(cfg.DispatchOverheadMin) || w > int64(cfg.DispatchOverheadMax) {
-			t.Fatalf("uncontended wait %dns outside overhead bounds", w)
+	for _, c := range []struct {
+		threshold sim.Time
+		over      int
+	}{{cfg.DispatchOverheadMin - 1, 200}, {cfg.DispatchOverheadMax, 0}} {
+		loop := sim.NewLoop()
+		m, err := New(loop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetInitialSplit(4)
+		m.SetPrimaryWaitThreshold(c.threshold)
+		vm := m.AddVM("p", PrimaryGroup, 4, 4)
+		for i := 0; i < 200; i++ {
+			at := sim.Time(i) * sim.Millisecond
+			loop.At(at, func() { vm.Submit(100*sim.Microsecond, nil) })
+		}
+		loop.RunUntil(sim.Second)
+		if waits, over := m.DrainPrimaryWaitCounts(); waits != 200 || over != c.over {
+			t.Fatalf("threshold %v: (%d, %d) waits over, want (200, %d)", c.threshold, waits, over, c.over)
 		}
 	}
 }
@@ -546,5 +544,48 @@ func TestMechanismString(t *testing.T) {
 	}
 	if PrimaryGroup.String() != "primary" || ElasticGroup.String() != "elastic" {
 		t.Fatal("group names")
+	}
+}
+
+// TestPrimaryWaitsHoldNoBuffer: the long-term safeguard's wait signal is
+// two counts, so 100 k contended primary dispatches, drained every 500 ms
+// as the agent drains them, allocate nothing once the machine is warm —
+// however many waits one window holds. Measured in bytes
+// (runtime.MemStats.TotalAlloc), not in allocs/op, which truncates.
+func TestPrimaryWaitsHoldNoBuffer(t *testing.T) {
+	loop := sim.NewLoop()
+	m, err := New(loop, DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetInitialSplit(2)
+	m.SetPrimaryWaitThreshold(50 * sim.Microsecond)
+	vm := m.AddVM("p", PrimaryGroup, 4, 4)
+	// Bursts of three 60 µs requests every 100 µs: 1.8 cores of work on
+	// 2, so one vCPU of each burst waits for a core.
+	loop.NewTicker(0, 100*sim.Microsecond, func() {
+		for range 3 {
+			vm.Submit(60*sim.Microsecond, nil)
+		}
+	})
+	var waits, over int
+	loop.NewTicker(500*sim.Millisecond, 500*sim.Millisecond, func() {
+		w, o := m.DrainPrimaryWaitCounts()
+		waits, over = waits+w, over+o
+	})
+	loop.RunUntil(10 * sim.Millisecond) // queues, free lists and the event heap warm up
+	m.DrainPrimaryWaitCounts()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loop.RunUntil(3510 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	w, o := m.DrainPrimaryWaitCounts()
+	waits, over = waits+w, over+o
+	t.Logf("%d dispatch waits, %d over 50 µs", waits, over)
+	if waits < 100_000 || over == 0 {
+		t.Fatalf("%d dispatch waits, %d over 50 µs; want 100 k contended ones", waits, over)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+		t.Fatalf("%d dispatch waits allocated %d B, want 0", waits, b)
 	}
 }

@@ -18,15 +18,23 @@ import (
 // 2^subBits linear sub-buckets, bounding the relative quantile error at
 // 2^-subBits (≈0.8% with the default 7 sub-bits).
 //
+// A histogram holds only the tiers its values have reached: none until
+// the first Record, then a window of whole tiers that grows to take in
+// each new tier (see cover). Answers do not depend on the window: they are
+// those of a histogram holding all 64 tiers.
+//
 // The zero value is not usable; call NewHistogram.
 type Histogram struct {
 	subBits uint
-	counts  []uint64
-	total   uint64
-	sum     float64
-	sumSq   float64
-	min     int64
-	max     int64
+	// counts holds the buckets from bucket index base on, whole tiers of
+	// 2^subBits; nil until the first Record.
+	counts []uint64
+	base   int
+	total  uint64
+	sum    float64
+	sumSq  float64
+	min    int64
+	max    int64
 }
 
 const defaultSubBits = 7
@@ -40,14 +48,48 @@ func NewHistogramPrecision(subBits uint) *Histogram {
 	if subBits < 1 || subBits > 16 {
 		panic(fmt.Sprintf("metrics: subBits %d out of range [1,16]", subBits))
 	}
-	// 64 tiers (one per possible highest bit) each with 2^subBits buckets
-	// covers the whole non-negative int64 range.
 	return &Histogram{
 		subBits: subBits,
-		counts:  make([]uint64, 64<<subBits),
 		min:     math.MaxInt64,
 		max:     math.MinInt64,
 	}
+}
+
+// tiers returns the first and last tier counts holds; hi < lo when it
+// holds none.
+func (h *Histogram) tiers() (lo, hi int) {
+	lo = h.base >> h.subBits
+	return lo, lo + len(h.counts)>>h.subBits - 1
+}
+
+// cover widens counts to hold tiers lo..hi. Each widening at least
+// doubles the span it replaces, on the side that needs it, so a histogram
+// whose values arrive tier by tier reallocates only a few times; one
+// whose first two values are its extremes allocates those tiers and no
+// more. Tier 63-subBits holds MaxInt64, the last a value can reach.
+func (h *Histogram) cover(lo, hi int) {
+	curLo, curHi := h.tiers()
+	if curLo <= lo && hi <= curHi {
+		return
+	}
+	if len(h.counts) > 0 {
+		span := curHi - curLo + 1
+		if lo < curLo {
+			lo = max(min(lo, curHi+1-2*span), 0)
+		} else {
+			lo = curLo
+		}
+		if hi > curHi {
+			hi = min(max(hi, curLo-1+2*span), 63-int(h.subBits))
+		} else {
+			hi = curHi
+		}
+	}
+	counts := make([]uint64, (hi-lo+1)<<h.subBits)
+	if len(h.counts) > 0 {
+		copy(counts[h.base-lo<<h.subBits:], h.counts)
+	}
+	h.counts, h.base = counts, lo<<h.subBits
 }
 
 // bucketIndex maps a non-negative value to its bucket.
@@ -89,7 +131,12 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)]++
+	b := h.bucketIndex(v)
+	if uint(b-h.base) >= uint(len(h.counts)) {
+		t := b >> h.subBits
+		h.cover(t, t)
+	}
+	h.counts[b-h.base]++
 	h.total++
 	f := float64(v)
 	h.sum += f
@@ -167,8 +214,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 			// Midpoint of the bucket, clamped to observed extremes so
 			// estimates never exceed the true min/max. low+(high-low)/2:
 			// the top buckets sit near MaxInt64, where low+high overflows.
-			low := h.bucketLow(i)
-			mid := low + (h.bucketHigh(i)-low)/2
+			low := h.bucketLow(h.base + i)
+			mid := low + (h.bucketHigh(h.base+i)-low)/2
 			if mid < h.min {
 				mid = h.min
 			}
@@ -193,19 +240,22 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h.subBits != other.subBits {
 		panic("metrics: merging histograms of different precision")
 	}
+	if other.total == 0 {
+		return
+	}
+	h.cover(other.tiers())
+	off := other.base - h.base
 	for i, c := range other.counts {
-		h.counts[i] += c
+		h.counts[off+i] += c
 	}
 	h.total += other.total
 	h.sum += other.sum
 	h.sumSq += other.sumSq
-	if other.total > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
+	if other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
 	}
 }
 
@@ -228,7 +278,7 @@ func (h *Histogram) CDF() []CDFPoint {
 			continue
 		}
 		cum += c
-		v := h.bucketHigh(i)
+		v := h.bucketHigh(h.base + i)
 		if v > h.max {
 			v = h.max
 		}
@@ -260,8 +310,9 @@ func (h *Histogram) Summarize() Summary {
 var quantileScratch = sync.Pool{New: func() any { return new([]int64) }}
 
 // ExactQuantile computes the nearest-rank q-quantile of a raw sample slice.
-// It is used by tests to validate Histogram and by small-sample paths (the
-// long-term safeguard's 500 ms windows) where exactness is cheap. The
+// It is used by tests to validate Histogram and by small-sample paths
+// where exactness is cheap: sched's job completion-time quantiles and
+// cluster's per-server harvest spread. The
 // input is never mutated; the sorted copy lives in a reused scratch
 // buffer, so steady-state calls do not allocate.
 func ExactQuantile(samples []int64, q float64) int64 {

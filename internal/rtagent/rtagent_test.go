@@ -63,11 +63,12 @@ func (h *scriptedHV) SetPrimaryCores(n int) (core.ResizeResult, error) {
 	h.primary = n
 	return core.ResizeResult{Applied: true, Latency: 200 * sim.Microsecond}, nil
 }
-func (h *scriptedHV) DrainPrimaryWaits() []int64 {
+func (h *scriptedHV) SetPrimaryWaitThreshold(sim.Time) {}
+func (h *scriptedHV) DrainPrimaryWaitCounts() (waits, over int) {
 	if now := h.loop.Now(); now > 4*sim.Second && now < 5*sim.Second {
-		return []int64{int64(sim.Millisecond)} // starved: trips the QoS guard
+		return 1, 1 // starved: trips the QoS guard
 	}
-	return []int64{1}
+	return 1, 0
 }
 
 // startAgent wires the host-path agent (1 ms polls) on a fresh loop.

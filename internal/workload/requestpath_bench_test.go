@@ -38,10 +38,9 @@ func BenchmarkRequestPath(b *testing.B) {
 	})
 	kv.Start()
 	fan.Start()
-	// The agent's long-term safeguard drains the wait samples every 500 ms;
-	// without a consumer the buffer would grow for the whole run.
-	loop.NewTicker(500*sim.Millisecond, 500*sim.Millisecond, func() { m.DrainPrimaryWaits() })
-	loop.RunUntil(sim.Second) // free lists, queues and the wait buffer reach capacity
+	// The agent's long-term safeguard drains the wait counts every 500 ms.
+	loop.NewTicker(500*sim.Millisecond, 500*sim.Millisecond, func() { m.DrainPrimaryWaitCounts() })
+	loop.RunUntil(sim.Second) // free lists and queues reach capacity
 	before := kv.Completed() + fan.Completed()
 	b.ReportAllocs()
 	b.ResetTimer()

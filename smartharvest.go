@@ -187,6 +187,7 @@ var (
 	ErrBadDuration      = harness.ErrBadDuration
 	ErrBadWindow        = harness.ErrBadWindow
 	ErrBadChurn         = harness.ErrBadChurn
+	ErrBadQoS           = harness.ErrBadQoS
 	ErrUnknownBatch     = harness.ErrUnknownBatch
 	ErrUnknownPredictor = harness.ErrUnknownPredictor
 )
