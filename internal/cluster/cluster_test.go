@@ -46,23 +46,31 @@ func TestFleetHarvestsIdleCapacity(t *testing.T) {
 }
 
 func TestFleetRejectsWhenFull(t *testing.T) {
-	// One tiny server and a flood of arrivals: most must be rejected,
-	// never placed beyond capacity.
-	res, err := Run(Config{
-		Servers:        1,
-		CoresPerServer: 11, // room for exactly one 10-core tenant
-		ArrivalRate:    3,
-		MeanLifetime:   300 * sim.Second, // effectively no departures
-		Duration:       10 * sim.Second,
-		Warmup:         sim.Second,
-		Seed:           5,
-		Workloads:      []apps.PrimarySpec{apps.Memcached(40000)},
-	})
+	// One server and a flood of arrivals: most must be rejected, never
+	// placed beyond capacity. A server holds 21 cores, room for exactly
+	// two 10-core tenants beside the ElasticVM's minimum.
+	cfg := Config{
+		Servers:      1,
+		ArrivalRate:  3,
+		MeanLifetime: 300 * sim.Second, // effectively no departures
+		Duration:     10 * sim.Second,
+		Warmup:       sim.Second,
+		Seed:         5,
+		Workloads:    []apps.PrimarySpec{apps.Memcached(40000)},
+	}
+	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Placed != 1 {
-		t.Fatalf("placed %d on a one-slot server", res.Placed)
+	if cores := f.servers[0].Machine.TotalCores(); cores != 21 {
+		t.Fatalf("a server holds %d cores, want 21", cores)
+	}
+	res, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placed != 2 {
+		t.Fatalf("placed %d on a two-slot server", res.Placed)
 	}
 	if res.Rejected == 0 {
 		t.Fatal("overflow arrivals were not rejected")
@@ -181,18 +189,17 @@ func TestFleetCustomController(t *testing.T) {
 
 func TestFleetFirstFitReusesFreedServer(t *testing.T) {
 	// Regression: a tenant departure must actually free its server for
-	// the next first-fit placement. Two single-slot servers with heavy
+	// the next first-fit placement. Two two-slot servers with heavy
 	// churn — if freed capacity were not reused, each server could host
-	// at most one tenant ever.
+	// at most two tenants ever.
 	res, err := Run(Config{
-		Servers:        2,
-		CoresPerServer: 11,
-		ArrivalRate:    1.5,
-		MeanLifetime:   3 * sim.Second,
-		Duration:       30 * sim.Second,
-		Warmup:         sim.Second,
-		Seed:           37,
-		Workloads:      []apps.PrimarySpec{apps.Memcached(40000)},
+		Servers:      2,
+		ArrivalRate:  1.5,
+		MeanLifetime: 3 * sim.Second,
+		Duration:     30 * sim.Second,
+		Warmup:       sim.Second,
+		Seed:         37,
+		Workloads:    []apps.PrimarySpec{apps.Memcached(40000)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +209,11 @@ func TestFleetFirstFitReusesFreedServer(t *testing.T) {
 	}
 	// First-fit prefers server 0, so the freed first server must be
 	// reused repeatedly.
-	if res.PerServer[0].TenantsHosted < 2 {
+	if res.PerServer[0].TenantsHosted <= 2 {
 		t.Fatalf("server 0 hosted %d tenants; freed slot never reused",
 			res.PerServer[0].TenantsHosted)
 	}
-	if res.Placed <= 2 {
+	if res.Placed <= 4 {
 		t.Fatalf("placed only %d tenants across the run", res.Placed)
 	}
 }
