@@ -41,6 +41,10 @@ var goldenJobs = []JobSpec{
 
 const goldenChaosPlan = "scrash=0.02,srestartdur=150ms,gdrop=0.35,gdelay=0.15,rstale=0.2,rloss=0.1"
 
+// goldenPoolsChaosPlan drops fewer grants than goldenChaosPlan: at 0.35
+// the pooled run's admission never recovers within the span.
+const goldenPoolsChaosPlan = "scrash=0.02,srestartdur=150ms,gdrop=0.25,gdelay=0.15,rstale=0.2,rloss=0.1"
+
 const goldenPools = "overcommit=8;name=cheap,tier=spot,reserved=6,price=0.5,at=250ms;" +
 	"name=mid,tier=standard,reserved=3,size=150ms,at=300ms;name=gold,tier=premium,reserved=2,price=4,at=350ms"
 
@@ -54,16 +58,12 @@ const goldenPools = "overcommit=8;name=cheap,tier=spot,reserved=6,price=0.5,at=2
 // cannot go vacuous. Regenerate with `go test -run TestSchedGolden
 // -update` — only for an intended behaviour change.
 func TestSchedGolden(t *testing.T) {
-	chaos := func(seed uint64) Config {
+	chaos := func(seed uint64, plan string) Config {
 		fc := goldenFleet(seed)
-		fc.Faults = mustPlan(t, goldenChaosPlan)
-		return Config{
-			Fleet: fc, Policy: BestFit, ArrivalRate: 30, Jobs: goldenJobs,
-			QuarantineAfter: 2, QuarantineDur: 100 * sim.Millisecond,
-			ProbationDur: 100 * sim.Millisecond, DegradeEnter: 6,
-		}
+		fc.Faults = mustPlan(t, plan)
+		return Config{Fleet: fc, Policy: BestFit, ArrivalRate: 30, Jobs: goldenJobs}
 	}
-	pooled := chaos(10)
+	pooled := chaos(10, goldenPoolsChaosPlan)
 	pooled.Policy = FirstFit
 	pooled.Market = mustPools(t, goldenPools)
 
@@ -84,7 +84,7 @@ func TestSchedGolden(t *testing.T) {
 		},
 		{
 			name: "fleet-chaos",
-			cfg:  chaos(8),
+			cfg:  chaos(8, goldenChaosPlan),
 			reach: []string{"job-evict", "job-requeue", "job-complete",
 				`"kind":"grant-drop"`, `"kind":"grant-delay"`, `"kind":"read-stale"`,
 				`"kind":"reconcile-loss"`, "placement-retry", "server-quarantine", "server-probation",
