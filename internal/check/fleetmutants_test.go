@@ -20,12 +20,13 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// The chaos baseline's scheduler knobs; boundChaos must mirror them.
+// The chaos baseline's fleet size and the scheduler's requeue and
+// resilience constants, which boundChaos binds.
 const (
 	chaosServers      = 2
 	chaosMaxRequeues  = 3
 	chaosMaxRetries   = 3
-	chaosQuarAfter    = 2
+	chaosQuarAfter    = 3
 	chaosBackoff      = 5 * sim.Millisecond
 	chaosQuarDur      = 250 * sim.Millisecond
 	chaosQuarMax      = 2 * sim.Second
@@ -56,10 +57,8 @@ func captureChaosStream(t *testing.T) []obs.Record {
 			Faults:       plan,
 			Observer:     ring,
 		},
-		Policy:          sched.FirstFit,
-		ArrivalRate:     3,
-		MaxRequeues:     chaosMaxRequeues,
-		QuarantineAfter: chaosQuarAfter,
+		Policy:      sched.FirstFit,
+		ArrivalRate: 3,
 	})
 	if err != nil {
 		t.Fatalf("chaos baseline run: %v", err)

@@ -17,6 +17,7 @@ import (
 	"smartharvest/internal/sim"
 )
 
+// The baseline's fleet size and sched's requeue budget.
 const (
 	jobMutantServers     = 2
 	jobMutantMaxRequeues = 3
@@ -42,7 +43,6 @@ func captureJobStream(t *testing.T) []obs.Record {
 		},
 		Policy:      sched.FirstFit,
 		ArrivalRate: 2,
-		MaxRequeues: jobMutantMaxRequeues,
 	})
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)

@@ -55,7 +55,6 @@ func captureMarketStream(t *testing.T) []obs.Record {
 		},
 		Policy:      sched.FirstFit,
 		ArrivalRate: 2,
-		MaxRequeues: jobMutantMaxRequeues,
 		Market:      marketMutantConfig(t),
 	})
 	if err != nil {

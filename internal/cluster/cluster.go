@@ -27,14 +27,15 @@ import (
 	"smartharvest/internal/simrng"
 )
 
+// maxAlloc is each server's most primary cores: room for two
+// harness.DefaultPrimaryVMCores tenants. With the ElasticVM minimum,
+// harness.ElasticMin, a server holds 21 cores.
+const maxAlloc = 2 * harness.DefaultPrimaryVMCores
+
 // Config describes the fleet and its tenant stream.
 type Config struct {
 	// Servers is the fleet size.
 	Servers int
-	// CoresPerServer is each server's harvesting pool; zero gives 21:
-	// capacity for two harness.DefaultPrimaryVMCores tenants plus the
-	// ElasticVM minimum, harness.ElasticMin.
-	CoresPerServer int
 	// Controller builds each server's policy; nil runs SmartHarvest, as
 	// a harness.Scenario does.
 	Controller harness.ControllerFactory
@@ -78,9 +79,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.CoresPerServer == 0 {
-		c.CoresPerServer = 2*harness.DefaultPrimaryVMCores + harness.ElasticMin
-	}
 	if c.Controller == nil {
 		c.Controller = harness.SmartHarvestFactory(core.SmartHarvestOptions{})
 	}
@@ -98,9 +96,6 @@ func (c *Config) applyDefaults() {
 func (c *Config) validate() error {
 	if c.Servers < 1 {
 		return fmt.Errorf("cluster: need at least one server")
-	}
-	if c.CoresPerServer < harness.DefaultPrimaryVMCores+harness.ElasticMin {
-		return fmt.Errorf("cluster: servers too small for one tenant VM")
 	}
 	if c.ArrivalRate < 0 {
 		return fmt.Errorf("cluster: negative arrival rate")
@@ -164,7 +159,6 @@ type Fleet struct {
 	cfg      Config
 	loop     *sim.Loop
 	servers  []*harness.Server
-	maxAlloc int // each server's most primary cores
 	res      *Result
 	merged   *metrics.Histogram
 	runErr   error
@@ -197,19 +191,18 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	loop := sim.NewLoop()
 	f := &Fleet{
 		cfg: cfg, loop: loop, res: &Result{},
-		merged:   metrics.NewHistogram(),
-		end:      cfg.Warmup + cfg.Duration,
-		maxAlloc: cfg.CoresPerServer - harness.ElasticMin,
+		merged: metrics.NewHistogram(),
+		end:    cfg.Warmup + cfg.Duration,
 	}
 
 	f.servers = make([]*harness.Server, cfg.Servers)
 	for i := range f.servers {
-		agentCfg := core.DefaultConfig(f.maxAlloc, harness.ElasticMin)
+		agentCfg := core.DefaultConfig(maxAlloc, harness.ElasticMin)
 		agentCfg.Observer = agentObserver
 		// Empty server: one core reserved for the (absent) primaries'
 		// floor, everything else harvestable.
 		s, err := harness.NewServer(loop, rng, cfg.Mechanism, cfg.Faults, cfg.Observer,
-			cfg.Controller(f.maxAlloc), agentCfg, 1)
+			cfg.Controller(maxAlloc), agentCfg, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +248,7 @@ func newFleet(cfg Config, agentObserver obs.Observer) (*Fleet, error) {
 	place := func(spec apps.PrimarySpec) {
 		var target *harness.Server
 		for _, s := range f.servers {
-			if (s.Live()+1)*harness.DefaultPrimaryVMCores <= f.maxAlloc {
+			if (s.Live()+1)*harness.DefaultPrimaryVMCores <= maxAlloc {
 				target = s
 				break
 			}

@@ -155,7 +155,6 @@ func TestFleetValidation(t *testing.T) {
 	}
 	for i, mut := range []func(*Config){
 		func(c *Config) { c.Servers = 0 },
-		func(c *Config) { c.CoresPerServer = 5 }, // too small for a tenant
 		func(c *Config) { c.ArrivalRate = -1 },
 		func(c *Config) { c.Warmup = -sim.Second },
 		func(c *Config) { c.Duration = -sim.Second },

@@ -93,19 +93,9 @@ var defaults = map[string]string{
 	"harness.Scenario.PollInterval in harness.Scenario.applyDefaults": "benchmark/workloads.go singleScenario leaves it zero; the value is core.DefaultConfig's",
 	"harness.Scenario.QoSWaitThreshold in harness.Run":                "benchmark/workloads.go singleScenario leaves it zero; the agent keeps core.DefaultConfig's",
 	"harness.Scenario.QoSViolationFrac in harness.Run":                "benchmark/workloads.go singleScenario leaves it zero; the agent keeps core.DefaultConfig's",
-	"cluster.Config.CoresPerServer in cluster.Config.applyDefaults":   "benchmark/workloads.go fleetConfig leaves it zero",
 	"cluster.Config.Controller in cluster.Config.applyDefaults": "benchmark/workloads.go fleetConfig leaves it nil; the value is harness.SmartHarvestFactory's, " +
 		"as for a nil harness.Scenario.Controller",
-	"cluster.Config.Observer in sched.Run":                           "benchmark/workloads.go fleetConfig leaves it nil; sched then emits its job events into obs.NopObserver",
-	"sched.Config.MaxRequeues in sched.Config.applyDefaults":         "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.MaxPlacementRetries in sched.Config.applyDefaults": "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.PlacementBackoff in sched.Config.applyDefaults":    "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.QuarantineAfter in sched.Config.applyDefaults":     "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.QuarantineDur in sched.Config.applyDefaults":       "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.QuarantineMax in sched.Config.applyDefaults":       "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.ProbationDur in sched.Config.applyDefaults":        "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.DegradeEnter in sched.Config.applyDefaults":        "benchmark/workloads.go runFleet leaves it zero",
-	"sched.Config.DegradeExit in sched.Config.applyDefaults":         "benchmark/workloads.go runFleet leaves it zero",
+	"cluster.Config.Observer in sched.Run": "benchmark/workloads.go fleetConfig leaves it nil; sched then emits its job events into obs.NopObserver",
 	"core.SmartHarvestOptions.LearningRate in core.NewSmartHarvest": "benchmark/workloads.go smartHarvest passes SmartHarvestOptions{}; " +
 		"the value is learner.DefaultLR",
 	"core.SmartHarvestOptions.Cost in core.NewSmartHarvest": "benchmark/workloads.go smartHarvest passes SmartHarvestOptions{}",
@@ -119,15 +109,14 @@ var defaults = map[string]string{
 		"nil runs the same harness.SmartHarvestFactory controller as a nil cluster.Config.Controller",
 
 	// Production callers in this tree that leave the field zero.
-	"cluster.Config.Workloads in cluster.Config.applyDefaults":          "experiments.schedFleet leaves it nil without a -tenants class",
-	"sched.Config.Jobs in sched.Config.applyDefaults":                   "experiments.Sched, FleetChaos and Market leave it empty",
-	"memharvest.Config.ReclaimPerGB in memharvest.Config.applyDefaults": "experiments.MemHarvest leaves it zero, and zero would divide by zero in Run",
-	"hostcg.Config.ProcRoot in hostcg.Config.applyDefaults":             "cmd/hostagent leaves it unset: /proc",
-	"hostcg.Config.OS in hostcg.Config.applyDefaults":                   "cmd/hostagent leaves it unset: RealOS",
-	"workload.ServerConfig.Fanout in workload.NewServer":                "every apps primary but IndexServe leaves it nil: one subtask a request",
-	"market.PoolSpec.Size in market.PoolSpec.withDefaults":              "-pools grammar: a pool without size=, as in benchmark/workloads.go balancedPools, holds Reserved x 10 s",
-	"market.PoolSpec.Price in market.PoolSpec.withDefaults":             "-pools grammar: a pool without price=, as in benchmark/workloads.go balancedPools, sells at 1",
-	"experiments.GridRun.ID in experiments.Resolve":                     "grid grammar and cmd/experiments' positional ids: a run without an id takes its experiment's name",
+	"cluster.Config.Workloads in cluster.Config.applyDefaults": "experiments.schedFleet leaves it nil without a -tenants class",
+	"sched.Config.Jobs in sched.Config.applyDefaults":          "experiments.Sched, FleetChaos and Market leave it empty",
+	"hostcg.Config.ProcRoot in hostcg.Config.applyDefaults":    "cmd/hostagent leaves it unset: /proc",
+	"hostcg.Config.OS in hostcg.Config.applyDefaults":          "cmd/hostagent leaves it unset: RealOS",
+	"workload.ServerConfig.Fanout in workload.NewServer":       "every apps primary but IndexServe leaves it nil: one subtask a request",
+	"market.PoolSpec.Size in market.PoolSpec.withDefaults":     "-pools grammar: a pool without size=, as in benchmark/workloads.go balancedPools, holds Reserved x 10 s",
+	"market.PoolSpec.Price in market.PoolSpec.withDefaults":    "-pools grammar: a pool without price=, as in benchmark/workloads.go balancedPools, sells at 1",
+	"experiments.GridRun.ID in experiments.Resolve":            "grid grammar and cmd/experiments' positional ids: a run without an id takes its experiment's name",
 }
 
 // TestNoDeadCode is the guard itself.

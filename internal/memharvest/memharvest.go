@@ -32,19 +32,19 @@ const TotalGB = 64
 // demand) sees samplesPerWindow demand samples. The primaries' working
 // set is a slow random walk between demandMin and demandMax GB with
 // allocation surges of surgeGB, arriving at surgeRate per second.
+// Returning one harvested GB to the primaries takes reclaimPerGB (balloon
+// deflate + zeroing).
 const (
 	window               = sim.Second
 	samplesPerWindow     = 20
 	demandMin, demandMax = 8.0, 40.0
 	surgeRate            = 0.1
 	surgeGB              = 12.0
+	reclaimPerGB         = 200 * sim.Millisecond
 )
 
 // Config describes one memory-harvesting run.
 type Config struct {
-	// ReclaimPerGB is how long returning one harvested GB to the
-	// primaries takes; zero gives 200 ms (balloon deflate + zeroing).
-	ReclaimPerGB sim.Time
 	// Duration is the measured run length and must be positive. Warmup
 	// precedes it; zero measures from t = 0.
 	Duration sim.Time
@@ -54,9 +54,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.ReclaimPerGB == 0 {
-		c.ReclaimPerGB = 200 * sim.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -125,7 +122,7 @@ func Run(cfg Config, ctrl core.Controller) *Result {
 		// linearly over the reclaim interval.
 		avail := assigned
 		if now < reclaimDone {
-			remaining := float64(reclaimDone-now) / float64(cfg.ReclaimPerGB)
+			remaining := float64(reclaimDone-now) / float64(reclaimPerGB)
 			if gap := reclaimTarget - assigned; gap > 0 {
 				got := gap - remaining
 				if got < 0 {
@@ -210,7 +207,7 @@ func Run(cfg Config, ctrl core.Controller) *Result {
 			// Reclaim is slow: schedule linear arrival.
 			res.Reclaims++
 			reclaimTarget = tf
-			reclaimDone = now + sim.Time(float64(cfg.ReclaimPerGB)*(tf-assigned))
+			reclaimDone = now + sim.Time(float64(reclaimPerGB)*(tf-assigned))
 		case tf < assigned:
 			// Growing the ElasticVM is cheap and immediate.
 			assigned = tf

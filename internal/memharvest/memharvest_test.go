@@ -98,14 +98,3 @@ func TestPeakFloor(t *testing.T) {
 		t.Fatalf("floored target %d, want 9", got)
 	}
 }
-
-func TestReclaimLatencyMatters(t *testing.T) {
-	// With instant reclaim, faults should drop sharply versus slow
-	// reclaim under the same policy and demand.
-	slowCfg, fastCfg := config(9), config(9)
-	slowCfg.ReclaimPerGB, fastCfg.ReclaimPerGB = 500*sim.Millisecond, sim.Millisecond
-	slow, fast := Run(slowCfg, fixed(4)), Run(fastCfg, fixed(4))
-	if fast.FaultSeconds >= slow.FaultSeconds {
-		t.Fatalf("fast reclaim faulted %v >= slow %v", fast.FaultSeconds, slow.FaultSeconds)
-	}
-}

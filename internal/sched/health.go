@@ -8,9 +8,36 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// degradeWindow is the sliding window over fault signals that
-// Config.DegradeEnter and DegradeExit count.
-const degradeWindow = 250 * sim.Millisecond
+// The resilience values. They engage only when the fleet's fault plan
+// enables fleet faults (server crashes or control-plane faults); without
+// those no failure is ever observed.
+const (
+	// maxPlacementRetries bounds how often one placement is retried after
+	// a dropped grant before the job returns to the queue.
+	maxPlacementRetries = 3
+	// placementBackoff is the base retry delay; attempt k waits
+	// placementBackoff << (k-1).
+	placementBackoff = 5 * sim.Millisecond
+	// quarantineAfter is the consecutive dropped-grant streak that
+	// quarantines a server.
+	quarantineAfter = 3
+	// quarantineDur is the base quarantine window; each re-entry doubles
+	// it, capped at quarantineMax.
+	quarantineDur = 250 * sim.Millisecond
+	quarantineMax = 2 * sim.Second
+	// probationDur is how long a server leaving quarantine stays on
+	// probation: usable, but one more failure re-quarantines it (doubled
+	// window), while surviving it clears its record.
+	probationDur = 500 * sim.Millisecond
+	// degradeEnter and degradeExit govern graceful admission degradation:
+	// once degradeEnter fault signals (dropped grants, crashes, lost
+	// reconciles) land within degradeWindow, placements fall back to
+	// conservative first-fit, at most one per round, until the count
+	// subsides to degradeExit.
+	degradeEnter  = 8
+	degradeExit   = 2
+	degradeWindow = 250 * sim.Millisecond
+)
 
 // health is the scheduler's self-healing collaborator under fleet-level
 // chaos (internal/faults fleet plans): dropped placement grants are
@@ -73,14 +100,14 @@ func (h *health) grant(j *job, target, attempt int) bool {
 		h.noteFault(now)
 		sv := &h.servers[target] // a long enough drop streak quarantines it
 		sv.failStreak++
-		if sv.failStreak >= s.cfg.QuarantineAfter && !h.inQuarantine(target) {
+		if sv.failStreak >= quarantineAfter && !h.inQuarantine(target) {
 			h.quarantine(target, now, false)
 		}
-		if attempt > s.cfg.MaxPlacementRetries {
+		if attempt > maxPlacementRetries {
 			s.requeue(j) // retry budget exhausted: wait for a calmer fleet
 			return false
 		}
-		backoff := s.cfg.PlacementBackoff << (attempt - 1)
+		backoff := placementBackoff << (attempt - 1)
 		s.res.PlacementRetries++
 		s.obs.OnPlacementRetry(obs.PlacementRetry{
 			At: now, Job: j.name, Server: target, Attempt: attempt, Backoff: backoff,
@@ -169,7 +196,7 @@ func (h *health) read(i int) (int, bool) {
 func (h *health) noteFault(now sim.Time) {
 	h.faultTimes = append(h.faultTimes, now)
 	h.pruneFaults(now)
-	if !h.degraded && len(h.faultTimes) >= h.s.cfg.DegradeEnter {
+	if !h.degraded && len(h.faultTimes) >= degradeEnter {
 		h.setDegraded(now, true)
 	}
 }
@@ -178,7 +205,7 @@ func (h *health) noteFault(now sim.Time) {
 // windowed fault count has subsided to the exit threshold.
 func (h *health) endRound(now sim.Time) {
 	h.pruneFaults(now)
-	if h.degraded && len(h.faultTimes) <= h.s.cfg.DegradeExit {
+	if h.degraded && len(h.faultTimes) <= degradeExit {
 		h.setDegraded(now, false)
 	}
 }
@@ -200,12 +227,12 @@ func (h *health) setDegraded(now sim.Time, on bool) {
 }
 
 // quarantine takes server i out of placement rotation for a window that
-// doubles with each re-entry, capped at QuarantineMax.
+// doubles with each re-entry, capped at quarantineMax.
 func (h *health) quarantine(server int, now sim.Time, crash bool) {
 	s, sv := h.s, &h.servers[server]
-	dur := s.cfg.QuarantineMax
+	dur := quarantineMax
 	if sv.quarStreak < 32 {
-		dur = min(dur, s.cfg.QuarantineDur<<sv.quarStreak)
+		dur = min(dur, quarantineDur<<sv.quarStreak)
 		sv.quarStreak++
 	}
 	sv.quarantined = true
@@ -219,7 +246,7 @@ func (h *health) quarantine(server int, now sim.Time, crash bool) {
 
 // probation re-admits a quarantined server on trial once its window
 // elapses: it can take placements again, but one more failure before
-// ProbationDur passes re-quarantines it with a doubled window, and a
+// probationDur passes re-quarantines it with a doubled window, and a
 // clean probation clears its record.
 func (h *health) probation(server int) {
 	s, sv := h.s, &h.servers[server]
@@ -230,11 +257,11 @@ func (h *health) probation(server int) {
 		return // stale timer from an earlier, superseded quarantine
 	}
 	sv.quarantined = false
-	sv.probUntil = s.loop.Now() + s.cfg.ProbationDur
+	sv.probUntil = s.loop.Now() + probationDur
 	s.obs.OnServerProbation(obs.ServerProbation{
 		At: s.loop.Now(), Server: server, Until: sv.probUntil,
 	})
-	s.loop.After(s.cfg.ProbationDur, func() { h.probationEnd(server) })
+	s.loop.After(probationDur, func() { h.probationEnd(server) })
 	s.tryPlace()
 }
 

@@ -82,6 +82,10 @@ type JobSpec struct {
 // learning window.
 const reconcileEvery = 25 * sim.Millisecond
 
+// maxRequeues is the per-job requeue budget: an eviction beyond it
+// abandons the job.
+const maxRequeues = 3
+
 // Config describes one scheduler run.
 type Config struct {
 	// Fleet configures the underlying cluster simulation; its ElasticVM
@@ -96,9 +100,6 @@ type Config struct {
 	// Jobs are sampled uniformly for each arrival; empty samples a small,
 	// medium-deadline, and large-no-deadline mix.
 	Jobs []JobSpec
-	// MaxRequeues is the per-job requeue budget: an eviction beyond it
-	// abandons the job (zero gives 3).
-	MaxRequeues int
 	// Checker, when set, verifies the job event stream online; Bind is
 	// called automatically and the report lands in Result.Check.
 	Checker *check.JobChecker
@@ -106,36 +107,6 @@ type Config struct {
 	// The zero value is fully inert — no ledger, no extra randomness, no
 	// extra events.
 	Market market.Config
-
-	// Resilience knobs (health.go). They engage only when Fleet.Faults
-	// enables fleet faults (server crashes or control-plane faults);
-	// without those no failure is ever observed and the knobs are inert.
-	// Each reads zero as its default, given in parentheses.
-
-	// MaxPlacementRetries bounds how often one placement is retried after
-	// a dropped grant before the job returns to the queue (default 3).
-	MaxPlacementRetries int
-	// PlacementBackoff is the base retry delay; attempt k waits
-	// PlacementBackoff << (k-1) (default 5 ms).
-	PlacementBackoff sim.Time
-	// QuarantineAfter is the consecutive dropped-grant streak that
-	// quarantines a server (default 3).
-	QuarantineAfter int
-	// QuarantineDur is the base quarantine window; each re-entry doubles
-	// it, capped at QuarantineMax (defaults 250 ms and 2 s).
-	QuarantineDur sim.Time
-	QuarantineMax sim.Time
-	// ProbationDur is how long a server leaving quarantine stays on
-	// probation: usable, but one more failure re-quarantines it (doubled
-	// window), while surviving it clears its record (default 500 ms).
-	ProbationDur sim.Time
-	// DegradeEnter and DegradeExit govern graceful admission
-	// degradation: once DegradeEnter fault signals (dropped grants,
-	// crashes, lost reconciles) land within a sliding degradeWindow,
-	// placements fall back to conservative first-fit, at most one per
-	// round, until the count subsides to DegradeExit (8, 2).
-	DegradeEnter int
-	DegradeExit  int
 }
 
 func (c *Config) applyDefaults() {
@@ -147,32 +118,14 @@ func (c *Config) applyDefaults() {
 			{Work: 16 * sim.Second, Width: 8},
 		}
 	}
-	c.MaxRequeues = cmp.Or(c.MaxRequeues, 3)
-	c.MaxPlacementRetries = cmp.Or(c.MaxPlacementRetries, 3)
-	c.PlacementBackoff = cmp.Or(c.PlacementBackoff, 5*sim.Millisecond)
-	c.QuarantineAfter = cmp.Or(c.QuarantineAfter, 3)
-	c.QuarantineDur = cmp.Or(c.QuarantineDur, 250*sim.Millisecond)
-	c.QuarantineMax = cmp.Or(c.QuarantineMax, 2*sim.Second)
-	c.ProbationDur = cmp.Or(c.ProbationDur, 500*sim.Millisecond)
-	c.DegradeEnter = cmp.Or(c.DegradeEnter, 8)
-	c.DegradeExit = cmp.Or(c.DegradeExit, 2)
 }
 
 func (c *Config) validate() error {
 	if c.Policy < FirstFit || c.Policy > Predicted {
 		return fmt.Errorf("sched: unknown policy %d", int(c.Policy))
 	}
-	if c.ArrivalRate < 0 || c.MaxRequeues < 0 {
-		return fmt.Errorf("sched: negative ArrivalRate or MaxRequeues")
-	}
-	if c.MaxPlacementRetries < 0 || c.PlacementBackoff < 0 || c.QuarantineAfter < 0 ||
-		c.QuarantineDur < 0 || c.QuarantineMax < 0 || c.ProbationDur < 0 ||
-		c.DegradeEnter < 0 || c.DegradeExit < 0 {
-		return fmt.Errorf("sched: negative resilience knob")
-	}
-	if c.DegradeExit >= c.DegradeEnter {
-		return fmt.Errorf("sched: DegradeExit %d must be below DegradeEnter %d (hysteresis)",
-			c.DegradeExit, c.DegradeEnter)
+	if c.ArrivalRate < 0 {
+		return fmt.Errorf("sched: negative ArrivalRate")
 	}
 	for i, j := range c.Jobs {
 		if j.Work <= 0 || j.Width < 1 || j.Deadline < 0 {
@@ -331,18 +284,19 @@ func BenchConfig(seed uint64) Config {
 }
 
 // jobConfig is what a JobChecker verifying a run of c on servers
-// servers needs to know; c has its defaults applied.
+// servers needs to know: the requeue and resilience constants and c's
+// market.
 func (c *Config) jobConfig(servers int) check.JobConfig {
 	return check.JobConfig{
-		MaxRequeues:         c.MaxRequeues,
+		MaxRequeues:         maxRequeues,
 		Servers:             servers,
-		MaxPlacementRetries: c.MaxPlacementRetries,
-		PlacementBackoff:    c.PlacementBackoff,
-		QuarantineDur:       c.QuarantineDur,
-		QuarantineMax:       c.QuarantineMax,
-		ProbationDur:        c.ProbationDur,
-		DegradeEnter:        c.DegradeEnter,
-		DegradeExit:         c.DegradeExit,
+		MaxPlacementRetries: maxPlacementRetries,
+		PlacementBackoff:    placementBackoff,
+		QuarantineDur:       quarantineDur,
+		QuarantineMax:       quarantineMax,
+		ProbationDur:        probationDur,
+		DegradeEnter:        degradeEnter,
+		DegradeExit:         degradeExit,
 		Market:              c.Market,
 	}
 }
@@ -593,7 +547,7 @@ func (s *scheduler) evict(j *job, cause evictCause) {
 	j.progress = min(j.progress+j.app.Stop(), j.spec.Work)
 	j.evictions++
 	s.res.Evictions++
-	final := j.evictions > s.cfg.MaxRequeues
+	final := j.evictions > maxRequeues
 	s.obs.OnJobEvict(obs.JobEvict{
 		At: now, Job: j.name, Server: j.server, Progress: j.progress, Evictions: j.evictions, Final: final,
 	})

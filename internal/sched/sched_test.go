@@ -206,7 +206,6 @@ func TestSchedConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Fleet: quietFleet(1), Policy: Policy(9)},
 		{Fleet: quietFleet(1), ArrivalRate: -1},
-		{Fleet: quietFleet(1), MaxRequeues: -2},
 		{Fleet: quietFleet(1), Jobs: []JobSpec{{Work: 0, Width: 1}}},
 		{Fleet: quietFleet(1), Jobs: []JobSpec{{Work: sim.Second, Width: 0}}},
 	}
@@ -299,8 +298,7 @@ func TestSchedGrantDropsRetryThenQuarantine(t *testing.T) {
 	fc.Faults = mustPlan(t, "gdrop=0.6")
 	c := check.NewJobChecker()
 	res, err := Run(Config{
-		Fleet: fc, Policy: Predicted, ArrivalRate: 2,
-		QuarantineAfter: 2, Checker: c,
+		Fleet: fc, Policy: Predicted, ArrivalRate: 2, Checker: c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,34 +342,28 @@ func TestSchedDegradedAdmissionUnderFaultStorm(t *testing.T) {
 	}
 }
 
-func TestSchedResilienceKnobsInertOnFaultFreeRuns(t *testing.T) {
+func TestSchedResilienceSilentOnFaultFreeRuns(t *testing.T) {
 	t.Parallel()
-	// The resilience machinery must be invisible without fleet faults:
-	// a fault-free run's full event trace is byte-identical no matter
-	// how the knobs are tuned.
-	trace := func(cfg Config) []byte {
-		var buf bytes.Buffer
-		cfg.Fleet.Observer = obs.NewJSONL(&buf)
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
+	// The resilience machinery must be invisible without fleet faults: a
+	// fault-free run that evicts and requeues under churn retries no
+	// placement, quarantines no server and never degrades admission.
+	var buf bytes.Buffer
+	w := obs.NewJSONL(&buf)
+	fc := churnFleet(7)
+	fc.Observer = w
+	res, err := Run(Config{Fleet: fc, Policy: Predicted, ArrivalRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Evictions == 0 {
+		t.Fatal("no evictions: the run does not exercise the reconcile path")
+	}
+	for _, ev := range []string{"placement-retry", "server-quarantine", "server-probation", "admission-degraded"} {
+		if bytes.Contains(buf.Bytes(), []byte(`"ev":"`+ev+`"`)) {
+			t.Errorf("a fault-free run emitted %s", ev)
 		}
-		return buf.Bytes()
-	}
-	base := Config{Fleet: churnFleet(7), Policy: Predicted, ArrivalRate: 1}
-	tuned := base
-	tuned.MaxPlacementRetries = 9
-	tuned.PlacementBackoff = sim.Millisecond
-	tuned.QuarantineAfter = 1
-	tuned.QuarantineDur = 50 * sim.Millisecond
-	tuned.QuarantineMax = 200 * sim.Millisecond
-	tuned.ProbationDur = 100 * sim.Millisecond
-	tuned.DegradeEnter = 2
-	tuned.DegradeExit = 1
-	a, b := trace(base), trace(tuned)
-	if len(a) == 0 {
-		t.Fatal("empty trace")
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resilience knobs perturbed a fault-free run: %d vs %d trace bytes", len(a), len(b))
 	}
 }
