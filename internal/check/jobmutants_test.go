@@ -259,3 +259,41 @@ func TestJobMutantProgressRegression(t *testing.T) {
 	})
 	wantViolation(t, c.Finish(), check.InvJobProgress)
 }
+
+// TestJobBindValidation: Bind refuses each value that would switch a check
+// off or turn it against legal runs, and accepts the scheduler's own
+// values and the all-zero config that skips the optional checks.
+func TestJobBindValidation(t *testing.T) {
+	sched := check.JobConfig{
+		MaxRequeues: 3, Servers: 2, MaxPlacementRetries: 3, PlacementBackoff: 5 * sim.Millisecond,
+		QuarantineDur: 250 * sim.Millisecond, QuarantineMax: 2 * sim.Second,
+		ProbationDur: 500 * sim.Millisecond, DegradeEnter: 8, DegradeExit: 2,
+	}
+	for _, cfg := range []check.JobConfig{sched, {}, {DegradeExit: 3}} {
+		if err := check.NewJobChecker().Bind(cfg); err != nil {
+			t.Errorf("Bind refused %+v: %v", cfg, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*check.JobConfig)
+	}{
+		{"negative requeues", func(c *check.JobConfig) { c.MaxRequeues = -1 }},
+		{"negative servers", func(c *check.JobConfig) { c.Servers = -1 }},
+		{"negative retries", func(c *check.JobConfig) { c.MaxPlacementRetries = -1 }},
+		{"negative backoff", func(c *check.JobConfig) { c.PlacementBackoff = -sim.Millisecond }},
+		{"negative quarantine", func(c *check.JobConfig) { c.QuarantineDur = -sim.Millisecond }},
+		{"negative quarantine cap", func(c *check.JobConfig) { c.QuarantineMax = -1 }},
+		{"negative probation", func(c *check.JobConfig) { c.ProbationDur = -1 }},
+		{"negative degrade enter", func(c *check.JobConfig) { c.DegradeEnter = -1 }},
+		{"negative degrade exit", func(c *check.JobConfig) { c.DegradeExit = -1 }},
+		{"exit equals enter", func(c *check.JobConfig) { c.DegradeExit = c.DegradeEnter }},
+		{"exit above enter", func(c *check.JobConfig) { c.DegradeExit = c.DegradeEnter + 1 }},
+	} {
+		cfg := sched
+		tc.mut(&cfg)
+		if err := check.NewJobChecker().Bind(cfg); err == nil {
+			t.Errorf("%s: Bind accepted %+v", tc.name, cfg)
+		}
+	}
+}
