@@ -1,25 +1,38 @@
 // Package deadcode holds a tier-1 guard over the whole source tree: the
 // module and the nested benchmark module are type-checked from source, test
-// files left out, and three kinds of code are refused.
+// files left out, and four kinds of code are refused.
 //
 //   - An exported function or method under internal/ that no non-test code
 //     references. A method that implements a method of some interface is
 //     exempt: it is called through the interface.
 //   - An unexported struct field under internal/ that non-test code writes
-//     (assignment, ++/--, composite-literal key) but never reads.
+//     (assignment, ++/--, composite-literal key) but never reads; taking
+//     its address (&x.f) counts as a read.
 //   - A zero-to-default substitution under internal/ on an exported field
 //     F of a struct under internal/, in any of three forms: an if that
 //     tests x.F against its zero value (== or <= 0, nil, "", T{} or
 //     len(x.F) == 0) and stores into x.F; an if that stores x.F elsewhere
 //     only when it is non-zero (!= or > its zero value); and any
 //     cmp.Or(x.F, ...).
+//   - An exported field of a config struct under internal/ (a type whose
+//     name ends in Config, Options or Policy, and harness.Scenario) that no
+//     non-test code sets outside its own package's default functions
+//     (Default*, applyDefaults, withDefaults). A store, a composite-literal
+//     key and &x.F (a flag binding) set it; so does decoding text into a
+//     struct that reaches it (encoding/json, grammar.New). A knob only
+//     tests set should be a constant.
 //
-// Each exception to the first rule is named in allowlist, and each to the
-// third in defaults, with the reason it stays; an entry that names something
-// gone, or something that has since gained a caller or lost its
-// substitution, is reported as stale. Accessors that only a package's own
-// tests use belong in its accessors_test.go. The guard uses only the
-// standard library.
+// Each exception to the first rule is named in allowlist, each to the third
+// in defaults and each to the fourth in knobs, with the reason it stays; an
+// entry that names something gone, or something that has since gained a
+// caller, lost its substitution or gained a writer, is reported as stale.
+// Accessors that only a package's own tests use belong in its
+// accessors_test.go. The guard uses only the standard library.
+//
+// TestRatchet (ratchet_test.go) holds the tree's size to
+// testdata/ratchet.json: the non-test lines of each package directory,
+// DESIGN.md and README.md, and the entries of the three allowlists may
+// fall but not rise.
 package deadcode
 
 import (
@@ -119,6 +132,46 @@ var defaults = map[string]string{
 	"experiments.GridRun.ID in experiments.Resolve":            "grid grammar and cmd/experiments' positional ids: a run without an id takes its experiment's name",
 }
 
+// knobs names each exported field of a config struct under internal/ that
+// no non-test code sets outside its package's default functions, with the
+// reason it stays settable. Keys are the import path below internal/, the
+// struct's type name and the field's name.
+var knobs = map[string]string{
+	// The machine's calibration. DefaultConfig's values are the paper's
+	// evaluation; hypervisor's own tests zero them for exact queueing
+	// checks, and the calibration and sensitivity work (ROADMAP items 14
+	// and 18) varies them.
+	"hypervisor.Config.SchedPeriod":         calibration,
+	"hypervisor.Config.IdleRebalancePeriod": calibration,
+	"hypervisor.Config.HypercallLatency":    calibration,
+	"hypervisor.Config.CpuGroupsHypercalls": calibration,
+	"hypervisor.Config.IPIEffectMean":       calibration,
+	"hypervisor.Config.IPIEffectP99":        calibration,
+	"hypervisor.Config.DispatchOverheadMin": calibration,
+	"hypervisor.Config.DispatchOverheadMax": calibration,
+
+	// Arguments of a DefaultConfig: its callers choose them.
+	"core.Config.ElasticMin":       "core.DefaultConfig(primaryAlloc, elasticMin) takes it from its caller",
+	"hypervisor.Config.TotalCores": "hypervisor.DefaultConfig(totalCores) takes it from its caller",
+
+	// Read by benchmark/probes.go, which binds its checker from them and
+	// cannot change with this tree.
+	"core.Config.HarvestPause":           "benchmark/probes.go reads it",
+	"core.ResiliencePolicy.MaxRetries":   "benchmark/probes.go reads it",
+	"core.ResiliencePolicy.RetryBackoff": "benchmark/probes.go reads it",
+	"core.ResiliencePolicy.Probation":    "benchmark/probes.go reads it",
+
+	"core.Config.QoSConsecutive": "the paper trips on 2 consecutive bad windows, core.DefaultConfig on 1; " +
+		"ROADMAP items 5a and 9 settle which",
+	"hostcg.Config.ProcRoot": "the fake-OS seam: hostcg's tests point it at a fake procfs",
+	"hostcg.Config.OS":       "the fake-OS seam: hostcg's tests replace the real file system",
+}
+
+// calibration is the reason the hypervisor's calibration fields stay
+// settable.
+const calibration = "calibration: hypervisor's tests zero it for exact queueing checks, " +
+	"and ROADMAP items 14 and 18 vary it"
+
 // TestNoDeadCode is the guard itself.
 func TestNoDeadCode(t *testing.T) {
 	root, err := filepath.Abs("../..")
@@ -129,7 +182,7 @@ func TestNoDeadCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rep.problems(allowlist, defaults) {
+	for _, p := range rep.problems(allowlist, defaults, knobs) {
 		t.Error(p)
 	}
 }
@@ -138,7 +191,10 @@ func TestNoDeadCode(t *testing.T) {
 // plants each fault the guard exists to report: a dead exported func, a
 // write-only unexported field, each form of zero-to-default substitution,
 // two stale allowlist entries (one names a function that is gone, one a
-// function that is now called) and a stale defaults entry.
+// function that is now called), a stale defaults entry, a config field
+// only tests set, one only its package's defaults set, and two stale
+// knobs entries. It must let pass a field set through its address and
+// fields decoded from JSON.
 func TestGuardCatchesPlantedFaults(t *testing.T) {
 	rep, err := analyze(filepath.Join("testdata", "fixture"), "fixture")
 	if err != nil {
@@ -151,6 +207,10 @@ func TestGuardCatchesPlantedFaults(t *testing.T) {
 	}, map[string]string{
 		"dead.Config.Seed in dead.Config.Resolve":  "a live entry: the fixture's program leaves Seed zero",
 		"dead.Config.Width in dead.Config.Resolve": "stale: Width is taken literally",
+	}, map[string]string{
+		"dead.Options.Kept": "a live entry: nothing sets Kept",
+		"dead.Options.Set":  "stale: the program sets Set",
+		"dead.Options.Gone": "stale: names a field the fixture no longer has",
 	})
 	want := []string{
 		"dead.Dead: exported func with no non-test caller",
@@ -163,6 +223,10 @@ func TestGuardCatchesPlantedFaults(t *testing.T) {
 		"dead.Config.Scale in dead.Config.Resolve: copied only when non-zero (if x.F != zero { y = x.F })",
 		"dead.Config.Name in dead.Config.Resolve: zero replaced by a default (cmp.Or(x.F, ...))",
 		"defaults entry dead.Config.Width in dead.Config.Resolve is stale: no zero-to-default substitution there",
+		"dead.Options.Filled: exported config field with no non-test writer outside its package's defaults",
+		"dead.Options.OnlyTests: exported config field with no non-test writer outside its package's defaults",
+		"knobs entry dead.Options.Set is stale: non-test code now sets it",
+		"knobs entry dead.Options.Gone is stale: no such exported config field",
 	}
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -180,11 +244,32 @@ type report struct {
 	// substituted maps each site of a zero-to-default substitution (a
 	// field in a function) to the forms found there, each form once.
 	substituted map[string][]string
+	// knobs maps every exported field of a config struct under internal/
+	// to whether non-test code sets it outside its package's default
+	// functions.
+	knobs map[string]bool
 }
 
-// problems lists the guard's findings against allow and defs, sorted.
-func (r *report) problems(allow, defs map[string]string) []string {
+// problems lists the guard's findings against allow, defs and kept (the
+// allowlists of the first, third and fourth rules), sorted.
+func (r *report) problems(allow, defs, kept map[string]string) []string {
 	var out []string
+	for name, isSet := range r.knobs {
+		if !isSet && kept[name] == "" {
+			out = append(out, name+": exported config field with no non-test writer outside its package's defaults")
+		}
+	}
+	for name, reason := range kept {
+		isSet, ok := r.knobs[name]
+		switch {
+		case strings.TrimSpace(reason) == "":
+			out = append(out, "knobs entry "+name+" gives no reason")
+		case !ok:
+			out = append(out, "knobs entry "+name+" is stale: no such exported config field")
+		case isSet:
+			out = append(out, "knobs entry "+name+" is stale: non-test code now sets it")
+		}
+	}
 	for site, forms := range r.substituted {
 		if defs[site] == "" {
 			for _, form := range forms {
@@ -305,10 +390,11 @@ func analyze(root, modPath string) (*report, error) {
 	viaInterface := interfaceMethods(pkgs)
 
 	// Declarations: exported funcs and methods, unexported named fields,
-	// exported named fields.
+	// exported named fields, and the exported fields of config structs.
 	decls := map[*types.Func]string{}
 	fields := map[*types.Var]string{}
 	exported := map[*types.Var]string{}
+	knobs := map[*types.Var]string{}
 	for _, path := range paths {
 		p := pkgs[path]
 		if !strings.HasPrefix(path, internal) {
@@ -330,6 +416,25 @@ func analyze(root, modPath string) (*report, error) {
 				}
 				decls[fn] = name(fn, recv)
 			}
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !configType(strings.TrimPrefix(path, internal), ts.Name.Name) {
+						continue
+					}
+					if st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							if v := st.Field(i); v.Exported() {
+								knobs[v] = name(v, ts.Name.Name)
+							}
+						}
+					}
+				}
+			}
 			structFields(f, func(typeName string, id *ast.Ident) {
 				v, ok := p.info.Defs[id].(*types.Var)
 				switch {
@@ -344,9 +449,12 @@ func analyze(root, modPath string) (*report, error) {
 	}
 
 	// References from every non-test package, the benchmark's included.
+	// set holds the fields some code stores into, or takes the address
+	// of, outside their own package's default functions.
 	called := map[*types.Func]bool{}
 	read := map[*types.Var]bool{}
 	written := map[*types.Var]bool{}
+	set := map[*types.Var]bool{}
 	for _, path := range paths {
 		p := pkgs[path]
 		for _, f := range p.files {
@@ -368,10 +476,14 @@ func analyze(root, modPath string) (*report, error) {
 						}
 					case *types.Var:
 						if obj = obj.Origin(); obj.IsField() && under(obj) {
-							if writes[id] {
+							acc := writes[id]
+							if acc == store {
 								written[obj] = true
 							} else {
 								read[obj] = true
+							}
+							if acc != 0 && !(self != nil && self.Pkg() == obj.Pkg() && defaultFunc(self.Name())) {
+								set[obj] = true
 							}
 						}
 					}
@@ -379,9 +491,10 @@ func analyze(root, modPath string) (*report, error) {
 				})
 			}
 		}
+		decodedFields(p.info, modPath+"/internal/grammar", set)
 	}
 
-	rep := &report{funcs: map[string]bool{}, substituted: map[string][]string{}}
+	rep := &report{funcs: map[string]bool{}, substituted: map[string][]string{}, knobs: map[string]bool{}}
 	for _, path := range paths {
 		p := pkgs[path]
 		if !strings.HasPrefix(path, internal) {
@@ -404,7 +517,78 @@ func analyze(root, modPath string) (*report, error) {
 		}
 	}
 	sort.Strings(rep.writeOnly)
+	for v, n := range knobs {
+		rep.knobs[n] = set[v]
+	}
 	return rep, nil
+}
+
+// configType reports whether the struct type name, declared in the package
+// scope below internal/, holds settable configuration: its name ends in
+// Config, Options or Policy, or it is harness.Scenario.
+func configType(scope, name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+		strings.HasSuffix(name, "Policy") || scope+"."+name == "harness.Scenario"
+}
+
+// defaultFunc reports whether a function of this name fills its package's
+// defaults, so that its stores set nothing a caller chose.
+func defaultFunc(name string) bool {
+	return strings.HasPrefix(name, "Default") || name == "applyDefaults" || name == "withDefaults"
+}
+
+// decodedFields adds to set every field of every struct that the package
+// behind info decodes from text, and of the structs those reach: the
+// targets of encoding/json's Unmarshal and Decoder.Decode, and the type
+// argument of each instance of the generic New in grammarPath.
+func decodedFields(info *types.Info, grammarPath string, set map[*types.Var]bool) {
+	var decode func(t types.Type)
+	decode = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			decode(u.Elem())
+		case *types.Slice:
+			decode(u.Elem())
+		case *types.Array:
+			decode(u.Elem())
+		case *types.Map:
+			decode(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if v := u.Field(i); !set[v] {
+					set[v] = true
+					decode(v.Type())
+				}
+			}
+		}
+	}
+	for id, inst := range info.Instances {
+		if fn, ok := info.Uses[id].(*types.Func); ok && fn.Name() == "New" && fn.Pkg().Path() == grammarPath {
+			decode(inst.TypeArgs.At(0))
+		}
+	}
+	for e, tv := range info.Types {
+		call, ok := e.(*ast.CallExpr)
+		if !ok || tv.IsType() {
+			continue
+		}
+		var fn *types.Func
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.SelectorExpr:
+			fn, _ = info.Uses[fun.Sel].(*types.Func)
+		case *ast.Ident:
+			fn, _ = info.Uses[fun].(*types.Func)
+		}
+		if fn == nil {
+			continue
+		}
+		switch fn.FullName() {
+		case "encoding/json.Unmarshal":
+			decode(info.TypeOf(call.Args[1]))
+		case "(*encoding/json.Decoder).Decode":
+			decode(info.TypeOf(call.Args[0]))
+		}
+	}
 }
 
 // The three forms of zero-to-default substitution, as the guard reports them.
@@ -529,31 +713,45 @@ func substitutions(info *types.Info, f *ast.File, scope string, fields map[*type
 	}
 }
 
-// writeTargets returns the identifiers in f that name a field only as the
-// target of a store: the selector of an assignment's left-hand side or of an
-// ++/-- statement, and the key of a struct literal. A compound assignment
-// (+=) counts as a store alone, so a field that is only ever bumped is
-// write-only.
-func writeTargets(f *ast.File) map[*ast.Ident]bool {
-	w := map[*ast.Ident]bool{}
-	target := func(e ast.Expr) {
+// The ways writeTargets finds a field named: as the target of a store, or
+// with its address taken. Any other use is a read.
+type access uint8
+
+const (
+	store access = 1 + iota
+	addressed
+)
+
+// writeTargets returns the identifiers in f that name a field as the
+// target of a store — the selector of an assignment's left-hand side or of
+// an ++/-- statement, and the key of a struct literal — or whose address
+// is taken (&x.F). A compound assignment (+=) counts as a store alone, so
+// a field that is only ever bumped is write-only; a field whose address is
+// taken may be read through the pointer, so it counts as read too.
+func writeTargets(f *ast.File) map[*ast.Ident]access {
+	w := map[*ast.Ident]access{}
+	target := func(e ast.Expr, acc access) {
 		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			w[s.Sel] = true
+			w[s.Sel] = acc
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, e := range n.Lhs {
-				target(e)
+				target(e, store)
 			}
 		case *ast.IncDecStmt:
-			target(n.X)
+			target(n.X, store)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X, addressed)
+			}
 		case *ast.CompositeLit:
 			for _, e := range n.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
-						w[id] = true
+						w[id] = store
 					}
 				}
 			}
@@ -690,9 +888,10 @@ func (s *sourceImporter) Import(path string) (*types.Package, error) {
 		return p.types, nil
 	}
 	p.info = &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: s}
 	tp, err := conf.Check(path, s.fset, p.files, p.info)

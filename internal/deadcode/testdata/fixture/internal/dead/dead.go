@@ -79,3 +79,25 @@ func (c *Config) Resolve() float64 {
 	c.Name = cmp.Or(c.Name, "unnamed")
 	return scale
 }
+
+// Options plants the config-field rule's cases. The program sets Set and
+// binds Flagged to a flag by address; Kept has an allowlist entry. Filled
+// is written only by DefaultOptions, OnlyTests only by the package's test:
+// the guard reports both.
+type Options struct {
+	Set       int
+	Flagged   int
+	Kept      int
+	Filled    int
+	OnlyTests int
+}
+
+// DefaultOptions returns the options a caller starts from.
+func DefaultOptions() Options { return Options{Filled: 4} }
+
+// WireConfig's fields arrive decoded from JSON, its nested Limits' too:
+// nothing reports them.
+type WireConfig struct {
+	Port   int
+	Limits struct{ Max int }
+}

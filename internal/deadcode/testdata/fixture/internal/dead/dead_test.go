@@ -10,3 +10,12 @@ func TestDead(t *testing.T) {
 		t.Fatal(c.hits)
 	}
 }
+
+// A test's stores do not count: OnlyTests stays reported.
+func TestOptions(t *testing.T) {
+	o := DefaultOptions()
+	o.OnlyTests = 1
+	if o.OnlyTests+o.Filled != 5 {
+		t.Fatal(o)
+	}
+}
