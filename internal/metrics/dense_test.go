@@ -3,26 +3,80 @@ package metrics
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // denseHistogram is the reference Histogram: every one of the 64 tiers
 // allocated up front, buckets indexed from value zero. Only tests use it,
 // to hold Histogram's quantiles, CDF, summary and merges to it bit for bit.
+//
+// A reference at subBits 16 holds 32 MiB of buckets, so references are
+// pooled (newDense, release) and remember which buckets they touched:
+// release clears only those, and the queries walk them in index order,
+// skipping the buckets that are zero, as a walk over every bucket would.
 type denseHistogram struct {
 	subBits    uint
 	counts     []uint64
+	touched    []int // the non-zero buckets' indexes, sorted when sorted is set
+	sorted     bool
 	total      uint64
 	sum, sumSq float64
 	min, max   int64
 }
 
+// densePool holds released references by precision.
+var densePool struct {
+	sync.Mutex
+	free [17][]*denseHistogram
+}
+
+// newDense returns an empty reference, from the pool when it has one.
 func newDense(subBits uint) *denseHistogram {
+	densePool.Lock()
+	defer densePool.Unlock()
+	free := densePool.free[subBits]
+	if n := len(free); n > 0 {
+		densePool.free[subBits] = free[:n-1]
+		return free[n-1]
+	}
 	return &denseHistogram{
 		subBits: subBits,
 		counts:  make([]uint64, 64<<subBits),
+		sorted:  true,
 		min:     math.MaxInt64,
 		max:     math.MinInt64,
 	}
+}
+
+// release empties h and returns it to the pool; h must not be used after.
+func release(h *denseHistogram) {
+	for _, i := range h.touched {
+		h.counts[i] = 0
+	}
+	*h = denseHistogram{subBits: h.subBits, counts: h.counts, touched: h.touched[:0], sorted: true,
+		min: math.MaxInt64, max: math.MinInt64}
+	densePool.Lock()
+	densePool.free[h.subBits] = append(densePool.free[h.subBits], h)
+	densePool.Unlock()
+}
+
+// add adds c to bucket i.
+func (h *denseHistogram) add(i int, c uint64) {
+	if h.counts[i] == 0 {
+		h.touched = append(h.touched, i)
+		h.sorted = false
+	}
+	h.counts[i] += c
+}
+
+// buckets returns the touched buckets' indexes in ascending order.
+func (h *denseHistogram) buckets() []int {
+	if !h.sorted {
+		slices.Sort(h.touched)
+		h.sorted = true
+	}
+	return h.touched
 }
 
 func (h *denseHistogram) index(v int64) int {
@@ -54,7 +108,7 @@ func (h *denseHistogram) high(i int) int64 {
 
 func (h *denseHistogram) Record(v int64) {
 	v = max(v, 0)
-	h.counts[h.index(v)]++
+	h.add(h.index(v), 1)
 	h.total++
 	f := float64(v)
 	h.sum += f
@@ -74,8 +128,8 @@ func (h *denseHistogram) Quantile(q float64) int64 {
 	}
 	rank := max(uint64(math.Ceil(q*float64(h.total))), 1)
 	var seen uint64
-	for i, c := range h.counts {
-		if seen += c; c > 0 && seen >= rank {
+	for _, i := range h.buckets() {
+		if seen += h.counts[i]; seen >= rank {
 			low := h.low(i)
 			return min(max(low+(h.high(i)-low)/2, h.min), h.max)
 		}
@@ -84,8 +138,8 @@ func (h *denseHistogram) Quantile(q float64) int64 {
 }
 
 func (h *denseHistogram) Merge(o *denseHistogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	for _, i := range o.touched {
+		h.add(i, o.counts[i])
 	}
 	h.total += o.total
 	h.sum += o.sum
@@ -99,11 +153,8 @@ func (h *denseHistogram) Merge(o *denseHistogram) {
 func (h *denseHistogram) CDF() []CDFPoint {
 	var out []CDFPoint
 	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
+	for _, i := range h.buckets() {
+		cum += h.counts[i]
 		out = append(out, CDFPoint{Value: min(h.high(i), h.max), Fraction: float64(cum) / float64(h.total)})
 	}
 	return out

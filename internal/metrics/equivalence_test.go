@@ -26,8 +26,8 @@ func sameAsDense(t *testing.T, what string, h *Histogram, d *denseHistogram) {
 	}
 }
 
-// recordBoth records vals into a fresh Histogram and a fresh dense
-// reference of the same precision.
+// recordBoth records vals into a fresh Histogram and an empty dense
+// reference of the same precision, which the caller releases.
 func recordBoth(subBits uint, vals []int64) (*Histogram, *denseHistogram) {
 	h, d := NewHistogramPrecision(subBits), newDense(subBits)
 	for _, v := range vals {
@@ -37,18 +37,26 @@ func recordBoth(subBits uint, vals []int64) (*Histogram, *denseHistogram) {
 	return h, d
 }
 
-// mergeBothWays merges b into a and a into b, each on fresh copies, and
-// holds both results to the dense reference's.
+// mergeBothWays merges b into a, then a fresh a into b, and holds each
+// result and each merged-in side to the dense reference's. The first
+// check of b's side shows that a merge leaves its argument as it was, so
+// b serves as the second merge's receiver.
 func mergeBothWays(t *testing.T, what string, subBits uint, a, b []int64) {
 	t.Helper()
-	for _, way := range [2][2][]int64{{a, b}, {b, a}} {
-		h, d := recordBoth(subBits, way[0])
-		ho, do := recordBoth(subBits, way[1])
-		h.Merge(ho)
-		d.Merge(do)
-		sameAsDense(t, what, h, d)
-		sameAsDense(t, what+" (merged-in side)", ho, do)
-	}
+	ha, da := recordBoth(subBits, a)
+	hb, db := recordBoth(subBits, b)
+	ha.Merge(hb)
+	da.Merge(db)
+	sameAsDense(t, what, ha, da)
+	sameAsDense(t, what+" (merged-in side)", hb, db)
+	ha2, da2 := recordBoth(subBits, a)
+	hb.Merge(ha2)
+	db.Merge(da2)
+	sameAsDense(t, what, hb, db)
+	sameAsDense(t, what+" (merged-in side)", ha2, da2)
+	release(da)
+	release(db)
+	release(da2)
 }
 
 // TestHistogramMatchesDense holds Histogram to the dense reference at every
@@ -84,6 +92,7 @@ func TestHistogramMatchesDense(t *testing.T) {
 			for name, vals := range sets {
 				h, d := recordBoth(subBits, vals)
 				sameAsDense(t, name, h, d)
+				release(d)
 			}
 			for _, m := range []struct {
 				name string

@@ -19,7 +19,8 @@ func FuzzHistogramQuantile(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, subBitsRaw uint8, data []byte) {
 		subBits := uint(1 + subBitsRaw%16) // [1, 16]
-		h := NewHistogramPrecision(subBits)
+		h, d := NewHistogramPrecision(subBits), newDense(subBits)
+		defer release(d)
 
 		// Two bytes per sample: the first picks between a small linear
 		// value and a shifted wide-range value, the second the magnitude.
@@ -35,16 +36,17 @@ func FuzzHistogramQuantile(f *testing.F) {
 				v = int64((uint64(b1) + 1) << (b0 % 55))
 			}
 			h.Record(v)
+			d.Record(v)
 			samples = append(samples, v)
 			raw = append(raw, v)
 		}
 		// A trailing odd byte exercises the negative-clamp path.
 		if len(data)%2 == 1 {
 			h.Record(-int64(data[len(data)-1]))
+			d.Record(-int64(data[len(data)-1]))
 			samples = append(samples, 0) // Record clamps negatives to zero
 			raw = append(raw, -int64(data[len(data)-1]))
 		}
-		_, d := recordBoth(subBits, raw)
 		sameAsDense(t, "fuzz", h, d)
 		mergeBothWays(t, "fuzz halves", subBits, raw[:len(raw)/2], raw[len(raw)/2:])
 		if len(samples) == 0 {

@@ -188,7 +188,8 @@ func (h *Histogram) Max() int64 {
 
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) with
 // relative error bounded by the histogram precision. Empty histograms
-// return 0.
+// return 0. The walk to the rank starts at the nearer end of the buckets,
+// so a tail quantile passes few of them.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.total == 0 {
 		return 0
@@ -204,28 +205,42 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank < 1 {
 		rank = 1
 	}
-	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
+	// The answer is the first bucket whose cumulative count reaches rank.
+	first, counts := h.occupied()
+	if rank <= h.total/2 {
+		var below uint64 // observations in buckets up to i
+		for i, c := range counts {
+			if below += c; c > 0 && below >= rank {
+				return h.midpoint(first + i)
+			}
 		}
-		seen += c
-		if seen >= rank {
-			// Midpoint of the bucket, clamped to observed extremes so
-			// estimates never exceed the true min/max. low+(high-low)/2:
-			// the top buckets sit near MaxInt64, where low+high overflows.
-			low := h.bucketLow(h.base + i)
-			mid := low + (h.bucketHigh(h.base+i)-low)/2
-			if mid < h.min {
-				mid = h.min
+	} else {
+		var above uint64 // observations in buckets i and up
+		for i := len(counts) - 1; i >= 0; i-- {
+			if c := counts[i]; c > 0 {
+				if above += c; h.total-above < rank {
+					return h.midpoint(first + i)
+				}
 			}
-			if mid > h.max {
-				mid = h.max
-			}
-			return mid
 		}
 	}
 	return h.Max()
+}
+
+// occupied returns the buckets from min's to max's, which hold every
+// observation, and the bucket index of the first; h must not be empty.
+func (h *Histogram) occupied() (first int, counts []uint64) {
+	first = h.bucketIndex(h.min)
+	return first, h.counts[first-h.base : h.bucketIndex(h.max)-h.base+1]
+}
+
+// midpoint is the midpoint of bucket i, clamped to the observed extremes
+// so that estimates never exceed the true min/max. low+(high-low)/2: the
+// top buckets sit near MaxInt64, where low+high overflows.
+func (h *Histogram) midpoint(i int) int64 {
+	low := h.bucketLow(i)
+	mid := low + (h.bucketHigh(i)-low)/2
+	return min(max(mid, h.min), h.max)
 }
 
 // P50, P95, P99 and P999 are conveniences for the common quantiles.
@@ -273,12 +288,13 @@ func (h *Histogram) CDF() []CDFPoint {
 	}
 	var out []CDFPoint
 	var cum uint64
-	for i, c := range h.counts {
+	first, counts := h.occupied()
+	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
 		cum += c
-		v := h.bucketHigh(h.base + i)
+		v := h.bucketHigh(first + i)
 		if v > h.max {
 			v = h.max
 		}
