@@ -74,17 +74,14 @@ const (
 
 // JobConfig binds a JobChecker to the facts of one scheduler run.
 type JobConfig struct {
-	// MaxRequeues is the scheduler's requeue budget per job (sched's
-	// constant); an eviction beyond it must be final. Zero skips the
-	// bound checks.
+	// MaxRequeues is the scheduler's requeue budget per job; an eviction
+	// beyond it must be final. Zero skips the bound checks.
 	MaxRequeues int
 	// Servers is the fleet size; placements must name a server in range.
 	Servers int
 
 	// Fleet-resilience values (all optional; zero skips the matching
-	// checks). They mirror sched's resilience constants, which sched.Run
-	// binds; Bind refuses a negative value, and a DegradeExit at or
-	// above a non-zero DegradeEnter.
+	// checks). They mirror sched's constants, which sched.Run binds.
 
 	// MaxPlacementRetries bounds PlacementRetry.Attempt.
 	MaxPlacementRetries int
@@ -109,22 +106,6 @@ type JobConfig struct {
 	// budgets, and penalties from it. The zero value still validates
 	// pool-event bookkeeping, with the default overcommit ratio.
 	Market market.Config
-}
-
-// validate refuses a config whose checks would mislead: a negative value
-// would silently switch its check off, and an exit threshold at or above
-// the entry threshold would flag every legal recovery.
-func (cfg *JobConfig) validate() error {
-	if cfg.MaxRequeues < 0 || cfg.Servers < 0 || cfg.MaxPlacementRetries < 0 || cfg.PlacementBackoff < 0 ||
-		cfg.QuarantineDur < 0 || cfg.QuarantineMax < 0 || cfg.ProbationDur < 0 ||
-		cfg.DegradeEnter < 0 || cfg.DegradeExit < 0 {
-		return fmt.Errorf("check: negative JobConfig count or duration")
-	}
-	if cfg.DegradeEnter > 0 && cfg.DegradeExit >= cfg.DegradeEnter {
-		return fmt.Errorf("check: DegradeExit %d must be below DegradeEnter %d (hysteresis)",
-			cfg.DegradeExit, cfg.DegradeEnter)
-	}
-	return nil
 }
 
 // Job lifecycle states tracked by the JobChecker.
@@ -224,8 +205,16 @@ func (c *JobChecker) Bind(cfg JobConfig) error {
 	if c.bound {
 		return fmt.Errorf("check: JobChecker already bound (one JobChecker verifies one run)")
 	}
-	if err := cfg.validate(); err != nil {
-		return err
+	// A negative value would switch its check off, and an exit threshold
+	// at or above the entry one would flag every legal recovery.
+	if cfg.MaxRequeues < 0 || cfg.Servers < 0 || cfg.MaxPlacementRetries < 0 || cfg.PlacementBackoff < 0 ||
+		cfg.QuarantineDur < 0 || cfg.QuarantineMax < 0 || cfg.ProbationDur < 0 ||
+		cfg.DegradeEnter < 0 || cfg.DegradeExit < 0 {
+		return fmt.Errorf("check: negative JobConfig count or duration")
+	}
+	if cfg.DegradeEnter > 0 && cfg.DegradeExit >= cfg.DegradeEnter {
+		return fmt.Errorf("check: DegradeExit %d must be below DegradeEnter %d (hysteresis)",
+			cfg.DegradeExit, cfg.DegradeEnter)
 	}
 	c.cfg = cfg
 	if cfg.Servers > 0 {

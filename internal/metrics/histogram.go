@@ -201,10 +201,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 		return h.Max()
 	}
 	// Rank of the desired observation, 1-based, nearest-rank definition.
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(q*float64(h.total))), 1)
 	// The answer is the first bucket whose cumulative count reaches rank.
 	first, counts := h.occupied()
 	if rank <= h.total/2 {

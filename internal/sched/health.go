@@ -8,32 +8,24 @@ import (
 	"smartharvest/internal/sim"
 )
 
-// The resilience values. They engage only when the fleet's fault plan
-// enables fleet faults (server crashes or control-plane faults); without
-// those no failure is ever observed.
+// The resilience values. Without fleet faults no failure is observed and
+// none of them engages.
 const (
-	// maxPlacementRetries bounds how often one placement is retried after
-	// a dropped grant before the job returns to the queue.
+	// A dropped grant is retried up to maxPlacementRetries times, attempt
+	// k after placementBackoff << (k-1), before the job requeues.
 	maxPlacementRetries = 3
-	// placementBackoff is the base retry delay; attempt k waits
-	// placementBackoff << (k-1).
-	placementBackoff = 5 * sim.Millisecond
-	// quarantineAfter is the consecutive dropped-grant streak that
-	// quarantines a server.
+	placementBackoff    = 5 * sim.Millisecond
+	// quarantineAfter consecutive dropped grants quarantine a server for
+	// quarantineDur, doubled on each re-entry up to quarantineMax; then it
+	// is on probationDur's probation, where one more failure
+	// re-quarantines it and surviving clears its record.
 	quarantineAfter = 3
-	// quarantineDur is the base quarantine window; each re-entry doubles
-	// it, capped at quarantineMax.
-	quarantineDur = 250 * sim.Millisecond
-	quarantineMax = 2 * sim.Second
-	// probationDur is how long a server leaving quarantine stays on
-	// probation: usable, but one more failure re-quarantines it (doubled
-	// window), while surviving it clears its record.
-	probationDur = 500 * sim.Millisecond
-	// degradeEnter and degradeExit govern graceful admission degradation:
-	// once degradeEnter fault signals (dropped grants, crashes, lost
-	// reconciles) land within degradeWindow, placements fall back to
-	// conservative first-fit, at most one per round, until the count
-	// subsides to degradeExit.
+	quarantineDur   = 250 * sim.Millisecond
+	quarantineMax   = 2 * sim.Second
+	probationDur    = 500 * sim.Millisecond
+	// Once degradeEnter fault signals (dropped grants, crashes, lost
+	// reconciles) land within degradeWindow, placement falls back to
+	// first-fit, one per round, until the count subsides to degradeExit.
 	degradeEnter  = 8
 	degradeExit   = 2
 	degradeWindow = 250 * sim.Millisecond
